@@ -7,7 +7,7 @@
 //! (HPWL relative, overflow absolute). Regenerate by running the suite
 //! with `DP_UPDATE_GOLDEN=1`.
 //!
-//! The vendored `serde` is an empty API stub (the build is fully offline),
+//! The build is fully offline and carries no `serde`,
 //! so the JSON here is hand-rolled: one flat object, stable key order,
 //! `{:.17e}` floats so values round-trip exactly.
 

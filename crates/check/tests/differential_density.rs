@@ -176,7 +176,6 @@ fn field_solve_matches_oracle_for_all_backends() {
         DctBackendKind::RowColumn2n,
         DctBackendKind::RowColumnN,
         DctBackendKind::Direct2d,
-        DctBackendKind::Batched,
     ] {
         let mut solver = ElectroField::<f64>::new(&grid, backend).expect("supported grid");
         let sol = solver.solve(&rho);
@@ -206,7 +205,6 @@ fn forward_energy_and_backward_gather_match_oracle() {
         DctBackendKind::RowColumn2n,
         DctBackendKind::RowColumnN,
         DctBackendKind::Direct2d,
-        DctBackendKind::Batched,
     ] {
         for threads in [1usize, 4] {
             let mut op = DensityOp::with_backend(grid.clone(), DensityStrategy::Sorted, 1.0, backend)

@@ -1,7 +1,7 @@
 //! Durable on-disk checkpoint format for the flow state machine.
 //!
 //! Like the JSONL trace writer/`dp-check` reader pair, the format is
-//! hand-rolled text (the vendored `serde` is an empty stub): a magic line,
+//! hand-rolled text (the offline build has no `serde`): a magic line,
 //! a CRC32 over the payload, then one record per line. Floats round-trip
 //! bit-exactly in one of two textual forms:
 //!

@@ -12,6 +12,28 @@
 //! Matrices are row-major with shape `(n1, n2)`; element `(i, j)` lives at
 //! `i * n2 + j`. "Dimension 1" indexes rows (`n1`), "dimension 2" indexes
 //! columns (`n2`), matching the paper's `x(n1, n2)` notation.
+//!
+//! [`Dct2dPlan`] lays its 2-D real FFT out for memory locality and
+//! autovectorization:
+//!
+//! * **Row pass** — [`LANES`] rows are packed lane-interleaved (element `k`
+//!   of lane `l` at `k * lanes + l`) and swept by the `*_lanes` kernels of
+//!   [`FftPlan`], so each butterfly loads its twiddle once and applies it
+//!   to the whole lane run.
+//! * **Column pass** — the one-sided spectrum is already lane-interleaved
+//!   when read column-major (stride `n2/2 + 1`), so the column FFTs run
+//!   *in place* over strided lane windows with no transpose at all.
+//! * **Pack/unpack** — the remaining data movement goes through a
+//!   cache-blocked tiled transpose.
+//!
+//! Every step is a permutation, an elementwise map, or an independent
+//! per-lane FFT — there are no cross-element reductions — so the plan is
+//! **bitwise identical** to composing scalar [`RfftPlan`] rows and
+//! [`FftPlan`] columns. Each sweep also charges its wall-clock into a
+//! [`TransformPhases`] accumulator on the work object, splitting transform
+//! time into transpose / butterfly / twiddle phases for the run report.
+
+use std::time::Instant;
 
 use dp_num::{Complex, Float};
 
@@ -172,7 +194,43 @@ impl<T: Float> RowColumnDct2d<T> {
     }
 }
 
-/// Reusable scratch for [`Dct2dPlan`] transforms.
+/// Rows (or spectrum columns) processed per lane sweep.
+///
+/// Eight f64 lanes are 64 bytes of reals — one cache line — per packed
+/// element, and a whole number of SIMD registers at any vector width; wider
+/// sweeps grow the lane scratch past L1 for placement-sized grids without
+/// further amortizing the (already per-sweep) twiddle loads.
+pub const LANES: usize = 8;
+
+/// Wall-clock split of [`Dct2dPlan`] transform time, in nanoseconds.
+///
+/// * `transpose` — packing/unpacking, tiled transposes, permutations;
+/// * `butterfly` — the FFT butterfly sweeps themselves;
+/// * `twiddle` — pre/post-processing that multiplies by phase tables
+///   (Makhoul untangling, the `W1`/`W2` DCT factors, sign flips).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TransformPhases {
+    /// Nanoseconds spent moving data (packs, transposes, permutations).
+    pub transpose_nanos: u64,
+    /// Nanoseconds spent in FFT butterfly sweeps.
+    pub butterfly_nanos: u64,
+    /// Nanoseconds spent in phase-table multiplies and sign fixups.
+    pub twiddle_nanos: u64,
+}
+
+impl TransformPhases {
+    /// Sum of all three phases.
+    pub fn total_nanos(&self) -> u64 {
+        self.transpose_nanos + self.butterfly_nanos + self.twiddle_nanos
+    }
+}
+
+fn nanos_since(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Reusable scratch for [`Dct2dPlan`] transforms, plus the per-phase timer
+/// accumulator.
 ///
 /// The plan's `_with` methods fill these buffers instead of allocating; one
 /// `Dct2dWork` per solver amortizes every per-transform allocation away.
@@ -186,11 +244,11 @@ pub struct Dct2dWork<T> {
     real2: Vec<T>,
     /// One-sided spectrum scratch, `n1 * (n2/2 + 1)`.
     spec: Vec<Complex<T>>,
-    /// Transposed spectrum scratch, `(n2/2 + 1) * n1`, filled by the tiled
-    /// transpose so the column FFTs run over contiguous memory.
-    spec_t: Vec<Complex<T>>,
-    /// Per-row complex scratch, `n2/2`, for the real-FFT packing step.
-    row_scratch: Vec<Complex<T>>,
+    /// Lane-interleaved half-FFT scratch, `(n2/2) * LANES`.
+    lanes: Vec<Complex<T>>,
+    /// Lane-interleaved untangle scratch, `(n2/2 + 1) * LANES`.
+    lanes2: Vec<Complex<T>>,
+    phases: TransformPhases,
 }
 
 impl<T: Float> Dct2dWork<T> {
@@ -202,18 +260,31 @@ impl<T: Float> Dct2dWork<T> {
     /// Bytes of scratch currently held (for workspace counters).
     pub fn bytes(&self) -> usize {
         (self.real.capacity() + self.real2.capacity()) * std::mem::size_of::<T>()
-            + (self.spec.capacity() + self.spec_t.capacity() + self.row_scratch.capacity())
+            + (self.spec.capacity() + self.lanes.capacity() + self.lanes2.capacity())
                 * std::mem::size_of::<Complex<T>>()
+    }
+
+    /// Zeroes the lane scratch for sweeps over rows of `m` complex pairs
+    /// (and their `m + 1` spectrum bins).
+    fn reset_lanes(&mut self, m: usize) {
+        self.lanes.clear();
+        self.lanes.resize(m * LANES, Complex::zero());
+        self.lanes2.clear();
+        self.lanes2.resize((m + 1) * LANES, Complex::zero());
+    }
+
+    /// Drains the phase timers, returning the accumulated split and
+    /// resetting the counters to zero.
+    pub fn take_phases(&mut self) -> TransformPhases {
+        std::mem::take(&mut self.phases)
     }
 }
 
 /// Edge length of the square tiles used by [`transpose_tiled`].
 ///
 /// 16 complex-f64 elements per tile row is 256 bytes — four cache lines —
-/// so a 16×16 tile touches 64 lines on each side, well within L1, while a
-/// whole-matrix column walk at placement-grid sizes would miss on every
-/// element.
-pub(crate) const TRANSPOSE_TILE: usize = 16;
+/// so a 16×16 tile touches 64 lines on each side, well within L1.
+const TRANSPOSE_TILE: usize = 16;
 
 /// Cache-blocked out-of-place transpose: `dst[c * rows + r] = src[r * cols + c]`.
 ///
@@ -223,7 +294,7 @@ pub(crate) const TRANSPOSE_TILE: usize = 16;
 /// # Panics
 ///
 /// Panics if either slice is shorter than `rows * cols`.
-pub(crate) fn transpose_tiled<U: Copy>(src: &[U], rows: usize, cols: usize, dst: &mut [U]) {
+fn transpose_tiled<U: Copy>(src: &[U], rows: usize, cols: usize, dst: &mut [U]) {
     assert!(src.len() >= rows * cols, "transpose source too short");
     assert!(dst.len() >= rows * cols, "transpose destination too short");
     for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
@@ -243,9 +314,12 @@ pub(crate) fn transpose_tiled<U: Copy>(src: &[U], rows: usize, cols: usize, dst:
 /// FFT call wrapped in linear-time pre/post-processing.
 ///
 /// This is the tier labelled "DCT-2D-N" in Fig. 11 and the one the density
-/// operator uses in the optimized configuration. The `_with` method
-/// variants take a [`Dct2dWork`] and an output buffer to reuse allocations
-/// across calls; the plain methods allocate fresh buffers per call.
+/// operator uses in the optimized configuration. The 2-D real FFT is swept
+/// [`LANES`] signals at a time (see the module docs), which changes memory
+/// shape only: every output is bitwise what per-row [`RfftPlan`] and
+/// per-column [`FftPlan`] transforms produce. The `_with` method variants
+/// take a [`Dct2dWork`] and an output buffer to reuse allocations across
+/// calls; the plain methods allocate fresh buffers per call.
 ///
 /// # Examples
 ///
@@ -263,26 +337,28 @@ pub(crate) fn transpose_tiled<U: Copy>(src: &[U], rows: usize, cols: usize, dst:
 /// # }
 /// ```
 pub struct Dct2dPlan<T> {
-    pub(crate) n1: usize,
-    pub(crate) n2: usize,
-    pub(crate) row_rfft: RfftPlan<T>,
-    pub(crate) col_fft: FftPlan<T>,
+    n1: usize,
+    n2: usize,
+    row_rfft: RfftPlan<T>,
+    col_fft: FftPlan<T>,
     /// `e^{-i pi k / (2 n1)}` for `k = 0..n1`.
-    pub(crate) w1: Vec<Complex<T>>,
+    w1: Vec<Complex<T>>,
     /// `e^{-i pi k / (2 n2)}` for `k = 0..n2`.
-    pub(crate) w2: Vec<Complex<T>>,
+    w2: Vec<Complex<T>>,
     /// Precomputed even/odd reorder maps (Algorithm 3) for both axes.
-    pub(crate) r1: Vec<usize>,
-    pub(crate) r2: Vec<usize>,
+    r1: Vec<usize>,
+    r2: Vec<usize>,
 }
 
 impl<T: Float> Dct2dPlan<T> {
     /// Creates a direct 2-D plan for `n1 x n2` matrices (both powers of two,
-    /// `n2 >= 4`).
+    /// `n1 >= 2`, `n2 >= 4`).
     ///
     /// # Errors
     ///
-    /// Returns [`TransformError::NonPowerOfTwo`] for unsupported shapes.
+    /// Returns [`TransformError::NonPowerOfTwo`] when a dimension is not a
+    /// power of two of at least 2, and [`TransformError::TooShort`] for
+    /// `n2 == 2`.
     pub fn new(n1: usize, n2: usize) -> Result<Self, TransformError> {
         crate::check_pow2(n1)?;
         crate::check_pow2(n2)?;
@@ -315,28 +391,64 @@ impl<T: Float> Dct2dPlan<T> {
     fn rfft2_into(&self, work: &mut Dct2dWork<T>) {
         let (n1, n2) = (self.n1, self.n2);
         let n2h = n2 / 2 + 1;
+        let m = n2 / 2;
+        let half = self.row_rfft.half_plan();
+        let phases = self.row_rfft.untangle_phases();
         work.spec.clear();
         work.spec.resize(n1 * n2h, Complex::zero());
-        work.row_scratch.clear();
-        work.row_scratch.resize(n2 / 2, Complex::zero());
-        for r in 0..n1 {
-            self.row_rfft.forward_into(
-                &work.real[r * n2..(r + 1) * n2],
-                &mut work.spec[r * n2h..(r + 1) * n2h],
-                &mut work.row_scratch,
+        work.reset_lanes(m);
+        // Row pass: LANES rows per sweep, lane-interleaved so every
+        // butterfly's twiddle load is shared across the whole sweep.
+        for r0 in (0..n1).step_by(LANES) {
+            let b = LANES.min(n1 - r0);
+            // Pack pairs lane-interleaved: z[k][l] = x[2k] + i x[2k+1] of
+            // row r0 + l (Makhoul packing).
+            let t0 = Instant::now();
+            for k in 0..m {
+                for l in 0..b {
+                    let row = (r0 + l) * n2;
+                    work.lanes[k * b + l] =
+                        Complex::new(work.real[row + 2 * k], work.real[row + 2 * k + 1]);
+                }
+            }
+            work.phases.transpose_nanos += nanos_since(t0);
+            let t0 = Instant::now();
+            half.forward_lanes(&mut work.lanes[..m * b], b, b);
+            work.phases.butterfly_nanos += nanos_since(t0);
+            // Untangle all lanes with the shared phase table: with E/O the
+            // DFTs of the even/odd subsequences, X[k] = E[k] + e^{-2 pi i k / N} O[k].
+            let t0 = Instant::now();
+            for (k, &phase) in phases.iter().enumerate().take(n2h) {
+                let kk = if k == m { 0 } else { k };
+                let km = (m - k) % m;
+                for l in 0..b {
+                    let zk = work.lanes[kk * b + l];
+                    let zmk = work.lanes[km * b + l];
+                    let e = (zk + zmk.conj()).scale(T::HALF);
+                    let o = (zk - zmk.conj()).scale(T::HALF).mul_i().scale(-T::ONE);
+                    work.lanes2[k * b + l] = e + phase * o;
+                }
+            }
+            work.phases.twiddle_nanos += nanos_since(t0);
+            // Scatter the lane block back to row-major spectrum rows.
+            let t0 = Instant::now();
+            transpose_tiled(
+                &work.lanes2[..n2h * b],
+                n2h,
+                b,
+                &mut work.spec[r0 * n2h..(r0 + b) * n2h],
             );
+            work.phases.transpose_nanos += nanos_since(t0);
         }
-        // Column FFTs over contiguous memory: tiled transpose in, transform
-        // each length-n1 row of the transpose, tiled transpose back. The
-        // transposes are pure memory movement, so this is bitwise identical
-        // to the per-column strided gather it replaces.
-        work.spec_t.clear();
-        work.spec_t.resize(n1 * n2h, Complex::zero());
-        transpose_tiled(&work.spec, n1, n2h, &mut work.spec_t);
-        for c in 0..n2h {
-            self.col_fft.forward(&mut work.spec_t[c * n1..(c + 1) * n1]);
+        // Column pass: the row-major spectrum read column-wise IS a lane
+        // window (stride n2h), so the column FFTs run in place — no
+        // transpose, and `lanes <= stride` holds by construction.
+        let t0 = Instant::now();
+        for c0 in (0..n2h).step_by(LANES) {
+            let b = LANES.min(n2h - c0);
+            self.col_fft.forward_lanes(&mut work.spec[c0..], n2h, b);
         }
-        transpose_tiled(&work.spec_t, n2h, n1, &mut work.spec);
+        work.phases.butterfly_nanos += nanos_since(t0);
     }
 
     /// Inverse of [`Dct2dPlan::rfft2_into`] with full `1/(n1 n2)`
@@ -345,30 +457,66 @@ impl<T: Float> Dct2dPlan<T> {
     fn irfft2_into(&self, work: &mut Dct2dWork<T>) {
         let (n1, n2) = (self.n1, self.n2);
         let n2h = n2 / 2 + 1;
-        work.spec_t.clear();
-        work.spec_t.resize(n1 * n2h, Complex::zero());
-        transpose_tiled(&work.spec, n1, n2h, &mut work.spec_t);
-        for c in 0..n2h {
-            self.col_fft.inverse(&mut work.spec_t[c * n1..(c + 1) * n1]);
+        let m = n2 / 2;
+        let half = self.row_rfft.half_plan();
+        let phases = self.row_rfft.untangle_phases();
+        // Column pass first (in place, strided lane windows).
+        let t0 = Instant::now();
+        for c0 in (0..n2h).step_by(LANES) {
+            let b = LANES.min(n2h - c0);
+            self.col_fft.inverse_lanes(&mut work.spec[c0..], n2h, b);
         }
-        transpose_tiled(&work.spec_t, n2h, n1, &mut work.spec);
+        work.phases.butterfly_nanos += nanos_since(t0);
         work.real.clear();
         work.real.resize(n1 * n2, T::ZERO);
-        work.row_scratch.clear();
-        work.row_scratch.resize(n2 / 2, Complex::zero());
-        for r in 0..n1 {
-            self.row_rfft.inverse_into(
-                &work.spec[r * n2h..(r + 1) * n2h],
-                &mut work.real[r * n2..(r + 1) * n2],
-                &mut work.row_scratch,
+        work.reset_lanes(m);
+        for r0 in (0..n1).step_by(LANES) {
+            let b = LANES.min(n1 - r0);
+            // Gather the spectrum rows lane-interleaved.
+            let t0 = Instant::now();
+            transpose_tiled(
+                &work.spec[r0 * n2h..(r0 + b) * n2h],
+                b,
+                n2h,
+                &mut work.lanes2[..n2h * b],
             );
+            work.phases.transpose_nanos += nanos_since(t0);
+            // Repack with the shared conjugate phase table:
+            // E[k] = (X[k] + conj(X[m-k]))/2,
+            // O[k] = (X[k] - conj(X[m-k]))/2 * e^{+2 pi i k / N},
+            // Z[k] = E[k] + i O[k].
+            let t0 = Instant::now();
+            for (k, &phase) in phases.iter().enumerate().take(m) {
+                for l in 0..b {
+                    let xk = work.lanes2[k * b + l];
+                    let xmk = work.lanes2[(m - k) * b + l].conj();
+                    let e = (xk + xmk).scale(T::HALF);
+                    let o = (xk - xmk).scale(T::HALF) * phase.conj();
+                    work.lanes[k * b + l] = e + o.mul_i();
+                }
+            }
+            work.phases.twiddle_nanos += nanos_since(t0);
+            let t0 = Instant::now();
+            half.inverse_lanes(&mut work.lanes[..m * b], b, b);
+            work.phases.butterfly_nanos += nanos_since(t0);
+            // Interleave back to real rows.
+            let t0 = Instant::now();
+            for k in 0..m {
+                for l in 0..b {
+                    let z = work.lanes[k * b + l];
+                    let row = (r0 + l) * n2;
+                    work.real[row + 2 * k] = z.re;
+                    work.real[row + 2 * k + 1] = z.im;
+                }
+            }
+            work.phases.transpose_nanos += nanos_since(t0);
         }
     }
 
     /// Reads the full (wrapped) 2-D spectrum from one-sided storage using
     /// Hermitian symmetry `V(k1, k2) = conj(V((n1-k1)%n1, n2-k2))`.
     #[inline]
-    pub(crate) fn spec_at(&self, spec: &[Complex<T>], k1: usize, k2: usize) -> Complex<T> {
+    fn spec_at(&self, spec: &[Complex<T>], k1: usize, k2: usize) -> Complex<T> {
         let n2h = self.n2 / 2 + 1;
         if k2 < n2h {
             spec[k1 * n2h + k2]
@@ -376,6 +524,80 @@ impl<T: Float> Dct2dPlan<T> {
             let r1 = (self.n1 - k1) % self.n1;
             let r2 = self.n2 - k2;
             spec[r1 * n2h + r2].conj()
+        }
+    }
+
+    /// Eq. 10: the 1-D even/odd reorder applied to both axes, `x` into
+    /// `real`.
+    fn reorder_into(&self, x: &[T], real: &mut Vec<T>) {
+        let n2 = self.n2;
+        real.clear();
+        real.resize(self.n1 * n2, T::ZERO);
+        for (i, &src_i) in self.r1.iter().enumerate() {
+            for (j, &src_j) in self.r2.iter().enumerate() {
+                real[i * n2 + j] = x[src_i * n2 + src_j];
+            }
+        }
+    }
+
+    /// Eq. 11 with Hermitian wrap:
+    /// `y = (1/(N1 N2)) * 2 Re{ W1(k1) [W2(k2) V(k1,k2)
+    ///                                  + conj(W2(k2)) V(k1,(N2-k2)%N2)] }`.
+    fn dct2_post(&self, spec: &[Complex<T>], out: &mut Vec<T>) {
+        let (n1, n2) = (self.n1, self.n2);
+        let scale = T::TWO / T::from_usize(n1 * n2);
+        out.clear();
+        out.resize(n1 * n2, T::ZERO);
+        for k1 in 0..n1 {
+            for k2 in 0..n2 {
+                let v = self.spec_at(spec, k1, k2);
+                let vr = self.spec_at(spec, k1, (n2 - k2) % n2);
+                let inner = self.w2[k2] * v + self.w2[k2].conj() * vr;
+                out[k1 * n2 + k2] = (self.w1[k1] * inner).re * scale;
+            }
+        }
+    }
+
+    /// Eq. 12:
+    /// `V(k1,k2) = (N1 N2 / 4) conj(W1) conj(W2)
+    ///             [c(k1,k2) - c(N1-k1, N2-k2) - i(c(N1-k1,k2) + c(k1,N2-k2))]`
+    /// with `c(N1,.) = c(.,N2) = 0` (zero padding, not wraparound: `c` is
+    /// data).
+    fn idct2_pre(&self, c: &[T], spec: &mut Vec<Complex<T>>) {
+        let (n1, n2) = (self.n1, self.n2);
+        let n2h = n2 / 2 + 1;
+        let quarter = T::from_usize(n1 * n2) * T::from_f64(0.25);
+        let at = |k1: usize, k2: usize| -> T {
+            if k1 >= n1 || k2 >= n2 {
+                T::ZERO
+            } else {
+                c[k1 * n2 + k2]
+            }
+        };
+        spec.clear();
+        spec.resize(n1 * n2h, Complex::zero());
+        for k1 in 0..n1 {
+            for k2 in 0..n2h {
+                let a = at(k1, k2);
+                let b = at(n1 - k1, n2 - k2);
+                let p = at(n1 - k1, k2);
+                let q = at(k1, n2 - k2);
+                let bracket = Complex::new(a - b, -(p + q));
+                let w = self.w1[k1].conj() * self.w2[k2].conj();
+                spec[k1 * n2h + k2] = (w * bracket).scale(quarter);
+            }
+        }
+    }
+
+    /// Eq. 13: the inverse of the Eq. 10 permutation, `real` into `out`.
+    fn unreorder_into(&self, real: &[T], out: &mut Vec<T>) {
+        let n2 = self.n2;
+        out.clear();
+        out.resize(self.n1 * n2, T::ZERO);
+        for (i, &dst_i) in self.r1.iter().enumerate() {
+            for (j, &dst_j) in self.r2.iter().enumerate() {
+                out[dst_i * n2 + dst_j] = real[i * n2 + j];
+            }
         }
     }
 
@@ -388,31 +610,14 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `x.len() != n1 * n2`.
     pub fn dct2_with(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        let (n1, n2) = (self.n1, self.n2);
-        assert_eq!(x.len(), n1 * n2, "matrix shape mismatch");
-        // Preprocess (Eq. 10): the 1-D even/odd reorder applied to both axes.
-        work.real.clear();
-        work.real.resize(n1 * n2, T::ZERO);
-        for (i, &src_i) in self.r1.iter().enumerate() {
-            for (j, &src_j) in self.r2.iter().enumerate() {
-                work.real[i * n2 + j] = x[src_i * n2 + src_j];
-            }
-        }
+        assert_eq!(x.len(), self.n1 * self.n2, "matrix shape mismatch");
+        let t0 = Instant::now();
+        self.reorder_into(x, &mut work.real);
+        work.phases.transpose_nanos += nanos_since(t0);
         self.rfft2_into(work);
-        // Postprocess (Eq. 11 with Hermitian wrap):
-        // y = (1/(N1 N2)) * 2 Re{ W1(k1) [W2(k2) V(k1,k2)
-        //                                 + conj(W2(k2)) V(k1,(N2-k2)%N2)] }.
-        let scale = T::TWO / T::from_usize(n1 * n2);
-        out.clear();
-        out.resize(n1 * n2, T::ZERO);
-        for k1 in 0..n1 {
-            for k2 in 0..n2 {
-                let v = self.spec_at(&work.spec, k1, k2);
-                let vr = self.spec_at(&work.spec, k1, (n2 - k2) % n2);
-                let inner = self.w2[k2] * v + self.w2[k2].conj() * vr;
-                out[k1 * n2 + k2] = (self.w1[k1] * inner).re * scale;
-            }
-        }
+        let t0 = Instant::now();
+        self.dct2_post(&work.spec, out);
+        work.phases.twiddle_nanos += nanos_since(t0);
     }
 
     /// Forward 2-D DCT returning a fresh buffer; see
@@ -435,43 +640,14 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `c.len() != n1 * n2`.
     pub fn idct2_with(&self, c: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        let (n1, n2) = (self.n1, self.n2);
-        assert_eq!(c.len(), n1 * n2, "matrix shape mismatch");
-        // Preprocess (Eq. 12):
-        // V(k1,k2) = (N1 N2 / 4) conj(W1) conj(W2)
-        //            [c(k1,k2) - c(N1-k1, N2-k2) - i(c(N1-k1,k2) + c(k1,N2-k2))]
-        // with c(N1,.) = c(.,N2) = 0 (zero padding, not wraparound: c is data).
-        let n2h = n2 / 2 + 1;
-        let quarter = T::from_usize(n1 * n2) * T::from_f64(0.25);
-        let at = |k1: usize, k2: usize| -> T {
-            if k1 >= n1 || k2 >= n2 {
-                T::ZERO
-            } else {
-                c[k1 * n2 + k2]
-            }
-        };
-        work.spec.clear();
-        work.spec.resize(n1 * n2h, Complex::zero());
-        for k1 in 0..n1 {
-            for k2 in 0..n2h {
-                let a = at(k1, k2);
-                let b = at(n1 - k1, n2 - k2);
-                let p = at(n1 - k1, k2);
-                let q = at(k1, n2 - k2);
-                let bracket = Complex::new(a - b, -(p + q));
-                let w = self.w1[k1].conj() * self.w2[k2].conj();
-                work.spec[k1 * n2h + k2] = (w * bracket).scale(quarter);
-            }
-        }
+        assert_eq!(c.len(), self.n1 * self.n2, "matrix shape mismatch");
+        let t0 = Instant::now();
+        self.idct2_pre(c, &mut work.spec);
+        work.phases.twiddle_nanos += nanos_since(t0);
         self.irfft2_into(work);
-        // Postprocess (Eq. 13): inverse of the Eq. 10 permutation.
-        out.clear();
-        out.resize(n1 * n2, T::ZERO);
-        for (i, &dst_i) in self.r1.iter().enumerate() {
-            for (j, &dst_j) in self.r2.iter().enumerate() {
-                out[dst_i * n2 + dst_j] = work.real[i * n2 + j];
-            }
-        }
+        let t0 = Instant::now();
+        self.unreorder_into(&work.real, out);
+        work.phases.transpose_nanos += nanos_since(t0);
     }
 
     /// Inverse 2-D DCT returning a fresh buffer; see
@@ -498,6 +674,7 @@ impl<T: Float> Dct2dPlan<T> {
         assert_eq!(x.len(), n1 * n2, "matrix shape mismatch");
         // Preprocess (Eq. 14): flip dimension 2 with x(n1, 0) -> 0. The flip
         // buffer is moved out of `work` while `idct2_with` borrows the rest.
+        let t0 = Instant::now();
         let mut flipped = std::mem::take(&mut work.real2);
         flipped.clear();
         flipped.resize(n1 * n2, T::ZERO);
@@ -506,14 +683,17 @@ impl<T: Float> Dct2dPlan<T> {
                 flipped[i * n2 + j] = x[i * n2 + (n2 - j)];
             }
         }
+        work.phases.transpose_nanos += nanos_since(t0);
         self.idct2_with(&flipped, work, out);
         work.real2 = flipped;
         // Postprocess (Eq. 15): alternate signs along dimension 2.
+        let t0 = Instant::now();
         for i in 0..n1 {
             for j in (1..n2).step_by(2) {
                 out[i * n2 + j] = -out[i * n2 + j];
             }
         }
+        work.phases.twiddle_nanos += nanos_since(t0);
     }
 
     /// [`Dct2dPlan::idct_idxst_with`] returning a fresh buffer.
@@ -538,20 +718,24 @@ impl<T: Float> Dct2dPlan<T> {
         let (n1, n2) = (self.n1, self.n2);
         assert_eq!(x.len(), n1 * n2, "matrix shape mismatch");
         // Preprocess (Eq. 16): flip dimension 1 with x(0, n2) -> 0.
+        let t0 = Instant::now();
         let mut flipped = std::mem::take(&mut work.real2);
         flipped.clear();
         flipped.resize(n1 * n2, T::ZERO);
         for i in 1..n1 {
             flipped[i * n2..(i + 1) * n2].copy_from_slice(&x[(n1 - i) * n2..(n1 - i + 1) * n2]);
         }
+        work.phases.transpose_nanos += nanos_since(t0);
         self.idct2_with(&flipped, work, out);
         work.real2 = flipped;
         // Postprocess (Eq. 17): alternate signs along dimension 1.
+        let t0 = Instant::now();
         for i in (1..n1).step_by(2) {
             for j in 0..n2 {
                 out[i * n2 + j] = -out[i * n2 + j];
             }
         }
+        work.phases.twiddle_nanos += nanos_since(t0);
     }
 
     /// [`Dct2dPlan::idxst_idct_with`] returning a fresh buffer.
@@ -585,6 +769,179 @@ mod tests {
         (0..n1 * n2)
             .map(|i| (i as f64 * 0.13).sin() + 0.01 * i as f64)
             .collect()
+    }
+
+    /// Test-only reference sweeps: the 2-D real FFT composed from scalar
+    /// `RfftPlan::forward_into` per row and scalar `FftPlan::forward` per
+    /// gathered column — what the lane sweeps must reproduce bit for bit.
+    fn scalar_rfft2<T: Float>(plan: &Dct2dPlan<T>, work: &mut Dct2dWork<T>) {
+        let (n1, n2) = plan.shape();
+        let n2h = n2 / 2 + 1;
+        work.spec = vec![Complex::zero(); n1 * n2h];
+        let mut scratch = vec![Complex::zero(); n2 / 2];
+        for r in 0..n1 {
+            plan.row_rfft.forward_into(
+                &work.real[r * n2..(r + 1) * n2],
+                &mut work.spec[r * n2h..(r + 1) * n2h],
+                &mut scratch,
+            );
+        }
+        scalar_columns(&mut work.spec, n2h, |col| plan.col_fft.forward(col));
+    }
+
+    /// Applies `f` to each gathered column of a row-major `? x n2h` matrix.
+    fn scalar_columns<T: Float>(
+        spec: &mut [Complex<T>],
+        n2h: usize,
+        f: impl Fn(&mut [Complex<T>]),
+    ) {
+        for c in 0..n2h {
+            let mut col: Vec<Complex<T>> = spec.iter().skip(c).step_by(n2h).copied().collect();
+            f(&mut col);
+            for (slot, v) in spec.iter_mut().skip(c).step_by(n2h).zip(col) {
+                *slot = v;
+            }
+        }
+    }
+
+    /// Scalar inverse of [`scalar_rfft2`]: columns first, then rows.
+    fn scalar_irfft2<T: Float>(plan: &Dct2dPlan<T>, work: &mut Dct2dWork<T>) {
+        let (n1, n2) = plan.shape();
+        let n2h = n2 / 2 + 1;
+        scalar_columns(&mut work.spec, n2h, |col| plan.col_fft.inverse(col));
+        work.real = vec![T::ZERO; n1 * n2];
+        let mut scratch = vec![Complex::zero(); n2 / 2];
+        for r in 0..n1 {
+            plan.row_rfft.inverse_into(
+                &work.spec[r * n2h..(r + 1) * n2h],
+                &mut work.real[r * n2..(r + 1) * n2],
+                &mut scratch,
+            );
+        }
+    }
+
+    fn reference_dct2<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
+        let mut work = Dct2dWork::new();
+        let mut out = Vec::new();
+        plan.reorder_into(x, &mut work.real);
+        scalar_rfft2(plan, &mut work);
+        plan.dct2_post(&work.spec, &mut out);
+        out
+    }
+
+    fn reference_idct2<T: Float>(plan: &Dct2dPlan<T>, c: &[T]) -> Vec<T> {
+        let mut work = Dct2dWork::new();
+        let mut out = Vec::new();
+        plan.idct2_pre(c, &mut work.spec);
+        scalar_irfft2(plan, &mut work);
+        plan.unreorder_into(&work.real, &mut out);
+        out
+    }
+
+    /// Eqs. 14-15 around the reference IDCT: flip dimension 2, alternate
+    /// signs along it.
+    fn reference_idct_idxst<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
+        let (n1, n2) = plan.shape();
+        let mut flipped = vec![T::ZERO; n1 * n2];
+        for i in 0..n1 {
+            for j in 1..n2 {
+                flipped[i * n2 + j] = x[i * n2 + n2 - j];
+            }
+        }
+        let mut out = reference_idct2(plan, &flipped);
+        for (idx, v) in out.iter_mut().enumerate() {
+            if idx % n2 % 2 == 1 {
+                *v = -*v;
+            }
+        }
+        out
+    }
+
+    /// Eqs. 16-17 around the reference IDCT: flip dimension 1, alternate
+    /// signs along it.
+    fn reference_idxst_idct<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
+        let (n1, n2) = plan.shape();
+        let mut flipped = vec![T::ZERO; n1 * n2];
+        for i in 1..n1 {
+            for j in 0..n2 {
+                flipped[i * n2 + j] = x[(n1 - i) * n2 + j];
+            }
+        }
+        let mut out = reference_idct2(plan, &flipped);
+        for (idx, v) in out.iter_mut().enumerate() {
+            if idx / n2 % 2 == 1 {
+                *v = -*v;
+            }
+        }
+        out
+    }
+
+    fn assert_lane_sweeps_match_scalar_reference<T: Float>() {
+        type Pair<T> = (
+            &'static str,
+            fn(&Dct2dPlan<T>, &[T]) -> Vec<T>,
+            fn(&Dct2dPlan<T>, &[T]) -> Vec<T>,
+        );
+        let pairs: [Pair<T>; 4] = [
+            ("dct2", Dct2dPlan::dct2, reference_dct2),
+            ("idct2", Dct2dPlan::idct2, reference_idct2),
+            ("idct_idxst", Dct2dPlan::idct_idxst, reference_idct_idxst),
+            ("idxst_idct", Dct2dPlan::idxst_idct, reference_idxst_idct),
+        ];
+        // Fewer rows than LANES, exactly LANES, several sweeps, and n2h on
+        // both sides of a lane-window multiple.
+        for (n1, n2) in [(2, 8), (8, 16), (16, 8), (32, 32)] {
+            let x: Vec<T> = matrix(n1, n2).into_iter().map(T::from_f64).collect();
+            let plan = Dct2dPlan::<T>::new(n1, n2).expect("pow2");
+            for (name, fast, reference) in pairs {
+                let got = fast(&plan, &x);
+                let want = reference(&plan, &x);
+                assert_eq!(got.len(), want.len());
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    // f32 -> f64 is injective, so this is bit equality.
+                    assert_eq!(
+                        g.to_f64().to_bits(),
+                        w.to_f64().to_bits(),
+                        "{name} {} ({n1},{n2}) idx {k}",
+                        T::PRECISION_NAME
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sweeps_are_bitwise_identical_to_scalar_rows_and_columns() {
+        assert_lane_sweeps_match_scalar_reference::<f64>();
+        assert_lane_sweeps_match_scalar_reference::<f32>();
+    }
+
+    #[test]
+    fn unsupported_shapes_say_what_is_wrong() {
+        let message = |n1, n2| match Dct2dPlan::<f64>::new(n1, n2) {
+            Ok(_) => panic!("({n1},{n2}) must be rejected"),
+            Err(e) => e.to_string(),
+        };
+        assert_eq!(message(4, 2), "transform length 2 is below the minimum 4");
+        assert_eq!(
+            message(0, 8),
+            "transform length 0 is not a power of two >= 2"
+        );
+        assert_eq!(
+            message(3, 8),
+            "transform length 3 is not a power of two >= 2"
+        );
+    }
+
+    #[test]
+    fn phase_counters_accumulate_and_drain() {
+        let plan = Dct2dPlan::<f64>::new(32, 32).expect("pow2");
+        let mut work = Dct2dWork::new();
+        let mut out = Vec::new();
+        plan.dct2_with(&matrix(32, 32), &mut work, &mut out);
+        let phases = work.take_phases();
+        assert!(phases.butterfly_nanos > 0, "butterfly sweeps take time");
+        assert_eq!(work.take_phases(), TransformPhases::default());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! All fast paths require power-of-two lengths — placement bin grids are
 //! powers of two — and return [`TransformError`] otherwise. Naive
 //! `O(N^2)` reference implementations of the definitions are exported from
-//! [`naive`] for testing and for odd sizes.
+//! [`naive`] as test oracles.
 //!
 //! # Examples
 //!
@@ -40,7 +40,6 @@
 // tests opt out module-by-module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod batch;
 pub mod dct1d;
 pub mod dct2d;
 pub mod fft;
@@ -50,50 +49,9 @@ pub mod rfft;
 use std::error::Error;
 use std::fmt;
 
-pub use batch::{DctBatch, DctBatchWork, TransformPhases};
-pub use dct2d::Dct2dPlan;
+pub use dct2d::{Dct2dPlan, TransformPhases};
 pub use fft::FftPlan;
 pub use rfft::RfftPlan;
-
-/// Inner-kernel flavor of the batched transforms ([`DctBatch`] and the
-/// `*_lanes` kernels of [`FftPlan`]).
-///
-/// Both strategies execute the *same* per-lane arithmetic in the same
-/// order, so their outputs are bitwise identical; they differ only in how
-/// the lane loop is expressed to the compiler. The strategy is selected
-/// once at plan construction ([`BatchStrategy::auto`]), never per call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchStrategy {
-    /// Plain lane loop — the portable fallback, and the reference the
-    /// blocked kernels are differentially tested against.
-    Scalar,
-    /// `f64x4`-style kernels: the lane loop is unrolled into four
-    /// independent dependency chains so the autovectorizer can lift the
-    /// butterfly to SIMD registers. Bitwise identical to [`Scalar`]
-    /// because every lane stays an independent chain.
-    ///
-    /// [`Scalar`]: BatchStrategy::Scalar
-    #[default]
-    Blocked,
-}
-
-impl BatchStrategy {
-    /// The strategy [`DctBatch::new`] picks at plan construction: blocked
-    /// kernels whenever the element type is a register-sized float (always,
-    /// for this crate's `f32`/`f64` instantiations), scalar otherwise.
-    pub fn auto() -> Self {
-        BatchStrategy::Blocked
-    }
-}
-
-impl fmt::Display for BatchStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BatchStrategy::Scalar => "scalar",
-            BatchStrategy::Blocked => "blocked",
-        })
-    }
-}
 
 /// Error raised when a transform is requested for an unsupported length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +61,14 @@ pub enum TransformError {
         /// The offending length.
         n: usize,
     },
+    /// The length is a power of two but below what the plan needs (the
+    /// real-FFT packing trick needs `n/2 >= 2`).
+    TooShort {
+        /// The offending length.
+        n: usize,
+        /// The smallest length the plan accepts.
+        min: usize,
+    },
 }
 
 impl fmt::Display for TransformError {
@@ -110,6 +76,9 @@ impl fmt::Display for TransformError {
         match self {
             TransformError::NonPowerOfTwo { n } => {
                 write!(f, "transform length {n} is not a power of two >= 2")
+            }
+            TransformError::TooShort { n, min } => {
+                write!(f, "transform length {n} is below the minimum {min}")
             }
         }
     }

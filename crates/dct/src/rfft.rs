@@ -47,12 +47,13 @@ impl<T: Float> RfftPlan<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`TransformError::NonPowerOfTwo`] unless `n` is a power of two
-    /// and at least 4 (the packing trick needs `n/2 >= 2`).
+    /// Returns [`TransformError::NonPowerOfTwo`] unless `n` is a power of
+    /// two, and [`TransformError::TooShort`] for `n == 2` (the packing trick
+    /// needs `n/2 >= 2`).
     pub fn new(n: usize) -> Result<Self, TransformError> {
         check_pow2(n)?;
         if n < 4 {
-            return Err(TransformError::NonPowerOfTwo { n });
+            return Err(TransformError::TooShort { n, min: 4 });
         }
         let half = FftPlan::new(n / 2)?;
         let phases = (0..n / 2 + 1)
@@ -76,8 +77,8 @@ impl<T: Float> RfftPlan<T> {
     }
 
     /// The half-length complex plan backing this real transform (shared
-    /// with the batched 2-D kernels so one twiddle table serves every row
-    /// of a sweep).
+    /// with the direct 2-D plan so one twiddle table serves every row of a
+    /// lane sweep).
     pub(crate) fn half_plan(&self) -> &FftPlan<T> {
         &self.half
     }
@@ -236,8 +237,14 @@ mod tests {
 
     #[test]
     fn rejects_too_short_lengths() {
-        assert!(RfftPlan::<f64>::new(2).is_err());
-        assert!(RfftPlan::<f64>::new(6).is_err());
+        assert_eq!(
+            RfftPlan::<f64>::new(2).unwrap_err(),
+            TransformError::TooShort { n: 2, min: 4 }
+        );
+        assert_eq!(
+            RfftPlan::<f64>::new(6).unwrap_err(),
+            TransformError::NonPowerOfTwo { n: 6 }
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use dp_dct::dct2d::{Dct1dTier, RowColumnDct2d};
 use dp_dct::naive::{naive_dct, naive_idct, naive_idxst};
-use dp_dct::{BatchStrategy, Dct2dPlan, DctBatch, FftPlan, RfftPlan};
+use dp_dct::{Dct2dPlan, FftPlan, RfftPlan};
 use dp_num::Complex;
 use proptest::prelude::*;
 
@@ -14,13 +14,16 @@ fn pow2(max_log: u32) -> impl Strategy<Value = usize> {
     (2u32..=max_log).prop_map(|k| 1usize << k)
 }
 
-/// The batched-transform size ladder of the spec: degenerate edges
-/// {1, 2, 3, 4}, one small power of two, and 32 — the bin-grid edge
-/// `auto_bins` picks for the 420-cell golden design.
-const BATCH_SIZES: [usize; 6] = [1, 2, 3, 4, 8, 32];
+/// Row counts for the direct 2-D plan: fewer than one lane sweep, exactly
+/// one, and several — 32 is the bin-grid edge `auto_bins` picks for the
+/// 420-cell golden design.
+fn plan_rows() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|i| [2usize, 4, 8, 32][i])
+}
 
-fn batch_dim() -> impl Strategy<Value = usize> {
-    (0usize..BATCH_SIZES.len()).prop_map(|i| BATCH_SIZES[i])
+/// Column counts for the direct 2-D plan, from its minimum of 4.
+fn plan_cols() -> impl Strategy<Value = usize> {
+    (0usize..3).prop_map(|i| [4usize, 8, 32][i])
 }
 
 proptest! {
@@ -128,12 +131,12 @@ proptest! {
         }
     }
 
-    /// The batched transform is linear for every shape in the size ladder:
+    /// The direct 2-D transform is linear on every shape in the ladder:
     /// dct2(a*x + y) = a*dct2(x) + dct2(y).
     #[test]
-    fn batched_dct2_linearity(
-        n1 in batch_dim(),
-        n2 in batch_dim(),
+    fn direct_dct2_linearity(
+        n1 in plan_rows(),
+        n2 in plan_cols(),
         a in -5.0f64..5.0,
         seed in any::<u64>(),
     ) {
@@ -141,7 +144,7 @@ proptest! {
         let x = pseudo(seed, len);
         let y = pseudo(seed ^ 0x5bd1e995, len);
         let combo: Vec<f64> = x.iter().zip(&y).map(|(xi, yi)| a * xi + yi).collect();
-        let plan = DctBatch::new(n1, n2).expect("non-empty");
+        let plan = Dct2dPlan::new(n1, n2).expect("supported shape");
         let fx = plan.dct2(&x);
         let fy = plan.dct2(&y);
         let fc = plan.dct2(&combo);
@@ -151,12 +154,11 @@ proptest! {
         }
     }
 
-    /// idct2(dct2(x)) == x through the batched path on every shape in the
-    /// size ladder, fast path and fallback alike.
+    /// idct2(dct2(x)) == x on every shape in the ladder.
     #[test]
-    fn batched_round_trip(n1 in batch_dim(), n2 in batch_dim(), seed in any::<u64>()) {
+    fn direct_round_trip(n1 in plan_rows(), n2 in plan_cols(), seed in any::<u64>()) {
         let x = pseudo(seed, n1 * n2);
-        let plan = DctBatch::new(n1, n2).expect("non-empty");
+        let plan = Dct2dPlan::new(n1, n2).expect("supported shape");
         let back = plan.idct2(&plan.dct2(&x));
         for (a, b) in x.iter().zip(&back) {
             prop_assert!((a - b).abs() < 1e-8);
@@ -167,9 +169,9 @@ proptest! {
     /// normalization the 2-D coefficient energy (with the 1-D identity's
     /// DC weights applied per axis) equals the sample energy.
     #[test]
-    fn batched_energy_identity(n1 in batch_dim(), n2 in batch_dim(), seed in any::<u64>()) {
+    fn direct_energy_identity(n1 in plan_rows(), n2 in plan_cols(), seed in any::<u64>()) {
         let x = pseudo(seed, n1 * n2);
-        let plan = DctBatch::new(n1, n2).expect("non-empty");
+        let plan = Dct2dPlan::new(n1, n2).expect("supported shape");
         let c = plan.dct2(&x);
         let time: f64 = x.iter().map(|v| v * v).sum();
         let (m1, m2) = (n1 as f64, n2 as f64);
@@ -183,28 +185,6 @@ proptest! {
             }
         }
         prop_assert!((time - freq).abs() < 1e-6 * time.max(1.0));
-    }
-
-    /// Batched vs unbatched bitwise agreement on fast-path shapes, and
-    /// Scalar vs Blocked bitwise agreement everywhere, under seeded random
-    /// inputs across the size ladder.
-    #[test]
-    fn batched_bitwise_agreement(n1 in batch_dim(), n2 in batch_dim(), seed in any::<u64>()) {
-        let x = pseudo(seed, n1 * n2);
-        let scalar = DctBatch::with_strategy(n1, n2, BatchStrategy::Scalar).expect("non-empty");
-        let blocked = DctBatch::with_strategy(n1, n2, BatchStrategy::Blocked).expect("non-empty");
-        let a = scalar.idxst_idct(&x);
-        let b = blocked.idxst_idct(&x);
-        for (p, q) in a.iter().zip(&b) {
-            prop_assert_eq!(p.to_bits(), q.to_bits());
-        }
-        if let Ok(direct) = Dct2dPlan::new(n1, n2) {
-            prop_assert!(scalar.is_fast());
-            let want = direct.idxst_idct(&x);
-            for (p, w) in a.iter().zip(&want) {
-                prop_assert_eq!(p.to_bits(), w.to_bits());
-            }
-        }
     }
 }
 

@@ -5,13 +5,12 @@
 //! the Fig. 12 density benchmark can toggle them.
 
 use dp_dct::dct2d::{Dct1dTier, Dct2dWork, RowColumnDct2d};
-use dp_dct::{Dct2dPlan, DctBatch, DctBatchWork, TransformError, TransformPhases};
+use dp_dct::{Dct2dPlan, TransformError, TransformPhases};
 use dp_num::Float;
 
 use crate::bins::BinGrid;
 
-/// Which DCT implementation the field solver uses (paper Fig. 11 tiers,
-/// plus the batched SIMD-blocked path).
+/// Which DCT implementation the field solver uses (paper Fig. 11 tiers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DctBackendKind {
     /// Row-column with 2N-point 1-D FFTs (the slowest tier).
@@ -21,13 +20,6 @@ pub enum DctBackendKind {
     /// Direct 2-D with one 2-D real FFT (paper Algorithm 4, the default).
     #[default]
     Direct2d,
-    /// Batched lane-interleaved sweeps over the Direct2d tables with
-    /// SIMD-friendly kernels; bitwise identical to [`Direct2d`] on
-    /// power-of-two grids and the only tier that records the
-    /// transpose/butterfly/twiddle phase split.
-    ///
-    /// [`Direct2d`]: DctBackendKind::Direct2d
-    Batched,
 }
 
 impl std::fmt::Display for DctBackendKind {
@@ -36,68 +28,42 @@ impl std::fmt::Display for DctBackendKind {
             DctBackendKind::RowColumn2n => "dct-2n",
             DctBackendKind::RowColumnN => "dct-n",
             DctBackendKind::Direct2d => "dct-2d-n",
-            DctBackendKind::Batched => "dct-batch",
         };
         f.write_str(s)
-    }
-}
-
-/// Transform scratch shared by the backends: the Direct2d work plus the
-/// batched lane buffers (each tier touches only its own half).
-struct TransformWork<T> {
-    dct: Dct2dWork<T>,
-    batch: DctBatchWork<T>,
-}
-
-impl<T: Float> TransformWork<T> {
-    fn new() -> Self {
-        Self {
-            dct: Dct2dWork::new(),
-            batch: DctBatchWork::new(),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.dct.bytes() + self.batch.bytes()
     }
 }
 
 enum Backend<T> {
     RowColumn(RowColumnDct2d<T>),
     Direct(Dct2dPlan<T>),
-    Batch(DctBatch<T>),
 }
 
 impl<T: Float> Backend<T> {
-    // The Direct2d and Batched tiers run allocation-free against the
-    // reusable work buffers; the row-column tiers are legacy comparison
-    // points (Fig. 11) and keep their allocating transforms.
-    fn dct2_into(&self, x: &[T], work: &mut TransformWork<T>, out: &mut Vec<T>) {
+    // The Direct2d tier runs allocation-free against the reusable work
+    // buffers; the row-column tiers are legacy comparison points (Fig. 11)
+    // and keep their allocating transforms.
+    fn dct2_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
         match self {
             Backend::RowColumn(p) => replace_with(out, p.dct2(x)),
-            Backend::Direct(p) => p.dct2_with(x, &mut work.dct, out),
-            Backend::Batch(p) => p.dct2_with(x, &mut work.batch, out),
+            Backend::Direct(p) => p.dct2_with(x, work, out),
         }
     }
-    fn idct2_into(&self, x: &[T], work: &mut TransformWork<T>, out: &mut Vec<T>) {
+    fn idct2_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
         match self {
             Backend::RowColumn(p) => replace_with(out, p.idct2(x)),
-            Backend::Direct(p) => p.idct2_with(x, &mut work.dct, out),
-            Backend::Batch(p) => p.idct2_with(x, &mut work.batch, out),
+            Backend::Direct(p) => p.idct2_with(x, work, out),
         }
     }
-    fn idxst_idct_into(&self, x: &[T], work: &mut TransformWork<T>, out: &mut Vec<T>) {
+    fn idxst_idct_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
         match self {
             Backend::RowColumn(p) => replace_with(out, p.idxst_idct(x)),
-            Backend::Direct(p) => p.idxst_idct_with(x, &mut work.dct, out),
-            Backend::Batch(p) => p.idxst_idct_with(x, &mut work.batch, out),
+            Backend::Direct(p) => p.idxst_idct_with(x, work, out),
         }
     }
-    fn idct_idxst_into(&self, x: &[T], work: &mut TransformWork<T>, out: &mut Vec<T>) {
+    fn idct_idxst_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
         match self {
             Backend::RowColumn(p) => replace_with(out, p.idct_idxst(x)),
-            Backend::Direct(p) => p.idct_idxst_with(x, &mut work.dct, out),
-            Backend::Batch(p) => p.idct_idxst_with(x, &mut work.batch, out),
+            Backend::Direct(p) => p.idct_idxst_with(x, work, out),
         }
     }
 }
@@ -182,7 +148,7 @@ struct SolveScratch<T> {
     coef_psi: Vec<T>,
     coef_ex: Vec<T>,
     coef_ey: Vec<T>,
-    work: TransformWork<T>,
+    work: Dct2dWork<T>,
 }
 
 impl<T: Float> SolveScratch<T> {
@@ -192,7 +158,7 @@ impl<T: Float> SolveScratch<T> {
             coef_psi: Vec::new(),
             coef_ex: Vec::new(),
             coef_ey: Vec::new(),
-            work: TransformWork::new(),
+            work: Dct2dWork::new(),
         }
     }
 
@@ -223,7 +189,6 @@ impl<T: Float> ElectroField<T> {
                 Backend::RowColumn(RowColumnDct2d::new(mx, my, Dct1dTier::NPoint)?)
             }
             DctBackendKind::Direct2d => Backend::Direct(Dct2dPlan::new(mx, my)?),
-            DctBackendKind::Batched => Backend::Batch(DctBatch::new(mx, my)?),
         };
         let freq = |k: usize, m: usize| T::from_f64(std::f64::consts::PI * k as f64 / m as f64);
         Ok(Self {
@@ -242,10 +207,10 @@ impl<T: Float> ElectroField<T> {
     }
 
     /// Drains the transpose/butterfly/twiddle phase split accumulated by
-    /// batched transforms since the last call. Always zero for the
-    /// non-batched tiers.
+    /// the direct 2-D transforms since the last call. Always zero for the
+    /// row-column tiers, which carry no timers.
     pub fn take_transform_phases(&mut self) -> TransformPhases {
-        self.scratch.work.batch.take_phases()
+        self.scratch.work.take_phases()
     }
 
     /// Solves Poisson's equation for a density map (row-major `mx x my`,
@@ -370,46 +335,26 @@ mod tests {
             }
             assert!((sol.energy - reference.energy).abs() < 1e-9, "{kind}");
         }
-        // The batched tier re-executes the Direct2d arithmetic, so it must
-        // agree bitwise, not just to tolerance.
-        let batched = ElectroField::new(&g, DctBackendKind::Batched)
-            .expect("plan")
-            .solve(&rho);
-        for (field, name) in [
-            (&batched.potential, "potential"),
-            (&batched.field_x, "field_x"),
-            (&batched.field_y, "field_y"),
-        ] {
-            let want = match name {
-                "potential" => &reference.potential,
-                "field_x" => &reference.field_x,
-                _ => &reference.field_y,
-            };
-            for (a, b) in field.iter().zip(want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batched {name} differs");
-            }
-        }
-        assert_eq!(batched.energy.to_bits(), reference.energy.to_bits());
     }
 
     #[test]
-    fn batched_backend_records_phase_split() {
+    fn direct_backend_records_phase_split() {
         let g = grid(16);
-        let mut solver = ElectroField::new(&g, DctBackendKind::Batched).expect("plan");
+        let mut solver = ElectroField::new(&g, DctBackendKind::Direct2d).expect("plan");
         let mut rho = vec![0.0; 256];
         rho[40] = 1.0;
         let _ = solver.solve(&rho);
         let phases = solver.take_transform_phases();
-        assert!(phases.total_nanos() > 0, "batched solve must record phases");
+        assert!(phases.total_nanos() > 0, "direct solve must record phases");
         assert_eq!(
             solver.take_transform_phases().total_nanos(),
             0,
             "take must drain"
         );
-        // Non-batched tiers never record phases.
-        let mut direct = ElectroField::new(&g, DctBackendKind::Direct2d).expect("plan");
-        let _ = direct.solve(&rho);
-        assert_eq!(direct.take_transform_phases().total_nanos(), 0);
+        // The row-column tiers carry no timers.
+        let mut row_column = ElectroField::new(&g, DctBackendKind::RowColumnN).expect("plan");
+        let _ = row_column.solve(&rho);
+        assert_eq!(row_column.take_transform_phases().total_nanos(), 0);
     }
 
     #[test]

@@ -270,9 +270,10 @@ impl<T: Float> Operator<T> for DensityOp<T> {
         let mut sol = self.cache.take().unwrap_or_default();
         if let Some(solver) = &mut self.solver {
             solver.solve_into(&rho, &mut sol);
-            // Batched transforms accumulate a transpose/butterfly/twiddle
-            // split inside the solve; mirror it into the op counters so the
-            // run report can break transform time down by phase.
+            // The direct 2-D transforms accumulate a transpose/butterfly/
+            // twiddle split inside the solve; mirror it into the op counters
+            // so the run report can break transform time down by phase (the
+            // row-column comparison tiers carry no timers and report zero).
             let phases = solver.take_transform_phases();
             if phases.total_nanos() > 0 {
                 ctx.record_op_nanos("density.dct.transpose", phases.transpose_nanos);

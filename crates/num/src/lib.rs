@@ -36,7 +36,7 @@ pub mod stats;
 pub use atomic::{AtomicF32, AtomicF64, AtomicFloat, FixedPointCell};
 pub use complex::Complex;
 pub use float::Float;
-pub use parallel::{paper_chunk_size, parallel_for_chunks, DisjointSlice};
+pub use parallel::{paper_chunk_size, DisjointSlice};
 pub use pool::{
     default_threads, reduce_chunk_size, PoolHealth, PoolHost, PoolLease, PoolPanicked, PoolTenant,
     WorkerPool,

@@ -1,66 +1,14 @@
-//! Dynamically scheduled parallel chunks over item ranges.
+//! Chunk sizing and disjoint-write sharing for the parallel kernels.
 //!
 //! The paper's CPU backend uses OpenMP dynamic scheduling with a chunk size
 //! of `|items| / (threads * 16)` for both the wirelength (§III-A) and density
 //! (§III-B1) kernels, because net degrees and cell sizes are heterogeneous.
-//! This module reproduces that scheme with crossbeam scoped threads and an
-//! atomic work counter.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! [`paper_chunk_size`] is that formula; the scheduling loop itself lives in
+//! [`WorkerPool`](crate::WorkerPool), the one executor.
 
 /// The paper's dynamic chunk size: `items / (threads * 16)`, at least 1.
 pub fn paper_chunk_size(items: usize, threads: usize) -> usize {
     (items / (threads.max(1) * 16)).max(1)
-}
-
-/// Runs `work(range)` over `0..items` split into dynamically scheduled
-/// chunks across `threads` workers. With `threads <= 1` the call is a plain
-/// serial loop (no thread spawn overhead).
-///
-/// `work` must be safe to call concurrently on disjoint ranges.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let sum = AtomicUsize::new(0);
-/// dp_num::parallel::parallel_for_chunks(100, 2, 8, |range| {
-///     sum.fetch_add(range.len(), Ordering::Relaxed);
-/// });
-/// assert_eq!(sum.load(Ordering::Relaxed), 100);
-/// ```
-pub fn parallel_for_chunks<F>(items: usize, threads: usize, chunk: usize, work: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    if items == 0 {
-        return;
-    }
-    let chunk = chunk.max(1);
-    if threads <= 1 {
-        let mut start = 0;
-        while start < items {
-            let end = (start + chunk).min(items);
-            work(start..end);
-            start = end;
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= items {
-                    break;
-                }
-                let end = (start + chunk).min(items);
-                work(start..end);
-            });
-        }
-    })
-    .expect("worker thread panicked");
 }
 
 /// A shared mutable slice for kernels whose workers write disjoint elements.
@@ -142,46 +90,23 @@ mod tests {
     }
 
     #[test]
-    fn serial_path_covers_all_items_once() {
-        let n = 103;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_chunks(n, 1, 7, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_path_covers_all_items_once() {
-        let n = 1000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_chunks(n, 4, 13, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn disjoint_slice_writes_land() {
         let mut data = vec![0usize; 64];
         {
             let shared = DisjointSlice::new(&mut data);
-            parallel_for_chunks(64, 3, 4, |r| {
-                for i in r {
-                    // SAFETY: each index is visited exactly once across chunks.
-                    unsafe { shared.write(i, i * 2) };
+            std::thread::scope(|scope| {
+                for t in 0..3 {
+                    let shared = &shared;
+                    scope.spawn(move || {
+                        for i in (t..64).step_by(3) {
+                            // SAFETY: the strides partition 0..64, so each
+                            // index is written by exactly one thread.
+                            unsafe { shared.write(i, i * 2) };
+                        }
+                    });
                 }
             });
         }
         assert!(data.iter().enumerate().all(|(i, &v)| v == i * 2));
-    }
-
-    #[test]
-    fn zero_items_is_a_no_op() {
-        parallel_for_chunks(0, 4, 16, |_| panic!("must not be called"));
     }
 }

@@ -1,15 +1,15 @@
 //! A persistent worker pool for the placement kernels.
 //!
-//! [`parallel_for_chunks`](crate::parallel::parallel_for_chunks) re-spawns
-//! scoped threads on every call — thousands of times per placement run, which
-//! drowns the kernel-strategy comparisons the bench harness exists to make.
-//! [`WorkerPool`] spawns its workers exactly once and parks them between
-//! kernel launches, the CPU analogue of a persistent GPU kernel: workers
-//! wait on a condvar, a launch publishes a type-erased closure plus an
-//! atomic chunk cursor, and the dynamic-chunk scheduling is identical to
-//! `parallel_for_chunks` (`cursor.fetch_add(chunk)` until the items run
-//! out). With `threads <= 1` every launch is a plain serial loop and no
-//! worker threads exist at all.
+//! Spawning scoped threads on every kernel launch — thousands of times per
+//! placement run — drowns the kernel-strategy comparisons the bench harness
+//! exists to make (a 4096-item launch measured 103 µs spawned against
+//! 3.3 µs pooled; DESIGN.md §9). [`WorkerPool`] spawns its workers exactly
+//! once and parks them between kernel launches, the CPU analogue of a
+//! persistent GPU kernel: workers wait on a condvar, a launch publishes a
+//! type-erased closure plus an atomic chunk cursor, and chunks are claimed
+//! dynamically (`cursor.fetch_add(chunk)` until the items run out), the
+//! paper's OpenMP `schedule(dynamic)`. With `threads <= 1` every launch is
+//! a plain serial loop and no worker threads exist at all.
 //!
 //! # Determinism
 //!
@@ -220,7 +220,7 @@ impl PoolShared {
     }
 }
 
-/// A long-lived worker pool with `parallel_for_chunks` launch semantics.
+/// A long-lived worker pool with dynamic-chunk launch semantics.
 ///
 /// Workers are spawned once at construction (`threads - 1` of them — the
 /// calling thread always participates in a launch) and parked between
@@ -467,9 +467,8 @@ impl WorkerPool {
         *lock(&self.shared.shards) = None;
     }
 
-    /// Runs `work(range)` over `0..items` in dynamically scheduled chunks,
-    /// exactly like [`parallel_for_chunks`](crate::parallel_for_chunks)
-    /// but without spawning threads.
+    /// Runs `work(range)` over `0..items` in dynamically scheduled chunks
+    /// on the parked workers, without spawning threads.
     ///
     /// `work` must be safe to call concurrently on disjoint ranges.
     ///
@@ -878,8 +877,8 @@ fn worker_loop(shared: &PoolShared, index: usize) {
     }
 }
 
-/// The shared dynamic-scheduling loop: identical to the chunk claim in
-/// `parallel_for_chunks`.
+/// The shared dynamic-scheduling loop: claim the next chunk until the
+/// items run out.
 fn drain(cursor: &AtomicUsize, items: usize, chunk: usize, work: &(dyn Fn(Range<usize>) + Sync)) {
     loop {
         let start = cursor.fetch_add(chunk, Ordering::Relaxed);

@@ -1,6 +1,6 @@
 //! Hand-rolled JSONL serialization for [`TraceEvent`]s.
 //!
-//! The vendored serde is an API stub, so — like the golden-record code in
+//! The offline build has no serde, so — like the golden-record code in
 //! `dp-check` — events are written as flat JSON objects with a stable key
 //! order, one per line. Floats use `{:.17e}` so an `f64` round-trips
 //! exactly through its decimal form; non-finite values (possible in a

@@ -17,8 +17,8 @@
 //!   hot path is two relaxed atomic adds into a per-worker shard, merged
 //!   only when the trace is written — cheap enough to leave on inside the
 //!   `WorkerPool`'s launch loop;
-//! * a hand-rolled **JSONL sink** ([`Telemetry::write_jsonl`]; the vendored
-//!   serde is an API stub, so the writer follows the same flat-object
+//! * a hand-rolled **JSONL sink** ([`Telemetry::write_jsonl`]; the offline
+//!   build has no serde, so the writer follows the same flat-object
 //!   discipline as the golden-record code in `dp-check`), and
 //! * a human-readable **run report** ([`Telemetry::report`]): per-stage
 //!   wall-clock table, top kernels by time, workspace reuse ratio, and the

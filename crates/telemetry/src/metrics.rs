@@ -19,7 +19,7 @@
 //!   allocation; every handle minted from it is an empty `Option` and every
 //!   record call returns after one branch. Metrics never feed back into the
 //!   numerics, so placements are bit-identical either way.
-//! * **Hand-rolled text output.** The vendored serde is an API stub, so the
+//! * **Hand-rolled text output.** The offline build has no serde, so the
 //!   encoder writes the Prometheus text format directly, in deterministic
 //!   (BTreeMap) order: families sorted by name, series sorted by label set.
 //!

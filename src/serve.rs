@@ -102,7 +102,7 @@ use crate::{
 
 // ---------------------------------------------------------------------------
 // Wire format: a deliberately tiny flat-JSON reader and writer. The build
-// is offline (vendored `serde` is a stub), so like `dp_telemetry::jsonl`
+// is offline (no `serde`), so like `dp_telemetry::jsonl`
 // and `dp_check::trace` this speaks JSON by hand; requests are flat
 // objects with string/number/boolean values only.
 // ---------------------------------------------------------------------------

@@ -88,6 +88,12 @@ fn jsonl_trace_round_trips_through_the_independent_validator() {
         assert!(text.contains(stage), "missing {stage} span in trace");
     }
     assert!(summary.kernels > 0, "kernel counters missing");
+    // Every traced run carries the transform phase split of the one
+    // direct-2D plan (transpose / butterfly / twiddle).
+    assert!(
+        text.contains("density.dct.butterfly"),
+        "trace must carry the transform phase kernels"
+    );
     assert!(summary.workspaces > 0, "workspace counters missing");
 }
 
