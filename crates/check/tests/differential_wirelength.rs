@@ -190,3 +190,49 @@ fn pin_offsets_are_honored() {
     assert!(rel(cost, oracle.cost) < 1e-12);
     assert_grad_close("pin-offsets", &oracle, &grad, nl.num_movable(), 1e-10);
 }
+
+/// 300-pin nets among small ones, 600 nets so that reduction chunks hold two
+/// nets each: the merged kernel's per-chunk `a±` scratch must grow to the
+/// big net when it comes second in its chunk (net 101) and serve the small
+/// net after it from a prefix of the same buffer when it comes first
+/// (net 400).
+#[test]
+fn wa_merged_matches_oracle_with_300_pin_nets() {
+    let mut rng = StdRng::seed_from_u64(300);
+    let mut b = dp_netlist::NetlistBuilder::new(0.0, 0.0, 120.0, 120.0);
+    let cells: Vec<_> = (0..90).map(|_| b.add_movable_cell(2.0, 2.0)).collect();
+    for i in 0..600 {
+        let degree = if i == 101 || i == 400 { 300 } else { 2 + i % 3 };
+        let pins = (0..degree)
+            .map(|_| {
+                let cell = cells[rng.gen_range(0..cells.len())];
+                (cell, rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+            })
+            .collect();
+        b.add_net(rng.gen_range(0.5..2.5), pins).expect("valid");
+    }
+    let nl = b.build().expect("valid");
+    let mut p = Placement::zeros(nl.num_cells());
+    for c in 0..nl.num_cells() {
+        p.x[c] = rng.gen_range(5.0..115.0);
+        p.y[c] = rng.gen_range(5.0..115.0);
+    }
+    for gamma in [0.5, 6.0] {
+        let oracle = wa_oracle(&nl, &p, gamma);
+        for threads in [1usize, 4] {
+            let mut ctx = ExecCtx::new(threads);
+            let mut op = WaWirelength::<f64>::new(WaStrategy::Merged, gamma);
+            let mut grad = Gradient::zeros(nl.num_cells());
+            let cost = op.forward_backward(&nl, &p, &mut grad, &mut ctx);
+            let tag = format!("300-pin nets, gamma {gamma}, threads {threads}");
+            assert!(
+                rel(cost, oracle.cost) < 1e-9,
+                "{tag}: cost {cost} vs oracle {}",
+                oracle.cost
+            );
+            let forward_only = op.forward(&nl, &p, &mut ctx);
+            assert!(rel(forward_only, oracle.cost) < 1e-9, "{tag}: forward");
+            assert_grad_close(&tag, &oracle, &grad, nl.num_movable(), 1e-8);
+        }
+    }
+}

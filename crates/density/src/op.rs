@@ -193,18 +193,21 @@ impl<T: Float> DensityOp<T> {
 
     fn overflow_of_map(&self, nl: &Netlist<T>, movable: &[T]) -> T {
         let bin_area = self.grid().bin_area();
-        let zero_fixed;
-        let fixed = match &self.fixed_map {
-            Some(f) => f.as_slice(),
-            None => {
-                zero_fixed = vec![T::ZERO; movable.len()];
-                &zero_fixed
-            }
-        };
+        let capacity = |fixed: T| (self.target_density * (bin_area - fixed)).max(T::ZERO);
         let mut over = T::ZERO;
-        for (m, f) in movable.iter().zip(fixed) {
-            let capacity = (self.target_density * (bin_area - *f)).max(T::ZERO);
-            over += (*m - capacity).max(T::ZERO);
+        match &self.fixed_map {
+            Some(fixed) => {
+                for (m, f) in movable.iter().zip(fixed) {
+                    over += (*m - capacity(*f)).max(T::ZERO);
+                }
+            }
+            None => {
+                // No fixed map baked: every bin has the full capacity.
+                let full = capacity(T::ZERO);
+                for m in movable {
+                    over += (*m - full).max(T::ZERO);
+                }
+            }
         }
         let area: T = match &self.mask {
             Some(mask) => (0..nl.num_movable())

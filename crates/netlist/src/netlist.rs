@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use dp_num::Float;
 
@@ -105,6 +106,12 @@ pub struct NetlistStats {
 /// All arrays are indexed by the raw ids of [`CellId`] / [`NetId`] /
 /// [`PinId`].
 ///
+/// **Pins are numbered net by net**: [`NetlistBuilder::build`] — the only
+/// constructor — hands out pin ids in net order, so the pins of net `e` are
+/// exactly the ids in [`Netlist::net_pin_range`]`(e)`, the ranges tile
+/// `0..num_pins()` in net order, and any per-pin array can be sliced by
+/// that range to get the net's pins contiguously.
+///
 /// Construct via [`NetlistBuilder`]; see the crate docs for an example.
 #[derive(Debug, Clone)]
 pub struct Netlist<T> {
@@ -203,14 +210,23 @@ impl<T: Float> Netlist<T> {
     /// Pins of `net`.
     #[inline]
     pub fn net_pins(&self, net: NetId) -> &[PinId] {
+        &self.net_pins[self.net_pin_range(net)]
+    }
+
+    /// Raw pin ids of `net` as one contiguous range: `net_pins(net)[k]` is
+    /// pin `net_pin_range(net).start + k` (pins are numbered net by net,
+    /// see the type docs). Slice per-pin arrays with it instead of indexing
+    /// them through [`Netlist::net_pins`].
+    #[inline]
+    pub fn net_pin_range(&self, net: NetId) -> Range<usize> {
         let i = net.index();
-        &self.net_pins[self.net2pin_start[i] as usize..self.net2pin_start[i + 1] as usize]
+        self.net2pin_start[i] as usize..self.net2pin_start[i + 1] as usize
     }
 
     /// Degree (pin count) of `net`.
     #[inline]
     pub fn net_degree(&self, net: NetId) -> usize {
-        self.net_pins(net).len()
+        self.net_pin_range(net).len()
     }
 
     /// Pins of `cell`.
@@ -470,6 +486,8 @@ impl<T: Float> NetlistBuilder<T> {
         let mut pin_dx = Vec::with_capacity(n_pins);
         let mut pin_dy = Vec::with_capacity(n_pins);
 
+        // Pin ids are handed out in net order: this loop is what makes
+        // `net_pin_range` the identity view of `net_pins`.
         net2pin_start.push(0u32);
         for (ni, (w, pins)) in nets.into_iter().enumerate() {
             net_weight.push(w);
@@ -553,6 +571,9 @@ mod tests {
                 assert_eq!(nl.pin_net(pin), net);
             }
         }
+        // pins are numbered net by net
+        assert_eq!(nl.net_pin_range(NetId::new(0)), 0..2);
+        assert_eq!(nl.net_pin_range(NetId::new(1)), 2..5);
         // cell->pin and pin->cell agree
         for cell in nl.cells() {
             for &pin in nl.cell_pins(cell) {

@@ -1,12 +1,38 @@
 //! Property-based invariants of the CSR hypergraph: pin back-references,
-//! partition completeness, degree accounting, and HPWL translation
-//! invariance, on arbitrary generated designs.
+//! partition completeness, net-by-net pin numbering, degree accounting, and
+//! HPWL translation invariance, on arbitrary generated designs.
 
+use dp_bookshelf::{read_design, write_design};
+use dp_gen::adversarial::{adversarial_design, AdversarialCase};
 use dp_gen::GeneratorConfig;
 use dp_netlist::{hpwl, Netlist, Placement};
+use dreamplace_core::sanitize_design;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `net_pins(e)[k]` is pin `net_pin_range(e).start + k`, and the ranges
+/// tile `0..num_pins()` in net order.
+fn assert_pins_numbered_net_by_net(nl: &Netlist<f64>, what: &str) -> Result<(), String> {
+    let mut next = 0usize;
+    for net in nl.nets() {
+        let range = nl.net_pin_range(net);
+        prop_assert_eq!(range.start, next, "{}: ranges must tile in net order", what);
+        prop_assert_eq!(range.len(), nl.net_pins(net).len(), "{}", what);
+        for (k, pin) in nl.net_pins(net).iter().enumerate() {
+            prop_assert_eq!(
+                pin.index(),
+                range.start + k,
+                "{}: net {}",
+                what,
+                net.index()
+            );
+        }
+        next = range.end;
+    }
+    prop_assert_eq!(next, nl.num_pins(), "{}: ranges must cover every pin", what);
+    Ok(())
+}
 
 fn design(seed: u64, cells: usize) -> (Netlist<f64>, Placement<f64>) {
     let d = GeneratorConfig::new("prop-nl", cells, cells + cells / 7)
@@ -50,6 +76,40 @@ proptest! {
             }
         }
         prop_assert!(seen_by_net.iter().all(|&c| c == 1), "net pin lists not a partition");
+    }
+
+    /// Pins are numbered net by net on every way a `Netlist` comes to be:
+    /// the builder (generator, with degenerate nets), a Bookshelf round
+    /// trip, a sanitizer rebuild, and the size/weight copies.
+    #[test]
+    fn pins_are_numbered_net_by_net(seed in 0u64..1000, cells in 20usize..200) {
+        let (nl, p) = design(seed, cells);
+        assert_pins_numbered_net_by_net(&nl, "generator")?;
+
+        let degenerate = adversarial_design::<f64>(AdversarialCase::DegenerateNets, seed)
+            .expect("valid");
+        assert_pins_numbered_net_by_net(&degenerate.design.netlist, "degenerate nets")?;
+
+        let dir = std::env::temp_dir()
+            .join(format!("dp-netlist-prop-{seed}-{cells}-{}", std::process::id()));
+        write_design(&dir, "pins", &nl, &p).expect("write");
+        let back = read_design::<f64>(&dir.join("pins.aux"));
+        std::fs::remove_dir_all(&dir).ok();
+        assert_pins_numbered_net_by_net(&back.expect("reparse").netlist, "bookshelf")?;
+
+        // Quartered widths leave pin offsets outside their cells, which the
+        // sanitizer repairs by rebuilding the netlist.
+        let shrunk = nl.with_cell_sizes(
+            nl.cell_widths().iter().map(|w| w * 0.25).collect(),
+            nl.cell_heights().to_vec(),
+        );
+        assert_pins_numbered_net_by_net(&shrunk, "with_cell_sizes")?;
+        let (_, repaired) = sanitize_design(&shrunk, &p);
+        let (rebuilt, _) = repaired.expect("clamped pin offsets force a rebuild");
+        assert_pins_numbered_net_by_net(&rebuilt, "sanitize rebuild")?;
+
+        let reweighted = nl.with_net_weights(nl.nets().map(|e| nl.net_weight(e) * 2.0).collect());
+        assert_pins_numbered_net_by_net(&reweighted, "with_net_weights")?;
     }
 
     /// Degree sums account for every pin, from both sides of the bipartite

@@ -234,11 +234,6 @@ pub(crate) fn inf_norm<T: Float>(v: &[T]) -> T {
     m
 }
 
-/// Euclidean norm helper shared by the engines.
-pub(crate) fn l2_norm<T: Float>(v: &[T]) -> T {
-    v.iter().map(|&x| x * x).sum::<T>().sqrt()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -303,7 +298,6 @@ mod tests {
     #[test]
     fn norms() {
         assert_eq!(inf_norm(&[1.0, -3.0, 2.0]), 3.0);
-        assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]

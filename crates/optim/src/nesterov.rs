@@ -19,9 +19,7 @@
 
 use dp_num::Float;
 
-use crate::{
-    inf_norm, l2_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatch, StepInfo,
-};
+use crate::{inf_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatch, StepInfo};
 
 /// The ePlace Nesterov solver; see the [module docs](self) and the
 /// [crate example](crate).
@@ -110,35 +108,36 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
             }
         }
 
-        let u_prev = self.u_prev.clone().unwrap_or_else(|| v.clone());
+        let u_prev: &[T] = self.u_prev.as_deref().unwrap_or(v);
         let a_next = (T::ONE + (T::from_f64(4.0) * self.a * self.a + T::ONE).sqrt()) * T::HALF;
         let coef = (self.a - T::ONE) / a_next;
 
         let mut backtracks = 0usize;
         let mut alpha = self.alpha;
-        let (u_new, v_new) = loop {
-            // Tentative major and reference points.
-            let mut u_new = vec![T::ZERO; n];
-            let mut v_new = vec![T::ZERO; n];
+        // Tentative points and the gradient at the tentative reference
+        // point; every backtracking round overwrites all three in full.
+        let mut u_new = vec![T::ZERO; n];
+        let mut v_new = vec![T::ZERO; n];
+        let mut g_new = vec![T::ZERO; n];
+        loop {
             for i in 0..n {
                 u_new[i] = v[i] - alpha * g[i];
                 v_new[i] = u_new[i] + coef * (u_new[i] - u_prev[i]);
             }
             if backtracks >= self.max_backtracks {
-                break (u_new, v_new);
+                break;
             }
             // Evaluate the Lipschitz estimate at the tentative point; accept
             // when the applied step does not exceed it (with 5% slack).
-            let mut g_new = vec![T::ZERO; n];
             let _ = f.eval(&v_new, &mut g_new);
             match Self::lipschitz_step(&v_new, v, &g_new, &g) {
                 Some(a_hat) if alpha > a_hat * T::from_f64(1.05) && a_hat > T::ZERO => {
                     alpha = a_hat;
                     backtracks += 1;
                 }
-                _ => break (u_new, v_new),
+                _ => break,
             }
-        };
+        }
         self.alpha = alpha;
 
         params.copy_from_slice(&u_new);
@@ -203,13 +202,6 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
             }),
         }
     }
-}
-
-/// Convenience: Euclidean distance between two equal-length vectors.
-#[allow(dead_code)]
-fn distance<T: Float>(a: &[T], b: &[T]) -> T {
-    let diff: Vec<T> = a.iter().zip(b).map(|(&x, &y)| x - y).collect();
-    l2_norm(&diff)
 }
 
 #[cfg(test)]

@@ -11,6 +11,13 @@
 //! 3. `WL_e = c^+/b^+ - c^-/b^-` per axis (forward) and Eq. (6) per pin
 //!    (backward), scattered to cells through the cell-pin CSR.
 //!
+//! Every `a_i^±` is evaluated once per pass. The two-pass strategies keep
+//! them in per-pin arrays between forward and backward; the merged strategy
+//! (the production default) keeps only the `a^±` of the net in flight, in a
+//! per-chunk scratch as long as the largest net of the chunk, and walks each
+//! net's pins as the contiguous slice `coords[nl.net_pin_range(net)]` (pins
+//! are numbered net by net).
+//!
 //! # Execution model
 //!
 //! Kernels launch on the [`ExecCtx`]'s persistent worker pool; per-pin
@@ -251,17 +258,17 @@ impl<T: Float> WaWirelength<T> {
         );
     }
 
-    /// Serial WA wirelength of one net along one axis (stabilized).
+    /// Serial WA wirelength of one net along one axis (stabilized), given
+    /// the coordinates of its pins (`coords[nl.net_pin_range(net)]`).
     /// Degenerate nets (fewer than two pins) carry no wirelength.
     #[inline]
-    fn net_wirelength(coords: &[T], pins: &[dp_netlist::PinId], gamma: T) -> T {
-        if pins.len() < 2 {
+    fn net_wirelength(vs: &[T], gamma: T) -> T {
+        if vs.len() < 2 {
             return T::ZERO;
         }
         let mut hi = T::NEG_INFINITY;
         let mut lo = T::INFINITY;
-        for &pin in pins {
-            let v = coords[pin.index()];
+        for &v in vs {
             hi = hi.max(v);
             lo = lo.min(v);
         }
@@ -269,8 +276,7 @@ impl<T: Float> WaWirelength<T> {
         let mut b_minus = T::ZERO;
         let mut c_plus = T::ZERO;
         let mut c_minus = T::ZERO;
-        for &pin in pins {
-            let v = coords[pin.index()];
+        for &v in vs {
             let ap = ((v - hi) / gamma).exp();
             let am = (-(v - lo) / gamma).exp();
             b_plus += ap;
@@ -589,7 +595,10 @@ impl<T: Float> WaWirelength<T> {
         ctx.release("wl.pin_grad.y", pin_gy);
     }
 
-    /// Fused forward+backward of the merged strategy (paper Algorithm 2).
+    /// Fused forward+backward of the merged strategy (paper Algorithm 2):
+    /// per net and axis, a max/min pass, an `a±`/`b±`/`c±` pass and the
+    /// Eq. (6) gradient pass over the net's contiguous coordinate slice, the
+    /// gradient pass reusing the `a±` of the second.
     fn merged_forward_backward(
         &mut self,
         nl: &Netlist<T>,
@@ -610,28 +619,39 @@ impl<T: Float> WaWirelength<T> {
             let gy = DisjointSlice::new(&mut pin_gy);
             let px = &self.pin_x;
             let py = &self.pin_y;
+            // The unchecked gradient writes below rely on one slot per pin.
+            assert!(px.len() == pins && py.len() == pins && gx.len() == pins && gy.len() == pins);
             pool.reduce_in_order(
                 nets,
                 chunk,
                 T::ZERO,
                 |range| {
                     let mut local = T::ZERO;
+                    // `(a+, a-)` of the net and axis in flight, kept from the
+                    // b/c pass for the gradient pass. One buffer per chunk,
+                    // grown to the largest degree seen — never a per-pin
+                    // global (Algorithm 2) and never allocated per net.
+                    let mut a: Vec<(T, T)> = Vec::new();
                     for e in range {
                         let net = NetId::new(e);
-                        let w = nl.net_weight(net);
-                        let net_pins = nl.net_pins(net);
+                        let net_pins = nl.net_pin_range(net);
                         if net_pins.len() < 2 {
                             // Degenerate net: zero wirelength and (the
                             // freshly zeroed) zero pin gradients.
                             continue;
                         }
+                        let w = nl.net_weight(net);
+                        if a.len() < net_pins.len() {
+                            a.resize(net_pins.len(), (T::ZERO, T::ZERO));
+                        }
+                        let a = &mut a[..net_pins.len()];
                         for (coords, out) in [(px, &gx), (py, &gy)] {
-                            // Locals only — no global intermediates
-                            // (Algorithm 2).
+                            // Pins are numbered net by net, so the net's
+                            // coordinates are one contiguous slice.
+                            let vs = &coords[net_pins.clone()];
                             let mut hi = T::NEG_INFINITY;
                             let mut lo = T::INFINITY;
-                            for &pin in net_pins {
-                                let v = coords[pin.index()];
+                            for &v in vs {
                                 hi = hi.max(v);
                                 lo = lo.min(v);
                             }
@@ -639,26 +659,25 @@ impl<T: Float> WaWirelength<T> {
                             let mut bm = T::ZERO;
                             let mut cp = T::ZERO;
                             let mut cm = T::ZERO;
-                            for &pin in net_pins {
-                                let v = coords[pin.index()];
+                            for (&v, slot) in vs.iter().zip(a.iter_mut()) {
                                 let ap = ((v - hi) / gamma).exp();
                                 let am = (-(v - lo) / gamma).exp();
+                                *slot = (ap, am);
                                 bp += ap;
                                 bm += am;
                                 cp += v * ap;
                                 cm += v * am;
                             }
                             local += w * (cp / bp - cm / bm);
-                            // Second pin pass: recompute a and emit
-                            // gradients.
-                            for &pin in net_pins {
-                                let v = coords[pin.index()];
-                                let ap = ((v - hi) / gamma).exp();
-                                let am = (-(v - lo) / gamma).exp();
+                            // Gradient pass: Eq. (6) from the kept a.
+                            for ((pin, &v), &(ap, am)) in net_pins.clone().zip(vs).zip(a.iter()) {
                                 let g = Self::pin_gradient(v, gamma, ap, am, bp, bm, cp, cm);
-                                // SAFETY: each pin belongs to exactly one
-                                // net.
-                                unsafe { out.write(pin.index(), w * g) };
+                                // SAFETY: `coords[net_pins]` was in bounds
+                                // and `out` is as long as `coords`
+                                // (asserted above); net ranges are
+                                // disjoint and nets are partitioned
+                                // across chunks.
+                                unsafe { out.write(pin, w * g) };
                             }
                         }
                     }
@@ -693,9 +712,9 @@ impl<T: Float> WaWirelength<T> {
                 for e in range {
                     let net = NetId::new(e);
                     let w = nl.net_weight(net);
-                    let pins = nl.net_pins(net);
+                    let pins = nl.net_pin_range(net);
                     for coords in [px, py] {
-                        local += w * Self::net_wirelength(coords, pins, gamma);
+                        local += w * Self::net_wirelength(&coords[pins.clone()], gamma);
                     }
                 }
                 local
@@ -878,6 +897,163 @@ mod tests {
             p.y[i] = rng.gen_range(0.0..100.0);
         }
         (nl, p)
+    }
+
+    impl<T: Float> WaWirelength<T> {
+        /// The merged kernel as it was before the exp-once rewrite: pins
+        /// addressed through `net_pins`, `a±` recomputed in the gradient
+        /// loop. Kept as the bit-exact reference for the production loop.
+        fn merged_two_exp_reference(
+            &mut self,
+            nl: &Netlist<T>,
+            p: &Placement<T>,
+            grad: &mut Gradient<T>,
+            ctx: &mut ExecCtx<T>,
+        ) -> T {
+            self.update_pin_positions(nl, p, ctx);
+            let pool = Arc::clone(ctx.pool());
+            let nets = nl.num_nets();
+            let gamma = self.gamma;
+            let mut pin_gx = vec![T::ZERO; nl.num_pins()];
+            let mut pin_gy = vec![T::ZERO; nl.num_pins()];
+            let total = {
+                let gx = DisjointSlice::new(&mut pin_gx);
+                let gy = DisjointSlice::new(&mut pin_gy);
+                let px = &self.pin_x;
+                let py = &self.pin_y;
+                pool.reduce_in_order(
+                    nets,
+                    reduce_chunk_size(nets),
+                    T::ZERO,
+                    |range| {
+                        let mut local = T::ZERO;
+                        for e in range {
+                            let net = NetId::new(e);
+                            let w = nl.net_weight(net);
+                            let net_pins = nl.net_pins(net);
+                            if net_pins.len() < 2 {
+                                continue;
+                            }
+                            for (coords, out) in [(px, &gx), (py, &gy)] {
+                                let mut hi = T::NEG_INFINITY;
+                                let mut lo = T::INFINITY;
+                                for &pin in net_pins {
+                                    let v = coords[pin.index()];
+                                    hi = hi.max(v);
+                                    lo = lo.min(v);
+                                }
+                                let mut bp = T::ZERO;
+                                let mut bm = T::ZERO;
+                                let mut cp = T::ZERO;
+                                let mut cm = T::ZERO;
+                                for &pin in net_pins {
+                                    let v = coords[pin.index()];
+                                    let ap = ((v - hi) / gamma).exp();
+                                    let am = (-(v - lo) / gamma).exp();
+                                    bp += ap;
+                                    bm += am;
+                                    cp += v * ap;
+                                    cm += v * am;
+                                }
+                                local += w * (cp / bp - cm / bm);
+                                for &pin in net_pins {
+                                    let v = coords[pin.index()];
+                                    let ap = ((v - hi) / gamma).exp();
+                                    let am = (-(v - lo) / gamma).exp();
+                                    let g = Self::pin_gradient(v, gamma, ap, am, bp, bm, cp, cm);
+                                    // SAFETY: each pin belongs to exactly
+                                    // one net.
+                                    unsafe { out.write(pin.index(), w * g) };
+                                }
+                            }
+                        }
+                        local
+                    },
+                    |a, b| a + b,
+                )
+            };
+            scatter_pin_grads_to_cells(nl, &pin_gx, &pin_gy, grad, &pool);
+            total
+        }
+    }
+
+    /// 1300 nets (reduction chunks of 5) cycling through degrees
+    /// {0, 1, 2, 3, 17} with a 300-pin net every 211th — so the per-chunk
+    /// `a` scratch grows mid-chunk and is then reused by smaller nets —
+    /// non-unit weights, nets whose pins all coincide (`hi == lo`) and nets
+    /// with duplicated pins.
+    fn mixed_degree_design<T: Float>(seed: u64) -> (Netlist<T>, Placement<T>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = T::from_f64;
+        let cells = 400;
+        let mut b =
+            NetlistBuilder::new(t(0.0), t(0.0), t(200.0), t(200.0)).allow_degenerate_nets(true);
+        let handles: Vec<_> = (0..cells)
+            .map(|_| b.add_movable_cell(t(1.0), t(2.0)))
+            .collect();
+        for i in 0..1300 {
+            let deg = if i % 211 == 7 {
+                300
+            } else {
+                [2, 3, 0, 17, 1, 2, 3, 2][i % 8]
+            };
+            let mut pins = Vec::with_capacity(deg);
+            for k in 0..deg {
+                let coincident = i % 13 == 5 || (i % 7 == 3 && k == 1);
+                if coincident && k > 0 {
+                    pins.push(pins[0]);
+                } else {
+                    let c = handles[rng.gen_range(0..cells)];
+                    pins.push((c, t(rng.gen_range(-0.5..0.5)), t(rng.gen_range(-1.0..1.0))));
+                }
+            }
+            b.add_net(t(rng.gen_range(0.25..3.0)), pins)
+                .expect("degenerate nets allowed");
+        }
+        let nl = b.build().expect("valid");
+        let mut p = Placement::zeros(nl.num_cells());
+        for i in 0..nl.num_cells() {
+            p.x[i] = t(rng.gen_range(0.0..200.0));
+            p.y[i] = t(rng.gen_range(0.0..200.0));
+        }
+        (nl, p)
+    }
+
+    fn assert_exp_once_matches_two_exp_reference<T: Float>() {
+        let (nl, p) = mixed_degree_design::<T>(31);
+        assert_eq!(reduce_chunk_size(nl.num_nets()), 5);
+        let degrees: std::collections::BTreeSet<_> = nl.nets().map(|e| nl.net_degree(e)).collect();
+        assert!([0, 1, 2, 3, 17, 300].iter().all(|d| degrees.contains(d)));
+        let bits = |v: T| v.to_f64().to_bits();
+        for gamma in [0.6, 8.0] {
+            for threads in [1usize, 2, 4] {
+                let mut ctx = ExecCtx::new(threads);
+                let mut op = WaWirelength::new(WaStrategy::Merged, T::from_f64(gamma));
+                let mut g = Gradient::zeros(nl.num_cells());
+                let cost = op.forward_backward(&nl, &p, &mut g, &mut ctx);
+                let mut g_ref = Gradient::zeros(nl.num_cells());
+                let cost_ref = op.merged_two_exp_reference(&nl, &p, &mut g_ref, &mut ctx);
+                let tag = format!("gamma {gamma} threads {threads}");
+                assert!(cost.to_f64().is_finite(), "{tag}");
+                assert_eq!(bits(cost), bits(cost_ref), "{tag}");
+                // The forward-only path shares the range addressing.
+                assert_eq!(bits(op.forward(&nl, &p, &mut ctx)), bits(cost_ref), "{tag}");
+                for i in 0..nl.num_cells() {
+                    assert_eq!(bits(g.x[i]), bits(g_ref.x[i]), "{tag}: x[{i}]");
+                    assert_eq!(bits(g.y[i]), bits(g_ref.y[i]), "{tag}: y[{i}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exp_once_kernel_matches_two_exp_reference_to_the_bit_f64() {
+        assert_exp_once_matches_two_exp_reference::<f64>();
+    }
+
+    #[test]
+    fn exp_once_kernel_matches_two_exp_reference_to_the_bit_f32() {
+        assert_exp_once_matches_two_exp_reference::<f32>();
     }
 
     #[test]
