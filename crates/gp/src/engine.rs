@@ -55,7 +55,8 @@ pub struct GpTiming {
     pub wirelength: Duration,
     /// Density forward+backward (including DCT).
     pub density: Duration,
-    /// Solver arithmetic (everything inside `step` minus operator time).
+    /// Solver arithmetic (everything inside the solver's `step` minus
+    /// operator time).
     pub solver: Duration,
     /// HPWL/overflow bookkeeping and schedulers.
     pub bookkeeping: Duration,
@@ -184,6 +185,58 @@ impl<T: Float> WlOp<T> {
     }
 }
 
+/// The density field of the last evaluated point. The field depends on
+/// positions only — never on the `lambda`/`gamma` the engine updates
+/// between steps — and Nesterov opens every step at the point its last
+/// backtracking probe just evaluated, so [`PlacementObjective::eval`]
+/// looks `params` up here before running scatter → Poisson solve → gather.
+///
+/// A pure-function cache: a miss (first step, rollback, resume, retry)
+/// recomputes the same bits and overwrites the entry, so nothing ever
+/// invalidates it and it is not part of [`GpEngineState`].
+struct DensityMemo<T> {
+    /// Packed coordinates `energy` and `grad` were computed at.
+    key: Vec<T>,
+    /// False until the first evaluation, and while one is in flight.
+    valid: bool,
+    energy: T,
+    /// Raw (unweighted) density gradient at `key`.
+    grad: Gradient<T>,
+    /// Reference switch: never hit, i.e. the always-evaluate path the
+    /// memo replaced.
+    #[cfg(test)]
+    always_evaluate: bool,
+}
+
+impl<T: Float> DensityMemo<T> {
+    fn new(cells: usize, movable: usize) -> Self {
+        Self {
+            key: vec![T::ZERO; 2 * movable],
+            valid: false,
+            energy: T::ZERO,
+            grad: Gradient::zeros(cells),
+            #[cfg(test)]
+            always_evaluate: false,
+        }
+    }
+
+    /// True when `params` is the memoised point **bitwise**: `-0.0` and
+    /// `0.0` scatter alike but are still told apart, so a hit never needs
+    /// an argument about the kernels.
+    fn holds(&self, params: &[T]) -> bool {
+        #[cfg(test)]
+        if self.always_evaluate {
+            return false;
+        }
+        self.valid
+            && self
+                .key
+                .iter()
+                .zip(params)
+                .all(|(a, b)| a.to_f64().to_bits() == b.to_f64().to_bits())
+    }
+}
+
 /// Objective adapter: flat params `[x_mov..., y_mov...]` to operators, with
 /// Jacobi preconditioning and per-phase timing. Borrows all of its state
 /// from the engine so it can be rebuilt (for free) every step.
@@ -196,8 +249,8 @@ struct PlacementObjective<'a, T: Float> {
     lambda: T,
     pos: &'a mut Placement<T>,
     grad: &'a mut Gradient<T>,
-    /// Reused density-gradient accumulator (allocated once per run).
-    dgrad: &'a mut Gradient<T>,
+    /// Density energy and raw gradient of the last evaluated point.
+    memo: &'a mut DensityMemo<T>,
     /// Precomputed `#pins` per movable cell (wirelength preconditioner).
     pin_counts: &'a [T],
     /// Precomputed charge per movable cell (density preconditioner).
@@ -243,11 +296,17 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
         *self.t_wl += t0.elapsed();
 
         let t1 = Instant::now();
-        self.dgrad.reset();
-        let d_cost = self
-            .density
-            .forward_backward(self.nl, self.pos, self.dgrad, self.ctx);
-        self.grad.axpy(self.lambda, self.dgrad);
+        if !self.memo.holds(params) {
+            self.memo.valid = false;
+            self.memo.grad.reset();
+            self.memo.energy =
+                self.density
+                    .forward_backward(self.nl, self.pos, &mut self.memo.grad, self.ctx);
+            self.memo.key.copy_from_slice(params);
+            self.memo.valid = true;
+        }
+        let d_cost = self.memo.energy;
+        self.grad.axpy(self.lambda, &self.memo.grad);
         *self.t_density += t1.elapsed();
 
         // Jacobi preconditioning: divide by the diagonal Hessian proxy
@@ -402,7 +461,7 @@ pub struct GpEngine<T: Float> {
     /// fixed entries intact from construction.
     pos: Placement<T>,
     grad: Gradient<T>,
-    dgrad: Gradient<T>,
+    memo: DensityMemo<T>,
     pin_counts: Vec<T>,
     charges: Vec<T>,
     faults: Vec<usize>,
@@ -580,7 +639,7 @@ impl<T: Float> GpEngine<T> {
             gamma_boost: T::ONE,
             lambda_cut: T::ONE,
             grad: Gradient::zeros(pos.len()),
-            dgrad: Gradient::zeros(pos.len()),
+            memo: DensityMemo::new(pos.len(), n),
             pos,
             pin_counts,
             charges,
@@ -682,7 +741,7 @@ impl<T: Float> GpEngine<T> {
             lambda_cut: state.lambda_cut,
             pos: fixed.clone(),
             grad: Gradient::zeros(fixed.len()),
-            dgrad: Gradient::zeros(fixed.len()),
+            memo: DensityMemo::new(fixed.len(), n),
             pin_counts,
             charges,
             faults,
@@ -859,7 +918,7 @@ impl<T: Float> GpEngine<T> {
         let _iter_span = tel.span(dp_telemetry::SpanKind::Iteration, "gp.iter");
         let t_step = Instant::now();
 
-        let (info, cause, cur_hpwl, overflow_f) = {
+        let (info, cause, cur_hpwl, overflow_f, t_tripwire) = {
             let mut obj = PlacementObjective {
                 nl,
                 wl: &mut self.wl,
@@ -868,7 +927,7 @@ impl<T: Float> GpEngine<T> {
                 lambda: self.lambda,
                 pos: &mut self.pos,
                 grad: &mut self.grad,
-                dgrad: &mut self.dgrad,
+                memo: &mut self.memo,
                 pin_counts: &self.pin_counts,
                 charges: &self.charges,
                 faults: &self.faults,
@@ -892,6 +951,7 @@ impl<T: Float> GpEngine<T> {
             } else {
                 None
             };
+            let t_trip = Instant::now();
             let (cause, cur_hpwl, overflow_f) = match pre_cause {
                 Some(c) => (Some(c), T::ZERO, f64::NAN),
                 None => {
@@ -912,15 +972,19 @@ impl<T: Float> GpEngine<T> {
                     (c, h, o)
                 }
             };
-            (info, cause, cur_hpwl, overflow_f)
+            (info, cause, cur_hpwl, overflow_f, t_trip.elapsed())
         };
         let _ = info;
         let step_elapsed = t_step.elapsed();
 
-        // Phase attribution: operator time accumulates inside eval;
+        // Phase attribution: operator time accumulates inside eval, the
+        // tripwire's exact HPWL and overflow scatter are bookkeeping, and
         // whatever remains of the step is solver arithmetic.
         let op_time = self.t_wl + self.t_density;
-        self.timing.solver += step_elapsed.saturating_sub(op_time.saturating_sub(self.prev_op_time));
+        self.timing.solver += step_elapsed
+            .saturating_sub(op_time.saturating_sub(self.prev_op_time))
+            .saturating_sub(t_tripwire);
+        self.timing.bookkeeping += t_tripwire;
         self.prev_op_time = op_time;
         self.timing.wirelength = self.t_wl;
         self.timing.density = self.t_density;
@@ -1151,12 +1215,16 @@ mod tests {
     use super::*;
     use dp_gen::GeneratorConfig;
 
-    fn small_design() -> dp_gen::GeneratedDesign<f64> {
+    fn small_design_of<T: Float>() -> dp_gen::GeneratedDesign<T> {
         GeneratorConfig::new("gp-test", 300, 330)
             .with_seed(5)
             .with_utilization(0.6)
-            .generate::<f64>()
+            .generate::<T>()
             .expect("valid")
+    }
+
+    fn small_design() -> dp_gen::GeneratedDesign<f64> {
+        small_design_of()
     }
 
     fn quick_config(nl: &Netlist<f64>) -> GpConfig<f64> {
@@ -1164,6 +1232,28 @@ mod tests {
         cfg.max_iters = 400;
         cfg.target_overflow = 0.12;
         cfg
+    }
+
+    fn op_calls(s: &GpStats) -> std::collections::BTreeMap<&'static str, u64> {
+        s.exec.ops.iter().map(|(n, c)| (*n, c.calls)).collect()
+    }
+
+    /// The ops one `DensityOp::forward_backward` records: what a memo hit
+    /// skips (`density.overflow` is the tripwire's, not the objective's).
+    fn is_density_eval_op(name: &str) -> bool {
+        matches!(name, "density.forward" | "density.backward") || name.starts_with("density.dct.")
+    }
+
+    /// Pool launches of one density evaluation under `cfg`, measured on a
+    /// fresh context.
+    fn density_eval_launches(cfg: &GpConfig<f64>, d: &dp_gen::GeneratedDesign<f64>) -> u64 {
+        let (_, _, _, _, mut density) = GpEngine::build_operators(cfg, &d.netlist).expect("ops");
+        let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
+        density.bake_fixed(&d.netlist, &pos);
+        let mut ctx = ExecCtx::new(cfg.threads);
+        let mut g = Gradient::zeros(pos.len());
+        let _ = density.forward_backward(&d.netlist, &pos, &mut g, &mut ctx);
+        ctx.summary().pool_runs
     }
 
     #[test]
@@ -1427,6 +1517,8 @@ mod tests {
         let golden = GlobalPlacer::new(cfg.clone())
             .place(&d.netlist, &d.fixed_positions)
             .expect("ok");
+        let eval_launches = density_eval_launches(&cfg, &d);
+        assert!(eval_launches > 0, "a density evaluation launches kernels");
 
         for stop_at in [1usize, 17, 60] {
             let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
@@ -1453,21 +1545,27 @@ mod tests {
             assert_eq!(r.placement.x, golden.placement.x, "@{stop_at}");
             assert_eq!(r.placement.y, golden.placement.y, "@{stop_at}");
             assert_eq!(r.stats.history.len(), golden.stats.history.len());
-            // Cumulative exec counters: per-op calls and pool launches add
-            // up exactly across the process boundary (nanos and workspace
-            // first-use counts are wall-clock/lifetime artifacts).
+            // Cumulative exec counters across the process boundary (nanos
+            // and workspace first-use counts are wall-clock/lifetime
+            // artifacts). The density memo is not part of the state, so the
+            // resumed engine's first step re-evaluates the field the
+            // uninterrupted run still held: exactly one more density
+            // evaluation, every other op equal.
+            let (r_calls, golden_calls) = (op_calls(&r.stats), op_calls(&golden.stats));
             assert_eq!(
-                r.stats.exec.pool_runs, golden.stats.exec.pool_runs,
+                r_calls.keys().collect::<Vec<_>>(),
+                golden_calls.keys().collect::<Vec<_>>(),
                 "@{stop_at}"
             );
-            let calls = |s: &GpStats| {
-                s.exec
-                    .ops
-                    .iter()
-                    .map(|(n, c)| (*n, c.calls))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(calls(&r.stats), calls(&golden.stats), "@{stop_at}");
+            for (name, &calls) in &golden_calls {
+                let extra = u64::from(is_density_eval_op(name));
+                assert_eq!(r_calls[name], calls + extra, "@{stop_at}: {name}");
+            }
+            assert_eq!(
+                r.stats.exec.pool_runs,
+                golden.stats.exec.pool_runs + eval_launches,
+                "@{stop_at}"
+            );
         }
     }
 
@@ -1525,5 +1623,226 @@ mod tests {
         assert_eq!(outcome, GpStepOutcome::BudgetStop);
         let r = resumed.finish(&d.netlist);
         assert_eq!(r.stats.iterations, 5, "no further iterations may run");
+    }
+
+    /// Left/right halves as two fences, so `DensityModel::Fenced` runs.
+    fn two_fences<T: Float>(nl: &Netlist<T>) -> crate::FenceSpec<T> {
+        let r = nl.region();
+        let mid = (r.xl + r.xh) * T::HALF;
+        let n = nl.num_movable();
+        crate::FenceSpec {
+            regions: vec![
+                dp_netlist::Rect::new(r.xl, r.yl, mid, r.yh),
+                dp_netlist::Rect::new(mid, r.yl, r.xh, r.yh),
+            ],
+            assignment: (0..n).map(|c| Some(u16::from(c >= n / 2))).collect(),
+        }
+    }
+
+    /// Runs `cfg` to completion with the memo live, or switched to the
+    /// always-evaluate path it replaced.
+    fn run_with_memo<T: Float>(
+        cfg: &GpConfig<T>,
+        d: &dp_gen::GeneratedDesign<T>,
+        always_evaluate: bool,
+    ) -> GpResult<T> {
+        let mut engine =
+            GpEngine::new(cfg.clone(), &d.netlist, &d.fixed_positions).expect("engine");
+        engine.memo.always_evaluate = always_evaluate;
+        while !engine.step(&d.netlist).expect("runs").is_done() {}
+        engine.finish(&d.netlist)
+    }
+
+    fn bits<T: Float>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    fn assert_same_run<T: Float>(a: &GpResult<T>, b: &GpResult<T>, tag: &str) {
+        assert_eq!(bits(&a.placement.x), bits(&b.placement.x), "{tag}: x");
+        assert_eq!(bits(&a.placement.y), bits(&b.placement.y), "{tag}: y");
+        assert_eq!(a.stats.history, b.stats.history, "{tag}: history");
+        assert_eq!(
+            a.stats.final_hpwl.to_bits(),
+            b.stats.final_hpwl.to_bits(),
+            "{tag}: final hpwl"
+        );
+        assert_eq!(
+            a.stats.recovery_events, b.stats.recovery_events,
+            "{tag}: recoveries"
+        );
+    }
+
+    /// (a) The memo against the always-evaluate reference, to the bit:
+    /// both density models, one and two threads, healthy and with a
+    /// rollback + `lambda` backoff crossing the memo.
+    fn memo_matches_reference<T: Float>() {
+        let d = small_design_of::<T>();
+        for threads in [1usize, 2] {
+            for fenced in [false, true] {
+                for faulted in [false, true] {
+                    let mut cfg = GpConfig::auto(&d.netlist);
+                    cfg.max_iters = 90;
+                    cfg.target_overflow = T::from_f64(0.12);
+                    cfg.threads = threads;
+                    cfg.deterministic = Some(true);
+                    if fenced {
+                        cfg.fence = Some(two_fences(&d.netlist));
+                    }
+                    if faulted {
+                        cfg.fault_injection.nan_grad_evals = (60..72).collect();
+                        cfg.recovery.max_recoveries = 8;
+                    }
+                    let tag = format!("threads {threads}, fenced {fenced}, faulted {faulted}");
+                    let memo = run_with_memo(&cfg, &d, false);
+                    let reference = run_with_memo(&cfg, &d, true);
+                    assert_same_run(&memo, &reference, &tag);
+                    assert_eq!(memo.stats.recoveries > 0, faulted, "{tag}");
+                    let (m, r) = (op_calls(&memo.stats), op_calls(&reference.stats));
+                    assert!(m["density.forward"] < r["density.forward"], "{tag}");
+                    assert_eq!(m["wa.forward_backward"], r["wa.forward_backward"], "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_is_bit_identical_to_always_evaluating_f64() {
+        memo_matches_reference::<f64>();
+    }
+
+    #[test]
+    fn memo_is_bit_identical_to_always_evaluating_f32() {
+        memo_matches_reference::<f32>();
+    }
+
+    /// (b) A healthy run hits exactly once per step after the first: the
+    /// step opens at the point the previous step's last probe evaluated.
+    #[test]
+    fn healthy_run_evaluates_density_once_per_distinct_point() {
+        let d = small_design();
+        let mut cfg = quick_config(&d.netlist);
+        cfg.max_iters = 40;
+        cfg.min_iters = 40;
+        cfg.target_overflow = 0.0; // force all 40 iterations
+        let r = GlobalPlacer::new(cfg)
+            .place(&d.netlist, &d.fixed_positions)
+            .expect("ok");
+        assert_eq!((r.stats.iterations, r.stats.recoveries), (40, 0));
+        let calls = op_calls(&r.stats);
+        assert_eq!(calls["density.forward"], calls["wa.forward_backward"] - 39);
+        assert_eq!(calls["density.backward"], calls["density.forward"]);
+    }
+
+    /// (c) The miss path, at the objective level (what happens when
+    /// Nesterov exhausts its backtracks and leaves the tentative point
+    /// unevaluated): one ulp away in one coordinate, and `-0.0` where the
+    /// key holds `0.0`, both recompute and equal a fresh engine's
+    /// evaluation bit for bit.
+    #[test]
+    fn memo_misses_on_one_ulp_and_on_negative_zero() {
+        let d = small_design();
+        let cfg = quick_config(&d.netlist);
+        let nl = &d.netlist;
+        let n = nl.num_movable();
+
+        fn eval(e: &mut GpEngine<f64>, nl: &Netlist<f64>, params: &[f64]) -> (f64, Vec<f64>, u64) {
+            let mut grad = vec![0.0; params.len()];
+            let cost = PlacementObjective {
+                nl,
+                wl: &mut e.wl,
+                density: &mut e.density,
+                ctx: &mut e.ctx,
+                lambda: e.lambda,
+                pos: &mut e.pos,
+                grad: &mut e.grad,
+                memo: &mut e.memo,
+                pin_counts: &e.pin_counts,
+                charges: &e.charges,
+                faults: &e.faults,
+                t_wl: &mut e.t_wl,
+                t_density: &mut e.t_density,
+                evals: &mut e.evals,
+            }
+            .eval(params, &mut grad);
+            (cost, grad, e.ctx.op_counter("density.forward").calls)
+        }
+        let fresh = || GpEngine::new(cfg.clone(), nl, &d.fixed_positions).expect("engine");
+
+        let mut engine = fresh();
+        let mut key = engine.params.clone();
+        key[3] = 0.0;
+        let (cost, grad, base) = eval(&mut engine, nl, &key);
+        // Same bits: a hit, and the same answer.
+        let (cost_hit, grad_hit, calls) = eval(&mut engine, nl, &key);
+        assert_eq!(calls, base);
+        assert_eq!((cost_hit.to_bits(), bits(&grad_hit)), (cost.to_bits(), bits(&grad)));
+
+        let mut one_ulp = key.clone();
+        one_ulp[n + 7] = f64::from_bits(one_ulp[n + 7].to_bits() + 1);
+        let mut neg_zero = key.clone();
+        neg_zero[3] = -0.0;
+        for (i, probe) in [one_ulp, neg_zero].iter().enumerate() {
+            let (cost, grad, calls) = eval(&mut engine, nl, probe);
+            assert_eq!(calls, base + 1 + i as u64, "probe {i} must recompute");
+            let (cost_fresh, grad_fresh, _) = eval(&mut fresh(), nl, probe);
+            assert_eq!(cost.to_bits(), cost_fresh.to_bits(), "probe {i}");
+            assert_eq!(bits(&grad), bits(&grad_fresh), "probe {i}");
+        }
+    }
+
+    /// (d) Two engines stepped alternately — what the scheduler does —
+    /// each keep their own memo and match their solo runs.
+    #[test]
+    fn alternately_stepped_engines_match_their_solo_runs() {
+        let d = small_design();
+        let mut cfgs = [quick_config(&d.netlist), quick_config(&d.netlist)];
+        cfgs[0].max_iters = 60;
+        cfgs[1].max_iters = 45;
+        cfgs[1].seed += 1;
+        let solo = cfgs.each_ref().map(|cfg| run_with_memo(cfg, &d, false));
+
+        let mut engines = cfgs
+            .each_ref()
+            .map(|cfg| GpEngine::new(cfg.clone(), &d.netlist, &d.fixed_positions).expect("engine"));
+        loop {
+            let mut running = false;
+            for e in &mut engines {
+                running |= !e.step(&d.netlist).expect("healthy").is_done();
+            }
+            if !running {
+                break;
+            }
+        }
+        for (i, (e, solo)) in engines.into_iter().zip(&solo).enumerate() {
+            let r = e.finish(&d.netlist);
+            assert_same_run(&r, solo, &format!("engine {i}"));
+            assert_eq!(op_calls(&r.stats), op_calls(&solo.stats), "engine {i}");
+        }
+    }
+
+    /// `wirelength + density + solver + bookkeeping` covers the stepping
+    /// time: the tripwire's HPWL/overflow is bookkeeping, not a residue
+    /// folded into the solver share.
+    #[test]
+    fn timing_phases_cover_the_steps() {
+        let d = small_design();
+        let mut cfg = quick_config(&d.netlist);
+        cfg.max_iters = 60;
+        cfg.min_iters = 60;
+        cfg.target_overflow = 0.0;
+        let mut engine = GpEngine::new(cfg, &d.netlist, &d.fixed_positions).expect("engine");
+        let built = engine.busy;
+        while !engine.step(&d.netlist).expect("healthy").is_done() {}
+        let stepped = (engine.busy - built).as_secs_f64();
+        let t = engine.timing;
+        let phases = (t.wirelength + t.density + t.solver + t.bookkeeping).as_secs_f64();
+        assert!(
+            (stepped - phases).abs() <= 0.02 * stepped,
+            "phases {phases} s of {stepped} s stepped"
+        );
+        // 60 overflow scatters and exact HPWLs are not free.
+        let overflow = engine.ctx.op_counter("density.overflow");
+        assert_eq!(overflow.calls, 60);
+        assert!(t.bookkeeping >= Duration::from_nanos(overflow.nanos));
     }
 }

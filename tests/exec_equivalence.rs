@@ -1,6 +1,7 @@
 //! Tier-1 executor acceptance: kernels launched on the persistent worker
 //! pool must agree with the serial path, and a placement run must spawn
-//! its threads exactly once while reusing every kernel workspace.
+//! its threads exactly once while reusing every kernel workspace and
+//! evaluating the density field once per distinct point.
 //!
 //! The ordered per-chunk reductions (with a thread-count-invariant chunk
 //! size) make the net-by-net and merged wirelength kernels bit-exact at any
@@ -153,4 +154,33 @@ fn placement_run_spawns_once_and_reuses_every_workspace() {
         );
         assert!(ws.bytes > 0, "workspace {name} reports no scratch");
     }
+}
+
+#[test]
+fn placement_run_evaluates_density_once_per_distinct_point() {
+    // Nesterov opens every step at the point its last backtracking probe
+    // evaluated; the field there is memoised, so a healthy run skips
+    // exactly one scatter → solve → gather per step after the first while
+    // wirelength (whose gamma moved in between) is evaluated every time.
+    let d = design(29, 400);
+    let mut cfg = GpConfig::auto(&d.netlist);
+    cfg.threads = 2;
+    cfg.max_iters = 50;
+    cfg.min_iters = 50;
+    cfg.target_overflow = 0.0;
+    let r = GlobalPlacer::new(cfg)
+        .place(&d.netlist, &d.fixed_positions)
+        .expect("gp run");
+    assert_eq!((r.stats.iterations, r.stats.recoveries), (50, 0));
+    let calls = |name: &str| -> u64 {
+        let op = r.stats.exec.ops.iter().find(|(n, _)| *n == name);
+        op.map_or(0, |(_, c)| c.calls)
+    };
+    assert_eq!(calls("density.overflow"), 50);
+    assert_eq!(
+        calls("density.forward"),
+        calls("wa.forward_backward") - 49,
+        "one memo hit per step after the first"
+    );
+    assert_eq!(calls("density.backward"), calls("density.forward"));
 }

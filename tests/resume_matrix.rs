@@ -1,8 +1,10 @@
 //! Tier-1 crash/resume gate: a run killed at any state boundary (and at
 //! arbitrary mid-GP iterations) and resumed from its last durable
 //! checkpoint must be **bit-identical** to the uninterrupted run — same
-//! final positions, same HPWL trajectory, same degradation timeline, same
-//! merged execution counters.
+//! final positions, same HPWL trajectory, same degradation timeline, and
+//! merged execution counters that differ only by the one density
+//! evaluation a resume from mid-GP repeats (the engine's density memo is
+//! not checkpointed).
 //!
 //! Also covers the failure modes around the checkpoint file itself:
 //! corruption is detected by CRC and surfaces as a structured
@@ -13,7 +15,9 @@
 
 use std::path::PathBuf;
 
-use dp_gp::InitKind;
+use dp_autograd::{ExecCtx, Gradient, Operator};
+use dp_density::{BinGrid, DensityOp};
+use dp_gp::{initial_placement, InitKind};
 use dreamplace::gen::{GeneratedDesign, GeneratorConfig};
 use dreamplace::{
     read_checkpoint, CheckpointError, CheckpointPolicy, DreamPlacer, DurableOutcome, FlowConfig,
@@ -62,13 +66,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// Kills the flow right before `at`, then resumes from the checkpoint
 /// directory in a second driver invocation (a fresh "process" as far as
-/// the machine is concerned) and runs to completion.
+/// the machine is concerned) and runs to completion. Also returns the
+/// state the second invocation resumed at (`None`: no checkpoint yet).
 fn killed_then_resumed(
     d: &GeneratedDesign<f64>,
     at: FlowState,
     tag: &str,
     telemetry: Option<&dreamplace::telemetry::Telemetry>,
-) -> FlowResult<f64> {
+) -> (FlowResult<f64>, Option<FlowState>) {
     let dir = tmp_dir(tag);
     let policy = CheckpointPolicy::new(&dir).every(10);
 
@@ -88,6 +93,7 @@ fn killed_then_resumed(
         Err(CheckpointError::Missing { .. }) => None,
         Err(e) => panic!("unreadable checkpoint after kill at {at}: {e}"),
     };
+    let resumed_at = resume_from.as_ref().map(|data| data.state());
     let mut cfg = config(d);
     if let Some(tel) = telemetry {
         cfg.telemetry = tel.clone();
@@ -97,14 +103,42 @@ fn killed_then_resumed(
         .expect("resumed run");
     let _ = std::fs::remove_dir_all(&dir);
     match outcome {
-        DurableOutcome::Completed(r) => *r,
+        DurableOutcome::Completed(r) => (*r, resumed_at),
         DurableOutcome::Killed { at } => panic!("resumed run died at {at} without injection"),
     }
 }
 
+/// Pool launches of one `DensityOp::forward_backward` under `config(d)`,
+/// measured on a fresh context.
+fn density_eval_launches(d: &GeneratedDesign<f64>) -> u64 {
+    let cfg = config(d).gp;
+    let grid = BinGrid::new(d.netlist.region(), cfg.bins.0, cfg.bins.1).expect("bins");
+    let mut op = DensityOp::with_backend(
+        grid,
+        cfg.density_strategy,
+        cfg.target_density,
+        cfg.dct_backend,
+    )
+    .expect("density op")
+    .with_deterministic(true);
+    let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
+    op.bake_fixed(&d.netlist, &pos);
+    let mut ctx = ExecCtx::new(THREADS);
+    let mut g = Gradient::zeros(pos.len());
+    let _ = op.forward_backward(&d.netlist, &pos, &mut g, &mut ctx);
+    ctx.summary().pool_runs
+}
+
 /// Everything deterministic must match bit-for-bit; only wall-clock
-/// fields (timings, per-op nanos) are exempt.
-fn assert_bit_identical(golden: &FlowResult<f64>, r: &FlowResult<f64>, tag: &str) {
+/// fields (timings, per-op nanos) are exempt. `repeated_eval_launches` is
+/// `Some(launches of one density evaluation)` when `r` resumed inside GP
+/// after the first step, `None` when its counters must equal `golden`'s.
+fn assert_bit_identical(
+    golden: &FlowResult<f64>,
+    r: &FlowResult<f64>,
+    repeated_eval_launches: Option<u64>,
+    tag: &str,
+) {
     assert_eq!(golden.placement.x, r.placement.x, "{tag}: x positions");
     assert_eq!(golden.placement.y, r.placement.y, "{tag}: y positions");
     assert_eq!(
@@ -158,15 +192,31 @@ fn assert_bit_identical(golden: &FlowResult<f64>, r: &FlowResult<f64>, tag: &str
     );
 
     // Merged execution counters: the resumed process folds the
-    // checkpointed counters into its own, so per-op call counts and pool
-    // runs must land exactly on the uninterrupted totals. (Nanos and
+    // checkpointed counters into its own. The density memo is not in the
+    // checkpoint, so an engine resumed after its first step evaluates the
+    // field once more than the uninterrupted run, which still held it:
+    // `density.forward`, `density.backward` and each `density.dct.*` phase
+    // read exactly +1, pool runs exactly one evaluation's launches more,
+    // and every other op lands on the uninterrupted total. (Nanos and
     // spawn counts are wall-clock noise.)
-    let calls = |res: &FlowResult<f64>| -> Vec<(&'static str, u64)> {
-        res.gp.exec.ops.iter().map(|(n, c)| (*n, c.calls)).collect()
-    };
-    assert_eq!(calls(golden), calls(r), "{tag}: per-op call counts");
+    let repeated = u64::from(repeated_eval_launches.is_some());
+    let expected: Vec<(&'static str, u64)> = golden
+        .gp
+        .exec
+        .ops
+        .iter()
+        .map(|(n, c)| {
+            let density_eval = matches!(*n, "density.forward" | "density.backward")
+                || n.starts_with("density.dct.");
+            (*n, c.calls + repeated * u64::from(density_eval))
+        })
+        .collect();
+    let calls: Vec<(&'static str, u64)> =
+        r.gp.exec.ops.iter().map(|(n, c)| (*n, c.calls)).collect();
+    assert_eq!(expected, calls, "{tag}: per-op call counts");
     assert_eq!(
-        golden.gp.exec.pool_runs, r.gp.exec.pool_runs,
+        golden.gp.exec.pool_runs + repeated_eval_launches.unwrap_or(0),
+        r.gp.exec.pool_runs,
         "{tag}: pool runs"
     );
 }
@@ -197,18 +247,28 @@ fn killed_and_resumed_matches_uninterrupted_at_every_state() {
         FlowState::Dp { pass: 1 },
         FlowState::Finish,
     ];
+    let eval_launches = density_eval_launches(&d);
+    assert!(eval_launches > 0, "a density evaluation launches kernels");
+    let mut resumed_mid_gp = 0;
     for at in matrix {
         let tag = format!("kill at {at}");
-        let r = killed_then_resumed(&d, at, &at.to_string().replace(':', "-"), None);
-        assert_bit_identical(&golden, &r, &tag);
+        let (r, resumed_at) =
+            killed_then_resumed(&d, at, &at.to_string().replace(':', "-"), None);
+        // Only a checkpoint taken inside GP after the first step loses a
+        // live memo entry; before GP, at `gp:0` and after GP nothing is
+        // re-evaluated.
+        let mid_gp = matches!(resumed_at, Some(FlowState::Gp { iteration }) if iteration >= 1);
+        resumed_mid_gp += usize::from(mid_gp);
+        assert_bit_identical(&golden, &r, mid_gp.then_some(eval_launches), &tag);
     }
+    assert_eq!(resumed_mid_gp, 2, "gp:13 and gp:40 resume from gp:10 and gp:40");
 }
 
 #[test]
 fn resumed_trace_carries_a_resume_point_and_validates() {
     let d = design();
     let tel = dreamplace::telemetry::Telemetry::enabled();
-    let r = killed_then_resumed(&d, FlowState::Gp { iteration: 17 }, "traced", Some(&tel));
+    let (r, _) = killed_then_resumed(&d, FlowState::Gp { iteration: 17 }, "traced", Some(&tel));
     assert!(r.hpwl_final > 0.0);
     let mut buf = Vec::new();
     tel.write_jsonl(&mut buf).expect("serialize trace");
@@ -262,7 +322,7 @@ fn corrupt_checkpoint_surfaces_structured_error_and_restart_matches_golden() {
         DurableOutcome::Killed { at } => panic!("uninjected run died at {at}"),
     };
     let _ = std::fs::remove_dir_all(&dir);
-    assert_bit_identical(&golden, &restarted, "restart after corruption");
+    assert_bit_identical(&golden, &restarted, None, "restart after corruption");
 }
 
 #[test]
