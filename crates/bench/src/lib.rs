@@ -2,9 +2,8 @@
 //! paper (TCAD'20).
 //!
 //! Each table/figure has a binary (`cargo run -p dp-bench --release --bin
-//! table2` etc.) printing the same rows the paper reports; the four hot
-//! kernels additionally have Criterion benches (`cargo bench -p dp-bench`).
-//! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! table2` etc.) printing the same rows the paper reports. See
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! record.
 //!
 //! Designs are the paper's suites scaled down by the `DP_SCALE` environment

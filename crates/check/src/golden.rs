@@ -7,15 +7,19 @@
 //! (HPWL relative, overflow absolute). Regenerate by running the suite
 //! with `DP_UPDATE_GOLDEN=1`.
 //!
-//! The build is fully offline and carries no `serde`,
-//! so the JSON here is hand-rolled: one flat object, stable key order,
-//! `{:.17e}` floats so values round-trip exactly.
+//! A record is one flat JSON object, stable key order, `{:.17e}` floats so
+//! values round-trip exactly. The name is escaped by the shared codec
+//! (`dp_telemetry::json`); reading goes through this crate's own
+//! tokenizer ([`crate::trace`]), like every other file dp-check validates.
 
 use std::fmt;
 use std::path::Path;
 
 use dp_num::Float;
+use dp_telemetry::json;
 use dreamplace_core::FlowResult;
+
+use crate::trace::parse_flat_object;
 
 /// One pinned full-flow outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,13 +109,10 @@ impl GoldenRecord {
 
     /// Serializes to a single-object JSON document (stable key order).
     pub fn to_json(&self) -> String {
-        // Escape the only two characters a design name could plausibly
-        // smuggle in; everything else the generator emits is ASCII.
-        let name = self.name.replace('\\', "\\\\").replace('"', "\\\"");
         format!(
             concat!(
                 "{{\n",
-                "  \"name\": \"{}\",\n",
+                "  \"name\": {},\n",
                 "  \"seed\": {},\n",
                 "  \"threads\": {},\n",
                 "  \"iterations\": {},\n",
@@ -121,7 +122,7 @@ impl GoldenRecord {
                 "  \"overflow\": {:.17e}\n",
                 "}}\n",
             ),
-            name,
+            json::quote(&self.name),
             self.seed,
             self.threads,
             self.iterations,
@@ -133,69 +134,38 @@ impl GoldenRecord {
     }
 
     /// Parses a record written by [`GoldenRecord::to_json`] (tolerant of
-    /// whitespace and key order, not a general JSON parser).
+    /// whitespace and key order).
     ///
     /// # Errors
     ///
-    /// Returns [`GoldenError::Parse`] on any malformed or missing field.
+    /// Returns [`GoldenError::Parse`] on any malformed, missing or unknown
+    /// field.
     pub fn from_json(text: &str) -> Result<Self, GoldenError> {
-        let mut name = None;
-        let mut fields: [(& str, Option<f64>); 7] = [
-            ("seed", None),
-            ("threads", None),
-            ("iterations", None),
-            ("hpwl_gp", None),
-            ("hpwl_legal", None),
-            ("hpwl_final", None),
-            ("overflow", None),
+        const KEYS: [&str; 8] = [
+            "name", "seed", "threads", "iterations", "hpwl_gp", "hpwl_legal", "hpwl_final",
+            "overflow",
         ];
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or_else(|| GoldenError::Parse("missing object braces".to_string()))?;
-        for raw in body.split(',') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (key, value) = raw
-                .split_once(':')
-                .ok_or_else(|| GoldenError::Parse(format!("missing ':' in `{raw}`")))?;
-            let key = key.trim().trim_matches('"');
-            let value = value.trim();
-            if key == "name" {
-                let v = value
-                    .strip_prefix('"')
-                    .and_then(|v| v.strip_suffix('"'))
-                    .ok_or_else(|| GoldenError::Parse("name is not a string".to_string()))?;
-                name = Some(v.replace("\\\"", "\"").replace("\\\\", "\\"));
-                continue;
-            }
-            let parsed: f64 = value
-                .parse()
-                .map_err(|_| GoldenError::Parse(format!("bad number for `{key}`: `{value}`")))?;
-            match fields.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, slot)) => *slot = Some(parsed),
-                None => {
-                    return Err(GoldenError::Parse(format!("unknown key `{key}`")));
-                }
-            }
+        let fields = parse_flat_object(text).map_err(GoldenError::Parse)?;
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !KEYS.contains(&k.as_str())) {
+            return Err(GoldenError::Parse(format!("unknown key `{key}`")));
         }
-        let get = |idx: usize| -> Result<f64, GoldenError> {
-            fields[idx]
-                .1
-                .ok_or_else(|| GoldenError::Parse(format!("missing key `{}`", fields[idx].0)))
+        let need = |key: &str| {
+            let field = fields.iter().find(|(k, _)| k == key);
+            field.map(|(_, v)| v).ok_or_else(|| GoldenError::Parse(format!("missing key `{key}`")))
         };
+        let bad = |key: &str| GoldenError::Parse(format!("bad value for `{key}`"));
+        let int = |key: &str| need(key)?.as_u64().ok_or_else(|| bad(key));
+        let count = |key: &str| usize::try_from(int(key)?).map_err(|_| bad(key));
+        let float = |key: &str| need(key)?.as_f64().ok_or_else(|| bad(key));
         Ok(Self {
-            name: name.ok_or_else(|| GoldenError::Parse("missing key `name`".to_string()))?,
-            seed: get(0)? as u64,
-            threads: get(1)? as usize,
-            iterations: get(2)? as usize,
-            hpwl_gp: get(3)?,
-            hpwl_legal: get(4)?,
-            hpwl_final: get(5)?,
-            overflow: get(6)?,
+            name: need("name")?.as_str().ok_or_else(|| bad("name"))?.to_string(),
+            seed: int("seed")?,
+            threads: count("threads")?,
+            iterations: count("iterations")?,
+            hpwl_gp: float("hpwl_gp")?,
+            hpwl_legal: float("hpwl_legal")?,
+            hpwl_final: float("hpwl_final")?,
+            overflow: float("overflow")?,
         })
     }
 
@@ -310,10 +280,31 @@ mod tests {
     }
 
     #[test]
+    fn hostile_names_and_large_seeds_round_trip() {
+        // The textual splitter this replaced cut the record at the name's
+        // comma, and every number went through f64 (2^53 + 1 lost its bit).
+        let r = GoldenRecord {
+            name: "a,b: \"c\"\\".to_string(),
+            seed: 9_007_199_254_740_993,
+            ..record()
+        };
+        assert_eq!(GoldenRecord::from_json(&r.to_json()).expect("parse"), r);
+        let control = GoldenRecord {
+            name: "tab\there\u{1}".to_string(),
+            ..record()
+        };
+        assert_eq!(GoldenRecord::from_json(&control.to_json()).expect("parse"), control);
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(GoldenRecord::from_json("not json").is_err());
         assert!(GoldenRecord::from_json("{\"name\": \"x\"}").is_err());
         assert!(GoldenRecord::from_json("{\"name\": \"x\", \"seed\": true}").is_err());
+        let json = record().to_json();
+        assert!(GoldenRecord::from_json(&json.replace("\"seed\": 7", "\"seed\": 7.5")).is_err());
+        assert!(GoldenRecord::from_json(&json.replace("\"seed\"", "\"sede\"")).is_err());
+        assert!(GoldenRecord::from_json(&json.replace("\"seed\": 7,", "")).is_err());
     }
 
     #[test]

@@ -93,9 +93,9 @@ pub struct TraceSummary {
     pub metas: usize,
 }
 
-/// A parsed scalar from a trace line.
+/// A parsed scalar from a trace line (or a golden record).
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
+pub(crate) enum Value {
     Str(String),
     /// Raw number text, kept verbatim so integer and float interpretation
     /// both stay exact.
@@ -103,7 +103,7 @@ enum Value {
 }
 
 impl Value {
-    fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Num(raw) => raw.parse().ok(),
             Value::Str(_) => None,
@@ -111,7 +111,7 @@ impl Value {
     }
 
     /// Floats, including the writer's quoted non-finite markers.
-    fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(raw) => raw.parse().ok(),
             Value::Str(s) => match s.as_str() {
@@ -123,7 +123,7 @@ impl Value {
         }
     }
 
-    fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             Value::Num(_) => None,
@@ -134,7 +134,7 @@ impl Value {
 /// Minimal JSON tokenizer for one flat object. Accepts full JSON string
 /// escapes and the full number grammar; rejects nesting, booleans, and
 /// null (the schema has neither).
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
+pub(crate) fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
     let bytes = line.as_bytes();
     let mut i = 0usize;
     let mut fields = Vec::new();

@@ -174,8 +174,8 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (reflected, polynomial `0xEDB88320`) — the same function the
-/// JSONL trace footer uses, recomputed here so this module stands alone.
+/// CRC32 (reflected, polynomial `0xEDB88320`) over the checkpoint payload;
+/// `dp_check::checkpoint` recomputes it independently.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {

@@ -110,7 +110,6 @@ pub fn smoothed_footprint<T: Float>(
 pub struct DensityMapBuilder<T: Float> {
     grid: BinGrid<T>,
     strategy: DensityStrategy,
-    threads: usize,
     /// Cell order used by the scatter (sorted by area for the TCAD path).
     order: Vec<u32>,
     order_valid_for: usize,
@@ -124,10 +123,6 @@ pub struct DensityMapBuilder<T: Float> {
     float_bins: Vec<FloatBins<T>>,
     /// Persistent accumulation bins (fixed-point mode), reset per build.
     fixed_bins: Vec<FixedPointCell>,
-    /// Lazily built pool backing the allocating [`Self::build_movable`]
-    /// convenience wrapper; hot paths pass their own pool to
-    /// [`Self::build_movable_into`].
-    pool: Option<WorkerPool>,
 }
 
 type FloatBins<T> = <T as Float>::Atomic;
@@ -138,26 +133,13 @@ impl<T: Float> DensityMapBuilder<T> {
         Self {
             grid,
             strategy,
-            threads: 1,
             order: Vec::new(),
             order_valid_for: usize::MAX,
             mask: None,
             deterministic: false,
             float_bins: Vec::new(),
             fixed_bins: Vec::new(),
-            pool: None,
         }
-    }
-
-    /// Sets the worker thread count (1 = serial).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// Sets the worker thread count in place (1 = serial).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Enables deterministic fixed-point accumulation: bins accumulate in
@@ -336,24 +318,6 @@ impl<T: Float> DensityMapBuilder<T> {
         }
     }
 
-    /// Scatters all movable cells into a fresh map (area units), on a pool
-    /// sized by [`Self::set_threads`] and kept across calls.
-    pub fn build_movable(&mut self, nl: &Netlist<T>, p: &Placement<T>) -> Vec<T> {
-        let stale = self.pool.as_ref().map(WorkerPool::threads) != Some(self.threads);
-        let pool = if stale {
-            WorkerPool::new(self.threads)
-        } else {
-            match self.pool.take() {
-                Some(pool) => pool,
-                None => WorkerPool::new(self.threads),
-            }
-        };
-        let mut out = Vec::new();
-        self.build_movable_into(nl, p, &pool, &mut out);
-        self.pool = Some(pool);
-        out
-    }
-
     /// Scatters fixed cells (no smoothing; they do not move, so the map can
     /// be cached by the caller). Contributions are clipped to the region.
     pub fn build_fixed(&self, nl: &Netlist<T>, p: &Placement<T>) -> Vec<T> {
@@ -389,6 +353,18 @@ mod tests {
     use dp_netlist::NetlistBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
+    /// One scatter of the movable cells on a fresh `threads`-wide pool.
+    pub(super) fn scatter(
+        mut builder: DensityMapBuilder<f64>,
+        nl: &Netlist<f64>,
+        p: &Placement<f64>,
+        threads: usize,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        builder.build_movable_into(nl, p, &WorkerPool::new(threads), &mut out);
+        out
+    }
+
     fn design(seed: u64, n: usize) -> (Netlist<f64>, Placement<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut b = NetlistBuilder::new(0.0, 0.0, 64.0, 64.0);
@@ -413,8 +389,7 @@ mod tests {
     #[test]
     fn mass_is_conserved() {
         let (nl, p) = design(1, 40);
-        let mut builder = DensityMapBuilder::new(grid(), DensityStrategy::Sorted);
-        let map = builder.build_movable(&nl, &p);
+        let map = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 1);
         let total: f64 = map.iter().sum();
         let expect: f64 = nl.total_movable_area();
         assert!(
@@ -447,7 +422,7 @@ mod tests {
             DensityStrategy::Sorted,
             DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
         ] {
-            let map = DensityMapBuilder::new(grid(), strategy).build_movable(&nl, &p);
+            let map = scatter(DensityMapBuilder::new(grid(), strategy), &nl, &p, 1);
             assert!(map.iter().all(|v| v.is_finite()), "{strategy}");
             let total: f64 = map.iter().sum();
             let expect = 8.0 * 8.0 + 4.0 * 4.0 + 4.0 * 4.0;
@@ -463,7 +438,7 @@ mod tests {
         let mut widths = nl.cell_widths().to_vec();
         widths[3] = f64::NAN;
         let nl = nl.with_cell_sizes(widths, nl.cell_heights().to_vec());
-        let map = DensityMapBuilder::new(grid(), DensityStrategy::Sorted).build_movable(&nl, &p);
+        let map = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 1);
         assert_eq!(map.len(), grid().num_bins());
         // The corrupted cell scatters nothing; the map stays finite.
         assert!(map.iter().all(|v| v.is_finite()));
@@ -473,13 +448,13 @@ mod tests {
     fn strategies_agree() {
         let (nl, p) = design(2, 60);
         let reference =
-            DensityMapBuilder::new(grid(), DensityStrategy::Naive).build_movable(&nl, &p);
+            scatter(DensityMapBuilder::new(grid(), DensityStrategy::Naive), &nl, &p, 1);
         for strategy in [
             DensityStrategy::Sorted,
             DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
             DensityStrategy::SortedSubthreads { tx: 4, ty: 1 },
         ] {
-            let map = DensityMapBuilder::new(grid(), strategy).build_movable(&nl, &p);
+            let map = scatter(DensityMapBuilder::new(grid(), strategy), &nl, &p, 1);
             for (a, b) in map.iter().zip(&reference) {
                 assert!((a - b).abs() < 1e-9, "{strategy}");
             }
@@ -489,10 +464,8 @@ mod tests {
     #[test]
     fn threads_agree() {
         let (nl, p) = design(3, 50);
-        let serial = DensityMapBuilder::new(grid(), DensityStrategy::Sorted).build_movable(&nl, &p);
-        let parallel = DensityMapBuilder::new(grid(), DensityStrategy::Sorted)
-            .with_threads(4)
-            .build_movable(&nl, &p);
+        let serial = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 1);
+        let parallel = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 4);
         for (a, b) in serial.iter().zip(&parallel) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -546,6 +519,7 @@ mod tests {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod deterministic_tests {
+    use super::tests::scatter;
     use super::*;
     use dp_netlist::NetlistBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -576,10 +550,8 @@ mod deterministic_tests {
         let (nl, p) = design(5);
         let runs: Vec<Vec<f64>> = (0..3)
             .map(|_| {
-                DensityMapBuilder::new(grid(), DensityStrategy::Sorted)
-                    .with_threads(4)
-                    .with_deterministic(true)
-                    .build_movable(&nl, &p)
+                let builder = DensityMapBuilder::new(grid(), DensityStrategy::Sorted);
+                scatter(builder.with_deterministic(true), &nl, &p, 4)
             })
             .collect();
         // Bitwise identical across repeated multithreaded runs.
@@ -590,10 +562,9 @@ mod deterministic_tests {
     #[test]
     fn fixed_point_matches_float_within_quantization() {
         let (nl, p) = design(6);
-        let float = DensityMapBuilder::new(grid(), DensityStrategy::Sorted).build_movable(&nl, &p);
-        let fixed = DensityMapBuilder::new(grid(), DensityStrategy::Sorted)
-            .with_deterministic(true)
-            .build_movable(&nl, &p);
+        let sorted = || DensityMapBuilder::new(grid(), DensityStrategy::Sorted);
+        let float = scatter(sorted(), &nl, &p, 1);
+        let fixed = scatter(sorted().with_deterministic(true), &nl, &p, 1);
         let bin_area = grid().bin_area();
         for (a, b) in float.iter().zip(&fixed) {
             // Up to ~200 updates per bin, each quantized at 2^-24 bin areas.
@@ -607,9 +578,8 @@ mod deterministic_tests {
     #[test]
     fn fixed_point_conserves_charge_to_quantization() {
         let (nl, p) = design(7);
-        let map = DensityMapBuilder::new(grid(), DensityStrategy::Sorted)
-            .with_deterministic(true)
-            .build_movable(&nl, &p);
+        let builder = DensityMapBuilder::new(grid(), DensityStrategy::Sorted);
+        let map = scatter(builder.with_deterministic(true), &nl, &p, 1);
         let total: f64 = map.iter().sum();
         let want = nl.total_movable_area();
         assert!((total - want).abs() / want < 1e-5, "{total} vs {want}");

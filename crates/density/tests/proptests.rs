@@ -2,6 +2,7 @@
 
 use dp_density::{BinGrid, DctBackendKind, DensityMapBuilder, DensityStrategy, ElectroField};
 use dp_netlist::{NetlistBuilder, Placement, Rect};
+use dp_num::WorkerPool;
 use proptest::prelude::*;
 
 fn build(seed: u64, cells: usize) -> (dp_netlist::Netlist<f64>, Placement<f64>) {
@@ -39,7 +40,9 @@ proptest! {
             DensityStrategy::Sorted,
             DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
         ] {
-            let map = DensityMapBuilder::new(grid.clone(), strategy).build_movable(&nl, &p);
+            let mut map = Vec::new();
+            DensityMapBuilder::new(grid.clone(), strategy)
+                .build_movable_into(&nl, &p, &WorkerPool::new(1), &mut map);
             let total: f64 = map.iter().sum();
             let want = nl.total_movable_area();
             prop_assert!((total - want).abs() < 1e-6 * want, "{strategy}: {total} vs {want}");

@@ -1,11 +1,11 @@
-//! Hand-rolled JSONL serialization for [`TraceEvent`]s.
+//! JSONL serialization for [`TraceEvent`]s.
 //!
-//! The offline build has no serde, so — like the golden-record code in
-//! `dp-check` — events are written as flat JSON objects with a stable key
-//! order, one per line. Floats use `{:.17e}` so an `f64` round-trips
-//! exactly through its decimal form; non-finite values (possible in a
-//! degraded run's convergence trace) are written as the quoted strings
-//! `"NaN"`, `"inf"`, `"-inf"` since JSON has no literal for them.
+//! Events are written through the shared codec ([`crate::json`]) as flat
+//! JSON objects with a stable key order, one per line. Floats use
+//! `{:.17e}` so an `f64` round-trips exactly through its decimal form;
+//! non-finite values (possible in a degraded run's convergence trace) are
+//! written as the quoted strings `"NaN"`, `"inf"`, `"-inf"` since JSON has
+//! no literal for them.
 //!
 //! The schema (`ev` discriminates the event kind):
 //!
@@ -25,50 +25,12 @@
 //! `dp-check` (`dp_check::trace`), deliberately independent of this writer
 //! so encode bugs cannot hide behind a shared implementation.
 
+use crate::json::Object;
 use crate::TraceEvent;
-use std::fmt::Write as _;
-
-/// Appends `s` JSON-escaped (without surrounding quotes) to `out`.
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Appends a JSON string literal.
-fn push_str_field(out: &mut String, s: &str) {
-    out.push('"');
-    push_escaped(out, s);
-    out.push('"');
-}
-
-/// Appends an `f64` in exact-round-trip form, or a quoted marker for
-/// non-finite values.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:.17e}");
-    } else if v.is_nan() {
-        out.push_str("\"NaN\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
-}
 
 /// Serializes one event as a single JSON object (no trailing newline).
 pub fn to_json_line(ev: &TraceEvent) -> String {
-    let mut s = String::with_capacity(96);
+    let line = Object::new();
     match ev {
         TraceEvent::Begin {
             id,
@@ -77,17 +39,16 @@ pub fn to_json_line(ev: &TraceEvent) -> String {
             name,
             t_ns,
             tid,
-        } => {
-            let _ = write!(
-                s,
-                "{{\"ev\":\"begin\",\"id\":{id},\"parent\":{parent},\"kind\":\"{}\",\"name\":",
-                kind.as_str()
-            );
-            push_str_field(&mut s, name);
-            let _ = write!(s, ",\"t\":{t_ns},\"tid\":{tid}}}");
-        }
+        } => line
+            .str("ev", "begin")
+            .num("id", id)
+            .num("parent", parent)
+            .str("kind", kind.as_str())
+            .str("name", name)
+            .num("t", t_ns)
+            .num("tid", tid),
         TraceEvent::End { id, t_ns, tid } => {
-            let _ = write!(s, "{{\"ev\":\"end\",\"id\":{id},\"t\":{t_ns},\"tid\":{tid}}}");
+            line.str("ev", "end").num("id", id).num("t", t_ns).num("tid", tid)
         }
         TraceEvent::Iter {
             span,
@@ -98,64 +59,61 @@ pub fn to_json_line(ev: &TraceEvent) -> String {
             gamma,
             t_ns,
             tid,
-        } => {
-            let _ = write!(s, "{{\"ev\":\"iter\",\"span\":{span},\"k\":{iteration},\"hpwl\":");
-            push_f64(&mut s, *hpwl);
-            s.push_str(",\"overflow\":");
-            push_f64(&mut s, *overflow);
-            s.push_str(",\"lambda\":");
-            push_f64(&mut s, *lambda);
-            s.push_str(",\"gamma\":");
-            push_f64(&mut s, *gamma);
-            let _ = write!(s, ",\"t\":{t_ns},\"tid\":{tid}}}");
-        }
+        } => line
+            .str("ev", "iter")
+            .num("span", span)
+            .num("k", iteration)
+            .f64("hpwl", *hpwl)
+            .f64("overflow", *overflow)
+            .f64("lambda", *lambda)
+            .f64("gamma", *gamma)
+            .num("t", t_ns)
+            .num("tid", tid),
         TraceEvent::Point {
             span,
             name,
             detail,
             t_ns,
             tid,
-        } => {
-            let _ = write!(s, "{{\"ev\":\"point\",\"span\":{span},\"name\":");
-            push_str_field(&mut s, name);
-            s.push_str(",\"detail\":");
-            push_str_field(&mut s, detail);
-            let _ = write!(s, ",\"t\":{t_ns},\"tid\":{tid}}}");
-        }
-        TraceEvent::Kernel { name, calls, nanos } => {
-            s.push_str("{\"ev\":\"kernel\",\"name\":");
-            push_str_field(&mut s, name);
-            let _ = write!(s, ",\"calls\":{calls},\"nanos\":{nanos}}}");
-        }
+        } => line
+            .str("ev", "point")
+            .num("span", span)
+            .str("name", name)
+            .str("detail", detail)
+            .num("t", t_ns)
+            .num("tid", tid),
+        TraceEvent::Kernel { name, calls, nanos } => line
+            .str("ev", "kernel")
+            .str("name", name)
+            .num("calls", calls)
+            .num("nanos", nanos),
         TraceEvent::Workspace {
             name,
             uses,
             reuses,
             bytes,
-        } => {
-            s.push_str("{\"ev\":\"ws\",\"name\":");
-            push_str_field(&mut s, name);
-            let _ = write!(s, ",\"uses\":{uses},\"reuses\":{reuses},\"bytes\":{bytes}}}");
-        }
+        } => line
+            .str("ev", "ws")
+            .str("name", name)
+            .num("uses", uses)
+            .num("reuses", reuses)
+            .num("bytes", bytes),
         TraceEvent::Worker {
             pool,
             worker,
             launches,
             nanos,
-        } => {
-            s.push_str("{\"ev\":\"worker\",\"pool\":");
-            push_str_field(&mut s, pool);
-            let _ = write!(s, ",\"worker\":{worker},\"launches\":{launches},\"nanos\":{nanos}}}");
-        }
+        } => line
+            .str("ev", "worker")
+            .str("pool", pool)
+            .num("worker", worker)
+            .num("launches", launches)
+            .num("nanos", nanos),
         TraceEvent::Meta { key, value } => {
-            s.push_str("{\"ev\":\"meta\",\"key\":");
-            push_str_field(&mut s, key);
-            s.push_str(",\"value\":");
-            push_str_field(&mut s, value);
-            s.push('}');
+            line.str("ev", "meta").str("key", key).str("value", value)
         }
     }
-    s
+    .finish()
 }
 
 #[cfg(test)]
@@ -179,6 +137,59 @@ mod tests {
             line,
             "{\"ev\":\"begin\",\"id\":3,\"parent\":1,\"kind\":\"stage\",\"name\":\"gp\",\"t\":42,\"tid\":0}"
         );
+    }
+
+    #[test]
+    fn every_event_kind_keeps_its_bytes() {
+        let name = || Cow::Borrowed("wa \"fwd\"");
+        let cases = [
+            (
+                TraceEvent::End { id: 3, t_ns: 50, tid: 1 },
+                r#"{"ev":"end","id":3,"t":50,"tid":1}"#,
+            ),
+            (
+                TraceEvent::Iter {
+                    span: 5,
+                    iteration: 2,
+                    hpwl: 1.5,
+                    overflow: 0.25,
+                    lambda: 1e-4,
+                    gamma: f64::NAN,
+                    t_ns: 60,
+                    tid: 0,
+                },
+                concat!(
+                    r#"{"ev":"iter","span":5,"k":2,"hpwl":1.50000000000000000e0,"#,
+                    r#""overflow":2.50000000000000000e-1,"lambda":1.00000000000000005e-4,"#,
+                    r#""gamma":"NaN","t":60,"tid":0}"#
+                ),
+            ),
+            (
+                TraceEvent::Point {
+                    span: 0,
+                    name: Cow::Borrowed("retry"),
+                    detail: "attempt 2\n".to_string(),
+                    t_ns: 70,
+                    tid: 0,
+                },
+                r#"{"ev":"point","span":0,"name":"retry","detail":"attempt 2\n","t":70,"tid":0}"#,
+            ),
+            (
+                TraceEvent::Kernel { name: name(), calls: 7, nanos: 900 },
+                r#"{"ev":"kernel","name":"wa \"fwd\"","calls":7,"nanos":900}"#,
+            ),
+            (
+                TraceEvent::Workspace { name: name(), uses: 7, reuses: 6, bytes: 2048 },
+                r#"{"ev":"ws","name":"wa \"fwd\"","uses":7,"reuses":6,"bytes":2048}"#,
+            ),
+            (
+                TraceEvent::Worker { pool: name(), worker: 1, launches: 4, nanos: 99 },
+                r#"{"ev":"worker","pool":"wa \"fwd\"","worker":1,"launches":4,"nanos":99}"#,
+            ),
+        ];
+        for (event, want) in cases {
+            assert_eq!(to_json_line(&event), want);
+        }
     }
 
     #[test]

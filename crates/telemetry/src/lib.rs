@@ -53,6 +53,7 @@
 // tests opt out module-by-module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod report;

@@ -52,7 +52,6 @@
 
 pub mod hpwl_op;
 pub mod lse;
-pub mod parallel;
 pub mod wa;
 
 pub use hpwl_op::HpwlOp;

@@ -15,9 +15,8 @@ use std::sync::Arc;
 
 use dp_autograd::{ExecCtx, Gradient, Operator};
 use dp_netlist::{NetId, Netlist, Placement};
+use dp_num::parallel::DisjointSlice;
 use dp_num::{reduce_chunk_size, Float};
-
-use crate::parallel::DisjointSlice;
 
 /// The LSE wirelength operator (net-level parallel, fused backward).
 ///

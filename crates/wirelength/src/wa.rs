@@ -33,9 +33,8 @@ use std::sync::Arc;
 
 use dp_autograd::{ExecCtx, Gradient, Operator};
 use dp_netlist::{NetId, Netlist, Placement};
+use dp_num::parallel::DisjointSlice;
 use dp_num::{reduce_chunk_size, AtomicFloat, Float, WorkerPool};
-
-use crate::parallel::DisjointSlice;
 
 /// Parallelization strategy for the WA kernels (paper Fig. 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -100,346 +100,12 @@ use crate::{
     Scheduler, ServeFaultInjection, ToolMode,
 };
 
-// ---------------------------------------------------------------------------
-// Wire format: a deliberately tiny flat-JSON reader and writer. The build
-// is offline (no `serde`), so like `dp_telemetry::jsonl`
-// and `dp_check::trace` this speaks JSON by hand; requests are flat
-// objects with string/number/boolean values only.
-// ---------------------------------------------------------------------------
+mod protocol;
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod wire_transcript;
 
-/// A value in a flat request object.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
-impl Value {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_usize(&self) -> Option<usize> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && n >= 0.0 && n <= usize::MAX as f64 {
-            Some(n as usize)
-        } else {
-            None
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&n) {
-            Some(n as u64)
-        } else {
-            None
-        }
-    }
-
-    fn as_u32(&self) -> Option<u32> {
-        u32::try_from(self.as_u64()?).ok()
-    }
-}
-
-/// Parses one `{"key":value,...}` line with string/number/bool values.
-fn parse_flat(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let mut out = Vec::new();
-    let skip_ws = |bytes: &[u8], i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    skip_ws(bytes, &mut i);
-    if i >= bytes.len() || bytes[i] != b'{' {
-        return Err("expected '{'".into());
-    }
-    i += 1;
-    loop {
-        skip_ws(bytes, &mut i);
-        if i < bytes.len() && bytes[i] == b'}' {
-            i += 1;
-            break;
-        }
-        let key = parse_string(bytes, &mut i)?;
-        skip_ws(bytes, &mut i);
-        if i >= bytes.len() || bytes[i] != b':' {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        i += 1;
-        skip_ws(bytes, &mut i);
-        let value = if i < bytes.len() && bytes[i] == b'"' {
-            Value::Str(parse_string(bytes, &mut i)?)
-        } else if bytes[i..].starts_with(b"true") {
-            i += 4;
-            Value::Bool(true)
-        } else if bytes[i..].starts_with(b"false") {
-            i += 5;
-            Value::Bool(false)
-        } else {
-            let start = i;
-            while i < bytes.len() && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                i += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..i]).map_err(|_| "bad utf8")?;
-            Value::Num(text.parse().map_err(|_| format!("bad number {text:?}"))?)
-        };
-        out.push((key, value));
-        skip_ws(bytes, &mut i);
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                break;
-            }
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-    skip_ws(bytes, &mut i);
-    if i != bytes.len() {
-        return Err("trailing bytes after object".into());
-    }
-    Ok(out)
-}
-
-/// Parses a `"..."` string with the JSON escapes at `bytes[*i]`.
-fn parse_string(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    if *i >= bytes.len() || bytes[*i] != b'"' {
-        return Err("expected string".into());
-    }
-    *i += 1;
-    let mut out = String::new();
-    while *i < bytes.len() {
-        match bytes[*i] {
-            b'"' => {
-                *i += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *i += 1;
-                match bytes.get(*i) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    _ => return Err("unsupported escape".into()),
-                }
-                *i += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*i..]).map_err(|_| "bad utf8")?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *i += ch.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-/// `s` JSON-escaped and quoted.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------------
-
-/// What a submitted job should place.
-#[derive(Debug, Clone)]
-enum Source {
-    /// A Bookshelf `.aux` on the daemon's filesystem.
-    Aux(String),
-    /// A `dp-gen` design: `(name, cells, nets, seed)`.
-    Gen(String, usize, usize, u64),
-}
-
-/// A parsed `submit` request.
-#[derive(Debug, Clone)]
-struct JobSpec {
-    source: Source,
-    max_iters: Option<usize>,
-    overflow: Option<f64>,
-    qos: Option<QosClass>,
-    gp_seconds: Option<f64>,
-    dp_seconds: Option<f64>,
-    /// Per-attempt busy-time deadline override (`None` derives one from the
-    /// budgets / QoS class inside the scheduler).
-    deadline_seconds: Option<f64>,
-    max_attempts: Option<u32>,
-    backoff_seconds: Option<f64>,
-    conservative_final: Option<bool>,
-    /// Chaos knobs (only honored when the daemon runs with `--chaos`).
-    faults: ServeFaultInjection,
-}
-
-enum Request {
-    Submit(Box<JobSpec>),
-    /// `None` asks for daemon-wide status, `Some(id)` for one job's.
-    Status(Option<u64>),
-    /// Full Prometheus-style exposition as a `metrics` event.
-    Metrics,
-    Cancel(u64),
-    /// Simulated connection drop after N more events (chaos only).
-    Chaos { drop_after_events: usize },
-    Drain,
-    /// A line that parsed as JSON but is not a valid request; the payload
-    /// is the diagnosis (answered with a `rejected` event).
-    Bad(String),
-}
-
-/// Built-in generated-design sizes for `"preset"`.
-fn preset_dims(name: &str) -> Option<(usize, usize)> {
-    match name {
-        "tiny" => Some((60, 70)),
-        "small" => Some((200, 220)),
-        "medium" => Some((800, 850)),
-        _ => None,
-    }
-}
-
-/// Parses one request line. `Err` means the line is not even JSON (the
-/// session answers with an `error` event and stays alive); `Ok(Bad)` means
-/// it is JSON but not a valid request (answered with `rejected`).
-fn parse_request(line: &str) -> Result<Request, String> {
-    let fields = parse_flat(line)?;
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let Some(cmd) = get("cmd").and_then(Value::as_str) else {
-        return Ok(Request::Bad("missing \"cmd\"".into()));
-    };
-    Ok(match cmd {
-        "drain" | "shutdown" => Request::Drain,
-        "status" => Request::Status(get("job").and_then(Value::as_u64)),
-        "metrics" => Request::Metrics,
-        "cancel" => match get("job").and_then(Value::as_u64) {
-            Some(job) => Request::Cancel(job),
-            None => Request::Bad("cancel needs a numeric \"job\"".into()),
-        },
-        "chaos" => match get("drop_after_events").and_then(Value::as_usize) {
-            Some(n) => Request::Chaos {
-                drop_after_events: n,
-            },
-            None => Request::Bad("chaos needs a numeric \"drop_after_events\"".into()),
-        },
-        "submit" => {
-            let seed = get("seed").and_then(Value::as_u64).unwrap_or(1);
-            let source = if let Some(aux) = get("aux").and_then(Value::as_str) {
-                Source::Aux(aux.to_string())
-            } else if let Some(preset) = get("preset").and_then(Value::as_str) {
-                let Some((cells, nets)) = preset_dims(preset) else {
-                    return Ok(Request::Bad(format!(
-                        "unknown preset {preset:?} (want tiny|small|medium)"
-                    )));
-                };
-                let name = get("name")
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("{preset}-{seed}"));
-                Source::Gen(name, cells, nets, seed)
-            } else if let Some(cells) = get("cells").and_then(Value::as_usize) {
-                let nets = get("nets")
-                    .and_then(Value::as_usize)
-                    .unwrap_or(cells + cells / 20);
-                let name = get("name")
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("gen-{cells}-{seed}"));
-                Source::Gen(name, cells, nets, seed)
-            } else {
-                return Ok(Request::Bad(
-                    "submit needs \"aux\", \"preset\", or \"cells\"".into(),
-                ));
-            };
-            let qos = match get("qos").and_then(Value::as_str) {
-                None => None,
-                Some("interactive") => Some(QosClass::Interactive),
-                Some("batch") => Some(QosClass::Batch),
-                Some("bulk") => Some(QosClass::Bulk),
-                Some(other) => {
-                    return Ok(Request::Bad(format!(
-                        "unknown qos {other:?} (want interactive|batch|bulk)"
-                    )))
-                }
-            };
-            let mut faults = ServeFaultInjection::default();
-            if let Some(s) = get("chaos_panic_at").and_then(Value::as_str) {
-                let Some(state) = FlowState::parse(s) else {
-                    return Ok(Request::Bad(format!(
-                        "bad chaos_panic_at {s:?} (want a flow state like \"gp:3\")"
-                    )));
-                };
-                faults.panic_at = Some(state);
-            }
-            if let Some(s) = get("chaos_stall_at").and_then(Value::as_str) {
-                let Some(state) = FlowState::parse(s) else {
-                    return Ok(Request::Bad(format!(
-                        "bad chaos_stall_at {s:?} (want a flow state like \"gp:3\")"
-                    )));
-                };
-                faults.stall_at = Some(state);
-                faults.stall_seconds = get("chaos_stall_seconds")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.5);
-            }
-            if get("chaos_no_checkpoint").and_then(Value::as_bool) == Some(true) {
-                faults.fail_capture = true;
-            }
-            Request::Submit(Box::new(JobSpec {
-                source,
-                max_iters: get("max_iters").and_then(Value::as_usize),
-                overflow: get("overflow").and_then(Value::as_f64),
-                qos,
-                gp_seconds: get("gp_seconds").and_then(Value::as_f64),
-                dp_seconds: get("dp_seconds").and_then(Value::as_f64),
-                deadline_seconds: get("deadline_seconds").and_then(Value::as_f64),
-                max_attempts: get("max_attempts").and_then(Value::as_u32),
-                backoff_seconds: get("backoff_seconds").and_then(Value::as_f64),
-                conservative_final: get("conservative_final").and_then(Value::as_bool),
-                faults,
-            }))
-        }
-        other => Request::Bad(format!("unknown cmd {other:?}")),
-    })
-}
+use protocol::{parse_request, Fault, JobSpec, Load, Phase, Request, Source};
 
 // ---------------------------------------------------------------------------
 // The daemon
@@ -524,28 +190,6 @@ pub struct ServeStats {
     pub shed: usize,
     /// Retry attempts observed (`retrying` events).
     pub retries: usize,
-}
-
-/// The `bye` summary. The daemon-wide fields (uptime, queue depths, the
-/// `retry_after_seconds` hint) are read from the metrics registry, not
-/// recomputed, so the protocol and the exposition can never disagree.
-fn bye_line(s: &ServeStats, uptime: f64, queued: [u64; 3], retry_after: f64) -> String {
-    format!(
-        "{{\"event\":\"bye\",\"completed\":{},\"failed\":{},\"rejected\":{},\"errors\":{},\
-         \"shed\":{},\"retries\":{},\"uptime_seconds\":{uptime:.3},\
-         \"queued_interactive\":{},\"queued_batch\":{},\"queued_bulk\":{},\
-         \"retry_after_seconds\":{retry_after:.1}}}",
-        s.completed, s.failed, s.rejected, s.errors, s.shed, s.retries,
-        queued[0], queued[1], queued[2],
-    )
-}
-
-fn qos_label(class: QosClass) -> &'static str {
-    match class {
-        QosClass::Interactive => "interactive",
-        QosClass::Batch => "batch",
-        QosClass::Bulk => "bulk",
-    }
 }
 
 /// Queue index by priority: 0 = Interactive (highest), 2 = Bulk (lowest,
@@ -679,6 +323,21 @@ struct Session<'w> {
     stats: ServeStats,
     /// Chaos: drop the connection after this many more events.
     drop_after_events: Option<usize>,
+}
+
+impl<'w> Session<'w> {
+    fn new(id: u64, out: Box<dyn Write + 'w>, critical: bool) -> Self {
+        Self {
+            id,
+            out,
+            alive: true,
+            eof: false,
+            critical,
+            last_activity: Instant::now(),
+            stats: ServeStats::default(),
+            drop_after_events: None,
+        }
+    }
 }
 
 /// One accepted job, from admission to its terminal event.
@@ -873,9 +532,7 @@ impl<'w> Daemon<'w> {
         for (rank, q) in self.queues.iter().enumerate() {
             self.m.queue_depth[rank].set(q.len() as f64);
         }
-        self.m
-            .sessions_open
-            .set(self.sessions.iter().filter(|s| s.alive).count() as f64);
+        self.m.sessions_open.set(self.open_sessions());
         while let Some(t) = self.completions.front() {
             if t.elapsed() > RATE_WINDOW {
                 self.completions.pop_front();
@@ -942,33 +599,80 @@ impl<'w> Daemon<'w> {
         }
     }
 
-    fn session_stats(&mut self, sid: u64) -> Option<&mut ServeStats> {
-        self.sessions
-            .iter_mut()
-            .find(|s| s.id == sid)
-            .map(|s| &mut s.stats)
+    /// Bumps one tally in the daemon-wide stats and in session `sid`'s.
+    fn tally(&mut self, sid: u64, bump: impl Fn(&mut ServeStats)) {
+        bump(&mut self.stats);
+        if let Some(s) = self.sessions.iter_mut().find(|s| s.id == sid) {
+            bump(&mut s.stats);
+        }
+    }
+
+    /// A line that is not a request at all: structured `error`, and the
+    /// session lives.
+    fn malformed(&mut self, sid: u64, line_no: u64, what: &str) -> Result<(), String> {
+        self.tally(sid, |s| s.errors += 1);
+        self.m.malformed.inc();
+        self.emit(sid, &protocol::error(line_no, what))
+    }
+
+    /// The daemon-wide numbers of `status` and `bye`, read back from the
+    /// metrics registry (the same cells a scrape renders), so the two
+    /// views agree.
+    fn load(&mut self) -> Load {
+        self.refresh_gauges();
+        Load {
+            uptime: self.metrics.uptime_seconds(),
+            queued: std::array::from_fn(|r| self.m.queue_depth[r].get() as u64),
+            retry_after: self.m.retry_after.get(),
+        }
     }
 
     fn session_has_jobs(&self, sid: u64) -> bool {
-        self.active.iter().any(|j| j.session == sid)
-            || self
-                .queues
-                .iter()
-                .any(|q| q.iter().any(|j| j.session == sid))
+        let mut jobs = self.active.iter().chain(self.queues.iter().flatten());
+        jobs.any(|j| j.session == sid)
     }
 
     fn queued_total(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    fn hello(&mut self, sid: u64) -> Result<(), String> {
-        let line = format!(
-            "{{\"event\":\"hello\",\"threads\":{},\"slots\":{},\"session\":{sid},\"queue_cap\":{}}}",
+    /// Registers a connection as the next session and greets it.
+    fn open_session(&mut self, out: Box<dyn Write + 'w>, critical: bool) -> Result<u64, String> {
+        let sid = self.sessions_started;
+        self.sessions_started += 1;
+        self.sessions.push(Session::new(sid, out, critical));
+        self.m.sessions_total.inc();
+        self.m.sessions_open.set(self.open_sessions());
+        let line = protocol::hello(
             self.sched.host().threads(),
             self.opts.slots,
-            self.opts.queue_cap
+            sid,
+            self.opts.queue_cap,
         );
-        self.emit(sid, &line)
+        self.emit(sid, &line)?;
+        Ok(sid)
+    }
+
+    fn open_sessions(&self) -> f64 {
+        self.sessions.iter().filter(|s| s.alive).count() as f64
+    }
+
+    /// Marks `sid`'s input as finished; on the critical (stdio) session
+    /// that drains the daemon. Returns whether the session is critical.
+    fn end_of_input(&mut self, sid: u64) -> bool {
+        let Some(s) = self.sessions.iter_mut().find(|s| s.id == sid) else {
+            return false;
+        };
+        s.eof = true;
+        self.draining |= s.critical;
+        s.critical
+    }
+
+    /// Notes client activity on `sid` (the idle timeout counts from it).
+    fn touch(&mut self, sid: u64) {
+        if let Some(s) = self.sessions.iter_mut().find(|s| s.id == sid) {
+            s.last_activity = Instant::now();
+        }
     }
 
     /// Load-shedding hint: expected seconds until a freed slot, from the
@@ -984,22 +688,14 @@ impl<'w> Daemon<'w> {
     }
 
     fn reject(&mut self, sid: u64, why: &str) -> Result<(), String> {
-        self.stats.rejected += 1;
+        self.tally(sid, |s| s.rejected += 1);
         self.m.rejected.inc();
-        if let Some(st) = self.session_stats(sid) {
-            st.rejected += 1;
-        }
-        self.emit(sid, &format!("{{\"event\":\"rejected\",\"error\":{}}}", quote(why)))
+        self.emit(sid, &protocol::rejected(why))
     }
 
     /// Emits `accepted` and enqueues the job (eager admission follows).
     fn accept(&mut self, job: ServeJob) -> Result<(), String> {
-        let line = format!(
-            "{{\"event\":\"accepted\",\"job\":{},\"name\":{},\"qos\":{}}}",
-            job.id,
-            quote(&job.name),
-            quote(qos_label(job.class))
-        );
+        let line = protocol::accepted(job.id, &job.name, job.class);
         let sid = job.session;
         self.next_job += 1;
         let rank = class_rank(job.class);
@@ -1042,8 +738,6 @@ impl<'w> Daemon<'w> {
     fn dispatch(&mut self, inbound: Inbound) -> Result<(), String> {
         match inbound {
             Inbound::Conn(stream) => {
-                let sid = self.sessions_started;
-                self.sessions_started += 1;
                 let Ok(reader) = stream.try_clone() else {
                     return Ok(());
                 };
@@ -1052,99 +746,40 @@ impl<'w> Daemon<'w> {
                 // behind a blocking write: bound each write, and let the
                 // resulting error disconnect just this session.
                 let _ = stream.set_write_timeout(Some(TCP_WRITE_TIMEOUT));
-                self.sessions.push(Session {
-                    id: sid,
-                    out: Box::new(stream),
-                    alive: true,
-                    eof: false,
-                    critical: false,
-                    last_activity: Instant::now(),
-                    stats: ServeStats::default(),
-                    drop_after_events: None,
-                });
-                self.m.sessions_total.inc();
-                self.m.sessions_open.set(
-                    self.sessions.iter().filter(|s| s.alive).count() as f64,
-                );
+                let sid = self.open_session(Box::new(stream), false)?;
                 if let Some(tx) = &self.reader_tx {
                     spawn_reader(BufReader::new(reader), sid, tx.clone());
                 }
-                self.hello(sid)
+                Ok(())
             }
             Inbound::Line {
                 session,
                 line_no,
                 line,
             } => {
-                if let Some(s) = self.sessions.iter_mut().find(|s| s.id == session) {
-                    s.last_activity = Instant::now();
-                }
+                self.touch(session);
                 match parse_request(&line) {
-                    Err(e) => {
-                        // Malformed line: structured error, session lives.
-                        self.stats.errors += 1;
-                        self.m.malformed.inc();
-                        if let Some(st) = self.session_stats(session) {
-                            st.errors += 1;
-                        }
-                        self.emit(
-                            session,
-                            &format!(
-                                "{{\"event\":\"error\",\"line\":{line_no},\"error\":{}}}",
-                                quote(&format!("malformed request: {e}"))
-                            ),
-                        )
-                    }
+                    Err(e) => self.malformed(session, line_no, &format!("malformed request: {e}")),
                     Ok(req) => self.handle(session, req),
                 }
             }
             Inbound::Oversize { session, line_no } => {
-                if let Some(s) = self.sessions.iter_mut().find(|s| s.id == session) {
-                    s.last_activity = Instant::now();
-                }
-                self.stats.errors += 1;
-                self.m.malformed.inc();
-                if let Some(st) = self.session_stats(session) {
-                    st.errors += 1;
-                }
-                self.emit(
+                self.touch(session);
+                self.malformed(
                     session,
-                    &format!(
-                        "{{\"event\":\"error\",\"line\":{line_no},\"error\":\
-                         \"request line exceeds {MAX_LINE_BYTES} bytes\"}}"
-                    ),
+                    line_no,
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 )
             }
             Inbound::Eof { session } => {
-                let critical = self
-                    .sessions
-                    .iter_mut()
-                    .find(|s| s.id == session)
-                    .map(|s| {
-                        s.eof = true;
-                        s.critical
-                    })
-                    .unwrap_or(false);
-                if critical {
-                    // stdio: end of input means drain, like before.
-                    self.draining = true;
-                }
+                // stdio: end of input means drain.
+                self.end_of_input(session);
                 Ok(())
             }
             Inbound::Transport { session, error } => {
-                let critical = self
-                    .sessions
-                    .iter()
-                    .find(|s| s.id == session)
-                    .map(|s| s.critical)
-                    .unwrap_or(false);
-                if critical {
-                    // stdin went away mid-read; treat as end of input.
-                    if let Some(s) = self.sessions.iter_mut().find(|s| s.id == session) {
-                        s.eof = true;
-                    }
-                    self.draining = true;
-                } else {
+                // stdin going away mid-read is end of input; a TCP
+                // session's transport error just disconnects it.
+                if !self.end_of_input(session) {
                     eprintln!("warning: session {session} transport: {error}");
                     self.kill_session(session);
                 }
@@ -1157,7 +792,7 @@ impl<'w> Daemon<'w> {
         match req {
             Request::Drain => {
                 self.draining = true;
-                self.emit(sid, "{\"event\":\"draining\"}")
+                self.emit(sid, &protocol::draining())
             }
             Request::Bad(why) => self.reject(sid, &why),
             Request::Chaos { drop_after_events } => {
@@ -1170,118 +805,68 @@ impl<'w> Daemon<'w> {
                 if let Some(s) = self.sessions.iter_mut().find(|s| s.id == sid) {
                     s.drop_after_events = Some(drop_after_events);
                 }
-                self.emit(
-                    sid,
-                    &format!("{{\"event\":\"chaos\",\"drop_after_events\":{drop_after_events}}}"),
-                )
+                self.emit(sid, &protocol::chaos(drop_after_events))
             }
             Request::Status(None) => {
-                let h = self.sched.health();
-                // Daemon-wide numbers come from the metrics registry (the
-                // same cells a scrape renders), so the two views agree.
-                self.refresh_gauges();
-                let queued: [u64; 3] =
-                    std::array::from_fn(|r| self.m.queue_depth[r].get() as u64);
-                let line = format!(
-                    "{{\"event\":\"status\",\"uptime_seconds\":{:.3},\"slots\":{},\"active\":{},\
-                     \"queued\":{},\"queued_interactive\":{},\"queued_batch\":{},\
-                     \"queued_bulk\":{},\"retry_after_seconds\":{:.1},\
-                     \"sessions\":{},\"completed\":{},\"failed\":{},\"rejected\":{},\
-                     \"errors\":{},\"shed\":{},\"workers_alive\":{},\"workers_spawned\":{},\
-                     \"panics_contained\":{},\"timeouts\":{},\"retries\":{},\"workers_respawned\":{}}}",
-                    self.metrics.uptime_seconds(),
+                let health = self.sched.health();
+                let line = protocol::daemon_status(
+                    &self.load(),
                     self.opts.slots,
                     self.active.len(),
-                    queued.iter().sum::<u64>(),
-                    queued[0],
-                    queued[1],
-                    queued[2],
-                    self.m.retry_after.get(),
                     self.sessions.len(),
-                    self.stats.completed,
-                    self.stats.failed,
-                    self.stats.rejected,
-                    self.stats.errors,
-                    self.stats.shed,
-                    h.pool.workers_alive,
-                    h.pool.workers_spawned,
-                    h.panics_contained,
-                    h.timeouts,
-                    h.retries,
-                    h.workers_respawned,
+                    &self.stats,
+                    &health,
                 );
                 self.emit(sid, &line)
             }
             Request::Metrics => {
                 self.refresh_gauges();
                 self.sched.health(); // refreshes the pool gauges
-                let payload = quote(&self.metrics.render());
-                self.emit(sid, &format!("{{\"event\":\"metrics\",\"data\":{payload}}}"))
+                let line = protocol::metrics(&self.metrics.render());
+                self.emit(sid, &line)
             }
             Request::Status(Some(id)) => {
                 // Jobs are session-scoped: another tenant's job answers
                 // `unknown`, exactly like a job that never existed, so ids
                 // leak nothing across connections.
-                let line = if let Some(j) =
-                    self.active.iter().find(|j| j.id == id && j.session == sid)
-                {
+                let mine = |j: &ServeJob| j.id == id && j.session == sid;
+                let phase = if let Some(j) = self.active.iter().find(|j| mine(j)) {
                     match j.sched.and_then(|s| self.sched.status(s)) {
-                        Some(JobStatus::Running { state }) => format!(
-                            "{{\"event\":\"status\",\"job\":{id},\"phase\":\"running\",\"state\":{}}}",
-                            quote(&state.to_string())
-                        ),
-                        Some(JobStatus::Retrying { attempt }) => format!(
-                            "{{\"event\":\"status\",\"job\":{id},\"phase\":\"retrying\",\"attempt\":{attempt}}}"
-                        ),
-                        _ => format!(
-                            "{{\"event\":\"status\",\"job\":{id},\"phase\":\"finishing\"}}"
-                        ),
+                        Some(JobStatus::Running { state }) => Phase::Running(state),
+                        Some(JobStatus::Retrying { attempt }) => Phase::Retrying(attempt),
+                        _ => Phase::Finishing,
                     }
-                } else if self
-                    .queues
-                    .iter()
-                    .any(|q| q.iter().any(|j| j.id == id && j.session == sid))
-                {
-                    format!("{{\"event\":\"status\",\"job\":{id},\"phase\":\"queued\"}}")
+                } else if self.queues.iter().flatten().any(mine) {
+                    Phase::Queued
                 } else {
-                    format!("{{\"event\":\"status\",\"job\":{id},\"phase\":\"unknown\"}}")
+                    Phase::Unknown
                 };
-                self.emit(sid, &line)
+                self.emit(sid, &protocol::job_status(id, &phase))
             }
             Request::Cancel(id) => {
                 // Only the owning session may cancel a job — any client
                 // could otherwise guess the small sequential ids and kill
                 // other tenants' work. The owner's `cancelled` event is its
                 // job's one terminal event.
-                if let Some(sched_id) = self
-                    .active
-                    .iter()
-                    .find(|j| j.id == id && j.session == sid)
-                    .map(|j| j.sched)
-                {
-                    if let Some(s) = sched_id {
+                let mine = |j: &ServeJob| j.id == id && j.session == sid;
+                let found = if let Some(job) = self.active.iter().find(|j| mine(j)) {
+                    // The pump reaps the cancelled job from the run queue.
+                    if let Some(s) = job.sched {
                         self.sched.cancel(s);
                     }
-                    // The pump reaps the cancelled job from the run queue.
-                    self.emit(sid, &format!("{{\"event\":\"cancelled\",\"job\":{id}}}"))
+                    true
                 } else {
-                    let mut found = false;
-                    for q in &mut self.queues {
-                        if let Some(pos) = q.iter().position(|j| j.id == id && j.session == sid) {
-                            q.remove(pos);
-                            found = true;
-                            break;
-                        }
-                    }
-                    if found {
-                        self.emit(sid, &format!("{{\"event\":\"cancelled\",\"job\":{id}}}"))
-                    } else {
-                        self.emit(
-                            sid,
-                            &format!("{{\"event\":\"status\",\"job\":{id},\"phase\":\"unknown\"}}"),
-                        )
-                    }
-                }
+                    self.queues.iter_mut().any(|q| {
+                        let at = q.iter().position(mine);
+                        at.and_then(|at| q.remove(at)).is_some()
+                    })
+                };
+                let line = if found {
+                    protocol::cancelled(id)
+                } else {
+                    protocol::job_status(id, &Phase::Unknown)
+                };
+                self.emit(sid, &line)
             }
             Request::Submit(spec) => {
                 if self.draining {
@@ -1319,20 +904,11 @@ impl<'w> Daemon<'w> {
             Some(l) => {
                 // The incoming job outranks the queue's tail: shed that.
                 if let Some(victim) = self.queues[l].pop_back() {
-                    self.stats.shed += 1;
+                    self.tally(victim.session, |s| s.shed += 1);
                     self.m.sheds.inc();
-                    if let Some(st) = self.session_stats(victim.session) {
-                        st.shed += 1;
-                    }
                     self.emit(
                         victim.session,
-                        &format!(
-                            "{{\"event\":\"overloaded\",\"job\":{},\"qos\":{},\
-                             \"retry_after_seconds\":{retry_after:.1},\
-                             \"error\":\"shed for a higher-priority submission\"}}",
-                            victim.id,
-                            quote(qos_label(victim.class)),
-                        ),
+                        &protocol::overloaded(Some(victim.id), victim.class, queued, retry_after),
                     )?;
                 }
                 self.accept(job)
@@ -1340,19 +916,9 @@ impl<'w> Daemon<'w> {
             None => {
                 // The incoming job is the lowest priority around: reject it
                 // (no `accepted` event was emitted yet).
-                self.stats.shed += 1;
+                self.tally(sid, |s| s.shed += 1);
                 self.m.sheds.inc();
-                if let Some(st) = self.session_stats(sid) {
-                    st.shed += 1;
-                }
-                self.emit(
-                    sid,
-                    &format!(
-                        "{{\"event\":\"overloaded\",\"qos\":{},\"queued\":{queued},\
-                         \"retry_after_seconds\":{retry_after:.1},\"error\":\"queue full\"}}",
-                        quote(qos_label(job.class)),
-                    ),
-                )
+                self.emit(sid, &protocol::overloaded(None, job.class, queued, retry_after))
             }
         }
     }
@@ -1370,47 +936,28 @@ impl<'w> Daemon<'w> {
                 if job.ring.len() == POSTMORTEM_EVENTS {
                     job.ring.pop_front();
                 }
-                job.ring.push_back(data.clone());
-                self.emit(
-                    job.session,
-                    &format!("{{\"event\":\"trace\",\"job\":{},\"data\":{data}}}", job.id),
-                )?;
+                self.emit(job.session, &protocol::trace(job.id, &data))?;
+                job.ring.push_back(data);
             }
             match self.sched.status(sid) {
                 Some(JobStatus::Running { state }) => {
                     if job.last_state != Some(state) {
                         job.last_state = Some(state);
-                        self.emit(
-                            job.session,
-                            &format!(
-                                "{{\"event\":\"state\",\"job\":{},\"state\":{}}}",
-                                job.id,
-                                quote(&state.to_string())
-                            ),
-                        )?;
+                        self.emit(job.session, &protocol::state(job.id, state))?;
                     }
                     still.push(job);
                 }
                 Some(JobStatus::Retrying { attempt }) => {
                     if job.last_attempt != attempt {
                         job.last_attempt = attempt;
-                        self.stats.retries += 1;
+                        self.tally(job.session, |s| s.retries += 1);
                         // A retried attempt consumed real wall time without
                         // freeing a slot: feed it into the back-pressure EMA
                         // so the retry_after hint reflects faulty workloads
                         // too, not only clean completions.
                         let spent = job.admitted_at.elapsed().as_secs_f64();
                         self.ema_seconds = 0.7 * self.ema_seconds + 0.3 * spent;
-                        if let Some(st) = self.session_stats(job.session) {
-                            st.retries += 1;
-                        }
-                        self.emit(
-                            job.session,
-                            &format!(
-                                "{{\"event\":\"retrying\",\"job\":{},\"attempt\":{attempt}}}",
-                                job.id
-                            ),
-                        )?;
+                        self.emit(job.session, &protocol::retrying(job.id, attempt))?;
                     }
                     still.push(job);
                 }
@@ -1431,113 +978,62 @@ impl<'w> Daemon<'w> {
         let outcome = self.sched.take_outcome(sid);
         let trace_path = save_trace(&job, &self.opts);
         let session = job.session;
-        match outcome {
-            Some(JobOutcome::Completed(r)) => {
-                self.stats.completed += 1;
-                self.m.jobs_completed.inc();
-                self.completions.push_back(Instant::now());
-                if let Some(st) = self.session_stats(session) {
-                    st.completed += 1;
+        let line = if let Some(JobOutcome::Completed(r)) = &outcome {
+            self.tally(session, |s| s.completed += 1);
+            self.m.jobs_completed.inc();
+            self.completions.push_back(Instant::now());
+            self.ema_seconds = 0.7 * self.ema_seconds + 0.3 * r.timing.total;
+            protocol::done(
+                job.id,
+                r.hpwl_final,
+                r.gp.iterations,
+                r.gp.final_overflow,
+                r.timing.total,
+                trace_path.as_deref(),
+            )
+        } else {
+            self.tally(session, |s| s.failed += 1);
+            self.m.jobs_failed.inc();
+            let (error, fault) = match outcome {
+                Some(JobOutcome::Failed(e)) => (e.diagnosis(), None),
+                Some(JobOutcome::Panicked {
+                    message,
+                    at,
+                    attempts,
+                }) => (
+                    format!("contained panic: {message}"),
+                    Some(self.fault("panic", at, attempts, &job)),
+                ),
+                Some(JobOutcome::TimedOut {
+                    deadline_seconds,
+                    at,
+                    attempts,
+                }) => {
+                    // A timed-out job held a slot for at least its deadline
+                    // — feed that into the back-pressure EMA so the
+                    // retry_after hint does not understate a stalling
+                    // workload.
+                    self.ema_seconds = 0.7 * self.ema_seconds + 0.3 * deadline_seconds;
+                    (
+                        format!("exceeded its {deadline_seconds:.3}s deadline"),
+                        Some(self.fault("timeout", at, attempts, &job)),
+                    )
                 }
-                self.ema_seconds = 0.7 * self.ema_seconds + 0.3 * r.timing.total;
-                self.emit(
-                    session,
-                    &format!(
-                        "{{\"event\":\"done\",\"job\":{},\"hpwl\":{:e},\"iterations\":{},\
-                         \"overflow\":{:e},\"seconds\":{:.3}{}}}",
-                        job.id,
-                        r.hpwl_final,
-                        r.gp.iterations,
-                        r.gp.final_overflow,
-                        r.timing.total,
-                        match &trace_path {
-                            Some(p) => format!(",\"trace_path\":{}", quote(&p.display().to_string())),
-                            None => String::new(),
-                        }
-                    ),
-                )
-            }
-            Some(JobOutcome::Failed(e)) => {
-                self.stats.failed += 1;
-                self.m.jobs_failed.inc();
-                if let Some(st) = self.session_stats(session) {
-                    st.failed += 1;
-                }
-                self.emit(
-                    session,
-                    &format!(
-                        "{{\"event\":\"failed\",\"job\":{},\"error\":{}}}",
-                        job.id,
-                        quote(&e.diagnosis())
-                    ),
-                )
-            }
-            Some(JobOutcome::Panicked {
-                message,
-                at,
-                attempts,
-            }) => {
-                self.stats.failed += 1;
-                self.m.jobs_failed.inc();
-                if let Some(st) = self.session_stats(session) {
-                    st.failed += 1;
-                }
-                let postmortem = self.save_postmortem(&job);
-                self.emit(
-                    session,
-                    &format!(
-                        "{{\"event\":\"failed\",\"job\":{},\"error\":{},\"kind\":\"panic\",\
-                         \"at\":{},\"attempts\":{attempts}{}}}",
-                        job.id,
-                        quote(&format!("contained panic: {message}")),
-                        quote(&at.to_string()),
-                        postmortem_field(&postmortem),
-                    ),
-                )
-            }
-            Some(JobOutcome::TimedOut {
-                deadline_seconds,
-                at,
-                attempts,
-            }) => {
-                self.stats.failed += 1;
-                self.m.jobs_failed.inc();
-                // Satellite: a timed-out job held a slot for at least its
-                // deadline — feed that into the back-pressure EMA so the
-                // retry_after hint does not understate a stalling workload.
-                self.ema_seconds = 0.7 * self.ema_seconds + 0.3 * deadline_seconds;
-                if let Some(st) = self.session_stats(session) {
-                    st.failed += 1;
-                }
-                let postmortem = self.save_postmortem(&job);
-                self.emit(
-                    session,
-                    &format!(
-                        "{{\"event\":\"failed\",\"job\":{},\"error\":{},\"kind\":\"timeout\",\
-                         \"at\":{},\"attempts\":{attempts}{}}}",
-                        job.id,
-                        quote(&format!(
-                            "exceeded its {deadline_seconds:.3}s deadline"
-                        )),
-                        quote(&at.to_string()),
-                        postmortem_field(&postmortem),
-                    ),
-                )
-            }
-            None => {
-                self.stats.failed += 1;
-                self.m.jobs_failed.inc();
-                if let Some(st) = self.session_stats(session) {
-                    st.failed += 1;
-                }
-                self.emit(
-                    session,
-                    &format!(
-                        "{{\"event\":\"failed\",\"job\":{},\"error\":\"job vanished\"}}",
-                        job.id
-                    ),
-                )
-            }
+                _ => ("job vanished".to_string(), None),
+            };
+            protocol::failed(job.id, &error, fault.as_ref())
+        };
+        self.emit(session, &line)
+    }
+
+    /// What a panic or timeout adds to `failed`; writes the flight-recorder
+    /// dump on the way.
+    fn fault(&self, kind: &'static str, at: FlowState, attempts: u32, job: &ServeJob) -> Fault {
+        Fault {
+            kind,
+            at,
+            attempts,
+            postmortem: self.save_postmortem(job),
         }
     }
 
@@ -1550,42 +1046,20 @@ impl<'w> Daemon<'w> {
         // Anything recorded since the last pump drain (the terminal turn's
         // own points, e.g. the panic itself) belongs in the recording.
         let (_, rest) = job.telemetry.events_since(job.cursor);
-        let mut ring: Vec<&str> = job.ring.iter().map(String::as_str).collect();
-        for line in &rest {
-            ring.push(line);
-        }
-        while ring.len() > POSTMORTEM_EVENTS {
-            ring.remove(0);
-        }
-        // The marker reuses the last event's timestamp so the timeline
-        // stays monotone for validators.
-        let t_last = ring
-            .last()
-            .and_then(|line| {
-                let idx = line.rfind("\"t\":")?;
-                let digits: String = line[idx + 4..]
-                    .chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect();
-                digits.parse::<u64>().ok()
-            })
-            .unwrap_or(0);
-        let mut text = String::new();
-        for line in &ring {
-            text.push_str(line);
-            text.push('\n');
-        }
-        text.push_str(&format!(
-            "{{\"ev\":\"point\",\"span\":0,\"name\":\"postmortem\",\"detail\":{},\
-             \"t\":{t_last},\"tid\":0}}\n",
-            quote(&format!(
+        let ring: Vec<&str> = job.ring.iter().chain(&rest).map(String::as_str).collect();
+        let ring = &ring[ring.len().saturating_sub(POSTMORTEM_EVENTS)..];
+        let mut text: String = ring.iter().flat_map(|line| [line, "\n"]).collect();
+        text.push_str(&protocol::postmortem_marker(
+            ring.last().copied(),
+            format!(
                 "job {} ({}) flight recorder: last {} of {} events",
                 job.id,
                 job.name,
                 ring.len(),
                 job.cursor + rest.len(),
-            )),
+            ),
         ));
+        text.push('\n');
         let path = dir.join(format!("job-{}.postmortem.jsonl", job.id));
         match std::fs::write(&path, text) {
             Ok(()) => {
@@ -1618,7 +1092,7 @@ impl<'w> Daemon<'w> {
                 if self.session_has_jobs(sid) {
                     continue;
                 }
-                self.emit(sid, &format!("{{\"event\":\"idle_timeout\",\"seconds\":{t}}}"))?;
+                self.emit(sid, &protocol::idle_timeout(t))?;
                 if let Some(s) = self.sessions.iter_mut().find(|s| s.id == sid) {
                     s.eof = true;
                 }
@@ -1668,23 +1142,13 @@ impl<'w> Daemon<'w> {
             None => return Ok(()),
         };
         if let Some(st) = stats {
-            self.refresh_gauges();
-            let queued: [u64; 3] =
-                std::array::from_fn(|r| self.m.queue_depth[r].get() as u64);
-            let line = bye_line(
-                &st,
-                self.metrics.uptime_seconds(),
-                queued,
-                self.m.retry_after.get(),
-            );
+            let line = protocol::bye(&st, &self.load());
             self.emit(sid, &line)?;
         }
         if let Some(pos) = self.sessions.iter().position(|s| s.id == sid) {
             self.sessions.remove(pos);
         }
-        self.m
-            .sessions_open
-            .set(self.sessions.iter().filter(|s| s.alive).count() as f64);
+        self.m.sessions_open.set(self.open_sessions());
         Ok(())
     }
 
@@ -1770,20 +1234,7 @@ where
     spawn_reader(input, 0, tx);
     let mut daemon = Daemon::new(opts.clone(), false, None);
     start_metrics_listener(&daemon)?;
-    daemon.sessions.push(Session {
-        id: 0,
-        out: Box::new(output),
-        alive: true,
-        eof: false,
-        critical: true,
-        last_activity: Instant::now(),
-        stats: ServeStats::default(),
-        drop_after_events: None,
-    });
-    daemon.sessions_started = 1;
-    daemon.m.sessions_total.inc();
-    daemon.m.sessions_open.set(1.0);
-    daemon.hello(0)?;
+    daemon.open_session(Box::new(output), true)?;
     daemon.run(&rx)?;
     daemon.shutdown()?;
     Ok(daemon.stats)
@@ -1959,15 +1410,6 @@ fn build_job(
     })
 }
 
-/// `,"postmortem_path":"…"` when a flight-recorder dump was written,
-/// empty otherwise (appended to the terminal `failed` event).
-fn postmortem_field(path: &Option<PathBuf>) -> String {
-    match path {
-        Some(p) => format!(",\"postmortem_path\":{}", quote(&p.display().to_string())),
-        None => String::new(),
-    }
-}
-
 /// Persists the job's full trace (with merged kernel/worker totals) when a
 /// trace directory is configured. Failures are reported inline as a meta
 /// line rather than killing the daemon.
@@ -2012,65 +1454,7 @@ mod tests {
     }
 
     fn test_session(id: u64, buf: &SharedBuf) -> Session<'static> {
-        Session {
-            id,
-            out: Box::new(buf.clone()),
-            alive: true,
-            eof: false,
-            critical: true,
-            last_activity: Instant::now(),
-            stats: ServeStats::default(),
-            drop_after_events: None,
-        }
-    }
-
-    #[test]
-    fn flat_parser_roundtrips_requests() {
-        let fields =
-            parse_flat(r#"{"cmd":"submit","preset":"tiny","seed":3,"overflow":0.25}"#).unwrap();
-        assert_eq!(fields[0], ("cmd".into(), Value::Str("submit".into())));
-        assert_eq!(fields[2], ("seed".into(), Value::Num(3.0)));
-        assert!(parse_flat("not json").is_err());
-        assert!(parse_flat(r#"{"a":1} extra"#).is_err());
-        // Not JSON at all: a malformed line, not a Bad request.
-        assert!(parse_request("not json").is_err());
-        // Valid JSON, invalid request: Bad.
-        assert!(matches!(
-            parse_request(r#"{"cmd":"submit","preset":"nope"}"#),
-            Ok(Request::Bad(_))
-        ));
-        assert!(matches!(
-            parse_request(r#"{"cmd":"drain"}"#),
-            Ok(Request::Drain)
-        ));
-        assert!(matches!(
-            parse_request(r#"{"cmd":"status"}"#),
-            Ok(Request::Status(None))
-        ));
-        assert!(matches!(
-            parse_request(r#"{"cmd":"cancel","job":4}"#),
-            Ok(Request::Cancel(4))
-        ));
-        // Chaos knobs parse into the scheduler's injection struct.
-        let req = parse_request(
-            r#"{"cmd":"submit","preset":"tiny","chaos_panic_at":"gp:3","max_attempts":2}"#,
-        )
-        .unwrap();
-        match req {
-            Request::Submit(spec) => {
-                assert_eq!(spec.faults.panic_at, FlowState::parse("gp:3"));
-                assert_eq!(spec.max_attempts, Some(2));
-            }
-            _ => panic!("expected submit"),
-        }
-        assert!(matches!(
-            parse_request(r#"{"cmd":"submit","preset":"tiny","chaos_panic_at":"nope"}"#),
-            Ok(Request::Bad(_))
-        ));
-        // Escapes survive the round trip through quote + parse_string.
-        let quoted = quote("a\"b\\c\nd");
-        let mut i = 0;
-        assert_eq!(parse_string(quoted.as_bytes(), &mut i).unwrap(), "a\"b\\c\nd");
+        Session::new(id, Box::new(buf.clone()), true)
     }
 
     #[test]
