@@ -10,6 +10,9 @@
 //! * potential / field / energy for all three DCT backends against the
 //!   direct cosine-projection oracle;
 //! * the backward gather against the oracle gradient;
+//! * scatter, overflow and gather again at the benchmarked shape (256 x 256
+//!   bins, cells a fraction of a bin to a few bins wide, one macro wider
+//!   than the stencil's stack buffer);
 //! * graceful errors for single-bin grids and numeric sanity on zero-area
 //!   cells.
 
@@ -235,6 +238,106 @@ fn forward_energy_and_backward_gather_match_oracle() {
                     grad.y[c],
                     ogy[c]
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn fine_grid_scatter_overflow_and_gather_match_oracles() {
+    // `dp-perf`'s `density_bound` shape: 4-unit bins, cells 1-16 sites wide
+    // and two bins tall, so most footprints are the smoothed minimum. One
+    // movable macro spans 24 x 20 bins (past the stencil's 16-row stack
+    // buffer), two fixed macros block capacity, one of them overhanging.
+    const M: usize = 256;
+    let mut rng = StdRng::seed_from_u64(0x256);
+    let mut b = NetlistBuilder::new(0.0, 0.0, 1024.0, 1024.0);
+    let cells: Vec<_> = (0..400)
+        .map(|_| b.add_movable_cell(rng.gen_range(1..=16) as f64, 8.0))
+        .collect();
+    let big = b.add_movable_cell(96.0, 80.0);
+    let f0 = b.add_fixed_cell(120.0, 90.0);
+    let f1 = b.add_fixed_cell(64.0, 64.0);
+    let pins = [cells[0], big, f0, f1].map(|c| (c, 0.0, 0.0));
+    b.add_net(1.0, pins.to_vec()).expect("valid");
+    let nl = b.build().expect("valid");
+    let mut p = Placement::zeros(nl.num_cells());
+    for c in 0..nl.num_movable() {
+        // A clustered blob (so bins overflow) with a few cells over the edge.
+        p.x[c] = rng.gen_range(380.0..640.0);
+        p.y[c] = rng.gen_range(380.0..640.0);
+    }
+    for (c, xy) in [(0, (1.0, 2.0)), (1, (1023.5, 700.0)), (2, (512.0, 1026.0))] {
+        (p.x[c], p.y[c]) = xy;
+    }
+    (p.x[401], p.y[401]) = (500.0, 520.0);
+    (p.x[402], p.y[402]) = (1000.0, 300.0); // overhangs the right edge
+
+    let grid = BinGrid::new(nl.region(), M, M).expect("supported grid");
+    let og = OracleGrid::from_region(nl.region(), M, M);
+    let movable_oracle = movable_map_oracle(&nl, &p, &og);
+    let fixed_oracle = fixed_map_oracle(&nl, &p, &og);
+    let combined_oracle: Vec<f64> = movable_oracle
+        .iter()
+        .zip(&fixed_oracle)
+        .map(|(m, f)| m + f)
+        .collect();
+    let tau_oracle = overflow_oracle(&nl, &movable_oracle, Some(&fixed_oracle), &og, 0.9);
+    assert!(tau_oracle > 0.1, "the blob must overflow: {tau_oracle}");
+
+    for strategy in [
+        DensityStrategy::Naive,
+        DensityStrategy::Sorted,
+        DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
+    ] {
+        for threads in [1usize, 4] {
+            for deterministic in [false, true] {
+                let tag = format!("{strategy} threads {threads} det {deterministic}");
+                // Fixed-point accumulation quantizes each update.
+                let tol = if deterministic { 1e-6 } else { 1e-10 };
+                let mut op = DensityOp::new(grid.clone(), strategy, 0.9)
+                    .expect("supported grid")
+                    .with_deterministic(deterministic);
+                op.bake_fixed(&nl, &p);
+                let mut ctx = ExecCtx::new(threads);
+                let mut grad = Gradient::zeros(nl.num_cells());
+                let _ = op.forward_backward(&nl, &p, &mut grad, &mut ctx);
+                let map = op.last_density_map().expect("map cached after forward");
+                assert_maps_close(&tag, &map, &combined_oracle, tol);
+
+                let tau = op.overflow(&nl, &p, &mut ctx);
+                assert!(
+                    (tau - tau_oracle).abs() < tol,
+                    "{tag}: overflow {tau} vs oracle {tau_oracle}"
+                );
+
+                // The gather does not depend on the scatter strategy, and
+                // its all-bins oracle is the slow part of this test.
+                if strategy != DensityStrategy::Sorted {
+                    continue;
+                }
+                // The explicit spectral sums of `field_oracle` are O(bins^2)
+                // and out of reach at 65536 bins; the solver is pinned to
+                // them at 8 x 8 above, so the gather is checked against the
+                // oracle gradient of the solver's field for the kernel's map.
+                let inv_bin = 1.0 / og.bin_area();
+                let rho: Vec<f64> = map.iter().map(|a| a * inv_bin).collect();
+                let sol = ElectroField::<f64>::new(&grid, DctBackendKind::Direct2d)
+                    .expect("supported grid")
+                    .solve(&rho);
+                let (ogx, ogy) = density_gradient_oracle(&nl, &p, &og, &sol.field_x, &sol.field_y);
+                let gscale = ogx.iter().chain(&ogy).fold(1e-12f64, |m, v| m.max(v.abs()));
+                for c in 0..nl.num_movable() {
+                    assert!(
+                        (grad.x[c] - ogx[c]).abs() / gscale < 1e-9
+                            && (grad.y[c] - ogy[c]).abs() / gscale < 1e-9,
+                        "{tag}: cell {c} grad ({}, {}) vs oracle ({}, {})",
+                        grad.x[c],
+                        grad.y[c],
+                        ogx[c],
+                        ogy[c]
+                    );
+                }
             }
         }
     }

@@ -176,35 +176,65 @@ impl<T: Float> BinGrid<T> {
         Rect::new(xl, yl, xl + self.bin_w, yl + self.bin_h)
     }
 
+    /// Width of the overlap of bin column `i` with `rect`: the same
+    /// operations on the same operands as the x factor of
+    /// `bin_rect(i, _).overlap_area(rect)`, so the separable stencil's
+    /// `overlap_x(i) * overlap_y(j)` equals that area bit for bit.
+    #[inline]
+    pub(crate) fn overlap_x(&self, i: usize, rect: &Rect<T>) -> T {
+        let xl = self.region.xl + self.bin_w * T::from_usize(i);
+        ((xl + self.bin_w).min(rect.xh) - xl.max(rect.xl)).max(T::ZERO)
+    }
+
+    /// Height of the overlap of bin row `j` with `rect`; the y twin of
+    /// [`BinGrid::overlap_x`].
+    #[inline]
+    pub(crate) fn overlap_y(&self, j: usize, rect: &Rect<T>) -> T {
+        let yl = self.region.yl + self.bin_h * T::from_usize(j);
+        ((yl + self.bin_h).min(rect.yh) - yl.max(rect.yl)).max(T::ZERO)
+    }
+
     /// Inclusive-exclusive bin index ranges `(i0..i1, j0..j1)` overlapped by
     /// `rect`, clamped to the grid; empty ranges when fully outside.
+    #[inline]
     pub fn overlapped_bins(
         &self,
         rect: &Rect<T>,
     ) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        let to_ix = |x: T| ((x - self.region.xl) / self.bin_w).floor().to_f64();
-        let to_jy = |y: T| ((y - self.region.yl) / self.bin_h).floor().to_f64();
-        let i0 = to_ix(rect.xl).max(0.0) as usize;
-        let j0 = to_jy(rect.yl).max(0.0) as usize;
+        let ix = |x: T| ((x - self.region.xl) / self.bin_w).to_f64();
+        let jy = |y: T| ((y - self.region.yl) / self.bin_h).to_f64();
+        let i0 = floor_index(ix(rect.xl)).min(self.mx);
+        let j0 = floor_index(jy(rect.yl)).min(self.my);
         // ceil for the exclusive upper bound
-        let i1 = (((rect.xh - self.region.xl) / self.bin_w)
-            .ceil()
-            .to_f64()
-            .max(0.0) as usize)
-            .min(self.mx);
-        let j1 = (((rect.yh - self.region.yl) / self.bin_h)
-            .ceil()
-            .to_f64()
-            .max(0.0) as usize)
-            .min(self.my);
-        (i0.min(self.mx)..i1, j0.min(self.my)..j1)
+        let i1 = ceil_index(ix(rect.xh)).min(self.mx);
+        let j1 = ceil_index(jy(rect.yh)).min(self.my);
+        (i0..i1, j0..j1)
     }
+}
+
+/// `v.floor().max(0.0) as usize` without the libm call `floor` compiles to
+/// on baseline x86-64: a float-to-integer cast truncates toward zero (which
+/// is `floor` for `v >= 0`) and saturates, sending every negative value and
+/// NaN to 0 and everything beyond the `usize` range to `usize::MAX`.
+#[inline]
+fn floor_index(v: f64) -> usize {
+    v as usize
+}
+
+/// `v.ceil().max(0.0) as usize` by exact integer conversion: the truncation
+/// `t` is exact in `f64` whenever `v` has a fractional part (`v < 2^52`), so
+/// `t < v` holds exactly when `v` is positive and not an integer.
+#[inline]
+fn ceil_index(v: f64) -> usize {
+    let t = v as usize;
+    t.saturating_add(usize::from((t as f64) < v))
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn grid() -> BinGrid<f64> {
         BinGrid::new(Rect::new(0.0, 0.0, 64.0, 64.0), 8, 8).expect("pow2")
@@ -294,6 +324,71 @@ mod tests {
             }
         }
         assert!((sum - r.area()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn integer_floor_and_ceil_equal_libm_on_edges_and_across_binades() {
+        let check = |v: f64| {
+            assert_eq!(floor_index(v), v.floor().max(0.0) as usize, "floor {v:e}");
+            assert_eq!(ceil_index(v), v.ceil().max(0.0) as usize, "ceil {v:e}");
+        };
+        let p51 = (1u64 << 51) as f64;
+        for v in [
+            0.0,
+            0.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            p51 - 1.0,
+            p51 - 0.5,
+            p51,
+            p51 + 1.0,
+            2.0 * p51,
+            2.0 * p51 - 0.5,
+            9223372036854775808.0,  // 2^63
+            18446744073709551616.0, // 2^64: past usize
+            1e300,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            check(v);
+            check(-v);
+        }
+        // Raw bit patterns (every binade, NaNs included), plus a draw pinned
+        // to the index range a real grid produces.
+        let mut rng = StdRng::seed_from_u64(0x5eed_0014);
+        for _ in 0..500_000 {
+            let bits: u64 = rng.gen();
+            check(f64::from_bits(bits));
+            let exp = 1015 + (bits >> 52) % 72; // 2^-8 .. 2^63
+            check(f64::from_bits((bits & !(0x7ffu64 << 52)) | (exp << 52)));
+        }
+    }
+
+    #[test]
+    fn overlapped_bins_match_the_libm_definition() {
+        // The ranges the pre-stencil code computed with `floor`/`ceil`.
+        let g = grid();
+        let libm = |r: &Rect<f64>| {
+            let lo = |x: f64, n: usize| ((x / 8.0).floor().max(0.0) as usize).min(n);
+            let hi = |x: f64, n: usize| ((x / 8.0).ceil().max(0.0) as usize).min(n);
+            (lo(r.xl, 8)..hi(r.xh, 8), lo(r.yl, 8)..hi(r.yh, 8))
+        };
+        for r in [
+            Rect::new(10.0, 20.0, 30.0, 25.0),
+            Rect::new(8.0, 8.0, 16.0, 24.0),
+            Rect::new(-5.0, 60.0, 3.0, 70.0),
+            Rect::new(-20.0, -20.0, -10.0, -10.0),
+            Rect::new(100.0, 100.0, 110.0, 110.0),
+            Rect::new(0.0, 0.0, 0.0, 0.0),
+            Rect::new(-1e300, -1e300, 1e300, 1e300),
+            Rect::new(63.999, 0.001, 64.0, 0.002),
+        ] {
+            assert_eq!(g.overlapped_bins(&r), libm(&r), "{r:?}");
+        }
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //! keeping the map — and hence the gradient — smooth as cells cross bin
 //! boundaries.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicI64, Ordering};
+
 use dp_netlist::{Netlist, Placement, Rect};
-use dp_num::{AtomicFloat, FixedPointCell, Float, WorkerPool};
+use dp_num::atomic::round_to_i64;
+use dp_num::{AtomicFloat, Float, WorkerPool};
 
 use crate::bins::BinGrid;
 
@@ -103,6 +107,66 @@ pub fn smoothed_footprint<T: Float>(
     }
 }
 
+/// Longest bin-row span (`js.len()`) whose overlap heights fit the stencil's
+/// stack buffer. Standard cells span two or three bin rows; only macros on
+/// fine grids exceed this and take the per-bin fallback.
+const STENCIL_SPAN: usize = 16;
+
+/// The one overlap stencil shared by the movable scatter, the fixed-cell
+/// scatter and the force gather: calls `f(bin index, overlap area)` for
+/// every bin of `is x js`, `i`-major, where the area is that of
+/// `grid.bin_rect(i, j).overlap_area(rect)` bit for bit.
+///
+/// The overlap is separable — `overlap_area` is literally
+/// `overlap_x(i) * overlap_y(j)` — so the heights are computed once per
+/// cell and the width once per bin column, and each bin costs one multiply.
+/// `is`/`js` may be sub-ranges of the overlapped bins (the tile split of
+/// [`DensityStrategy::SortedSubthreads`]).
+#[inline]
+pub(crate) fn for_each_overlap<T: Float>(
+    grid: &BinGrid<T>,
+    rect: &Rect<T>,
+    is: Range<usize>,
+    js: Range<usize>,
+    mut f: impl FnMut(usize, T),
+) {
+    if js.len() > STENCIL_SPAN {
+        for i in is {
+            for j in js.clone() {
+                f(grid.index(i, j), grid.bin_rect(i, j).overlap_area(rect));
+            }
+        }
+        return;
+    }
+    let mut heights = [T::ZERO; STENCIL_SPAN];
+    let heights = &mut heights[..js.len()];
+    for (h, j) in heights.iter_mut().zip(js.clone()) {
+        *h = grid.overlap_y(j, rect);
+    }
+    for i in is {
+        let w = grid.overlap_x(i, rect);
+        // `js` may be empty and start one past the last row.
+        let row = grid.index(i, 0) + js.start;
+        for (k, &h) in heights.iter().enumerate() {
+            f(row + k, w * h);
+        }
+    }
+}
+
+/// Fixed-point units per bin area in deterministic mode: bins accumulate
+/// `round(area / bin_area * 2^24)` as integers, so precision is independent
+/// of the layout's scale.
+const FIXED_SCALE: f64 = (1u64 << 24) as f64;
+
+/// The persistent accumulation bins of one [`DensityMapBuilder`].
+enum Bins<T: Float> {
+    /// Float atomics: exact to rounding, order-dependent beyond one thread.
+    Float(Vec<T::Atomic>),
+    /// Integers in units of `1 / FIXED_SCALE` bin areas: integer addition is
+    /// associative, so every thread count and interleaving gives one map.
+    Fixed(Vec<AtomicI64>),
+}
+
 /// Reusable builder for movable/fixed density maps over a [`BinGrid`].
 ///
 /// Densities are in **area units**: bin value = total (smoothed) cell area
@@ -116,16 +180,17 @@ pub struct DensityMapBuilder<T: Float> {
     /// Optional movable-cell mask: when set, only `mask[c] == true` cells
     /// scatter (fence-region support, paper §III-G).
     mask: Option<Vec<bool>>,
-    /// Deterministic fixed-point accumulation (run-to-run reproducible
-    /// under any thread interleaving; paper §V future work).
-    deterministic: bool,
-    /// Persistent accumulation bins (float-atomic mode), reset per build.
-    float_bins: Vec<FloatBins<T>>,
-    /// Persistent accumulation bins (fixed-point mode), reset per build.
-    fixed_bins: Vec<FixedPointCell>,
+    /// Accumulation bins, allocated by the first build and reused after:
+    /// float atomics, or — deterministic mode, run-to-run reproducible under
+    /// any thread interleaving (paper §V future work) — fixed-point integers.
+    bins: Bins<T>,
+    /// The bins are all zero. The drain that ends a build reads and clears
+    /// them in one pass, so the next build starts scattering at once; the
+    /// flag is down from the first update until that drain finishes, and a
+    /// build that finds it down (a panic mid-scatter was contained and the
+    /// builder reused, as the serve retry path does) zeroes the bins first.
+    bins_clean: bool,
 }
-
-type FloatBins<T> = <T as Float>::Atomic;
 
 impl<T: Float> DensityMapBuilder<T> {
     /// Creates a builder over `grid` with the given scatter strategy.
@@ -136,9 +201,8 @@ impl<T: Float> DensityMapBuilder<T> {
             order: Vec::new(),
             order_valid_for: usize::MAX,
             mask: None,
-            deterministic: false,
-            float_bins: Vec::new(),
-            fixed_bins: Vec::new(),
+            bins: Bins::Float(Vec::new()),
+            bins_clean: true,
         }
     }
 
@@ -153,7 +217,15 @@ impl<T: Float> DensityMapBuilder<T> {
 
     /// In-place variant of [`DensityMapBuilder::with_deterministic`].
     pub fn set_deterministic(&mut self, deterministic: bool) {
-        self.deterministic = deterministic;
+        if deterministic != matches!(self.bins, Bins::Fixed(_)) {
+            // Empty bins are clean; the next build allocates the new kind.
+            self.bins = if deterministic {
+                Bins::Fixed(Vec::new())
+            } else {
+                Bins::Float(Vec::new())
+            };
+            self.bins_clean = true;
+        }
     }
 
     /// Restricts the scatter to cells with `mask[c] == true` (fence-region
@@ -205,35 +277,41 @@ impl<T: Float> DensityMapBuilder<T> {
         self.order_valid_for = n;
     }
 
-    /// Heap bytes held by the persistent accumulation bins.
+    /// Heap bytes held by the persistent accumulation bins: one float or
+    /// one `i64` per bin (512 KiB at 256 x 256 in `f64` or deterministic
+    /// mode).
     pub fn bins_bytes(&self) -> usize {
-        self.float_bins.capacity() * std::mem::size_of::<FloatBins<T>>()
-            + self.fixed_bins.capacity() * std::mem::size_of::<FixedPointCell>()
+        match &self.bins {
+            Bins::Float(b) => b.capacity() * std::mem::size_of::<T::Atomic>(),
+            Bins::Fixed(b) => b.capacity() * std::mem::size_of::<AtomicI64>(),
+        }
     }
 
-    /// Resets (or grows) the accumulation bins for the active mode, so a
-    /// placement run allocates them exactly once.
-    fn reset_bins(&mut self) {
+    /// Makes the bins `num_bins` zeros — a fresh allocation on the first
+    /// build and after an interrupted one, nothing to do otherwise — and
+    /// lowers `bins_clean` for the scatter that follows.
+    fn open_bins(&mut self) {
         let n = self.grid.num_bins();
-        if self.deterministic {
-            if self.fixed_bins.len() == n {
-                for b in &self.fixed_bins {
-                    b.reset();
-                }
-            } else {
-                self.fixed_bins = FixedPointCell::vec_with(n, 1 << 24);
+        match &mut self.bins {
+            Bins::Float(b) if b.len() != n || !self.bins_clean => {
+                *b = (0..n).map(|_| T::Atomic::new(T::ZERO)).collect();
             }
-        } else if self.float_bins.len() == n {
-            for b in &self.float_bins {
-                b.store(T::ZERO);
+            Bins::Fixed(b) if b.len() != n || !self.bins_clean => {
+                *b = (0..n).map(|_| AtomicI64::new(0)).collect();
             }
-        } else {
-            self.float_bins = (0..n).map(|_| FloatBins::<T>::new(T::ZERO)).collect();
+            _ => {}
         }
+        self.bins_clean = false;
     }
 
     /// Scatters all movable cells into `out` (area units), running the
     /// scatter on `pool` and reusing the builder's persistent bins.
+    ///
+    /// A one-thread pool runs every chunk on the calling thread, so its
+    /// updates are plain load/add/store instead of bus-locked
+    /// read-modify-writes. The map does not depend on which path ran:
+    /// integer sums are order-free, and the float path at one thread
+    /// performs the same additions in the same order either way.
     pub fn build_movable_into(
         &mut self,
         nl: &Netlist<T>,
@@ -242,25 +320,63 @@ impl<T: Float> DensityMapBuilder<T> {
         out: &mut Vec<T>,
     ) {
         self.ensure_order(nl);
-        // Accumulation backend: float atomics (fast) or fixed-point
-        // integers (deterministic, thread-count invariant). The fixed-point
-        // scale is relative to a bin area so precision is size-independent.
-        self.reset_bins();
-        let inv_bin_area = 1.0 / self.grid.bin_area().to_f64();
-        let deterministic = self.deterministic;
-        let float_bins = &self.float_bins;
-        let fixed_bins = &self.fixed_bins;
-        let bins_add = |idx: usize, v: T| {
-            if deterministic {
-                // Accumulate in bin-area units for scale-free precision.
-                fixed_bins[idx].add(v.to_f64() * inv_bin_area);
-            } else {
-                float_bins[idx].fetch_add(v);
+        self.open_bins();
+        let single_writer = pool.threads() <= 1;
+        match &self.bins {
+            Bins::Float(b) if single_writer => {
+                self.scatter(nl, p, pool, |idx, v| {
+                    let bin = &b[idx];
+                    bin.store(bin.load() + v);
+                });
             }
-        };
+            Bins::Float(b) => self.scatter(nl, p, pool, |idx, v| {
+                b[idx].fetch_add(v);
+            }),
+            Bins::Fixed(b) => {
+                // Accumulate in bin-area units for scale-free precision.
+                let inv_bin_area = 1.0 / self.grid.bin_area().to_f64();
+                let quantise = |v: T| round_to_i64(v.to_f64() * inv_bin_area * FIXED_SCALE);
+                if single_writer {
+                    self.scatter(nl, p, pool, |idx, v| {
+                        let bin = &b[idx];
+                        let sum = bin.load(Ordering::Relaxed).wrapping_add(quantise(v));
+                        bin.store(sum, Ordering::Relaxed);
+                    });
+                } else {
+                    self.scatter(nl, p, pool, |idx, v| {
+                        b[idx].fetch_add(quantise(v), Ordering::Relaxed);
+                    });
+                }
+            }
+        }
+        // Drain: read each bin and leave it zero for the next build.
+        out.clear();
+        match &mut self.bins {
+            Bins::Float(b) => out.extend(b.iter().map(|c| {
+                let v = c.load();
+                c.store(T::ZERO);
+                v
+            })),
+            Bins::Fixed(b) => {
+                let bin_area = self.grid.bin_area();
+                out.extend(b.iter_mut().map(|c| {
+                    let raw = std::mem::take(c.get_mut());
+                    T::from_f64(raw as f64 / FIXED_SCALE) * bin_area
+                }));
+            }
+        }
+        self.bins_clean = true;
+    }
+
+    /// The scatter proper: every cell of `order` (or every tile of every
+    /// cell) pushes `add(bin index, smoothed overlap area)` through the
+    /// shared stencil.
+    fn scatter<A>(&self, nl: &Netlist<T>, p: &Placement<T>, pool: &WorkerPool, add: A)
+    where
+        A: Fn(usize, T) + Sync,
+    {
         let grid = &self.grid;
         let order = &self.order;
-
         let scatter_cell = |cell: usize, tile: Option<(usize, usize, usize, usize)>| {
             let fp = smoothed_footprint(
                 p.x[cell],
@@ -274,14 +390,11 @@ impl<T: Float> DensityMapBuilder<T> {
                 None => (is, js),
                 Some((tx, ty, u, v)) => (split_range(is, tx, u), split_range(js, ty, v)),
             };
-            for i in is {
-                for j in js.clone() {
-                    let a = grid.bin_rect(i, j).overlap_area(&fp.rect);
-                    if a > T::ZERO {
-                        bins_add(grid.index(i, j), a * fp.scale);
-                    }
+            for_each_overlap(grid, &fp.rect, is, js, |idx, a| {
+                if a > T::ZERO {
+                    add(idx, a * fp.scale);
                 }
-            }
+            });
         };
 
         match self.strategy {
@@ -305,17 +418,6 @@ impl<T: Float> DensityMapBuilder<T> {
                 });
             }
         }
-        out.clear();
-        if deterministic {
-            let bin_area = self.grid.bin_area();
-            out.extend(
-                self.fixed_bins
-                    .iter()
-                    .map(|b| T::from_f64(b.load()) * bin_area),
-            );
-        } else {
-            out.extend(self.float_bins.iter().map(|b| b.load()));
-        }
     }
 
     /// Scatters fixed cells (no smoothing; they do not move, so the map can
@@ -325,19 +427,14 @@ impl<T: Float> DensityMapBuilder<T> {
         for c in nl.num_movable()..nl.num_cells() {
             let rect = Rect::from_center(p.x[c], p.y[c], nl.cell_widths()[c], nl.cell_heights()[c]);
             let (is, js) = self.grid.overlapped_bins(&rect);
-            for i in is {
-                for j in js.clone() {
-                    let a = self.grid.bin_rect(i, j).overlap_area(&rect);
-                    bins[self.grid.index(i, j)] += a;
-                }
-            }
+            for_each_overlap(&self.grid, &rect, is, js, |idx, a| bins[idx] += a);
         }
         bins
     }
 }
 
 /// Splits `range` into `parts` nearly equal sub-ranges and returns part `k`.
-fn split_range(range: std::ops::Range<usize>, parts: usize, k: usize) -> std::ops::Range<usize> {
+fn split_range(range: Range<usize>, parts: usize, k: usize) -> Range<usize> {
     let len = range.len();
     let base = len / parts;
     let rem = len % parts;
@@ -546,17 +643,31 @@ mod deterministic_tests {
     }
 
     #[test]
-    fn fixed_point_mode_is_bit_reproducible_across_threads() {
+    fn fixed_point_map_is_one_map_for_every_thread_count_and_strategy() {
+        // Integer sums are order-free, so the single-writer add of a
+        // one-thread pool, the locked add of wider pools, and every cell
+        // order and tile split produce the same bits — which is what makes
+        // the pool-width switch in `build_movable_into` unobservable.
         let (nl, p) = design(5);
-        let runs: Vec<Vec<f64>> = (0..3)
-            .map(|_| {
-                let builder = DensityMapBuilder::new(grid(), DensityStrategy::Sorted);
-                scatter(builder.with_deterministic(true), &nl, &p, 4)
-            })
-            .collect();
-        // Bitwise identical across repeated multithreaded runs.
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[1], runs[2]);
+        let reference = scatter(
+            DensityMapBuilder::new(grid(), DensityStrategy::Naive).with_deterministic(true),
+            &nl,
+            &p,
+            1,
+        );
+        for strategy in [
+            DensityStrategy::Naive,
+            DensityStrategy::Sorted,
+            DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
+        ] {
+            for threads in [1, 2, 4] {
+                for _ in 0..2 {
+                    let builder = DensityMapBuilder::new(grid(), strategy);
+                    let map = scatter(builder.with_deterministic(true), &nl, &p, threads);
+                    assert_eq!(map, reference, "{strategy} on {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]
@@ -583,5 +694,210 @@ mod deterministic_tests {
         let total: f64 = map.iter().sum();
         let want = nl.total_movable_area();
         assert!((total - want).abs() / want < 1e-5, "{total} vs {want}");
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod stencil_tests {
+    use super::tests::scatter;
+    use super::*;
+    use dp_netlist::NetlistBuilder;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// `(bin index, area bits)` as the three pre-stencil loops computed them.
+    fn per_bin_reference(
+        grid: &BinGrid<f64>,
+        rect: &Rect<f64>,
+        is: Range<usize>,
+        js: Range<usize>,
+    ) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        for i in is {
+            for j in js.clone() {
+                let a = grid.bin_rect(i, j).overlap_area(rect);
+                out.push((grid.index(i, j), a.to_bits()));
+            }
+        }
+        out
+    }
+
+    fn stencil(
+        grid: &BinGrid<f64>,
+        rect: &Rect<f64>,
+        is: Range<usize>,
+        js: Range<usize>,
+    ) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        for_each_overlap(grid, rect, is, js, |idx, a| out.push((idx, a.to_bits())));
+        out
+    }
+
+    #[test]
+    fn stencil_areas_equal_the_per_bin_rectangles_bit_for_bit() {
+        // Bin sizes that are not exact in binary, so a reordered operation
+        // would show; 64 rows so a tall footprint outgrows the stack buffer.
+        let region = Rect::new(-3.7, 1.3, 96.4, 211.9);
+        let grid = BinGrid::new(region, 16, 64).expect("pow2");
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut footprints = vec![
+            // inside, on bin boundaries, straddling each edge, outside
+            smoothed_footprint(40.0, 100.0, 9.0, 8.0, &grid),
+            smoothed_footprint(-3.7, 1.3, 12.0, 8.0, &grid),
+            smoothed_footprint(96.0, 211.0, 30.0, 30.0, &grid),
+            smoothed_footprint(-40.0, 500.0, 5.0, 5.0, &grid),
+            // zero-area and non-finite cells
+            smoothed_footprint(50.0, 50.0, 0.0, 0.0, &grid),
+            smoothed_footprint(50.0, 50.0, 0.0, 8.0, &grid),
+            smoothed_footprint(f64::NAN, 50.0, 4.0, 8.0, &grid),
+            smoothed_footprint(50.0, f64::INFINITY, 4.0, 8.0, &grid),
+            smoothed_footprint(50.0, 50.0, f64::NAN, 8.0, &grid),
+            // taller than STENCIL_SPAN rows: the per-bin fallback
+            smoothed_footprint(48.0, 100.0, 40.0, 150.0, &grid),
+            smoothed_footprint(48.0, 100.0, 1e6, 1e6, &grid),
+        ];
+        for _ in 0..200 {
+            footprints.push(smoothed_footprint(
+                rng.gen_range(-20.0..120.0),
+                rng.gen_range(-20.0..240.0),
+                rng.gen_range(0.0..20.0),
+                rng.gen_range(0.0..70.0),
+                &grid,
+            ));
+        }
+        let mut long_spans = 0;
+        for fp in &footprints {
+            let (is, js) = grid.overlapped_bins(&fp.rect);
+            long_spans += usize::from(js.len() > STENCIL_SPAN);
+            assert_eq!(
+                stencil(&grid, &fp.rect, is.clone(), js.clone()),
+                per_bin_reference(&grid, &fp.rect, is.clone(), js.clone()),
+                "{fp:?}"
+            );
+            // Every tile of every split the sub-worker strategy can ask for.
+            for (tx, ty) in [(2, 2), (4, 1), (1, 4), (3, 5)] {
+                let mut tiled = Vec::new();
+                for u in 0..tx {
+                    for v in 0..ty {
+                        let (ti, tj) = (
+                            split_range(is.clone(), tx, u),
+                            split_range(js.clone(), ty, v),
+                        );
+                        let got = stencil(&grid, &fp.rect, ti.clone(), tj.clone());
+                        assert_eq!(got, per_bin_reference(&grid, &fp.rect, ti, tj));
+                        tiled.extend(got);
+                    }
+                }
+                let mut whole = per_bin_reference(&grid, &fp.rect, is.clone(), js.clone());
+                tiled.sort_unstable();
+                whole.sort_unstable();
+                assert_eq!(tiled, whole, "{tx}x{ty} tiles of {fp:?}");
+            }
+        }
+        assert!(long_spans >= 2, "the fallback path must be exercised");
+    }
+
+    fn bits(map: &[f64]) -> Vec<u64> {
+        map.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Standard cells plus one macro spanning more than `STENCIL_SPAN` bins,
+    /// some cells hanging over the region's edges.
+    fn design() -> (Netlist<f64>, Placement<f64>) {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut b = NetlistBuilder::new(0.0, 0.0, 64.0, 64.0);
+        let cells: Vec<_> = (0..150)
+            .map(|_| b.add_movable_cell(rng.gen_range(0.5..7.0), 2.0))
+            .collect();
+        b.add_movable_cell(30.0, 40.0);
+        b.add_net(1.0, vec![(cells[0], 0.0, 0.0), (cells[1], 0.0, 0.0)])
+            .expect("valid");
+        let nl = b.build().expect("valid");
+        let mut p = Placement::zeros(nl.num_cells());
+        for c in 0..nl.num_cells() {
+            p.x[c] = rng.gen_range(-1.0..65.0);
+            p.y[c] = rng.gen_range(-1.0..65.0);
+        }
+        (nl, p)
+    }
+
+    fn grid() -> BinGrid<f64> {
+        BinGrid::new(Rect::new(0.0, 0.0, 64.0, 64.0), 32, 32).expect("pow2")
+    }
+
+    #[test]
+    fn float_map_on_one_thread_equals_a_scalar_reference_loop() {
+        // The single-writer add must perform the reference's additions in
+        // the reference's order: cell by cell, one add per overlapped bin.
+        let (nl, p) = design();
+        let g = grid();
+        let naive: Vec<usize> = (0..nl.num_movable()).collect();
+        let mut sorted = naive.clone();
+        let area = |c: usize| nl.cell_widths()[c] * nl.cell_heights()[c];
+        sorted.sort_by(|&a, &b| area(a).partial_cmp(&area(b)).expect("finite areas"));
+        for (strategy, order) in [
+            (DensityStrategy::Naive, &naive),
+            (DensityStrategy::Sorted, &sorted),
+            (DensityStrategy::SortedSubthreads { tx: 2, ty: 2 }, &sorted),
+        ] {
+            let mut want = vec![0.0f64; g.num_bins()];
+            for &c in order {
+                let fp = smoothed_footprint(
+                    p.x[c],
+                    p.y[c],
+                    nl.cell_widths()[c],
+                    nl.cell_heights()[c],
+                    &g,
+                );
+                let (is, js) = g.overlapped_bins(&fp.rect);
+                for i in is {
+                    for j in js.clone() {
+                        let a = g.bin_rect(i, j).overlap_area(&fp.rect);
+                        if a > 0.0 {
+                            want[g.index(i, j)] += a * fp.scale;
+                        }
+                    }
+                }
+            }
+            let got = scatter(DensityMapBuilder::new(g.clone(), strategy), &nl, &p, 1);
+            assert_eq!(bits(&got), bits(&want), "{strategy}");
+        }
+    }
+
+    #[test]
+    fn a_build_after_a_contained_panic_equals_a_fresh_builders() {
+        // The drain leaves the bins zero for the next build; a scatter that
+        // dies halfway leaves them dirty instead. A placement shorter than
+        // the netlist makes the scatter index out of bounds after the first
+        // half of the cells has been accumulated.
+        let (nl, p) = design();
+        let mut short = p.clone();
+        short.x.truncate(nl.num_movable() / 2);
+        let pool = WorkerPool::new(1);
+        for deterministic in [false, true] {
+            let fresh = || {
+                DensityMapBuilder::new(grid(), DensityStrategy::Naive)
+                    .with_deterministic(deterministic)
+            };
+            let mut builder = fresh();
+            let mut map = Vec::new();
+            builder.build_movable_into(&nl, &p, &pool, &mut map);
+            assert!(builder.bins_clean);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                builder.build_movable_into(&nl, &short, &pool, &mut Vec::new());
+            }));
+            assert!(died.is_err(), "the short placement must panic the scatter");
+            assert!(!builder.bins_clean);
+            let dirty = match &builder.bins {
+                Bins::Float(b) => b.iter().any(|c| c.load() != 0.0),
+                Bins::Fixed(b) => b.iter().any(|c| c.load(Ordering::Relaxed) != 0),
+            };
+            assert!(dirty, "the interrupted scatter must leave charge behind");
+
+            builder.build_movable_into(&nl, &p, &pool, &mut map);
+            let want = scatter(fresh(), &nl, &p, 1);
+            assert_eq!(bits(&map), bits(&want), "deterministic = {deterministic}");
+            assert!(builder.bins_clean);
+        }
     }
 }

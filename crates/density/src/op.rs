@@ -15,7 +15,7 @@ use dp_num::Float;
 
 use crate::bins::BinGrid;
 use crate::electro::{DctBackendKind, ElectroField, FieldSolution};
-use crate::map::{smoothed_footprint, DensityMapBuilder, DensityStrategy};
+use crate::map::{for_each_overlap, smoothed_footprint, DensityMapBuilder, DensityStrategy};
 
 /// The electrostatic density operator.
 ///
@@ -239,11 +239,14 @@ impl<T: Float> DensityOp<T> {
         self.builder.build_movable_into(nl, p, pool, &mut movable);
         let inv_bin = T::ONE / self.grid().bin_area();
         rho.clear();
-        rho.extend(movable.iter().map(|&m| m * inv_bin));
-        if let Some(fixed) = &self.fixed_map {
-            for (r, f) in rho.iter_mut().zip(fixed) {
-                *r += *f * inv_bin;
-            }
+        match &self.fixed_map {
+            Some(fixed) => rho.extend(
+                movable
+                    .iter()
+                    .zip(fixed)
+                    .map(|(&m, &f)| m * inv_bin + f * inv_bin),
+            ),
+            None => rho.extend(movable.iter().map(|&m| m * inv_bin)),
         }
         self.last_movable_map = Some(movable);
     }
@@ -342,17 +345,13 @@ impl<T: Float> Operator<T> for DensityOp<T> {
                     let (is, js) = grid.overlapped_bins(&fp.rect);
                     let mut fx = T::ZERO;
                     let mut fy = T::ZERO;
-                    for i in is {
-                        for j in js.clone() {
-                            let a = grid.bin_rect(i, j).overlap_area(&fp.rect);
-                            if a > T::ZERO {
-                                let q = a * fp.scale * inv_bin;
-                                let idx = grid.index(i, j);
-                                fx += q * field_x[idx];
-                                fy += q * field_y[idx];
-                            }
+                    for_each_overlap(&grid, &fp.rect, is, js, |idx, a| {
+                        if a > T::ZERO {
+                            let q = a * fp.scale * inv_bin;
+                            fx += q * field_x[idx];
+                            fy += q * field_y[idx];
                         }
-                    }
+                    });
                     // Gradient = -force; convert from bin units to layout
                     // units (one bin along x spans bin_width layout units).
                     // SAFETY: cell index `c` is unique to this chunk.

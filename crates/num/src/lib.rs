@@ -33,7 +33,7 @@ pub mod parallel;
 pub mod pool;
 pub mod stats;
 
-pub use atomic::{AtomicF32, AtomicF64, AtomicFloat, FixedPointCell};
+pub use atomic::{AtomicF32, AtomicF64, AtomicFloat};
 pub use complex::Complex;
 pub use float::Float;
 pub use parallel::{paper_chunk_size, DisjointSlice};
