@@ -238,10 +238,9 @@ fn nanos_since(t0: Instant) -> u64 {
 /// can serve plans of different shapes (at the cost of a regrow).
 #[derive(Debug, Clone, Default)]
 pub struct Dct2dWork<T> {
-    /// Real-valued `n1 * n2` scratch (permuted / flipped input).
+    /// Real-valued `n1 * n2` scratch (permuted input / pre-permutation
+    /// output of the 2-D real FFT).
     real: Vec<T>,
-    /// Secondary real scratch for the mixed transforms' flip step.
-    real2: Vec<T>,
     /// One-sided spectrum scratch, `n1 * (n2/2 + 1)`.
     spec: Vec<Complex<T>>,
     /// Lane-interleaved half-FFT scratch, `(n2/2) * LANES`.
@@ -259,7 +258,7 @@ impl<T: Float> Dct2dWork<T> {
 
     /// Bytes of scratch currently held (for workspace counters).
     pub fn bytes(&self) -> usize {
-        (self.real.capacity() + self.real2.capacity()) * std::mem::size_of::<T>()
+        self.real.capacity() * std::mem::size_of::<T>()
             + (self.spec.capacity() + self.lanes.capacity() + self.lanes2.capacity())
                 * std::mem::size_of::<Complex<T>>()
     }
@@ -278,6 +277,24 @@ impl<T: Float> Dct2dWork<T> {
     pub fn take_phases(&mut self) -> TransformPhases {
         std::mem::take(&mut self.phases)
     }
+}
+
+/// Which of Algorithm 4's inverse transforms a pre/post kernel pair runs.
+///
+/// A mixed transform is the plain IDCT of its input flipped along one
+/// dimension (Eqs. 14/16, the flipped-in edge row or column zero) with the
+/// odd output rows or columns negated (Eqs. 15/17). Both halves are index
+/// arithmetic inside [`Dct2dPlan::idct2_pre`] and
+/// [`Dct2dPlan::unreorder_into`]: no flipped copy is built and the output
+/// is written once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Inverse {
+    /// IDCT along both dimensions.
+    Idct2,
+    /// IDXST along dimension 1, IDCT along dimension 2 (Eqs. 16-17).
+    IdxstIdct,
+    /// IDCT along dimension 1, IDXST along dimension 2 (Eqs. 14-15).
+    IdctIdxst,
 }
 
 /// Edge length of the square tiles used by [`transpose_tiled`].
@@ -394,7 +411,6 @@ impl<T: Float> Dct2dPlan<T> {
         let m = n2 / 2;
         let half = self.row_rfft.half_plan();
         let phases = self.row_rfft.untangle_phases();
-        work.spec.clear();
         work.spec.resize(n1 * n2h, Complex::zero());
         work.reset_lanes(m);
         // Row pass: LANES rows per sweep, lane-interleaved so every
@@ -467,7 +483,6 @@ impl<T: Float> Dct2dPlan<T> {
             self.col_fft.inverse_lanes(&mut work.spec[c0..], n2h, b);
         }
         work.phases.butterfly_nanos += nanos_since(t0);
-        work.real.clear();
         work.real.resize(n1 * n2, T::ZERO);
         work.reset_lanes(m);
         for r0 in (0..n1).step_by(LANES) {
@@ -513,25 +528,10 @@ impl<T: Float> Dct2dPlan<T> {
         }
     }
 
-    /// Reads the full (wrapped) 2-D spectrum from one-sided storage using
-    /// Hermitian symmetry `V(k1, k2) = conj(V((n1-k1)%n1, n2-k2))`.
-    #[inline]
-    fn spec_at(&self, spec: &[Complex<T>], k1: usize, k2: usize) -> Complex<T> {
-        let n2h = self.n2 / 2 + 1;
-        if k2 < n2h {
-            spec[k1 * n2h + k2]
-        } else {
-            let r1 = (self.n1 - k1) % self.n1;
-            let r2 = self.n2 - k2;
-            spec[r1 * n2h + r2].conj()
-        }
-    }
-
     /// Eq. 10: the 1-D even/odd reorder applied to both axes, `x` into
     /// `real`.
     fn reorder_into(&self, x: &[T], real: &mut Vec<T>) {
         let n2 = self.n2;
-        real.clear();
         real.resize(self.n1 * n2, T::ZERO);
         for (i, &src_i) in self.r1.iter().enumerate() {
             for (j, &src_j) in self.r2.iter().enumerate() {
@@ -542,18 +542,35 @@ impl<T: Float> Dct2dPlan<T> {
 
     /// Eq. 11 with Hermitian wrap:
     /// `y = (1/(N1 N2)) * 2 Re{ W1(k1) [W2(k2) V(k1,k2)
-    ///                                  + conj(W2(k2)) V(k1,(N2-k2)%N2)] }`.
+    ///                                  + conj(W2(k2)) V(k1,(N2-k2)%N2)] }`,
+    /// where the one-sided storage supplies
+    /// `V(k1, k2) = conj(V((N1-k1)%N1, N2-k2))` for `k2 > N2/2`.
+    ///
+    /// Columns `k2` and `N2 - k2` read the same two stored bins (one from
+    /// row `k1`, one conjugated from its Hermitian partner row) in swapped
+    /// roles, so the interior walks `1..N2/2` once and writes both; columns
+    /// `0` and `N2/2` are their own wrap partners.
     fn dct2_post(&self, spec: &[Complex<T>], out: &mut Vec<T>) {
         let (n1, n2) = (self.n1, self.n2);
+        let n2h = n2 / 2 + 1;
+        let m = n2 / 2;
         let scale = T::TWO / T::from_usize(n1 * n2);
-        out.clear();
         out.resize(n1 * n2, T::ZERO);
-        for k1 in 0..n1 {
-            for k2 in 0..n2 {
-                let v = self.spec_at(spec, k1, k2);
-                let vr = self.spec_at(spec, k1, (n2 - k2) % n2);
+        for (k1, out_row) in out.chunks_exact_mut(n2).enumerate() {
+            let w1 = self.w1[k1];
+            let partner_row = if k1 == 0 { 0 } else { n1 - k1 };
+            let row = &spec[k1 * n2h..(k1 + 1) * n2h];
+            let partner = &spec[partner_row * n2h..(partner_row + 1) * n2h];
+            let term = |k2: usize, v: Complex<T>, vr: Complex<T>| {
                 let inner = self.w2[k2] * v + self.w2[k2].conj() * vr;
-                out[k1 * n2 + k2] = (self.w1[k1] * inner).re * scale;
+                (w1 * inner).re * scale
+            };
+            out_row[0] = term(0, row[0], row[0]);
+            out_row[m] = term(m, row[m], row[m]);
+            for k2 in 1..m {
+                let (v, vr) = (row[k2], partner[k2].conj());
+                out_row[k2] = term(k2, v, vr);
+                out_row[n2 - k2] = term(n2 - k2, vr, v);
             }
         }
     }
@@ -563,42 +580,102 @@ impl<T: Float> Dct2dPlan<T> {
     ///             [c(k1,k2) - c(N1-k1, N2-k2) - i(c(N1-k1,k2) + c(k1,N2-k2))]`
     /// with `c(N1,.) = c(.,N2) = 0` (zero padding, not wraparound: `c` is
     /// data).
-    fn idct2_pre(&self, c: &[T], spec: &mut Vec<Complex<T>>) {
+    ///
+    /// `c` is `x` seen through `kind`'s input flip (Eqs. 14/16): the mixed
+    /// transforms read row `N1-k1` (column `N2-k2`) of `x` where the plain
+    /// IDCT reads row `k1` (column `k2`), and zero on the flipped-in edge —
+    /// a change of index, never of arithmetic. Only spectrum row `0` and
+    /// column `0` ever touch the padding or that edge, so they go through
+    /// the bounds-aware `at`; every interior bin reads its four inputs
+    /// straight from two rows of `x`.
+    fn idct2_pre(&self, x: &[T], kind: Inverse, spec: &mut Vec<Complex<T>>) {
         let (n1, n2) = (self.n1, self.n2);
         let n2h = n2 / 2 + 1;
         let quarter = T::from_usize(n1 * n2) * T::from_f64(0.25);
         let at = |k1: usize, k2: usize| -> T {
             if k1 >= n1 || k2 >= n2 {
-                T::ZERO
-            } else {
-                c[k1 * n2 + k2]
+                return T::ZERO;
+            }
+            match kind {
+                Inverse::Idct2 => x[k1 * n2 + k2],
+                Inverse::IdxstIdct if k1 > 0 => x[(n1 - k1) * n2 + k2],
+                Inverse::IdctIdxst if k2 > 0 => x[k1 * n2 + (n2 - k2)],
+                _ => T::ZERO,
             }
         };
-        spec.clear();
+        let bin = |w: Complex<T>, a: T, b: T, p: T, q: T| {
+            (w * Complex::new(a - b, -(p + q))).scale(quarter)
+        };
+        let edge = |k1: usize, k2: usize| {
+            bin(
+                self.w1[k1].conj() * self.w2[k2].conj(),
+                at(k1, k2),
+                at(n1 - k1, n2 - k2),
+                at(n1 - k1, k2),
+                at(k1, n2 - k2),
+            )
+        };
         spec.resize(n1 * n2h, Complex::zero());
-        for k1 in 0..n1 {
-            for k2 in 0..n2h {
-                let a = at(k1, k2);
-                let b = at(n1 - k1, n2 - k2);
-                let p = at(n1 - k1, k2);
-                let q = at(k1, n2 - k2);
-                let bracket = Complex::new(a - b, -(p + q));
-                let w = self.w1[k1].conj() * self.w2[k2].conj();
-                spec[k1 * n2h + k2] = (w * bracket).scale(quarter);
+        for (k2, slot) in spec[..n2h].iter_mut().enumerate() {
+            *slot = edge(0, k2);
+        }
+        for k1 in 1..n1 {
+            spec[k1 * n2h] = edge(k1, 0);
+            // Rows of `x` holding c(k1, .) and c(N1-k1, .).
+            let (near, far) = match kind {
+                Inverse::IdxstIdct => (n1 - k1, k1),
+                Inverse::Idct2 | Inverse::IdctIdxst => (k1, n1 - k1),
+            };
+            let near = &x[near * n2..(near + 1) * n2];
+            let far = &x[far * n2..(far + 1) * n2];
+            let w1 = self.w1[k1].conj();
+            let out = &mut spec[k1 * n2h..(k1 + 1) * n2h];
+            for (k2, slot) in out.iter_mut().enumerate().skip(1) {
+                // Columns of `x` holding c(., k2) and c(., N2-k2).
+                let (fwd, rev) = match kind {
+                    Inverse::IdctIdxst => (n2 - k2, k2),
+                    Inverse::Idct2 | Inverse::IdxstIdct => (k2, n2 - k2),
+                };
+                let w = w1 * self.w2[k2].conj();
+                *slot = bin(w, near[fwd], far[rev], far[fwd], near[rev]);
             }
         }
     }
 
-    /// Eq. 13: the inverse of the Eq. 10 permutation, `real` into `out`.
-    fn unreorder_into(&self, real: &[T], out: &mut Vec<T>) {
-        let n2 = self.n2;
-        out.clear();
-        out.resize(self.n1 * n2, T::ZERO);
+    /// Eq. 13: the inverse of the Eq. 10 permutation, `real` into `out`,
+    /// with `kind`'s sign alternation (Eqs. 15/17) applied on the way: the
+    /// mixed transforms negate the odd output rows (columns), and the
+    /// permutation sends source row (column) `t` to an odd destination
+    /// exactly when `t >= N/2`.
+    fn unreorder_into(&self, real: &[T], kind: Inverse, out: &mut Vec<T>) {
+        let (n1, n2) = (self.n1, self.n2);
+        let h2 = n2 / 2;
+        out.resize(n1 * n2, T::ZERO);
         for (i, &dst_i) in self.r1.iter().enumerate() {
-            for (j, &dst_j) in self.r2.iter().enumerate() {
-                out[dst_i * n2 + dst_j] = real[i * n2 + j];
+            let neg_row = kind == Inverse::IdxstIdct && i >= n1 / 2;
+            let neg_odd = neg_row || kind == Inverse::IdctIdxst;
+            let (evens, odds) = real[i * n2..(i + 1) * n2].split_at(h2);
+            let dst = &mut out[dst_i * n2..(dst_i + 1) * n2];
+            // Destination column 2t takes source t, column 2t+1 takes
+            // source N2-1-t (`reorder_index` read backwards).
+            for ((pair, &e), &o) in dst.chunks_exact_mut(2).zip(evens).zip(odds.iter().rev()) {
+                pair[0] = if neg_row { -e } else { e };
+                pair[1] = if neg_odd { -o } else { o };
             }
         }
+    }
+
+    /// The three inverse transforms: `kind`'s pre-processing, one inverse
+    /// 2-D real FFT, `kind`'s post-processing.
+    fn inverse_with(&self, x: &[T], kind: Inverse, work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
+        assert_eq!(x.len(), self.n1 * self.n2, "matrix shape mismatch");
+        let t0 = Instant::now();
+        self.idct2_pre(x, kind, &mut work.spec);
+        work.phases.twiddle_nanos += nanos_since(t0);
+        self.irfft2_into(work);
+        let t0 = Instant::now();
+        self.unreorder_into(&work.real, kind, out);
+        work.phases.transpose_nanos += nanos_since(t0);
     }
 
     /// Forward 2-D DCT (paper Algorithm 4, `2D_DCT`) into `out`, reusing
@@ -640,14 +717,7 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `c.len() != n1 * n2`.
     pub fn idct2_with(&self, c: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        assert_eq!(c.len(), self.n1 * self.n2, "matrix shape mismatch");
-        let t0 = Instant::now();
-        self.idct2_pre(c, &mut work.spec);
-        work.phases.twiddle_nanos += nanos_since(t0);
-        self.irfft2_into(work);
-        let t0 = Instant::now();
-        self.unreorder_into(&work.real, out);
-        work.phases.transpose_nanos += nanos_since(t0);
+        self.inverse_with(c, Inverse::Idct2, work, out);
     }
 
     /// Inverse 2-D DCT returning a fresh buffer; see
@@ -670,30 +740,7 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `x.len() != n1 * n2`.
     pub fn idct_idxst_with(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        let (n1, n2) = (self.n1, self.n2);
-        assert_eq!(x.len(), n1 * n2, "matrix shape mismatch");
-        // Preprocess (Eq. 14): flip dimension 2 with x(n1, 0) -> 0. The flip
-        // buffer is moved out of `work` while `idct2_with` borrows the rest.
-        let t0 = Instant::now();
-        let mut flipped = std::mem::take(&mut work.real2);
-        flipped.clear();
-        flipped.resize(n1 * n2, T::ZERO);
-        for i in 0..n1 {
-            for j in 1..n2 {
-                flipped[i * n2 + j] = x[i * n2 + (n2 - j)];
-            }
-        }
-        work.phases.transpose_nanos += nanos_since(t0);
-        self.idct2_with(&flipped, work, out);
-        work.real2 = flipped;
-        // Postprocess (Eq. 15): alternate signs along dimension 2.
-        let t0 = Instant::now();
-        for i in 0..n1 {
-            for j in (1..n2).step_by(2) {
-                out[i * n2 + j] = -out[i * n2 + j];
-            }
-        }
-        work.phases.twiddle_nanos += nanos_since(t0);
+        self.inverse_with(x, Inverse::IdctIdxst, work, out);
     }
 
     /// [`Dct2dPlan::idct_idxst_with`] returning a fresh buffer.
@@ -715,27 +762,7 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `x.len() != n1 * n2`.
     pub fn idxst_idct_with(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        let (n1, n2) = (self.n1, self.n2);
-        assert_eq!(x.len(), n1 * n2, "matrix shape mismatch");
-        // Preprocess (Eq. 16): flip dimension 1 with x(0, n2) -> 0.
-        let t0 = Instant::now();
-        let mut flipped = std::mem::take(&mut work.real2);
-        flipped.clear();
-        flipped.resize(n1 * n2, T::ZERO);
-        for i in 1..n1 {
-            flipped[i * n2..(i + 1) * n2].copy_from_slice(&x[(n1 - i) * n2..(n1 - i + 1) * n2]);
-        }
-        work.phases.transpose_nanos += nanos_since(t0);
-        self.idct2_with(&flipped, work, out);
-        work.real2 = flipped;
-        // Postprocess (Eq. 17): alternate signs along dimension 1.
-        let t0 = Instant::now();
-        for i in (1..n1).step_by(2) {
-            for j in 0..n2 {
-                out[i * n2 + j] = -out[i * n2 + j];
-            }
-        }
-        work.phases.twiddle_nanos += nanos_since(t0);
+        self.inverse_with(x, Inverse::IdxstIdct, work, out);
     }
 
     /// [`Dct2dPlan::idxst_idct_with`] returning a fresh buffer.
@@ -820,60 +847,166 @@ mod tests {
         }
     }
 
+    /// Eq. 11 one output at a time: every bin of the wrapped spectrum read
+    /// through Hermitian symmetry `V(k1, k2) = conj(V((n1-k1)%n1, n2-k2))`.
+    fn definitional_dct2_post<T: Float>(plan: &Dct2dPlan<T>, spec: &[Complex<T>]) -> Vec<T> {
+        let (n1, n2) = plan.shape();
+        let n2h = n2 / 2 + 1;
+        let spec_at = |k1: usize, k2: usize| -> Complex<T> {
+            if k2 < n2h {
+                spec[k1 * n2h + k2]
+            } else {
+                spec[(n1 - k1) % n1 * n2h + (n2 - k2)].conj()
+            }
+        };
+        let scale = T::TWO / T::from_usize(n1 * n2);
+        let mut out = vec![T::ZERO; n1 * n2];
+        for k1 in 0..n1 {
+            for k2 in 0..n2 {
+                let v = spec_at(k1, k2);
+                let vr = spec_at(k1, (n2 - k2) % n2);
+                let inner = plan.w2[k2] * v + plan.w2[k2].conj() * vr;
+                out[k1 * n2 + k2] = (plan.w1[k1] * inner).re * scale;
+            }
+        }
+        out
+    }
+
+    /// Eq. 12 one bin at a time: all four inputs through one zero-padding
+    /// accessor.
+    fn definitional_idct2_pre<T: Float>(plan: &Dct2dPlan<T>, c: &[T]) -> Vec<Complex<T>> {
+        let (n1, n2) = plan.shape();
+        let n2h = n2 / 2 + 1;
+        let quarter = T::from_usize(n1 * n2) * T::from_f64(0.25);
+        let at = |k1: usize, k2: usize| -> T {
+            if k1 >= n1 || k2 >= n2 {
+                T::ZERO
+            } else {
+                c[k1 * n2 + k2]
+            }
+        };
+        let mut spec = vec![Complex::zero(); n1 * n2h];
+        for k1 in 0..n1 {
+            for k2 in 0..n2h {
+                let bracket = Complex::new(
+                    at(k1, k2) - at(n1 - k1, n2 - k2),
+                    -(at(n1 - k1, k2) + at(k1, n2 - k2)),
+                );
+                let w = plan.w1[k1].conj() * plan.w2[k2].conj();
+                spec[k1 * n2h + k2] = (w * bracket).scale(quarter);
+            }
+        }
+        spec
+    }
+
     fn reference_dct2<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
         let mut work = Dct2dWork::new();
-        let mut out = Vec::new();
         plan.reorder_into(x, &mut work.real);
         scalar_rfft2(plan, &mut work);
-        plan.dct2_post(&work.spec, &mut out);
-        out
+        definitional_dct2_post(plan, &work.spec)
     }
 
     fn reference_idct2<T: Float>(plan: &Dct2dPlan<T>, c: &[T]) -> Vec<T> {
         let mut work = Dct2dWork::new();
         let mut out = Vec::new();
-        plan.idct2_pre(c, &mut work.spec);
+        work.spec = definitional_idct2_pre(plan, c);
         scalar_irfft2(plan, &mut work);
-        plan.unreorder_into(&work.real, &mut out);
+        plan.unreorder_into(&work.real, Inverse::Idct2, &mut out);
         out
     }
 
-    /// Eqs. 14-15 around the reference IDCT: flip dimension 2, alternate
-    /// signs along it.
-    fn reference_idct_idxst<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
-        let (n1, n2) = plan.shape();
+    /// Eq. 14: dimension 2 flipped, `x(., 0) -> 0`, as a materialised copy.
+    fn flip_dim2<T: Float>(x: &[T], n1: usize, n2: usize) -> Vec<T> {
         let mut flipped = vec![T::ZERO; n1 * n2];
         for i in 0..n1 {
             for j in 1..n2 {
                 flipped[i * n2 + j] = x[i * n2 + n2 - j];
             }
         }
-        let mut out = reference_idct2(plan, &flipped);
-        for (idx, v) in out.iter_mut().enumerate() {
-            if idx % n2 % 2 == 1 {
-                *v = -*v;
-            }
-        }
-        out
+        flipped
     }
 
-    /// Eqs. 16-17 around the reference IDCT: flip dimension 1, alternate
-    /// signs along it.
-    fn reference_idxst_idct<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
-        let (n1, n2) = plan.shape();
+    /// Eq. 16: dimension 1 flipped, `x(0, .) -> 0`, as a materialised copy.
+    fn flip_dim1<T: Float>(x: &[T], n1: usize, n2: usize) -> Vec<T> {
         let mut flipped = vec![T::ZERO; n1 * n2];
         for i in 1..n1 {
             for j in 0..n2 {
                 flipped[i * n2 + j] = x[(n1 - i) * n2 + j];
             }
         }
-        let mut out = reference_idct2(plan, &flipped);
+        flipped
+    }
+
+    /// Eq. 15: negates the odd columns in a second walk over `out`.
+    fn negate_odd_columns<T: Float>(out: &mut [T], n2: usize) {
+        for (idx, v) in out.iter_mut().enumerate() {
+            if idx % n2 % 2 == 1 {
+                *v = -*v;
+            }
+        }
+    }
+
+    /// Eq. 17: negates the odd rows in a second walk over `out`.
+    fn negate_odd_rows<T: Float>(out: &mut [T], n2: usize) {
         for (idx, v) in out.iter_mut().enumerate() {
             if idx / n2 % 2 == 1 {
                 *v = -*v;
             }
         }
+    }
+
+    /// Eqs. 14-15 around the reference IDCT.
+    fn reference_idct_idxst<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
+        let (n1, n2) = plan.shape();
+        let mut out = reference_idct2(plan, &flip_dim2(x, n1, n2));
+        negate_odd_columns(&mut out, n2);
         out
+    }
+
+    /// Eqs. 16-17 around the reference IDCT.
+    fn reference_idxst_idct<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
+        let (n1, n2) = plan.shape();
+        let mut out = reference_idct2(plan, &flip_dim1(x, n1, n2));
+        negate_odd_rows(&mut out, n2);
+        out
+    }
+
+    /// Algorithm 4's mixed transforms as written: a flipped copy through
+    /// the production `idct2_with`, then the sign pass. What the folded
+    /// pre/post kernels must reproduce bit for bit.
+    fn assert_folded_mixed_transforms_match_flip_idct2_sign<T: Float>() {
+        let mut work = Dct2dWork::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (n1, n2) in [(2, 4), (4, 4), (8, 16), (16, 8), (64, 16), (256, 256)] {
+            let x: Vec<T> = matrix(n1, n2).into_iter().map(T::from_f64).collect();
+            let plan = Dct2dPlan::<T>::new(n1, n2).expect("pow2");
+            let check = |name: &str, got: &[T], want: &[T]| {
+                assert_eq!(got.len(), want.len());
+                for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(
+                        g.to_f64().to_bits(),
+                        w.to_f64().to_bits(),
+                        "{name} {} ({n1},{n2}) idx {k}",
+                        T::PRECISION_NAME
+                    );
+                }
+            };
+            plan.idct_idxst_with(&x, &mut work, &mut got);
+            plan.idct2_with(&flip_dim2(&x, n1, n2), &mut work, &mut want);
+            negate_odd_columns(&mut want, n2);
+            check("idct_idxst", &got, &want);
+
+            plan.idxst_idct_with(&x, &mut work, &mut got);
+            plan.idct2_with(&flip_dim1(&x, n1, n2), &mut work, &mut want);
+            negate_odd_rows(&mut want, n2);
+            check("idxst_idct", &got, &want);
+        }
+    }
+
+    #[test]
+    fn folded_mixed_transforms_are_bitwise_the_flip_idct2_sign_composition() {
+        assert_folded_mixed_transforms_match_flip_idct2_sign::<f64>();
+        assert_folded_mixed_transforms_match_flip_idct2_sign::<f32>();
     }
 
     fn assert_lane_sweeps_match_scalar_reference<T: Float>() {

@@ -1,8 +1,14 @@
-//! Spectral Poisson solve: potential and electric field from a density map.
+//! Spectral Poisson solve: electric field and system energy from a density
+//! map.
 //!
 //! See the crate docs for the basis convention. The solver supports the
 //! three DCT implementation tiers of Fig. 11 through [`DctBackendKind`], so
 //! the Fig. 12 density benchmark can toggle them.
+//!
+//! One solve is three transforms: the forward DCT, and one mixed inverse
+//! transform per field component. The energy is summed from the spectrum
+//! (Parseval), so the potential is never built on the placement path;
+//! [`ElectroField::potential`] computes it on request for oracles and tests.
 
 use dp_dct::dct2d::{Dct1dTier, Dct2dWork, RowColumnDct2d};
 use dp_dct::{Dct2dPlan, TransformError, TransformPhases};
@@ -73,16 +79,14 @@ fn replace_with<T>(out: &mut Vec<T>, v: Vec<T>) {
     out.extend(v);
 }
 
-/// Potential and field of one density snapshot, in bin units.
+/// Field and energy of one density snapshot, in bin units.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldSolution<T> {
-    /// Electric potential per bin.
-    pub potential: Vec<T>,
     /// Field along x per bin (`-d psi / dx`).
     pub field_x: Vec<T>,
     /// Field along y per bin (`-d psi / dy`).
     pub field_y: Vec<T>,
-    /// System energy `0.5 * sum rho * psi`.
+    /// System energy `0.5 * sum rho * psi`, summed in the spectral domain.
     pub energy: T,
 }
 
@@ -91,7 +95,6 @@ impl<T: Float> FieldSolution<T> {
     /// [`ElectroField::solve_into`]; buffers grow on first use.
     pub fn empty() -> Self {
         Self {
-            potential: Vec::new(),
             field_x: Vec::new(),
             field_y: Vec::new(),
             energy: T::ZERO,
@@ -100,8 +103,7 @@ impl<T: Float> FieldSolution<T> {
 
     /// Heap bytes held by the solution buffers.
     pub fn bytes(&self) -> usize {
-        (self.potential.capacity() + self.field_x.capacity() + self.field_y.capacity())
-            * std::mem::size_of::<T>()
+        (self.field_x.capacity() + self.field_y.capacity()) * std::mem::size_of::<T>()
     }
 }
 
@@ -137,6 +139,11 @@ pub struct ElectroField<T: Float> {
     wu: Vec<T>,
     /// `w_v = pi v / my`.
     wv: Vec<T>,
+    /// Squared norm of the `u`-th basis function as the library IDCT
+    /// weights it: `mx / 4` for `u = 0`, `mx / 2` otherwise.
+    norm_u: Vec<T>,
+    /// Likewise along y: `my / 4` for `v = 0`, `my / 2` otherwise.
+    norm_v: Vec<T>,
     /// Spectral coefficient and FFT scratch, reused across solves.
     scratch: SolveScratch<T>,
 }
@@ -145,7 +152,6 @@ pub struct ElectroField<T: Float> {
 /// placement run allocates it exactly once.
 struct SolveScratch<T> {
     a: Vec<T>,
-    coef_psi: Vec<T>,
     coef_ex: Vec<T>,
     coef_ey: Vec<T>,
     work: Dct2dWork<T>,
@@ -155,7 +161,6 @@ impl<T: Float> SolveScratch<T> {
     fn new() -> Self {
         Self {
             a: Vec::new(),
-            coef_psi: Vec::new(),
             coef_ex: Vec::new(),
             coef_ey: Vec::new(),
             work: Dct2dWork::new(),
@@ -163,10 +168,7 @@ impl<T: Float> SolveScratch<T> {
     }
 
     fn bytes(&self) -> usize {
-        (self.a.capacity()
-            + self.coef_psi.capacity()
-            + self.coef_ex.capacity()
-            + self.coef_ey.capacity())
+        (self.a.capacity() + self.coef_ex.capacity() + self.coef_ey.capacity())
             * std::mem::size_of::<T>()
             + self.work.bytes()
     }
@@ -191,12 +193,15 @@ impl<T: Float> ElectroField<T> {
             DctBackendKind::Direct2d => Backend::Direct(Dct2dPlan::new(mx, my)?),
         };
         let freq = |k: usize, m: usize| T::from_f64(std::f64::consts::PI * k as f64 / m as f64);
+        let norm = |k: usize, m: usize| T::from_f64(m as f64 / if k == 0 { 4.0 } else { 2.0 });
         Ok(Self {
             mx,
             my,
             backend,
             wu: (0..mx).map(|u| freq(u, mx)).collect(),
             wv: (0..my).map(|v| freq(v, my)).collect(),
+            norm_u: (0..mx).map(|u| norm(u, mx)).collect(),
+            norm_v: (0..my).map(|v| norm(v, my)).collect(),
             scratch: SolveScratch::new(),
         })
     }
@@ -221,6 +226,19 @@ impl<T: Float> ElectroField<T> {
     /// The DC component is removed (paper Eq. (4c)), making the solution
     /// independent of total charge.
     ///
+    /// The energy `0.5 * sum rho * psi` is accumulated from the spectrum
+    /// instead of from a potential map: the cosine basis is orthogonal over
+    /// the bins with `sum_x cos^2(w_u (x+1/2)) = M/2` (`M` for `u = 0`), and
+    /// the library IDCT weights its `k = 0` term by one half, so
+    ///
+    /// ```text
+    /// sum rho * psi = sum_{(u,v) != (0,0)} a_uv^2 / (w_u^2 + w_v^2) * n_x(u) * n_y(v)
+    /// ```
+    ///
+    /// with `n(0) = M/4` and `n(k > 0) = M/2`. A non-finite bin in `rho`
+    /// reaches every `a_uv`, so the energy is non-finite whenever the
+    /// summed one was.
+    ///
     /// # Panics
     ///
     /// Panics if `rho.len() != mx * my`.
@@ -229,35 +247,65 @@ impl<T: Float> ElectroField<T> {
         let s = &mut self.scratch;
         self.backend.dct2_into(rho, &mut s.work, &mut s.a);
 
-        for coef in [&mut s.coef_psi, &mut s.coef_ex, &mut s.coef_ey] {
-            coef.clear();
-            coef.resize(s.a.len(), T::ZERO);
-        }
+        // Every element is written below, so the buffers are only sized.
+        s.coef_ex.resize(s.a.len(), T::ZERO);
+        s.coef_ey.resize(s.a.len(), T::ZERO);
+        let mut energy = T::ZERO;
         for u in 0..self.mx {
-            for v in 0..self.my {
-                if u == 0 && v == 0 {
-                    continue; // DC removed
-                }
-                let idx = u * self.my + v;
-                let denom = self.wu[u] * self.wu[u] + self.wv[v] * self.wv[v];
-                s.coef_psi[idx] = s.a[idx] / denom;
-                s.coef_ex[idx] = s.a[idx] * self.wu[u] / denom;
-                s.coef_ey[idx] = s.a[idx] * self.wv[v] / denom;
+            let wu = self.wu[u];
+            let row = u * self.my..(u + 1) * self.my;
+            let (a, ex, ey) = (
+                &s.a[row.clone()],
+                &mut s.coef_ex[row.clone()],
+                &mut s.coef_ey[row],
+            );
+            // DC removed: (0, 0) is written as zero and skipped.
+            let first = usize::from(u == 0);
+            ex[..first].fill(T::ZERO);
+            ey[..first].fill(T::ZERO);
+            let mut row_energy = T::ZERO;
+            for v in first..self.my {
+                let wv = self.wv[v];
+                let denom = wu * wu + wv * wv;
+                ex[v] = a[v] * wu / denom;
+                ey[v] = a[v] * wv / denom;
+                row_energy += a[v] * a[v] / denom * self.norm_v[v];
             }
+            energy += row_energy * self.norm_u[u];
         }
+        out.energy = energy * T::HALF;
 
-        self.backend
-            .idct2_into(&s.coef_psi, &mut s.work, &mut out.potential);
         self.backend
             .idxst_idct_into(&s.coef_ex, &mut s.work, &mut out.field_x);
         self.backend
             .idct_idxst_into(&s.coef_ey, &mut s.work, &mut out.field_y);
-        out.energy = rho
-            .iter()
-            .zip(&out.potential)
-            .map(|(&r, &p)| r * p)
-            .sum::<T>()
-            * T::HALF;
+    }
+
+    /// The electric potential `psi = idct2(a_uv / (w_u^2 + w_v^2))` of a
+    /// density map (DC removed), per bin.
+    ///
+    /// Placement never needs it — [`ElectroField::solve_into`] produces the
+    /// field and the energy without it — so this is a separate, allocating
+    /// call for oracles and tests that compare against `psi` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho.len() != mx * my`.
+    pub fn potential(&mut self, rho: &[T]) -> Vec<T> {
+        assert_eq!(rho.len(), self.mx * self.my, "density map shape mismatch");
+        let s = &mut self.scratch;
+        self.backend.dct2_into(rho, &mut s.work, &mut s.a);
+        let mut coef = vec![T::ZERO; s.a.len()];
+        for u in 0..self.mx {
+            for v in usize::from(u == 0)..self.my {
+                let idx = u * self.my + v;
+                let denom = self.wu[u] * self.wu[u] + self.wv[v] * self.wv[v];
+                coef[idx] = s.a[idx] / denom;
+            }
+        }
+        let mut psi = Vec::new();
+        self.backend.idct2_into(&coef, &mut s.work, &mut psi);
+        psi
     }
 
     /// [`ElectroField::solve_into`] returning a fresh [`FieldSolution`].
@@ -278,8 +326,19 @@ mod tests {
     use super::*;
     use dp_netlist::Rect;
 
+    const TIERS: [DctBackendKind; 3] = [
+        DctBackendKind::RowColumn2n,
+        DctBackendKind::RowColumnN,
+        DctBackendKind::Direct2d,
+    ];
+
     fn grid(m: usize) -> BinGrid<f64> {
-        BinGrid::new(Rect::new(0.0, 0.0, 64.0, 64.0), m, m).expect("pow2")
+        grid_of(m, m)
+    }
+
+    fn grid_of<T: Float>(mx: usize, my: usize) -> BinGrid<T> {
+        let side = T::from_f64(64.0);
+        BinGrid::new(Rect::new(T::ZERO, T::ZERO, side, side), mx, my).expect("pow2")
     }
 
     /// For a single-mode density rho = cos(w_u(x+1/2)) cos(w_v(y+1/2)), the
@@ -300,12 +359,13 @@ mod tests {
             }
         }
         let sol = solver.solve(&rho);
+        let potential = solver.potential(&rho);
         let denom = wu * wu + wv * wv;
         for i in 0..m {
             for j in 0..m {
                 let idx = i * m + j;
                 let psi = rho[idx] / denom;
-                assert!((sol.potential[idx] - psi).abs() < 1e-9, "psi at ({i},{j})");
+                assert!((potential[idx] - psi).abs() < 1e-9, "psi at ({i},{j})");
                 let ex = wu * (wu * (i as f64 + 0.5)).sin() * (wv * (j as f64 + 0.5)).cos() / denom;
                 assert!((sol.field_x[idx] - ex).abs() < 1e-9, "ex at ({i},{j})");
                 let ey = wv * (wu * (i as f64 + 0.5)).cos() * (wv * (j as f64 + 0.5)).sin() / denom;
@@ -322,12 +382,13 @@ mod tests {
         for (k, r) in rho.iter_mut().enumerate() {
             *r = ((k * 37 % 101) as f64) / 100.0;
         }
-        let reference = ElectroField::new(&g, DctBackendKind::Direct2d)
-            .expect("plan")
-            .solve(&rho);
+        let mut direct = ElectroField::new(&g, DctBackendKind::Direct2d).expect("plan");
+        let reference = direct.solve(&rho);
+        let reference_potential = direct.potential(&rho);
         for kind in [DctBackendKind::RowColumn2n, DctBackendKind::RowColumnN] {
-            let sol = ElectroField::new(&g, kind).expect("plan").solve(&rho);
-            for (a, b) in sol.potential.iter().zip(&reference.potential) {
+            let mut solver = ElectroField::new(&g, kind).expect("plan");
+            let sol = solver.solve(&rho);
+            for (a, b) in solver.potential(&rho).iter().zip(&reference_potential) {
                 assert!((a - b).abs() < 1e-9, "{kind}");
             }
             for (a, b) in sol.field_x.iter().zip(&reference.field_x) {
@@ -376,13 +437,188 @@ mod tests {
         rho[9] = 2.0;
         rho[40] = 1.0;
         let base = solver.solve(&rho);
+        let base_potential = solver.potential(&rho);
         let shifted: Vec<f64> = rho.iter().map(|v| v + 5.0).collect();
         let sol = solver.solve(&shifted);
         for (a, b) in sol.field_x.iter().zip(&base.field_x) {
             assert!((a - b).abs() < 1e-9);
         }
-        for (a, b) in sol.potential.iter().zip(&base.potential) {
+        for (a, b) in solver.potential(&shifted).iter().zip(&base_potential) {
             assert!((a - b).abs() < 1e-9);
+        }
+        assert!((sol.energy - base.energy).abs() < 1e-9 * base.energy);
+    }
+
+    /// The four-transform solve of paper Fig. 4b, the reference for the
+    /// production one: explicit potential and field coefficient arrays (DC
+    /// left at its zero pre-fill) through the public allocating transforms.
+    struct FourBufferSolve<T> {
+        potential: Vec<T>,
+        field_x: Vec<T>,
+        field_y: Vec<T>,
+    }
+
+    fn four_buffer_solve<T: Float>(
+        mx: usize,
+        my: usize,
+        kind: DctBackendKind,
+        rho: &[T],
+    ) -> FourBufferSolve<T> {
+        type Transform<'a, T> = Box<dyn Fn(&[T]) -> Vec<T> + 'a>;
+        let tier = match kind {
+            DctBackendKind::RowColumn2n => Some(Dct1dTier::TwoN),
+            DctBackendKind::RowColumnN => Some(Dct1dTier::NPoint),
+            DctBackendKind::Direct2d => None,
+        };
+        let row_column = tier.map(|t| RowColumnDct2d::<T>::new(mx, my, t).expect("plan"));
+        let direct = Dct2dPlan::<T>::new(mx, my).expect("plan");
+        let [dct2, idct2, idxst_idct, idct_idxst]: [Transform<'_, T>; 4] = match &row_column {
+            Some(p) => [
+                Box::new(|x| p.dct2(x)),
+                Box::new(|x| p.idct2(x)),
+                Box::new(|x| p.idxst_idct(x)),
+                Box::new(|x| p.idct_idxst(x)),
+            ],
+            None => [
+                Box::new(|x| direct.dct2(x)),
+                Box::new(|x| direct.idct2(x)),
+                Box::new(|x| direct.idxst_idct(x)),
+                Box::new(|x| direct.idct_idxst(x)),
+            ],
+        };
+        let freq = |k: usize, m: usize| T::from_f64(std::f64::consts::PI * k as f64 / m as f64);
+        let a = dct2(rho);
+        let mut coef_psi = vec![T::ZERO; mx * my];
+        let mut coef_ex = vec![T::ZERO; mx * my];
+        let mut coef_ey = vec![T::ZERO; mx * my];
+        for u in 0..mx {
+            for v in 0..my {
+                if u == 0 && v == 0 {
+                    continue;
+                }
+                let idx = u * my + v;
+                let (wu, wv) = (freq(u, mx), freq(v, my));
+                let denom = wu * wu + wv * wv;
+                coef_psi[idx] = a[idx] / denom;
+                coef_ex[idx] = a[idx] * wu / denom;
+                coef_ey[idx] = a[idx] * wv / denom;
+            }
+        }
+        FourBufferSolve {
+            potential: idct2(&coef_psi),
+            field_x: idxst_idct(&coef_ex),
+            field_y: idct_idxst(&coef_ey),
+        }
+    }
+
+    fn pseudo_random_map<T: Float>(n: usize) -> Vec<T> {
+        (0..n)
+            .map(|k| T::from_f64(((k * 37 % 101) as f64) / 100.0 + (k as f64 * 0.7).sin().abs()))
+            .collect()
+    }
+
+    fn bits<T: Float>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    fn assert_fields_match_four_buffer_solve<T: Float>() {
+        for (mx, my) in [(16, 16), (8, 32), (32, 8)] {
+            let g = grid_of::<T>(mx, my);
+            let rho = pseudo_random_map::<T>(mx * my);
+            for kind in TIERS {
+                let mut solver = ElectroField::new(&g, kind).expect("plan");
+                // Twice through one solver: the second solve reuses every
+                // scratch buffer the first one sized.
+                let _ = solver.solve(&rho);
+                let sol = solver.solve(&rho);
+                let want = four_buffer_solve(mx, my, kind, &rho);
+                let what = format!("{kind} {} ({mx},{my})", T::PRECISION_NAME);
+                assert_eq!(bits(&sol.field_x), bits(&want.field_x), "field_x {what}");
+                assert_eq!(bits(&sol.field_y), bits(&want.field_y), "field_y {what}");
+                assert_eq!(
+                    bits(&solver.potential(&rho)),
+                    bits(&want.potential),
+                    "potential {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn three_transform_solve_is_bitwise_the_four_buffer_solve_on_every_tier() {
+        assert_fields_match_four_buffer_solve::<f64>();
+        assert_fields_match_four_buffer_solve::<f32>();
+    }
+
+    fn assert_spectral_energy_matches_summed_energy<T: Float>(tolerance: f64) {
+        let (mx, my) = (16usize, 32usize);
+        let g = grid_of::<T>(mx, my);
+        let random = pseudo_random_map::<T>(mx * my);
+        let shifted: Vec<T> = random.iter().map(|&r| r + T::from_f64(5.0)).collect();
+        let (wu, wv) = (
+            std::f64::consts::PI * 3.0 / mx as f64,
+            std::f64::consts::PI * 5.0 / my as f64,
+        );
+        let single_mode: Vec<T> = (0..mx * my)
+            .map(|k| {
+                let (i, j) = ((k / my) as f64, (k % my) as f64);
+                T::from_f64((wu * (i + 0.5)).cos() * (wv * (j + 0.5)).cos())
+            })
+            .collect();
+        for kind in TIERS {
+            let mut solver = ElectroField::new(&g, kind).expect("plan");
+            for (name, rho) in [
+                ("random", &random),
+                ("dc-shifted", &shifted),
+                ("single-mode", &single_mode),
+            ] {
+                let spectral = solver.solve(rho).energy.to_f64();
+                let summed = 0.5
+                    * rho
+                        .iter()
+                        .zip(&solver.potential(rho))
+                        .map(|(&r, &p)| r.to_f64() * p.to_f64())
+                        .sum::<f64>();
+                assert!(summed > 0.0, "{kind} {name}");
+                assert!(
+                    ((spectral - summed) / summed).abs() < tolerance,
+                    "{kind} {name} {}: spectral {spectral:e} vs summed {summed:e}",
+                    T::PRECISION_NAME
+                );
+            }
+            let uniform = solver
+                .solve(&vec![T::from_f64(3.5); mx * my])
+                .energy
+                .to_f64();
+            assert!(uniform.abs() < 1e-9, "{kind} uniform: {uniform:e}");
+        }
+    }
+
+    #[test]
+    fn spectral_energy_is_half_sum_rho_psi() {
+        assert_spectral_energy_matches_summed_energy::<f64>(1e-12);
+        assert_spectral_energy_matches_summed_energy::<f32>(1e-5);
+    }
+
+    #[test]
+    fn non_finite_density_bin_gives_non_finite_energy() {
+        // `DivergenceCause::NonFiniteCost` reads nothing but the energy's
+        // finiteness; a poisoned bin must still reach it without the
+        // potential map in between.
+        let g = grid(16);
+        for kind in TIERS {
+            let mut solver = ElectroField::new(&g, kind).expect("plan");
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in [0, 37, 255] {
+                    let mut rho = pseudo_random_map::<f64>(256);
+                    rho[at] = poison;
+                    let energy = solver.solve(&rho).energy;
+                    assert!(
+                        !energy.is_finite(),
+                        "{kind}: {poison} at {at} gave {energy}"
+                    );
+                }
+            }
         }
     }
 

@@ -11,10 +11,17 @@
 //!    graph forward" (§III-B1) with the load-balancing tricks of Fig. 6
 //!    (sort cells by area, update one cell with multiple workers);
 //! 2. **spectral coefficients** `a_{u,v}` via 2-D DCT;
-//! 3. **potential** `psi` via 2-D IDCT (forward) or **field** `xi` via
-//!    IDXST·IDCT / IDCT·IDXST (backward);
-//! 4. **energy** `0.5 * sum rho * psi` (forward) or per-cell force gather,
-//!    the "dynamic bipartite graph backward" (§III-B2).
+//! 3. **field** `xi` via IDXST·IDCT / IDCT·IDXST of the scaled spectrum,
+//!    and in the same scaling pass the **energy** `0.5 * sum rho * psi`,
+//!    summed over the spectrum (the cosine basis is orthogonal, so the
+//!    paper's potential IDCT is not needed for it; see
+//!    [`ElectroField::solve_into`]);
+//! 4. per-cell force gather, the "dynamic bipartite graph backward"
+//!    (§III-B2).
+//!
+//! The **potential** `psi` itself is available from
+//! [`ElectroField::potential`] for oracles and tests; placement never
+//! builds it.
 //!
 //! # Basis convention
 //!

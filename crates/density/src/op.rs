@@ -1,6 +1,8 @@
 //! The density penalty operator `D(x, y)` of paper Eq. (2).
 //!
-//! Forward: density map -> DCT -> potential -> energy (paper Fig. 4b).
+//! Forward: density map -> DCT -> scaled spectrum -> fields + energy (paper
+//! Fig. 4b, minus the potential IDCT: the energy is summed over the
+//! spectrum).
 //! Backward: field gather per cell, the "dynamic bipartite graph backward"
 //! of §III-B2 — each cell collects the force from its overlapped bins,
 //! weighted by overlap area.
