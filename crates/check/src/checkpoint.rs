@@ -1,7 +1,7 @@
 //! Schema-validating reader for `dreamplace-core` flow checkpoints.
 //!
 //! Deliberately independent of the writer/reader pair in
-//! `dreamplace_core::checkpoint` — this module re-derives the `DPCKPT v1`
+//! `dreamplace_core::checkpoint` — this module re-derives the `DPCKPT v2`
 //! format from its documented grammar with its own tokenizer and its own
 //! (table-driven, rather than bitwise) CRC32, so an encode bug cannot hide
 //! behind a shared implementation. The checks, in order:
@@ -17,8 +17,11 @@
 //!    matching x/y lengths, the GP history is strictly increasing and
 //!    stays below the next-iteration counter, the scheduler iteration
 //!    never exceeds the engine iteration, rollback state points inside
-//!    the recorded history, workspace reuses never exceed uses, and DP
-//!    pass indices are in range.
+//!    the recorded history, the `memo` block's three vectors are `2 x
+//!    movable` long when it is valid and empty when it is not, a valid
+//!    memo's `gamma` is positive, no more operator evaluations
+//!    than objective calls are recorded, workspace reuses never exceed
+//!    uses, and DP pass indices are in range.
 //!
 //! The CLI exposes this as `dreamplace checkpoint-check <file|dir>`; the
 //! CI crash-resume job runs it on the checkpoint left behind by an
@@ -30,7 +33,7 @@ use std::path::Path;
 /// Version this validator understands (kept in lockstep with
 /// `dreamplace_core::checkpoint::VERSION` through the cross-validation
 /// tests).
-pub const SUPPORTED_VERSION: u32 = 1;
+pub const SUPPORTED_VERSION: u32 = 2;
 
 /// Why a checkpoint failed validation.
 #[derive(Debug)]
@@ -628,6 +631,44 @@ fn exec(cur: &mut Cur<'_>) -> Result<(), CkptError> {
     Ok(())
 }
 
+/// `<tag> <objective> <wirelength> <density> <backtracks>`: an operator
+/// runs at most once per objective call.
+fn evals(cur: &mut Cur<'_>, tag: &str) -> Result<(), CkptError> {
+    let toks = cur.rec(tag)?;
+    cur.arity(&toks, 5)?;
+    let objective = cur.u64(&toks, 1)?;
+    for (i, what) in [(2, "wirelength"), (3, "density")] {
+        let n = cur.u64(&toks, i)?;
+        if n > objective {
+            return Err(cur.err(format!(
+                "{n} {what} evaluations exceed {objective} objective calls"
+            )));
+        }
+    }
+    cur.u64(&toks, 4)?;
+    Ok(())
+}
+
+/// The engine's last evaluated point: scalars, then key, wirelength
+/// gradient and density gradient.
+fn memo(cur: &mut Cur<'_>, dim: usize) -> Result<(), CkptError> {
+    let toks = cur.rec("memo")?;
+    cur.arity(&toks, 5)?;
+    let valid = cur.flag(&toks, 1)?;
+    let gamma = cur.f64(&toks, 2)?;
+    cur.f64(&toks, 3)?;
+    cur.f64(&toks, 4)?;
+    if valid && gamma.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err(cur.err(format!("valid memo recorded at gamma {gamma}, not > 0")));
+    }
+    // The writer emits an invalid memo with empty vectors.
+    let want = if valid { dim } else { 0 };
+    for name in ["memo.key", "memo.wl", "memo.density"] {
+        cur.vec(name, want, false)?;
+    }
+    Ok(())
+}
+
 fn gp_stats(cur: &mut Cur<'_>) -> Result<(), CkptError> {
     let toks = cur.rec("gp.stats")?;
     cur.arity(&toks, 6)?;
@@ -644,6 +685,7 @@ fn gp_stats(cur: &mut Cur<'_>) -> Result<(), CkptError> {
             return Err(cur.err(format!("gp timing field {i} is {v}, not >= 0")));
         }
     }
+    evals(cur, "gp.evals")?;
     history(cur, "gp.hist")?;
     recoveries(cur, "gp.recov")?;
     exec(cur)
@@ -738,6 +780,7 @@ fn gp_stage(cur: &mut Cur<'_>, cells: usize, dim: usize) -> Result<usize, CkptEr
             "scheduler iteration {sched_iteration} is ahead of engine iteration {next_iter}"
         )));
     }
+    evals(cur, "eng.evals")?;
 
     let toks = cur.rec("eng.scalars")?;
     cur.arity(&toks, 10)?;
@@ -779,6 +822,7 @@ fn gp_stage(cur: &mut Cur<'_>, cells: usize, dim: usize) -> Result<usize, CkptEr
     }
     cur.vec("rb.params", dim, false)?;
     solver(cur, "solver.rb", dim)?;
+    memo(cur, dim)?;
     exec(cur)?;
     Ok(next_iter)
 }

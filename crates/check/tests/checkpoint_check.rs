@@ -103,12 +103,12 @@ fn independent_reader_rejects_truncation_version_skew_and_foreign_files() {
         Err(CkptError::Crc { .. }) => {}
         other => panic!("want Crc on truncation, got {other:?}"),
     }
-    match validate_checkpoint_str(&text.replacen("DPCKPT v1", "DPCKPT v9", 1)) {
-        Err(CkptError::Version {
-            found: 9,
-            supported: 1,
-        }) => {}
-        other => panic!("want Version, got {other:?}"),
+    // Newer and older (v1: no memo block) versions alike.
+    for found in [9, 1] {
+        match validate_checkpoint_str(&text.replacen("DPCKPT v2", &format!("DPCKPT v{found}"), 1)) {
+            Err(CkptError::Version { found: f, supported: 2 }) if f == found => {}
+            other => panic!("want Version for v{found}, got {other:?}"),
+        }
     }
     match validate_checkpoint_str("{\"ev\":\"span\"}\n") {
         Err(CkptError::Header(_)) => {}
@@ -134,4 +134,66 @@ fn both_readers_agree_on_every_killed_state() {
         validate_checkpoint_str(&text)
             .unwrap_or_else(|e| panic!("independent reader rejected {tag}: {e}"));
     }
+}
+
+/// Re-seals `payload` under a correct header so only the schema checks can
+/// object to an edit.
+fn resealed(text: &str, edit: impl Fn(&str) -> String) -> String {
+    let payload_start = text.find("\ncrc 0x").unwrap() + 1 + "crc 0x00000000\n".len();
+    let payload = edit(&text[payload_start..]);
+    // Same polynomial as both readers, bitwise: a third construction.
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in payload.as_bytes() {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    format!("DPCKPT v2\ncrc {:#010x}\n{payload}", !crc)
+}
+
+#[test]
+fn validator_checks_the_memo_block() {
+    let text = checkpoint_killed_at(FlowState::Gp { iteration: 6 }, "memo");
+    let memo_line = text
+        .lines()
+        .find(|l| l.starts_with("memo "))
+        .expect("gp checkpoint has a memo record");
+    assert!(memo_line.starts_with("memo 1 "), "six steps in, the memo is valid");
+    let dim = 2 * 150;
+    for name in ["memo.key", "memo.wl", "memo.density"] {
+        assert!(text.contains(&format!("vec {name} {dim} ")), "{name}");
+    }
+    validate_checkpoint_str(&resealed(&text, str::to_string)).expect("resealing is faithful");
+
+    // A valid memo must hold 2 x movable values in each vector ...
+    let short_key = resealed(&text, |p| {
+        let line = p.lines().find(|l| l.starts_with("vec memo.key ")).unwrap();
+        let mut toks: Vec<&str> = line.split(' ').collect();
+        toks.pop();
+        let n = (dim - 1).to_string();
+        toks[2] = &n;
+        p.replacen(line, &toks.join(" "), 1)
+    });
+    match validate_checkpoint_str(&short_key) {
+        Err(CkptError::Line { msg, .. }) => assert!(msg.contains("memo.key"), "{msg}"),
+        other => panic!("want a memo.key length error, got {other:?}"),
+    }
+    // ... an invalid one holds nothing, as the writer emits it ...
+    let invalid = resealed(&text, |p| p.replacen("memo 1 ", "memo 0 ", 1));
+    match validate_checkpoint_str(&invalid) {
+        Err(CkptError::Line { msg, .. }) => assert!(msg.contains("memo.key"), "{msg}"),
+        other => panic!("want a memo.key length error, got {other:?}"),
+    }
+    let gp0 = checkpoint_killed_at(FlowState::Gp { iteration: 0 }, "memo0");
+    assert!(gp0.contains("\nmemo 0 ") && gp0.contains("\nvec memo.key 0\n"), "no point evaluated yet");
+    validate_checkpoint_str(&gp0).expect("gp:0 checkpoint with an empty memo");
+    // ... and the block cannot be missing.
+    let no_memo = resealed(&text, |p| p.replacen(&format!("{memo_line}\n"), "", 1));
+    match validate_checkpoint_str(&no_memo) {
+        Err(CkptError::Line { msg, .. }) => assert!(msg.contains("`memo`"), "{msg}"),
+        other => panic!("want a missing-memo error, got {other:?}"),
+    }
+    // Both readers refuse the short key.
+    assert!(checkpoint::deserialize::<f64>(&short_key).is_err());
 }

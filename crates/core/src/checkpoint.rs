@@ -10,14 +10,14 @@
 //!   identical bits), plus `NaN`/`inf`/`-inf` tokens;
 //! * bulk `vec` records use the raw IEEE-754 bit pattern, `x`-prefixed
 //!   hex (`x3fe5551d68c692aa`) — exact by construction and ~5x faster to
-//!   emit and parse, which is what keeps mid-GP checkpoints (eleven
-//!   solver/rollback vectors, ~9k floats) inside the < 5% wall-clock
-//!   overhead budget.
+//!   emit and parse, which is what keeps mid-GP checkpoints (fourteen
+//!   solver/rollback/memo vectors) inside the < 5% wall-clock overhead
+//!   budget.
 //!
 //! Readers accept either float form in any position.
 //!
 //! ```text
-//! DPCKPT v1
+//! DPCKPT v2
 //! crc 0x1a2b3c4d            <- CRC32 (poly 0xEDB88320) of everything below
 //! design <cells> <movable> <nets> <name>
 //! stage gp|lg|dp
@@ -26,6 +26,23 @@
 //! ...stage-specific records...
 //! end
 //! ```
+//!
+//! v2 (the carried wirelength gradient) added, to the GP stage, an
+//! `eng.evals` record and the `memo` block — the engine's last evaluated
+//! point, which is run state since its wirelength half depends on the
+//! `gamma` it was evaluated at:
+//!
+//! ```text
+//! eng.evals <objective> <wirelength> <density> <backtracks>
+//! memo <valid 0|1> <gamma> <wl_cost> <energy>
+//! vec memo.key <len> ...        <- 2 x movable when valid, else empty
+//! vec memo.wl <len> ...
+//! vec memo.density <len> ...
+//! ```
+//!
+//! and a `gp.evals` record (same four counts) after `gp.timing` in the
+//! finished-GP statistics of the LG/DP stages. v1 files are refused as
+//! [`CheckpointError::VersionSkew`].
 //!
 //! Durability: [`write_checkpoint`] writes to `<file>.tmp`, fsyncs, then
 //! renames over the previous checkpoint, so a crash mid-write never
@@ -41,11 +58,12 @@
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use dp_autograd::{ExecSummary, OpCounter, WorkspaceCounter};
 use dp_dplace::{DpGuardReport, DpPass, DpRunState};
-use dp_gp::{DivergenceCause, GpEngineState, GpRollbackState, GpStats, GpTiming, IterRecord,
-    RecoveryEvent};
+use dp_gp::{DivergenceCause, GpEngineState, GpEvalCounts, GpMemoState, GpRollbackState, GpStats,
+    GpTiming, IterRecord, RecoveryEvent};
 use dp_lg::{LgFallback, LgStats};
 use dp_netlist::Placement;
 use dp_num::Float;
@@ -59,7 +77,7 @@ use crate::machine::{CheckpointData, CheckpointStage, DesignStamp, GpAttemptStat
 /// Magic first line; bump the version on any layout change.
 pub const MAGIC: &str = "DPCKPT";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// File name inside a checkpoint directory.
 pub const FILE_NAME: &str = "flow.ckpt";
 
@@ -278,8 +296,8 @@ fn push_float<T: Float>(out: &mut String, v: T) {
 /// lowercase hex (`x3fe5551d68c692aa`). Bulk `vec` records use this form:
 /// it is exact by construction (including NaN payload and signed-zero
 /// bits), and both emitting and parsing are ~5x faster than decimal —
-/// which is what keeps mid-GP checkpoints (eleven solver/rollback vectors,
-/// ~9k floats) inside the < 5% overhead budget. Scalar records stay
+/// which is what keeps mid-GP checkpoints (fourteen solver/rollback/memo
+/// vectors) inside the < 5% overhead budget. Scalar records stay
 /// decimal for readability; readers accept either form anywhere.
 fn push_f64_bits(out: &mut String, v: f64) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -500,6 +518,28 @@ fn push_recoveries(out: &mut String, tag: &str, evs: &[RecoveryEvent]) {
     }
 }
 
+fn push_evals(out: &mut String, tag: &str, c: &GpEvalCounts) {
+    use fmt::Write as _;
+    let _ = writeln!(
+        out,
+        "{tag} {} {} {} {}",
+        c.objective_evals, c.wl_evals, c.density_evals, c.backtracks
+    );
+}
+
+fn push_memo<T: Float>(out: &mut String, m: &GpMemoState<T>) {
+    use fmt::Write as _;
+    let _ = write!(out, "memo {}", u8::from(m.valid));
+    for v in [m.gamma, m.wl_cost, m.energy] {
+        out.push(' ');
+        push_float(out, v);
+    }
+    out.push('\n');
+    push_vec(out, "memo.key", &m.key);
+    push_vec(out, "memo.wl", &m.wl_grad);
+    push_vec(out, "memo.density", &m.density_grad);
+}
+
 fn push_gp_stats(out: &mut String, s: &GpStats) {
     use fmt::Write as _;
     let _ = write!(out, "gp.stats {} ", s.iterations);
@@ -521,6 +561,7 @@ fn push_gp_stats(out: &mut String, s: &GpStats) {
         push_f64(out, d.as_secs_f64());
     }
     out.push('\n');
+    push_evals(out, "gp.evals", &s.evals);
     push_history(out, "gp.hist", &s.history);
     push_recoveries(out, "gp.recov", &s.recovery_events);
     push_exec(out, &s.exec);
@@ -663,6 +704,7 @@ pub fn serialize<T: Float>(data: &CheckpointData<T>) -> String {
                 engine.recoveries,
                 engine.sched_iteration
             );
+            push_evals(&mut p, "eng.evals", &engine.counts);
             p.push_str("eng.scalars");
             for v in [
                 engine.lambda,
@@ -702,6 +744,7 @@ pub fn serialize<T: Float>(data: &CheckpointData<T>) -> String {
             p.push('\n');
             push_vec(&mut p, "rb.params", &rb.params);
             push_solver(&mut p, &rb.solver, "solver.rb");
+            push_memo(&mut p, &engine.memo);
             push_exec(&mut p, &engine.exec);
         }
         CheckpointStage::Lg {
@@ -1039,6 +1082,29 @@ fn read_recoveries(cur: &mut Cursor<'_>, tag: &str) -> Result<Vec<RecoveryEvent>
     Ok(out)
 }
 
+fn read_evals(cur: &mut Cursor<'_>, tag: &str) -> Result<GpEvalCounts, CheckpointError> {
+    let toks = cur.record(tag)?;
+    Ok(GpEvalCounts {
+        objective_evals: parse_u64(cur, need(cur, &toks, 1)?)?,
+        wl_evals: parse_u64(cur, need(cur, &toks, 2)?)?,
+        density_evals: parse_u64(cur, need(cur, &toks, 3)?)?,
+        backtracks: parse_u64(cur, need(cur, &toks, 4)?)?,
+    })
+}
+
+fn read_memo<T: Float>(cur: &mut Cursor<'_>) -> Result<GpMemoState<T>, CheckpointError> {
+    let toks = cur.record("memo")?;
+    Ok(GpMemoState {
+        valid: parse_bool01(cur, need(cur, &toks, 1)?)?,
+        gamma: parse_float::<T>(cur, need(cur, &toks, 2)?)?,
+        wl_cost: parse_float::<T>(cur, need(cur, &toks, 3)?)?,
+        energy: parse_float::<T>(cur, need(cur, &toks, 4)?)?,
+        key: read_vec::<T>(cur, "memo.key")?,
+        wl_grad: read_vec::<T>(cur, "memo.wl")?,
+        density_grad: read_vec::<T>(cur, "memo.density")?,
+    })
+}
+
 fn read_gp_stats(cur: &mut Cursor<'_>) -> Result<GpStats, CheckpointError> {
     let toks = cur.record("gp.stats")?;
     let iterations = parse_usize(cur, need(cur, &toks, 1)?)?;
@@ -1059,6 +1125,7 @@ fn read_gp_stats(cur: &mut Cursor<'_>) -> Result<GpStats, CheckpointError> {
         bookkeeping: std::time::Duration::from_secs_f64(secs[4]),
         total: std::time::Duration::from_secs_f64(secs[5]),
     };
+    let evals = read_evals(cur, "gp.evals")?;
     let history = read_history(cur, "gp.hist")?;
     let recovery_events = read_recoveries(cur, "gp.recov")?;
     let exec = read_exec(cur)?;
@@ -1072,6 +1139,7 @@ fn read_gp_stats(cur: &mut Cursor<'_>) -> Result<GpStats, CheckpointError> {
         recoveries,
         recovery_events,
         exec,
+        evals,
     })
 }
 
@@ -1349,6 +1417,7 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
             let evals = parse_usize(&cur, need(&cur, &toks, 3)?)?;
             let recoveries = parse_usize(&cur, need(&cur, &toks, 4)?)?;
             let sched_iteration = parse_usize(&cur, need(&cur, &toks, 5)?)?;
+            let counts = read_evals(&mut cur, "eng.evals")?;
             let toks = cur.record("eng.scalars")?;
             let lambda = parse_float::<T>(&cur, need(&cur, &toks, 1)?)?;
             let gamma = parse_float::<T>(&cur, need(&cur, &toks, 2)?)?;
@@ -1374,6 +1443,7 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
             let rb_overflow = parse_f64(&cur, need(&cur, &toks, 7)?)?;
             let rb_params = read_vec::<T>(&mut cur, "rb.params")?;
             let rb_solver = read_solver::<T>(&mut cur, "solver.rb")?;
+            let memo = read_memo::<T>(&mut cur)?;
             let exec = read_exec(&mut cur)?;
             CheckpointStage::Gp {
                 attempt,
@@ -1396,7 +1466,7 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
                     recoveries,
                     recovery_events,
                     history,
-                    rollback: GpRollbackState {
+                    rollback: Arc::new(GpRollbackState {
                         iteration: rb_iteration,
                         params: rb_params,
                         solver: rb_solver,
@@ -1406,9 +1476,11 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
                         prev_hpwl: rb_prev_hpwl,
                         history_len: rb_history_len,
                         overflow: rb_overflow,
-                    },
+                    }),
                     consumed_seconds,
                     exec,
+                    counts,
+                    memo,
                 },
             }
         }
@@ -1451,6 +1523,20 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
                 reason: format!(
                     "parameter vector length {} does not match 2 x {} movable cells",
                     engine.params.len(),
+                    design.movable
+                ),
+            });
+        }
+        let memo = &engine.memo;
+        if memo.valid
+            && [&memo.key, &memo.wl_grad, &memo.density_grad]
+                .iter()
+                .any(|v| v.len() != 2 * design.movable)
+        {
+            return Err(CheckpointError::Corrupt {
+                line: 0,
+                reason: format!(
+                    "memo vectors do not all hold 2 x {} movable-cell values",
                     design.movable
                 ),
             });
@@ -1603,15 +1689,41 @@ mod tests {
     }
 
     #[test]
-    fn newer_version_is_rejected_as_skew() {
+    fn older_and_newer_versions_are_rejected_as_skew() {
         let text = serialize(&gp_checkpoint());
-        let text = text.replacen("DPCKPT v1", "DPCKPT v99", 1);
-        match deserialize::<f64>(&text) {
-            Err(CheckpointError::VersionSkew {
-                found: 99,
-                supported: VERSION,
-            }) => {}
-            other => panic!("want VersionSkew, got {other:?}"),
+        for found in [1, 99] {
+            let skewed = text.replacen("DPCKPT v2", &format!("DPCKPT v{found}"), 1);
+            match deserialize::<f64>(&skewed) {
+                Err(CheckpointError::VersionSkew { found: f, supported: VERSION })
+                    if f == found => {}
+                other => panic!("want VersionSkew for v{found}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn gp_checkpoint_carries_the_last_evaluated_point() {
+        let data = gp_checkpoint();
+        let CheckpointStage::Gp { engine, .. } = &data.stage else {
+            panic!("gp stage");
+        };
+        let dim = 2 * data.design.movable;
+        assert!(engine.memo.valid, "three steps in, a point has been evaluated");
+        assert_eq!(
+            [engine.memo.key.len(), engine.memo.wl_grad.len(), engine.memo.density_grad.len()],
+            [dim; 3]
+        );
+        assert!(engine.counts.wl_evals > 0 && engine.counts.objective_evals > engine.counts.wl_evals);
+
+        // A valid memo of the wrong length is caught by the reader even
+        // with a correct CRC.
+        let mut short = data.clone();
+        if let CheckpointStage::Gp { engine, .. } = &mut short.stage {
+            engine.memo.wl_grad.pop();
+        }
+        match deserialize::<f64>(&serialize(&short)) {
+            Err(CheckpointError::Corrupt { reason, .. }) => assert!(reason.contains("memo")),
+            other => panic!("want Corrupt, got {other:?}"),
         }
     }
 

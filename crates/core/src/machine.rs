@@ -936,6 +936,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
             best,
             best_overflow,
             exec,
+            counts,
         } = e
         else {
             // Transform errors are configuration problems; no preset fixes
@@ -950,7 +951,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 self.timing.gp += t_build.elapsed().as_secs_f64();
                 // Fold the aborted primary attempt's kernel work into the
                 // retry's counters so the run's ExecSummary covers both.
-                engine.absorb_exec(exec);
+                engine.absorb_prior(*exec, counts);
                 gp.attempt = GpAttempt::Conservative {
                     cause,
                     primary_recoveries: recoveries,
@@ -986,7 +987,8 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                     timing: GpTiming::default(),
                     recoveries: total_recoveries,
                     recovery_events: Vec::new(),
-                    exec,
+                    exec: *exec,
+                    evals: counts,
                 };
                 self.gp_fallback = Some(GpFallback::BestSoFar {
                     cause,

@@ -415,6 +415,9 @@ struct SchedMetrics {
     /// `dp_sched_turns_total{kind="busy"|"idle"}` — turn utilization.
     turns_busy: Counter,
     turns_idle: Counter,
+    /// Convergence health of completed jobs (`GpStats::evals`).
+    gp_objective_evals: Counter,
+    gp_backtracks: Counter,
     /// `dp_sched_step_seconds{stage=...}` — per-stage step latency.
     steps: [Histogram; STAGE_LABELS.len()],
     /// Fallback series for steps observed at a terminal state (defensive;
@@ -475,6 +478,14 @@ impl SchedMetrics {
                 "dp_sched_turns_total",
                 "Scheduler turns by utilization (busy = the job progressed).",
                 &[("kind", "idle")],
+            ),
+            gp_objective_evals: metrics.counter(
+                "dp_gp_objective_evals_total",
+                "Objective calls made by the GP solvers of completed jobs.",
+            ),
+            gp_backtracks: metrics.counter(
+                "dp_gp_backtracks_total",
+                "Line-search backtracks taken by the GP solvers of completed jobs.",
             ),
             steps: STAGE_LABELS.map(step_hist),
             steps_other: step_hist("other"),
@@ -973,7 +984,11 @@ impl<T: Float> Scheduler<T> {
                 });
                 if let Some(m) = &self.metrics {
                     match &job.outcome {
-                        Some(JobOutcome::Completed(_)) => m.completed.inc(),
+                        Some(JobOutcome::Completed(r)) => {
+                            m.completed.inc();
+                            m.gp_objective_evals.add(r.gp.evals.objective_evals);
+                            m.gp_backtracks.add(r.gp.evals.backtracks);
+                        }
                         _ => m.failed.inc(),
                     }
                 }
@@ -1446,7 +1461,7 @@ mod tests {
             },
         );
         sched.run_all();
-        assert!(sched.take_result(ok).unwrap().is_ok());
+        let done = sched.take_result(ok).unwrap().expect("healthy job completes");
         assert!(sched.take_result(bad).unwrap().is_err());
         let text = metrics.render();
         assert!(text.contains("dp_sched_jobs_total{outcome=\"completed\"} 1"), "{text}");
@@ -1455,6 +1470,15 @@ mod tests {
         assert!(text.contains("dp_sched_jobs_submitted_total 2"), "{text}");
         assert!(text.contains("dp_sched_step_seconds_count{stage=\"gp\"}"), "{text}");
         assert!(text.contains("dp_sched_turns_total{kind=\"busy\"}"), "{text}");
+        // Convergence health of the one completed job.
+        let evals = done.gp.evals;
+        assert!(evals.objective_evals > evals.wl_evals && evals.wl_evals > 0, "{evals:?}");
+        for (name, n) in [
+            ("dp_gp_objective_evals_total", evals.objective_evals),
+            ("dp_gp_backtracks_total", evals.backtracks),
+        ] {
+            assert!(text.contains(&format!("{name} {n}\n")), "{name} {n}: {text}");
+        }
         // The shared pool registered alongside the scheduler.
         assert!(text.contains("dp_pool_launches_total"), "{text}");
         // Cancellation lands in the outcome counters too.

@@ -134,37 +134,45 @@ mod tests {
     use crate::{FlowConfig, ToolMode};
     use dp_gen::GeneratorConfig;
 
+    /// Whether two rounds of reweighting beat the plain placement's WNS on
+    /// one 300-cell design is noisy (about three seeds in four, and which
+    /// ones flips with any change to the GP trajectory), so the claim is
+    /// checked as stated in DESIGN.md §10: over a fixed set of designs, more
+    /// improve than get worse, and none pays more than 15% HPWL for it.
     #[test]
     fn net_weighting_improves_wns() {
-        let d = GeneratorConfig::new("td", 300, 330)
-            .with_seed(21)
-            .with_utilization(0.55)
-            .generate::<f64>()
-            .expect("valid");
-        let mut flow = FlowConfig::for_mode(ToolMode::DreamplaceGpuSim, &d.netlist);
-        flow.gp.max_iters = 250;
-        flow.gp.target_overflow = 0.15;
-        let cfg = TimingDrivenConfig {
-            flow,
-            timing: dp_timing::TimingConfig::default(),
-            rounds: 2,
-            w_max: 6.0,
-            exponent: 2.0,
-        };
-        let r = TimingDrivenPlacer::new(cfg).place(&d).expect("runs");
+        let (mut improved, mut worsened) = (0, 0);
+        for seed in 21..=28 {
+            let d = GeneratorConfig::new("td", 300, 330)
+                .with_seed(seed)
+                .with_utilization(0.55)
+                .generate::<f64>()
+                .expect("valid");
+            let mut flow = FlowConfig::for_mode(ToolMode::DreamplaceGpuSim, &d.netlist);
+            flow.gp.max_iters = 250;
+            flow.gp.target_overflow = 0.15;
+            let cfg = TimingDrivenConfig {
+                flow,
+                timing: dp_timing::TimingConfig::default(),
+                rounds: 2,
+                w_max: 6.0,
+                exponent: 2.0,
+            };
+            let r = TimingDrivenPlacer::new(cfg).place(&d).expect("runs");
+            improved += usize::from(r.final_timing.wns > r.initial.wns);
+            worsened += usize::from(r.final_timing.wns < r.initial.wns);
+            // Wirelength may degrade a little, not explode.
+            assert!(
+                r.final_timing.hpwl < r.initial.hpwl * 1.15,
+                "seed {seed}: HPWL {} -> {}",
+                r.initial.hpwl,
+                r.final_timing.hpwl
+            );
+            assert_eq!(r.history.len(), 3);
+        }
         assert!(
-            r.final_timing.wns > r.initial.wns,
-            "WNS {} -> {}",
-            r.initial.wns,
-            r.final_timing.wns
+            improved > worsened,
+            "WNS improved on {improved} designs and worsened on {worsened}"
         );
-        // Wirelength may degrade a little, not explode.
-        assert!(
-            r.final_timing.hpwl < r.initial.hpwl * 1.15,
-            "HPWL {} -> {}",
-            r.initial.hpwl,
-            r.final_timing.hpwl
-        );
-        assert_eq!(r.history.len(), 3);
     }
 }

@@ -155,8 +155,11 @@ pub enum GpError<T> {
         best_overflow: f64,
         /// Execution-layer counters of the aborted run, so the flow can
         /// fold its kernel time into whatever retry follows (per-op nanos
-        /// must survive rollback restarts).
-        exec: dp_autograd::ExecSummary,
+        /// must survive rollback restarts). Boxed to keep the error small.
+        exec: Box<dp_autograd::ExecSummary>,
+        /// Convergence-health counters of the aborted run, folded into the
+        /// retry's the same way.
+        counts: crate::engine::GpEvalCounts,
     },
     /// A checkpointed engine state could not be reinstated (solver kind or
     /// vector shapes disagree with the configuration/netlist).

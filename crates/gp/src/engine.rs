@@ -12,7 +12,26 @@
 //! from a captured state is bit-identical to one that never stopped
 //! (wall-clock phase attribution aside). That contract is what the durable
 //! checkpoint layer in `dreamplace-core` persists to disk.
+//!
+//! # One evaluation per distinct point
+//!
+//! Nesterov opens step `k+1` at the reference point its last backtracking
+//! probe of step `k` already evaluated. The engine keeps that evaluation —
+//! raw wirelength gradient, raw density gradient, both costs — in a
+//! `PointMemo` keyed on the bit pattern of the packed coordinates, and
+//! `PlacementObjective::eval` answers a revisit by recombining the two
+//! raw gradients with the *current* `lambda` and preconditioner, running no
+//! operator at all. The density half is a pure function of the point. The
+//! wirelength half is not: it was computed with the `gamma` in force when
+//! the point was first evaluated, so a new `gamma` takes effect at the
+//! first point evaluated after the update — the behaviour of the paper's
+//! released optimizer, which hands `g_{k+1}` from the accepted probe to the
+//! next step (with a fresher `lambda` than it uses). Because of that
+//! staleness the memo is trajectory state: it is captured in
+//! [`GpEngineState`] and persisted by the durable checkpoint, so a resumed
+//! run carries the same gradient the uninterrupted run would.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dp_autograd::{ExecCtx, ExecSummary, Gradient, Operator};
@@ -101,6 +120,39 @@ pub struct GpStats {
     /// Execution-layer counters: pool spawns/runs, per-op totals, and
     /// workspace reuse, from the run's [`ExecCtx`].
     pub exec: ExecSummary,
+    /// Convergence-health counters: evaluations and backtracks.
+    pub evals: GpEvalCounts,
+}
+
+/// Convergence health of a run as counts, cumulative across resumed lives
+/// and an aborted primary attempt. Per step, ePlace reports ≈ 1.04
+/// evaluated points; `wl_evals / iterations` is this engine's figure.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GpEvalCounts {
+    /// Calls of the objective by the solver (step openings plus probes).
+    pub objective_evals: u64,
+    /// Wirelength forward+backward passes run: one per distinct point.
+    pub wl_evals: u64,
+    /// Density forward+backward passes run: one per distinct point.
+    pub density_evals: u64,
+    /// Line-search backtracks, the sum of `StepInfo::backtracks`.
+    pub backtracks: u64,
+}
+
+impl GpEvalCounts {
+    /// Adds `other`'s counts to `self`.
+    pub fn merge(&mut self, other: &GpEvalCounts) {
+        self.objective_evals += other.objective_evals;
+        self.wl_evals += other.wl_evals;
+        self.density_evals += other.density_evals;
+        self.backtracks += other.backtracks;
+    }
+
+    /// Objective calls answered without running an operator: memo hits
+    /// (plus any non-finite probe the objective refused to evaluate).
+    pub fn memo_hits(&self) -> u64 {
+        self.objective_evals - self.wl_evals
+    }
 }
 
 /// Result of global placement: coordinates plus statistics.
@@ -164,6 +216,13 @@ enum WlOp<T: Float> {
 }
 
 impl<T: Float> WlOp<T> {
+    fn gamma(&self) -> T {
+        match self {
+            WlOp::Wa(op) => op.gamma(),
+            WlOp::Lse(op) => op.gamma(),
+        }
+    }
+
     fn set_gamma(&mut self, gamma: T) {
         match self {
             WlOp::Wa(op) => op.set_gamma(gamma),
@@ -185,49 +244,101 @@ impl<T: Float> WlOp<T> {
     }
 }
 
-/// The density field of the last evaluated point. The field depends on
-/// positions only — never on the `lambda`/`gamma` the engine updates
-/// between steps — and Nesterov opens every step at the point its last
-/// backtracking probe just evaluated, so [`PlacementObjective::eval`]
-/// looks `params` up here before running scatter → Poisson solve → gather.
-///
-/// A pure-function cache: a miss (first step, rollback, resume, retry)
-/// recomputes the same bits and overwrites the entry, so nothing ever
-/// invalidates it and it is not part of [`GpEngineState`].
-struct DensityMemo<T> {
-    /// Packed coordinates `energy` and `grad` were computed at.
+/// The last evaluated point: its raw wirelength and density gradients and
+/// both costs. Nesterov opens every step at the point its last
+/// backtracking probe just evaluated, so [`PlacementObjective::eval`] looks
+/// `params` up here before running any operator; see the
+/// [module docs](self) for why the wirelength half makes this run state
+/// rather than a cache.
+struct PointMemo<T> {
+    /// Packed coordinates the entry was computed at.
     key: Vec<T>,
     /// False until the first evaluation, and while one is in flight.
     valid: bool,
+    /// The `gamma` `wl_cost` and `wl_grad` were evaluated with.
+    gamma: T,
+    wl_cost: T,
+    /// Raw (unpreconditioned) wirelength gradient at `key`.
+    wl_grad: Gradient<T>,
     energy: T,
     /// Raw (unweighted) density gradient at `key`.
-    grad: Gradient<T>,
-    /// Reference switch: never hit, i.e. the always-evaluate path the
-    /// memo replaced.
+    density_grad: Gradient<T>,
+    /// Reference switch: on a hit, run both operators again at the recorded
+    /// `gamma` instead of trusting the carried values.
     #[cfg(test)]
     always_evaluate: bool,
 }
 
-impl<T: Float> DensityMemo<T> {
+impl<T: Float> PointMemo<T> {
     fn new(cells: usize, movable: usize) -> Self {
         Self {
             key: vec![T::ZERO; 2 * movable],
             valid: false,
+            gamma: T::ONE,
+            wl_cost: T::ZERO,
+            wl_grad: Gradient::zeros(cells),
             energy: T::ZERO,
-            grad: Gradient::zeros(cells),
+            density_grad: Gradient::zeros(cells),
             #[cfg(test)]
             always_evaluate: false,
         }
     }
 
+    /// Reinstates a captured entry; the gradients' fixed-cell entries, which
+    /// nothing reads, come back as zeros.
+    fn from_state(state: GpMemoState<T>, cells: usize, movable: usize) -> Result<Self, String> {
+        let mut memo = Self::new(cells, movable);
+        if !state.valid {
+            return Ok(memo);
+        }
+        for (name, v) in [
+            ("key", &state.key),
+            ("wirelength gradient", &state.wl_grad),
+            ("density gradient", &state.density_grad),
+        ] {
+            if v.len() != 2 * movable {
+                return Err(format!(
+                    "memo {name} length {} does not match 2 x {movable} movable cells",
+                    v.len()
+                ));
+            }
+        }
+        memo.key = state.key;
+        memo.valid = true;
+        memo.gamma = state.gamma;
+        memo.wl_cost = state.wl_cost;
+        memo.energy = state.energy;
+        for (g, packed) in [
+            (&mut memo.wl_grad, &state.wl_grad),
+            (&mut memo.density_grad, &state.density_grad),
+        ] {
+            g.x[..movable].copy_from_slice(&packed[..movable]);
+            g.y[..movable].copy_from_slice(&packed[movable..]);
+        }
+        Ok(memo)
+    }
+
+    /// The entry as plain data (movable entries only; empty when invalid).
+    fn state(&self, movable: usize) -> GpMemoState<T> {
+        if !self.valid {
+            return GpMemoState::default();
+        }
+        let packed = |g: &Gradient<T>| [&g.x[..movable], &g.y[..movable]].concat();
+        GpMemoState {
+            valid: true,
+            gamma: self.gamma,
+            wl_cost: self.wl_cost,
+            energy: self.energy,
+            key: self.key.clone(),
+            wl_grad: packed(&self.wl_grad),
+            density_grad: packed(&self.density_grad),
+        }
+    }
+
     /// True when `params` is the memoised point **bitwise**: `-0.0` and
-    /// `0.0` scatter alike but are still told apart, so a hit never needs
+    /// `0.0` evaluate alike but are still told apart, so a hit never needs
     /// an argument about the kernels.
     fn holds(&self, params: &[T]) -> bool {
-        #[cfg(test)]
-        if self.always_evaluate {
-            return false;
-        }
         self.valid
             && self
                 .key
@@ -235,6 +346,27 @@ impl<T: Float> DensityMemo<T> {
                 .zip(params)
                 .all(|(a, b)| a.to_f64().to_bits() == b.to_f64().to_bits())
     }
+}
+
+/// Plain-data form of the engine's memo of the last evaluated point, part of
+/// [`GpEngineState`]. Vectors are packed `[x_mov..., y_mov...]` like the
+/// parameter vector, and empty when `valid` is false.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GpMemoState<T> {
+    /// Whether an evaluated point is held.
+    pub valid: bool,
+    /// The `gamma` the wirelength half was evaluated with.
+    pub gamma: T,
+    /// Smooth wirelength at `key` under `gamma`.
+    pub wl_cost: T,
+    /// Density energy at `key`.
+    pub energy: T,
+    /// The evaluated point.
+    pub key: Vec<T>,
+    /// Raw wirelength gradient at `key` under `gamma`.
+    pub wl_grad: Vec<T>,
+    /// Raw density gradient at `key`.
+    pub density_grad: Vec<T>,
 }
 
 /// Objective adapter: flat params `[x_mov..., y_mov...]` to operators, with
@@ -248,9 +380,8 @@ struct PlacementObjective<'a, T: Float> {
     ctx: &'a mut ExecCtx<T>,
     lambda: T,
     pos: &'a mut Placement<T>,
-    grad: &'a mut Gradient<T>,
-    /// Density energy and raw gradient of the last evaluated point.
-    memo: &'a mut DensityMemo<T>,
+    /// Costs and raw gradients of the last evaluated point.
+    memo: &'a mut PointMemo<T>,
     /// Precomputed `#pins` per movable cell (wirelength preconditioner).
     pin_counts: &'a [T],
     /// Precomputed charge per movable cell (density preconditioner).
@@ -259,7 +390,9 @@ struct PlacementObjective<'a, T: Float> {
     faults: &'a [usize],
     t_wl: &'a mut Duration,
     t_density: &'a mut Duration,
+    /// This engine's objective-call index (fault injection replay).
     evals: &'a mut usize,
+    counts: &'a mut GpEvalCounts,
 }
 
 impl<'a, T: Float> PlacementObjective<'a, T> {
@@ -268,6 +401,33 @@ impl<'a, T: Float> PlacementObjective<'a, T> {
         self.pos.x[..n].copy_from_slice(&params[..n]);
         self.pos.y[..n].copy_from_slice(&params[n..]);
     }
+
+    /// Runs both operators at `params` and stores the result in the memo.
+    fn evaluate(&mut self, params: &[T]) {
+        self.unpack(params);
+        let memo = &mut *self.memo;
+        memo.valid = false;
+
+        let t0 = Instant::now();
+        memo.wl_grad.reset();
+        memo.gamma = self.wl.gamma();
+        memo.wl_cost = self
+            .wl
+            .forward_backward(self.nl, self.pos, &mut memo.wl_grad, self.ctx);
+        *self.t_wl += t0.elapsed();
+
+        let t1 = Instant::now();
+        memo.density_grad.reset();
+        memo.energy =
+            self.density
+                .forward_backward(self.nl, self.pos, &mut memo.density_grad, self.ctx);
+        *self.t_density += t1.elapsed();
+
+        memo.key.copy_from_slice(params);
+        memo.valid = true;
+        self.counts.wl_evals += 1;
+        self.counts.density_evals += 1;
+    }
 }
 
 impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
@@ -275,6 +435,7 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
         let n = self.nl.num_movable();
         let eval_idx = *self.evals;
         *self.evals += 1;
+        self.counts.objective_evals += 1;
 
         // A solver that consumed a poisoned gradient may probe a
         // non-finite iterate within the same step, before the engine's
@@ -286,40 +447,31 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
             return nan;
         }
 
-        self.unpack(params);
-        self.grad.reset();
-
-        let t0 = Instant::now();
-        let wl_cost = self
-            .wl
-            .forward_backward(self.nl, self.pos, self.grad, self.ctx);
-        *self.t_wl += t0.elapsed();
-
-        let t1 = Instant::now();
-        if !self.memo.holds(params) {
-            self.memo.valid = false;
-            self.memo.grad.reset();
-            self.memo.energy =
-                self.density
-                    .forward_backward(self.nl, self.pos, &mut self.memo.grad, self.ctx);
-            self.memo.key.copy_from_slice(params);
-            self.memo.valid = true;
+        let hit = self.memo.holds(params);
+        #[cfg(test)]
+        if hit && self.memo.always_evaluate {
+            let current = self.wl.gamma();
+            self.wl.set_gamma(self.memo.gamma);
+            self.evaluate(params);
+            self.wl.set_gamma(current);
         }
-        let d_cost = self.memo.energy;
-        self.grad.axpy(self.lambda, &self.memo.grad);
-        *self.t_density += t1.elapsed();
+        if !hit {
+            self.evaluate(params);
+        }
 
-        // Jacobi preconditioning: divide by the diagonal Hessian proxy
-        // (#pins + lambda * charge), the ePlace/DREAMPlace conditioner.
+        // Recombine with the current lambda, then Jacobi preconditioning:
+        // divide by the diagonal Hessian proxy (#pins + lambda * charge),
+        // the ePlace/DREAMPlace conditioner.
+        let (wl, d) = (&self.memo.wl_grad, &self.memo.density_grad);
         for i in 0..n {
             let precond = (self.pin_counts[i] + self.lambda * self.charges[i]).max(T::ONE);
-            grad_out[i] = self.grad.x[i] / precond;
-            grad_out[n + i] = self.grad.y[i] / precond;
+            grad_out[i] = (wl.x[i] + self.lambda * d.x[i]) / precond;
+            grad_out[n + i] = (wl.y[i] + self.lambda * d.y[i]) / precond;
         }
         if self.faults.contains(&eval_idx) && !grad_out.is_empty() {
             grad_out[0] = T::from_f64(f64::NAN);
         }
-        wl_cost + self.lambda * d_cost
+        self.memo.wl_cost + self.lambda * self.memo.energy
     }
 }
 
@@ -360,7 +512,9 @@ pub struct GpEngineState<T> {
     pub next_iter: usize,
     /// Iterations executed so far (`k + 1` of the last executed step).
     pub iterations: usize,
-    /// Objective evaluations performed (drives fault injection replay).
+    /// Objective calls made by this attempt's engine (drives fault
+    /// injection replay; `counts.objective_evals` also covers an aborted
+    /// primary attempt).
     pub evals: usize,
     /// Current flat parameter vector.
     pub params: Vec<T>,
@@ -393,13 +547,19 @@ pub struct GpEngineState<T> {
     pub recovery_events: Vec<RecoveryEvent>,
     /// Per-iteration history up to the capture point.
     pub history: Vec<IterRecord>,
-    /// The in-run rollback target.
-    pub rollback: GpRollbackState<T>,
+    /// The in-run rollback target, shared with the engine: it is replaced
+    /// only every `checkpoint_interval` iterations, so a capture copies none
+    /// of its five vectors.
+    pub rollback: Arc<GpRollbackState<T>>,
     /// Wall-clock seconds consumed by the run up to the capture point
     /// (across all processes — feeds the `max_seconds` budget on resume).
     pub consumed_seconds: f64,
     /// Cumulative execution-layer counters up to the capture point.
     pub exec: ExecSummary,
+    /// Cumulative convergence-health counters up to the capture point.
+    pub counts: GpEvalCounts,
+    /// The last evaluated point, whose gradient the next step opens with.
+    pub memo: GpMemoState<T>,
 }
 
 /// What one [`GpEngine::step`] call did.
@@ -460,8 +620,7 @@ pub struct GpEngine<T: Float> {
     /// Position scratch: movable entries overwritten by every unpack,
     /// fixed entries intact from construction.
     pos: Placement<T>,
-    grad: Gradient<T>,
-    memo: DensityMemo<T>,
+    memo: PointMemo<T>,
     pin_counts: Vec<T>,
     charges: Vec<T>,
     faults: Vec<usize>,
@@ -476,8 +635,10 @@ pub struct GpEngine<T: Float> {
     recovery_events: Vec<RecoveryEvent>,
     best_params: Vec<T>,
     best_overflow: f64,
-    rollback: GpRollbackState<T>,
+    rollback: Arc<GpRollbackState<T>>,
     evals: usize,
+    /// Cumulative over resumed lives and an absorbed primary attempt.
+    counts: GpEvalCounts,
     t_wl: Duration,
     t_density: Duration,
     prev_op_time: Duration,
@@ -576,6 +737,20 @@ impl<T: Float> GpEngine<T> {
         }
         timing.init = t_init.elapsed();
 
+        // --- gamma from the measured overflow ---------------------------
+        // The schedule is a function of the overflow, and the start is not
+        // always the centre cluster (overflow ~ 1): restarts after cell
+        // inflation, and the conservative fallback from the best iterate,
+        // begin spread out. Starting those at the gamma of overflow 1 — a
+        // wirelength model ~100x smoother than the placement's — throws the
+        // spreading away within ten steps and trips the overflow tripwire
+        // (`restart_from_a_spread_placement_does_not_diverge`). Measuring
+        // also makes the update after the first step a small move like
+        // every later one, so the second step's carried wirelength gradient
+        // and its probes see nearly the same objective.
+        let gamma_cur = gamma_sched.gamma(density.overflow(nl, &pos, &mut ctx));
+        wl.set_gamma(gamma_cur);
+
         // --- lambda initialization --------------------------------------
         let mut g_wl = Gradient::zeros(pos.len());
         let _ = wl.forward_backward(nl, &pos, &mut g_wl, &mut ctx);
@@ -611,7 +786,7 @@ impl<T: Float> GpEngine<T> {
         let params = pack(&pos, n);
         let solver = make_solver(cfg.solver, 2 * n, bin_size);
         let best_params = params.clone();
-        let rollback = GpRollbackState {
+        let rollback = Arc::new(GpRollbackState {
             iteration: 0,
             params: params.clone(),
             solver: solver.snapshot(),
@@ -621,8 +796,7 @@ impl<T: Float> GpEngine<T> {
             prev_hpwl: hpwl0,
             history_len: 0,
             overflow: 1.0,
-        };
-        let gamma_cur = gamma_sched.gamma(T::ONE);
+        });
         let history = Vec::with_capacity(cfg.max_iters.min(1024));
         let faults = cfg.fault_injection.nan_grad_evals.clone();
 
@@ -638,8 +812,7 @@ impl<T: Float> GpEngine<T> {
             gamma_cur,
             gamma_boost: T::ONE,
             lambda_cut: T::ONE,
-            grad: Gradient::zeros(pos.len()),
-            memo: DensityMemo::new(pos.len(), n),
+            memo: PointMemo::new(pos.len(), n),
             pos,
             pin_counts,
             charges,
@@ -657,6 +830,7 @@ impl<T: Float> GpEngine<T> {
             best_overflow: f64::INFINITY,
             rollback,
             evals: 0,
+            counts: GpEvalCounts::default(),
             t_wl: Duration::ZERO,
             t_density: Duration::ZERO,
             prev_op_time: Duration::ZERO,
@@ -665,7 +839,7 @@ impl<T: Float> GpEngine<T> {
             consumed_before: 0.0,
             base_exec: None,
             n,
-        finished: None,
+            finished: None,
         })
     }
 
@@ -726,6 +900,9 @@ impl<T: Float> GpEngine<T> {
                 reason: e.to_string(),
             })?;
 
+        let memo = PointMemo::from_state(state.memo, fixed.len(), n)
+            .map_err(|reason| GpError::Resume { reason })?;
+
         let faults = cfg.fault_injection.nan_grad_evals.clone();
         Ok(Self {
             cfg,
@@ -740,8 +917,7 @@ impl<T: Float> GpEngine<T> {
             gamma_boost: state.gamma_boost,
             lambda_cut: state.lambda_cut,
             pos: fixed.clone(),
-            grad: Gradient::zeros(fixed.len()),
-            memo: DensityMemo::new(fixed.len(), n),
+            memo,
             pin_counts,
             charges,
             faults,
@@ -758,6 +934,7 @@ impl<T: Float> GpEngine<T> {
             best_overflow: state.best_overflow,
             rollback: state.rollback,
             evals: state.evals,
+            counts: state.counts,
             t_wl: Duration::ZERO,
             t_density: Duration::ZERO,
             prev_op_time: Duration::ZERO,
@@ -833,12 +1010,13 @@ impl<T: Float> GpEngine<T> {
     }
 
     /// Folds counters from a prior attempt (an aborted primary run whose
-    /// fallback this engine is) into the run's cumulative summary.
-    pub fn absorb_exec(&mut self, prior: ExecSummary) {
+    /// fallback this engine is) into the run's cumulative summaries.
+    pub fn absorb_prior(&mut self, exec: ExecSummary, counts: GpEvalCounts) {
         match &mut self.base_exec {
-            Some(base) => base.merge(&prior),
-            None => self.base_exec = Some(prior),
+            Some(base) => base.merge(&exec),
+            None => self.base_exec = Some(exec),
         }
+        self.counts.merge(&counts);
     }
 
     fn cumulative_exec(&self) -> ExecSummary {
@@ -870,9 +1048,11 @@ impl<T: Float> GpEngine<T> {
             recoveries: self.recoveries,
             recovery_events: self.recovery_events.clone(),
             history: self.history.clone(),
-            rollback: self.rollback.clone(),
+            rollback: Arc::clone(&self.rollback),
             consumed_seconds: self.consumed_seconds(),
             exec: self.cumulative_exec(),
+            counts: self.counts,
+            memo: self.memo.state(self.n),
         }
     }
 
@@ -926,7 +1106,6 @@ impl<T: Float> GpEngine<T> {
                 ctx: &mut self.ctx,
                 lambda: self.lambda,
                 pos: &mut self.pos,
-                grad: &mut self.grad,
                 memo: &mut self.memo,
                 pin_counts: &self.pin_counts,
                 charges: &self.charges,
@@ -934,6 +1113,7 @@ impl<T: Float> GpEngine<T> {
                 t_wl: &mut self.t_wl,
                 t_density: &mut self.t_density,
                 evals: &mut self.evals,
+                counts: &mut self.counts,
             };
             let info = self.solver.step(&mut obj, &mut self.params);
             clamp_params(&mut self.params, nl);
@@ -974,7 +1154,7 @@ impl<T: Float> GpEngine<T> {
             };
             (info, cause, cur_hpwl, overflow_f, t_trip.elapsed())
         };
-        let _ = info;
+        self.counts.backtracks += info.backtracks as u64;
         let step_elapsed = t_step.elapsed();
 
         // Phase attribution: operator time accumulates inside eval, the
@@ -995,7 +1175,7 @@ impl<T: Float> GpEngine<T> {
             if self.recoveries >= policy.max_recoveries {
                 let mut best = self.pos.clone();
                 unpack_into(&self.best_params, &mut best, self.n);
-                let exec = self.cumulative_exec();
+                let exec = Box::new(self.cumulative_exec());
                 return Err(GpError::Diverged {
                     iteration: k,
                     cause,
@@ -1003,6 +1183,7 @@ impl<T: Float> GpEngine<T> {
                     best: Box::new(best),
                     best_overflow: self.best_overflow,
                     exec,
+                    counts: self.counts,
                 });
             }
             // Roll back to the checkpoint with a tamer objective:
@@ -1086,7 +1267,7 @@ impl<T: Float> GpEngine<T> {
 
         let policy = &self.cfg.recovery;
         if policy.checkpoint_interval > 0 && (k + 1).is_multiple_of(policy.checkpoint_interval) {
-            self.rollback = GpRollbackState {
+            self.rollback = Arc::new(GpRollbackState {
                 iteration: k + 1,
                 params: self.params.clone(),
                 solver: self.solver.snapshot(),
@@ -1096,7 +1277,7 @@ impl<T: Float> GpEngine<T> {
                 prev_hpwl: self.prev_hpwl,
                 history_len: self.history.len(),
                 overflow: overflow_f,
-            };
+            });
         }
         self.timing.bookkeeping += t_book.elapsed();
 
@@ -1130,6 +1311,7 @@ impl<T: Float> GpEngine<T> {
             recoveries: self.recoveries,
             recovery_events: self.recovery_events,
             exec,
+            evals: self.counts,
         };
         GpResult {
             placement: pos,
@@ -1236,24 +1418,6 @@ mod tests {
 
     fn op_calls(s: &GpStats) -> std::collections::BTreeMap<&'static str, u64> {
         s.exec.ops.iter().map(|(n, c)| (*n, c.calls)).collect()
-    }
-
-    /// The ops one `DensityOp::forward_backward` records: what a memo hit
-    /// skips (`density.overflow` is the tripwire's, not the objective's).
-    fn is_density_eval_op(name: &str) -> bool {
-        matches!(name, "density.forward" | "density.backward") || name.starts_with("density.dct.")
-    }
-
-    /// Pool launches of one density evaluation under `cfg`, measured on a
-    /// fresh context.
-    fn density_eval_launches(cfg: &GpConfig<f64>, d: &dp_gen::GeneratedDesign<f64>) -> u64 {
-        let (_, _, _, _, mut density) = GpEngine::build_operators(cfg, &d.netlist).expect("ops");
-        let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
-        density.bake_fixed(&d.netlist, &pos);
-        let mut ctx = ExecCtx::new(cfg.threads);
-        let mut g = Gradient::zeros(pos.len());
-        let _ = density.forward_backward(&d.netlist, &pos, &mut g, &mut ctx);
-        ctx.summary().pool_runs
     }
 
     #[test]
@@ -1506,6 +1670,55 @@ mod tests {
         assert!(warm.stats.timing.init > plain.stats.timing.init);
     }
 
+    /// The RePlAce-baseline start — a wirelength optimum, whose first
+    /// gradient is almost all density and whose first steps barely move the
+    /// iterate — still spreads to the target. (Slower than the centre
+    /// cluster: the run needs about twice the iterations.)
+    #[test]
+    fn wirelength_only_start_converges() {
+        let d = small_design();
+        let mut cfg = quick_config(&d.netlist);
+        cfg.max_iters = 1000;
+        cfg.init = InitKind::WirelengthOnly { iters: 50 };
+        let r = GlobalPlacer::new(cfg)
+            .place(&d.netlist, &d.fixed_positions)
+            .expect("ok");
+        assert!(
+            r.stats.converged,
+            "overflow {} after {} iters",
+            r.stats.final_overflow,
+            r.stats.iterations
+        );
+    }
+
+    /// A restart from a placement that is already spread (the routability
+    /// loop after cell inflation, the conservative fallback from the best
+    /// iterate) must begin at the `gamma` of that placement, not at the
+    /// centre cluster's: it neither trips the overflow tripwire nor throws
+    /// the spreading away.
+    #[test]
+    fn restart_from_a_spread_placement_does_not_diverge() {
+        let d = small_design();
+        let mut cfg = quick_config(&d.netlist);
+        cfg.recovery.max_recoveries = 0;
+        let placer = GlobalPlacer::new(cfg);
+        let first = placer.place(&d.netlist, &d.fixed_positions).expect("ok");
+        let again = placer
+            .place_from(&d.netlist, first.placement, None)
+            .expect("restart does not diverge");
+        let worst = again
+            .stats
+            .history
+            .iter()
+            .map(|r| r.overflow)
+            .fold(0.0, f64::max);
+        assert!(
+            worst < 2.0 * first.stats.final_overflow + 0.1,
+            "overflow climbed to {worst} from {}",
+            first.stats.final_overflow
+        );
+    }
+
     /// A run snapshotted mid-flight and resumed into a fresh engine must
     /// finish bit-identically to one that never stopped — the contract the
     /// durable checkpoint layer builds on.
@@ -1517,9 +1730,6 @@ mod tests {
         let golden = GlobalPlacer::new(cfg.clone())
             .place(&d.netlist, &d.fixed_positions)
             .expect("ok");
-        let eval_launches = density_eval_launches(&cfg, &d);
-        assert!(eval_launches > 0, "a density evaluation launches kernels");
-
         for stop_at in [1usize, 17, 60] {
             let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
             let mut first =
@@ -1545,27 +1755,13 @@ mod tests {
             assert_eq!(r.placement.x, golden.placement.x, "@{stop_at}");
             assert_eq!(r.placement.y, golden.placement.y, "@{stop_at}");
             assert_eq!(r.stats.history.len(), golden.stats.history.len());
-            // Cumulative exec counters across the process boundary (nanos
-            // and workspace first-use counts are wall-clock/lifetime
-            // artifacts). The density memo is not part of the state, so the
-            // resumed engine's first step re-evaluates the field the
-            // uninterrupted run still held: exactly one more density
-            // evaluation, every other op equal.
-            let (r_calls, golden_calls) = (op_calls(&r.stats), op_calls(&golden.stats));
-            assert_eq!(
-                r_calls.keys().collect::<Vec<_>>(),
-                golden_calls.keys().collect::<Vec<_>>(),
-                "@{stop_at}"
-            );
-            for (name, &calls) in &golden_calls {
-                let extra = u64::from(is_density_eval_op(name));
-                assert_eq!(r_calls[name], calls + extra, "@{stop_at}: {name}");
-            }
-            assert_eq!(
-                r.stats.exec.pool_runs,
-                golden.stats.exec.pool_runs + eval_launches,
-                "@{stop_at}"
-            );
+            // Cumulative counters across the process boundary (nanos and
+            // workspace first-use counts are wall-clock/lifetime artifacts).
+            // The memo is part of the state, so the resumed engine opens its
+            // first step with a hit exactly like the uninterrupted run.
+            assert_eq!(op_calls(&r.stats), op_calls(&golden.stats), "@{stop_at}");
+            assert_eq!(r.stats.exec.pool_runs, golden.stats.exec.pool_runs, "@{stop_at}");
+            assert_eq!(r.stats.evals, golden.stats.evals, "@{stop_at}");
         }
     }
 
@@ -1639,8 +1835,8 @@ mod tests {
         }
     }
 
-    /// Runs `cfg` to completion with the memo live, or switched to the
-    /// always-evaluate path it replaced.
+    /// Runs `cfg` to completion trusting the memo's carried values, or
+    /// re-evaluating both operators at the recorded `gamma` on every hit.
     fn run_with_memo<T: Float>(
         cfg: &GpConfig<T>,
         d: &dp_gen::GeneratedDesign<T>,
@@ -1672,9 +1868,10 @@ mod tests {
         );
     }
 
-    /// (a) The memo against the always-evaluate reference, to the bit:
-    /// both density models, one and two threads, healthy and with a
-    /// rollback + `lambda` backoff crossing the memo.
+    /// (a) The carried values against the reference that recomputes them
+    /// at the recorded `gamma` on every hit, to the bit: both density
+    /// models, one and two threads, healthy and with a rollback + `lambda`
+    /// backoff crossing the memo.
     fn memo_matches_reference<T: Float>() {
         let d = small_design_of::<T>();
         for threads in [1usize, 2] {
@@ -1697,9 +1894,30 @@ mod tests {
                     let reference = run_with_memo(&cfg, &d, true);
                     assert_same_run(&memo, &reference, &tag);
                     assert_eq!(memo.stats.recoveries > 0, faulted, "{tag}");
-                    let (m, r) = (op_calls(&memo.stats), op_calls(&reference.stats));
-                    assert!(m["density.forward"] < r["density.forward"], "{tag}");
-                    assert_eq!(m["wa.forward_backward"], r["wa.forward_backward"], "{tag}");
+                    // The reference ran the operators once more per hit (a
+                    // fenced model records one density op per region);
+                    // nothing else differs.
+                    let (mc, rc) = (memo.stats.evals, reference.stats.evals);
+                    let hits = rc.wl_evals - mc.wl_evals;
+                    assert!(hits as usize >= memo.stats.iterations / 2, "{tag}");
+                    // (`memo_hits` also counts refused non-finite probes.)
+                    assert!(hits <= mc.memo_hits(), "{tag}");
+                    assert!(faulted || hits == mc.memo_hits(), "{tag}");
+                    let (mut m, r) = (op_calls(&memo.stats), op_calls(&reference.stats));
+                    for (name, calls) in &mut m {
+                        let per_point = *name == "wa.forward_backward"
+                            || (name.starts_with("density.") && *name != "density.overflow");
+                        if per_point {
+                            *calls += hits * (r[name] / r["wa.forward_backward"]);
+                        }
+                    }
+                    assert_eq!(m, r, "{tag}");
+                    assert_eq!(rc.density_evals, mc.density_evals + hits, "{tag}");
+                    assert_eq!(
+                        (rc.objective_evals, rc.backtracks),
+                        (mc.objective_evals, mc.backtracks),
+                        "{tag}"
+                    );
                 }
             }
         }
@@ -1716,7 +1934,8 @@ mod tests {
     }
 
     /// (b) A healthy run hits exactly once per step after the first: the
-    /// step opens at the point the previous step's last probe evaluated.
+    /// step opens at the point the previous step's last probe evaluated, so
+    /// both operators run once per distinct point.
     #[test]
     fn healthy_run_evaluates_density_once_per_distinct_point() {
         let d = small_design();
@@ -1728,15 +1947,25 @@ mod tests {
             .place(&d.netlist, &d.fixed_positions)
             .expect("ok");
         assert_eq!((r.stats.iterations, r.stats.recoveries), (40, 0));
-        let calls = op_calls(&r.stats);
-        assert_eq!(calls["density.forward"], calls["wa.forward_backward"] - 39);
+        let (calls, counts) = (op_calls(&r.stats), r.stats.evals);
+        // Distinct points: the first step's opening point, then one probe
+        // per step plus one per backtrack.
+        assert_eq!(counts.wl_evals, 1 + 40 + counts.backtracks);
+        assert_eq!(counts.density_evals, counts.wl_evals);
+        assert_eq!(counts.objective_evals, counts.wl_evals + 39);
+        assert_eq!(counts.memo_hits(), 39);
+        // The operators agree (each also ran once to initialise lambda).
+        assert_eq!(calls["wa.forward_backward"], counts.wl_evals + 1);
+        assert_eq!(calls["density.forward"], calls["wa.forward_backward"]);
         assert_eq!(calls["density.backward"], calls["density.forward"]);
     }
 
-    /// (c) The miss path, at the objective level (what happens when
-    /// Nesterov exhausts its backtracks and leaves the tentative point
-    /// unevaluated): one ulp away in one coordinate, and `-0.0` where the
-    /// key holds `0.0`, both recompute and equal a fresh engine's
+    /// (c) Hit and miss at the objective level. A hit runs no operator and
+    /// keeps the wirelength of the `gamma` it was evaluated at, whatever
+    /// `gamma` is now. A miss (what happens when Nesterov exhausts its
+    /// backtracks and leaves the tentative point unevaluated): one ulp away
+    /// in one coordinate, and `-0.0` where the key holds `0.0`, both
+    /// recompute at the current `gamma` and equal a fresh engine's
     /// evaluation bit for bit.
     #[test]
     fn memo_misses_on_one_ulp_and_on_negative_zero() {
@@ -1745,7 +1974,12 @@ mod tests {
         let nl = &d.netlist;
         let n = nl.num_movable();
 
-        fn eval(e: &mut GpEngine<f64>, nl: &Netlist<f64>, params: &[f64]) -> (f64, Vec<f64>, u64) {
+        /// Cost, gradient, and the (wirelength, density) op call counts.
+        fn eval(
+            e: &mut GpEngine<f64>,
+            nl: &Netlist<f64>,
+            params: &[f64],
+        ) -> (f64, Vec<f64>, (u64, u64)) {
             let mut grad = vec![0.0; params.len()];
             let cost = PlacementObjective {
                 nl,
@@ -1754,7 +1988,6 @@ mod tests {
                 ctx: &mut e.ctx,
                 lambda: e.lambda,
                 pos: &mut e.pos,
-                grad: &mut e.grad,
                 memo: &mut e.memo,
                 pin_counts: &e.pin_counts,
                 charges: &e.charges,
@@ -1762,20 +1995,31 @@ mod tests {
                 t_wl: &mut e.t_wl,
                 t_density: &mut e.t_density,
                 evals: &mut e.evals,
+                counts: &mut e.counts,
             }
             .eval(params, &mut grad);
-            (cost, grad, e.ctx.op_counter("density.forward").calls)
+            let calls = |op| e.ctx.op_counter(op).calls;
+            (cost, grad, (calls("wa.forward_backward"), calls("density.forward")))
         }
-        let fresh = || GpEngine::new(cfg.clone(), nl, &d.fixed_positions).expect("engine");
+        let fresh = |gamma: f64| {
+            let mut e = GpEngine::new(cfg.clone(), nl, &d.fixed_positions).expect("engine");
+            e.wl.set_gamma(gamma);
+            e
+        };
 
-        let mut engine = fresh();
+        let gamma0 = fresh(1.0).gamma_cur;
+        let mut engine = fresh(gamma0);
         let mut key = engine.params.clone();
         key[3] = 0.0;
         let (cost, grad, base) = eval(&mut engine, nl, &key);
-        // Same bits: a hit, and the same answer.
+        // Same bits: a hit, and the same answer — also under a new gamma.
+        engine.wl.set_gamma(gamma0 * 0.5);
         let (cost_hit, grad_hit, calls) = eval(&mut engine, nl, &key);
         assert_eq!(calls, base);
         assert_eq!((cost_hit.to_bits(), bits(&grad_hit)), (cost.to_bits(), bits(&grad)));
+        assert_eq!(engine.memo.gamma, gamma0);
+        let (cost_new_gamma, ..) = eval(&mut fresh(gamma0 * 0.5), nl, &key);
+        assert_ne!(cost_new_gamma.to_bits(), cost.to_bits(), "gamma matters");
 
         let mut one_ulp = key.clone();
         one_ulp[n + 7] = f64::from_bits(one_ulp[n + 7].to_bits() + 1);
@@ -1783,11 +2027,15 @@ mod tests {
         neg_zero[3] = -0.0;
         for (i, probe) in [one_ulp, neg_zero].iter().enumerate() {
             let (cost, grad, calls) = eval(&mut engine, nl, probe);
-            assert_eq!(calls, base + 1 + i as u64, "probe {i} must recompute");
-            let (cost_fresh, grad_fresh, _) = eval(&mut fresh(), nl, probe);
+            let ran = 1 + i as u64;
+            assert_eq!(calls, (base.0 + ran, base.1 + ran), "probe {i} must recompute");
+            assert_eq!(engine.memo.gamma, gamma0 * 0.5, "probe {i}");
+            let (cost_fresh, grad_fresh, _) = eval(&mut fresh(gamma0 * 0.5), nl, probe);
             assert_eq!(cost.to_bits(), cost_fresh.to_bits(), "probe {i}");
             assert_eq!(bits(&grad), bits(&grad_fresh), "probe {i}");
         }
+        assert_eq!(engine.counts.objective_evals, 4);
+        assert_eq!((engine.counts.wl_evals, engine.counts.density_evals), (3, 3));
     }
 
     /// (d) Two engines stepped alternately — what the scheduler does —
@@ -1832,6 +2080,9 @@ mod tests {
         cfg.target_overflow = 0.0;
         let mut engine = GpEngine::new(cfg, &d.netlist, &d.fixed_positions).expect("engine");
         let built = engine.busy;
+        // Construction measured the overflow once, to set the first gamma.
+        let at_build = engine.ctx.op_counter("density.overflow");
+        assert_eq!(at_build.calls, 1);
         while !engine.step(&d.netlist).expect("healthy").is_done() {}
         let stepped = (engine.busy - built).as_secs_f64();
         let t = engine.timing;
@@ -1842,7 +2093,7 @@ mod tests {
         );
         // 60 overflow scatters and exact HPWLs are not free.
         let overflow = engine.ctx.op_counter("density.overflow");
-        assert_eq!(overflow.calls, 60);
-        assert!(t.bookkeeping >= Duration::from_nanos(overflow.nanos));
+        assert_eq!(overflow.calls - at_build.calls, 60);
+        assert!(t.bookkeeping >= Duration::from_nanos(overflow.nanos - at_build.nanos));
     }
 }

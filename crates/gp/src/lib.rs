@@ -51,8 +51,8 @@ pub use config::{
     SolverKind, WirelengthModel,
 };
 pub use engine::{
-    GlobalPlacer, GpEngine, GpEngineState, GpResult, GpRollbackState, GpStats, GpStepOutcome,
-    GpTiming, IterRecord, RecoveryEvent,
+    GlobalPlacer, GpEngine, GpEngineState, GpEvalCounts, GpMemoState, GpResult, GpRollbackState,
+    GpStats, GpStepOutcome, GpTiming, IterRecord, RecoveryEvent,
 };
 pub use fence::{FenceSpec, FencedDensityOp};
 pub use init::initial_placement;

@@ -15,7 +15,23 @@
 //! a bounded backtracking loop: if the prediction exceeds the estimate at
 //! the tentative new reference point, the step is retried with the tighter
 //! value (at most [`NesterovOptimizer::with_max_backtracks`] times, ePlace
-//! uses a similarly small constant).
+//! uses a similarly small constant). A pair of equal points, like a pair of
+//! equal gradients, predicts nothing and leaves the step size as it was.
+//!
+//! A step therefore calls the objective once at `v_k` and once per tentative
+//! `v_{k+1}`; the last tentative point *is* the next step's `v_{k+1}`, so the
+//! next step's opening call revisits a point the objective has just seen. The
+//! solver does not keep that gradient itself — the objective may have changed
+//! in between (the placer updates `lambda` and `gamma` after every step) — and
+//! leaves it to the objective to answer the revisit cheaply; the global
+//! placement engine does, from its memo of the last evaluated point.
+//!
+//! Stepping allocates nothing after the first two steps. The tentative `u`
+//! is written straight into the caller's `params`; the tentative `v` and the
+//! probe gradient take the storage of `v_{k-1}` and `grad(v_{k-1})`, which
+//! are dead once the step size is predicted; and the opening gradient uses
+//! the one buffer the solver keeps beside its state, which the displaced
+//! probe gradient refills.
 
 use dp_num::Float;
 
@@ -39,6 +55,9 @@ pub struct NesterovOptimizer<T> {
     v_prev: Option<Vec<T>>,
     /// Current step size.
     alpha: T,
+    /// Storage for the next step's opening gradient (the last step's probe
+    /// gradient; its contents are dead between steps).
+    g_buf: Vec<T>,
 }
 
 impl<T: Float> NesterovOptimizer<T> {
@@ -58,6 +77,7 @@ impl<T: Float> NesterovOptimizer<T> {
             g_prev: None,
             v_prev: None,
             alpha: initial_step,
+            g_buf: Vec::new(),
         }
     }
 
@@ -73,6 +93,11 @@ impl<T: Float> NesterovOptimizer<T> {
     }
 
     /// Lipschitz-based step prediction between two (point, gradient) pairs.
+    /// `None` when the pair carries no curvature information: equal
+    /// gradients, or equal points — the objective may change between steps
+    /// (the placer raises `lambda` and moves `gamma`), so two different
+    /// gradients at one point say nothing about curvature, and predicting
+    /// `0 / |dg| = 0` from them would freeze the solver for good.
     fn lipschitz_step(v_new: &[T], v_old: &[T], g_new: &[T], g_old: &[T]) -> Option<T> {
         let mut dv = T::ZERO;
         let mut dg = T::ZERO;
@@ -83,7 +108,7 @@ impl<T: Float> NesterovOptimizer<T> {
             dg += b * b;
         }
         let dg = dg.sqrt();
-        if dg <= T::MIN_POSITIVE {
+        if dg <= T::MIN_POSITIVE || dv <= T::ZERO {
             None
         } else {
             Some(dv.sqrt() / dg)
@@ -97,7 +122,10 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
         let v = self.v.get_or_insert_with(|| params.to_vec());
         assert_eq!(v.len(), n, "parameter length changed between steps");
 
-        let mut g = vec![T::ZERO; n];
+        // Zero-filled like a fresh vector, in case `f` writes sparsely.
+        let mut g = std::mem::take(&mut self.g_buf);
+        g.clear();
+        g.resize(n, T::ZERO);
         let cost = f.eval(v, &mut g);
         let grad_norm = inf_norm(&g);
 
@@ -114,15 +142,18 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
 
         let mut backtracks = 0usize;
         let mut alpha = self.alpha;
-        // Tentative points and the gradient at the tentative reference
-        // point; every backtracking round overwrites all three in full.
-        let mut u_new = vec![T::ZERO; n];
-        let mut v_new = vec![T::ZERO; n];
-        let mut g_new = vec![T::ZERO; n];
+        // The tentative reference point and the gradient there, in the
+        // storage of the pair the prediction above was the last to read.
+        // Every backtracking round overwrites `params` and `v_new` in full.
+        let mut v_new = self.v_prev.take().unwrap_or_default();
+        let mut g_new = self.g_prev.take().unwrap_or_default();
+        v_new.resize(n, T::ZERO);
+        g_new.clear();
+        g_new.resize(n, T::ZERO);
         loop {
             for i in 0..n {
-                u_new[i] = v[i] - alpha * g[i];
-                v_new[i] = u_new[i] + coef * (u_new[i] - u_prev[i]);
+                params[i] = v[i] - alpha * g[i];
+                v_new[i] = params[i] + coef * (params[i] - u_prev[i]);
             }
             if backtracks >= self.max_backtracks {
                 break;
@@ -140,10 +171,13 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
         }
         self.alpha = alpha;
 
-        params.copy_from_slice(&u_new);
-        self.u_prev = Some(u_new);
+        match &mut self.u_prev {
+            Some(u) => u.copy_from_slice(params),
+            None => self.u_prev = Some(params.to_vec()),
+        }
         self.v_prev = Some(std::mem::replace(v, v_new));
         self.g_prev = Some(g);
+        self.g_buf = g_new;
         self.a = a_next;
 
         StepInfo {
@@ -252,6 +286,30 @@ mod tests {
             opt.step(&mut f, &mut p);
         }
         assert!(p[0].abs() < 1e-4, "{p:?}");
+    }
+
+    /// A step too small to move the iterate (`v - alpha * g == v`) followed
+    /// by a changed objective — what a placement started at a wirelength
+    /// optimum sees when `lambda` and `gamma` move — must not predict a zero
+    /// step from the zero displacement.
+    #[test]
+    fn zero_displacement_does_not_trap_the_step_size() {
+        let calls = std::cell::Cell::new(0);
+        let mut f = |p: &[f64], g: &mut [f64]| -> f64 {
+            let k = if calls.get() < 2 { 1e-30 } else { 1.0 };
+            calls.set(calls.get() + 1);
+            g[0] = k * p[0];
+            0.5 * k * p[0] * p[0]
+        };
+        let mut opt = NesterovOptimizer::new(1, 1.0);
+        let mut p = vec![1e3];
+        opt.step(&mut f, &mut p);
+        assert_eq!(p[0], 1e3, "1e3 - 1e-27 rounds back to 1e3");
+        for _ in 0..50 {
+            let info = opt.step(&mut f, &mut p);
+            assert!(info.step_size > 0.0, "{info:?}");
+        }
+        assert!(p[0].abs() < 1.0, "{p:?}");
     }
 
     #[test]

@@ -54,6 +54,16 @@ pub mod hpwl_op;
 pub mod lse;
 pub mod wa;
 
+/// The two stabilised exponentials of a pin at `v` in a net spanning
+/// `[lo, hi]`: `e^{(v - hi)/gamma}` and `e^{(lo - v)/gamma}`, both in
+/// `(0, 1]`. Takes `1/gamma` so that no kernel divides per pin; WA (all
+/// three strategies) and LSE evaluate their exponents here and nowhere else,
+/// which keeps them comparable to the bit.
+#[inline]
+pub(crate) fn stable_exps<T: dp_num::Float>(v: T, hi: T, lo: T, inv_gamma: T) -> (T, T) {
+    (((v - hi) * inv_gamma).exp(), ((lo - v) * inv_gamma).exp())
+}
+
 pub use hpwl_op::HpwlOp;
 pub use lse::LseWirelength;
 pub use wa::{WaStrategy, WaWirelength};

@@ -18,6 +18,8 @@ use dp_netlist::{NetId, Netlist, Placement};
 use dp_num::parallel::DisjointSlice;
 use dp_num::{reduce_chunk_size, Float};
 
+use crate::stable_exps;
+
 /// The LSE wirelength operator (net-level parallel, fused backward).
 ///
 /// # Examples
@@ -118,18 +120,21 @@ impl<T: Float> LseWirelength<T> {
             hi = hi.max(v);
             lo = lo.min(v);
         }
+        let inv_gamma = T::ONE / gamma;
         let mut sum_p = T::ZERO;
         let mut sum_m = T::ZERO;
         for &pin in pins {
-            let v = coords[pin.index()];
-            sum_p += ((v - hi) / gamma).exp();
-            sum_m += (-(v - lo) / gamma).exp();
+            let (ep, em) = stable_exps(coords[pin.index()], hi, lo, inv_gamma);
+            sum_p += ep;
+            sum_m += em;
         }
         if let Some(out) = out {
+            // Softmax weights through one reciprocal per net and axis.
+            let (inv_p, inv_m) = (T::ONE / sum_p, T::ONE / sum_m);
             for &pin in pins {
-                let v = coords[pin.index()];
-                let sp = ((v - hi) / gamma).exp() / sum_p;
-                let sm = (-(v - lo) / gamma).exp() / sum_m;
+                let (ep, em) = stable_exps(coords[pin.index()], hi, lo, inv_gamma);
+                let sp = ep * inv_p;
+                let sm = em * inv_m;
                 // SAFETY: each pin belongs to exactly one net (caller
                 // partitions nets across workers).
                 unsafe { out.write(pin.index(), weight * (sp - sm)) };

@@ -11,6 +11,12 @@
 //! 3. `WL_e = c^+/b^+ - c^-/b^-` per axis (forward) and Eq. (6) per pin
 //!    (backward), scattered to cells through the cell-pin CSR.
 //!
+//! No kernel divides per pin: the exponent arguments are formed with
+//! `1/gamma` ([`crate::stable_exps`]) and Eq. (6) is applied through
+//! [`NetGradient`], whose four coefficients cost one reciprocal of `b^±`
+//! per net and axis. Every strategy goes through those two helpers, so they
+//! differ in schedule and memory traffic only, never in arithmetic.
+//!
 //! Every `a_i^±` is evaluated once per pass. The two-pass strategies keep
 //! them in per-pin arrays between forward and backward; the merged strategy
 //! (the production default) keeps only the `a^±` of the net in flight, in a
@@ -35,6 +41,44 @@ use dp_autograd::{ExecCtx, Gradient, Operator};
 use dp_netlist::{NetId, Netlist, Placement};
 use dp_num::parallel::DisjointSlice;
 use dp_num::{reduce_chunk_size, AtomicFloat, Float, WorkerPool};
+
+use crate::stable_exps;
+
+/// Eq. (6) for one net and axis with everything that does not depend on the
+/// pin hoisted out of the pin loop — one reciprocal of `b±` per net and axis
+/// instead of two divisions per pin:
+///
+/// ```text
+/// dWL/dv_i = (k0+ + v_i k1+) a_i+ - (k0- - v_i k1-) a_i-
+/// k0± = (b± ∓ c±/gamma) / b±²,   k1± = (b±/gamma) / b±² = 1/(gamma b±)
+/// ```
+#[derive(Clone, Copy)]
+struct NetGradient<T> {
+    k0_plus: T,
+    k1_plus: T,
+    k0_minus: T,
+    k1_minus: T,
+}
+
+impl<T: Float> NetGradient<T> {
+    #[inline]
+    fn new(inv_gamma: T, b_plus: T, b_minus: T, c_plus: T, c_minus: T) -> Self {
+        let r_plus = T::ONE / b_plus;
+        let r_minus = T::ONE / b_minus;
+        Self {
+            k0_plus: (b_plus - inv_gamma * c_plus) * (r_plus * r_plus),
+            k1_plus: inv_gamma * r_plus,
+            k0_minus: (b_minus + inv_gamma * c_minus) * (r_minus * r_minus),
+            k1_minus: inv_gamma * r_minus,
+        }
+    }
+
+    /// Gradient of the pin at `v` with exponentials `a±`.
+    #[inline]
+    fn pin(&self, v: T, a_plus: T, a_minus: T) -> T {
+        (self.k0_plus + v * self.k1_plus) * a_plus - (self.k0_minus - v * self.k1_minus) * a_minus
+    }
+}
 
 /// Parallelization strategy for the WA kernels (paper Fig. 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +305,7 @@ impl<T: Float> WaWirelength<T> {
     /// the coordinates of its pins (`coords[nl.net_pin_range(net)]`).
     /// Degenerate nets (fewer than two pins) carry no wirelength.
     #[inline]
-    fn net_wirelength(vs: &[T], gamma: T) -> T {
+    fn net_wirelength(vs: &[T], inv_gamma: T) -> T {
         if vs.len() < 2 {
             return T::ZERO;
         }
@@ -276,37 +320,13 @@ impl<T: Float> WaWirelength<T> {
         let mut c_plus = T::ZERO;
         let mut c_minus = T::ZERO;
         for &v in vs {
-            let ap = ((v - hi) / gamma).exp();
-            let am = (-(v - lo) / gamma).exp();
+            let (ap, am) = stable_exps(v, hi, lo, inv_gamma);
             b_plus += ap;
             b_minus += am;
             c_plus += v * ap;
             c_minus += v * am;
         }
         c_plus / b_plus - c_minus / b_minus
-    }
-
-    /// Gradient of one pin per Eq. (6), given the net's cached terms.
-    /// One parameter per symbol of Eq. (6), deliberately.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn pin_gradient(
-        v: T,
-        gamma: T,
-        a_plus: T,
-        a_minus: T,
-        b_plus: T,
-        b_minus: T,
-        c_plus: T,
-        c_minus: T,
-    ) -> T {
-        let inv_gamma = T::ONE / gamma;
-        let plus =
-            ((T::ONE + v * inv_gamma) * b_plus - inv_gamma * c_plus) / (b_plus * b_plus) * a_plus;
-        let minus = ((T::ONE - v * inv_gamma) * b_minus + inv_gamma * c_minus)
-            / (b_minus * b_minus)
-            * a_minus;
-        plus - minus
     }
 
     /// Forward pass of the net-by-net strategy for one axis, filling `cache`.
@@ -323,7 +343,7 @@ impl<T: Float> WaWirelength<T> {
     ) -> T {
         let nets = nl.num_nets();
         let chunk = reduce_chunk_size(nets);
-        let gamma = self.gamma;
+        let inv_gamma = T::ONE / self.gamma;
         let a_plus = DisjointSlice::new(&mut cache.a_plus);
         let a_minus = DisjointSlice::new(&mut cache.a_minus);
         let b_plus = DisjointSlice::new(&mut cache.b_plus);
@@ -363,8 +383,7 @@ impl<T: Float> WaWirelength<T> {
                     let mut cm = T::ZERO;
                     for &pin in pins {
                         let v = coords[pin.index()];
-                        let ap = ((v - hi) / gamma).exp();
-                        let am = (-(v - lo) / gamma).exp();
+                        let (ap, am) = stable_exps(v, hi, lo, inv_gamma);
                         // SAFETY: each pin belongs to exactly one net, and
                         // nets are partitioned across chunks.
                         unsafe {
@@ -406,7 +425,7 @@ impl<T: Float> WaWirelength<T> {
         let nets = nl.num_nets();
         let pins = nl.num_pins();
         let pin_chunk = pool.chunk_for(pins);
-        let gamma = self.gamma;
+        let inv_gamma = T::ONE / self.gamma;
         self.atomic_scratch.reset(nets);
         let scratch = &self.atomic_scratch;
 
@@ -438,11 +457,11 @@ impl<T: Float> WaWirelength<T> {
                     if nl.net_degree(net) < 2 {
                         return;
                     }
-                    let v = coords[p];
+                    let (ap, am) = stable_exps(coords[p], hi[e].load(), lo[e].load(), inv_gamma);
                     // SAFETY: pin index `p` is unique to this chunk.
                     unsafe {
-                        a_plus.write(p, ((v - hi[e].load()) / gamma).exp());
-                        a_minus.write(p, (-(v - lo[e].load()) / gamma).exp());
+                        a_plus.write(p, ap);
+                        a_minus.write(p, am);
                     }
                 };
                 let mut p = range.start;
@@ -548,7 +567,7 @@ impl<T: Float> WaWirelength<T> {
             "WA cache nets out of date"
         );
         let chunk = pool.chunk_for(pins);
-        let gamma = self.gamma;
+        let inv_gamma = T::ONE / self.gamma;
         let mut pin_gx = ctx.lease("wl.pin_grad.x", pins);
         let mut pin_gy = ctx.lease("wl.pin_grad.y", pins);
         {
@@ -561,26 +580,19 @@ impl<T: Float> WaWirelength<T> {
                     let pid = dp_netlist::PinId::new(p);
                     let e = nl.pin_net(pid).index();
                     let w = nl.net_weight(NetId::new(e));
-                    let dx = Self::pin_gradient(
-                        px[p],
-                        gamma,
-                        cache_x.a_plus[p],
-                        cache_x.a_minus[p],
-                        cache_x.b_plus[e],
-                        cache_x.b_minus[e],
-                        cache_x.c_plus[e],
-                        cache_x.c_minus[e],
-                    );
-                    let dy = Self::pin_gradient(
-                        py[p],
-                        gamma,
-                        cache_y.a_plus[p],
-                        cache_y.a_minus[p],
-                        cache_y.b_plus[e],
-                        cache_y.b_minus[e],
-                        cache_y.c_plus[e],
-                        cache_y.c_minus[e],
-                    );
+                    // The pin-parallel pass has no net loop to hoist out of;
+                    // it goes through the same coefficients so its bits
+                    // match the merged kernel's.
+                    let [dx, dy] = [(cache_x, px), (cache_y, py)].map(|(c, coords)| {
+                        NetGradient::new(
+                            inv_gamma,
+                            c.b_plus[e],
+                            c.b_minus[e],
+                            c.c_plus[e],
+                            c.c_minus[e],
+                        )
+                        .pin(coords[p], c.a_plus[p], c.a_minus[p])
+                    });
                     // SAFETY: pin index `p` is unique to this chunk.
                     unsafe {
                         gx.write(p, w * dx);
@@ -610,7 +622,7 @@ impl<T: Float> WaWirelength<T> {
         let nets = nl.num_nets();
         let pins = nl.num_pins();
         let chunk = reduce_chunk_size(nets);
-        let gamma = self.gamma;
+        let inv_gamma = T::ONE / self.gamma;
         let mut pin_gx = ctx.lease("wl.pin_grad.x", pins);
         let mut pin_gy = ctx.lease("wl.pin_grad.y", pins);
         let total = {
@@ -659,8 +671,7 @@ impl<T: Float> WaWirelength<T> {
                             let mut cp = T::ZERO;
                             let mut cm = T::ZERO;
                             for (&v, slot) in vs.iter().zip(a.iter_mut()) {
-                                let ap = ((v - hi) / gamma).exp();
-                                let am = (-(v - lo) / gamma).exp();
+                                let (ap, am) = stable_exps(v, hi, lo, inv_gamma);
                                 *slot = (ap, am);
                                 bp += ap;
                                 bm += am;
@@ -669,8 +680,9 @@ impl<T: Float> WaWirelength<T> {
                             }
                             local += w * (cp / bp - cm / bm);
                             // Gradient pass: Eq. (6) from the kept a.
+                            let net_grad = NetGradient::new(inv_gamma, bp, bm, cp, cm);
                             for ((pin, &v), &(ap, am)) in net_pins.clone().zip(vs).zip(a.iter()) {
-                                let g = Self::pin_gradient(v, gamma, ap, am, bp, bm, cp, cm);
+                                let g = net_grad.pin(v, ap, am);
                                 // SAFETY: `coords[net_pins]` was in bounds
                                 // and `out` is as long as `coords`
                                 // (asserted above); net ranges are
@@ -699,7 +711,7 @@ impl<T: Float> WaWirelength<T> {
         let pool = Arc::clone(ctx.pool());
         let nets = nl.num_nets();
         let chunk = reduce_chunk_size(nets);
-        let gamma = self.gamma;
+        let inv_gamma = T::ONE / self.gamma;
         let px = &self.pin_x;
         let py = &self.pin_y;
         pool.reduce_in_order(
@@ -713,7 +725,7 @@ impl<T: Float> WaWirelength<T> {
                     let w = nl.net_weight(net);
                     let pins = nl.net_pin_range(net);
                     for coords in [px, py] {
-                        local += w * Self::net_wirelength(&coords[pins.clone()], gamma);
+                        local += w * Self::net_wirelength(&coords[pins.clone()], inv_gamma);
                     }
                 }
                 local
@@ -912,7 +924,7 @@ mod tests {
             self.update_pin_positions(nl, p, ctx);
             let pool = Arc::clone(ctx.pool());
             let nets = nl.num_nets();
-            let gamma = self.gamma;
+            let inv_gamma = T::ONE / self.gamma;
             let mut pin_gx = vec![T::ZERO; nl.num_pins()];
             let mut pin_gy = vec![T::ZERO; nl.num_pins()];
             let total = {
@@ -947,8 +959,7 @@ mod tests {
                                 let mut cm = T::ZERO;
                                 for &pin in net_pins {
                                     let v = coords[pin.index()];
-                                    let ap = ((v - hi) / gamma).exp();
-                                    let am = (-(v - lo) / gamma).exp();
+                                    let (ap, am) = stable_exps(v, hi, lo, inv_gamma);
                                     bp += ap;
                                     bm += am;
                                     cp += v * ap;
@@ -957,9 +968,9 @@ mod tests {
                                 local += w * (cp / bp - cm / bm);
                                 for &pin in net_pins {
                                     let v = coords[pin.index()];
-                                    let ap = ((v - hi) / gamma).exp();
-                                    let am = (-(v - lo) / gamma).exp();
-                                    let g = Self::pin_gradient(v, gamma, ap, am, bp, bm, cp, cm);
+                                    let (ap, am) = stable_exps(v, hi, lo, inv_gamma);
+                                    let g = NetGradient::new(inv_gamma, bp, bm, cp, cm)
+                                        .pin(v, ap, am);
                                     // SAFETY: each pin belongs to exactly
                                     // one net.
                                     unsafe { out.write(pin.index(), w * g) };

@@ -528,6 +528,16 @@ fn cmd_place(args: &Args) -> Result<(), String> {
         result.timing.dp,
         result.timing.total
     );
+    let (evals, steps) = (result.gp.evals, result.gp.iterations.max(1) as f64);
+    println!(
+        "GP health: {:.2} evals/step ({} points for {} objective calls, {} memo hits), \
+         {:.2} backtracks/step",
+        evals.wl_evals as f64 / steps,
+        evals.wl_evals,
+        evals.objective_evals,
+        evals.memo_hits(),
+        evals.backtracks as f64 / steps,
+    );
     println!("HPWL {:.6e}", result.hpwl_final);
     if !result.sanitize.is_clean() {
         println!("sanitizer: {}", result.sanitize);

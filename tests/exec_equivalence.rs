@@ -159,9 +159,9 @@ fn placement_run_spawns_once_and_reuses_every_workspace() {
 #[test]
 fn placement_run_evaluates_density_once_per_distinct_point() {
     // Nesterov opens every step at the point its last backtracking probe
-    // evaluated; the field there is memoised, so a healthy run skips
-    // exactly one scatter → solve → gather per step after the first while
-    // wirelength (whose gamma moved in between) is evaluated every time.
+    // evaluated; that evaluation is kept, so a healthy run answers one
+    // objective call per step after the first without running wirelength
+    // or scatter → solve → gather again.
     let d = design(29, 400);
     let mut cfg = GpConfig::auto(&d.netlist);
     cfg.threads = 2;
@@ -176,11 +176,13 @@ fn placement_run_evaluates_density_once_per_distinct_point() {
         let op = r.stats.exec.ops.iter().find(|(n, _)| *n == name);
         op.map_or(0, |(_, c)| c.calls)
     };
-    assert_eq!(calls("density.overflow"), 50);
-    assert_eq!(
-        calls("density.forward"),
-        calls("wa.forward_backward") - 49,
-        "one memo hit per step after the first"
-    );
+    // One per step, and one at construction to set the first gamma.
+    assert_eq!(calls("density.overflow"), 51);
+    let evals = r.stats.evals;
+    assert_eq!(evals.memo_hits(), 49, "one memo hit per step after the first");
+    assert_eq!(evals.wl_evals, 1 + 50 + evals.backtracks, "one evaluation per point");
+    // Both operators ran at every distinct point (and once to set lambda).
+    assert_eq!(calls("wa.forward_backward"), evals.wl_evals + 1);
+    assert_eq!(calls("density.forward"), evals.density_evals + 1);
     assert_eq!(calls("density.backward"), calls("density.forward"));
 }

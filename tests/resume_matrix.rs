@@ -2,22 +2,20 @@
 //! arbitrary mid-GP iterations) and resumed from its last durable
 //! checkpoint must be **bit-identical** to the uninterrupted run — same
 //! final positions, same HPWL trajectory, same degradation timeline, and
-//! merged execution counters that differ only by the one density
-//! evaluation a resume from mid-GP repeats (the engine's density memo is
-//! not checkpointed).
+//! equal merged execution counters (the engine's memo of the last
+//! evaluated point is checkpointed, so a resume repeats no evaluation).
 //!
 //! Also covers the failure modes around the checkpoint file itself:
 //! corruption is detected by CRC and surfaces as a structured
-//! `FlowError::Checkpoint`, resuming onto the wrong design is refused,
-//! and wall-clock budgets account for time consumed before the crash.
+//! `FlowError::Checkpoint`, a checkpoint of the previous format version is
+//! refused, resuming onto the wrong design is refused, and wall-clock
+//! budgets account for time consumed before the crash.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
 
-use dp_autograd::{ExecCtx, Gradient, Operator};
-use dp_density::{BinGrid, DensityOp};
-use dp_gp::{initial_placement, InitKind};
+use dp_gp::InitKind;
 use dreamplace::gen::{GeneratedDesign, GeneratorConfig};
 use dreamplace::{
     read_checkpoint, CheckpointError, CheckpointPolicy, DreamPlacer, DurableOutcome, FlowConfig,
@@ -108,37 +106,9 @@ fn killed_then_resumed(
     }
 }
 
-/// Pool launches of one `DensityOp::forward_backward` under `config(d)`,
-/// measured on a fresh context.
-fn density_eval_launches(d: &GeneratedDesign<f64>) -> u64 {
-    let cfg = config(d).gp;
-    let grid = BinGrid::new(d.netlist.region(), cfg.bins.0, cfg.bins.1).expect("bins");
-    let mut op = DensityOp::with_backend(
-        grid,
-        cfg.density_strategy,
-        cfg.target_density,
-        cfg.dct_backend,
-    )
-    .expect("density op")
-    .with_deterministic(true);
-    let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
-    op.bake_fixed(&d.netlist, &pos);
-    let mut ctx = ExecCtx::new(THREADS);
-    let mut g = Gradient::zeros(pos.len());
-    let _ = op.forward_backward(&d.netlist, &pos, &mut g, &mut ctx);
-    ctx.summary().pool_runs
-}
-
 /// Everything deterministic must match bit-for-bit; only wall-clock
-/// fields (timings, per-op nanos) are exempt. `repeated_eval_launches` is
-/// `Some(launches of one density evaluation)` when `r` resumed inside GP
-/// after the first step, `None` when its counters must equal `golden`'s.
-fn assert_bit_identical(
-    golden: &FlowResult<f64>,
-    r: &FlowResult<f64>,
-    repeated_eval_launches: Option<u64>,
-    tag: &str,
-) {
+/// fields (timings, per-op nanos) are exempt.
+fn assert_bit_identical(golden: &FlowResult<f64>, r: &FlowResult<f64>, tag: &str) {
     assert_eq!(golden.placement.x, r.placement.x, "{tag}: x positions");
     assert_eq!(golden.placement.y, r.placement.y, "{tag}: y positions");
     assert_eq!(
@@ -191,34 +161,15 @@ fn assert_bit_identical(
         "{tag}: degradation timeline"
     );
 
-    // Merged execution counters: the resumed process folds the
-    // checkpointed counters into its own. The density memo is not in the
-    // checkpoint, so an engine resumed after its first step evaluates the
-    // field once more than the uninterrupted run, which still held it:
-    // `density.forward`, `density.backward` and each `density.dct.*` phase
-    // read exactly +1, pool runs exactly one evaluation's launches more,
-    // and every other op lands on the uninterrupted total. (Nanos and
-    // spawn counts are wall-clock noise.)
-    let repeated = u64::from(repeated_eval_launches.is_some());
-    let expected: Vec<(&'static str, u64)> = golden
-        .gp
-        .exec
-        .ops
-        .iter()
-        .map(|(n, c)| {
-            let density_eval = matches!(*n, "density.forward" | "density.backward")
-                || n.starts_with("density.dct.");
-            (*n, c.calls + repeated * u64::from(density_eval))
-        })
-        .collect();
-    let calls: Vec<(&'static str, u64)> =
-        r.gp.exec.ops.iter().map(|(n, c)| (*n, c.calls)).collect();
-    assert_eq!(expected, calls, "{tag}: per-op call counts");
-    assert_eq!(
-        golden.gp.exec.pool_runs + repeated_eval_launches.unwrap_or(0),
-        r.gp.exec.pool_runs,
-        "{tag}: pool runs"
-    );
+    // Merged counters: the resumed process folds the checkpointed
+    // counters into its own and lands on the uninterrupted totals at every
+    // kill point. (Nanos and spawn counts are wall-clock noise.)
+    let calls = |r: &FlowResult<f64>| -> Vec<(&'static str, u64)> {
+        r.gp.exec.ops.iter().map(|(n, c)| (*n, c.calls)).collect()
+    };
+    assert_eq!(calls(golden), calls(r), "{tag}: per-op call counts");
+    assert_eq!(golden.gp.exec.pool_runs, r.gp.exec.pool_runs, "{tag}: pool runs");
+    assert_eq!(golden.gp.evals, r.gp.evals, "{tag}: evaluation counts");
 }
 
 #[test]
@@ -247,19 +198,16 @@ fn killed_and_resumed_matches_uninterrupted_at_every_state() {
         FlowState::Dp { pass: 1 },
         FlowState::Finish,
     ];
-    let eval_launches = density_eval_launches(&d);
-    assert!(eval_launches > 0, "a density evaluation launches kernels");
     let mut resumed_mid_gp = 0;
     for at in matrix {
         let tag = format!("kill at {at}");
         let (r, resumed_at) =
             killed_then_resumed(&d, at, &at.to_string().replace(':', "-"), None);
-        // Only a checkpoint taken inside GP after the first step loses a
-        // live memo entry; before GP, at `gp:0` and after GP nothing is
-        // re-evaluated.
+        // The resumes that depend on the checkpointed memo: inside GP,
+        // after the first step.
         let mid_gp = matches!(resumed_at, Some(FlowState::Gp { iteration }) if iteration >= 1);
         resumed_mid_gp += usize::from(mid_gp);
-        assert_bit_identical(&golden, &r, mid_gp.then_some(eval_launches), &tag);
+        assert_bit_identical(&golden, &r, &tag);
     }
     assert_eq!(resumed_mid_gp, 2, "gp:13 and gp:40 resume from gp:10 and gp:40");
 }
@@ -322,7 +270,23 @@ fn corrupt_checkpoint_surfaces_structured_error_and_restart_matches_golden() {
         DurableOutcome::Killed { at } => panic!("uninjected run died at {at}"),
     };
     let _ = std::fs::remove_dir_all(&dir);
-    assert_bit_identical(&golden, &restarted, None, "restart after corruption");
+    assert_bit_identical(&golden, &restarted, "restart after corruption");
+}
+
+/// `tests/fixtures/flow_v1.ckpt` was written by the last `DPCKPT v1`
+/// build (mid-GP, no memo block): resuming from it would open the next
+/// step without the gradient the killed run held, so it is refused.
+#[test]
+fn checkpoint_of_the_previous_format_version_is_refused() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/flow_v1.ckpt");
+    match read_checkpoint::<f64>(&fixture) {
+        Err(CheckpointError::VersionSkew { found: 1, supported: 2 }) => {}
+        other => panic!("want VersionSkew {{ found: 1, supported: 2 }}, got {other:?}"),
+    }
+    match dreamplace::check::checkpoint::validate_checkpoint_file(&fixture) {
+        Err(dreamplace::check::checkpoint::CkptError::Version { found: 1, supported: 2 }) => {}
+        other => panic!("want Version {{ found: 1, supported: 2 }}, got {other:?}"),
+    }
 }
 
 #[test]
