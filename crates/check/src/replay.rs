@@ -6,11 +6,9 @@
 //! * [`replay_gp`] — same seed, same config, `N` runs: any divergence
 //!   means hidden state (uninitialized scratch, iteration-order-dependent
 //!   accumulation, a stray `HashMap` iteration) leaked into the math;
-//! * [`replay_across_threads`] — same seed at several worker counts with
-//!   [`dp_gp::GpConfig::deterministic`] forced on, which switches density
-//!   accumulation to fixed point: the histories must then match across
-//!   thread counts, the strongest reproducibility contract the engine
-//!   offers;
+//! * [`replay_across_threads`] — same seed at several worker counts: the
+//!   fixed-point density bins make the histories match across thread
+//!   counts, the strongest reproducibility contract the engine offers;
 //! * [`replay_lg`] / [`replay_dp`] — the same contract per downstream
 //!   stage: legalization and detailed placement run `N` times from an
 //!   identical starting placement and must produce bit-identical
@@ -156,8 +154,7 @@ pub fn replay_gp<T: Float>(
     })
 }
 
-/// Runs GP once per entry of `threads` with density accumulation forced to
-/// the deterministic fixed-point path, and requires bit-identical
+/// Runs GP once per entry of `threads` and requires bit-identical
 /// histories across all thread counts.
 ///
 /// # Errors
@@ -173,9 +170,6 @@ pub fn replay_across_threads<T: Float>(
     for &t in threads {
         let mut c = cfg.clone();
         c.threads = t.max(1);
-        // The whole point of the exercise: force the thread-count-invariant
-        // accumulation path even for the serial run.
-        c.deterministic = Some(true);
         runs.push((t, GlobalPlacer::new(c).place(nl, fixed)?));
     }
     let mut divergence = None;

@@ -45,7 +45,7 @@ fn same_seed_same_threads_is_bit_identical() {
 }
 
 #[test]
-fn deterministic_mode_is_invariant_across_thread_counts() {
+fn gp_is_invariant_across_thread_counts() {
     let (nl, fixed) = design(92);
     let cfg = quick_cfg(&nl, 1);
     let report =

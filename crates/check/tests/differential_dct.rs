@@ -184,12 +184,11 @@ fn direct_field_solve_matches_oracle() {
     );
 }
 
-/// The bit-contract the transform layer owes the flow: with deterministic
-/// (fixed-point) scatters, the density operator's energy and gradient do
-/// not depend on the thread count. The float-atomic scatter mode is
-/// order-dependent by design, so it cannot carry a bitwise assertion.
+/// The bit-contract the transform layer owes the flow: with fixed-point
+/// scatters, the density operator's energy and gradient do not depend on
+/// the thread count.
 #[test]
-fn deterministic_density_op_is_bitwise_identical_across_threads() {
+fn density_op_is_bitwise_identical_across_threads() {
     let (nl, p) = design(32);
     let grid = BinGrid::new(nl.region(), MX, MY).expect("supported grid");
     let run = |threads: usize| {
@@ -199,8 +198,7 @@ fn deterministic_density_op_is_bitwise_identical_across_threads() {
             1.0,
             DctBackendKind::Direct2d,
         )
-        .expect("grid")
-        .with_deterministic(true);
+        .expect("grid");
         let mut grad = Gradient::zeros(nl.num_cells());
         let mut ctx = ExecCtx::new(threads);
         let energy = op.forward_backward(&nl, &p, &mut grad, &mut ctx);

@@ -4,7 +4,7 @@
 //! Covers, independently of `dp-density`'s and `dp-dct`'s internals:
 //!
 //! * scatter maps for every strategy (naive / sorted / sorted+subthreads),
-//!   serial and parallel, float and deterministic fixed-point;
+//!   serial and parallel (fixed-point bins, to their quantization);
 //! * the exact smoothing function against its restated definition;
 //! * fixed (unsmoothed, clipped) maps and the overflow metric;
 //! * potential / field / energy for all three DCT backends against the
@@ -56,6 +56,11 @@ fn grids(nl: &Netlist<f64>) -> (BinGrid<f64>, OracleGrid) {
     (grid, oracle)
 }
 
+/// Relative tolerance of a kernel density map (and what is computed from
+/// it) against its oracle: the fixed-point bins round every update to
+/// `2^-24` of a bin area.
+const QUANT_TOL: f64 = 1e-6;
+
 fn assert_maps_close(tag: &str, kernel: &[f64], oracle: &[f64], tol: f64) {
     assert_eq!(kernel.len(), oracle.len(), "{tag}: bin count mismatch");
     let scale = oracle.iter().fold(1.0f64, |m, v| m.max(v.abs()));
@@ -105,23 +110,11 @@ fn scatter_map_matches_oracle_for_all_strategies() {
         DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
     ] {
         for threads in [1usize, 4] {
-            for deterministic in [false, true] {
-                let mut op = DensityOp::new(grid.clone(), strategy, 1.0)
-                    .expect("supported grid")
-                    .with_deterministic(deterministic);
-                let mut ctx = ExecCtx::new(threads);
-                let _ = op.forward(&nl, &p, &mut ctx);
-                let map = op.last_density_map().expect("map cached after forward");
-                // Fixed-point accumulation quantizes: allow a looser bound
-                // there, exact-ish float agreement otherwise.
-                let tol = if deterministic { 1e-6 } else { 1e-10 };
-                assert_maps_close(
-                    &format!("{strategy} threads {threads} det {deterministic}"),
-                    &map,
-                    &oracle,
-                    tol,
-                );
-            }
+            let mut op = DensityOp::new(grid.clone(), strategy, 1.0).expect("supported grid");
+            let mut ctx = ExecCtx::new(threads);
+            let _ = op.forward(&nl, &p, &mut ctx);
+            let map = op.last_density_map().expect("map cached after forward");
+            assert_maps_close(&format!("{strategy} threads {threads}"), &map, &oracle, QUANT_TOL);
         }
     }
 }
@@ -157,12 +150,12 @@ fn fixed_map_and_overflow_match_oracle() {
         .zip(&fixed_oracle)
         .map(|(m, f)| m + f)
         .collect();
-    assert_maps_close("movable+fixed", &combined, &combined_oracle, 1e-10);
+    assert_maps_close("movable+fixed", &combined, &combined_oracle, QUANT_TOL);
 
     let tau = op.overflow(&nl, &p, &mut ctx);
     let tau_oracle = overflow_oracle(&nl, &movable_oracle, Some(&fixed_oracle), &og, 0.02);
     assert!(
-        (tau - tau_oracle).abs() < 1e-10,
+        (tau - tau_oracle).abs() < QUANT_TOL,
         "overflow {tau} vs oracle {tau_oracle}"
     );
     assert!(tau_oracle > 0.0, "stacked cells at target 0.02 must overflow");
@@ -216,9 +209,10 @@ fn forward_energy_and_backward_gather_match_oracle() {
             let mut ctx = ExecCtx::new(threads);
             let mut grad = Gradient::zeros(nl.num_cells());
             let energy = op.forward_backward(&nl, &p, &mut grad, &mut ctx);
+            // The oracle solves its own unquantized map.
             let scale = field.energy.abs().max(1e-12);
             assert!(
-                (energy - field.energy).abs() / scale < 1e-9,
+                (energy - field.energy).abs() / scale < QUANT_TOL,
                 "{backend:?} threads {threads}: energy {energy} vs oracle {}",
                 field.energy
             );
@@ -228,13 +222,13 @@ fn forward_energy_and_backward_gather_match_oracle() {
                 .fold(1e-12f64, |m, v| m.max(v.abs()));
             for c in 0..nl.num_movable() {
                 assert!(
-                    (grad.x[c] - ogx[c]).abs() / gscale < 1e-9,
+                    (grad.x[c] - ogx[c]).abs() / gscale < QUANT_TOL,
                     "{backend:?} threads {threads}: cell {c} grad_x {} vs oracle {}",
                     grad.x[c],
                     ogx[c]
                 );
                 assert!(
-                    (grad.y[c] - ogy[c]).abs() / gscale < 1e-9,
+                    (grad.y[c] - ogy[c]).abs() / gscale < QUANT_TOL,
                     "{backend:?} threads {threads}: cell {c} grad_y {} vs oracle {}",
                     grad.y[c],
                     ogy[c]
@@ -292,53 +286,47 @@ fn fine_grid_scatter_overflow_and_gather_match_oracles() {
         DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
     ] {
         for threads in [1usize, 4] {
-            for deterministic in [false, true] {
-                let tag = format!("{strategy} threads {threads} det {deterministic}");
-                // Fixed-point accumulation quantizes each update.
-                let tol = if deterministic { 1e-6 } else { 1e-10 };
-                let mut op = DensityOp::new(grid.clone(), strategy, 0.9)
-                    .expect("supported grid")
-                    .with_deterministic(deterministic);
-                op.bake_fixed(&nl, &p);
-                let mut ctx = ExecCtx::new(threads);
-                let mut grad = Gradient::zeros(nl.num_cells());
-                let _ = op.forward_backward(&nl, &p, &mut grad, &mut ctx);
-                let map = op.last_density_map().expect("map cached after forward");
-                assert_maps_close(&tag, &map, &combined_oracle, tol);
+            let tag = format!("{strategy} threads {threads}");
+            let mut op = DensityOp::new(grid.clone(), strategy, 0.9).expect("supported grid");
+            op.bake_fixed(&nl, &p);
+            let mut ctx = ExecCtx::new(threads);
+            let mut grad = Gradient::zeros(nl.num_cells());
+            let _ = op.forward_backward(&nl, &p, &mut grad, &mut ctx);
+            let map = op.last_density_map().expect("map cached after forward");
+            assert_maps_close(&tag, &map, &combined_oracle, QUANT_TOL);
 
-                let tau = op.overflow(&nl, &p, &mut ctx);
+            let tau = op.overflow(&nl, &p, &mut ctx);
+            assert!(
+                (tau - tau_oracle).abs() < QUANT_TOL,
+                "{tag}: overflow {tau} vs oracle {tau_oracle}"
+            );
+
+            // The gather does not depend on the scatter strategy, and
+            // its all-bins oracle is the slow part of this test.
+            if strategy != DensityStrategy::Sorted {
+                continue;
+            }
+            // The explicit spectral sums of `field_oracle` are O(bins^2)
+            // and out of reach at 65536 bins; the solver is pinned to
+            // them at 8 x 8 above, so the gather is checked against the
+            // oracle gradient of the solver's field for the kernel's map.
+            let inv_bin = 1.0 / og.bin_area();
+            let rho: Vec<f64> = map.iter().map(|a| a * inv_bin).collect();
+            let sol = ElectroField::<f64>::new(&grid, DctBackendKind::Direct2d)
+                .expect("supported grid")
+                .solve(&rho);
+            let (ogx, ogy) = density_gradient_oracle(&nl, &p, &og, &sol.field_x, &sol.field_y);
+            let gscale = ogx.iter().chain(&ogy).fold(1e-12f64, |m, v| m.max(v.abs()));
+            for c in 0..nl.num_movable() {
                 assert!(
-                    (tau - tau_oracle).abs() < tol,
-                    "{tag}: overflow {tau} vs oracle {tau_oracle}"
+                    (grad.x[c] - ogx[c]).abs() / gscale < 1e-9
+                        && (grad.y[c] - ogy[c]).abs() / gscale < 1e-9,
+                    "{tag}: cell {c} grad ({}, {}) vs oracle ({}, {})",
+                    grad.x[c],
+                    grad.y[c],
+                    ogx[c],
+                    ogy[c]
                 );
-
-                // The gather does not depend on the scatter strategy, and
-                // its all-bins oracle is the slow part of this test.
-                if strategy != DensityStrategy::Sorted {
-                    continue;
-                }
-                // The explicit spectral sums of `field_oracle` are O(bins^2)
-                // and out of reach at 65536 bins; the solver is pinned to
-                // them at 8 x 8 above, so the gather is checked against the
-                // oracle gradient of the solver's field for the kernel's map.
-                let inv_bin = 1.0 / og.bin_area();
-                let rho: Vec<f64> = map.iter().map(|a| a * inv_bin).collect();
-                let sol = ElectroField::<f64>::new(&grid, DctBackendKind::Direct2d)
-                    .expect("supported grid")
-                    .solve(&rho);
-                let (ogx, ogy) = density_gradient_oracle(&nl, &p, &og, &sol.field_x, &sol.field_y);
-                let gscale = ogx.iter().chain(&ogy).fold(1e-12f64, |m, v| m.max(v.abs()));
-                for c in 0..nl.num_movable() {
-                    assert!(
-                        (grad.x[c] - ogx[c]).abs() / gscale < 1e-9
-                            && (grad.y[c] - ogy[c]).abs() / gscale < 1e-9,
-                        "{tag}: cell {c} grad ({}, {}) vs oracle ({}, {})",
-                        grad.x[c],
-                        grad.y[c],
-                        ogx[c],
-                        ogy[c]
-                    );
-                }
             }
         }
     }
@@ -356,7 +344,7 @@ fn zero_area_cells_are_inert() {
     let energy = op.forward_backward(nl, &d.placement, &mut grad, &mut ctx);
     assert!(energy.is_finite());
     let map = op.last_density_map().expect("map cached after forward");
-    assert_maps_close("zero-area scatter", &map, &oracle, 1e-10);
+    assert_maps_close("zero-area scatter", &map, &oracle, QUANT_TOL);
     // Fully zero-area cells feel no density force at all.
     for c in 0..nl.num_movable() {
         let area = nl.cell_widths()[c] * nl.cell_heights()[c];
@@ -381,7 +369,7 @@ fn single_bin_grids_build_in_uniform_field_mode() {
     let _ = op.forward(&d.design.netlist, &d.placement, &mut ctx);
     let map = op.last_density_map().expect("map cached after forward");
     let oracle = movable_map_oracle(&d.design.netlist, &d.placement, &og);
-    assert_maps_close("minimal grid scatter", &map, &oracle, 1e-10);
+    assert_maps_close("minimal grid scatter", &map, &oracle, QUANT_TOL);
     // ...the rest are sub-spectral single-bin shapes: they now build, but
     // flag that the spectral solve must be skipped (uniform-field mode).
     for &(mx, my) in &d.suggested_bins[1..] {

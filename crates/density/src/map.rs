@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 
 use dp_netlist::{Netlist, Placement, Rect};
 use dp_num::atomic::round_to_i64;
-use dp_num::{AtomicFloat, Float, WorkerPool};
+use dp_num::{Float, WorkerPool};
 
 use crate::bins::{BinGrid, Spans};
 
@@ -154,19 +154,17 @@ pub(crate) fn for_each_overlap<T: Float>(
     }
 }
 
-/// Fixed-point units per bin area in deterministic mode: bins accumulate
+/// Fixed-point units per bin area: bins accumulate
 /// `round(area / bin_area * 2^24)` as integers, so precision is independent
-/// of the layout's scale.
+/// of the layout's scale and, integer addition being associative, every
+/// thread count and interleaving gives one map (paper §V names fixed-point
+/// accumulation as the route to run-to-run determinism).
+///
+/// Range: one update is a cell's smoothed overlap with one bin, which is at
+/// most one bin area, so at most `2^24` units. A bin's sum is therefore at
+/// most `num_movable * 2^24`, which stays below `i64::MAX` for any design
+/// under `2^39` movable cells.
 const FIXED_SCALE: f64 = (1u64 << 24) as f64;
-
-/// The persistent accumulation bins of one [`DensityMapBuilder`].
-enum Bins<T: Float> {
-    /// Float atomics: exact to rounding, order-dependent beyond one thread.
-    Float(Vec<T::Atomic>),
-    /// Integers in units of `1 / FIXED_SCALE` bin areas: integer addition is
-    /// associative, so every thread count and interleaving gives one map.
-    Fixed(Vec<AtomicI64>),
-}
 
 /// Reusable builder for movable/fixed density maps over a [`BinGrid`].
 ///
@@ -181,10 +179,9 @@ pub struct DensityMapBuilder<T: Float> {
     /// Optional movable-cell mask: when set, only `mask[c] == true` cells
     /// scatter (fence-region support, paper §III-G).
     mask: Option<Vec<bool>>,
-    /// Accumulation bins, allocated by the first build and reused after:
-    /// float atomics, or — deterministic mode, run-to-run reproducible under
-    /// any thread interleaving (paper §V future work) — fixed-point integers.
-    bins: Bins<T>,
+    /// Accumulation bins in units of `1 / FIXED_SCALE` bin areas, allocated
+    /// by the first build and reused after.
+    bins: Vec<AtomicI64>,
     /// The bins are all zero. The drain that ends a build reads and clears
     /// them in one pass, so the next build starts scattering at once; the
     /// flag is down from the first update until that drain finishes, and a
@@ -202,31 +199,15 @@ impl<T: Float> DensityMapBuilder<T> {
             order: Vec::new(),
             order_valid_for: usize::MAX,
             mask: None,
-            bins: Bins::Float(Vec::new()),
+            bins: Vec::new(),
             bins_clean: true,
         }
     }
 
-    /// Enables deterministic fixed-point accumulation: bins accumulate in
-    /// scaled integers, making multithreaded scatters bit-reproducible
-    /// (the paper's §V determinism plan). Costs one rounding at `2^-24`
-    /// of a bin area per update.
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.set_deterministic(deterministic);
+    /// No-op: accumulation is always fixed-point. Kept because the frozen
+    /// benchmark crate (`crates/perf`) still calls it.
+    pub fn with_deterministic(self, _deterministic: bool) -> Self {
         self
-    }
-
-    /// In-place variant of [`DensityMapBuilder::with_deterministic`].
-    pub fn set_deterministic(&mut self, deterministic: bool) {
-        if deterministic != matches!(self.bins, Bins::Fixed(_)) {
-            // Empty bins are clean; the next build allocates the new kind.
-            self.bins = if deterministic {
-                Bins::Fixed(Vec::new())
-            } else {
-                Bins::Float(Vec::new())
-            };
-            self.bins_clean = true;
-        }
     }
 
     /// Restricts the scatter to cells with `mask[c] == true` (fence-region
@@ -278,31 +259,10 @@ impl<T: Float> DensityMapBuilder<T> {
         self.order_valid_for = n;
     }
 
-    /// Heap bytes held by the persistent accumulation bins: one float or
-    /// one `i64` per bin (512 KiB at 256 x 256 in `f64` or deterministic
-    /// mode).
+    /// Heap bytes held by the persistent accumulation bins: one `i64` per
+    /// bin (512 KiB at 256 x 256).
     pub fn bins_bytes(&self) -> usize {
-        match &self.bins {
-            Bins::Float(b) => b.capacity() * std::mem::size_of::<T::Atomic>(),
-            Bins::Fixed(b) => b.capacity() * std::mem::size_of::<AtomicI64>(),
-        }
-    }
-
-    /// Makes the bins `num_bins` zeros — a fresh allocation on the first
-    /// build and after an interrupted one, nothing to do otherwise — and
-    /// lowers `bins_clean` for the scatter that follows.
-    fn open_bins(&mut self) {
-        let n = self.grid.num_bins();
-        match &mut self.bins {
-            Bins::Float(b) if b.len() != n || !self.bins_clean => {
-                *b = (0..n).map(|_| T::Atomic::new(T::ZERO)).collect();
-            }
-            Bins::Fixed(b) if b.len() != n || !self.bins_clean => {
-                *b = (0..n).map(|_| AtomicI64::new(0)).collect();
-            }
-            _ => {}
-        }
-        self.bins_clean = false;
+        self.bins.capacity() * std::mem::size_of::<AtomicI64>()
     }
 
     /// Scatters all movable cells into `out` (area units), running the
@@ -310,9 +270,8 @@ impl<T: Float> DensityMapBuilder<T> {
     ///
     /// A one-thread pool runs every chunk on the calling thread, so its
     /// updates are plain load/add/store instead of bus-locked
-    /// read-modify-writes. The map does not depend on which path ran:
-    /// integer sums are order-free, and the float path at one thread
-    /// performs the same additions in the same order either way.
+    /// read-modify-writes; integer sums are order-free, so the map does not
+    /// depend on which path ran.
     pub fn build_movable_into(
         &mut self,
         nl: &Netlist<T>,
@@ -321,51 +280,35 @@ impl<T: Float> DensityMapBuilder<T> {
         out: &mut Vec<T>,
     ) {
         self.ensure_order(nl);
-        self.open_bins();
-        let single_writer = pool.threads() <= 1;
-        match &self.bins {
-            Bins::Float(b) if single_writer => {
-                self.scatter(nl, p, pool, |idx, v| {
-                    let bin = &b[idx];
-                    bin.store(bin.load() + v);
-                });
-            }
-            Bins::Float(b) => self.scatter(nl, p, pool, |idx, v| {
-                b[idx].fetch_add(v);
-            }),
-            Bins::Fixed(b) => {
-                // Accumulate in bin-area units for scale-free precision.
-                let inv_bin_area = 1.0 / self.grid.bin_area().to_f64();
-                let quantise = |v: T| round_to_i64(v.to_f64() * inv_bin_area * FIXED_SCALE);
-                if single_writer {
-                    self.scatter(nl, p, pool, |idx, v| {
-                        let bin = &b[idx];
-                        let sum = bin.load(Ordering::Relaxed).wrapping_add(quantise(v));
-                        bin.store(sum, Ordering::Relaxed);
-                    });
-                } else {
-                    self.scatter(nl, p, pool, |idx, v| {
-                        b[idx].fetch_add(quantise(v), Ordering::Relaxed);
-                    });
-                }
-            }
+        let n = self.grid.num_bins();
+        if self.bins.len() != n || !self.bins_clean {
+            self.bins = (0..n).map(|_| AtomicI64::new(0)).collect();
+        }
+        self.bins_clean = false;
+        // Bin-area units for scale-free precision. Scaling by the power of
+        // two `FIXED_SCALE` is exact, so folding it into the reciprocal
+        // changes no rounding.
+        let scale = 1.0 / self.grid.bin_area().to_f64() * FIXED_SCALE;
+        let quantise = |v: T| round_to_i64(v.to_f64() * scale);
+        let b = &self.bins;
+        if pool.threads() <= 1 {
+            self.scatter(nl, p, pool, |idx, v| {
+                let bin = &b[idx];
+                let sum = bin.load(Ordering::Relaxed).wrapping_add(quantise(v));
+                bin.store(sum, Ordering::Relaxed);
+            });
+        } else {
+            self.scatter(nl, p, pool, |idx, v| {
+                b[idx].fetch_add(quantise(v), Ordering::Relaxed);
+            });
         }
         // Drain: read each bin and leave it zero for the next build.
+        let bin_area = self.grid.bin_area();
         out.clear();
-        match &mut self.bins {
-            Bins::Float(b) => out.extend(b.iter().map(|c| {
-                let v = c.load();
-                c.store(T::ZERO);
-                v
-            })),
-            Bins::Fixed(b) => {
-                let bin_area = self.grid.bin_area();
-                out.extend(b.iter_mut().map(|c| {
-                    let raw = std::mem::take(c.get_mut());
-                    T::from_f64(raw as f64 / FIXED_SCALE) * bin_area
-                }));
-            }
-        }
+        out.extend(self.bins.iter_mut().map(|c| {
+            let raw = std::mem::take(c.get_mut());
+            T::from_f64(raw as f64 / FIXED_SCALE) * bin_area
+        }));
         self.bins_clean = true;
     }
 
@@ -487,18 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn mass_is_conserved() {
-        let (nl, p) = design(1, 40);
-        let map = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 1);
-        let total: f64 = map.iter().sum();
-        let expect: f64 = nl.total_movable_area();
-        assert!(
-            (total - expect).abs() < 1e-9 * expect,
-            "total {total} vs area {expect}"
-        );
-    }
-
-    #[test]
     fn zero_area_cells_scatter_nothing() {
         // Zero-area cells (e.g. Bookshelf terminals modelled as points) are
         // smoothed to a min-size footprint with density scale 0, so the map
@@ -542,33 +473,6 @@ mod tests {
         assert_eq!(map.len(), grid().num_bins());
         // The corrupted cell scatters nothing; the map stays finite.
         assert!(map.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn strategies_agree() {
-        let (nl, p) = design(2, 60);
-        let reference =
-            scatter(DensityMapBuilder::new(grid(), DensityStrategy::Naive), &nl, &p, 1);
-        for strategy in [
-            DensityStrategy::Sorted,
-            DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
-            DensityStrategy::SortedSubthreads { tx: 4, ty: 1 },
-        ] {
-            let map = scatter(DensityMapBuilder::new(grid(), strategy), &nl, &p, 1);
-            for (a, b) in map.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-9, "{strategy}");
-            }
-        }
-    }
-
-    #[test]
-    fn threads_agree() {
-        let (nl, p) = design(3, 50);
-        let serial = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 1);
-        let parallel = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 4);
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -618,7 +522,7 @@ mod tests {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod deterministic_tests {
+mod fixed_point_tests {
     use super::tests::scatter;
     use super::*;
     use dp_netlist::NetlistBuilder;
@@ -652,21 +556,16 @@ mod deterministic_tests {
         // order and tile split produce the same bits — which is what makes
         // the pool-width switch in `build_movable_into` unobservable.
         let (nl, p) = design(5);
-        let reference = scatter(
-            DensityMapBuilder::new(grid(), DensityStrategy::Naive).with_deterministic(true),
-            &nl,
-            &p,
-            1,
-        );
+        let reference = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Naive), &nl, &p, 1);
         for strategy in [
             DensityStrategy::Naive,
             DensityStrategy::Sorted,
             DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
+            DensityStrategy::SortedSubthreads { tx: 4, ty: 1 },
         ] {
             for threads in [1, 2, 4] {
                 for _ in 0..2 {
-                    let builder = DensityMapBuilder::new(grid(), strategy);
-                    let map = scatter(builder.with_deterministic(true), &nl, &p, threads);
+                    let map = scatter(DensityMapBuilder::new(grid(), strategy), &nl, &p, threads);
                     assert_eq!(map, reference, "{strategy} on {threads} threads");
                 }
             }
@@ -674,29 +573,35 @@ mod deterministic_tests {
     }
 
     #[test]
-    fn fixed_point_matches_float_within_quantization() {
-        let (nl, p) = design(6);
-        let sorted = || DensityMapBuilder::new(grid(), DensityStrategy::Sorted);
-        let float = scatter(sorted(), &nl, &p, 1);
-        let fixed = scatter(sorted().with_deterministic(true), &nl, &p, 1);
-        let bin_area = grid().bin_area();
-        for (a, b) in float.iter().zip(&fixed) {
-            // Up to ~200 updates per bin, each quantized at 2^-24 bin areas.
-            assert!(
-                (a - b).abs() < 200.0 * bin_area / (1 << 24) as f64 + 1e-9,
-                "{a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
     fn fixed_point_conserves_charge_to_quantization() {
         let (nl, p) = design(7);
-        let builder = DensityMapBuilder::new(grid(), DensityStrategy::Sorted);
-        let map = scatter(builder.with_deterministic(true), &nl, &p, 1);
+        let map = scatter(DensityMapBuilder::new(grid(), DensityStrategy::Sorted), &nl, &p, 1);
         let total: f64 = map.iter().sum();
         let want = nl.total_movable_area();
         assert!((total - want).abs() / want < 1e-5, "{total} vs {want}");
+    }
+
+    #[test]
+    fn cells_stacked_on_one_bin_drain_to_exactly_their_area() {
+        // Cells two bins square, aligned to bin edges (wide enough to skip
+        // smoothing): every update is one whole bin area, the largest a
+        // single update can be, `FIXED_SCALE` units. N of them sum exactly.
+        const N: usize = 1000;
+        let mut b = NetlistBuilder::new(0.0, 0.0, 64.0, 64.0);
+        let cells: Vec<_> = (0..N).map(|_| b.add_movable_cell(8.0, 8.0)).collect();
+        b.add_net(1.0, vec![(cells[0], 0.0, 0.0), (cells[1], 0.0, 0.0)])
+            .expect("valid");
+        let nl = b.build().expect("valid");
+        let mut p = Placement::zeros(nl.num_cells());
+        p.x.fill(24.0);
+        p.y.fill(40.0);
+        let g = grid();
+        let map = scatter(DensityMapBuilder::new(g.clone(), DensityStrategy::Sorted), &nl, &p, 2);
+        let covered = [g.index(5, 9), g.index(5, 10), g.index(6, 9), g.index(6, 10)];
+        for (bin, v) in map.iter().enumerate() {
+            let want = if covered.contains(&bin) { N as f64 * g.bin_area() } else { 0.0 };
+            assert_eq!(*v, want, "bin {bin}");
+        }
     }
 }
 
@@ -837,42 +742,31 @@ mod stencil_tests {
     }
 
     #[test]
-    fn float_map_on_one_thread_equals_a_scalar_reference_loop() {
-        // The single-writer add must perform the reference's additions in
-        // the reference's order: cell by cell, one add per overlapped bin.
+    fn fixed_point_matches_float_within_quantization() {
+        // A plain `f64` per-bin sum of the stencil's overlaps, cell by cell.
         let (nl, p) = design();
         let g = grid();
-        let naive: Vec<usize> = (0..nl.num_movable()).collect();
-        let mut sorted = naive.clone();
-        let area = |c: usize| nl.cell_widths()[c] * nl.cell_heights()[c];
-        sorted.sort_by(|&a, &b| area(a).partial_cmp(&area(b)).expect("finite areas"));
-        for (strategy, order) in [
-            (DensityStrategy::Naive, &naive),
-            (DensityStrategy::Sorted, &sorted),
-            (DensityStrategy::SortedSubthreads { tx: 2, ty: 2 }, &sorted),
-        ] {
-            let mut want = vec![0.0f64; g.num_bins()];
-            for &c in order {
-                let fp = smoothed_footprint(
-                    p.x[c],
-                    p.y[c],
-                    nl.cell_widths()[c],
-                    nl.cell_heights()[c],
-                    &g,
-                );
-                let (x, y) = g.spans(&fp.rect);
-                let (is, js) = g.overlapped_bins(&fp.rect);
-                for i in is {
-                    for j in js.clone() {
-                        let a = x.overlap(i) * y.overlap(j);
-                        if a > 0.0 {
-                            want[g.index(i, j)] += a * fp.scale;
-                        }
-                    }
-                }
+        let mut want = vec![0.0f64; g.num_bins()];
+        let mut updates = vec![0usize; g.num_bins()];
+        for c in 0..nl.num_movable() {
+            let fp = smoothed_footprint(
+                p.x[c],
+                p.y[c],
+                nl.cell_widths()[c],
+                nl.cell_heights()[c],
+                &g,
+            );
+            let (is, js) = g.overlapped_bins(&fp.rect);
+            for (idx, a) in per_bin_reference(&g, &fp.rect, is, js) {
+                want[idx] += f64::from_bits(a) * fp.scale;
+                updates[idx] += 1;
             }
-            let got = scatter(DensityMapBuilder::new(g.clone(), strategy), &nl, &p, 1);
-            assert_eq!(bits(&got), bits(&want), "{strategy}");
+        }
+        let got = scatter(DensityMapBuilder::new(g.clone(), DensityStrategy::Sorted), &nl, &p, 1);
+        let unit = g.bin_area() / FIXED_SCALE;
+        for ((a, b), k) in got.iter().zip(&want).zip(&updates) {
+            // Each update rounds to half a unit; the sums add rounding.
+            assert!((a - b).abs() <= (*k as f64 * 0.5 + 1.0) * unit, "{a} vs {b}");
         }
     }
 
@@ -886,30 +780,21 @@ mod stencil_tests {
         let mut short = p.clone();
         short.x.truncate(nl.num_movable() / 2);
         let pool = WorkerPool::new(1);
-        for deterministic in [false, true] {
-            let fresh = || {
-                DensityMapBuilder::new(grid(), DensityStrategy::Naive)
-                    .with_deterministic(deterministic)
-            };
-            let mut builder = fresh();
-            let mut map = Vec::new();
-            builder.build_movable_into(&nl, &p, &pool, &mut map);
-            assert!(builder.bins_clean);
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                builder.build_movable_into(&nl, &short, &pool, &mut Vec::new());
-            }));
-            assert!(died.is_err(), "the short placement must panic the scatter");
-            assert!(!builder.bins_clean);
-            let dirty = match &builder.bins {
-                Bins::Float(b) => b.iter().any(|c| c.load() != 0.0),
-                Bins::Fixed(b) => b.iter().any(|c| c.load(Ordering::Relaxed) != 0),
-            };
-            assert!(dirty, "the interrupted scatter must leave charge behind");
+        let fresh = || DensityMapBuilder::new(grid(), DensityStrategy::Naive);
+        let mut builder = fresh();
+        let mut map = Vec::new();
+        builder.build_movable_into(&nl, &p, &pool, &mut map);
+        assert!(builder.bins_clean);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            builder.build_movable_into(&nl, &short, &pool, &mut Vec::new());
+        }));
+        assert!(died.is_err(), "the short placement must panic the scatter");
+        assert!(!builder.bins_clean);
+        let dirty = builder.bins.iter().any(|c| c.load(Ordering::Relaxed) != 0);
+        assert!(dirty, "the interrupted scatter must leave charge behind");
 
-            builder.build_movable_into(&nl, &p, &pool, &mut map);
-            let want = scatter(fresh(), &nl, &p, 1);
-            assert_eq!(bits(&map), bits(&want), "deterministic = {deterministic}");
-            assert!(builder.bins_clean);
-        }
+        builder.build_movable_into(&nl, &p, &pool, &mut map);
+        assert_eq!(bits(&map), bits(&scatter(fresh(), &nl, &p, 1)));
+        assert!(builder.bins_clean);
     }
 }

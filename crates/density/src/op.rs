@@ -119,10 +119,9 @@ impl<T: Float> DensityOp<T> {
         })
     }
 
-    /// Enables deterministic fixed-point density accumulation (bitwise
-    /// run-to-run reproducible scatters; paper §V future work).
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.builder.set_deterministic(deterministic);
+    /// No-op: accumulation is always fixed-point. Kept because the frozen
+    /// benchmark crate (`crates/perf`) still calls it.
+    pub fn with_deterministic(self, _deterministic: bool) -> Self {
         self
     }
 

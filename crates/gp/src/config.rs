@@ -317,12 +317,9 @@ pub struct GpConfig<T> {
     pub recovery: RecoveryPolicy,
     /// Fault injection for recovery testing (empty = no faults).
     pub fault_injection: FaultInjection,
-    /// Density accumulation mode: `None` picks fixed-point bins whenever
-    /// `threads > 1` (multithreaded float atomics are order-dependent),
-    /// `Some(true)` forces fixed-point even serially — which makes runs
-    /// bit-identical *across thread counts*, the contract the determinism
-    /// replayer in `dp-check` verifies — and `Some(false)` forces float
-    /// accumulation (serial benchmarking of the non-quantized path).
+    /// No effect: density bins always accumulate in fixed point, so every
+    /// run is bit-identical across thread counts. Kept because the frozen
+    /// benchmark crate (`crates/perf`) still sets it.
     pub deterministic: Option<bool>,
     /// Telemetry sink for spans, convergence traces, and kernel timers.
     /// Disabled by default; never touches the numerics either way.
@@ -344,7 +341,7 @@ impl<T: Float> GpConfig<T> {
             min_iters: 20,
             max_seconds: None,
             wirelength: WirelengthModel::Wa(WaStrategy::Merged),
-            density_strategy: DensityStrategy::SortedSubthreads { tx: 2, ty: 2 },
+            density_strategy: DensityStrategy::Sorted,
             dct_backend: DctBackendKind::Direct2d,
             solver: SolverKind::Nesterov,
             init: InitKind::RandomCenter,

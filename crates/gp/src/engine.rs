@@ -1041,12 +1041,6 @@ impl<T: Float> GpEngine<T> {
             WirelengthModel::Wa(strategy) => WlOp::Wa(WaWirelength::new(strategy, gamma0)),
             WirelengthModel::Lse => WlOp::Lse(LseWirelength::new(gamma0)),
         };
-        // Multithreaded float-atomic scatters are order-dependent; the
-        // fixed-point bins keep multi-thread runs bit-reproducible (and
-        // thread-count invariant) at a 2^-24 bin-area quantization. The
-        // config can force either mode (determinism replay compares a
-        // serial run against a multithreaded one, so both must quantize).
-        let deterministic = cfg.deterministic.unwrap_or(cfg.threads > 1);
         let density = match &cfg.fence {
             None => DensityModel::Single(
                 DensityOp::with_backend(
@@ -1054,8 +1048,7 @@ impl<T: Float> GpEngine<T> {
                     cfg.density_strategy,
                     cfg.target_density,
                     cfg.dct_backend,
-                )?
-                .with_deterministic(deterministic),
+                )?,
             ),
             Some(spec) => DensityModel::Fenced(
                 FencedDensityOp::new(
@@ -1065,8 +1058,7 @@ impl<T: Float> GpEngine<T> {
                     cfg.target_density,
                     cfg.dct_backend,
                     spec.clone(),
-                )?
-                .with_deterministic(deterministic),
+                )?,
             ),
         };
         Ok((grid, bin_size, gamma_sched, wl, density))
@@ -1854,8 +1846,7 @@ mod tests {
     #[test]
     fn state_resume_is_bit_identical_to_uninterrupted_run() {
         let d = small_design();
-        let mut cfg = quick_config(&d.netlist);
-        cfg.deterministic = Some(true);
+        let cfg = quick_config(&d.netlist);
         let golden = GlobalPlacer::new(cfg.clone())
             .place(&d.netlist, &d.fixed_positions)
             .expect("ok");
@@ -2010,7 +2001,6 @@ mod tests {
                     cfg.max_iters = 90;
                     cfg.target_overflow = T::from_f64(0.12);
                     cfg.threads = threads;
-                    cfg.deterministic = Some(true);
                     if fenced {
                         cfg.fence = Some(two_fences(&d.netlist));
                     }

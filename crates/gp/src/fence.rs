@@ -148,17 +148,6 @@ impl<T: Float> FencedDensityOp<T> {
         }
     }
 
-    /// Enables deterministic fixed-point density accumulation in every
-    /// region's operator (thread-count invariant scatters).
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.ops = self
-            .ops
-            .into_iter()
-            .map(|op| op.with_deterministic(deterministic))
-            .collect();
-        self
-    }
-
     /// Area-weighted overflow across regions.
     pub fn overflow(&mut self, nl: &Netlist<T>, p: &Placement<T>, ctx: &mut ExecCtx<T>) -> T {
         self.combine(nl, |op| Some(op.overflow(nl, p, ctx)))

@@ -146,7 +146,7 @@ impl_atomic_float!(AtomicF64, f64, AtomicU64);
 /// range and `0` for NaN: bit for bit `x.round() as i64`, without the libm
 /// call `f64::round` compiles to on baseline x86-64.
 ///
-/// This is the quantiser of the deterministic density scatter. Floating-point
+/// This is the quantiser of the density scatter. Floating-point
 /// accumulation is order-dependent, so a multithreaded scatter into float
 /// bins is not run-to-run reproducible; the DREAMPlace paper names
 /// fixed-point accumulation as the fix ("we plan to investigate the

@@ -35,7 +35,6 @@ fn converged_large_design_matches_golden_record() {
     // Full overflow target — no relaxation, no iteration haircut.
     cfg.gp.target_overflow = 0.07;
     cfg.gp.threads = THREADS;
-    cfg.gp.deterministic = Some(true);
     cfg.run_dp = true;
     let result = DreamPlacer::new(cfg).place(&design).expect("flow completes");
     assert!(

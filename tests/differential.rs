@@ -56,9 +56,6 @@ fn run(d: &GeneratedDesign<f64>) -> FlowResult<f64> {
     cfg.gp.max_iters = 300;
     cfg.gp.target_overflow = 0.12;
     cfg.gp.threads = THREADS;
-    // Fixed-point density accumulation: bit-identical regardless of how
-    // the worker pool interleaves, so the goldens hold on any machine.
-    cfg.gp.deterministic = Some(true);
     cfg.run_dp = true;
     if let InitKind::WirelengthOnly { iters } = cfg.gp.init {
         cfg.gp.init = InitKind::WirelengthOnly {

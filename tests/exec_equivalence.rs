@@ -6,8 +6,11 @@
 //! The ordered per-chunk reductions (with a thread-count-invariant chunk
 //! size) make the net-by-net and merged wirelength kernels bit-exact at any
 //! worker count; the atomic strategy accumulates through float atomics and
-//! is only reproducible to rounding; the density scatter is bit-exact in
-//! its fixed-point deterministic mode.
+//! is only reproducible to rounding; the density scatter accumulates in
+//! fixed point, so it — and a whole placement — is bit-exact at any worker
+//! count.
+
+use std::sync::Arc;
 
 use dp_autograd::{ExecCtx, Gradient, Operator};
 use dp_density::{BinGrid, DensityOp, DensityStrategy};
@@ -15,6 +18,8 @@ use dp_gp::{initial_placement, GlobalPlacer, GpConfig};
 use dp_wirelength::{LseWirelength, WaStrategy, WaWirelength};
 use dreamplace::gen::{GeneratedDesign, GeneratorConfig};
 use dreamplace::netlist::Placement;
+use dreamplace::telemetry::Telemetry;
+use dreamplace::{DreamPlacer, FlowConfig, FlowResult, Scheduler, ToolMode};
 
 fn design(seed: u64, cells: usize) -> GeneratedDesign<f64> {
     GeneratorConfig::new(format!("exec-{seed}"), cells, cells + cells / 8)
@@ -97,14 +102,12 @@ fn wa_atomic_matches_serial_to_rounding() {
 }
 
 #[test]
-fn density_deterministic_mode_is_bit_exact_across_thread_counts() {
+fn density_op_is_bit_exact_across_thread_counts() {
     let d = design(19, 600);
     let m = GpConfig::<f64>::auto_bins(d.netlist.num_movable());
     let make = || {
         let grid = BinGrid::new(d.netlist.region(), m, m).expect("bins");
-        let mut op = DensityOp::new(grid, DensityStrategy::Sorted, 1.0f64)
-            .expect("density op")
-            .with_deterministic(true);
+        let mut op = DensityOp::new(grid, DensityStrategy::Sorted, 1.0f64).expect("density op");
         op.bake_fixed(&d.netlist, &start(&d));
         op
     };
@@ -186,4 +189,30 @@ fn placement_run_evaluates_density_once_per_distinct_point() {
     assert_eq!(calls("wa.forward_backward"), evals.wl_evals + 1);
     assert_eq!(calls("density.forward"), evals.density_evals + 1);
     assert_eq!(calls("density.backward"), calls("density.forward"));
+}
+
+#[test]
+fn placement_bits_do_not_depend_on_thread_count() {
+    // One thread and two take the same trajectory through every entry
+    // point: the CLI's mode config, and a job on a one-wide scheduler pool
+    // (which pins the job's thread count to the pool's width). Float bins
+    // summed in a different order would move this design's GP HPWL.
+    let d = design(3, 300);
+    let config = |threads| FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads }, &d.netlist);
+    let solo = |threads| DreamPlacer::new(config(threads)).place(&d).expect("flow");
+    let two = solo(2);
+
+    let mut sched = Scheduler::<f64>::with_threads(1);
+    let id = sched.submit(config(2), Arc::new(d.clone()), Telemetry::disabled(), None);
+    sched.run_all();
+    let scheduled = sched.take_result(id).expect("job finished").expect("job succeeded");
+
+    let same = |got: &FlowResult<f64>, tag: &str| {
+        assert_eq!(got.hpwl_gp.to_bits(), two.hpwl_gp.to_bits(), "{tag}: GP HPWL");
+        assert_eq!(got.hpwl_final.to_bits(), two.hpwl_final.to_bits(), "{tag}: final HPWL");
+        assert_eq!(bits(&got.placement.x), bits(&two.placement.x), "{tag}: x");
+        assert_eq!(bits(&got.placement.y), bits(&two.placement.y), "{tag}: y");
+    };
+    same(&solo(1), "one-thread CLI mode");
+    same(&scheduled, "one-wide scheduler job");
 }

@@ -44,7 +44,6 @@ fn config(d: &GeneratedDesign<f64>) -> FlowConfig<f64> {
     cfg.gp.max_iters = 300;
     cfg.gp.target_overflow = 0.12;
     cfg.gp.threads = THREADS;
-    cfg.gp.deterministic = Some(true);
     cfg.run_dp = true;
     if let InitKind::WirelengthOnly { iters } = cfg.gp.init {
         cfg.gp.init = InitKind::WirelengthOnly {

@@ -45,9 +45,6 @@ fn config(d: &GeneratedDesign<f64>) -> FlowConfig<f64> {
     cfg.gp.max_iters = 300;
     cfg.gp.target_overflow = 0.12;
     cfg.gp.threads = THREADS;
-    // Fixed-point density accumulation: bit-identical regardless of how
-    // the worker pool interleaves (same setting as the golden gate).
-    cfg.gp.deterministic = Some(true);
     if let InitKind::WirelengthOnly { iters } = cfg.gp.init {
         cfg.gp.init = InitKind::WirelengthOnly {
             iters: iters.min(40),

@@ -35,7 +35,6 @@ fn run(d: &GeneratedDesign<f64>, telemetry: Telemetry) -> FlowResult<f64> {
     cfg.gp.max_iters = 300;
     cfg.gp.target_overflow = 0.12;
     cfg.gp.threads = THREADS;
-    cfg.gp.deterministic = Some(true);
     cfg.run_dp = true;
     if let InitKind::WirelengthOnly { iters } = cfg.gp.init {
         cfg.gp.init = InitKind::WirelengthOnly {
