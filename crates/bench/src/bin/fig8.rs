@@ -5,19 +5,18 @@
 //! ```text
 //! DP_SCALE=128 cargo run -p dp-bench --release --bin fig8
 //! ```
+//!
+//! A configuration with a failed flow prints `n/a (<diagnosis>)` in its
+//! cell, and the binary then exits non-zero after the whole table.
 
-use dp_bench::{hr, ratio_row, scale};
+use dp_bench::{cell, gp_seconds, hr, ratio_row, scale};
+use dp_gen::GeneratedDesign;
 use dp_num::Float;
-use dreamplace_core::{DreamPlacer, FlowConfig, ToolMode};
+use dreamplace_core::ToolMode;
 
-fn gp_seconds<T: Float>(mode: ToolMode, design: &dp_gen::GeneratedDesign<T>) -> f64 {
-    let mut config = FlowConfig::for_mode(mode, &design.netlist);
-    config.run_dp = false;
-    DreamPlacer::new(config)
-        .place(design)
-        .expect("flow")
-        .timing
-        .gp
+/// GP seconds of `mode` on every design, or the first failure.
+fn times<T: Float>(mode: ToolMode, designs: &[GeneratedDesign<T>]) -> Result<Vec<f64>, String> {
+    designs.iter().map(|d| gp_seconds(mode, d)).collect()
 }
 
 fn main() {
@@ -47,10 +46,18 @@ fn main() {
         .collect();
 
     // Reference: GPU-sim float64.
-    let reference: Vec<f64> = d64
-        .iter()
-        .map(|d| gp_seconds(ToolMode::DreamplaceGpuSim, d))
-        .collect();
+    let reference = times(ToolMode::DreamplaceGpuSim, &d64);
+    let ratio = |t: Result<Vec<f64>, String>| -> Result<f64, String> {
+        let reference = reference
+            .as_ref()
+            .map_err(|why| format!("reference: {why}"))?;
+        Ok(ratio_row(&t?, reference))
+    };
+    let mut failed = false;
+    let mut show = |r: Result<f64, String>| {
+        failed |= r.is_err();
+        cell(&r, 10)
+    };
 
     hr(74);
     println!(
@@ -67,40 +74,39 @@ fn main() {
                 } else {
                     ToolMode::DreamplaceCpu { threads }
                 };
-                let times: Vec<f64> = if precision == "float64" {
-                    d64.iter().map(|d| gp_seconds(mode, d)).collect()
+                let t = if precision == "float64" {
+                    times(mode, &d64)
                 } else {
-                    d32.iter().map(|d| gp_seconds(mode, d)).collect()
+                    times(mode, &d32)
                 };
-                cells.push(ratio_row(&times, &reference));
+                cells.push(show(ratio(t)));
             }
             println!(
-                "{:<26} {:>10.2} {:>10.2} {:>10.2} {:>10}",
+                "{:<26} {} {} {} {:>10}",
                 label, cells[0], cells[1], cells[2], precision
             );
         }
     }
-    let gpusim32: Vec<f64> = d32
-        .iter()
-        .map(|d| gp_seconds(ToolMode::DreamplaceGpuSim, d))
-        .collect();
+    let reference_cell = show(reference.clone().map(|_| 1.0));
+    let gpusim32 = show(ratio(times(ToolMode::DreamplaceGpuSim, &d32)));
     println!(
-        "{:<26} {:>10.2} {:>10} {:>10} {:>10}",
-        "DREAMPlace-GPUsim", 1.00, "-", "-", "float64"
+        "{:<26} {} {:>10} {:>10} {:>10}",
+        "DREAMPlace-GPUsim", reference_cell, "-", "-", "float64"
     );
     println!(
-        "{:<26} {:>10.2} {:>10} {:>10} {:>10}",
-        "DREAMPlace-GPUsim",
-        ratio_row(&gpusim32, &reference),
-        "-",
-        "-",
-        "float32"
+        "{:<26} {} {:>10} {:>10} {:>10}",
+        "DREAMPlace-GPUsim", gpusim32, "-", "-", "float32"
     );
     hr(74);
     println!(
         "paper shape: baseline slowest at every thread count; float32 < float64.\n\
-         note: this machine has 1 physical core, so multi-thread columns show\n\
+         note: thread columns beyond the host's core count (threads={}) show\n\
          scheduling overhead instead of the paper's ~3-5x CPU scaling\n\
-         (see EXPERIMENTS.md)."
+         (see EXPERIMENTS.md).",
+        dp_num::default_threads()
     );
+    if failed {
+        eprintln!("fig8: at least one flow failed (cells marked n/a)");
+        std::process::exit(1);
+    }
 }

@@ -98,6 +98,29 @@ pub fn run_flow_traced(
     (FlowRow::from_result(&r), telemetry.report())
 }
 
+/// Global-placement seconds of one flow without detailed placement (what
+/// Figs. 7 and 8 compare), or the flow's one-line diagnosis when it fails.
+pub fn gp_seconds<T: dp_num::Float>(
+    mode: ToolMode,
+    design: &dp_gen::GeneratedDesign<T>,
+) -> Result<f64, String> {
+    let mut config = FlowConfig::for_mode(mode, &design.netlist);
+    config.run_dp = false;
+    DreamPlacer::new(config)
+        .place(design)
+        .map(|r| r.timing.gp)
+        .map_err(|e| e.diagnosis())
+}
+
+/// A right-aligned table cell with two decimals, or `n/a (<diagnosis>)`
+/// for a measurement that failed.
+pub fn cell(r: &Result<f64, String>, width: usize) -> String {
+    match r {
+        Ok(v) => format!("{v:>width$.2}"),
+        Err(why) => format!("n/a ({why})"),
+    }
+}
+
 /// Times a closure, returning `(result, seconds)`.
 pub fn time_it<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t = Instant::now();

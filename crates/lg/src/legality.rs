@@ -107,13 +107,29 @@ pub fn check_legal<T: Float>(nl: &Netlist<T>, p: &Placement<T>) -> LegalityRepor
                     continue;
                 }
                 let ov = rects[a].overlap_area(&rects[b]).to_f64();
-                if ov > eps && counted.insert((a.min(b), a.max(b))) {
+                if ov > eps
+                    && overlaps_beyond_rounding(&rects[a], &rects[b])
+                    && counted.insert((a.min(b), a.max(b)))
+                {
                     report.overlaps += 1;
                 }
             }
         }
     }
     report
+}
+
+/// `true` when both extents of the overlap of `a` and `b` are wider than a
+/// few ulps of `T` at the coordinates' magnitude. `Rect::from_center`
+/// rounds each edge of a site-snapped cell separately, so in `f32` two
+/// abutting cells can share an edge one ulp apart; that is rounding, not an
+/// overlap. In `f64` the tolerance is about 1e-12 and counts nothing new.
+fn overlaps_beyond_rounding<T: Float>(a: &Rect<T>, b: &Rect<T>) -> bool {
+    let wider = |lo: T, hi: T| {
+        let (lo, hi) = (lo.to_f64(), hi.to_f64());
+        hi - lo > 4.0 * T::EPSILON.to_f64() * lo.abs().max(hi.abs()).max(1.0)
+    };
+    wider(a.xl.max(b.xl), a.xh.min(b.xh)) && wider(a.yl.max(b.yl), a.yh.min(b.yh))
 }
 
 #[cfg(test)]
@@ -182,6 +198,43 @@ mod tests {
         p.y = vec![4.0, 4.0];
         let r = check_legal(&nl, &p);
         assert!(r.is_legal(), "{r:?}");
+    }
+
+    /// Two 4×8 cells in one row whose shared edge sits near 62: cell 0
+    /// spans `[58, 62]`, cell 1 starts `gap` to the left of 62.
+    fn abutment<T: Float>(gap: T) -> LegalityReport {
+        let t = T::from_f64;
+        let rows = RowGrid::uniform(t(0.0), t(0.0), t(128.0), t(16.0), t(8.0), t(1.0));
+        let mut b = NetlistBuilder::new(t(0.0), t(0.0), t(128.0), t(16.0)).with_rows(rows);
+        let a = b.add_movable_cell(t(4.0), t(8.0));
+        let c = b.add_movable_cell(t(4.0), t(8.0));
+        b.add_net(T::ONE, vec![(a, T::ZERO, T::ZERO), (c, T::ZERO, T::ZERO)])
+            .expect("valid");
+        let nl = b.build().expect("valid");
+        let mut p = Placement::zeros(2);
+        p.x = vec![t(60.0), t(64.0) - gap];
+        p.y = vec![t(4.0), t(4.0)];
+        check_legal(&nl, &p)
+    }
+
+    fn rounding_is_not_an_overlap<T: Float>() {
+        // One ulp in [32, 64): the f32 case overlaps by 3.05e-5 in area,
+        // above the absolute area epsilon.
+        let ulp = T::EPSILON * T::from_f64(32.0);
+        assert_eq!(abutment(ulp).overlaps, 0, "{}", T::PRECISION_NAME);
+        assert_eq!(abutment(T::ZERO).overlaps, 0);
+        assert_eq!(abutment(T::from_f64(1e-3)).overlaps, 1);
+        assert_eq!(abutment(T::ONE).overlaps, 1); // one site
+    }
+
+    #[test]
+    fn one_ulp_abutment_is_legal_and_real_overlaps_are_not_f32() {
+        rounding_is_not_an_overlap::<f32>();
+    }
+
+    #[test]
+    fn one_ulp_abutment_is_legal_and_real_overlaps_are_not_f64() {
+        rounding_is_not_an_overlap::<f64>();
     }
 
     #[test]

@@ -50,18 +50,30 @@
 // tests opt out module-by-module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+mod exp;
 pub mod hpwl_op;
 pub mod lse;
 pub mod wa;
 
 /// The two stabilised exponentials of a pin at `v` in a net spanning
 /// `[lo, hi]`: `e^{(v - hi)/gamma}` and `e^{(lo - v)/gamma}`, both in
-/// `(0, 1]`. Takes `1/gamma` so that no kernel divides per pin; WA (all
+/// `[0, 1]`. Takes `1/gamma` so that no kernel divides per pin; WA (all
 /// three strategies) and LSE evaluate their exponents here and nowhere else,
-/// which keeps them comparable to the bit.
+/// which keeps them comparable to the bit. Both arguments are `≤ 0`, so
+/// they go through the libm-free kernels of `exp.rs`: [`exp::exp_nonpos`]
+/// for `f64`, [`exp::exp_nonpos_single`] for `f32` (widened exactly, its
+/// result rounded back once).
 #[inline]
 pub(crate) fn stable_exps<T: dp_num::Float>(v: T, hi: T, lo: T, inv_gamma: T) -> (T, T) {
-    (((v - hi) * inv_gamma).exp(), ((lo - v) * inv_gamma).exp())
+    let e = |x: T| {
+        let x = x.to_f64();
+        T::from_f64(if std::mem::size_of::<T>() == std::mem::size_of::<f32>() {
+            exp::exp_nonpos_single(x)
+        } else {
+            exp::exp_nonpos(x)
+        })
+    };
+    (e((v - hi) * inv_gamma), e((lo - v) * inv_gamma))
 }
 
 pub use hpwl_op::HpwlOp;

@@ -53,6 +53,29 @@ fn float32_matches_float64_quality() {
 }
 
 #[test]
+fn float32_flow_converged_smoke_design_legalizes() {
+    // A 300-cell `flow_converged`-style design at seed 5, one thread, 20 GP
+    // iterations. Abacus abuts two site-snapped cells whose f32 centres
+    // cannot make both edges exact: `xh` of one and `xl` of the next differ
+    // by one ulp. The audit must call that legal.
+    let d = GeneratorConfig::new("flow-converged", 300, 322)
+        .with_seed(5)
+        .with_utilization(0.65)
+        .with_macros(4, 0.10)
+        .generate::<f32>()
+        .expect("valid");
+    let mut cfg = FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads: 1 }, &d.netlist);
+    cfg.gp.threads = 1;
+    cfg.gp.target_overflow = 0.07;
+    cfg.gp.max_iters = 20;
+    cfg.gp.min_iters = 20;
+    let r = DreamPlacer::new(cfg)
+        .place(&d)
+        .unwrap_or_else(|e| panic!("{}", e.diagnosis()));
+    assert!(r.hpwl_final.is_finite());
+}
+
+#[test]
 fn wirelength_strategies_give_identical_flows() {
     // The three WA kernels compute the same math, so the whole (serial,
     // deterministic) flow must agree bit-for-bit on its final HPWL within
