@@ -20,7 +20,7 @@ use dp_num::parallel::DisjointSlice;
 use dp_num::{Float, WorkerPool};
 
 use crate::incremental::IncrementalHpwl;
-use crate::swap::optimal_position;
+use crate::swap::{optimal_position, BucketGrid, MedianScratch};
 
 /// One proposed swap: partner cell and the gain measured at propose time.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +85,7 @@ fn batched_swap_round<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>, pool: &Wo
     let mut inc = IncrementalHpwl::new(nl, p);
     let eps = T::from_f64(1e-9);
 
-    // Spatial hash (same construction as the sequential operator).
+    // Spatial buckets (same construction as the sequential operator).
     let region = nl.region();
     let bucket = (region.width().to_f64() / 16.0).max(1e-9);
     let key = |x: T, y: T| -> (i64, i64) {
@@ -94,11 +94,7 @@ fn batched_swap_round<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>, pool: &Wo
             (y.to_f64() / bucket).floor() as i64,
         )
     };
-    let mut grid: std::collections::HashMap<(i64, i64), Vec<u32>> =
-        std::collections::HashMap::new();
-    for c in 0..n {
-        grid.entry(key(p.x[c], p.y[c])).or_default().push(c as u32);
-    }
+    let grid = BucketGrid::new((0..n).map(|c| (key(p.x[c], p.y[c]), c)));
 
     // --- propose phase (parallel, read-only) ---------------------------
     let mut proposals: Vec<Option<Proposal<T>>> = vec![None; n];
@@ -111,8 +107,9 @@ fn batched_swap_round<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>, pool: &Wo
         pool.run(n, chunk, |range| {
             // Scratch placement clone per chunk would be O(n); instead we
             // evaluate candidate swaps through a coordinate-override view.
+            let mut median = MedianScratch::default();
             for c in range {
-                let Some((tx, ty)) = optimal_position(nl, p_ref, c) else {
+                let Some((tx, ty)) = optimal_position(nl, p_ref, c, &mut median) else {
                     continue;
                 };
                 if (p_ref.x[c] - tx).abs().to_f64() < bucket
@@ -124,11 +121,7 @@ fn batched_swap_round<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>, pool: &Wo
                 let mut best: Option<Proposal<T>> = None;
                 for dx in -1..=1 {
                     for dy in -1..=1 {
-                        let Some(cands) = grid_ref.get(&(bx + dx, by + dy)) else {
-                            continue;
-                        };
-                        for &other in cands {
-                            let other = other as usize;
+                        for other in grid_ref.get((bx + dx, by + dy)) {
                             if other == c
                                 || nl.cell_widths()[other] != nl.cell_widths()[c]
                                 || nl.cell_heights()[other] != nl.cell_heights()[c]

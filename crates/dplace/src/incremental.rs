@@ -52,34 +52,18 @@ impl<T: Float> IncrementalHpwl<T> {
 
     /// Weighted HPWL of the nets incident to `cells` at the current cache.
     pub fn cost_of_cells(&self, nl: &Netlist<T>, cells: &[CellId]) -> T {
-        let mut seen = Vec::new();
         let mut sum = T::ZERO;
-        for &c in cells {
-            for &pin in nl.cell_pins(c) {
-                let net = nl.pin_net(pin);
-                if !seen.contains(&net) {
-                    seen.push(net);
-                    sum += self.per_net[net.index()];
-                }
-            }
-        }
+        for_each_distinct_net(nl, cells, |net| sum += self.per_net[net.index()]);
         sum
     }
 
     /// Evaluates (without committing) the weighted HPWL the nets incident
     /// to `cells` would have at placement `p`.
     pub fn eval_cells(&self, nl: &Netlist<T>, p: &Placement<T>, cells: &[CellId]) -> T {
-        let mut seen: Vec<NetId> = Vec::new();
         let mut sum = T::ZERO;
-        for &c in cells {
-            for &pin in nl.cell_pins(c) {
-                let net = nl.pin_net(pin);
-                if !seen.contains(&net) {
-                    seen.push(net);
-                    sum += nl.net_weight(net) * net_hpwl(nl, p, net);
-                }
-            }
-        }
+        for_each_distinct_net(nl, cells, |net| {
+            sum += nl.net_weight(net) * net_hpwl(nl, p, net);
+        });
         sum
     }
 
@@ -96,51 +80,90 @@ impl<T: Float> IncrementalHpwl<T> {
                 (p.x[c], p.y[c])
             }
         };
-        let mut seen: Vec<NetId> = Vec::new();
         let mut sum = T::ZERO;
-        for &cell in &[CellId::new(a), CellId::new(b)] {
-            for &pin in nl.cell_pins(cell) {
-                let net = nl.pin_net(pin);
-                if seen.contains(&net) {
-                    continue;
-                }
-                seen.push(net);
-                let mut x_lo = T::INFINITY;
-                let mut x_hi = T::NEG_INFINITY;
-                let mut y_lo = T::INFINITY;
-                let mut y_hi = T::NEG_INFINITY;
-                for &q in nl.net_pins(net) {
-                    let c = nl.pin_cell(q).index();
-                    let (dx, dy) = nl.pin_offset(q);
-                    let (cx, cy) = coord(c);
-                    let px = cx + dx;
-                    let py = cy + dy;
-                    x_lo = x_lo.min(px);
-                    x_hi = x_hi.max(px);
-                    y_lo = y_lo.min(py);
-                    y_hi = y_hi.max(py);
-                }
-                sum += nl.net_weight(net) * (x_hi - x_lo + y_hi - y_lo);
+        for_each_distinct_net(nl, &[CellId::new(a), CellId::new(b)], |net| {
+            let mut x_lo = T::INFINITY;
+            let mut x_hi = T::NEG_INFINITY;
+            let mut y_lo = T::INFINITY;
+            let mut y_hi = T::NEG_INFINITY;
+            for &q in nl.net_pins(net) {
+                let c = nl.pin_cell(q).index();
+                let (dx, dy) = nl.pin_offset(q);
+                let (cx, cy) = coord(c);
+                let px = cx + dx;
+                let py = cy + dy;
+                x_lo = x_lo.min(px);
+                x_hi = x_hi.max(px);
+                y_lo = y_lo.min(py);
+                y_hi = y_hi.max(py);
             }
-        }
+            sum += nl.net_weight(net) * (x_hi - x_lo + y_hi - y_lo);
+        });
         sum
     }
 
     /// Recomputes the nets incident to `cells` from placement `p` and
     /// updates the cached total.
     pub fn update_cells(&mut self, nl: &Netlist<T>, p: &Placement<T>, cells: &[CellId]) {
-        let mut seen: Vec<NetId> = Vec::new();
-        for &c in cells {
-            for &pin in nl.cell_pins(c) {
-                let net = nl.pin_net(pin);
-                if !seen.contains(&net) {
-                    seen.push(net);
-                    let fresh = nl.net_weight(net) * net_hpwl(nl, p, net);
-                    self.total += fresh - self.per_net[net.index()];
-                    self.per_net[net.index()] = fresh;
-                }
+        for_each_distinct_net(nl, cells, |net| {
+            let fresh = nl.net_weight(net) * net_hpwl(nl, p, net);
+            self.total += fresh - self.per_net[net.index()];
+            self.per_net[net.index()] = fresh;
+        });
+    }
+}
+
+/// Calls `f` once per distinct net incident to `cells`, in first-seen
+/// order (cells in order, each cell's pins in order) — the net order every
+/// cost in this crate sums in.
+pub(crate) fn for_each_distinct_net<T: Float>(
+    nl: &Netlist<T>,
+    cells: &[CellId],
+    mut f: impl FnMut(NetId),
+) {
+    let mut seen = SeenNets::new();
+    for &c in cells {
+        for &pin in nl.cell_pins(c) {
+            let net = nl.pin_net(pin);
+            if seen.insert(net) {
+                f(net);
             }
         }
+    }
+}
+
+/// A set of nets that lives on the stack up to [`SeenNets::INLINE`]
+/// members and spills to the heap beyond (high-pin macros), so a move
+/// probe allocates nothing.
+struct SeenNets {
+    inline: [NetId; SeenNets::INLINE],
+    len: usize,
+    spill: Vec<NetId>,
+}
+
+impl SeenNets {
+    const INLINE: usize = 32;
+
+    fn new() -> Self {
+        Self {
+            inline: [NetId::new(0); Self::INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Adds `net`; `true` when it was not yet a member.
+    fn insert(&mut self, net: NetId) -> bool {
+        if self.inline[..self.len].contains(&net) || self.spill.contains(&net) {
+            return false;
+        }
+        if self.len < Self::INLINE {
+            self.inline[self.len] = net;
+            self.len += 1;
+        } else {
+            self.spill.push(net);
+        }
+        true
     }
 }
 

@@ -1,10 +1,11 @@
 //! Independent-set matching: optimal re-assignment of same-size cell
 //! batches via the Hungarian solver.
 
-use dp_netlist::{CellId, NetId, Netlist, Placement};
+use dp_netlist::{CellId, Netlist, Placement};
 use dp_num::Float;
 
-use crate::hungarian::hungarian;
+use crate::bbox::MoveCosts;
+use crate::hungarian::{hungarian, HungarianScratch};
 use crate::incremental::IncrementalHpwl;
 
 /// Batches same-size, net-independent cells and solves the exact
@@ -15,6 +16,11 @@ use crate::incremental::IncrementalHpwl;
 /// Independence (no two batch members share a net) makes per-cell costs
 /// additive, so the Hungarian optimum is the true batch optimum — the same
 /// construction as NTUplace3/ABCDPlace ISM.
+///
+/// Each cost entry widens the cell's net boxes, built once per batch, with
+/// its own pins at the slot ([`crate::bbox`]), and a batch whose every cell
+/// already sits in its cheapest slot skips the solve: rounded addition is
+/// monotone, so no assignment can then undercut the current one.
 pub fn independent_set_matching<T: Float>(
     nl: &Netlist<T>,
     p: &mut Placement<T>,
@@ -23,6 +29,15 @@ pub fn independent_set_matching<T: Float>(
     let batch_size = batch_size.clamp(2, 16);
     let n = nl.num_movable();
     let mut inc = IncrementalHpwl::new(nl, p);
+    let mut costs = MoveCosts::default();
+    let mut solver = HungarianScratch::default();
+    let mut batch: Vec<usize> = Vec::with_capacity(batch_size);
+    let mut ids: Vec<CellId> = Vec::with_capacity(batch_size);
+    let mut slots: Vec<(T, T)> = Vec::with_capacity(batch_size);
+    let mut cost: Vec<f64> = Vec::with_capacity(batch_size * batch_size);
+    // `net_batch[net] == stamp` marks the nets the batch being built uses.
+    let mut net_batch = vec![0u32; nl.num_nets()];
+    let mut stamp = 0u32;
 
     // Group movable cells by (width, height) bit patterns.
     let mut groups: std::collections::BTreeMap<(u64, u64), Vec<usize>> =
@@ -50,19 +65,20 @@ pub fn independent_set_matching<T: Float>(
         let mut cursor = 0usize;
         while cursor < cells.len() {
             // Build a net-independent batch starting at `cursor`.
-            let mut batch: Vec<usize> = Vec::with_capacity(batch_size);
-            let mut nets_used: Vec<NetId> = Vec::new();
+            batch.clear();
+            stamp += 1;
             let mut next_cursor = None;
             for (off, &c) in cells[cursor..].iter().enumerate() {
-                let cell_nets: Vec<NetId> = nl
-                    .cell_pins(CellId::new(c))
+                let pins = nl.cell_pins(CellId::new(c));
+                if pins
                     .iter()
-                    .map(|&pin| nl.pin_net(pin))
-                    .collect();
-                if cell_nets.iter().any(|net| nets_used.contains(net)) {
+                    .any(|&pin| net_batch[nl.pin_net(pin).index()] == stamp)
+                {
                     continue;
                 }
-                nets_used.extend(cell_nets);
+                for &pin in pins {
+                    net_batch[nl.pin_net(pin).index()] = stamp;
+                }
                 batch.push(c);
                 if next_cursor.is_none() {
                     next_cursor = Some(cursor + off + 1);
@@ -76,27 +92,24 @@ pub fn independent_set_matching<T: Float>(
                 continue;
             }
 
-            let slots: Vec<(T, T)> = batch.iter().map(|&c| (p.x[c], p.y[c])).collect();
+            slots.clear();
+            slots.extend(batch.iter().map(|&c| (p.x[c], p.y[c])));
             let b = batch.len();
-            // cost[i][j] = HPWL of cell i's nets with cell i at slot j.
-            let mut cost = vec![vec![0.0f64; b]; b];
-            for i in 0..b {
-                let c = batch[i];
-                let (ox, oy) = (p.x[c], p.y[c]);
-                let ids = [CellId::new(c)];
-                for j in 0..b {
-                    p.x[c] = slots[j].0;
-                    p.y[c] = slots[j].1;
-                    cost[i][j] = inc.eval_cells(nl, p, &ids).to_f64();
-                }
-                p.x[c] = ox;
-                p.y[c] = oy;
+            // cost[i * b + j] = HPWL of cell i's nets with cell i at slot j.
+            cost.clear();
+            for &c in &batch {
+                costs.build(nl, p, &[CellId::new(c)]);
+                cost.extend(slots.iter().map(|&slot| costs.cost(&[slot]).to_f64()));
             }
-            let assign = hungarian(&cost);
-            let current: f64 = (0..b).map(|i| cost[i][i]).sum();
-            let optimal: f64 = (0..b).map(|i| cost[i][assign[i]]).sum();
+            if diagonal_is_row_minimum(&cost, b) {
+                continue;
+            }
+            let assign = hungarian(&cost, b, &mut solver);
+            let current: f64 = (0..b).map(|i| cost[i * b + i]).sum();
+            let optimal: f64 = (0..b).map(|i| cost[i * b + assign[i]]).sum();
             if optimal + 1e-9 < current {
-                let ids: Vec<CellId> = batch.iter().map(|&c| CellId::new(c)).collect();
+                ids.clear();
+                ids.extend(batch.iter().map(|&c| CellId::new(c)));
                 for i in 0..b {
                     let c = batch[i];
                     p.x[c] = slots[assign[i]].0;
@@ -110,6 +123,17 @@ pub fn independent_set_matching<T: Float>(
         }
     }
     moved
+}
+
+/// True when every cell already sits in its cheapest slot. The commit
+/// test `optimal + 1e-9 < current` then cannot pass: both sums add rows
+/// `0..b` in order, each optimal term is `>=` its diagonal term, and
+/// rounded addition is monotone, so `optimal >= current`. Skipping the
+/// solve drops no batch the solve would commit; a NaN entry never skips.
+fn diagonal_is_row_minimum(cost: &[f64], b: usize) -> bool {
+    cost.chunks_exact(b)
+        .enumerate()
+        .all(|(i, row)| row.iter().all(|&c| row[i] <= c))
 }
 
 #[cfg(test)]
@@ -146,6 +170,44 @@ mod tests {
             "optimal is 3 nets x 8 dy: {before} -> {after}"
         );
         assert!(check_legal(&nl, &p).is_legal());
+    }
+
+    /// Whenever the skip fires, the solve path would not have committed:
+    /// random `b x b` matrices, diagonals pulled down to (or tied with)
+    /// their row minimum, entries drawn from a small set of inexact
+    /// decimals so sums round and ties are common.
+    #[test]
+    fn hungarian_skip_never_drops_a_committable_batch() {
+        use crate::hungarian::{hungarian, HungarianScratch};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(2029);
+        let mut solver = HungarianScratch::default();
+        let values = [0.1, 0.2, 0.3, 0.7, 1e-9, 3e-10, 1234.5678, 1234.5679, 9.0e7];
+        let mut fired = 0;
+        for round in 0..20_000 {
+            let b = 2 + round % 15;
+            let mut cost: Vec<f64> = (0..b * b)
+                .map(|_| values[rng.gen_range(0..values.len())] * rng.gen_range(1..4) as f64)
+                .collect();
+            for i in 0..b {
+                let row = &mut cost[i * b..(i + 1) * b];
+                let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+                if rng.gen_bool(0.9) {
+                    row[i] = min;
+                }
+            }
+            if !diagonal_is_row_minimum(&cost, b) {
+                continue;
+            }
+            fired += 1;
+            let assign = hungarian(&cost, b, &mut solver);
+            let current: f64 = (0..b).map(|i| cost[i * b + i]).sum();
+            let optimal: f64 = (0..b).map(|i| cost[i * b + assign[i]]).sum();
+            assert!(optimal + 1e-9 >= current, "b={b} cost={cost:?}");
+        }
+        assert!(fired > 1000, "the skip fired only {fired} times");
+        assert!(!diagonal_is_row_minimum(&[f64::NAN, 1.0, 1.0, 0.0], 2));
     }
 
     #[test]

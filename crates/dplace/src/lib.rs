@@ -39,16 +39,19 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod batched;
+mod bbox;
 pub mod guarded;
 pub mod hungarian;
 pub mod incremental;
 pub mod ism;
+#[cfg(test)]
+mod reference;
 pub mod reorder;
 pub mod swap;
 
 pub use batched::{batched_global_swap, batched_global_swap_on, BatchedDetailedPlacer};
 pub use guarded::{DpFaultInjection, DpGuardReport, DpPass, DpRunState, GuardedDpRun};
-pub use hungarian::hungarian;
+pub use hungarian::{hungarian, HungarianScratch};
 pub use incremental::IncrementalHpwl;
 pub use ism::independent_set_matching;
 pub use reorder::local_reorder;

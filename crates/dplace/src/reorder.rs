@@ -3,6 +3,7 @@
 use dp_netlist::{CellId, Netlist, Placement};
 use dp_num::Float;
 
+use crate::bbox::MoveCosts;
 use crate::incremental::IncrementalHpwl;
 
 /// Re-sequences every window of `k` consecutive cells per row when a
@@ -10,7 +11,9 @@ use crate::incremental::IncrementalHpwl;
 ///
 /// Cells in a window are repacked consecutively from the window's left
 /// edge, which always fits inside the original span, so legality is
-/// preserved.
+/// preserved. A permutation is priced by widening the window's cached net
+/// boxes ([`crate::bbox`]) with its cells' packed positions; the placement
+/// is only written for the committed order.
 ///
 /// # Panics
 ///
@@ -20,56 +23,63 @@ pub fn local_reorder<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>, k: usize) 
     assert!((2..=4).contains(&k), "window size must be 2..=4");
     let rows = group_rows(nl, p);
     let mut inc = IncrementalHpwl::new(nl, p);
+    let mut costs = MoveCosts::default();
     let mut improvements = 0usize;
     let eps = T::from_f64(1e-9);
+    let widths = nl.cell_widths();
 
     for mut row in rows {
         if row.len() < k {
             continue;
         }
         for w0 in 0..=row.len() - k {
-            let window: Vec<usize> = row[w0..w0 + k].to_vec();
-            let ids: Vec<CellId> = window.iter().map(|&c| CellId::new(c)).collect();
+            let window: [usize; 4] = std::array::from_fn(|i| if i < k { row[w0 + i] } else { 0 });
+            let ids = window.map(CellId::new);
+            let (window, ids) = (&window[..k], &ids[..k]);
             // Left edge of the packed window.
             let start = window
                 .iter()
-                .map(|&c| p.x[c] - nl.cell_widths()[c] * T::HALF)
+                .map(|&c| p.x[c] - widths[c] * T::HALF)
                 .fold(T::INFINITY, T::min);
 
-            let before = inc.cost_of_cells(nl, &ids);
-            let saved: Vec<T> = window.iter().map(|&c| p.x[c]).collect();
+            let before = inc.cost_of_cells(nl, ids);
+            costs.build(nl, p, ids);
+            // at[s] = center of window cell s under the probed order.
+            let mut at = [(T::ZERO, T::ZERO); 4];
+            for (a, &c) in at.iter_mut().zip(window) {
+                a.1 = p.y[c];
+            }
 
             let mut best_cost = before;
-            let mut best_perm: Option<Vec<usize>> = None;
-            let mut perm: Vec<usize> = (0..k).collect();
-            permute(&mut perm, 0, &mut |order| {
+            let mut best_perm: Option<[usize; 4]> = None;
+            let mut perm = [0, 1, 2, 3];
+            permute(&mut perm[..k], 0, &mut |order| {
                 let mut x = start;
                 for &slot in order {
-                    let c = window[slot];
-                    let w = nl.cell_widths()[c];
-                    p.x[c] = x + w * T::HALF;
+                    let w = widths[window[slot]];
+                    at[slot].0 = x + w * T::HALF;
                     x += w;
                 }
-                let cost = inc.eval_cells(nl, p, &ids);
+                let cost = costs.cost(&at[..k]);
                 if cost + eps < best_cost {
                     best_cost = cost;
-                    best_perm = Some(order.to_vec());
+                    let mut best = [0; 4];
+                    best[..k].copy_from_slice(order);
+                    best_perm = Some(best);
                 }
             });
 
-            // Restore, then commit the best order if it improves.
-            for (i, &c) in window.iter().enumerate() {
-                p.x[c] = saved[i];
-            }
+            // Commit the best order if it improves.
             if let Some(order) = best_perm {
+                let order = &order[..k];
                 let mut x = start;
-                for &slot in &order {
+                for &slot in order {
                     let c = window[slot];
-                    let w = nl.cell_widths()[c];
+                    let w = widths[c];
                     p.x[c] = x + w * T::HALF;
                     x += w;
                 }
-                inc.update_cells(nl, p, &ids);
+                inc.update_cells(nl, p, ids);
                 // Keep the row list in x order so the next (overlapping)
                 // window packs against the committed neighbors.
                 for (i, &slot) in order.iter().enumerate() {
@@ -153,7 +163,7 @@ pub(crate) fn group_rows<T: Float>(nl: &Netlist<T>, p: &Placement<T>) -> Vec<Vec
     out
 }
 
-fn permute(v: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
+fn permute(v: &mut [usize], k: usize, f: &mut impl FnMut(&[usize])) {
     if k == v.len() {
         f(v);
         return;

@@ -15,7 +15,7 @@ pub fn global_swap<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>) -> usize {
     let mut inc = IncrementalHpwl::new(nl, p);
     let eps = T::from_f64(1e-9);
 
-    // Spatial hash of movable cells for candidate lookup.
+    // Spatial buckets of movable cells for candidate lookup.
     let region = nl.region();
     let bucket = (region.width().to_f64() / 16.0).max(1e-9);
     let key = |x: T, y: T| -> (i64, i64) {
@@ -24,15 +24,12 @@ pub fn global_swap<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>) -> usize {
             (y.to_f64() / bucket).floor() as i64,
         )
     };
-    let mut grid: std::collections::HashMap<(i64, i64), Vec<usize>> =
-        std::collections::HashMap::new();
-    for c in 0..n {
-        grid.entry(key(p.x[c], p.y[c])).or_default().push(c);
-    }
+    let mut grid = BucketGrid::new((0..n).map(|c| (key(p.x[c], p.y[c]), c)));
+    let mut median = MedianScratch::default();
 
     let mut swaps = 0usize;
     for c in 0..n {
-        let target = optimal_position(nl, p, c);
+        let target = optimal_position(nl, p, c, &mut median);
         let (tx, ty) = match target {
             Some(t) => t,
             None => continue,
@@ -45,10 +42,7 @@ pub fn global_swap<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>) -> usize {
         let mut best: Option<(T, usize)> = None;
         for dx in -1..=1 {
             for dy in -1..=1 {
-                let Some(cands) = grid.get(&(bx + dx, by + dy)) else {
-                    continue;
-                };
-                for &other in cands {
+                for other in grid.get((bx + dx, by + dy)) {
                     if other == c
                         || nl.cell_widths()[other] != nl.cell_widths()[c]
                         || nl.cell_heights()[other] != nl.cell_heights()[c]
@@ -71,21 +65,84 @@ pub fn global_swap<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>) -> usize {
             let (kc, ko) = (key(p.x[c], p.y[c]), key(p.x[other], p.y[other]));
             swap_positions(p, c, other);
             inc.update_cells(nl, p, &[CellId::new(c), CellId::new(other)]);
-            // Keep the spatial hash in sync.
+            // Keep the buckets in sync.
             if kc != ko {
-                if let Some(v) = grid.get_mut(&kc) {
-                    v.retain(|&x| x != c);
-                    v.push(other);
-                }
-                if let Some(v) = grid.get_mut(&ko) {
-                    v.retain(|&x| x != other);
-                    v.push(c);
-                }
+                grid.replace(kc, c, other);
+                grid.replace(ko, other, c);
             }
             swaps += 1;
         }
     }
     swaps
+}
+
+/// Cells bucketed by integer key on a dense row-major grid over the
+/// occupied keys, each bucket in insertion order: a lookup visits a key's
+/// candidates in the order a hash map of `Vec`s would. Entries carry their
+/// key, and a grid wider than [`BucketGrid::MAX_SIDE`] per axis (only
+/// reachable from far-out or non-finite positions) clamps keys to its edge
+/// buckets, which lookups then filter by key.
+pub(crate) struct BucketGrid {
+    lo: (i64, i64),
+    side: (i64, i64),
+    buckets: Vec<Vec<((i64, i64), usize)>>,
+}
+
+impl BucketGrid {
+    const MAX_SIDE: i64 = 512;
+
+    /// Buckets every `(key, cell)` in order.
+    pub(crate) fn new(entries: impl Iterator<Item = ((i64, i64), usize)> + Clone) -> Self {
+        let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
+        for ((kx, ky), _) in entries.clone() {
+            lo = (lo.0.min(kx), lo.1.min(ky));
+            hi = (hi.0.max(kx), hi.1.max(ky));
+        }
+        let side = |lo: i64, hi: i64| {
+            hi.saturating_sub(lo)
+                .saturating_add(1)
+                .clamp(1, Self::MAX_SIDE)
+        };
+        let side = (side(lo.0, hi.0), side(lo.1, hi.1));
+        let mut grid = Self {
+            lo,
+            side,
+            buckets: vec![Vec::new(); (side.0 * side.1) as usize],
+        };
+        for (key, cell) in entries {
+            let b = grid.bucket(key);
+            grid.buckets[b].push((key, cell));
+        }
+        grid
+    }
+
+    fn bucket(&self, (kx, ky): (i64, i64)) -> usize {
+        let ix = kx.saturating_sub(self.lo.0).clamp(0, self.side.0 - 1);
+        let iy = ky.saturating_sub(self.lo.1).clamp(0, self.side.1 - 1);
+        (iy * self.side.0 + ix) as usize
+    }
+
+    /// The cells at `key`, in insertion order.
+    pub(crate) fn get(&self, key: (i64, i64)) -> impl Iterator<Item = usize> + '_ {
+        self.buckets[self.bucket(key)]
+            .iter()
+            .filter(move |&&(k, _)| k == key)
+            .map(|&(_, c)| c)
+    }
+
+    /// Replaces `old` (at `key`) by `new`, appended last at `key`.
+    pub(crate) fn replace(&mut self, key: (i64, i64), old: usize, new: usize) {
+        let b = self.bucket(key);
+        self.buckets[b].retain(|&entry| entry != (key, old));
+        self.buckets[b].push((key, new));
+    }
+}
+
+/// Reused storage for [`optimal_position`]'s per-net box centers.
+#[derive(Debug, Default)]
+pub(crate) struct MedianScratch<T> {
+    xs: Vec<T>,
+    ys: Vec<T>,
 }
 
 /// The median of the incident nets' bounding-box centers, computed with the
@@ -94,10 +151,12 @@ pub(crate) fn optimal_position<T: Float>(
     nl: &Netlist<T>,
     p: &Placement<T>,
     cell: usize,
+    scratch: &mut MedianScratch<T>,
 ) -> Option<(T, T)> {
     let cid = CellId::new(cell);
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
+    let MedianScratch { xs, ys } = scratch;
+    xs.clear();
+    ys.clear();
     for &pin in nl.cell_pins(cid) {
         let net = nl.pin_net(pin);
         let mut x_lo = T::INFINITY;
@@ -127,7 +186,7 @@ pub(crate) fn optimal_position<T: Float>(
     if xs.is_empty() {
         return None;
     }
-    Some((median(&mut xs), median(&mut ys)))
+    Some((median(xs), median(ys)))
 }
 
 fn median<T: Float>(v: &mut [T]) -> T {
@@ -170,6 +229,58 @@ mod tests {
         assert!(hpwl(&nl, &p) < before * 0.2, "big win expected");
         assert!(p.x[0] > p.x[1]);
         assert!(check_legal(&nl, &p).is_legal());
+    }
+
+    /// The grid visits each key's cells in the order a `HashMap` of `Vec`s
+    /// does, through swaps, also when far-out keys clamp into edge buckets.
+    #[test]
+    fn bucket_grid_matches_a_hash_map_of_vecs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        let mut rng = StdRng::seed_from_u64(11);
+        for spread in [3i64, 40, 5_000] {
+            let far = [i64::MIN, -1 << 40, 1 << 40, i64::MAX];
+            let mut keys: Vec<(i64, i64)> = (0..300)
+                .map(|_| {
+                    let mut k = || {
+                        if rng.gen_bool(0.03) {
+                            far[rng.gen_range(0..far.len())]
+                        } else {
+                            rng.gen_range(-spread..spread)
+                        }
+                    };
+                    (k(), k())
+                })
+                .collect();
+            let mut grid = BucketGrid::new(keys.iter().copied().zip(0..));
+            let mut model: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+            for (c, &k) in keys.iter().enumerate() {
+                model.entry(k).or_default().push(c);
+            }
+            for _ in 0..500 {
+                let (a, b) = (rng.gen_range(0..keys.len()), rng.gen_range(0..keys.len()));
+                let (ka, kb) = (keys[a], keys[b]);
+                if a == b || ka == kb {
+                    continue;
+                }
+                grid.replace(ka, a, b);
+                grid.replace(kb, b, a);
+                for (k, old, new) in [(ka, a, b), (kb, b, a)] {
+                    let v = model.get_mut(&k).expect("occupied");
+                    v.retain(|&x| x != old);
+                    v.push(new);
+                }
+                keys.swap(a, b);
+            }
+            let probes = keys
+                .iter()
+                .flat_map(|&(x, y)| [(x, y), (x.wrapping_add(1), y), (x, y.wrapping_sub(1))]);
+            for k in probes.chain(far.iter().map(|&f| (f, 0))) {
+                let want = model.get(&k).cloned().unwrap_or_default();
+                assert_eq!(grid.get(k).collect::<Vec<_>>(), want, "key {k:?}");
+            }
+        }
     }
 
     #[test]
