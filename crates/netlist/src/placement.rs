@@ -2,7 +2,7 @@
 
 use dp_num::Float;
 
-use crate::netlist::{NetId, Netlist};
+use crate::netlist::{NetId, Netlist, PinId};
 
 /// Cell-center coordinates for every cell of a [`Netlist`].
 ///
@@ -63,7 +63,7 @@ impl<T: Float> Placement<T> {
 ///
 /// Returns zero for degenerate nets.
 pub fn net_hpwl<T: Float>(netlist: &Netlist<T>, placement: &Placement<T>, net: NetId) -> T {
-    let pins = netlist.net_pins(net);
+    let pins = netlist.net_pin_range(net);
     if pins.len() < 2 {
         return T::ZERO;
     }
@@ -71,7 +71,7 @@ pub fn net_hpwl<T: Float>(netlist: &Netlist<T>, placement: &Placement<T>, net: N
     let mut x_max = T::NEG_INFINITY;
     let mut y_min = T::INFINITY;
     let mut y_max = T::NEG_INFINITY;
-    for &pin in pins {
+    for pin in pins.map(PinId::new) {
         let cell = netlist.pin_cell(pin).index();
         let (dx, dy) = netlist.pin_offset(pin);
         let px = placement.x[cell] + dx;
@@ -155,6 +155,79 @@ mod tests {
         p.x = vec![0.0, 10.0];
         // pins at 1.0 and 9.0
         assert_eq!(hpwl(&nl, &p), 8.0);
+    }
+
+    /// `net_hpwl` as it was before it addressed pins by range: every pin
+    /// through `net_pins`.
+    fn net_hpwl_through_net_pins<T: Float>(nl: &Netlist<T>, p: &Placement<T>, net: NetId) -> T {
+        let pins = nl.net_pins(net);
+        if pins.len() < 2 {
+            return T::ZERO;
+        }
+        let (mut x_min, mut x_max) = (T::INFINITY, T::NEG_INFINITY);
+        let (mut y_min, mut y_max) = (T::INFINITY, T::NEG_INFINITY);
+        for &pin in pins {
+            let cell = nl.pin_cell(pin).index();
+            let (dx, dy) = nl.pin_offset(pin);
+            x_min = x_min.min(p.x[cell] + dx);
+            x_max = x_max.max(p.x[cell] + dx);
+            y_min = y_min.min(p.y[cell] + dy);
+            y_max = y_max.max(p.y[cell] + dy);
+        }
+        x_max - x_min + y_max - y_min
+    }
+
+    /// Degrees {0, 1, 2, 3, 17, 300}, pin offsets, non-unit weights and
+    /// coincident pins.
+    fn assert_range_walk_is_the_indirect_walk<T: Float>() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let t = T::from_f64;
+        let mut rng = StdRng::seed_from_u64(65);
+        let mut b =
+            NetlistBuilder::new(t(0.0), t(0.0), t(200.0), t(200.0)).allow_degenerate_nets(true);
+        let cells: Vec<_> = (0..300)
+            .map(|_| b.add_movable_cell(t(1.0), t(2.0)))
+            .collect();
+        for i in 0..600 {
+            let deg = if i % 97 == 5 {
+                300
+            } else {
+                [2, 0, 3, 17, 1, 2][i % 6]
+            };
+            let mut pins = Vec::with_capacity(deg);
+            for k in 0..deg {
+                if i % 11 == 4 && k > 0 {
+                    pins.push(pins[0]);
+                } else {
+                    let c = cells[rng.gen_range(0..cells.len())];
+                    pins.push((c, t(rng.gen_range(-0.5..0.5)), t(rng.gen_range(-1.0..1.0))));
+                }
+            }
+            b.add_net(t(rng.gen_range(0.25..3.0)), pins)
+                .expect("degenerate nets allowed");
+        }
+        let nl = b.build().expect("valid");
+        let mut p = Placement::zeros(nl.num_cells());
+        for i in 0..nl.num_cells() {
+            p.x[i] = t(rng.gen_range(0.0..200.0));
+            p.y[i] = t(rng.gen_range(0.0..200.0));
+        }
+        let bits = |v: T| v.to_f64().to_bits();
+        for net in nl.nets() {
+            let want = net_hpwl_through_net_pins(&nl, &p, net);
+            assert_eq!(bits(net_hpwl(&nl, &p, net)), bits(want), "net {net:?}");
+        }
+        let want: T = nl
+            .nets()
+            .map(|net| nl.net_weight(net) * net_hpwl_through_net_pins(&nl, &p, net))
+            .sum();
+        assert_eq!(bits(hpwl(&nl, &p)), bits(want));
+    }
+
+    #[test]
+    fn range_walk_is_bitwise_the_indirect_walk() {
+        assert_range_walk_is_the_indirect_walk::<f64>();
+        assert_range_walk_is_the_indirect_walk::<f32>();
     }
 
     #[test]

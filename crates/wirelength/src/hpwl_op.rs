@@ -7,7 +7,7 @@
 //! optimizers against the smooth models.
 
 use dp_autograd::{ExecCtx, Gradient, Operator};
-use dp_netlist::{hpwl, Netlist, Placement};
+use dp_netlist::{hpwl, Netlist, PinId, Placement};
 use dp_num::Float;
 
 /// Exact weighted HPWL operator.
@@ -63,7 +63,7 @@ impl<T: Float> Operator<T> for HpwlOp {
     ) {
         for net in nl.nets() {
             let w = nl.net_weight(net);
-            let pins = nl.net_pins(net);
+            let pins = nl.net_pin_range(net);
             if pins.len() < 2 {
                 continue; // degenerate nets carry no wirelength
             }
@@ -71,7 +71,7 @@ impl<T: Float> Operator<T> for HpwlOp {
             let mut x_hi = (T::NEG_INFINITY, 0usize);
             let mut y_lo = (T::INFINITY, 0usize);
             let mut y_hi = (T::NEG_INFINITY, 0usize);
-            for &pin in pins {
+            for pin in pins.map(PinId::new) {
                 let cell = nl.pin_cell(pin).index();
                 let (dx, dy) = nl.pin_offset(pin);
                 let px = p.x[cell] + dx;
