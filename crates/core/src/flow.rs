@@ -2,8 +2,9 @@
 //!
 //! Beyond the paper's pipeline, the flow carries a robustness layer (the
 //! counterpart of the GP engine's self-healing): a [design
-//! sanitizer](crate::sanitize) runs before GP, every stage gets a budget
-//! and a quality gate ([`StageBudgets`]), and each stage can degrade
+//! sanitizer](crate::sanitize) runs before GP, GP and DP get wall-clock
+//! budgets ([`StageBudgets`]), LG and DP carry quality gates on their own
+//! knobs ([`FlowConfig::lg`], [`FlowConfig::dp`]), and each stage can degrade
 //! gracefully instead of failing — Abacus falls back to Tetris, DP
 //! disables a misbehaving pass, sub-spectral bin grids run the density
 //! operator in uniform-field mode. Every degradation is recorded in
@@ -283,33 +284,18 @@ impl fmt::Display for FlowDegradations {
     }
 }
 
-/// Per-stage budgets and quality gates. All default to off (`None`), so
-/// the flow behaves exactly like the unguarded pipeline unless a caller
-/// opts in.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Per-stage wall-clock budgets. Both default to off (`None`), so the flow
+/// behaves exactly like the unbudgeted pipeline unless a caller opts in.
+/// The stages' quality gates live on the stage knobs themselves:
+/// [`Legalizer::with_max_displacement`] on [`FlowConfig::lg`] and
+/// [`DetailedPlacer::hpwl_tolerance`] on [`FlowConfig::dp`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBudgets {
     /// Wall-clock budget for global placement; the engine stops at the
     /// budget like an iteration cap (never an error).
     pub gp_seconds: Option<f64>,
     /// Wall-clock budget for detailed placement; checked between passes.
     pub dp_seconds: Option<f64>,
-    /// Maximum L1 displacement the Abacus refinement may reach before
-    /// legalization reverts to the Tetris result.
-    pub lg_max_displacement: Option<f64>,
-    /// Relative HPWL worsening tolerated per DP pass before the pass is
-    /// reverted and disabled.
-    pub dp_hpwl_tolerance: f64,
-}
-
-impl Default for StageBudgets {
-    fn default() -> Self {
-        Self {
-            gp_seconds: None,
-            dp_seconds: None,
-            lg_max_displacement: None,
-            dp_hpwl_tolerance: 1e-9,
-        }
-    }
 }
 
 /// How the flow coped with an unrecoverable global placement divergence
@@ -376,7 +362,8 @@ pub struct FlowResult<T> {
     pub degradations: FlowDegradations,
 }
 
-/// Flow configuration.
+/// Flow configuration: each stage's knobs, once. The sanitizer and the GP
+/// divergence ladder always run; neither costs anything on a clean run.
 #[derive(Debug, Clone)]
 pub struct FlowConfig<T> {
     /// Global placement configuration (see [`ToolMode::gp_config`]).
@@ -385,22 +372,12 @@ pub struct FlowConfig<T> {
     pub run_dp: bool,
     /// Detailed placement knobs.
     pub dp: DetailedPlacer,
-    /// Legalizer knobs (fault injection, ablation).
+    /// Legalizer knobs (displacement gate, fault injection, ablation).
     pub lg: Legalizer,
-    /// Run detailed placement through the batched (ABCDPlace-style)
-    /// driver with this many proposal workers instead of the sequential
-    /// one (the paper's GPU-DP direction).
-    pub batched_dp_threads: Option<usize>,
     /// Round-trip the design through Bookshelf files to measure IO (the
     /// paper's IO column). Uses a per-design temp directory.
     pub io_roundtrip: bool,
-    /// On unrecoverable GP divergence, retry with a conservative preset
-    /// (and, failing that, continue from the best-so-far placement)
-    /// instead of returning an error.
-    pub gp_fallback: bool,
-    /// Run the design sanitizer before GP (free on clean designs).
-    pub sanitize: bool,
-    /// Per-stage budgets and quality gates.
+    /// Per-stage wall-clock budgets.
     pub budgets: StageBudgets,
     /// Trace collector threaded through every stage. Disabled by default:
     /// the flow then skips all recording (two branch checks per event)
@@ -417,10 +394,7 @@ impl<T: Float> FlowConfig<T> {
             run_dp: true,
             dp: DetailedPlacer::new(),
             lg: Legalizer::new(),
-            batched_dp_threads: None,
             io_roundtrip: false,
-            gp_fallback: true,
-            sanitize: true,
             budgets: StageBudgets::default(),
             telemetry: dp_telemetry::Telemetry::disabled(),
         }
@@ -665,19 +639,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_fallback_propagates_divergence() {
+    fn unsupported_grid_surfaces_as_gp_error() {
         let d = design();
         let mut cfg = quick(ToolMode::DreamplaceGpuSim, &d);
-        cfg.gp.recovery.max_recoveries = 0;
-        cfg.gp.fault_injection.nan_grad_evals = (60..72).collect();
-        cfg.gp_fallback = false;
+        // No preset fixes a configuration error: a non-power-of-two grid
+        // is rejected before the first iteration, past the divergence
+        // ladder.
+        cfg.gp.bins = (24, 24);
         let err = DreamPlacer::new(cfg).place(&d).expect_err("must surface");
-        match err {
-            FlowError::Gp(dp_gp::GpError::Diverged { ref best, .. }) => {
-                assert!(best.x.iter().all(|v| v.is_finite()));
-            }
-            ref other => panic!("unexpected error {other}"),
-        }
+        assert!(
+            matches!(err, FlowError::Gp(dp_gp::GpError::Grid(_))),
+            "unexpected error {err}"
+        );
         // The diagnosis names the stage.
         assert!(err.diagnosis().starts_with("gp:"), "{}", err.diagnosis());
     }
@@ -694,20 +667,39 @@ mod tests {
 
     #[test]
     fn injected_abacus_fault_takes_tetris_ladder() {
-        let d = design();
-        let mut cfg = quick(ToolMode::DreamplaceGpuSim, &d);
-        cfg.lg = Legalizer::new().with_fault_injection(dp_lg::LgFaultInjection {
-            fail_abacus: true,
-        });
-        let r = DreamPlacer::new(cfg).place(&d).expect("ladder survives");
-        let event = r
-            .degradations
-            .for_stage(FlowStage::Lg)
-            .next()
-            .expect("lg degradation recorded");
-        assert_eq!(event.trigger, DegradationTrigger::AbacusFailed);
-        assert_eq!(event.fallback, DegradationFallback::TetrisResult);
-        assert!(check_legal(&d.netlist, &r.placement).is_legal());
+        // The displacement gate fires only where Abacus ends with a larger
+        // maximum displacement than Tetris: seed 2 does, seed 12 does not.
+        let cases = [
+            (
+                design(),
+                Legalizer::new().with_fault_injection(dp_lg::LgFaultInjection {
+                    fail_abacus: true,
+                }),
+                DegradationTrigger::AbacusFailed,
+            ),
+            (
+                GeneratorConfig::new("flow-test", 300, 330)
+                    .with_seed(2)
+                    .with_utilization(0.6)
+                    .generate::<f64>()
+                    .expect("ok"),
+                Legalizer::new().with_max_displacement(0.0),
+                DegradationTrigger::DisplacementExceeded,
+            ),
+        ];
+        for (d, lg, trigger) in cases {
+            let mut cfg = quick(ToolMode::DreamplaceGpuSim, &d);
+            cfg.lg = lg;
+            let r = DreamPlacer::new(cfg).place(&d).expect("ladder survives");
+            let event = r
+                .degradations
+                .for_stage(FlowStage::Lg)
+                .next()
+                .expect("lg degradation recorded");
+            assert_eq!(event.trigger, trigger);
+            assert_eq!(event.fallback, DegradationFallback::TetrisResult);
+            assert!(check_legal(&d.netlist, &r.placement).is_legal());
+        }
     }
 
     #[test]

@@ -43,9 +43,7 @@ use std::fmt;
 use std::mem;
 use std::time::Instant;
 
-use dp_dplace::{
-    BatchedDetailedPlacer, DetailedPlacer, DpPass, DpStats, DpRunState, GuardedDpRun,
-};
+use dp_dplace::{DetailedPlacer, DpPass, DpRunState, DpStats, GuardedDpRun};
 use dp_gen::GeneratedDesign;
 use dp_gp::{
     DivergenceCause, GpConfig, GpEngine, GpEngineState, GpError, GpStats, GpTiming,
@@ -237,7 +235,8 @@ impl DesignStamp {
     }
 }
 
-/// Which GP attempt of the divergence ladder a checkpoint was taken in.
+/// Which GP attempt of the divergence ladder is running: the machine's own
+/// record, and what a checkpoint taken mid-GP stores.
 #[derive(Debug, Clone)]
 pub enum GpAttemptState<T> {
     /// The configured (primary) run.
@@ -363,23 +362,13 @@ impl<T: Float> From<std::sync::Arc<GeneratedDesign<T>>> for DesignHandle<'static
 // Internal stage data
 // ---------------------------------------------------------------------------
 
-enum GpAttempt<T: Float> {
-    Primary,
-    Conservative {
-        cause: DivergenceCause,
-        primary_recoveries: usize,
-        primary_best: Placement<T>,
-        primary_best_overflow: f64,
-    },
-}
-
 struct GpStage<T: Float> {
     nl: Netlist<T>,
     /// The effective primary configuration (telemetry attached, budgets
     /// merged) — the conservative preset derives from it on fallback.
     base_cfg: GpConfig<T>,
     engine: GpEngine<T>,
-    attempt: GpAttempt<T>,
+    attempt: GpAttemptState<T>,
     span: dp_telemetry::Span,
 }
 
@@ -390,17 +379,6 @@ struct LgStage<T: Float> {
     hpwl_gp: f64,
 }
 
-enum DpDriver {
-    Guarded {
-        placer: DetailedPlacer,
-        run: GuardedDpRun,
-    },
-    Batched {
-        threads: usize,
-    },
-    Skipped,
-}
-
 struct DpStage<T: Float> {
     nl: Netlist<T>,
     placement: Placement<T>,
@@ -408,8 +386,8 @@ struct DpStage<T: Float> {
     hpwl_gp: f64,
     lg_stats: LgStats,
     hpwl_legal: f64,
-    driver: DpDriver,
-    batched_stats: Option<DpStats>,
+    /// The guarded run and its placer; `None` when DP is disabled.
+    guarded: Option<(DetailedPlacer, GuardedDpRun)>,
     steps: usize,
     span: dp_telemetry::Span,
 }
@@ -466,22 +444,11 @@ pub struct FlowMachine<'d, T: Float> {
 type StepResult<T> = Result<(Stage<T>, FlowState), FlowError<T>>;
 
 impl<'d, T: Float> FlowMachine<'d, T> {
-    /// Starts a machine at [`FlowState::Init`].
-    pub fn new(config: FlowConfig<T>, design: &'d GeneratedDesign<T>) -> Self {
-        Self::with_handle(config, DesignHandle::Borrowed(design))
-    }
-
-    /// Starts a machine holding shared ownership of the design, so the
-    /// machine is `'static` and can be parked in a scheduler or daemon.
-    pub fn new_owned(
-        config: FlowConfig<T>,
-        design: std::sync::Arc<GeneratedDesign<T>>,
-    ) -> FlowMachine<'static, T> {
-        FlowMachine::with_handle(config, DesignHandle::Owned(design))
-    }
-
-    /// Starts a machine at [`FlowState::Init`] on either design handle.
-    pub fn with_handle(config: FlowConfig<T>, design: DesignHandle<'d, T>) -> Self {
+    /// Starts a machine at [`FlowState::Init`] on a borrowed design, or on
+    /// an `Arc` of one so the machine is `'static` and can be parked in a
+    /// scheduler or daemon (see [`DesignHandle`]).
+    pub fn new(config: FlowConfig<T>, design: impl Into<DesignHandle<'d, T>>) -> Self {
+        let design = design.into();
         let tel = config.telemetry.clone();
         let d = design.get();
         let flow_span = tel.span(dp_telemetry::SpanKind::Flow, d.name.clone());
@@ -519,34 +486,16 @@ impl<'d, T: Float> FlowMachine<'d, T> {
     /// restored, plus any error of the replayed input stages.
     pub fn resume(
         config: FlowConfig<T>,
-        design: &'d GeneratedDesign<T>,
-        data: CheckpointData<T>,
-    ) -> Result<Self, FlowError<T>> {
-        Self::resume_with_handle(config, DesignHandle::Borrowed(design), data)
-    }
-
-    /// [`FlowMachine::resume`] holding shared ownership of the design; see
-    /// [`FlowMachine::new_owned`].
-    pub fn resume_owned(
-        config: FlowConfig<T>,
-        design: std::sync::Arc<GeneratedDesign<T>>,
-        data: CheckpointData<T>,
-    ) -> Result<FlowMachine<'static, T>, FlowError<T>> {
-        FlowMachine::resume_with_handle(config, DesignHandle::Owned(design), data)
-    }
-
-    /// [`FlowMachine::resume`] on either design handle.
-    pub fn resume_with_handle(
-        config: FlowConfig<T>,
-        design: DesignHandle<'d, T>,
+        design: impl Into<DesignHandle<'d, T>>,
         data: CheckpointData<T>,
     ) -> Result<Self, FlowError<T>> {
         let t_resume = Instant::now();
+        let design = design.into();
         data.design
             .check(design.get())
             .map_err(FlowError::Checkpoint)?;
         let at = data.state();
-        let mut m = Self::with_handle(config, design);
+        let mut m = Self::new(config, design);
         m.timing = data.timing;
         m.consumed_total = data.consumed_total;
         m.degradations = FlowDegradations {
@@ -563,23 +512,9 @@ impl<'d, T: Float> FlowMachine<'d, T> {
             CheckpointStage::Gp { attempt, engine } => {
                 let span = m.tel.span(dp_telemetry::SpanKind::Stage, "gp");
                 let base_cfg = m.effective_gp_cfg();
-                let attempt = match attempt {
-                    GpAttemptState::Primary => GpAttempt::Primary,
-                    GpAttemptState::Conservative {
-                        cause,
-                        primary_recoveries,
-                        primary_best,
-                        primary_best_overflow,
-                    } => GpAttempt::Conservative {
-                        cause,
-                        primary_recoveries,
-                        primary_best,
-                        primary_best_overflow,
-                    },
-                };
                 let cfg = match &attempt {
-                    GpAttempt::Primary => base_cfg.clone(),
-                    GpAttempt::Conservative { .. } => conservative_preset(&base_cfg, &nl),
+                    GpAttemptState::Primary => base_cfg.clone(),
+                    GpAttemptState::Conservative { .. } => conservative_preset(&base_cfg, &nl),
                 };
                 let engine = GpEngine::resume(cfg, &nl, &fixed, engine)?;
                 Stage::Gp(Box::new(GpStage {
@@ -618,8 +553,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                     hpwl_gp,
                     lg_stats,
                     hpwl_legal,
-                    driver: DpDriver::Guarded { placer, run },
-                    batched_stats: None,
+                    guarded: Some((placer, run)),
                     steps: 0,
                     span,
                 }))
@@ -722,24 +656,11 @@ impl<'d, T: Float> FlowMachine<'d, T> {
 
     /// Captures the machine as plain checkpoint data. Returns `None` in
     /// states with nothing durable to record (inputs not yet loaded, LG
-    /// mid-flight, batched/skipped DP, finished runs).
+    /// mid-flight, skipped DP, finished runs).
     pub fn capture(&self) -> Option<CheckpointData<T>> {
         let stage = match &self.stage {
             Stage::Gp(g) => CheckpointStage::Gp {
-                attempt: match &g.attempt {
-                    GpAttempt::Primary => GpAttemptState::Primary,
-                    GpAttempt::Conservative {
-                        cause,
-                        primary_recoveries,
-                        primary_best,
-                        primary_best_overflow,
-                    } => GpAttemptState::Conservative {
-                        cause: *cause,
-                        primary_recoveries: *primary_recoveries,
-                        primary_best: primary_best.clone(),
-                        primary_best_overflow: *primary_best_overflow,
-                    },
-                },
+                attempt: g.attempt.clone(),
                 engine: g.engine.state(),
             },
             Stage::Lg(l) => CheckpointStage::Lg {
@@ -747,17 +668,17 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 hpwl_gp: l.hpwl_gp,
                 gp_placement: l.gp_placement.clone(),
             },
-            Stage::Dp(d) => match &d.driver {
-                DpDriver::Guarded { run, .. } => CheckpointStage::Dp {
+            Stage::Dp(d) => {
+                let (_, run) = d.guarded.as_ref()?;
+                CheckpointStage::Dp {
                     gp_stats: d.gp_stats.clone(),
                     hpwl_gp: d.hpwl_gp,
                     lg_stats: d.lg_stats,
                     hpwl_legal: d.hpwl_legal,
                     placement: d.placement.clone(),
                     run: run.state(),
-                },
-                _ => return None,
-            },
+                }
+            }
             _ => return None,
         };
         Some(CheckpointData {
@@ -787,7 +708,6 @@ impl<'d, T: Float> FlowMachine<'d, T> {
     fn effective_dp_cfg(&self) -> DetailedPlacer {
         let mut dp = self.config.dp.clone();
         dp.telemetry = self.tel.clone();
-        dp.hpwl_tolerance = self.config.budgets.dp_hpwl_tolerance;
         if let Some(budget) = self.config.budgets.dp_seconds {
             dp.max_seconds = Some(match dp.max_seconds {
                 Some(own) => own.min(budget),
@@ -829,11 +749,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
         fixed: Placement<T>,
     ) -> Result<(Netlist<T>, Placement<T>), FlowError<T>> {
         let sanitize_span = self.tel.span(dp_telemetry::SpanKind::Stage, "sanitize");
-        let (report, repaired) = if self.config.sanitize {
-            sanitize_design(&nl, &fixed)
-        } else {
-            (SanitizeReport::default(), None)
-        };
+        let (report, repaired) = sanitize_design(&nl, &fixed);
         if report.is_fatal() {
             self.tel.point(
                 "degradation",
@@ -900,7 +816,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 nl,
                 base_cfg: gp_cfg,
                 engine,
-                attempt: GpAttempt::Primary,
+                attempt: GpAttemptState::Primary,
                 span,
             })),
             FlowState::Gp { iteration },
@@ -926,9 +842,6 @@ impl<'d, T: Float> FlowMachine<'d, T> {
     /// diverged conservative attempt degrades to the best-so-far
     /// placement.
     fn gp_diverged(&mut self, mut gp: Box<GpStage<T>>, e: GpError<T>) -> StepResult<T> {
-        if !self.config.gp_fallback {
-            return Err(e.into());
-        }
         let GpError::Diverged {
             iteration,
             cause,
@@ -944,7 +857,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
             return Err(e.into());
         };
         match gp.attempt {
-            GpAttempt::Primary => {
+            GpAttemptState::Primary => {
                 let cfg = conservative_preset(&gp.base_cfg, &gp.nl);
                 let t_build = Instant::now();
                 let mut engine = GpEngine::from_placement(cfg, &gp.nl, (*best).clone(), None)?;
@@ -952,7 +865,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 // Fold the aborted primary attempt's kernel work into the
                 // retry's counters so the run's ExecSummary covers both.
                 engine.absorb_prior(*exec, counts);
-                gp.attempt = GpAttempt::Conservative {
+                gp.attempt = GpAttemptState::Conservative {
                     cause,
                     primary_recoveries: recoveries,
                     primary_best: *best,
@@ -962,7 +875,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 let iteration = gp.engine.next_iteration();
                 Ok((Stage::Gp(gp), FlowState::Gp { iteration }))
             }
-            GpAttempt::Conservative {
+            GpAttemptState::Conservative {
                 cause: primary_cause,
                 primary_recoveries,
                 primary_best,
@@ -1011,7 +924,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
         let t_fin = Instant::now();
         let result = engine.finish(&nl);
         self.timing.gp += t_fin.elapsed().as_secs_f64();
-        if let GpAttempt::Conservative { cause, .. } = attempt {
+        if let GpAttemptState::Conservative { cause, .. } = attempt {
             self.gp_fallback = Some(GpFallback::ConservativePreset { cause });
         }
         self.leave_gp(nl, result.placement, result.stats, span)
@@ -1081,11 +994,11 @@ impl<'d, T: Float> FlowMachine<'d, T> {
         let lg_span = self.tel.span(dp_telemetry::SpanKind::Stage, "lg");
         let t_lg = Instant::now();
         let mut placement = gp_placement.clone();
-        let mut legalizer = self.config.lg.clone().with_telemetry(self.tel.clone());
-        if let Some(limit) = self.config.budgets.lg_max_displacement {
-            legalizer = legalizer.with_max_displacement(limit);
-        }
-        let mut lg_stats = legalizer
+        let mut lg_stats = self
+            .config
+            .lg
+            .clone()
+            .with_telemetry(self.tel.clone())
             .legalize(&nl, &mut placement)
             .map_err(|error| FlowError::Lg { error, hpwl_gp })?;
         match lg_stats.fallback {
@@ -1155,15 +1068,11 @@ impl<'d, T: Float> FlowMachine<'d, T> {
         hpwl_legal: f64,
     ) -> StepResult<T> {
         let span = self.tel.span(dp_telemetry::SpanKind::Stage, "dp");
-        let driver = if !self.config.run_dp {
-            DpDriver::Skipped
-        } else if let Some(threads) = self.config.batched_dp_threads {
-            DpDriver::Batched { threads }
-        } else {
+        let guarded = self.config.run_dp.then(|| {
             let placer = self.effective_dp_cfg();
             let run = GuardedDpRun::new(&placer, &nl, &placement);
-            DpDriver::Guarded { placer, run }
-        };
+            (placer, run)
+        });
         Ok((
             Stage::Dp(Box::new(DpStage {
                 nl,
@@ -1172,8 +1081,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 hpwl_gp,
                 lg_stats,
                 hpwl_legal,
-                driver,
-                batched_stats: None,
+                guarded,
                 steps: 0,
                 span,
             })),
@@ -1183,15 +1091,9 @@ impl<'d, T: Float> FlowMachine<'d, T> {
 
     fn step_dp(&mut self, mut dp: Box<DpStage<T>>) -> StepResult<T> {
         let t_pass = Instant::now();
-        let done = match &mut dp.driver {
-            DpDriver::Skipped => true,
-            DpDriver::Batched { threads } => {
-                let threads = *threads;
-                let stats = BatchedDetailedPlacer::new(threads).run(&dp.nl, &mut dp.placement);
-                dp.batched_stats = Some(stats);
-                true
-            }
-            DpDriver::Guarded { placer, run } => run.step(placer, &dp.nl, &mut dp.placement),
+        let done = match &mut dp.guarded {
+            Some((placer, run)) => run.step(placer, &dp.nl, &mut dp.placement),
+            None => true,
         };
         self.timing.dp += t_pass.elapsed().as_secs_f64();
         if !done {
@@ -1210,15 +1112,13 @@ impl<'d, T: Float> FlowMachine<'d, T> {
             hpwl_gp,
             lg_stats,
             hpwl_legal,
-            driver,
-            batched_stats,
+            guarded,
             steps: _,
             span,
         } = dp;
-        let dp_stats = match driver {
-            DpDriver::Skipped => None,
-            DpDriver::Batched { .. } => batched_stats,
-            DpDriver::Guarded { run, .. } => {
+        let dp_stats = match guarded {
+            None => None,
+            Some((_, run)) => {
                 let (stats, guard) = run.finish(&nl, &placement);
                 for (pass, worsening) in &guard.disabled {
                     self.degradations.record(

@@ -539,8 +539,6 @@ pub struct Scheduler<T: Float> {
     /// Capped tombstones of retired jobs, oldest first.
     retired: VecDeque<Retired>,
     next_id: u64,
-    /// Round-robin cursor into `jobs` (index of the next turn).
-    cursor: usize,
     counters: FaultCounters,
     /// Service metrics instruments; `None` until [`Scheduler::set_metrics`].
     metrics: Option<SchedMetrics>,
@@ -554,7 +552,6 @@ impl<T: Float> Scheduler<T> {
             jobs: Vec::new(),
             retired: VecDeque::new(),
             next_id: 0,
-            cursor: 0,
             counters: FaultCounters::default(),
             metrics: None,
         }
@@ -651,7 +648,7 @@ impl<T: Float> Scheduler<T> {
         let name = design.name.clone();
         // Machine construction does no kernel work (the engine is built
         // lazily inside the GP entry step), so no lease is needed here.
-        let machine = FlowMachine::new_owned(config.clone(), Arc::clone(&design));
+        let machine = FlowMachine::new(config.clone(), Arc::clone(&design));
         self.jobs.push(Job {
             id,
             name,
@@ -701,7 +698,7 @@ impl<T: Float> Scheduler<T> {
         // job's lease must be held.
         let machine = {
             let _lease = tenant.lease();
-            FlowMachine::resume_owned(config.clone(), Arc::clone(&design), data)?
+            FlowMachine::resume(config.clone(), Arc::clone(&design), data)?
         };
         self.jobs.push(Job {
             id,
@@ -793,12 +790,6 @@ impl<T: Float> Scheduler<T> {
     /// jobs in flight rather than the jobs ever served.
     fn forget(&mut self, idx: usize, status: JobStatus) {
         let job = self.jobs.remove(idx);
-        if idx < self.cursor {
-            self.cursor -= 1;
-        }
-        if self.cursor >= self.jobs.len() {
-            self.cursor = 0;
-        }
         self.retired.push_back(Retired {
             id: job.id,
             name: job.name,
@@ -807,26 +798,6 @@ impl<T: Float> Scheduler<T> {
         while self.retired.len() > RETIRED_CAP {
             self.retired.pop_front();
         }
-    }
-
-    /// Runs one round-robin turn: the next running job in queue order is
-    /// stepped up to its QoS quantum (its pool lease held for the whole
-    /// turn). Returns the job stepped, or `None` when no job is runnable.
-    pub fn step_turn(&mut self) -> Option<JobId> {
-        let n = self.jobs.len();
-        if n == 0 {
-            return None;
-        }
-        for probe in 0..n {
-            let idx = (self.cursor + probe) % n;
-            if self.jobs[idx].live() {
-                self.cursor = (idx + 1) % n;
-                let id = self.jobs[idx].id;
-                self.run_turn(idx);
-                return Some(id);
-            }
-        }
-        None
     }
 
     /// Steps every running job one turn (one full round-robin sweep).
@@ -1141,11 +1112,11 @@ impl<T: Float> Scheduler<T> {
                     ),
                 );
                 config.gp = conservative_preset(&config.gp, &job.design.netlist);
-                Ok(FlowMachine::new_owned(config, Arc::clone(&job.design)))
+                Ok(FlowMachine::new(config, Arc::clone(&job.design)))
             } else if let Some(cp) = job.checkpoint.clone() {
-                FlowMachine::resume_owned(config, Arc::clone(&job.design), cp)
+                FlowMachine::resume(config, Arc::clone(&job.design), cp)
             } else {
-                Ok(FlowMachine::new_owned(config, Arc::clone(&job.design)))
+                Ok(FlowMachine::new(config, Arc::clone(&job.design)))
             }
         };
         match machine {

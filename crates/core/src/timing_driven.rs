@@ -106,11 +106,7 @@ impl<T: Float> TimingDrivenPlacer<T> {
                 netlist: weighted_nl,
                 fixed_positions: design.fixed_positions.clone(),
             };
-            let mut flow = cfg.flow.clone();
-            flow.gp = crate::modes::ToolMode::DreamplaceGpuSim.gp_config(&weighted_design.netlist);
-            flow.gp.max_iters = cfg.flow.gp.max_iters;
-            flow.gp.target_overflow = cfg.flow.gp.target_overflow;
-            let r = DreamPlacer::new(flow).place(&weighted_design)?;
+            let r = DreamPlacer::new(cfg.flow.clone()).place(&weighted_design)?;
             // Evaluate timing and HPWL on the *original* (weight-1) netlist.
             report = analyze(&design.netlist, &r.placement, &timing_cfg);
             let h = hpwl(&design.netlist, &r.placement).to_f64();
@@ -144,6 +140,38 @@ mod tests {
     /// trajectories (120 : 57 and 122 : 56) a majority of eight fails by
     /// chance on about one trajectory in four, and did on PR 25's (4 : 4).
     /// Forty fail about one in seventy.
+    /// Every round places with the caller's flow config. A zero GP budget
+    /// and no DP make each round the legalized initial placement, which
+    /// does not depend on net weights, so every round reads the same HPWL;
+    /// a round that rebuilt its GP config from a tool mode would converge
+    /// instead.
+    #[test]
+    fn every_round_runs_the_callers_flow_config() {
+        let d = GeneratorConfig::new("td-cfg", 300, 330)
+            .with_seed(21)
+            .with_utilization(0.55)
+            .generate::<f64>()
+            .expect("valid");
+        let mut flow = FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads: 1 }, &d.netlist);
+        flow.gp.max_seconds = Some(0.0);
+        flow.run_dp = false;
+        let cfg = TimingDrivenConfig {
+            flow,
+            timing: dp_timing::TimingConfig::default(),
+            rounds: 2,
+            w_max: 6.0,
+            exponent: 2.0,
+        };
+        let r = TimingDrivenPlacer::new(cfg).place(&d).expect("runs");
+        for (k, s) in r.history.iter().enumerate() {
+            assert_eq!(
+                s.hpwl.to_bits(),
+                r.initial.hpwl.to_bits(),
+                "round {k} did not run the caller's config"
+            );
+        }
+    }
+
     #[test]
     fn net_weighting_improves_wns() {
         let (mut improved, mut worsened) = (0, 0);

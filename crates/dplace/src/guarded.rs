@@ -210,38 +210,6 @@ impl GuardedDpRun {
         self.consumed_before + self.busy
     }
 
-    /// The pass [`GuardedDpRun::step`] would execute next, if any — what
-    /// the checkpoint layer reports as the run's position.
-    pub fn next_pass(&self, placer: &DetailedPlacer) -> Option<DpPass> {
-        if self.done {
-            return None;
-        }
-        // Mirror step()'s slot scan without side effects.
-        let mut round = self.round;
-        let mut idx = self.pass_idx;
-        let mut moves_at_start = self.moves_at_round_start;
-        loop {
-            if round >= placer.max_rounds {
-                return None;
-            }
-            if idx == DpPass::ALL.len() {
-                if self.moves == moves_at_start {
-                    return None;
-                }
-                round += 1;
-                idx = 0;
-                moves_at_start = self.moves;
-                continue;
-            }
-            let pass = DpPass::ALL[idx];
-            if !self.enabled[pass.index()] {
-                idx += 1;
-                continue;
-            }
-            return Some(pass);
-        }
-    }
-
     /// Executes the next enabled pass (one quality-gated operator run).
     /// Returns `true` when the run is finished — by round convergence,
     /// the round cap, or the wall-clock budget. Idempotent once done.

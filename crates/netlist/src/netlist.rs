@@ -179,18 +179,6 @@ impl<T: Float> Netlist<T> {
         self.cell_w[cell.index()]
     }
 
-    /// Height of `cell`.
-    #[inline]
-    pub fn cell_height(&self, cell: CellId) -> T {
-        self.cell_h[cell.index()]
-    }
-
-    /// Area of `cell`.
-    #[inline]
-    pub fn cell_area(&self, cell: CellId) -> T {
-        self.cell_w[cell.index()] * self.cell_h[cell.index()]
-    }
-
     /// Raw width array, indexed by cell id.
     pub fn cell_widths(&self) -> &[T] {
         &self.cell_w
@@ -264,25 +252,10 @@ impl<T: Float> Netlist<T> {
         (0..self.num_cells()).map(CellId::new)
     }
 
-    /// Iterates over movable cell ids.
-    pub fn movable_cells(&self) -> impl ExactSizeIterator<Item = CellId> + '_ {
-        (0..self.num_movable).map(CellId::new)
-    }
-
     /// Total area of movable cells.
     pub fn total_movable_area(&self) -> T {
         (0..self.num_movable)
             .map(|i| self.cell_w[i] * self.cell_h[i])
-            .sum()
-    }
-
-    /// Total area of fixed cells clipped to the region.
-    pub fn total_fixed_area_in_region(&self, x: &[T], y: &[T]) -> T {
-        (self.num_movable..self.num_cells())
-            .map(|i| {
-                let r = Rect::from_center(x[i], y[i], self.cell_w[i], self.cell_h[i]);
-                r.overlap_area(&self.region)
-            })
             .sum()
     }
 
@@ -361,11 +334,6 @@ impl BuilderCell {
     /// Index into the movable (or fixed) sequence, before renumbering.
     pub fn index(self) -> usize {
         self.idx as usize
-    }
-
-    /// `true` when this handle refers to a fixed cell.
-    pub fn is_fixed(self) -> bool {
-        self.fixed
     }
 }
 

@@ -34,20 +34,6 @@ impl<T: Float> Placement<T> {
         }
     }
 
-    /// Builds a placement from coordinate vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors have different lengths.
-    pub fn from_xy(x: Vec<T>, y: Vec<T>) -> Self {
-        assert_eq!(
-            x.len(),
-            y.len(),
-            "coordinate vectors must have equal length"
-        );
-        Self { x, y }
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.x.len()

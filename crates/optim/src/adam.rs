@@ -68,13 +68,6 @@ impl<T: Float> Adam<T> {
         self
     }
 
-    /// Overrides the moment coefficients.
-    pub fn with_betas(mut self, beta1: T, beta2: T) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// The current (decayed) learning rate.
     pub fn learning_rate(&self) -> T {
         self.lr

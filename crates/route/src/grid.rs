@@ -163,11 +163,6 @@ impl RoutingGrid {
     pub fn tile_width(&self) -> f64 {
         self.tile_w
     }
-
-    /// Tile height in layout units.
-    pub fn tile_height(&self) -> f64 {
-        self.tile_h
-    }
 }
 
 #[cfg(test)]

@@ -147,23 +147,3 @@ fn mixed_size_designs_place_end_to_end() {
         );
     }
 }
-
-#[test]
-fn batched_dp_backend_matches_sequential_quality() {
-    let d = design(8, 300);
-    let mut seq_cfg = quick(ToolMode::DreamplaceGpuSim, &d.netlist);
-    seq_cfg.run_dp = true;
-    let mut bat_cfg = seq_cfg.clone();
-    bat_cfg.batched_dp_threads = Some(4);
-    let seq = DreamPlacer::new(seq_cfg)
-        .place(&d)
-        .expect("sequential flow");
-    let bat = DreamPlacer::new(bat_cfg).place(&d).expect("batched flow");
-    assert!(
-        bat.hpwl_final <= seq.hpwl_final * 1.01,
-        "batched {} vs sequential {}",
-        bat.hpwl_final,
-        seq.hpwl_final
-    );
-    assert!(dp_lg::check_legal(&d.netlist, &bat.placement).is_legal());
-}

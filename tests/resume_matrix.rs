@@ -18,8 +18,9 @@ use std::path::PathBuf;
 use dp_gp::InitKind;
 use dreamplace::gen::{GeneratedDesign, GeneratorConfig};
 use dreamplace::{
-    read_checkpoint, CheckpointError, CheckpointPolicy, DreamPlacer, DurableOutcome, FlowConfig,
-    FlowError, FlowFaultInjection, FlowResult, FlowState, ToolMode,
+    read_checkpoint, CheckpointData, CheckpointError, CheckpointPolicy, CheckpointStage,
+    DreamPlacer, DurableOutcome, FlowConfig, FlowError, FlowFaultInjection, FlowResult, FlowState,
+    GpAttemptState, GpFallback, ToolMode,
 };
 
 const THREADS: usize = 2;
@@ -59,20 +60,33 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Runs `cfg` to completion without checkpoints or kills.
+fn uninterrupted(d: &GeneratedDesign<f64>, cfg: FlowConfig<f64>) -> FlowResult<f64> {
+    match DreamPlacer::new(cfg)
+        .place_durable(d, None, None, FlowFaultInjection::default())
+        .expect("uninterrupted run")
+    {
+        DurableOutcome::Completed(r) => *r,
+        DurableOutcome::Killed { at } => panic!("uninjected run died at {at}"),
+    }
+}
+
 /// Kills the flow right before `at`, then resumes from the checkpoint
 /// directory in a second driver invocation (a fresh "process" as far as
 /// the machine is concerned) and runs to completion. Also returns the
-/// state the second invocation resumed at (`None`: no checkpoint yet).
+/// checkpoint the second invocation resumed from (`None`: no checkpoint
+/// yet).
 fn killed_then_resumed(
     d: &GeneratedDesign<f64>,
+    cfg: &FlowConfig<f64>,
     at: FlowState,
     tag: &str,
     telemetry: Option<&dreamplace::telemetry::Telemetry>,
-) -> (FlowResult<f64>, Option<FlowState>) {
+) -> (FlowResult<f64>, Option<CheckpointData<f64>>) {
     let dir = tmp_dir(tag);
     let policy = CheckpointPolicy::new(&dir).every(10);
 
-    let outcome = DreamPlacer::new(config(d))
+    let outcome = DreamPlacer::new(cfg.clone())
         .place_durable(d, None, Some(&policy), FlowFaultInjection::die_at(at))
         .expect("killed run");
     match outcome {
@@ -88,17 +102,21 @@ fn killed_then_resumed(
         Err(CheckpointError::Missing { .. }) => None,
         Err(e) => panic!("unreadable checkpoint after kill at {at}: {e}"),
     };
-    let resumed_at = resume_from.as_ref().map(|data| data.state());
-    let mut cfg = config(d);
+    let mut cfg = cfg.clone();
     if let Some(tel) = telemetry {
         cfg.telemetry = tel.clone();
     }
     let outcome = DreamPlacer::new(cfg)
-        .place_durable(d, resume_from, Some(&policy), FlowFaultInjection::default())
+        .place_durable(
+            d,
+            resume_from.clone(),
+            Some(&policy),
+            FlowFaultInjection::default(),
+        )
         .expect("resumed run");
     let _ = std::fs::remove_dir_all(&dir);
     match outcome {
-        DurableOutcome::Completed(r) => (*r, resumed_at),
+        DurableOutcome::Completed(r) => (*r, resume_from),
         DurableOutcome::Killed { at } => panic!("resumed run died at {at} without injection"),
     }
 }
@@ -172,13 +190,7 @@ fn assert_bit_identical(golden: &FlowResult<f64>, r: &FlowResult<f64>, tag: &str
 #[test]
 fn killed_and_resumed_matches_uninterrupted_at_every_state() {
     let d = design();
-    let golden = match DreamPlacer::new(config(&d))
-        .place_durable(&d, None, None, FlowFaultInjection::default())
-        .expect("uninterrupted run")
-    {
-        DurableOutcome::Completed(r) => *r,
-        DurableOutcome::Killed { at } => panic!("uninjected run died at {at}"),
-    };
+    let golden = uninterrupted(&d, config(&d));
     assert!(golden.gp.iterations > 40, "matrix assumes a long GP run");
 
     // Every stage boundary plus mid-GP kills both on and off the
@@ -198,11 +210,19 @@ fn killed_and_resumed_matches_uninterrupted_at_every_state() {
     let mut resumed_mid_gp = 0;
     for at in matrix {
         let tag = format!("kill at {at}");
-        let (r, resumed_at) =
-            killed_then_resumed(&d, at, &at.to_string().replace(':', "-"), None);
+        let (r, resumed_from) = killed_then_resumed(
+            &d,
+            &config(&d),
+            at,
+            &at.to_string().replace(':', "-"),
+            None,
+        );
         // The resumes that depend on the checkpointed memo: inside GP,
         // after the first step.
-        let mid_gp = matches!(resumed_at, Some(FlowState::Gp { iteration }) if iteration >= 1);
+        let mid_gp = matches!(
+            resumed_from.map(|data| data.state()),
+            Some(FlowState::Gp { iteration }) if iteration >= 1
+        );
         resumed_mid_gp += usize::from(mid_gp);
         assert_bit_identical(&golden, &r, &tag);
     }
@@ -210,10 +230,61 @@ fn killed_and_resumed_matches_uninterrupted_at_every_state() {
 }
 
 #[test]
+fn killed_inside_the_conservative_attempt_resumes_bit_identically() {
+    let d = design();
+    // Poisoned evaluations and no rollback budget: the primary (Nesterov,
+    // several evaluations per step) diverges at iteration 23, and the
+    // conservative retry (Adam, one per step) runs until it reaches the
+    // same evaluation indices at iteration 60, then degrades to the
+    // best-so-far placement of the two attempts.
+    let mut cfg = config(&d);
+    cfg.gp.recovery.max_recoveries = 0;
+    cfg.gp.fault_injection.nan_grad_evals = (60..72).collect();
+    let golden = uninterrupted(&d, cfg.clone());
+    assert!(
+        matches!(golden.gp_fallback, Some(GpFallback::BestSoFar { .. })),
+        "{:?}",
+        golden.gp_fallback
+    );
+
+    // Iterations the primary never reaches: gp:33 resumes from the
+    // conservative attempt's gp:30 checkpoint, gp:40 from its own.
+    for iteration in [33, 40] {
+        let at = FlowState::Gp { iteration };
+        let tag = format!("conservative kill at {at}");
+        let (r, resumed_from) = killed_then_resumed(
+            &d,
+            &cfg,
+            at,
+            &format!("conservative-{iteration}"),
+            None,
+        );
+        let stage = resumed_from.map(|data| data.stage);
+        assert!(
+            matches!(
+                stage,
+                Some(CheckpointStage::Gp {
+                    attempt: GpAttemptState::Conservative { .. },
+                    ..
+                })
+            ),
+            "{tag}: checkpoint not taken inside the conservative attempt"
+        );
+        assert_bit_identical(&golden, &r, &tag);
+    }
+}
+
+#[test]
 fn resumed_trace_carries_a_resume_point_and_validates() {
     let d = design();
     let tel = dreamplace::telemetry::Telemetry::enabled();
-    let (r, _) = killed_then_resumed(&d, FlowState::Gp { iteration: 17 }, "traced", Some(&tel));
+    let (r, _) = killed_then_resumed(
+        &d,
+        &config(&d),
+        FlowState::Gp { iteration: 17 },
+        "traced",
+        Some(&tel),
+    );
     assert!(r.hpwl_final > 0.0);
     let mut buf = Vec::new();
     tel.write_jsonl(&mut buf).expect("serialize trace");
@@ -252,13 +323,7 @@ fn corrupt_checkpoint_surfaces_structured_error_and_restart_matches_golden() {
 
     // `--resume-or-restart` semantics: fall back to a fresh run, which
     // must match the uninterrupted golden exactly.
-    let golden = match DreamPlacer::new(config(&d))
-        .place_durable(&d, None, None, FlowFaultInjection::default())
-        .expect("golden run")
-    {
-        DurableOutcome::Completed(r) => *r,
-        DurableOutcome::Killed { at } => panic!("uninjected run died at {at}"),
-    };
+    let golden = uninterrupted(&d, config(&d));
     let restarted = match DreamPlacer::new(config(&d))
         .place_durable(&d, None, Some(&policy), FlowFaultInjection::default())
         .expect("restarted run")
@@ -363,7 +428,7 @@ fn gp_budget_counts_time_consumed_before_the_crash() {
     // already exhausted at resume: GP must stop immediately instead of
     // restarting its clock from zero.
     let mut spent = checkpoint;
-    if let dreamplace::CheckpointStage::Gp { engine, .. } = &mut spent.stage {
+    if let CheckpointStage::Gp { engine, .. } = &mut spent.stage {
         engine.consumed_seconds = 3600.0;
     } else {
         panic!("expected a GP-stage checkpoint");
