@@ -2,12 +2,12 @@
 //!
 //! Beyond the paper's pipeline, the flow carries a robustness layer (the
 //! counterpart of the GP engine's self-healing): a [design
-//! sanitizer](crate::sanitize) runs before GP, GP and DP get wall-clock
-//! budgets ([`StageBudgets`]), LG and DP carry quality gates on their own
-//! knobs ([`FlowConfig::lg`], [`FlowConfig::dp`]), and each stage can degrade
-//! gracefully instead of failing — Abacus falls back to Tetris, DP
-//! disables a misbehaving pass, sub-spectral bin grids run the density
-//! operator in uniform-field mode. Every degradation is recorded in
+//! sanitizer](crate::sanitize) runs before GP, GP and DP take wall-clock
+//! budgets and LG and DP carry quality gates, all on the stages' own knobs
+//! ([`FlowConfig::gp`], [`FlowConfig::lg`], [`FlowConfig::dp`]), and each
+//! stage can degrade gracefully instead of failing — Abacus falls back to
+//! Tetris, DP disables a misbehaving pass, sub-spectral bin grids run the
+//! density operator in uniform-field mode. Every degradation is recorded in
 //! [`FlowResult::degradations`] so callers see exactly what was traded
 //! away; off the failure path the layer is a no-op and results are
 //! bit-identical to the unguarded flow.
@@ -284,20 +284,6 @@ impl fmt::Display for FlowDegradations {
     }
 }
 
-/// Per-stage wall-clock budgets. Both default to off (`None`), so the flow
-/// behaves exactly like the unbudgeted pipeline unless a caller opts in.
-/// The stages' quality gates live on the stage knobs themselves:
-/// [`Legalizer::with_max_displacement`] on [`FlowConfig::lg`] and
-/// [`DetailedPlacer::hpwl_tolerance`] on [`FlowConfig::dp`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageBudgets {
-    /// Wall-clock budget for global placement; the engine stops at the
-    /// budget like an iteration cap (never an error).
-    pub gp_seconds: Option<f64>,
-    /// Wall-clock budget for detailed placement; checked between passes.
-    pub dp_seconds: Option<f64>,
-}
-
 /// How the flow coped with an unrecoverable global placement divergence
 /// (recorded in [`FlowResult::gp_fallback`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,6 +350,11 @@ pub struct FlowResult<T> {
 
 /// Flow configuration: each stage's knobs, once. The sanitizer and the GP
 /// divergence ladder always run; neither costs anything on a clean run.
+/// Wall-clock budgets are the stages' own: [`GpConfig::max_seconds`] (the
+/// engine stops at it like an iteration cap) and
+/// [`DetailedPlacer::max_seconds`] (checked between passes), both off by
+/// default. So are the quality gates: [`Legalizer::with_max_displacement`]
+/// and [`DetailedPlacer::hpwl_tolerance`].
 #[derive(Debug, Clone)]
 pub struct FlowConfig<T> {
     /// Global placement configuration (see [`ToolMode::gp_config`]).
@@ -377,8 +368,6 @@ pub struct FlowConfig<T> {
     /// Round-trip the design through Bookshelf files to measure IO (the
     /// paper's IO column). Uses a per-design temp directory.
     pub io_roundtrip: bool,
-    /// Per-stage wall-clock budgets.
-    pub budgets: StageBudgets,
     /// Trace collector threaded through every stage. Disabled by default:
     /// the flow then skips all recording (two branch checks per event)
     /// and stays bit-identical to an uninstrumented build.
@@ -395,7 +384,6 @@ impl<T: Float> FlowConfig<T> {
             dp: DetailedPlacer::new(),
             lg: Legalizer::new(),
             io_roundtrip: false,
-            budgets: StageBudgets::default(),
             telemetry: dp_telemetry::Telemetry::disabled(),
         }
     }
@@ -441,11 +429,7 @@ impl<T: Float> DreamPlacer<T> {
                 break;
             }
         }
-        machine.finish().ok_or_else(|| {
-            FlowError::Io(std::io::Error::other(
-                "flow machine completed without a result",
-            ))
-        })
+        machine.into_result()
     }
 }
 
@@ -734,8 +718,8 @@ mod tests {
     fn stage_budgets_stop_gp_and_dp_early() {
         let d = design();
         let mut cfg = quick(ToolMode::DreamplaceGpuSim, &d);
-        cfg.budgets.gp_seconds = Some(0.0);
-        cfg.budgets.dp_seconds = Some(0.0);
+        cfg.gp.max_seconds = Some(0.0);
+        cfg.dp.max_seconds = Some(0.0);
         let r = DreamPlacer::new(cfg).place(&d).expect("budgets degrade");
         assert_eq!(r.gp.iterations, 0, "gp must stop at its budget");
         assert!(

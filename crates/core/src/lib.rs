@@ -57,7 +57,7 @@ pub mod viz;
 pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
 pub use flow::{
     DegradationEvent, DegradationFallback, DegradationTrigger, DreamPlacer, FlowConfig,
-    FlowDegradations, FlowError, FlowResult, FlowStage, FlowTiming, GpFallback, StageBudgets,
+    FlowDegradations, FlowError, FlowResult, FlowStage, FlowTiming, GpFallback,
 };
 pub use machine::{
     CheckpointData, CheckpointPolicy, CheckpointStage, DesignHandle, DesignStamp, DurableOutcome,

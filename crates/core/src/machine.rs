@@ -364,8 +364,8 @@ impl<T: Float> From<std::sync::Arc<GeneratedDesign<T>>> for DesignHandle<'static
 
 struct GpStage<T: Float> {
     nl: Netlist<T>,
-    /// The effective primary configuration (telemetry attached, budgets
-    /// merged) — the conservative preset derives from it on fallback.
+    /// The effective primary configuration (telemetry attached) — the
+    /// conservative preset derives from it on fallback.
     base_cfg: GpConfig<T>,
     engine: GpEngine<T>,
     attempt: GpAttemptState<T>,
@@ -654,6 +654,17 @@ impl<'d, T: Float> FlowMachine<'d, T> {
         }
     }
 
+    /// [`FlowMachine::finish`] for the crate's drivers (`place`,
+    /// `place_durable`, the scheduler): a machine without a result is an
+    /// error.
+    pub(crate) fn into_result(self) -> Result<FlowResult<T>, FlowError<T>> {
+        self.finish().ok_or_else(|| {
+            FlowError::Io(std::io::Error::other(
+                "flow machine completed without a result",
+            ))
+        })
+    }
+
     /// Captures the machine as plain checkpoint data. Returns `None` in
     /// states with nothing durable to record (inputs not yet loaded, LG
     /// mid-flight, skipped DP, finished runs).
@@ -696,24 +707,12 @@ impl<'d, T: Float> FlowMachine<'d, T> {
     fn effective_gp_cfg(&self) -> GpConfig<T> {
         let mut gp_cfg = self.config.gp.clone();
         gp_cfg.telemetry = self.tel.clone();
-        if let Some(budget) = self.config.budgets.gp_seconds {
-            gp_cfg.max_seconds = Some(match gp_cfg.max_seconds {
-                Some(own) => own.min(budget),
-                None => budget,
-            });
-        }
         gp_cfg
     }
 
     fn effective_dp_cfg(&self) -> DetailedPlacer {
         let mut dp = self.config.dp.clone();
         dp.telemetry = self.tel.clone();
-        if let Some(budget) = self.config.budgets.dp_seconds {
-            dp.max_seconds = Some(match dp.max_seconds {
-                Some(own) => own.min(budget),
-                None => budget,
-            });
-        }
         dp
     }
 
@@ -1312,12 +1311,9 @@ impl<T: Float> DreamPlacer<T> {
                 break Ok(DurableOutcome::Killed { at: pending });
             }
             if machine.is_done() {
-                break match machine.finish() {
-                    Some(result) => Ok(DurableOutcome::Completed(Box::new(result))),
-                    None => Err(FlowError::Io(std::io::Error::other(
-                        "flow machine completed without a result",
-                    ))),
-                };
+                break machine
+                    .into_result()
+                    .map(|result| DurableOutcome::Completed(Box::new(result)));
             }
             let after = match machine.step() {
                 Ok(after) => after,

@@ -27,12 +27,18 @@
 //!
 //! # QoS
 //!
-//! [`QosClass`] maps onto the per-job [`StageBudgets`] of the flow config:
-//! tightly budgeted jobs are latency-sensitive and get short turns
-//! (frequent yields), unbudgeted bulk jobs get long turns (less scheduling
-//! overhead). Budgets themselves are enforced *inside* the job by the
-//! engines, and since PR 7 they charge busy time — a parked job is never
-//! billed for its neighbors' turns.
+//! [`QosClass`] maps onto the per-job stage budgets of the flow config
+//! (`cfg.gp.max_seconds`, `cfg.dp.max_seconds`): tightly budgeted jobs are
+//! latency-sensitive and get short turns (frequent yields), unbudgeted bulk
+//! jobs get long turns (less scheduling overhead). Budgets themselves are
+//! enforced *inside* the job by the engines, and they charge busy time — a
+//! parked job is never billed for its neighbors' turns.
+//!
+//! # Metrics
+//!
+//! Every scheduler owns a live [`Metrics`] registry (see
+//! [`Scheduler::metrics`]). Its fault counters are the only copy of those
+//! counts: [`Scheduler::health`] reads the same cells a scrape renders.
 //!
 //! # Eviction and migration
 //!
@@ -54,7 +60,7 @@ use dp_num::{Float, PoolHealth, PoolHost, PoolTenant};
 use dp_telemetry::metrics::{Counter, Histogram, Metrics, LATENCY_BUCKETS};
 use dp_telemetry::Telemetry;
 
-use crate::flow::{conservative_preset, FlowConfig, FlowError, FlowResult, StageBudgets};
+use crate::flow::{conservative_preset, FlowConfig, FlowError, FlowResult};
 use crate::machine::{CheckpointData, FlowMachine, FlowState};
 
 /// Scheduling class: how many machine steps a job gets per round.
@@ -83,11 +89,12 @@ impl QosClass {
         }
     }
 
-    /// Derives a class from the job's stage budgets: a job that bounded
-    /// any stage's seconds is treated as latency-sensitive, a job with no
+    /// Derives a class from the config's stage budgets
+    /// (`gp.max_seconds`, `dp.max_seconds`): a job that bounded any
+    /// stage's seconds is treated as latency-sensitive, a job with no
     /// budgets at all as bulk work.
-    pub fn from_budgets(budgets: &StageBudgets) -> Self {
-        match (budgets.gp_seconds, budgets.dp_seconds) {
+    pub fn from_budgets<T>(config: &FlowConfig<T>) -> Self {
+        match (config.gp.max_seconds, config.dp.max_seconds) {
             (Some(gp), _) if gp <= 10.0 => QosClass::Interactive,
             (_, Some(dp)) if dp <= 10.0 => QosClass::Interactive,
             (Some(_), _) | (_, Some(_)) => QosClass::Batch,
@@ -210,8 +217,8 @@ impl JobOptions {
     /// job expects to finish within roughly its budgets (doubled, plus
     /// slack for LG and bookkeeping); otherwise the QoS class picks a
     /// conventional bound, with Bulk jobs unbounded.
-    pub fn derive_deadline(budgets: &StageBudgets, qos: QosClass) -> Option<f64> {
-        match (budgets.gp_seconds, budgets.dp_seconds) {
+    pub fn derive_deadline<T>(config: &FlowConfig<T>, qos: QosClass) -> Option<f64> {
+        match (config.gp.max_seconds, config.dp.max_seconds) {
             (None, None) => match qos {
                 QosClass::Interactive => Some(60.0),
                 QosClass::Batch => Some(600.0),
@@ -365,15 +372,6 @@ impl<T: Float> Job<T> {
     }
 }
 
-/// Cumulative fault counters (see [`SchedulerHealth`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct FaultCounters {
-    panics_contained: u64,
-    timeouts: u64,
-    retries: u64,
-    workers_respawned: u64,
-}
-
 /// Coarse stage label of a pending [`FlowState`] for the per-stage
 /// step-latency histograms (iteration/pass indices collapse into one
 /// series per stage).
@@ -393,10 +391,9 @@ fn stage_label(state: FlowState) -> &'static str {
 /// (steppable) state, in flow order.
 const STAGE_LABELS: [&str; 6] = ["init", "sanitize", "gp", "lg", "dp", "finish"];
 
-/// The scheduler's slice of the service metrics plane: cached instrument
-/// handles (see [`Scheduler::set_metrics`]). Every record call is a relaxed
-/// atomic; nothing here feeds back into the numerics, so instrumented runs
-/// stay bit-identical.
+/// The scheduler's instruments: cached handles on its registry (see
+/// [`Scheduler::metrics`]). Every record call is a relaxed atomic; nothing
+/// here feeds back into the numerics, so runs stay bit-identical.
 struct SchedMetrics {
     /// `dp_sched_jobs_total{outcome=...}` — jobs by terminal outcome.
     completed: Counter,
@@ -407,7 +404,7 @@ struct SchedMetrics {
     evicted: Counter,
     /// `dp_sched_jobs_submitted_total`.
     submitted: Counter,
-    /// Fault-path counters (mirror [`FaultCounters`]).
+    /// Fault-path counters; [`Scheduler::health`] reads them back.
     panics_contained: Counter,
     timeouts: Counter,
     retries: Counter,
@@ -539,44 +536,37 @@ pub struct Scheduler<T: Float> {
     /// Capped tombstones of retired jobs, oldest first.
     retired: VecDeque<Retired>,
     next_id: u64,
-    counters: FaultCounters,
-    /// Service metrics instruments; `None` until [`Scheduler::set_metrics`].
-    metrics: Option<SchedMetrics>,
+    /// The scheduler's registry (see [`Scheduler::metrics`]).
+    metrics: Metrics,
+    /// Cached instrument handles on `metrics`.
+    m: SchedMetrics,
 }
 
 impl<T: Float> Scheduler<T> {
-    /// A scheduler around an existing host.
+    /// A scheduler around an existing host, registered (with the host's
+    /// pool) on a fresh live [`Metrics`] registry.
     pub fn new(host: PoolHost) -> Self {
+        let metrics = Metrics::enabled();
+        host.pool().set_metrics(&metrics);
         Self {
             host,
             jobs: Vec::new(),
             retired: VecDeque::new(),
             next_id: 0,
-            counters: FaultCounters::default(),
-            metrics: None,
+            m: SchedMetrics::new(&metrics),
+            metrics,
         }
     }
 
-    /// Registers this scheduler (and its shared pool) with the service
-    /// metrics plane: jobs by terminal outcome, fault counters, per-stage
-    /// step-latency histograms, and busy-vs-idle turn counters, all under
-    /// `dp_sched_*` (pool instruments under `dp_pool_*`). Instrument
-    /// handles are cached, so record calls on the turn path are relaxed
-    /// atomics — no registry lock, no change to any placement bit. A
-    /// disabled registry leaves the scheduler unregistered.
-    pub fn set_metrics(&mut self, metrics: &Metrics) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        let m = SchedMetrics::new(metrics);
-        // Seed the fault counters with faults contained before
-        // registration so scrape deltas line up with `health()`.
-        m.panics_contained.add(self.counters.panics_contained);
-        m.timeouts.add(self.counters.timeouts);
-        m.retries.add(self.counters.retries);
-        m.workers_respawned.add(self.counters.workers_respawned);
-        self.metrics = Some(m);
-        self.host.pool().set_metrics(metrics);
+    /// The scheduler's metrics registry: jobs by terminal outcome, fault
+    /// counters, per-stage step-latency histograms, and busy-vs-idle turn
+    /// counters under `dp_sched_*`, the shared pool's instruments under
+    /// `dp_pool_*`. Instrument handles are cached, so record calls on the
+    /// turn path are relaxed atomics — no registry lock, no change to any
+    /// placement bit. A service layer registers its own instruments on a
+    /// clone, so one scrape covers every layer.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// A scheduler owning a fresh pool of `threads` workers.
@@ -636,12 +626,10 @@ impl<T: Float> Scheduler<T> {
     ) -> JobId {
         let id = JobId(self.next_id);
         self.next_id += 1;
-        let qos = opts
-            .qos
-            .unwrap_or_else(|| QosClass::from_budgets(&config.budgets));
+        let qos = opts.qos.unwrap_or_else(|| QosClass::from_budgets(&config));
         let deadline = opts
             .deadline_seconds
-            .or_else(|| JobOptions::derive_deadline(&config.budgets, qos))
+            .or_else(|| JobOptions::derive_deadline(&config, qos))
             .filter(|d| d.is_finite());
         let tenant = self.host.tenant();
         let config = self.bind(config, telemetry, &tenant);
@@ -667,9 +655,7 @@ impl<T: Float> Scheduler<T> {
             turns_since_capture: 0,
             retry_at: None,
         });
-        if let Some(m) = &self.metrics {
-            m.submitted.inc();
-        }
+        self.m.submitted.inc();
         id
     }
 
@@ -690,7 +676,7 @@ impl<T: Float> Scheduler<T> {
     ) -> Result<JobId, FlowError<T>> {
         let id = JobId(self.next_id);
         self.next_id += 1;
-        let qos = qos.unwrap_or_else(|| QosClass::from_budgets(&config.budgets));
+        let qos = qos.unwrap_or_else(|| QosClass::from_budgets(&config));
         let tenant = self.host.tenant();
         let config = self.bind(config, telemetry, &tenant);
         let name = design.name.clone();
@@ -718,9 +704,7 @@ impl<T: Float> Scheduler<T> {
             turns_since_capture: 0,
             retry_at: None,
         });
-        if let Some(m) = &self.metrics {
-            m.submitted.inc();
-        }
+        self.m.submitted.inc();
         Ok(id)
     }
 
@@ -730,14 +714,15 @@ impl<T: Float> Scheduler<T> {
         self.jobs.iter().filter(|j| j.live()).count()
     }
 
-    /// Aggregate fault counters plus the shared pool's health.
+    /// Aggregate fault counters (read from the registry's cells) plus the
+    /// shared pool's health.
     pub fn health(&self) -> SchedulerHealth {
         SchedulerHealth {
             pool: self.host.pool().health(),
-            panics_contained: self.counters.panics_contained,
-            timeouts: self.counters.timeouts,
-            retries: self.counters.retries,
-            workers_respawned: self.counters.workers_respawned,
+            panics_contained: self.m.panics_contained.get(),
+            timeouts: self.m.timeouts.get(),
+            retries: self.m.retries.get(),
+            workers_respawned: self.m.workers_respawned.get(),
         }
     }
 
@@ -837,25 +822,19 @@ impl<T: Float> Scheduler<T> {
     fn run_turn(&mut self, idx: usize) -> bool {
         if let Some(at) = self.jobs[idx].retry_at {
             if Instant::now() < at {
-                if let Some(m) = &self.metrics {
-                    m.turns_idle.inc();
-                }
+                self.m.turns_idle.inc();
                 return false;
             }
             if !self.readmit(idx) {
                 // Readmission itself failed; the terminal outcome is
                 // recorded — that still counts as progress.
-                if let Some(m) = &self.metrics {
-                    m.turns_busy.inc();
-                }
+                self.m.turns_busy.inc();
                 return true;
             }
         }
         let job = &mut self.jobs[idx];
         let Some(mut machine) = job.machine.take() else {
-            if let Some(m) = &self.metrics {
-                m.turns_idle.inc();
-            }
+            self.m.turns_idle.inc();
             return false;
         };
         let quantum = job.qos.quantum().max(1);
@@ -886,17 +865,16 @@ impl<T: Float> Scheduler<T> {
             // in its `Failed` stage (`step` swaps the stage out before
             // executing), so the unwound machine is safe to drop; the pool
             // itself already catches panics per-launch, so workers survive.
-            let t_step = self.metrics.as_ref().map(|_| Instant::now());
+            let t_step = Instant::now();
             let step = catch_unwind(AssertUnwindSafe(|| {
                 if inject_panic {
                     panic!("injected service panic at {pending}");
                 }
                 machine.step()
             }));
-            if let (Some(m), Some(t0)) = (&self.metrics, t_step) {
-                m.step_histogram(pending)
-                    .observe(t0.elapsed().as_secs_f64());
-            }
+            self.m
+                .step_histogram(pending)
+                .observe(t_step.elapsed().as_secs_f64());
             match step {
                 Err(payload) => {
                     verdict = Verdict::Panicked {
@@ -953,40 +931,31 @@ impl<T: Float> Scheduler<T> {
             Verdict::Done => {
                 drop(lease);
                 job.checkpoint = None;
-                job.outcome = Some(match machine.finish() {
-                    Some(r) => JobOutcome::Completed(Box::new(r)),
-                    None => JobOutcome::Failed(FlowError::Io(std::io::Error::other(
-                        "flow machine completed without a result",
-                    ))),
-                });
-                if let Some(m) = &self.metrics {
-                    match &job.outcome {
-                        Some(JobOutcome::Completed(r)) => {
-                            m.completed.inc();
-                            m.gp_objective_evals.add(r.gp.evals.objective_evals);
-                            m.gp_backtracks.add(r.gp.evals.backtracks);
-                            m.gp_rollbacks.add(r.gp.recoveries as u64);
-                        }
-                        _ => m.failed.inc(),
+                job.outcome = Some(match machine.into_result() {
+                    Ok(r) => {
+                        self.m.completed.inc();
+                        self.m.gp_objective_evals.add(r.gp.evals.objective_evals);
+                        self.m.gp_backtracks.add(r.gp.evals.backtracks);
+                        self.m.gp_rollbacks.add(r.gp.recoveries as u64);
+                        JobOutcome::Completed(Box::new(r))
                     }
-                }
+                    Err(e) => {
+                        self.m.failed.inc();
+                        JobOutcome::Failed(e)
+                    }
+                });
             }
             Verdict::Errored(e) => {
                 drop(lease);
                 job.checkpoint = None;
                 job.outcome = Some(JobOutcome::Failed(e));
-                if let Some(m) = &self.metrics {
-                    m.failed.inc();
-                }
+                self.m.failed.inc();
             }
             Verdict::Panicked { message, at } => {
                 // Dropping the failed machine balances its telemetry spans.
                 drop(machine);
                 drop(lease);
-                self.counters.panics_contained += 1;
-                if let Some(m) = &self.metrics {
-                    m.panics_contained.inc();
-                }
+                self.m.panics_contained.inc();
                 let job = &mut self.jobs[idx];
                 job.config
                     .telemetry
@@ -997,10 +966,7 @@ impl<T: Float> Scheduler<T> {
                 let pool = self.host.pool();
                 if !pool.health().all_workers_alive() {
                     let n = pool.respawn_dead() as u64;
-                    self.counters.workers_respawned += n;
-                    if let Some(m) = &self.metrics {
-                        m.workers_respawned.add(n);
-                    }
+                    self.m.workers_respawned.add(n);
                     job.config
                         .telemetry
                         .point("pool_respawn", format!("respawned {n} dead worker(s)"));
@@ -1017,10 +983,7 @@ impl<T: Float> Scheduler<T> {
                 }
                 drop(machine);
                 drop(lease);
-                self.counters.timeouts += 1;
-                if let Some(m) = &self.metrics {
-                    m.timeouts.inc();
-                }
+                self.m.timeouts.inc();
                 let job = &mut self.jobs[idx];
                 job.config.telemetry.point(
                     "timeout",
@@ -1035,25 +998,27 @@ impl<T: Float> Scheduler<T> {
                 );
             }
         }
-        if let Some(m) = &self.metrics {
-            m.turns_busy.inc();
-        }
+        self.m.turns_busy.inc();
         true
     }
 
     /// Records a panic/timeout: schedules a retry when attempts remain,
-    /// otherwise writes the terminal outcome.
+    /// otherwise writes the terminal outcome. A backoff that no `Instant`
+    /// can hold (it doubles per retry) ends the job like an exhausted
+    /// policy.
     fn fail_or_retry(&mut self, idx: usize, at: FlowState, kind: FailKind) {
         let job = &mut self.jobs[idx];
         job.machine = None;
-        if job.attempt < job.retry.max_attempts {
+        let retry = (job.attempt < job.retry.max_attempts)
+            .then(|| job.retry.backoff_for(job.attempt + 1))
+            .and_then(|backoff| {
+                let wait = Duration::try_from_secs_f64(backoff).ok()?;
+                Some((backoff, Instant::now().checked_add(wait)?))
+            });
+        if let Some((backoff, retry_at)) = retry {
             job.attempt += 1;
-            self.counters.retries += 1;
-            if let Some(m) = &self.metrics {
-                m.retries.inc();
-            }
-            let backoff = job.retry.backoff_for(job.attempt);
-            job.retry_at = Some(Instant::now() + Duration::from_secs_f64(backoff));
+            self.m.retries.inc();
+            job.retry_at = Some(retry_at);
             let cause = match &kind {
                 FailKind::Panicked { .. } => "panic",
                 FailKind::TimedOut { .. } => "timeout",
@@ -1068,11 +1033,9 @@ impl<T: Float> Scheduler<T> {
         } else {
             job.retry_at = None;
             job.checkpoint = None;
-            if let Some(m) = &self.metrics {
-                match &kind {
-                    FailKind::Panicked { .. } => m.panicked.inc(),
-                    FailKind::TimedOut { .. } => m.timed_out.inc(),
-                }
+            match &kind {
+                FailKind::Panicked { .. } => self.m.panicked.inc(),
+                FailKind::TimedOut { .. } => self.m.timed_out.inc(),
             }
             job.outcome = Some(match kind {
                 FailKind::Panicked { message } => JobOutcome::Panicked {
@@ -1126,9 +1089,7 @@ impl<T: Float> Scheduler<T> {
             }
             Err(e) => {
                 job.outcome = Some(JobOutcome::Failed(e));
-                if let Some(m) = &self.metrics {
-                    m.failed.inc();
-                }
+                self.m.failed.inc();
                 false
             }
         }
@@ -1138,15 +1099,13 @@ impl<T: Float> Scheduler<T> {
     /// machine, and frees its queue slot (only a tombstone remains; the
     /// caller owns the checkpoint). Returns `None` when the job is
     /// unknown, not running, or currently in a state with nothing durable
-    /// to capture (inputs not loaded yet, mid-LG, batched/skipped DP) — in
-    /// that case the job keeps running; step it further and retry.
+    /// to capture (inputs not loaded yet, DP disabled, or the flow past
+    /// DP) — in that case the job keeps running; step it further and retry.
     pub fn evict(&mut self, id: JobId) -> Option<CheckpointData<T>> {
         let idx = self.jobs.iter().position(|j| j.id == id)?;
         let data = self.jobs[idx].machine.as_mut()?.capture()?;
         self.forget(idx, JobStatus::Evicted);
-        if let Some(m) = &self.metrics {
-            m.evicted.inc();
-        }
+        self.m.evicted.inc();
         Some(data)
     }
 
@@ -1166,9 +1125,7 @@ impl<T: Float> Scheduler<T> {
             .telemetry
             .point("cancel", "job cancelled by the service layer");
         self.forget(idx, JobStatus::Cancelled);
-        if let Some(m) = &self.metrics {
-            m.cancelled.inc();
-        }
+        self.m.cancelled.inc();
         true
     }
 
@@ -1344,19 +1301,38 @@ mod tests {
 
     #[test]
     fn qos_defaults_follow_budgets() {
-        let tight = StageBudgets {
-            gp_seconds: Some(2.0),
-            ..StageBudgets::default()
+        let d = small_design(3);
+        let budgeted = |gp: Option<f64>, dp: Option<f64>| {
+            let mut cfg = small_config(&d, 1);
+            cfg.gp.max_seconds = gp;
+            cfg.dp.max_seconds = dp;
+            cfg
         };
-        let loose = StageBudgets {
-            gp_seconds: Some(3600.0),
-            ..StageBudgets::default()
-        };
-        assert_eq!(QosClass::from_budgets(&tight), QosClass::Interactive);
-        assert_eq!(QosClass::from_budgets(&loose), QosClass::Batch);
+        // (gp budget, dp budget) -> class and derived deadline.
+        for (gp, dp, class, deadline) in [
+            (Some(2.0), None, QosClass::Interactive, Some(34.0)),
+            (Some(3600.0), None, QosClass::Batch, Some(7230.0)),
+            (None, Some(5.0), QosClass::Interactive, Some(40.0)),
+            (None, Some(20.0), QosClass::Batch, Some(70.0)),
+            (Some(20.0), Some(5.0), QosClass::Interactive, Some(80.0)),
+            (None, None, QosClass::Bulk, None),
+        ] {
+            let cfg = budgeted(gp, dp);
+            assert_eq!(QosClass::from_budgets(&cfg), class, "{gp:?} {dp:?}");
+            assert_eq!(
+                JobOptions::derive_deadline(&cfg, class),
+                deadline,
+                "{gp:?} {dp:?}"
+            );
+        }
+        let unbudgeted = budgeted(None, None);
         assert_eq!(
-            QosClass::from_budgets(&StageBudgets::default()),
-            QosClass::Bulk
+            JobOptions::derive_deadline(&unbudgeted, QosClass::Interactive),
+            Some(60.0)
+        );
+        assert_eq!(
+            JobOptions::derive_deadline(&unbudgeted, QosClass::Batch),
+            Some(600.0)
         );
         assert!(QosClass::Bulk.quantum() > QosClass::Interactive.quantum());
     }
@@ -1419,9 +1395,7 @@ mod tests {
     #[test]
     fn metrics_track_outcomes_faults_and_step_latency() {
         let d = small_design(55);
-        let metrics = Metrics::enabled();
         let mut sched = Scheduler::with_threads(1);
-        sched.set_metrics(&metrics);
         // A poisoned gradient makes the job that completes roll back, so
         // its rollback counter has something to count.
         let mut rolls_back = small_config(&d, 1);
@@ -1440,7 +1414,7 @@ mod tests {
         sched.run_all();
         let done = sched.take_result(ok).unwrap().expect("healthy job completes");
         assert!(sched.take_result(bad).unwrap().is_err());
-        let text = metrics.render();
+        let text = sched.metrics().render();
         assert!(text.contains("dp_sched_jobs_total{outcome=\"completed\"} 1"), "{text}");
         assert!(text.contains("dp_sched_jobs_total{outcome=\"panicked\"} 1"), "{text}");
         assert!(text.contains("dp_sched_panics_contained_total 1"), "{text}");
@@ -1468,8 +1442,97 @@ mod tests {
             None,
         );
         assert!(sched.cancel(c));
-        assert!(metrics
+        assert!(sched
+            .metrics()
             .render()
             .contains("dp_sched_jobs_total{outcome=\"cancelled\"} 1"));
+    }
+
+    #[test]
+    fn health_reads_the_registry_counters() {
+        let d = small_design(56);
+        let mut sched = Scheduler::with_threads(1);
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            backoff_seconds: 0.0,
+            conservative_final: false,
+        };
+        let panics = sched.submit_with(
+            small_config(&d, 1),
+            Arc::clone(&d),
+            Telemetry::disabled(),
+            JobOptions {
+                deadline_seconds: Some(f64::INFINITY),
+                retry,
+                faults: ServeFaultInjection::panic_at(FlowState::Gp { iteration: 2 }),
+                ..JobOptions::default()
+            },
+        );
+        let times_out = sched.submit_with(
+            small_config(&d, 1),
+            Arc::clone(&d),
+            Telemetry::disabled(),
+            JobOptions {
+                deadline_seconds: Some(1e-9),
+                retry,
+                ..JobOptions::default()
+            },
+        );
+        sched.run_all();
+        assert!(
+            sched.take_result(panics).unwrap().is_ok(),
+            "the retry completes"
+        );
+        assert!(matches!(
+            sched.take_outcome(times_out),
+            Some(JobOutcome::TimedOut { attempts: 2, .. })
+        ));
+        let health = sched.health();
+        assert_eq!(
+            (health.panics_contained, health.timeouts, health.retries),
+            (1, 2, 2)
+        );
+        let text = sched.metrics().render();
+        let sample = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no {name} sample: {text}"))
+        };
+        assert_eq!(
+            health.panics_contained,
+            sample("dp_sched_panics_contained_total")
+        );
+        assert_eq!(health.timeouts, sample("dp_sched_timeouts_total"));
+        assert_eq!(health.retries, sample("dp_sched_retries_total"));
+        assert_eq!(
+            health.workers_respawned,
+            sample("dp_sched_workers_respawned_total")
+        );
+    }
+
+    #[test]
+    fn unrepresentable_backoff_ends_the_job_instead_of_panicking() {
+        let d = small_design(57);
+        let mut sched = Scheduler::with_threads(1);
+        let id = sched.submit_with(
+            small_config(&d, 1),
+            Arc::clone(&d),
+            Telemetry::disabled(),
+            JobOptions {
+                deadline_seconds: Some(1e-9),
+                retry: RetryPolicy {
+                    max_attempts: 3,
+                    backoff_seconds: 1e300,
+                    conservative_final: false,
+                },
+                ..JobOptions::default()
+            },
+        );
+        sched.run_all();
+        assert!(matches!(
+            sched.take_outcome(id),
+            Some(JobOutcome::TimedOut { attempts: 1, .. })
+        ));
+        assert_eq!(sched.health().retries, 0);
     }
 }

@@ -130,16 +130,6 @@ mod tests {
     use crate::{FlowConfig, ToolMode};
     use dp_gen::GeneratorConfig;
 
-    /// Whether two rounds of reweighting beat the plain placement's WNS on
-    /// one 300-cell design is noisy (about two seeds in three, and which
-    /// ones flips with any change to the GP trajectory), so the claim is
-    /// checked as stated in DESIGN.md §10: over a fixed set of designs, more
-    /// improve than get worse, and none pays more than 15% HPWL for it.
-    /// The set is seed 21, the original single input, and its successors.
-    /// PR 23 took eight; at the rate measured over seeds 1–200 on two
-    /// trajectories (120 : 57 and 122 : 56) a majority of eight fails by
-    /// chance on about one trajectory in four, and did on PR 25's (4 : 4).
-    /// Forty fail about one in seventy.
     /// Every round places with the caller's flow config. A zero GP budget
     /// and no DP make each round the legalized initial placement, which
     /// does not depend on net weights, so every round reads the same HPWL;
@@ -172,6 +162,16 @@ mod tests {
         }
     }
 
+    /// Whether two rounds of reweighting beat the plain placement's WNS on
+    /// one 300-cell design is noisy (about two seeds in three, and which
+    /// ones flips with any change to the GP trajectory), so the claim is
+    /// checked as stated in DESIGN.md §10: over a fixed set of designs, more
+    /// improve than get worse, and none pays more than 15% HPWL for it.
+    /// The set is seed 21, the original single input, and its successors.
+    /// At the rate measured over seeds 1–200 on two trajectories (120 : 57
+    /// and 122 : 56) a majority of eight fails by chance on about one
+    /// trajectory in four, and once did (4 : 4). Forty fail about one in
+    /// seventy.
     #[test]
     fn net_weighting_improves_wns() {
         let (mut improved, mut worsened) = (0, 0);

@@ -38,7 +38,7 @@ pub use dreamplace_core::{
     FlowMachine, FlowResult, FlowStage, FlowState, FlowTiming, GpAttemptState, GpFallback,
     JobId, JobOptions, JobOutcome, JobStatus, QosClass, RetryPolicy, RoutabilityConfig,
     RoutabilityPlacer, RoutabilityResult, SanitizeFinding, SanitizeIssue, SanitizeReport,
-    Scheduler, SchedulerHealth, ServeFaultInjection, StageBudgets, TimingDrivenConfig,
+    Scheduler, SchedulerHealth, ServeFaultInjection, TimingDrivenConfig,
     TimingDrivenPlacer, TimingDrivenResult, TimingSummary, ToolMode,
 };
 

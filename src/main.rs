@@ -340,7 +340,6 @@ fn cmd_trace_check(args: &Args) -> Result<(), String> {
 /// and prints the Prometheus-style exposition: a one-shot way to see the
 /// scheduler/pool series (names, labels, buckets) without a daemon.
 fn cmd_metrics_dump(args: &Args) -> Result<(), String> {
-    use dreamplace::telemetry::metrics::Metrics;
     use dreamplace::telemetry::Telemetry;
     let cells = args.get_parse("cells", 420usize)?;
     let nets = args.get_parse("nets", cells + cells / 10)?;
@@ -355,9 +354,7 @@ fn cmd_metrics_dump(args: &Args) -> Result<(), String> {
     let mut config = FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads }, &design.netlist);
     config.gp.max_iters = args.get_parse("max-iters", 300usize)?;
     config.gp.target_overflow = args.get_parse("overflow", 0.12)?;
-    let metrics = Metrics::enabled();
     let mut sched = dreamplace::Scheduler::with_threads(threads);
-    sched.set_metrics(&metrics);
     let id = sched.submit(config, design, Telemetry::disabled(), None);
     loop {
         sched.step_round();
@@ -380,7 +377,7 @@ fn cmd_metrics_dump(args: &Args) -> Result<(), String> {
         _ => eprintln!("warning: job ended without a placement"),
     }
     sched.health(); // refresh the pool gauges before the render
-    print!("{}", metrics.render());
+    print!("{}", sched.metrics().render());
     Ok(())
 }
 

@@ -487,11 +487,11 @@ struct Daemon<'w> {
     ema_seconds: f64,
     /// Present in TCP mode so new connections can get reader threads.
     reader_tx: Option<mpsc::Sender<Inbound>>,
-    /// The service-wide metrics registry. Always on — `status` and `bye`
-    /// read their daemon-wide numbers from it — and exposed over
-    /// `{"cmd":"metrics"}` and (optionally) `--metrics-listen`.
-    metrics: Metrics,
-    /// Cached serve-layer instruments (see [`ServeMetrics`]).
+    /// Cached serve-layer instruments (see [`ServeMetrics`]), registered
+    /// on the scheduler's registry: one service-wide registry, always on
+    /// — `status` and `bye` read their daemon-wide numbers from it — and
+    /// exposed over `{"cmd":"metrics"}` and (optionally)
+    /// `--metrics-listen`.
     m: ServeMetrics,
     /// Completion timestamps within [`RATE_WINDOW`], for the
     /// `placements_per_hour` gauge.
@@ -501,10 +501,8 @@ struct Daemon<'w> {
 impl<'w> Daemon<'w> {
     fn new(opts: ServeOptions, once: bool, reader_tx: Option<mpsc::Sender<Inbound>>) -> Self {
         let threads = opts.threads;
-        let metrics = Metrics::enabled();
-        let m = ServeMetrics::new(&metrics);
-        let mut sched = Scheduler::with_threads(threads);
-        sched.set_metrics(&metrics);
+        let sched = Scheduler::with_threads(threads);
+        let m = ServeMetrics::new(sched.metrics());
         Self {
             opts,
             started: Instant::now(),
@@ -519,7 +517,6 @@ impl<'w> Daemon<'w> {
             sessions_started: 0,
             ema_seconds: 5.0,
             reader_tx,
-            metrics,
             m,
             completions: VecDeque::new(),
         }
@@ -621,7 +618,7 @@ impl<'w> Daemon<'w> {
     fn load(&mut self) -> Load {
         self.refresh_gauges();
         Load {
-            uptime: self.metrics.uptime_seconds(),
+            uptime: self.sched.metrics().uptime_seconds(),
             queued: std::array::from_fn(|r| self.m.queue_depth[r].get() as u64),
             retry_after: self.m.retry_after.get(),
         }
@@ -822,7 +819,7 @@ impl<'w> Daemon<'w> {
             Request::Metrics => {
                 self.refresh_gauges();
                 self.sched.health(); // refreshes the pool gauges
-                let line = protocol::metrics(&self.metrics.render());
+                let line = protocol::metrics(&self.sched.metrics().render());
                 self.emit(sid, &line)
             }
             Request::Status(Some(id)) => {
@@ -1289,7 +1286,7 @@ fn start_metrics_listener(daemon: &Daemon<'_>) -> Result<(), String> {
     if let Ok(local) = listener.local_addr() {
         eprintln!("metrics: listening on {local}");
     }
-    spawn_metrics_listener(listener, daemon.metrics.clone());
+    spawn_metrics_listener(listener, daemon.sched.metrics().clone());
     Ok(())
 }
 
@@ -1371,11 +1368,9 @@ fn build_job(
     if let Some(overflow) = spec.overflow {
         config.gp.target_overflow = overflow;
     }
-    config.budgets.gp_seconds = spec.gp_seconds;
-    config.budgets.dp_seconds = spec.dp_seconds;
-    let class = spec
-        .qos
-        .unwrap_or_else(|| QosClass::from_budgets(&config.budgets));
+    config.gp.max_seconds = spec.gp_seconds;
+    config.dp.max_seconds = spec.dp_seconds;
+    let class = spec.qos.unwrap_or_else(|| QosClass::from_budgets(&config));
     let retry = RetryPolicy {
         max_attempts: spec.max_attempts.unwrap_or(defaults.retry.max_attempts).max(1),
         backoff_seconds: spec
@@ -1603,6 +1598,40 @@ mod tests {
         assert_eq!(stats.completed, 0);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("chaos injection is disabled"));
+    }
+
+    #[test]
+    fn unrepresentable_seconds_are_rejected_and_the_session_ends() {
+        let input = Cursor::new(
+            [
+                concat!(
+                    r#"{"cmd":"submit","preset":"tiny","seed":3,"deadline_seconds":1e-9,"#,
+                    r#""backoff_seconds":1e300}"#
+                ),
+                concat!(
+                    r#"{"cmd":"submit","preset":"tiny","seed":3,"chaos_stall_at":"gp:1","#,
+                    r#""chaos_stall_seconds":1e300}"#
+                ),
+                r#"{"cmd":"submit","preset":"tiny","gp_seconds":-1}"#,
+                r#"{"cmd":"drain"}"#,
+            ]
+            .join("\n"),
+        );
+        let mut out = Vec::new();
+        let opts = ServeOptions {
+            threads: 1,
+            slots: 1,
+            allow_chaos: true,
+            ..ServeOptions::default()
+        };
+        let stats = serve(input, &mut out, &opts).expect("the daemon survives");
+        assert_eq!(stats.rejected, 3);
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("\"event\":\"rejected\"").count(), 3, "{text}");
+        assert!(text.contains("bad backoff_seconds"), "{text}");
+        assert!(text.contains("bad chaos_stall_seconds"), "{text}");
+        let last = text.lines().last().unwrap_or_default();
+        assert!(last.contains("\"event\":\"bye\""), "{text}");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! golden strings below.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use super::ServeStats;
 use crate::telemetry::json::{self, Object, Value};
@@ -123,6 +124,24 @@ pub(super) fn parse_request(line: &str) -> Result<Request, String> {
                     "submit needs \"aux\", \"preset\", or \"cells\"".into(),
                 ));
             };
+            // Every duration knob must fit a `Duration`: the scheduler's
+            // timers would otherwise panic on it outside any job's
+            // containment.
+            for key in [
+                "gp_seconds",
+                "dp_seconds",
+                "deadline_seconds",
+                "backoff_seconds",
+                "chaos_stall_seconds",
+            ] {
+                if let Some(v) = get(key).and_then(Value::as_f64) {
+                    if Duration::try_from_secs_f64(v).is_err() {
+                        return Ok(Request::Bad(format!(
+                            "bad {key} {v:?} (want finite, non-negative seconds)"
+                        )));
+                    }
+                }
+            }
             let qos = match get("qos").and_then(Value::as_str) {
                 None => None,
                 Some("interactive") => Some(QosClass::Interactive),

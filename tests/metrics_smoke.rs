@@ -4,8 +4,8 @@
 //!
 //! Three guarantees, matching the metrics design contract (DESIGN.md §16):
 //!
-//! 1. a scheduler run with metrics *enabled* is bit-identical to the same
-//!    run with metrics disabled on the tier-1 golden configuration
+//! 1. a scheduler run (whose registry is always live) is bit-identical to
+//!    an uninstrumented standalone run of the tier-1 golden configuration
 //!    (instruments observe, never participate);
 //! 2. the Prometheus text exposition parses cleanly — every series
 //!    appears exactly once per scrape, and every `_total` counter is
@@ -20,11 +20,8 @@ use std::sync::Arc;
 
 use dreamplace::gen::{GeneratedDesign, GeneratorConfig};
 use dreamplace::serve::{serve, ServeOptions, POSTMORTEM_EVENTS};
-use dreamplace::telemetry::metrics::Metrics;
 use dreamplace::telemetry::Telemetry;
-use dreamplace::{
-    FlowConfig, FlowResult, JobOutcome, JobStatus, Scheduler, ToolMode,
-};
+use dreamplace::{DreamPlacer, FlowConfig, FlowResult, JobOutcome, JobStatus, Scheduler, ToolMode};
 use dp_gp::InitKind;
 
 const THREADS: usize = 2;
@@ -53,12 +50,8 @@ fn config(d: &GeneratedDesign<f64>) -> FlowConfig<f64> {
     cfg
 }
 
-/// Runs the golden config through the scheduler, optionally instrumented.
-fn run_scheduled(d: &Arc<GeneratedDesign<f64>>, metrics: Option<&Metrics>) -> FlowResult<f64> {
-    let mut sched = Scheduler::with_threads(THREADS);
-    if let Some(m) = metrics {
-        sched.set_metrics(m);
-    }
+/// Runs the golden config through the scheduler.
+fn run_scheduled(sched: &mut Scheduler<f64>, d: &Arc<GeneratedDesign<f64>>) -> FlowResult<f64> {
     let id = sched.submit(config(d), Arc::clone(d), Telemetry::disabled(), None);
     loop {
         sched.step_round();
@@ -107,10 +100,12 @@ fn parse_scrape(text: &str) -> BTreeMap<String, f64> {
 #[test]
 fn metrics_enabled_run_is_bit_identical_and_scrapes_cleanly() {
     let d = Arc::new(build());
-    let off = run_scheduled(&d, None);
+    let off = DreamPlacer::new(config(&d))
+        .place(&d)
+        .expect("standalone run");
 
-    let metrics = Metrics::enabled();
-    let on = run_scheduled(&d, Some(&metrics));
+    let mut sched = Scheduler::with_threads(THREADS);
+    let on = run_scheduled(&mut sched, &d);
 
     // 1. Bit identity: the instruments observed a numerically untouched run.
     assert_eq!(off.hpwl_gp.to_bits(), on.hpwl_gp.to_bits());
@@ -122,7 +117,7 @@ fn metrics_enabled_run_is_bit_identical_and_scrapes_cleanly() {
 
     // 2. The scrape parses with no duplicate series and covers the
     // scheduler and pool layers.
-    let first = parse_scrape(&metrics.render());
+    let first = parse_scrape(&sched.metrics().render());
     assert_eq!(first["dp_sched_jobs_total{outcome=\"completed\"}"], 1.0);
     assert_eq!(first["dp_sched_jobs_submitted_total"], 1.0);
     assert!(first["dp_pool_launches_total"] > 0.0);
@@ -134,10 +129,10 @@ fn metrics_enabled_run_is_bit_identical_and_scrapes_cleanly() {
     assert_eq!(first["dp_sched_step_seconds_bucket{stage=\"gp\",le=\"+Inf\"}"], gp_count);
 
     // 3. Counters are monotone across scrapes: run a second job on the
-    // same registry and compare every `_total` sample.
-    let again = run_scheduled(&d, Some(&metrics));
+    // same scheduler and compare every `_total` sample.
+    let again = run_scheduled(&mut sched, &d);
     assert_eq!(on.hpwl_final.to_bits(), again.hpwl_final.to_bits());
-    let second = parse_scrape(&metrics.render());
+    let second = parse_scrape(&sched.metrics().render());
     for (name, before) in &first {
         if !name.contains("_total") {
             continue;

@@ -406,7 +406,7 @@ fn gp_budget_counts_time_consumed_before_the_crash() {
     // Control: with a generous budget the resumed run finishes GP well
     // past the checkpointed iteration.
     let mut generous = config(&d);
-    generous.budgets.gp_seconds = Some(3600.0);
+    generous.gp.max_seconds = Some(3600.0);
     let r = match DreamPlacer::new(generous)
         .place_durable(
             &d,
@@ -434,7 +434,7 @@ fn gp_budget_counts_time_consumed_before_the_crash() {
         panic!("expected a GP-stage checkpoint");
     }
     let mut cfg = config(&d);
-    cfg.budgets.gp_seconds = Some(3600.0);
+    cfg.gp.max_seconds = Some(3600.0);
     let r = match DreamPlacer::new(cfg)
         .place_durable(&d, Some(spent), None, FlowFaultInjection::default())
         .expect("resumed run under exhausted budget")
