@@ -353,8 +353,9 @@ pub struct FlowResult<T> {
 /// Wall-clock budgets are the stages' own: [`GpConfig::max_seconds`] (the
 /// engine stops at it like an iteration cap) and
 /// [`DetailedPlacer::max_seconds`] (checked between passes), both off by
-/// default. So are the quality gates: [`Legalizer::with_max_displacement`]
-/// and [`DetailedPlacer::hpwl_tolerance`].
+/// default. So is the legalizer's displacement gate
+/// ([`Legalizer::with_max_displacement`]); the DP pass gate always runs and
+/// reverts any pass that worsens HPWL by more than rounding.
 #[derive(Debug, Clone)]
 pub struct FlowConfig<T> {
     /// Global placement configuration (see [`ToolMode::gp_config`]).
@@ -435,8 +436,8 @@ impl<T: Float> DreamPlacer<T> {
 
 /// A known-safe GP configuration for divergence fallback: Adam at a
 /// quarter-bin learning rate, LSE wirelength, and the paper's default
-/// scheduler knobs (a runaway `mu_max` or `ref_delta_hpwl` override is the
-/// most common way to make the primary configuration diverge).
+/// scheduler knobs (a runaway `mu_min`/`mu_max` override is the most
+/// common way to make the primary configuration diverge).
 pub(crate) fn conservative_preset<T: Float>(gp: &GpConfig<T>, nl: &Netlist<T>) -> GpConfig<T> {
     let mut cfg = gp.clone();
     let region = nl.region();
@@ -451,7 +452,6 @@ pub(crate) fn conservative_preset<T: Float>(gp: &GpConfig<T>, nl: &Netlist<T>) -
     cfg.mu_min = 0.95;
     cfg.mu_max = 1.05;
     cfg.tcad_mu_stabilization = true;
-    cfg.ref_delta_hpwl = None;
     cfg.lambda_update_interval = 1;
     cfg
 }
@@ -601,7 +601,7 @@ mod tests {
         // fault injection), and a zero budget forbids rollbacks. A high
         // iteration floor keeps the warm-started retry from converging
         // before it reaches the poisoned evals.
-        cfg.gp.recovery.max_recoveries = 0;
+        cfg.gp.max_recoveries = 0;
         cfg.gp.min_iters = 100;
         cfg.gp.fault_injection.nan_grad_evals = (60..72).collect();
         cfg.run_dp = false;

@@ -21,6 +21,17 @@ use dp_route::{shpwl, GlobalRouter, RouterConfig};
 
 use crate::flow::FlowError;
 
+/// Inflation exponent of Eq. (19).
+const INFLATION_EXPONENT: f64 = 2.5;
+/// Inflation ratio cap of Eq. (19).
+const INFLATION_MAX: f64 = 2.5;
+/// Overflow at which the router is first invoked.
+const ROUTE_OVERFLOW: f64 = 0.20;
+/// Stop once one round adds less than this fraction of total cell area.
+const MIN_AREA_INCREMENT: f64 = 0.01;
+/// Cap on the area one round adds, as a fraction of the whitespace.
+const WHITESPACE_CAP: f64 = 0.10;
+
 /// Configuration of the routability flow.
 #[derive(Debug, Clone)]
 pub struct RoutabilityConfig<T> {
@@ -28,19 +39,8 @@ pub struct RoutabilityConfig<T> {
     pub gp: GpConfig<T>,
     /// Router configuration (tiles and capacities).
     pub router: RouterConfig,
-    /// Inflation exponent of Eq. (19) (paper: 2.5).
-    pub inflation_exponent: f64,
-    /// Inflation ratio cap of Eq. (19) (paper: 2.5).
-    pub inflation_max: f64,
-    /// Overflow at which the router is first invoked (paper: 0.20).
-    pub route_overflow: T,
-    /// Stop when one round adds less than this fraction of total cell area
-    /// (paper: 0.01).
-    pub min_area_increment: f64,
     /// Maximum inflation rounds (paper: 5).
     pub max_rounds: usize,
-    /// Whitespace fraction cap per round (paper: 0.10).
-    pub whitespace_cap: f64,
     /// Run detailed placement at the end.
     pub run_dp: bool,
 }
@@ -51,12 +51,7 @@ impl<T: Float> RoutabilityConfig<T> {
         Self {
             gp: GpConfig::auto(netlist),
             router,
-            inflation_exponent: 2.5,
-            inflation_max: 2.5,
-            route_overflow: T::from_f64(0.20),
-            min_area_increment: 0.01,
             max_rounds: 5,
-            whitespace_cap: 0.10,
             run_dp: true,
         }
     }
@@ -120,7 +115,7 @@ impl<T: Float> RoutabilityPlacer<T> {
 
         // Phase 1: place to the routing checkpoint, inflate, restart.
         let mut gp_cfg = cfg.gp.clone();
-        gp_cfg.target_overflow = cfg.route_overflow;
+        gp_cfg.target_overflow = T::from_f64(ROUTE_OVERFLOW);
         let mut pos = dp_gp::initial_placement(
             nl_real,
             &design.fixed_positions,
@@ -147,7 +142,7 @@ impl<T: Float> RoutabilityPlacer<T> {
             // (paper: every 5 iterations).
             gp_cfg.lambda_update_interval = 5;
             gp_cfg.init = InitKind::RandomCenter; // restart from current pos via place_from
-            if added < cfg.min_area_increment * total_area {
+            if added < MIN_AREA_INCREMENT * total_area {
                 break;
             }
         }
@@ -167,7 +162,7 @@ impl<T: Float> RoutabilityPlacer<T> {
         let lg_time = t.elapsed().as_secs_f64();
         let t = Instant::now();
         if cfg.run_dp {
-            let _ = DetailedPlacer::new().run(nl_real, &mut placement);
+            DetailedPlacer::new().run(nl_real, &mut placement);
         }
         let dp_time = t.elapsed().as_secs_f64();
 
@@ -203,8 +198,7 @@ impl<T: Float> RoutabilityPlacer<T> {
         widths: &mut [T],
         whitespace: f64,
     ) -> f64 {
-        let cfg = &self.config;
-        let ratios = routed.inflation_ratio_map(cfg.inflation_exponent, cfg.inflation_max);
+        let ratios = routed.inflation_ratio_map(INFLATION_EXPONENT, INFLATION_MAX);
         let grid = routed.grid();
         let n = nl.num_movable();
 
@@ -221,7 +215,7 @@ impl<T: Float> RoutabilityPlacer<T> {
         }
         // Cap the area increment at 10% of whitespace, scaling ratios down
         // uniformly (paper §III-F).
-        let cap = cfg.whitespace_cap * whitespace;
+        let cap = WHITESPACE_CAP * whitespace;
         let scale = if total_added > cap && total_added > 0.0 {
             cap / total_added
         } else {

@@ -45,11 +45,12 @@ pub struct TimingDrivenConfig<T> {
     pub timing: TimingConfig,
     /// Number of reweight-and-replace rounds after the initial placement.
     pub rounds: usize,
-    /// Maximum net weight for fully critical nets.
-    pub w_max: f64,
-    /// Criticality exponent (sharper focus on the most critical nets).
-    pub exponent: f64,
 }
+
+/// Net weight of a fully critical net.
+const W_MAX: f64 = 6.0;
+/// Criticality exponent (sharper focus on the most critical nets).
+const EXPONENT: f64 = 2.0;
 
 /// Result of the timing-driven loop.
 #[derive(Debug, Clone)]
@@ -99,7 +100,7 @@ impl<T: Float> TimingDrivenPlacer<T> {
         let mut report = report0;
 
         for _ in 0..cfg.rounds {
-            let weights: Vec<T> = criticality_weights(&report, cfg.w_max, cfg.exponent);
+            let weights: Vec<T> = criticality_weights(&report, W_MAX, EXPONENT);
             let weighted_nl = design.netlist.with_net_weights(weights);
             let weighted_design = GeneratedDesign {
                 name: design.name.clone(),
@@ -149,8 +150,6 @@ mod tests {
             flow,
             timing: dp_timing::TimingConfig::default(),
             rounds: 2,
-            w_max: 6.0,
-            exponent: 2.0,
         };
         let r = TimingDrivenPlacer::new(cfg).place(&d).expect("runs");
         for (k, s) in r.history.iter().enumerate() {
@@ -188,8 +187,6 @@ mod tests {
                 flow,
                 timing: dp_timing::TimingConfig::default(),
                 rounds: 2,
-                w_max: 6.0,
-                exponent: 2.0,
             };
             let r = TimingDrivenPlacer::new(cfg).place(&d).expect("runs");
             improved += usize::from(r.final_timing.wns > r.initial.wns);

@@ -1,8 +1,7 @@
-//! Placement visualization: SVG snapshots and density heatmaps.
+//! Placement visualization: SVG snapshots.
 //!
 //! Small but invaluable for an open-source placer: a picture of the
-//! placement (cells, macros, optional fence regions) and a PPM heatmap of
-//! the bin density map.
+//! placement (cells, macros, optional fence regions).
 
 use std::io::Write;
 use std::path::Path;
@@ -121,41 +120,6 @@ pub fn write_svg<T: Float>(
     out.flush()
 }
 
-/// Writes a grayscale PPM heatmap of a density map (row-major `mx x my`,
-/// x-major as produced by the density builder). White = empty, black =
-/// at/above `saturate` (area units).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-///
-/// # Panics
-///
-/// Panics if `map.len() != mx * my` or `saturate <= 0`.
-pub fn write_density_ppm(
-    path: &Path,
-    map: &[f64],
-    mx: usize,
-    my: usize,
-    saturate: f64,
-) -> std::io::Result<()> {
-    assert_eq!(map.len(), mx * my, "map shape mismatch");
-    assert!(saturate > 0.0, "saturation level must be positive");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(out, "P5\n{mx} {my}\n255")?;
-    let mut row = Vec::with_capacity(mx);
-    // PPM rows top-to-bottom: flip y.
-    for j in (0..my).rev() {
-        row.clear();
-        for i in 0..mx {
-            let v = (map[i * my + j] / saturate).clamp(0.0, 1.0);
-            row.push(255 - (v * 255.0) as u8);
-        }
-        out.write_all(&row)?;
-    }
-    out.flush()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -182,24 +146,5 @@ mod tests {
         assert_eq!(svg.matches("<rect").count(), 1 + d.netlist.num_cells() + 1);
         assert!(svg.contains("stroke-dasharray"));
         assert!(svg.ends_with("</svg>\n"));
-    }
-
-    #[test]
-    fn ppm_has_correct_header_and_size() {
-        let path = std::env::temp_dir().join("dp-viz-test.ppm");
-        let map = vec![0.5; 8 * 4];
-        write_density_ppm(&path, &map, 8, 4, 1.0).expect("writes");
-        let bytes = std::fs::read(&path).expect("reads");
-        let header = b"P5\n8 4\n255\n";
-        assert!(bytes.starts_with(header));
-        assert_eq!(bytes.len(), header.len() + 32);
-        // 0.5 of saturation maps to mid-gray.
-        assert_eq!(bytes[header.len()], 255 - 127);
-    }
-
-    #[test]
-    #[should_panic(expected = "map shape")]
-    fn ppm_rejects_bad_shape() {
-        let _ = write_density_ppm(Path::new("/dev/null"), &[0.0; 10], 4, 4, 1.0);
     }
 }

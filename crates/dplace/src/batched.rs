@@ -189,28 +189,14 @@ fn swap_gain<T: Float>(
 
 /// The batched detailed placement driver: batched global swap plus the
 /// sequential reorder/ISM passes (which are window- and batch-local
-/// already). `threads` controls the proposal parallelism.
+/// already), with the round cap, window and batch of [`DetailedPlacer`].
+/// `threads` controls the proposal parallelism.
+///
+/// [`DetailedPlacer`]: crate::DetailedPlacer
 #[derive(Debug, Clone)]
 pub struct BatchedDetailedPlacer {
-    /// Maximum rounds of the operator cycle.
-    pub max_rounds: usize,
-    /// Sliding-window size for local reordering.
-    pub window: usize,
-    /// Batch size for independent-set matching.
-    pub ism_batch: usize,
     /// Worker threads for the proposal phases.
     pub threads: usize,
-}
-
-impl Default for BatchedDetailedPlacer {
-    fn default() -> Self {
-        Self {
-            max_rounds: 3,
-            window: 3,
-            ism_batch: 8,
-            threads: 1,
-        }
-    }
 }
 
 impl BatchedDetailedPlacer {
@@ -218,7 +204,6 @@ impl BatchedDetailedPlacer {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            ..Self::default()
         }
     }
 
@@ -229,11 +214,11 @@ impl BatchedDetailedPlacer {
         // One pool for the whole run: every round's propose phase reuses it.
         let pool = WorkerPool::new(self.threads);
         let mut moves = 0usize;
-        for _ in 0..self.max_rounds {
+        for _ in 0..crate::MAX_ROUNDS {
             let before = moves;
             moves += batched_global_swap_on(nl, p, &pool);
-            moves += crate::local_reorder(nl, p, self.window);
-            moves += crate::independent_set_matching(nl, p, self.ism_batch.clamp(2, 16));
+            moves += crate::local_reorder(nl, p, crate::WINDOW);
+            moves += crate::independent_set_matching(nl, p, crate::ISM_BATCH);
             if moves == before {
                 break;
             }

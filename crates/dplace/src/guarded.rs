@@ -4,15 +4,15 @@
 //! Every DP operator in this crate commits only HPWL-improving moves, so a
 //! pass that *worsens* HPWL signals a defect (or injected fault). The
 //! guarded driver snapshots the placement around each pass, measures HPWL
-//! before/after, and on a worsening beyond [`DetailedPlacer::hpwl_tolerance`]
-//! reverts the snapshot and disables that pass for the rest of the run —
-//! the other operators keep optimizing. A wall-clock budget
+//! before/after, and on a relative worsening beyond 1e-9 reverts the
+//! snapshot and disables that pass for the rest of the run — the other
+//! operators keep optimizing. A wall-clock budget
 //! ([`DetailedPlacer::max_seconds`]) stops the run between passes.
 //!
-//! Off the failure path the driver is bit-identical to
-//! [`DetailedPlacer::run`]: it executes the same pass sequence with the
-//! same parameters and stopping rule, and the extra HPWL evaluations do
-//! not mutate the placement.
+//! This is the only DP loop: [`DetailedPlacer::run`] is this driver with
+//! the guard report dropped. Off the failure path the gate changes no bit
+//! of the placement (the HPWL evaluations do not mutate it);
+//! `reference.rs` is the oracle its passes must reproduce.
 
 use std::fmt;
 use std::time::Instant;
@@ -20,7 +20,10 @@ use std::time::Instant;
 use dp_netlist::{hpwl, Netlist, Placement};
 use dp_num::Float;
 
-use crate::{global_swap, independent_set_matching, local_reorder, DetailedPlacer, DpStats};
+use crate::{
+    global_swap, independent_set_matching, local_reorder, DetailedPlacer, DpStats, HPWL_TOLERANCE,
+    ISM_BATCH, MAX_ROUNDS, WINDOW,
+};
 
 /// One of the three detailed-placement operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +93,7 @@ pub struct DpGuardReport {
 }
 
 impl DpGuardReport {
-    /// True when no guard fired — the run matched the unguarded driver.
+    /// True when no guard fired.
     pub fn is_clean(&self) -> bool {
         self.disabled.is_empty() && self.reverts == 0 && !self.budget_exhausted
     }
@@ -222,12 +225,10 @@ impl GuardedDpRun {
         if self.done {
             return true;
         }
-        // Find the next enabled pass slot, crossing round boundaries with
-        // the same stopping rules as the nested loops in the one-shot
-        // driver: stop when a full round made no progress or the round
-        // cap is reached.
+        // Find the next enabled pass slot, crossing round boundaries: stop
+        // when a full round made no progress or the round cap is reached.
         let pass = loop {
-            if self.round >= placer.max_rounds {
+            if self.round >= MAX_ROUNDS {
                 self.done = true;
                 return true;
             }
@@ -270,10 +271,8 @@ impl GuardedDpRun {
             });
             match pass {
                 DpPass::GlobalSwap => global_swap(nl, p),
-                DpPass::LocalReorder => local_reorder(nl, p, placer.window),
-                DpPass::IndependentSetMatching => {
-                    independent_set_matching(nl, p, placer.ism_batch.clamp(2, 16))
-                }
+                DpPass::LocalReorder => local_reorder(nl, p, WINDOW),
+                DpPass::IndependentSetMatching => independent_set_matching(nl, p, ISM_BATCH),
             }
         };
         if self.injected == Some(pass) {
@@ -281,7 +280,7 @@ impl GuardedDpRun {
             inject_worsening_swaps(nl, p, before * (1.0 + 1e-6) + 1e-6);
         }
         let after = hpwl(nl, p).to_f64();
-        let limit = before * (1.0 + placer.hpwl_tolerance) + placer.hpwl_tolerance;
+        let limit = before * (1.0 + HPWL_TOLERANCE) + HPWL_TOLERANCE;
         // `after > limit` would miss NaN; the gate must also fire
         // when the pass went non-finite.
         let within = matches!(
@@ -385,22 +384,6 @@ mod tests {
             .legalize(&d.netlist, &mut p)
             .expect("legalizes");
         (d.netlist, p)
-    }
-
-    /// The guarded driver must be bit-identical to `run` off the failure
-    /// path: same placement, same stats (runtime aside).
-    #[test]
-    fn clean_path_matches_unguarded_run_bit_for_bit() {
-        let (nl, p0) = legalized_design(21);
-        let mut a = p0.clone();
-        let mut b = p0;
-        let sa = DetailedPlacer::new().run(&nl, &mut a);
-        let (sb, report) = DetailedPlacer::new().run_guarded(&nl, &mut b);
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.y, b.y);
-        assert_eq!(sa.final_hpwl, sb.final_hpwl);
-        assert_eq!(sa.moves, sb.moves);
     }
 
     #[test]

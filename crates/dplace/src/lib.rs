@@ -57,9 +57,7 @@ pub use ism::independent_set_matching;
 pub use reorder::local_reorder;
 pub use swap::global_swap;
 
-use std::time::Instant;
-
-use dp_netlist::{hpwl, Netlist, Placement};
+use dp_netlist::{Netlist, Placement};
 use dp_num::Float;
 
 /// Statistics of a detailed placement run.
@@ -75,40 +73,30 @@ pub struct DpStats {
     pub runtime: f64,
 }
 
-/// The detailed placement driver: iterates the three operators until no
-/// pass improves (or the pass budget is exhausted).
-#[derive(Debug, Clone)]
-pub struct DetailedPlacer {
-    /// Maximum rounds of the operator cycle.
-    pub max_rounds: usize,
-    /// Sliding-window size for local reordering (2..=4).
-    pub window: usize,
-    /// Batch size for independent-set matching (clamped to 16).
-    pub ism_batch: usize,
-    /// Relative HPWL worsening tolerated per pass before the guarded
-    /// driver ([`DetailedPlacer::run_guarded`]) reverts and disables it.
-    pub hpwl_tolerance: f64,
-    /// Wall-clock budget for the guarded driver; checked between passes.
-    pub max_seconds: Option<f64>,
-    /// Fault injection for the guarded driver (tests only).
-    pub fault_injection: guarded::DpFaultInjection,
-    /// Telemetry sink: per-pass kernel spans and guard degradation events
-    /// from the guarded driver. Disabled by default.
-    pub telemetry: dp_telemetry::Telemetry,
-}
+/// Rounds of the operator cycle; a round that commits no move ends the run
+/// early.
+pub(crate) const MAX_ROUNDS: usize = 3;
+/// Sliding-window size of local reordering.
+pub(crate) const WINDOW: usize = 3;
+/// Batch size of independent-set matching.
+pub(crate) const ISM_BATCH: usize = 8;
+/// Relative HPWL worsening a pass may show before the guarded driver
+/// reverts and disables it (every operator commits only improving moves,
+/// so anything above rounding is a defect).
+pub(crate) const HPWL_TOLERANCE: f64 = 1e-9;
 
-impl Default for DetailedPlacer {
-    fn default() -> Self {
-        Self {
-            max_rounds: 3,
-            window: 3,
-            ism_batch: 8,
-            hpwl_tolerance: 1e-9,
-            max_seconds: None,
-            fault_injection: guarded::DpFaultInjection::default(),
-            telemetry: dp_telemetry::Telemetry::disabled(),
-        }
-    }
+/// The detailed placement driver: iterates the three operators, each
+/// behind a quality gate, until a round commits no move or three rounds
+/// have run (see [`guarded`]).
+#[derive(Debug, Clone, Default)]
+pub struct DetailedPlacer {
+    /// Wall-clock budget; checked between passes.
+    pub max_seconds: Option<f64>,
+    /// Fault injection for the pass gate (tests only).
+    pub fault_injection: guarded::DpFaultInjection,
+    /// Telemetry sink: per-pass kernel spans and guard degradation events.
+    /// Disabled by default.
+    pub telemetry: dp_telemetry::Telemetry,
 }
 
 impl DetailedPlacer {
@@ -117,27 +105,11 @@ impl DetailedPlacer {
         Self::default()
     }
 
-    /// Runs detailed placement in place. The placement must be legal; all
+    /// Runs detailed placement in place: [`DetailedPlacer::run_guarded`]
+    /// without its guard report. The placement must be legal; all
     /// operators keep it legal.
     pub fn run<T: Float>(&self, nl: &Netlist<T>, p: &mut Placement<T>) -> DpStats {
-        let t0 = Instant::now();
-        let initial = hpwl(nl, p).to_f64();
-        let mut moves = 0usize;
-        for _ in 0..self.max_rounds {
-            let before = moves;
-            moves += global_swap(nl, p);
-            moves += local_reorder(nl, p, self.window);
-            moves += independent_set_matching(nl, p, self.ism_batch.clamp(2, 16));
-            if moves == before {
-                break;
-            }
-        }
-        DpStats {
-            initial_hpwl: initial,
-            final_hpwl: hpwl(nl, p).to_f64(),
-            moves,
-            runtime: t0.elapsed().as_secs_f64(),
-        }
+        self.run_guarded(nl, p).0
     }
 }
 

@@ -11,21 +11,18 @@ use dp_num::Float;
 
 use crate::incremental::IncrementalHpwl;
 use crate::reorder::group_rows;
-use crate::{DetailedPlacer, DpStats};
+use crate::{DpStats, ISM_BATCH, MAX_ROUNDS, WINDOW};
 
-/// [`DetailedPlacer::run`] over the reference passes (`runtime` is 0).
-pub(crate) fn run<T: Float>(
-    placer: &DetailedPlacer,
-    nl: &Netlist<T>,
-    p: &mut Placement<T>,
-) -> DpStats {
+/// [`crate::DetailedPlacer::run`]'s round loop over the reference passes, without
+/// the pass gate (`runtime` is 0).
+pub(crate) fn run<T: Float>(nl: &Netlist<T>, p: &mut Placement<T>) -> DpStats {
     let initial = hpwl(nl, p).to_f64();
     let mut moves = 0usize;
-    for _ in 0..placer.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         let before = moves;
         moves += global_swap(nl, p);
-        moves += local_reorder(nl, p, placer.window);
-        moves += independent_set_matching(nl, p, placer.ism_batch.clamp(2, 16));
+        moves += local_reorder(nl, p, WINDOW);
+        moves += independent_set_matching(nl, p, ISM_BATCH);
         if moves == before {
             break;
         }
@@ -386,7 +383,7 @@ pub(crate) fn hungarian(cost: &[Vec<f64>]) -> Vec<usize> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::{global_swap, independent_set_matching, local_reorder};
+    use crate::{global_swap, independent_set_matching, local_reorder, DetailedPlacer};
     use dp_gen::GeneratorConfig;
     use dp_gp::initial_placement;
     use dp_lg::Legalizer;
@@ -536,10 +533,9 @@ mod tests {
                 assert_same(&tag(&format!("ism batch={batch}")), &got, &want);
             }
 
-            let placer = DetailedPlacer::new();
             let (mut got, mut want) = (p0.clone(), p0);
-            let stats = placer.run(&nl, &mut got);
-            let oracle = run(&placer, &nl, &mut want);
+            let stats = DetailedPlacer::new().run(&nl, &mut got);
+            let oracle = run(&nl, &mut want);
             assert_same(&tag("run"), &got, &want);
             assert_eq!(stats.moves, oracle.moves, "{}", tag("run moves"));
             assert!(

@@ -86,45 +86,6 @@ impl fmt::Display for DivergenceCause {
     }
 }
 
-/// Checkpoint/rollback policy for divergence recovery.
-///
-/// Every `checkpoint_interval` healthy iterations the engine snapshots the
-/// positions, the solver state, and the `lambda` scheduler. When the
-/// divergence tripwire fires, the run rolls back to the last checkpoint,
-/// multiplies `lambda` by `lambda_backoff`, relaxes `gamma` by
-/// `gamma_relax`, and retries — up to `max_recoveries` times before
-/// surfacing [`GpError::Diverged`] with the best placement seen.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Iterations between checkpoints (0 disables re-checkpointing; the
-    /// initial state is always checkpointed).
-    pub checkpoint_interval: usize,
-    /// Rollback attempts before giving up.
-    pub max_recoveries: usize,
-    /// Multiplier applied to the density weight on each rollback (< 1);
-    /// compounds across rollbacks within a run.
-    pub lambda_backoff: f64,
-    /// Multiplier applied to the smoothing `gamma` on each rollback (> 1);
-    /// a smoother objective is easier to descend.
-    pub gamma_relax: f64,
-    /// Trip when overflow exceeds this multiple of the best overflow seen
-    /// (and exceeds it by at least 0.1 absolute). `f64::INFINITY` disables
-    /// the explosion tripwire.
-    pub overflow_explosion: f64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            checkpoint_interval: 25,
-            max_recoveries: 3,
-            lambda_backoff: 0.5,
-            gamma_relax: 2.0,
-            overflow_explosion: 2.0,
-        }
-    }
-}
-
 /// Deliberate fault injection for recovery testing. Empty means no faults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultInjection {
@@ -298,10 +259,6 @@ pub struct GpConfig<T> {
     pub mu_min: f64,
     /// Density-weight scheduler: `mu_max` (paper: 1.05).
     pub mu_max: f64,
-    /// Reference `Delta HPWL` of Eq. (18); `None` derives it as 0.5% of the
-    /// initial HPWL (the paper's 3.5e5 is absolute for contest-scale
-    /// designs).
-    pub ref_delta_hpwl: Option<T>,
     /// Apply the TCAD extension's stabilization
     /// (`mu <- mu_max * max(0.9999^k, 0.98)` when `p < 0`, §III-C).
     pub tcad_mu_stabilization: bool,
@@ -313,8 +270,11 @@ pub struct GpConfig<T> {
     /// Optional fence regions (paper §III-G): one electric field per
     /// region plus a default field.
     pub fence: Option<crate::fence::FenceSpec<T>>,
-    /// Checkpoint/rollback policy for divergence recovery.
-    pub recovery: RecoveryPolicy,
+    /// Divergence rollbacks allowed before the run surfaces
+    /// [`GpError::Diverged`] with the best placement seen. A rollback
+    /// returns to the last checkpoint (one every 25 healthy iterations),
+    /// halves `lambda` and doubles `gamma`, compounding across rollbacks.
+    pub max_recoveries: usize,
     /// Fault injection for recovery testing (empty = no faults).
     pub fault_injection: FaultInjection,
     /// No effect: density bins always accumulate in fixed point, so every
@@ -350,12 +310,11 @@ impl<T: Float> GpConfig<T> {
             threads: dp_num::default_threads(),
             mu_min: 0.95,
             mu_max: 1.05,
-            ref_delta_hpwl: None,
             tcad_mu_stabilization: true,
             lambda_update_interval: 1,
             gamma_base_bins: 4.0,
             fence: None,
-            recovery: RecoveryPolicy::default(),
+            max_recoveries: 3,
             fault_injection: FaultInjection::default(),
             deterministic: None,
             telemetry: dp_telemetry::Telemetry::disabled(),

@@ -609,7 +609,7 @@ pub struct GpEngineState<T> {
     /// Per-iteration history up to the capture point.
     pub history: Vec<IterRecord>,
     /// The in-run rollback target, shared with the engine: it is replaced
-    /// only every `checkpoint_interval` iterations, so a capture copies none
+    /// only every 25 healthy iterations, so a capture copies none
     /// of its five vectors.
     pub rollback: Arc<GpRollbackState<T>>,
     /// Wall-clock seconds consumed by the run up to the capture point
@@ -643,6 +643,18 @@ impl GpStepOutcome {
         !matches!(self, GpStepOutcome::Continue)
     }
 }
+
+/// Healthy iterations between in-memory rollback checkpoints (the initial
+/// state is always one).
+const CHECKPOINT_INTERVAL: usize = 25;
+/// Multiplier on the density weight `lambda` per rollback; compounds
+/// across the rollbacks of one run.
+const LAMBDA_BACKOFF: f64 = 0.5;
+/// Multiplier on the smoothing `gamma` per rollback; a smoother objective
+/// is easier to descend.
+const GAMMA_RELAX: f64 = 2.0;
+/// The overflow-explosion tripwire's ratio to the best overflow seen.
+const OVERFLOW_EXPLOSION: f64 = 2.0;
 
 /// Overflow-explosion tripwire: fires when overflow exceeds `factor` times
 /// the best value seen and has climbed by at least 0.1 absolute.
@@ -850,10 +862,9 @@ impl<T: Float> GpEngine<T> {
         let lambda_init = lambda0.unwrap_or(lambda_auto);
 
         let hpwl0 = hpwl(nl, &pos);
-        let ref_delta = cfg
-            .ref_delta_hpwl
-            .unwrap_or(hpwl0 * T::from_f64(0.005))
-            .max(T::MIN_POSITIVE);
+        // Eq. (18)'s reference Delta HPWL: 0.5% of the initial HPWL (the
+        // paper's 3.5e5 is absolute for contest-scale designs).
+        let ref_delta = (hpwl0 * T::from_f64(0.005)).max(T::MIN_POSITIVE);
         let lambda_sched = DensityWeightScheduler::new(
             lambda_init,
             cfg.mu_min,
@@ -1230,11 +1241,7 @@ impl<T: Float> GpEngine<T> {
                     };
                     let c = if !h.is_finite() || !o.is_finite() {
                         Some(DivergenceCause::NonFiniteHpwl)
-                    } else if overflow_exploded(
-                        o,
-                        self.best_overflow,
-                        self.cfg.recovery.overflow_explosion,
-                    ) {
+                    } else if overflow_exploded(o, self.best_overflow, OVERFLOW_EXPLOSION) {
                         Some(DivergenceCause::OverflowExplosion)
                     } else {
                         None
@@ -1262,8 +1269,7 @@ impl<T: Float> GpEngine<T> {
 
         let t_book = Instant::now();
         if let Some(cause) = cause {
-            let policy = &self.cfg.recovery;
-            if self.recoveries >= policy.max_recoveries {
+            if self.recoveries >= self.cfg.max_recoveries {
                 let mut best = self.pos.clone();
                 unpack_into(&self.best_params, &mut best, self.n);
                 let exec = Box::new(self.cumulative_exec());
@@ -1296,11 +1302,11 @@ impl<T: Float> GpEngine<T> {
             // Like gamma_boost, the backoff compounds across rollbacks:
             // re-tripping from the same checkpoint must not retry the
             // same density weight.
-            self.lambda_cut *= T::from_f64(policy.lambda_backoff);
+            self.lambda_cut *= T::from_f64(LAMBDA_BACKOFF);
             let lambda = self.rollback.lambda * self.lambda_cut;
             self.lambda_sched.set_lambda(lambda);
             self.lambda = lambda;
-            self.gamma_boost *= T::from_f64(policy.gamma_relax);
+            self.gamma_boost *= T::from_f64(GAMMA_RELAX);
             let gamma =
                 self.gamma_sched.gamma(T::from_f64(self.rollback.overflow)) * self.gamma_boost;
             self.wl.set_gamma(gamma);
@@ -1356,8 +1362,7 @@ impl<T: Float> GpEngine<T> {
             gamma: gamma.to_f64(),
         });
 
-        let policy = &self.cfg.recovery;
-        if policy.checkpoint_interval > 0 && (k + 1).is_multiple_of(policy.checkpoint_interval) {
+        if (k + 1).is_multiple_of(CHECKPOINT_INTERVAL) {
             self.rollback = Arc::new(GpRollbackState {
                 iteration: k + 1,
                 params: self.params.clone(),
@@ -1432,7 +1437,7 @@ impl<T: Float> GlobalPlacer<T> {
     /// Returns [`GpError::Grid`] for unsupported bin grids and
     /// [`GpError::Diverged`] when the objective diverges (non-finite cost,
     /// gradient, or wirelength, or exploding overflow) and the rollback
-    /// budget of [`crate::RecoveryPolicy::max_recoveries`] is exhausted;
+    /// budget of [`GpConfig::max_recoveries`] is exhausted;
     /// the error carries the best placement seen.
     pub fn place(&self, nl: &Netlist<T>, fixed: &Placement<T>) -> Result<GpResult<T>, GpError<T>> {
         let pos = initial_placement(nl, fixed, self.config.noise_frac, self.config.seed);
@@ -1667,7 +1672,7 @@ mod tests {
         // probe), so clearing the window takes up to 6 rollbacks — give
         // the budget headroom above that.
         cfg.fault_injection.nan_grad_evals = (60..72).collect();
-        cfg.recovery.max_recoveries = 8;
+        cfg.max_recoveries = 8;
         let result = GlobalPlacer::new(cfg)
             .place(&d.netlist, &d.fixed_positions)
             .expect("recovers from injected NaN");
@@ -1701,7 +1706,7 @@ mod tests {
         let d = small_design();
         let mut cfg = quick_config(&d.netlist);
         cfg.fault_injection.nan_grad_evals = (60..72).collect();
-        cfg.recovery.max_recoveries = 8;
+        cfg.max_recoveries = 8;
         let a = GlobalPlacer::new(cfg.clone())
             .place(&d.netlist, &d.fixed_positions)
             .expect("ok");
@@ -1719,7 +1724,7 @@ mod tests {
     fn exhausted_recovery_budget_surfaces_best_so_far() {
         let d = small_design();
         let mut cfg = quick_config(&d.netlist);
-        cfg.recovery.max_recoveries = 0;
+        cfg.max_recoveries = 0;
         cfg.fault_injection.nan_grad_evals = (60..72).collect();
         let err = GlobalPlacer::new(cfg)
             .place(&d.netlist, &d.fixed_positions)
@@ -1821,7 +1826,7 @@ mod tests {
     fn restart_from_a_spread_placement_does_not_diverge() {
         let d = small_design();
         let mut cfg = quick_config(&d.netlist);
-        cfg.recovery.max_recoveries = 0;
+        cfg.max_recoveries = 0;
         let placer = GlobalPlacer::new(cfg);
         let first = placer.place(&d.netlist, &d.fixed_positions).expect("ok");
         let again = placer
@@ -1892,7 +1897,7 @@ mod tests {
         let d = small_design();
         let mut cfg = quick_config(&d.netlist);
         cfg.fault_injection.nan_grad_evals = (60..72).collect();
-        cfg.recovery.max_recoveries = 8;
+        cfg.max_recoveries = 8;
         let golden = GlobalPlacer::new(cfg.clone())
             .place(&d.netlist, &d.fixed_positions)
             .expect("ok");
@@ -2006,7 +2011,7 @@ mod tests {
                     }
                     if faulted {
                         cfg.fault_injection.nan_grad_evals = (60..72).collect();
-                        cfg.recovery.max_recoveries = 8;
+                        cfg.max_recoveries = 8;
                     }
                     let tag = format!("threads {threads}, fenced {fenced}, faulted {faulted}");
                     let memo = run_with_memo(&cfg, &d, false);

@@ -47,8 +47,8 @@ pub mod init;
 pub mod scheduler;
 
 pub use config::{
-    DivergenceCause, ExecBinding, FaultInjection, GpConfig, GpError, InitKind, RecoveryPolicy,
-    SolverKind, WirelengthModel,
+    DivergenceCause, ExecBinding, FaultInjection, GpConfig, GpError, InitKind, SolverKind,
+    WirelengthModel,
 };
 pub use engine::{
     GlobalPlacer, GpEngine, GpEngineState, GpEvalCounts, GpMemoState, GpResult, GpRollbackState,

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // detected divergence only advances ~2 evals past the window, so give
     // the rollback budget headroom.
     cfg.gp.fault_injection.nan_grad_evals = (120..126).collect();
-    cfg.gp.recovery.max_recoveries = 8;
+    cfg.gp.max_recoveries = 8;
     let r = DreamPlacer::new(cfg).place(&d)?;
     println!(
         "final HPWL {:.4e} (overflow {:.3}) after {} rollbacks",

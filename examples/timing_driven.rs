@@ -29,8 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flow,
         timing: TimingConfig::default(),
         rounds,
-        w_max: 6.0,
-        exponent: 2.0,
     };
     let result = TimingDrivenPlacer::new(config).place(&design)?;
 

@@ -81,7 +81,7 @@ pub mod timing {
     pub use dp_timing::*;
 }
 
-/// Placement visualization (SVG snapshots, density heatmaps).
+/// Placement visualization (SVG snapshots).
 pub mod viz {
     pub use dreamplace_core::viz::*;
 }

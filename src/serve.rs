@@ -47,7 +47,8 @@
 //! ```
 //!
 //! `submit` accepts either a Bookshelf `aux` path or a generated design
-//! (`preset` = `tiny`/`small`/`medium`, or explicit `cells`/`nets`), plus
+//! (`preset` = `tiny`/`small`/`medium`, or explicit `cells`/`nets`, each
+//! at most 2^24 — a larger size is `rejected`), plus
 //! optional `seed`, `name`, `max_iters`, `overflow`, `qos`
 //! (`interactive`/`batch`/`bulk`), `gp_seconds`/`dp_seconds` stage budgets
 //! (which also derive the QoS class when `qos` is absent), and the service
@@ -1630,6 +1631,35 @@ mod tests {
         assert_eq!(text.matches("\"event\":\"rejected\"").count(), 3, "{text}");
         assert!(text.contains("bad backoff_seconds"), "{text}");
         assert!(text.contains("bad chaos_stall_seconds"), "{text}");
+        let last = text.lines().last().unwrap_or_default();
+        assert!(last.contains("\"event\":\"bye\""), "{text}");
+    }
+
+    /// A generated design too large to allocate is rejected at parse time:
+    /// generation runs outside any job's containment, where a failed
+    /// allocation would abort the daemon.
+    #[test]
+    fn oversized_generated_design_is_rejected_and_the_session_ends() {
+        let input = Cursor::new(
+            [
+                r#"{"cmd":"submit","cells":100000000000,"nets":10}"#,
+                r#"{"cmd":"submit","cells":10,"nets":100000000000}"#,
+                r#"{"cmd":"submit","cells":18446744073709551615}"#,
+                r#"{"cmd":"drain"}"#,
+            ]
+            .join("\n"),
+        );
+        let mut out = Vec::new();
+        let opts = ServeOptions {
+            threads: 1,
+            slots: 1,
+            ..ServeOptions::default()
+        };
+        let stats = serve(input, &mut out, &opts).expect("the daemon survives");
+        assert_eq!(stats.rejected, 3);
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("\"event\":\"rejected\"").count(), 3, "{text}");
+        assert_eq!(text.matches("too large").count(), 3, "{text}");
         let last = text.lines().last().unwrap_or_default();
         assert!(last.contains("\"event\":\"bye\""), "{text}");
     }

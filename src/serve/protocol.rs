@@ -67,6 +67,12 @@ pub(super) enum Request {
     Bad(String),
 }
 
+/// The largest `cells` or `nets` a generated-design `submit` may ask for:
+/// 2^24, above the paper's largest design (10M cells, Table III). The
+/// daemon generates the design outside any job's containment, so a size
+/// whose allocation fails would abort the whole daemon.
+const MAX_GENERATED: usize = 1 << 24;
+
 /// Built-in generated-design sizes for `"preset"`.
 fn preset_dims(name: &str) -> Option<(usize, usize)> {
     match name {
@@ -117,7 +123,13 @@ pub(super) fn parse_request(line: &str) -> Result<Request, String> {
             } else if let Some(cells) = get("cells").and_then(Value::as_usize) {
                 let nets = get("nets")
                     .and_then(Value::as_usize)
-                    .unwrap_or(cells + cells / 20);
+                    .unwrap_or(cells.saturating_add(cells / 20));
+                if cells.max(nets) > MAX_GENERATED {
+                    return Ok(Request::Bad(format!(
+                        "design of {cells} cells and {nets} nets is too large \
+                         (want at most {MAX_GENERATED} of each)"
+                    )));
+                }
                 Source::Gen(name_or(format!("gen-{cells}-{seed}")), cells, nets, seed)
             } else {
                 return Ok(Request::Bad(

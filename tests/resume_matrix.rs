@@ -238,7 +238,7 @@ fn killed_inside_the_conservative_attempt_resumes_bit_identically() {
     // same evaluation indices at iteration 60, then degrades to the
     // best-so-far placement of the two attempts.
     let mut cfg = config(&d);
-    cfg.gp.recovery.max_recoveries = 0;
+    cfg.gp.max_recoveries = 0;
     cfg.gp.fault_injection.nan_grad_evals = (60..72).collect();
     let golden = uninterrupted(&d, cfg.clone());
     assert!(
