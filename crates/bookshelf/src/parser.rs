@@ -9,7 +9,7 @@
 //! so round-trips preserve the input exactly, and the sanitizer decides
 //! per defect class whether to repair or abort, reporting either way.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -36,6 +36,10 @@ pub struct BookshelfDesign<T> {
 pub enum ParseBookshelfError {
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// The `.aux` or a file it names is not a regular file (a FIFO, a
+    /// device, a directory): reading it could block or never end, so it is
+    /// refused before any file is opened.
+    NotAFile(PathBuf),
     /// A syntactic or semantic problem, with file and line context.
     Malformed {
         /// The file in which the problem occurred.
@@ -51,6 +55,13 @@ impl fmt::Display for ParseBookshelfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParseBookshelfError::Io(e) => write!(f, "bookshelf io error: {e}"),
+            ParseBookshelfError::NotAFile(path) => {
+                write!(
+                    f,
+                    "bookshelf input {} is not a regular file",
+                    path.display()
+                )
+            }
             ParseBookshelfError::Malformed {
                 file,
                 line,
@@ -82,6 +93,16 @@ fn malformed(file: &Path, line: usize, message: impl Into<String>) -> ParseBooks
     }
 }
 
+/// Refuses a path that exists but is not a regular file. A missing path
+/// passes: the caller reports it when it opens the file, or skips an
+/// optional one.
+fn require_regular(path: &Path) -> Result<(), ParseBookshelfError> {
+    match std::fs::metadata(path) {
+        Ok(meta) if !meta.is_file() => Err(ParseBookshelfError::NotAFile(path.to_path_buf())),
+        _ => Ok(()),
+    }
+}
+
 /// Lines of a Bookshelf file with comments and headers stripped.
 fn content_lines(path: &Path) -> Result<Vec<(usize, String)>, ParseBookshelfError> {
     let text = std::fs::read_to_string(path)?;
@@ -104,15 +125,17 @@ fn header_value(line: &str, key: &str) -> Option<String> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseBookshelfError`] on I/O failures or malformed content.
+/// Returns [`ParseBookshelfError`] on I/O failures, on an `.aux` or named
+/// file that is not a regular file, or on malformed content.
 pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, ParseBookshelfError> {
+    require_regular(aux_path)?;
     let aux_dir = aux_path.parent().unwrap_or(Path::new("."));
     let name = aux_path
         .file_stem()
         .map(|s| s.to_string_lossy().to_string())
         .unwrap_or_else(|| "design".to_string());
     let aux = std::fs::read_to_string(aux_path)?;
-    let mut files: HashMap<&str, PathBuf> = HashMap::new();
+    let mut files: BTreeMap<&str, PathBuf> = BTreeMap::new();
     for token in aux.split_whitespace() {
         if let Some(ext) = Path::new(token).extension() {
             files.insert(
@@ -128,6 +151,9 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
                 aux_dir.join(token),
             );
         }
+    }
+    for path in files.values() {
+        require_regular(path)?;
     }
     let get = |k: &str| -> Result<PathBuf, ParseBookshelfError> {
         files
@@ -316,11 +342,23 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
             .parse()
             .map_err(|_| malformed(&nets_path, *ln, "bad NetDegree"))?;
         let net_name = line.split_whitespace().last().unwrap_or("").to_string();
-        let mut pins = Vec::with_capacity(degree);
+        // The declared degree is the file's claim: reserve no more pins
+        // than lines remain, and stop at the next net's header.
+        let mut pins = Vec::with_capacity(degree.min(lines.len() - idx));
         for _ in 0..degree {
             let (pln, pline) = lines
                 .get(idx)
-                .ok_or_else(|| malformed(&nets_path, *ln, "net truncated"))?;
+                .filter(|(_, l)| header_value(l, "NetDegree").is_none())
+                .ok_or_else(|| {
+                    malformed(
+                        &nets_path,
+                        *ln,
+                        format!(
+                            "net truncated: NetDegree {degree}, {} pins follow",
+                            pins.len()
+                        ),
+                    )
+                })?;
             idx += 1;
             let tok: Vec<&str> = pline.split_whitespace().collect();
             if tok.is_empty() {
@@ -669,6 +707,67 @@ mod tests {
             "UCLA nets 1.0\nNumNets : 1\nNetDegree : 2 n0\no0 I : 0 0\n",
         );
         expect_malformed(r, 3, "net truncated");
+    }
+
+    #[test]
+    fn absurd_net_degree_is_a_truncated_net_not_an_allocation() {
+        // The degree is a count the file declares: reserving it up front
+        // asked the allocator for 2.4 TB and aborted the process.
+        let r = corrupted(
+            "absurddegree",
+            "d.nets",
+            "UCLA nets 1.0\nNetDegree : 99999999999 n0\no0 I : 0 0\no1 O : 0 0\n",
+        );
+        expect_malformed(r, 2, "net truncated");
+    }
+
+    #[test]
+    fn net_degree_does_not_swallow_the_next_net() {
+        let r = corrupted(
+            "swallow",
+            "d.nets",
+            "UCLA nets 1.0\nNetDegree : 3 n0\no0 I : 0 0\nNetDegree : 1 n1\no1 O : 0 0\n",
+        );
+        expect_malformed(r, 2, "NetDegree 3, 1 pins follow");
+    }
+
+    fn expect_not_a_file(result: Result<BookshelfDesign<f64>, ParseBookshelfError>, path: &Path) {
+        match result.unwrap_err() {
+            ParseBookshelfError::NotAFile(p) => assert_eq!(p, path),
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn device_aux_is_refused_without_reading() {
+        // Reading /dev/zero never ends; it must be refused by its type,
+        // with a message that names the path and echoes no contents.
+        let aux = Path::new("/dev/zero");
+        let err = read_design::<f64>(aux).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bookshelf input /dev/zero is not a regular file"
+        );
+        expect_not_a_file(Err(err), aux);
+    }
+
+    #[test]
+    fn directory_aux_and_directory_named_by_aux_are_refused() {
+        let dir = std::env::temp_dir().join("dp-bookshelf-dir.aux");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        expect_not_a_file(read_design::<f64>(&dir), &dir);
+
+        let base = std::env::temp_dir().join("dp-bookshelf-dirnamed");
+        std::fs::create_dir_all(base.join("d.nets")).expect("mkdir");
+        std::fs::write(
+            base.join("d.aux"),
+            "RowBasedPlacement : d.nodes d.nets d.pl",
+        )
+        .expect("write");
+        std::fs::write(base.join("d.nodes"), "UCLA nodes 1.0\no0 2 2\n").expect("write");
+        std::fs::write(base.join("d.pl"), "UCLA pl 1.0\no0 0 0 : N\n").expect("write");
+        let err = read_design::<f64>(&base.join("d.aux"));
+        expect_not_a_file(err, &base.join("d.nets"));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = GeneratorConfig::new("demo", 2000, 2100).generate::<f64>()?;
-//! let config = FlowConfig::for_mode(ToolMode::DreamplaceGpuSim, &design.netlist);
+//! let threads = dp_num::default_threads();
+//! let config = FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads }, &design.netlist);
 //! let result = DreamPlacer::new(config).place(&design)?;
 //! println!(
 //!     "HPWL {:.3e} | GP {:.2}s LG {:.2}s DP {:.2}s",

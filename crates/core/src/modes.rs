@@ -27,6 +27,12 @@ pub enum ToolMode {
     /// DREAMPlace with every GPU-targeted optimization enabled (the
     /// kernels the paper runs on a V100, here executed by the CPU backend;
     /// see the crate docs on this simulation).
+    ///
+    /// A comparison tier only: no production path (the daemon, `place`'s
+    /// default, the quickstarts) selects it. Its one difference from
+    /// [`ToolMode::DreamplaceCpu`] here is the 2×2 tile split of the density
+    /// scatter, which fixes GPU warp divergence but costs a CPU about 1.6×
+    /// the plain sorted scatter (`results/fig6.txt`) for the same bits.
     DreamplaceGpuSim,
 }
 

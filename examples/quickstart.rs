@@ -27,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.num_cells, stats.num_nets, stats.num_pins, stats.avg_net_degree, stats.utilization
     );
 
-    let config = FlowConfig::for_mode(ToolMode::DreamplaceGpuSim, &design.netlist);
+    let threads = dreamplace::num::default_threads();
+    let config = FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads }, &design.netlist);
     let result = DreamPlacer::new(config).place(&design)?;
 
     println!("\nphase        time (s)");

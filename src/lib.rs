@@ -22,8 +22,9 @@
 //! // `dreamplace::bookshelf::read_design`).
 //! let design = GeneratorConfig::new("my-chip", 10_000, 10_500).generate::<f64>()?;
 //!
-//! // Configure the DREAMPlace flow and place.
-//! let config = FlowConfig::for_mode(ToolMode::DreamplaceGpuSim, &design.netlist);
+//! // Configure the DREAMPlace flow on every core and place.
+//! let threads = dreamplace::num::default_threads();
+//! let config = FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads }, &design.netlist);
 //! let result = DreamPlacer::new(config).place(&design)?;
 //! println!("final HPWL = {:.4e}", result.hpwl_final);
 //! # Ok(())

@@ -19,6 +19,10 @@
 //! dreamplace metrics-dump [--cells N] [--seed S] [--threads N]
 //! ```
 //!
+//! `place` runs DREAMPlace-CPU (`--mode cpu`) on `--threads` workers
+//! (default: `DP_THREADS`, else every core). `--mode gpu` and `--mode
+//! replace` are the paper's comparison tiers; `gpu` always runs every core.
+//!
 //! `--trace` enables telemetry for the run: the flow writes a JSONL trace
 //! (schema in `dp_telemetry::jsonl`) to FILE and prints the end-of-run
 //! report. A failed run still writes the partial trace and report before
@@ -452,8 +456,8 @@ fn cmd_place(args: &Args) -> Result<(), String> {
     let design = load(aux)?;
     print_stats(&design.netlist);
 
-    let threads: usize = args.get_parse("threads", 1)?;
-    let mode = match args.get("mode").unwrap_or("gpu") {
+    let threads: usize = args.get_parse("threads", dreamplace::num::default_threads())?;
+    let mode = match args.get("mode").unwrap_or("cpu") {
         "replace" => ToolMode::ReplaceBaseline { threads },
         "cpu" => ToolMode::DreamplaceCpu { threads },
         "gpu" => ToolMode::DreamplaceGpuSim,

@@ -1361,7 +1361,11 @@ fn build_job(
                 .map_err(|e| format!("generating {name}: {e}"))?,
         ),
     };
-    let mut config = FlowConfig::for_mode(ToolMode::DreamplaceGpuSim, &design.netlist);
+    // DREAMPlace-CPU: GPU-sim's tile-split scatter gives the same bits at
+    // about 1.6x the scatter's cost on a CPU. The scheduler pins
+    // `gp.threads` to the pool width either way.
+    let threads = defaults.threads;
+    let mut config = FlowConfig::for_mode(ToolMode::DreamplaceCpu { threads }, &design.netlist);
     if let Some(iters) = spec.max_iters {
         config.gp.max_iters = iters;
         config.gp.min_iters = config.gp.min_iters.min(iters);
@@ -1509,6 +1513,8 @@ mod tests {
     fn served_result_is_bit_identical_to_standalone() {
         // The defining property of the shared pool, end to end through the
         // wire protocol: the streamed HPWL equals a standalone run's bits.
+        // The daemon runs DREAMPlace-CPU; the GPU-sim baseline also holds
+        // the two density scatters to one placement.
         let design = GeneratorConfig::new("wire-7", 120, 130)
             .with_seed(7)
             .generate::<f64>()
@@ -1538,6 +1544,22 @@ mod tests {
         assert!(
             text.contains(&needle),
             "served HPWL differs from standalone: wanted {needle}"
+        );
+    }
+
+    #[test]
+    fn served_jobs_run_the_cpu_density_scatter() {
+        // GPU-sim's 2x2 tile split is a comparison tier: same bits, slower
+        // scatter on a CPU. A served job must not pay for it.
+        let line = r#"{"cmd":"submit","preset":"tiny","seed":5,"max_iters":15}"#;
+        let Ok(Request::Submit(spec)) = parse_request(line) else {
+            panic!("a submit request");
+        };
+        let job = build_job(&spec, 0, 0, &ServeOptions::default()).expect("job builds");
+        let config = job.config.expect("a fresh job carries its config");
+        assert_eq!(
+            config.gp.density_strategy,
+            dp_density::DensityStrategy::Sorted
         );
     }
 

@@ -28,9 +28,11 @@ fn quick(mode: ToolMode, nl: &dreamplace::netlist::Netlist<f64>) -> FlowConfig<f
 fn all_three_modes_complete_with_similar_quality() {
     let d = design(1, 400);
     let mut results = Vec::new();
+    let mut placements = Vec::new();
     for mode in [
         ToolMode::ReplaceBaseline { threads: 1 },
         ToolMode::DreamplaceCpu { threads: 1 },
+        ToolMode::DreamplaceCpu { threads: 2 },
         ToolMode::DreamplaceGpuSim,
     ] {
         let r = DreamPlacer::new(quick(mode, &d.netlist))
@@ -42,6 +44,17 @@ fn all_three_modes_complete_with_similar_quality() {
             mode.label()
         );
         results.push((mode.label(), r.hpwl_final));
+        placements.push(r);
+    }
+    // DREAMPlace-CPU at any width and GPU-sim differ only in how the
+    // density scatter is split; fixed-point bins make them one placement.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let cpu1 = &placements[1];
+    for (label, r) in results[2..].iter().zip(&placements[2..]) {
+        let label = &label.0;
+        assert_eq!(r.hpwl_final.to_bits(), cpu1.hpwl_final.to_bits(), "{label}");
+        assert_eq!(bits(&r.placement.x), bits(&cpu1.placement.x), "{label}");
+        assert_eq!(bits(&r.placement.y), bits(&cpu1.placement.y), "{label}");
     }
     // On tiny (400-cell) designs with capped iterations the quality spread
     // is noisy; the bench harness demonstrates sub-percent parity at scale
