@@ -124,6 +124,11 @@ pub(super) fn parse_request(line: &str) -> Result<Request, String> {
                 let nets = get("nets")
                     .and_then(Value::as_usize)
                     .unwrap_or(cells.saturating_add(cells / 20));
+                if cells == 0 {
+                    return Ok(Request::Bad(
+                        "design of 0 cells has nothing to place (want at least 1 cell)".into(),
+                    ));
+                }
                 if cells.max(nets) > MAX_GENERATED {
                     return Ok(Request::Bad(format!(
                         "design of {cells} cells and {nets} nets is too large \
@@ -551,6 +556,23 @@ mod tests {
         ] {
             assert!(matches!(parse_request(over_range), Ok(Request::Bad(_))), "{over_range}");
         }
+    }
+
+    #[test]
+    fn a_design_without_cells_is_rejected_at_parse_time() {
+        // The daemon builds a generated design only when the job is
+        // admitted, so a size the generator refuses must be caught here to
+        // stay a `rejected` request rather than a `failed` job.
+        for line in [
+            r#"{"cmd":"submit","cells":0,"seed":1}"#,
+            r#"{"cmd":"submit","cells":0,"nets":5}"#,
+        ] {
+            assert!(
+                matches!(parse_request(line), Ok(Request::Bad(why)) if why.contains("0 cells")),
+                "{line}"
+            );
+        }
+        assert!(matches!(&submit(r#"{"cmd":"submit","cells":1}"#).source, Source::Gen(_, 1, 1, 1)));
     }
 
     #[test]
