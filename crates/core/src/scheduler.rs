@@ -89,12 +89,12 @@ impl QosClass {
         }
     }
 
-    /// Derives a class from the config's stage budgets
-    /// (`gp.max_seconds`, `dp.max_seconds`): a job that bounded any
+    /// Derives a class from a job's stage budgets (a config's
+    /// `gp.max_seconds` and `dp.max_seconds`): a job that bounded any
     /// stage's seconds is treated as latency-sensitive, a job with no
     /// budgets at all as bulk work.
-    pub fn from_budgets<T>(config: &FlowConfig<T>) -> Self {
-        match (config.gp.max_seconds, config.dp.max_seconds) {
+    pub fn from_budgets(gp_seconds: Option<f64>, dp_seconds: Option<f64>) -> Self {
+        match (gp_seconds, dp_seconds) {
             (Some(gp), _) if gp <= 10.0 => QosClass::Interactive,
             (_, Some(dp)) if dp <= 10.0 => QosClass::Interactive,
             (Some(_), _) | (_, Some(_)) => QosClass::Batch,
@@ -626,7 +626,9 @@ impl<T: Float> Scheduler<T> {
     ) -> JobId {
         let id = JobId(self.next_id);
         self.next_id += 1;
-        let qos = opts.qos.unwrap_or_else(|| QosClass::from_budgets(&config));
+        let qos = opts
+            .qos
+            .unwrap_or_else(|| QosClass::from_budgets(config.gp.max_seconds, config.dp.max_seconds));
         let deadline = opts
             .deadline_seconds
             .or_else(|| JobOptions::derive_deadline(&config, qos))
@@ -676,7 +678,8 @@ impl<T: Float> Scheduler<T> {
     ) -> Result<JobId, FlowError<T>> {
         let id = JobId(self.next_id);
         self.next_id += 1;
-        let qos = qos.unwrap_or_else(|| QosClass::from_budgets(&config));
+        let qos =
+            qos.unwrap_or_else(|| QosClass::from_budgets(config.gp.max_seconds, config.dp.max_seconds));
         let tenant = self.host.tenant();
         let config = self.bind(config, telemetry, &tenant);
         let name = design.name.clone();
@@ -1318,7 +1321,7 @@ mod tests {
             (None, None, QosClass::Bulk, None),
         ] {
             let cfg = budgeted(gp, dp);
-            assert_eq!(QosClass::from_budgets(&cfg), class, "{gp:?} {dp:?}");
+            assert_eq!(QosClass::from_budgets(gp, dp), class, "{gp:?} {dp:?}");
             assert_eq!(
                 JobOptions::derive_deadline(&cfg, class),
                 deadline,
