@@ -8,10 +8,19 @@
 //! sanitizer (`dreamplace_core::sanitize`): the parser stays byte-faithful
 //! so round-trips preserve the input exactly, and the sanitizer decides
 //! per defect class whether to repair or abort, reporting either way.
+//!
+//! Each file is streamed once, front to back, through one reused line
+//! buffer, so ingestion holds memory in proportion to the design, not to
+//! the file: node names are kept once, in one arena, and no line, token
+//! list or number list is allocated. A consequence: a byte that is not
+//! UTF-8 is reported ([`ParseBookshelfError::Io`]) when the reader reaches
+//! its line, so a malformed line before it is reported first.
 
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use dp_gen::RoutingHints;
@@ -103,22 +112,100 @@ fn require_regular(path: &Path) -> Result<(), ParseBookshelfError> {
     }
 }
 
-/// Lines of a Bookshelf file with comments and headers stripped.
-fn content_lines(path: &Path) -> Result<Vec<(usize, String)>, ParseBookshelfError> {
-    let text = std::fs::read_to_string(path)?;
-    Ok(text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.split('#').next().unwrap_or("").trim().to_string()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with("UCLA"))
-        .collect())
+/// The content lines of one Bookshelf file, read front to back through one
+/// reused buffer: blank and `UCLA` header lines are skipped, and each line
+/// is cut at its first `#` and trimmed.
+struct Lines {
+    reader: BufReader<File>,
+    buf: String,
+    /// Physical 1-based number of the line in `buf`.
+    line: usize,
+    /// Bytes of the file not yet read.
+    left: usize,
+}
+
+impl Lines {
+    fn open(path: &Path) -> Result<Self, ParseBookshelfError> {
+        let file = File::open(path)?;
+        let left = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+        Ok(Lines {
+            reader: BufReader::new(file),
+            buf: String::new(),
+            line: 0,
+            left,
+        })
+    }
+
+    fn content(raw: &str) -> &str {
+        raw.split('#').next().unwrap_or("").trim()
+    }
+
+    /// The next content line and its physical line number; `None` at the
+    /// end of the file.
+    fn next(&mut self) -> Result<Option<(usize, &str)>, ParseBookshelfError> {
+        loop {
+            self.buf.clear();
+            let n = self.reader.read_line(&mut self.buf)?;
+            if n == 0 {
+                return Ok(None);
+            }
+            self.line += 1;
+            self.left = self.left.saturating_sub(n);
+            let text = Self::content(&self.buf);
+            if !text.is_empty() && !text.starts_with("UCLA") {
+                // Re-cut: returning `text` itself out of the loop does not
+                // borrow-check, since the next pass clears `buf`.
+                return Ok(Some((self.line, Self::content(&self.buf))));
+            }
+        }
+    }
+}
+
+/// Names held once, end to end in one string, in the order they are read.
+#[derive(Default)]
+struct Names {
+    text: String,
+    /// Where each name starts in `text`.
+    starts: Vec<usize>,
+}
+
+impl Names {
+    fn push(&mut self, name: &str) {
+        self.starts.push(self.text.len());
+        self.text.push_str(name);
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.text.len());
+        &self.text[self.starts[i]..end]
+    }
+
+    /// Each name's index; a repeated name maps to its last entry.
+    fn index(&self) -> HashMap<&str, usize> {
+        (0..self.starts.len()).map(|i| (self.get(i), i)).collect()
+    }
 }
 
 /// Extracts `Key : value` integer headers like `NumNodes : 123`.
-fn header_value(line: &str, key: &str) -> Option<String> {
+fn header_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let rest = line.strip_prefix(key)?.trim_start();
     let rest = rest.strip_prefix(':')?.trim();
-    Some(rest.split_whitespace().next().unwrap_or("").to_string())
+    Some(rest.split_whitespace().next().unwrap_or(""))
+}
+
+/// The first two tokens that parse as `f64`.
+fn two_numbers<'a>(tokens: impl Iterator<Item = &'a str>) -> Option<(f64, f64)> {
+    let mut nums = tokens.filter_map(|t| t.parse::<f64>().ok());
+    Some((nums.next()?, nums.next()?))
+}
+
+/// A net whose pins are still being read.
+struct OpenNet<T> {
+    /// Line of its `NetDegree` header.
+    line: usize,
+    degree: usize,
+    weight: f64,
+    pins: Vec<(BuilderCell, T, T)>,
 }
 
 /// Reads a design from its `.aux` file.
@@ -164,11 +251,12 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
 
     // --- .nodes ------------------------------------------------------
     let nodes_path = get("nodes")?;
-    let mut node_names: Vec<String> = Vec::new();
+    let mut names = Names::default();
     let mut node_dims: Vec<(f64, f64, bool)> = Vec::new();
     let mut declared_nodes: Option<(usize, usize)> = None; // (count, header line)
-    for (ln, line) in content_lines(&nodes_path)? {
-        if let Some(v) = header_value(&line, "NumNodes") {
+    let mut lines = Lines::open(&nodes_path)?;
+    while let Some((ln, line)) = lines.next()? {
+        if let Some(v) = header_value(line, "NumNodes") {
             let n = v
                 .parse()
                 .map_err(|_| malformed(&nodes_path, ln, "bad NumNodes"))?;
@@ -178,37 +266,39 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
         if line.starts_with("NumTerminals") {
             continue;
         }
-        let tok: Vec<&str> = line.split_whitespace().collect();
-        if tok.len() < 3 {
+        let mut tok = line.split_whitespace();
+        let (Some(node), Some(w), Some(h)) = (tok.next(), tok.next(), tok.next()) else {
             return Err(malformed(
                 &nodes_path,
                 ln,
                 "expected: name width height [terminal]",
             ));
-        }
-        let w: f64 = tok[1]
+        };
+        let w: f64 = w
             .parse()
             .map_err(|_| malformed(&nodes_path, ln, "bad width"))?;
-        let h: f64 = tok[2]
+        let h: f64 = h
             .parse()
             .map_err(|_| malformed(&nodes_path, ln, "bad height"))?;
-        let fixed = tok.get(3).is_some_and(|t| t.starts_with("terminal"));
-        node_names.push(tok[0].to_string());
+        let fixed = tok.next().is_some_and(|t| t.starts_with("terminal"));
+        names.push(node);
         node_dims.push((w, h, fixed));
     }
     if let Some((n, ln)) = declared_nodes {
-        if n != node_names.len() {
+        if n != node_dims.len() {
             return Err(malformed(
                 &nodes_path,
                 ln,
                 format!(
                     "NumNodes declares {n} nodes but the file defines {} \
                      (truncated or duplicated entries?)",
-                    node_names.len()
+                    node_dims.len()
                 ),
             ));
         }
     }
+    // One map serves `.pl` and `.nets`.
+    let node_of = names.index();
 
     // --- .scl --------------------------------------------------------
     let rows = match files.get("scl") {
@@ -217,22 +307,23 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
     };
 
     // --- .pl ---------------------------------------------------------
+    // Lower-left corners by node; unknown names are ignored and the last
+    // entry for a name wins.
     let pl_path = get("pl")?;
-    let mut pl: HashMap<String, (f64, f64, bool)> = HashMap::new();
-    for (ln, line) in content_lines(&pl_path)? {
-        let tok: Vec<&str> = line.split_whitespace().collect();
-        if tok.len() < 3 {
+    let mut pl: Vec<Option<(f64, f64)>> = vec![None; node_dims.len()];
+    let mut lines = Lines::open(&pl_path)?;
+    while let Some((ln, line)) = lines.next()? {
+        let mut tok = line.split_whitespace();
+        let (Some(node), Some(x), Some(y)) = (tok.next(), tok.next(), tok.next()) else {
             return Err(malformed(&pl_path, ln, "expected: name x y : orient"));
+        };
+        let x: f64 = x.parse().map_err(|_| malformed(&pl_path, ln, "bad x"))?;
+        let y: f64 = y.parse().map_err(|_| malformed(&pl_path, ln, "bad y"))?;
+        if let Some(&i) = node_of.get(node) {
+            pl[i] = Some((x, y));
         }
-        let x: f64 = tok[1]
-            .parse()
-            .map_err(|_| malformed(&pl_path, ln, "bad x"))?;
-        let y: f64 = tok[2]
-            .parse()
-            .map_err(|_| malformed(&pl_path, ln, "bad y"))?;
-        let fixed = line.contains("/FIXED");
-        pl.insert(tok[0].to_string(), (x, y, fixed));
     }
+    let pl_of = |i: usize| node_of.get(names.get(i)).and_then(|&j| pl[j]);
 
     // Region: prefer row extent, fall back to the pl/node bounding box.
     let (xl, yl, xh, yh) = match &rows {
@@ -255,12 +346,12 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
             let mut yl = f64::INFINITY;
             let mut xh = f64::NEG_INFINITY;
             let mut yh = f64::NEG_INFINITY;
-            for (i, name) in node_names.iter().enumerate() {
-                if let Some(&(x, y, _)) = pl.get(name) {
+            for (i, &(w, h, _)) in node_dims.iter().enumerate() {
+                if let Some((x, y)) = pl_of(i) {
                     xl = xl.min(x);
                     yl = yl.min(y);
-                    xh = xh.max(x + node_dims[i].0);
-                    yh = yh.max(y + node_dims[i].1);
+                    xh = xh.max(x + w);
+                    yh = yh.max(y + h);
                 }
             }
             (xl, yl, xh, yh)
@@ -278,114 +369,116 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
     if let Some(grid) = rows {
         builder = builder.with_rows(grid);
     }
-    let mut handles: HashMap<&str, BuilderCell> = HashMap::new();
-    for (i, name) in node_names.iter().enumerate() {
-        let (w, h, fixed) = node_dims[i];
-        let handle = if fixed {
-            builder.add_fixed_cell(T::from_f64(w), T::from_f64(h))
-        } else {
-            builder.add_movable_cell(T::from_f64(w), T::from_f64(h))
-        };
-        handles.insert(name.as_str(), handle);
-    }
+    let handles: Vec<BuilderCell> = node_dims
+        .iter()
+        .map(|&(w, h, fixed)| {
+            if fixed {
+                builder.add_fixed_cell(T::from_f64(w), T::from_f64(h))
+            } else {
+                builder.add_movable_cell(T::from_f64(w), T::from_f64(h))
+            }
+        })
+        .collect();
 
     // --- .wts (optional net weights) -----------------------------------
-    let mut weights: HashMap<String, f64> = HashMap::new();
-    if let Some(wts_path) = files.get("wts") {
-        if wts_path.exists() {
-            for (ln, line) in content_lines(wts_path)? {
-                let tok: Vec<&str> = line.split_whitespace().collect();
-                if tok.len() != 2 {
-                    return Err(malformed(wts_path, ln, "expected: net_name weight"));
-                }
-                let w = tok[1]
-                    .parse::<f64>()
-                    .map_err(|_| malformed(wts_path, ln, "bad weight"))?;
-                weights.insert(tok[0].to_string(), w);
-            }
+    let mut net_names = Names::default();
+    let mut weights: Vec<f64> = Vec::new();
+    if let Some(wts_path) = files.get("wts").filter(|p| p.exists()) {
+        let mut lines = Lines::open(wts_path)?;
+        while let Some((ln, line)) = lines.next()? {
+            let mut tok = line.split_whitespace();
+            let (Some(net), Some(w), None) = (tok.next(), tok.next(), tok.next()) else {
+                return Err(malformed(wts_path, ln, "expected: net_name weight"));
+            };
+            weights.push(
+                w.parse()
+                    .map_err(|_| malformed(wts_path, ln, "bad weight"))?,
+            );
+            net_names.push(net);
         }
     }
 
+    let weight_of = net_names.index();
+
     // --- .nets ---------------------------------------------------------
+    // One line at a time: a `NetDegree` header opens a net, which takes
+    // the lines after it as pins until it holds its degree.
     let nets_path = get("nets")?;
-    let lines = content_lines(&nets_path)?;
-    let mut idx = 0usize;
+    let truncated = |net: &OpenNet<T>| {
+        let (degree, found) = (net.degree, net.pins.len());
+        let msg = format!("net truncated: NetDegree {degree}, {found} pins follow");
+        malformed(&nets_path, net.line, msg)
+    };
     let mut declared_nets: Option<(usize, usize)> = None; // (count, header line)
     let mut declared_pins: Option<(usize, usize)> = None;
     let mut parsed_nets = 0usize;
     let mut parsed_pins = 0usize;
-    while idx < lines.len() {
-        let (ln, line) = &lines[idx];
-        idx += 1;
-        if let Some(v) = header_value(line, "NumNets") {
-            let n = v
-                .parse()
-                .map_err(|_| malformed(&nets_path, *ln, "bad NumNets"))?;
-            declared_nets = Some((n, *ln));
-            continue;
-        }
-        if let Some(v) = header_value(line, "NumPins") {
-            let n = v
-                .parse()
-                .map_err(|_| malformed(&nets_path, *ln, "bad NumPins"))?;
-            declared_pins = Some((n, *ln));
-            continue;
-        }
-        let Some(deg_str) = header_value(line, "NetDegree") else {
-            return Err(malformed(
-                &nets_path,
-                *ln,
-                format!("expected NetDegree, got: {line}"),
-            ));
-        };
-        let degree: usize = deg_str
-            .parse()
-            .map_err(|_| malformed(&nets_path, *ln, "bad NetDegree"))?;
-        let net_name = line.split_whitespace().last().unwrap_or("").to_string();
-        // The declared degree is the file's claim: reserve no more pins
-        // than lines remain, and stop at the next net's header.
-        let mut pins = Vec::with_capacity(degree.min(lines.len() - idx));
-        for _ in 0..degree {
-            let (pln, pline) = lines
-                .get(idx)
-                .filter(|(_, l)| header_value(l, "NetDegree").is_none())
-                .ok_or_else(|| {
-                    malformed(
-                        &nets_path,
-                        *ln,
-                        format!(
-                            "net truncated: NetDegree {degree}, {} pins follow",
-                            pins.len()
-                        ),
-                    )
-                })?;
-            idx += 1;
-            let tok: Vec<&str> = pline.split_whitespace().collect();
-            if tok.is_empty() {
-                return Err(malformed(&nets_path, *pln, "empty pin line"));
+    let mut open: Option<OpenNet<T>> = None;
+    let mut lines = Lines::open(&nets_path)?;
+    while let Some((ln, line)) = lines.next()? {
+        match open.as_mut() {
+            Some(net) if header_value(line, "NetDegree").is_none() => {
+                // Format: name dir : dx dy  (offsets optional); a content
+                // line is never empty.
+                let mut tok = line.split_whitespace();
+                let node = tok.next().unwrap_or("");
+                let &i = node_of
+                    .get(node)
+                    .ok_or_else(|| malformed(&nets_path, ln, format!("unknown node {node}")))?;
+                let (dx, dy) = two_numbers(tok).unwrap_or((0.0, 0.0));
+                net.pins
+                    .push((handles[i], T::from_f64(dx), T::from_f64(dy)));
             }
-            let cell = handles
-                .get(tok[0])
-                .copied()
-                .ok_or_else(|| malformed(&nets_path, *pln, format!("unknown node {}", tok[0])))?;
-            // Format: name dir : dx dy  (offsets optional)
-            let nums: Vec<f64> = tok
-                .iter()
-                .skip(1)
-                .filter_map(|t| t.parse::<f64>().ok())
-                .collect();
-            let (dx, dy) = match nums.as_slice() {
-                [dx, dy, ..] => (*dx, *dy),
-                _ => (0.0, 0.0),
-            };
-            pins.push((cell, T::from_f64(dx), T::from_f64(dy)));
+            Some(net) => return Err(truncated(net)),
+            None => {
+                if let Some(v) = header_value(line, "NumNets") {
+                    let n = v
+                        .parse()
+                        .map_err(|_| malformed(&nets_path, ln, "bad NumNets"))?;
+                    declared_nets = Some((n, ln));
+                    continue;
+                }
+                if let Some(v) = header_value(line, "NumPins") {
+                    let n = v
+                        .parse()
+                        .map_err(|_| malformed(&nets_path, ln, "bad NumPins"))?;
+                    declared_pins = Some((n, ln));
+                    continue;
+                }
+                let Some(deg_str) = header_value(line, "NetDegree") else {
+                    return Err(malformed(
+                        &nets_path,
+                        ln,
+                        format!("expected NetDegree, got: {line}"),
+                    ));
+                };
+                let degree: usize = deg_str
+                    .parse()
+                    .map_err(|_| malformed(&nets_path, ln, "bad NetDegree"))?;
+                let net_name = line.split_whitespace().last().unwrap_or("");
+                let weight = weight_of.get(net_name).map_or(1.0, |&i| weights[i]);
+                // The declared degree is the file's claim: reserve no more
+                // pins than the rest of the file can hold (a pin line takes
+                // at least a name byte and a newline).
+                let pins = Vec::with_capacity(degree.min(lines.left.div_ceil(2)));
+                open = Some(OpenNet {
+                    line: ln,
+                    degree,
+                    weight,
+                    pins,
+                });
+            }
         }
-        let weight = weights.get(&net_name).copied().unwrap_or(1.0);
-        parsed_nets += 1;
-        parsed_pins += degree;
-        builder
-            .add_net(T::from_f64(weight), pins)
-            .map_err(|e| malformed(&nets_path, *ln, e.to_string()))?;
+        if let Some(net) = open.take_if(|net| net.pins.len() == net.degree) {
+            parsed_nets += 1;
+            parsed_pins += net.degree;
+            builder
+                .add_net(T::from_f64(net.weight), net.pins)
+                .map_err(|e| malformed(&nets_path, net.line, e.to_string()))?;
+        }
+    }
+    if let Some(net) = &open {
+        return Err(truncated(net));
     }
     if let Some((n, ln)) = declared_nets {
         if n != parsed_nets {
@@ -414,32 +507,21 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
     // starts); convert lower-left to centers. The builder renumbers fixed
     // cells after movable ones, preserving relative order in each class.
     let mut positions = Placement::zeros(netlist.num_cells());
-    let mut mov_idx = 0usize;
-    let mut fix_idx = netlist.num_movable();
-    for (i, name2) in node_names.iter().enumerate() {
-        let (w, h, fixed) = node_dims[i];
+    for (i, (&(w, h, fixed), cell)) in node_dims.iter().zip(&handles).enumerate() {
         let id = if fixed {
-            let id = fix_idx;
-            fix_idx += 1;
-            id
+            netlist.num_movable() + cell.index()
         } else {
-            let id = mov_idx;
-            mov_idx += 1;
-            id
+            cell.index()
         };
-        match pl.get(name2.as_str()) {
-            Some(&(x, y, _)) => {
-                positions.x[id] = T::from_f64(x + w / 2.0);
-                positions.y[id] = T::from_f64(y + h / 2.0);
-            }
-            None => {
-                return Err(malformed(
-                    &pl_path,
-                    0,
-                    format!("node {name2} has no entry in the .pl file"),
-                ));
-            }
-        }
+        let Some((x, y)) = pl_of(i) else {
+            return Err(malformed(
+                &pl_path,
+                0,
+                format!("node {} has no entry in the .pl file", names.get(i)),
+            ));
+        };
+        positions.x[id] = T::from_f64(x + w / 2.0);
+        positions.y[id] = T::from_f64(y + h / 2.0);
     }
 
     // --- .route (optional) -----------------------------------------------
@@ -462,27 +544,26 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
 fn parse_route(path: &Path) -> Result<Option<RoutingHints>, ParseBookshelfError> {
     let mut hints = RoutingHints::default();
     let mut saw_layers = false;
-    for (ln, line) in content_lines(path)? {
-        let nums = |l: &str| -> Vec<usize> {
-            l.split(':')
-                .nth(1)
-                .unwrap_or("")
-                .split_whitespace()
-                .filter_map(|t| t.parse().ok())
-                .collect()
-        };
+    fn nums(l: &str) -> impl Iterator<Item = usize> + '_ {
+        l.split(':')
+            .nth(1)
+            .unwrap_or("")
+            .split_whitespace()
+            .filter_map(|t| t.parse().ok())
+    }
+    let mut lines = Lines::open(path)?;
+    while let Some((ln, line)) = lines.next()? {
         if line.starts_with("NumLayers") {
-            let v = nums(&line);
-            hints.num_layers = *v
-                .first()
+            hints.num_layers = nums(line)
+                .next()
                 .ok_or_else(|| malformed(path, ln, "bad NumLayers"))?;
             saw_layers = true;
         } else if line.starts_with("HorizontalCapacity") {
-            hints.capacity_h = nums(&line).into_iter().max().unwrap_or(0);
+            hints.capacity_h = nums(line).max().unwrap_or(0);
         } else if line.starts_with("VerticalCapacity") {
-            hints.capacity_v = nums(&line).into_iter().max().unwrap_or(0);
+            hints.capacity_v = nums(line).max().unwrap_or(0);
         } else if line.starts_with("TileSize") {
-            if let Some(&t) = nums(&line).first() {
+            if let Some(t) = nums(line).next() {
                 hints.tile_sites = t;
             }
         }
@@ -492,40 +573,36 @@ fn parse_route(path: &Path) -> Result<Option<RoutingHints>, ParseBookshelfError>
 
 /// Parses `.scl` rows; `None` when the file declares zero rows.
 fn parse_scl<T: Float>(path: &Path) -> Result<Option<RowGrid<T>>, ParseBookshelfError> {
-    let lines = content_lines(path)?;
     let mut rows: Vec<Row<T>> = Vec::new();
     let mut cur_y: Option<f64> = None;
     let mut cur_h = 0.0f64;
     let mut cur_site = 1.0f64;
     let mut cur_origin = 0.0f64;
     let mut cur_sites = 0usize;
-    for (ln, line) in lines {
-        if let Some(v) = header_value(&line, "Coordinate") {
+    let mut lines = Lines::open(path)?;
+    while let Some((ln, line)) = lines.next()? {
+        if let Some(v) = header_value(line, "Coordinate") {
             cur_y = Some(
                 v.parse()
                     .map_err(|_| malformed(path, ln, "bad Coordinate"))?,
             );
-        } else if let Some(v) = header_value(&line, "Height") {
+        } else if let Some(v) = header_value(line, "Height") {
             cur_h = v.parse().map_err(|_| malformed(path, ln, "bad Height"))?;
-        } else if let Some(v) = header_value(&line, "Sitewidth") {
+        } else if let Some(v) = header_value(line, "Sitewidth") {
             cur_site = v
                 .parse()
                 .map_err(|_| malformed(path, ln, "bad Sitewidth"))?;
         } else if line.starts_with("SubrowOrigin") {
             // "SubrowOrigin : x NumSites : n"
-            let nums: Vec<f64> = line
-                .split_whitespace()
-                .filter_map(|t| t.parse::<f64>().ok())
-                .collect();
-            if nums.len() < 2 {
+            let Some((origin, sites)) = two_numbers(line.split_whitespace()) else {
                 return Err(malformed(
                     path,
                     ln,
                     "expected: SubrowOrigin : x NumSites : n",
                 ));
-            }
-            cur_origin = nums[0];
-            cur_sites = nums[1] as usize;
+            };
+            cur_origin = origin;
+            cur_sites = sites as usize;
         } else if line == "End" {
             if let Some(y) = cur_y.take() {
                 rows.push(Row {
@@ -804,6 +881,32 @@ mod tests {
     fn bad_pl_coordinate_is_reported() {
         let r = corrupted("badpl", "d.pl", "UCLA pl 1.0\no0 zero 0 : N\no1 4 4 : N\n");
         expect_malformed(r, 2, "bad x");
+    }
+
+    #[test]
+    fn pl_keeps_the_last_entry_of_a_name_and_ignores_unknown_names() {
+        let d = corrupted(
+            "pllast",
+            "d.pl",
+            "UCLA pl 1.0\no0 0 0 : N\no1 4 4 : N\nzz 9 9 : N\no0 6 8 : N /FIXED\n",
+        )
+        .expect("parses");
+        assert_eq!((d.positions.x[0], d.positions.y[0]), (7.0, 9.0));
+        assert_eq!((d.positions.x[1], d.positions.y[1]), (5.0, 5.0));
+    }
+
+    #[test]
+    fn pin_offsets_are_the_first_two_numbers_after_the_name() {
+        let d = corrupted(
+            "pinnums",
+            "d.nets",
+            "UCLA nets 1.0\nNetDegree : 3 n0\no0 I : 0.5\no1 O : 0.25 -0.5 9\no0 7 : 1\n",
+        )
+        .expect("parses");
+        let offsets: Vec<(f64, f64)> = (0..3)
+            .map(|p| d.netlist.pin_offset(dp_netlist::PinId::new(p)))
+            .collect();
+        assert_eq!(offsets, [(0.0, 0.0), (0.25, -0.5), (7.0, 1.0)]);
     }
 
     #[test]
