@@ -13,8 +13,9 @@
 //! buffer, so ingestion holds memory in proportion to the design, not to
 //! the file: node names are kept once, in one arena, and no line, token
 //! list or number list is allocated. A consequence: a byte that is not
-//! UTF-8 is reported ([`ParseBookshelfError::Io`]) when the reader reaches
-//! its line, so a malformed line before it is reported first.
+//! UTF-8 is reported ([`ParseBookshelfError::Io`], at its file and line)
+//! when the reader reaches its line, so a malformed line before it is
+//! reported first.
 
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -43,8 +44,18 @@ pub struct BookshelfDesign<T> {
 /// Error raised while parsing Bookshelf files.
 #[derive(Debug)]
 pub enum ParseBookshelfError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
+    /// An I/O failure reading `file`, such as a missing file or a byte
+    /// that is not UTF-8.
+    Io {
+        /// The file being opened or read.
+        file: PathBuf,
+        /// Physical 1-based line being read; `None` when the failure came
+        /// before the first line (opening the file) or from the `.aux`,
+        /// which is read whole.
+        line: Option<usize>,
+        /// The underlying error.
+        source: std::io::Error,
+    },
     /// The `.aux` or a file it names is not a regular file (a FIFO, a
     /// device, a directory): reading it could block or never end, so it is
     /// refused before any file is opened.
@@ -63,7 +74,13 @@ pub enum ParseBookshelfError {
 impl fmt::Display for ParseBookshelfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParseBookshelfError::Io(e) => write!(f, "bookshelf io error: {e}"),
+            ParseBookshelfError::Io { file, line, source } => {
+                write!(f, "bookshelf io error: {}", file.display())?;
+                if let Some(line) = line {
+                    write!(f, ":{line}")?;
+                }
+                write!(f, ": {source}")
+            }
             ParseBookshelfError::NotAFile(path) => {
                 write!(
                     f,
@@ -88,9 +105,11 @@ impl fmt::Display for ParseBookshelfError {
 
 impl Error for ParseBookshelfError {}
 
-impl From<std::io::Error> for ParseBookshelfError {
-    fn from(e: std::io::Error) -> Self {
-        ParseBookshelfError::Io(e)
+fn io_error(file: &Path, line: Option<usize>, source: std::io::Error) -> ParseBookshelfError {
+    ParseBookshelfError::Io {
+        file: file.to_path_buf(),
+        line,
+        source,
     }
 }
 
@@ -115,7 +134,8 @@ fn require_regular(path: &Path) -> Result<(), ParseBookshelfError> {
 /// The content lines of one Bookshelf file, read front to back through one
 /// reused buffer: blank and `UCLA` header lines are skipped, and each line
 /// is cut at its first `#` and trimmed.
-struct Lines {
+struct Lines<'p> {
+    path: &'p Path,
     reader: BufReader<File>,
     buf: String,
     /// Physical 1-based number of the line in `buf`.
@@ -124,11 +144,13 @@ struct Lines {
     left: usize,
 }
 
-impl Lines {
-    fn open(path: &Path) -> Result<Self, ParseBookshelfError> {
-        let file = File::open(path)?;
-        let left = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+impl<'p> Lines<'p> {
+    fn open(path: &'p Path) -> Result<Self, ParseBookshelfError> {
+        let file = File::open(path).map_err(|e| io_error(path, None, e))?;
+        let len = file.metadata().map_err(|e| io_error(path, None, e))?.len();
+        let left = usize::try_from(len).unwrap_or(usize::MAX);
         Ok(Lines {
+            path,
             reader: BufReader::new(file),
             buf: String::new(),
             line: 0,
@@ -145,7 +167,10 @@ impl Lines {
     fn next(&mut self) -> Result<Option<(usize, &str)>, ParseBookshelfError> {
         loop {
             self.buf.clear();
-            let n = self.reader.read_line(&mut self.buf)?;
+            let n = self
+                .reader
+                .read_line(&mut self.buf)
+                .map_err(|e| io_error(self.path, Some(self.line + 1), e))?;
             if n == 0 {
                 return Ok(None);
             }
@@ -193,6 +218,11 @@ fn header_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest.split_whitespace().next().unwrap_or(""))
 }
 
+/// `v` as a finite `f64`.
+fn finite(v: &str) -> Option<f64> {
+    v.parse::<f64>().ok().filter(|x| x.is_finite())
+}
+
 /// The first two tokens that parse as `f64`.
 fn two_numbers<'a>(tokens: impl Iterator<Item = &'a str>) -> Option<(f64, f64)> {
     let mut nums = tokens.filter_map(|t| t.parse::<f64>().ok());
@@ -221,7 +251,7 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
         .file_stem()
         .map(|s| s.to_string_lossy().to_string())
         .unwrap_or_else(|| "design".to_string());
-    let aux = std::fs::read_to_string(aux_path)?;
+    let aux = std::fs::read_to_string(aux_path).map_err(|e| io_error(aux_path, None, e))?;
     let mut files: BTreeMap<&str, PathBuf> = BTreeMap::new();
     for token in aux.split_whitespace() {
         if let Some(ext) = Path::new(token).extension() {
@@ -581,20 +611,18 @@ fn parse_scl<T: Float>(path: &Path) -> Result<Option<RowGrid<T>>, ParseBookshelf
     let mut cur_sites = 0usize;
     let mut lines = Lines::open(path)?;
     while let Some((ln, line)) = lines.next()? {
+        // Row geometry must be finite: the region is built from it.
         if let Some(v) = header_value(line, "Coordinate") {
-            cur_y = Some(
-                v.parse()
-                    .map_err(|_| malformed(path, ln, "bad Coordinate"))?,
-            );
+            cur_y = Some(finite(v).ok_or_else(|| malformed(path, ln, "bad Coordinate"))?);
         } else if let Some(v) = header_value(line, "Height") {
-            cur_h = v.parse().map_err(|_| malformed(path, ln, "bad Height"))?;
+            cur_h = finite(v).ok_or_else(|| malformed(path, ln, "bad Height"))?;
         } else if let Some(v) = header_value(line, "Sitewidth") {
-            cur_site = v
-                .parse()
-                .map_err(|_| malformed(path, ln, "bad Sitewidth"))?;
+            cur_site = finite(v).ok_or_else(|| malformed(path, ln, "bad Sitewidth"))?;
         } else if line.starts_with("SubrowOrigin") {
             // "SubrowOrigin : x NumSites : n"
-            let Some((origin, sites)) = two_numbers(line.split_whitespace()) else {
+            let numbers = two_numbers(line.split_whitespace())
+                .filter(|(origin, sites)| origin.is_finite() && sites.is_finite());
+            let Some((origin, sites)) = numbers else {
                 return Err(malformed(
                     path,
                     ln,
@@ -692,7 +720,13 @@ mod tests {
     #[test]
     fn missing_file_is_reported() {
         let err = read_design::<f64>(Path::new("/nonexistent/x.aux")).unwrap_err();
-        assert!(matches!(err, ParseBookshelfError::Io(_)));
+        match err {
+            ParseBookshelfError::Io { file, line, .. } => {
+                assert_eq!(file, Path::new("/nonexistent/x.aux"));
+                assert_eq!(line, None);
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]

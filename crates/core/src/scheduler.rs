@@ -49,7 +49,6 @@
 //!
 //! [`DreamPlacer::place`]: crate::flow::DreamPlacer::place
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -296,11 +295,6 @@ pub enum JobStatus {
     Done,
     /// Failed; the error waits in [`Scheduler::take_result`].
     Failed,
-    /// Evicted via [`Scheduler::evict`]; the checkpoint was handed to the
-    /// caller and the job no longer occupies a queue slot.
-    Evicted,
-    /// Cancelled via [`Scheduler::cancel`]; no outcome will be produced.
-    Cancelled,
     /// Waiting out retry backoff after a contained panic or a deadline
     /// expiry; `attempt` is the 1-based attempt about to run.
     Retrying {
@@ -318,7 +312,6 @@ enum FailKind {
 
 struct Job<T: Float> {
     id: JobId,
-    name: String,
     qos: QosClass,
     tenant: Arc<PoolTenant>,
     /// The bound config (telemetry attached, threads pinned, exec shared),
@@ -511,30 +504,13 @@ impl SchedMetrics {
 /// checkpoint replays to the same answer).
 const PASSIVE_CHECKPOINT_TURNS: u32 = 8;
 
-/// Terminal jobs kept as queryable tombstones. A long-running daemon
-/// serves unbounded job counts, so the scheduler cannot remember every job
-/// forever; beyond this many retirements the oldest tombstones are
-/// forgotten and their ids answer like unknown jobs.
-const RETIRED_CAP: usize = 1024;
-
-/// What remains of a retired job: enough to answer [`Scheduler::status`] /
-/// [`Scheduler::job_name`] without retaining its config, design, or
-/// checkpoint.
-struct Retired {
-    id: JobId,
-    name: String,
-    status: JobStatus,
-}
-
 /// The round-robin shared-pool scheduler; see the [module docs](self).
 pub struct Scheduler<T: Float> {
     host: PoolHost,
-    /// Live jobs plus terminal jobs whose outcome has not been taken yet;
-    /// fully terminal jobs move to `retired` so the vector stays bounded
-    /// by the number of jobs in flight.
+    /// Live jobs plus terminal jobs whose outcome has not been taken yet.
+    /// A job leaves when its outcome is taken, or when it is cancelled or
+    /// evicted, so the vector stays bounded by the jobs in flight.
     jobs: Vec<Job<T>>,
-    /// Capped tombstones of retired jobs, oldest first.
-    retired: VecDeque<Retired>,
     next_id: u64,
     /// The scheduler's registry (see [`Scheduler::metrics`]).
     metrics: Metrics,
@@ -551,7 +527,6 @@ impl<T: Float> Scheduler<T> {
         Self {
             host,
             jobs: Vec::new(),
-            retired: VecDeque::new(),
             next_id: 0,
             m: SchedMetrics::new(&metrics),
             metrics,
@@ -635,13 +610,11 @@ impl<T: Float> Scheduler<T> {
             .filter(|d| d.is_finite());
         let tenant = self.host.tenant();
         let config = self.bind(config, telemetry, &tenant);
-        let name = design.name.clone();
         // Machine construction does no kernel work (the engine is built
         // lazily inside the GP entry step), so no lease is needed here.
         let machine = FlowMachine::new(config.clone(), Arc::clone(&design));
         self.jobs.push(Job {
             id,
-            name,
             qos,
             tenant,
             config,
@@ -682,7 +655,6 @@ impl<T: Float> Scheduler<T> {
             qos.unwrap_or_else(|| QosClass::from_budgets(config.gp.max_seconds, config.dp.max_seconds));
         let tenant = self.host.tenant();
         let config = self.bind(config, telemetry, &tenant);
-        let name = design.name.clone();
         // Resume rebuilds the GP engine, which launches kernels — the
         // job's lease must be held.
         let machine = {
@@ -691,7 +663,6 @@ impl<T: Float> Scheduler<T> {
         };
         self.jobs.push(Job {
             id,
-            name,
             qos,
             tenant,
             config,
@@ -729,63 +700,11 @@ impl<T: Float> Scheduler<T> {
         }
     }
 
-    /// The job's lifecycle status, `None` for an unknown id (including
-    /// jobs retired past the tombstone cap).
+    /// The job's lifecycle status; `None` for an id the scheduler does not
+    /// hold: never submitted, or gone after its outcome was taken, a
+    /// cancel or an evict.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .map(Job::status)
-            .or_else(|| {
-                self.retired
-                    .iter()
-                    .find(|r| r.id == id)
-                    .map(|r| r.status)
-            })
-    }
-
-    /// The design name a job was submitted with, `None` for an unknown id.
-    pub fn job_name(&self, id: JobId) -> Option<&str> {
-        self.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .map(|j| j.name.as_str())
-            .or_else(|| {
-                self.retired
-                    .iter()
-                    .find(|r| r.id == id)
-                    .map(|r| r.name.as_str())
-            })
-    }
-
-    /// Ids of all remembered jobs in submission order: every job still in
-    /// the run queue or awaiting [`Scheduler::take_outcome`], plus retired
-    /// jobs up to the tombstone cap.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        let mut ids: Vec<JobId> = self
-            .retired
-            .iter()
-            .map(|r| r.id)
-            .chain(self.jobs.iter().map(|j| j.id))
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Retires the job at `idx`: its config, design reference, telemetry
-    /// handle, and checkpoint are dropped and only a capped tombstone
-    /// remains, so a long-running daemon's memory stays bounded by the
-    /// jobs in flight rather than the jobs ever served.
-    fn forget(&mut self, idx: usize, status: JobStatus) {
-        let job = self.jobs.remove(idx);
-        self.retired.push_back(Retired {
-            id: job.id,
-            name: job.name,
-            status,
-        });
-        while self.retired.len() > RETIRED_CAP {
-            self.retired.pop_front();
-        }
+        self.jobs.iter().find(|j| j.id == id).map(Job::status)
     }
 
     /// Steps every running job one turn (one full round-robin sweep).
@@ -1098,24 +1017,24 @@ impl<T: Float> Scheduler<T> {
         }
     }
 
-    /// Evicts a running job: captures its durable checkpoint, drops the
-    /// machine, and frees its queue slot (only a tombstone remains; the
-    /// caller owns the checkpoint). Returns `None` when the job is
-    /// unknown, not running, or currently in a state with nothing durable
-    /// to capture (inputs not loaded yet, DP disabled, or the flow past
-    /// DP) — in that case the job keeps running; step it further and retry.
+    /// Evicts a running job: captures its durable checkpoint and drops the
+    /// job, which then answers like an unknown id (the caller owns the
+    /// checkpoint). Returns `None` when the job is unknown, not running,
+    /// or currently in a state with nothing durable to capture (inputs not
+    /// loaded yet, DP disabled, or the flow past DP) — in that case the
+    /// job keeps running; step it further and retry.
     pub fn evict(&mut self, id: JobId) -> Option<CheckpointData<T>> {
         let idx = self.jobs.iter().position(|j| j.id == id)?;
         let data = self.jobs[idx].machine.as_mut()?.capture()?;
-        self.forget(idx, JobStatus::Evicted);
+        self.jobs.remove(idx);
         self.m.evicted.inc();
         Some(data)
     }
 
-    /// Cancels a live job (running or awaiting retry): the machine and any
-    /// stored checkpoint are dropped, no outcome is produced, and only a
-    /// tombstone remains. Returns false when the job is unknown or already
-    /// terminal.
+    /// Cancels a live job (running or awaiting retry): the job is dropped
+    /// with its machine and any stored checkpoint, no outcome is produced,
+    /// and its id then answers like an unknown one. Returns false when the
+    /// job is unknown or already terminal.
     pub fn cancel(&mut self, id: JobId) -> bool {
         let Some(idx) = self.jobs.iter().position(|j| j.id == id) else {
             return false;
@@ -1127,24 +1046,19 @@ impl<T: Float> Scheduler<T> {
             .config
             .telemetry
             .point("cancel", "job cancelled by the service layer");
-        self.forget(idx, JobStatus::Cancelled);
+        self.jobs.remove(idx);
         self.m.cancelled.inc();
         true
     }
 
     /// Takes a finished job's structured outcome (once); the job is then
-    /// retired to a tombstone (its status keeps answering `Done`/`Failed`)
-    /// so the scheduler does not accumulate state for every job ever
-    /// served. `None` while the job is still running or retrying, already
+    /// dropped, so the scheduler holds no state for a job it has handed
+    /// back. `None` while the job is still running or retrying, already
     /// taken, evicted, cancelled, or unknown.
     pub fn take_outcome(&mut self, id: JobId) -> Option<JobOutcome<T>> {
         let idx = self.jobs.iter().position(|j| j.id == id)?;
         let outcome = self.jobs[idx].outcome.take()?;
-        let status = match &outcome {
-            JobOutcome::Completed(_) => JobStatus::Done,
-            _ => JobStatus::Failed,
-        };
-        self.forget(idx, status);
+        self.jobs.remove(idx);
         Some(outcome)
     }
 
@@ -1281,7 +1195,7 @@ mod tests {
             sched.step_round();
         }
         let data = sched.evict(id0).expect("capturable mid-gp");
-        assert!(matches!(sched.status(id0), Some(JobStatus::Evicted)));
+        assert_eq!(sched.status(id0), None, "an evicted job leaves the table");
         // Migrate it back in while job 1 keeps running.
         let id0b = sched
             .submit_resume(
@@ -1341,7 +1255,7 @@ mod tests {
     }
 
     #[test]
-    fn terminal_jobs_are_retired_to_tombstones() {
+    fn a_job_leaving_the_table_is_dropped_outright() {
         let d = small_design(77);
         let mut sched = Scheduler::with_threads(1);
         let id = sched.submit(
@@ -1355,13 +1269,12 @@ mod tests {
         assert!(sched.take_result(id).is_some());
         assert!(
             sched.jobs.is_empty(),
-            "taking the outcome retires the job's config/design/checkpoint"
+            "taking the outcome drops the job's config/design/checkpoint"
         );
-        // The tombstone keeps answering queries...
-        assert_eq!(sched.status(id), Some(JobStatus::Done));
-        assert_eq!(sched.job_name(id), Some("sched-77"));
-        assert_eq!(sched.job_ids(), vec![id]);
-        // ...and cancellation retires the job immediately.
+        // A taken job answers like an id that never existed...
+        assert_eq!(sched.status(id), None);
+        assert!(!sched.cancel(id));
+        // ...and so does a cancelled one, at once.
         let id2 = sched.submit(
             small_config(&d, 1),
             Arc::clone(&d),
@@ -1370,8 +1283,8 @@ mod tests {
         );
         assert!(sched.cancel(id2));
         assert!(sched.jobs.is_empty());
-        assert_eq!(sched.status(id2), Some(JobStatus::Cancelled));
-        assert!(!sched.cancel(id2), "a retired job cannot be re-cancelled");
+        assert_eq!(sched.status(id2), None);
+        assert!(!sched.cancel(id2), "a cancelled job cannot be re-cancelled");
     }
 
     #[test]

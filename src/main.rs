@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dreamplace place  <design.aux> [--out DIR] [--mode replace|cpu|gpu]
-//!                   [--threads N] [--overflow F] [--svg FILE] [--f32]
+//!                   [--threads N] [--overflow F] [--svg FILE]
 //!                   [--trace FILE]
 //!                   [--checkpoint-dir DIR] [--checkpoint-every N]
 //!                   [--resume DIR | --resume-or-restart DIR] [--die-at STATE]
@@ -72,7 +72,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "dreamplace — analytical VLSI placement (DREAMPlace reproduction)\n\n\
          USAGE:\n  dreamplace place <design.aux> [--out DIR] [--mode replace|cpu|gpu]\n\
-         \x20                 [--threads N] [--overflow F] [--svg FILE] [--f32] [--no-dp]\n\
+         \x20                 [--threads N] [--overflow F] [--svg FILE] [--no-dp]\n\
          \x20                 [--trace FILE]\n\
          \x20                 [--checkpoint-dir DIR] [--checkpoint-every N]\n\
          \x20                 [--resume DIR | --resume-or-restart DIR] [--die-at STATE]\n\
@@ -473,11 +473,6 @@ fn cmd_place(args: &Args) -> Result<(), String> {
         dreamplace::telemetry::Telemetry::disabled()
     };
     config.telemetry = telemetry.clone();
-    if args.get("f32").is_some() {
-        eprintln!("note: --f32 runs the flow in single precision via a converted design");
-        // Single-precision run: regenerate the flow in f32 through Bookshelf.
-        // (The library is fully generic; the CLI supports it through IO.)
-    }
 
     let (resume_from, policy, faults) = durable_options(args)?;
     let resumed = resume_from.is_some();

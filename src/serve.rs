@@ -188,7 +188,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// End-of-session tallies, also emitted as the `bye` event.
+/// Job and request tallies: one session's, emitted as its `bye` event, or
+/// the daemon's, read from the metrics registry (the daemon-wide `status`
+/// and the return value of [`serve`] and [`serve_tcp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Jobs that finished with a placement.
@@ -553,7 +555,6 @@ struct Daemon<'w> {
     /// Bounded admission queues, indexed by [`class_rank`].
     queues: [VecDeque<ServeJob>; 3],
     active: Vec<ServeJob>,
-    stats: ServeStats,
     next_job: u64,
     draining: bool,
     once: bool,
@@ -586,7 +587,6 @@ impl<'w> Daemon<'w> {
             sessions: Vec::new(),
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             active: Vec::new(),
-            stats: ServeStats::default(),
             next_job: 0,
             draining: false,
             once,
@@ -701,11 +701,25 @@ impl<'w> Daemon<'w> {
         flushed
     }
 
-    /// Bumps one tally in the daemon-wide stats and in session `sid`'s.
+    /// Bumps one tally in session `sid`'s stats; the daemon-wide count is
+    /// the registry counter bumped beside it (see [`Self::totals`]).
     fn tally(&mut self, sid: u64, bump: impl Fn(&mut ServeStats)) {
-        bump(&mut self.stats);
         if let Some(s) = self.sessions.iter_mut().find(|s| s.id == sid) {
             bump(&mut s.stats);
+        }
+    }
+
+    /// The daemon-wide tallies, read from the registry: the serve layer's
+    /// counters and the scheduler's retry counter.
+    fn totals(&self) -> ServeStats {
+        let n = |c: &Counter| c.get() as usize;
+        ServeStats {
+            completed: n(&self.m.jobs_completed),
+            failed: n(&self.m.jobs_failed),
+            rejected: n(&self.m.rejected),
+            errors: n(&self.m.malformed),
+            shed: n(&self.m.sheds),
+            retries: self.sched.health().retries as usize,
         }
     }
 
@@ -932,7 +946,7 @@ impl<'w> Daemon<'w> {
                     self.opts.slots,
                     self.active.len(),
                     self.sessions.len(),
-                    &self.stats,
+                    &self.totals(),
                     &health,
                 );
                 self.emit(sid, &line)
@@ -1080,12 +1094,15 @@ impl<'w> Daemon<'w> {
                     }
                     still.push(job);
                 }
-                Some(JobStatus::Cancelled) => {
-                    // Terminal event (`cancelled`) already went out when the
-                    // cancel was requested; keep the trace for forensics.
+                None => {
+                    // Only the daemon's own cancel (a client's `cancel`, or
+                    // a disconnect under `--on-disconnect cancel`) takes a
+                    // job out of the scheduler before `retire`. The owner
+                    // already has its terminal `cancelled` event, or is
+                    // gone; keep the trace for forensics.
                     save_trace(&job, &self.opts);
                 }
-                _ => self.retire(job, sid)?,
+                Some(JobStatus::Done | JobStatus::Failed) => self.retire(job, sid)?,
             }
         }
         self.active = still;
@@ -1341,7 +1358,8 @@ impl<'w> Daemon<'w> {
 
 /// Runs the daemon over one connection (stdio) until the client drains
 /// it. `input` runs on a reader thread (so job stepping never blocks on a
-/// slow client); events are written to `output` as they happen.
+/// slow client); events are written to `output` as they happen. Returns
+/// the daemon-wide tallies, read from the metrics registry.
 ///
 /// # Errors
 ///
@@ -1360,14 +1378,15 @@ where
     daemon.open_session(Box::new(output), true)?;
     daemon.run(&rx)?;
     daemon.shutdown()?;
-    Ok(daemon.stats)
+    Ok(daemon.totals())
 }
 
 /// Runs the daemon as a multi-client TCP service: every accepted
 /// connection is an independent session feeding the one shared scheduler.
 /// With `once`, the listener stops after the first connection and the
 /// daemon exits when that client is done; otherwise it runs until a
-/// client sends `drain`.
+/// client sends `drain`. Returns the daemon-wide tallies, read from the
+/// metrics registry.
 ///
 /// # Errors
 ///
@@ -1397,7 +1416,7 @@ pub fn serve_tcp(
     start_metrics_listener(&daemon)?;
     daemon.run(&rx)?;
     daemon.shutdown()?;
-    Ok(daemon.stats)
+    Ok(daemon.totals())
 }
 
 /// Binds `opts.metrics_listen` (when set) and serves the exposition from
@@ -1869,7 +1888,7 @@ mod tests {
             r#"{"cmd":"submit","preset":"tiny","seed":4,"qos":"interactive"}"#,
         );
         assert_eq!(d.queues[0].len(), 1);
-        assert_eq!(d.stats.shed, 2);
+        assert_eq!(d.totals().shed, 2);
         assert_eq!(d.next_job, 3, "the rejected submission consumed no job id");
         d.flush_sessions().unwrap();
         let text = buf.text();
@@ -1933,6 +1952,201 @@ mod tests {
         let t0 = b0.text();
         assert!(t0.contains("\"phase\":\"running\""));
         assert!(t0.contains("\"event\":\"cancelled\",\"job\":0}"));
+    }
+
+    #[test]
+    fn owner_cancel_streams_the_last_trace_lines_and_frees_the_slot() {
+        let dir = std::env::temp_dir().join(format!("dp-serve-cancel-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = ServeOptions {
+            threads: 1,
+            slots: 1,
+            trace_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        };
+        let mut d = Daemon::new(opts, false, None);
+        let buf = SharedBuf::default();
+        d.sessions.push(test_session(0, &buf));
+        for line in [
+            r#"{"cmd":"submit","preset":"small","seed":1,"max_iters":400,"qos":"interactive"}"#,
+            r#"{"cmd":"submit","preset":"tiny","seed":2,"max_iters":15}"#,
+        ] {
+            d.handle(0, parse_request(line).unwrap()).unwrap();
+        }
+        d.admit().unwrap();
+        d.pump().unwrap();
+        let running = d.active[0].sched.unwrap();
+        assert!(matches!(d.sched.status(running), Some(JobStatus::Running { .. })));
+        d.handle(0, parse_request(r#"{"cmd":"cancel","job":0}"#).unwrap())
+            .unwrap();
+        assert_eq!(d.sched.status(running), None, "the cancel dropped the job");
+        assert_eq!(d.active.len(), 1, "the slot is freed by the next pass");
+
+        // One loop pass: the pump reaps the job, then admission fills the slot.
+        d.pump().unwrap();
+        assert!(d.active.is_empty());
+        d.admit().unwrap();
+        assert_eq!(d.active.iter().map(|j| j.id).collect::<Vec<_>>(), [1]);
+        assert!(d.queues.iter().all(VecDeque::is_empty));
+        d.flush_sessions().unwrap();
+        let text = buf.text();
+        let cancelled = text.find("{\"event\":\"cancelled\",\"job\":0}").unwrap();
+        assert!(
+            text[cancelled..].contains("\"name\":\"cancel\""),
+            "the cancel point streams after the cancelled event"
+        );
+        assert!(!text.contains("\"event\":\"failed\""), "{text}");
+        let trace = std::fs::read_to_string(dir.join("job-0.jsonl")).unwrap();
+        assert!(trace.contains("\"name\":\"cancel\""));
+        let scrape = d.sched.metrics().render();
+        assert!(scrape.contains("dp_sched_jobs_total{outcome=\"cancelled\"} 1"), "{scrape}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_disconnected_client_gets_its_job_cancelled() {
+        use std::io::{BufRead as _, BufReader, Write as _};
+        use std::net::TcpStream;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let opts = ServeOptions {
+            threads: 1,
+            slots: 2,
+            on_disconnect: DisconnectPolicy::Cancel,
+            ..ServeOptions::default()
+        };
+        let daemon = std::thread::spawn(move || serve_tcp(listener, &opts, false));
+
+        // The first client leaves once its job is running.
+        let conn = TcpStream::connect(addr).unwrap();
+        writeln!(
+            &conn,
+            r#"{{"cmd":"submit","preset":"small","seed":4,"max_iters":5000,"qos":"interactive"}}"#
+        )
+        .unwrap();
+        let mut lines = BufReader::new(conn.try_clone().unwrap()).lines();
+        assert!(lines.any(|l| l.unwrap().contains("\"event\":\"state\"")));
+        conn.shutdown(std::net::Shutdown::Both).unwrap();
+        drop((lines, conn));
+
+        // A second client watches the scheduler cancel it, then drains.
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut lines = BufReader::new(conn.try_clone().unwrap()).lines();
+        let mut cancelled = false;
+        for _ in 0..1200 {
+            writeln!(conn, r#"{{"cmd":"metrics"}}"#).unwrap();
+            let scrape = lines
+                .by_ref()
+                .map(Result::unwrap)
+                .find(|l| l.starts_with("{\"event\":\"metrics\""))
+                .unwrap();
+            if scrape.contains(r#"dp_sched_jobs_total{outcome=\"cancelled\"} 1"#) {
+                cancelled = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert!(cancelled, "the disconnected client's job was not cancelled");
+        writeln!(conn, r#"{{"cmd":"drain"}}"#).unwrap();
+        let stats = daemon.join().unwrap().expect("daemon exits cleanly");
+        assert_eq!((stats.completed, stats.failed), (0, 0));
+    }
+
+    #[test]
+    fn an_idle_tcp_session_times_out_then_says_bye() {
+        use std::io::{BufRead as _, BufReader};
+        use std::net::TcpStream;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let opts = ServeOptions {
+            threads: 1,
+            slots: 1,
+            idle_timeout: Some(0.2),
+            ..ServeOptions::default()
+        };
+        let daemon = std::thread::spawn(move || serve_tcp(listener, &opts, true));
+        let conn = TcpStream::connect(addr).unwrap();
+        let events: Vec<String> = BufReader::new(&conn)
+            .lines()
+            .map(Result::unwrap)
+            .take(3)
+            .collect();
+        assert!(events[0].starts_with("{\"event\":\"hello\""), "{events:?}");
+        assert_eq!(events[1], "{\"event\":\"idle_timeout\",\"seconds\":0.2}");
+        assert!(events[2].starts_with("{\"event\":\"bye\",\"completed\":0,"), "{events:?}");
+        daemon.join().unwrap().expect("the daemon exits after its one session");
+    }
+
+    /// The unsigned field `key` of a flat JSON event line.
+    fn count(line: &str, key: &str) -> u64 {
+        let fields = crate::telemetry::json::parse_flat(line).unwrap();
+        let value = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        value.and_then(crate::telemetry::json::Value::as_u64).unwrap()
+    }
+
+    #[test]
+    fn bye_status_and_returned_totals_agree() {
+        use std::os::unix::net::UnixStream;
+
+        let (mut client, daemon_end) = UnixStream::pair().unwrap();
+        let out = SharedBuf::default();
+        let mut sink = out.clone();
+        let opts = ServeOptions {
+            threads: 1,
+            slots: 1,
+            queue_cap: 1,
+            allow_chaos: true,
+            ..ServeOptions::default()
+        };
+        let daemon = std::thread::spawn(move || {
+            serve(std::io::BufReader::new(daemon_end), &mut sink, &opts)
+        });
+        // Two jobs fill the slot and the queue, so the third is shed; one
+        // job's panic is retried once.
+        let requests = [
+            concat!(
+                r#"{"cmd":"submit","preset":"tiny","seed":5,"max_iters":20,"qos":"interactive","#,
+                r#""chaos_panic_at":"gp:3","max_attempts":2,"backoff_seconds":0.01,"#,
+                r#""conservative_final":false}"#
+            ),
+            r#"{"cmd":"submit","preset":"tiny","seed":6,"max_iters":20,"qos":"bulk"}"#,
+            r#"{"cmd":"submit","preset":"tiny","seed":7,"max_iters":20,"qos":"bulk"}"#,
+            r#"{"cmd":"bogus"}"#,
+            "not json",
+        ];
+        writeln!(client, "{}", requests.join("\n")).unwrap();
+        let mut done = 0;
+        for _ in 0..2400 {
+            done = out.text().matches("\"event\":\"done\"").count();
+            if done == 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert_eq!(done, 2, "{}", out.text());
+        let last = concat!(r#"{"cmd":"status"}"#, "\n", r#"{"cmd":"drain"}"#, "\n");
+        client.write_all(last.as_bytes()).unwrap();
+        drop(client);
+        let totals = daemon.join().unwrap().expect("serve runs");
+
+        let text = out.text();
+        let line = |prefix: &str| text.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let status = line("{\"event\":\"status\",");
+        let bye = line("{\"event\":\"bye\",");
+        for (key, total, want) in [
+            ("completed", totals.completed, 2),
+            ("failed", totals.failed, 0),
+            ("rejected", totals.rejected, 1),
+            ("errors", totals.errors, 1),
+            ("shed", totals.shed, 1),
+            ("retries", totals.retries, 1),
+        ] {
+            assert_eq!(total, want, "{key}");
+            assert_eq!(count(bye, key), want as u64, "bye {key}");
+            assert_eq!(count(status, key), want as u64, "status {key}");
+        }
     }
 
     /// The `job` ids of a transcript's `done` events, in stream order.
@@ -2055,7 +2269,7 @@ mod tests {
             d.handle(0, parse_request(&line).unwrap()).unwrap();
         }
         d.admit().unwrap();
-        assert_eq!(d.stats.shed, 2);
+        assert_eq!(d.totals().shed, 2);
         // Both bulk jobs went, the newer one first; the batch job survives.
         d.flush_sessions().unwrap();
         let text = buf.text();
@@ -2304,7 +2518,7 @@ mod tests {
             }
         }
         assert!(d.active.is_empty(), "the stalled job timed out");
-        assert_eq!(d.stats.failed, 1);
+        assert_eq!(d.totals().failed, 1);
         assert!(
             (d.ema_seconds - before).abs() > 1e-12,
             "a timed-out job updates the EMA (was {before}, still {})",

@@ -1,7 +1,8 @@
 //! Bookshelf bytes at the reader's edges: the text variations real files
 //! carry (CRLF, comments, blank lines, tabs, no final newline) read to the
-//! plain file's design, and files cut short or holding a byte that is not
-//! UTF-8 are reported as errors, never a panic.
+//! plain file's design, and files cut short, holding a byte that is not
+//! UTF-8 or holding a non-finite number are reported as errors, never a
+//! panic.
 
 use std::path::{Path, PathBuf};
 
@@ -142,9 +143,10 @@ fn an_error_after_comments_and_blank_lines_reports_its_physical_line() {
 
 /// Cuts each of `.nodes`, `.nets`, `.pl` and `.scl` at a fixed stride of
 /// byte offsets, and separately overwrites the byte there with `0xFF`.
-/// Every read returns; a cut file is `Ok`, `Malformed` naming one of the
-/// design's files, or `Io`; a `0xFF` byte is always an `InvalidData` read
-/// error, since every line before it is intact.
+/// Every read returns; a cut file is `Ok`, or `Malformed` or `Io` naming
+/// one of the design's files; a `0xFF` byte is always an `InvalidData`
+/// read error at its own file and physical line, since every line before
+/// it is intact.
 #[test]
 fn cut_and_non_utf8_files_are_errors_not_panics() {
     const STRIDE: usize = 23;
@@ -158,8 +160,13 @@ fn cut_and_non_utf8_files_are_errors_not_panics() {
         for at in (0..original.len()).step_by(STRIDE) {
             std::fs::write(&path, &original[..at]).expect("write");
             match read_design::<f64>(&aux) {
-                Ok(_) | Err(ParseBookshelfError::Io(_)) => {}
-                Err(ParseBookshelfError::Malformed { ref file, .. })
+                Ok(_) => {}
+                Err(ParseBookshelfError::Io {
+                    ref file,
+                    line: Some(_),
+                    ..
+                })
+                | Err(ParseBookshelfError::Malformed { ref file, .. })
                     if design_files.contains(file) => {}
                 Err(other) => panic!("d.{ext} cut at byte {at}: unexpected error {other:?}"),
             }
@@ -167,9 +174,13 @@ fn cut_and_non_utf8_files_are_errors_not_panics() {
             let mut poisoned = original.clone();
             poisoned[at] = 0xFF;
             std::fs::write(&path, &poisoned).expect("write");
+            let physical_line = 1 + original[..at].iter().filter(|&&b| b == b'\n').count();
             match read_design::<f64>(&aux) {
-                Err(ParseBookshelfError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData => {}
-                other => panic!("d.{ext} with 0xFF at byte {at}: {other:?}"),
+                Err(ParseBookshelfError::Io { file, line, source })
+                    if source.kind() == std::io::ErrorKind::InvalidData
+                        && file == path
+                        && line == Some(physical_line) => {}
+                other => panic!("d.{ext} with 0xFF at byte {at} (line {physical_line}): {other:?}"),
             }
             reads += 2;
         }
@@ -177,4 +188,81 @@ fn cut_and_non_utf8_files_are_errors_not_panics() {
     }
     std::fs::remove_dir_all(&dir).ok();
     assert!(reads > 200, "only {reads} reads");
+}
+
+/// Byte ranges of the whitespace-separated tokens of `text` that parse as
+/// `f64`.
+fn numeric_tokens(text: &str) -> Vec<std::ops::Range<usize>> {
+    let mut tokens = Vec::new();
+    let mut start = None;
+    for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+        match (c.is_whitespace(), start) {
+            (true, Some(s)) => {
+                if text[s..i].parse::<f64>().is_ok() {
+                    tokens.push(s..i);
+                }
+                start = None;
+            }
+            (false, None) => start = Some(i),
+            _ => {}
+        }
+    }
+    tokens
+}
+
+/// Writes `nan`, `inf` and `-inf` over every numeric token of every file,
+/// one at a time. Every read returns `Ok`, `Malformed` or `Io` naming a
+/// design file: never a panic. A non-finite `.scl` row coordinate is
+/// `Malformed` at its line (it used to reach the region's `Rect::new`
+/// assertion).
+#[test]
+fn non_finite_numbers_are_errors_not_panics() {
+    let dir = plain_design("non-finite");
+    let aux = dir.join("d.aux");
+    let design_files: Vec<PathBuf> = FILES.iter().map(|e| dir.join(format!("d.{e}"))).collect();
+    let (mut reads, mut malformed) = (0usize, 0usize);
+    for path in &design_files {
+        let original = std::fs::read_to_string(path).expect("read");
+        for at in numeric_tokens(&original) {
+            for value in ["nan", "inf", "-inf"] {
+                let text = format!("{}{value}{}", &original[..at.start], &original[at.end..]);
+                std::fs::write(path, &text).expect("write");
+                let read = std::panic::catch_unwind(|| read_design::<f64>(&aux));
+                let place = format!("{} byte {}: {value}", path.display(), at.start);
+                match read {
+                    Ok(Ok(_)) => {}
+                    Ok(Err(
+                        ParseBookshelfError::Malformed { ref file, .. }
+                        | ParseBookshelfError::Io { ref file, .. },
+                    )) if design_files.contains(file) => malformed += 1,
+                    Ok(Err(other)) => panic!("{place}: unexpected error {other:?}"),
+                    Err(_) => panic!("{place}: the read panicked"),
+                }
+                reads += 1;
+            }
+        }
+        std::fs::write(path, &original).expect("restore");
+    }
+
+    let scl = dir.join("d.scl");
+    let original = std::fs::read_to_string(&scl).expect("read");
+    let (head, rest) = original.split_once("Coordinate").expect("a row");
+    let (_, rest) = rest.split_once('\n').expect("row line");
+    let line = 1 + head.matches('\n').count();
+    std::fs::write(&scl, format!("{head}Coordinate : nan\n{rest}")).expect("write");
+    let err = read_design::<f64>(&aux).unwrap_err();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(reads > 1000, "only {reads} reads");
+    assert!(malformed > 0, "no non-finite number was refused");
+    match err {
+        ParseBookshelfError::Malformed {
+            file,
+            line: got,
+            message,
+        } => {
+            assert_eq!((file, got), (scl, line), "{message}");
+            assert_eq!(message, "bad Coordinate");
+        }
+        other => panic!("unexpected error {other:?}"),
+    }
 }
