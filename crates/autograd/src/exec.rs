@@ -132,7 +132,7 @@ pub struct ExecCtx<T> {
     ws_counters: BTreeMap<&'static str, WorkspaceCounter>,
     ops: BTreeMap<&'static str, OpCounter>,
     telemetry: Telemetry,
-    /// Cached sharded-timer handles so [`ExecCtx::record_op`] skips the
+    /// Cached kernel-timer handles so [`ExecCtx::record_op`] skips the
     /// telemetry registry lock on the per-call hot path.
     timers: BTreeMap<&'static str, Arc<KernelTimer>>,
 }
@@ -189,7 +189,7 @@ impl<T: Float> ExecCtx<T> {
     }
 
     /// Attaches a telemetry sink: operator timings recorded through
-    /// [`ExecCtx::record_op`] are mirrored into sharded kernel timers, and
+    /// [`ExecCtx::record_op`] are mirrored into its kernel timers, and
     /// the pool's per-worker busy time is captured under the `"pool"`
     /// label. A [`Telemetry::disabled`] sink (the default) costs one
     /// branch per record.
@@ -275,17 +275,13 @@ impl<T: Float> ExecCtx<T> {
         counter.calls += 1;
         counter.nanos = counter.nanos.saturating_add(nanos);
         if self.telemetry.is_enabled() {
-            let threads = self.pool.threads();
             let timer = self.timers.entry(name).or_insert_with(|| {
                 // The sink is enabled, so the registry always hands back a
                 // timer; an (unreachable) disabled race falls back to a
                 // detached timer rather than panicking.
-                self.telemetry
-                    .kernel_timer(name, threads)
-                    .unwrap_or_else(|| Arc::new(KernelTimer::new(1)))
+                self.telemetry.kernel_timer(name).unwrap_or_default()
             });
-            // Operators are driven from the calling thread: shard 0.
-            timer.record(0, nanos);
+            timer.record(nanos);
         }
     }
 
@@ -440,7 +436,7 @@ mod tests {
             let t0 = ctx.op_timer();
             ctx.record_op("wa.forward", t0);
         }
-        let timer = tel.kernel_timer("wa.forward", 1).expect("registered");
+        let timer = tel.kernel_timer("wa.forward").expect("registered");
         assert_eq!(timer.total().0, 5);
         assert_eq!(ctx.op_counter("wa.forward").calls, 5);
     }

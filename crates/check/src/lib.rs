@@ -13,8 +13,9 @@
 //!   restated from its definition) and the electrostatic field/potential/
 //!   energy computed as direct `O(n^2)` cosine-basis sums, independent of
 //!   the FFT machinery in `dp-dct`;
-//! * [`oracle_dct`] — direct `O(n^2)` DCT/IDCT/IDXST transforms in the
-//!   library normalization;
+//! * [`oracle_dct`] — the workspace's one copy of the transform
+//!   definitions: direct `O(n^2)` DFT and 1-D/2-D DCT/IDCT/IDXST sums in
+//!   the library normalization, the reference for every `dp-dct` tier;
 //! * [`gradcheck`] — a central finite-difference gradient checker driven
 //!   through the [`dp_autograd::Operator`] trait with a per-operator
 //!   tolerance table (wraps [`dp_autograd::check_gradient`] and the
@@ -53,7 +54,10 @@ pub mod trace;
 
 pub use golden::{update_requested, GoldenError, GoldenRecord, GoldenTolerance};
 pub use gradcheck::{check_operator, sample_cells, spec_for, CheckOutcome, CheckSpec};
-pub use oracle_dct::{dct2_oracle, idct2_oracle, idct_idxst_oracle, idxst_idct_oracle};
+pub use oracle_dct::{
+    dct2_oracle, dct_oracle, dft_oracle, idct2_oracle, idct_idxst_oracle, idct_oracle,
+    idxst_idct_oracle, idxst_oracle,
+};
 pub use oracle_density::{
     charge_map_oracle, density_gradient_oracle, field_oracle, fixed_map_oracle,
     movable_map_oracle, overflow_oracle, smoothed_rect_oracle, FieldOracle, OracleGrid,

@@ -1,8 +1,10 @@
-//! Direct `O(n^2)` oracles for the 2-D DCT family (paper Eqs. (7)–(9)).
+//! Direct `O(n^2)` oracles for the FFT and the DCT family (paper Eqs.
+//! (7)–(9)): the workspace's one copy of each defining sum.
 //!
-//! Each transform is written as its defining double sum in the library
-//! normalization (the one under which `idct2(dct2(x)) == x`):
+//! Each transform is written as its defining sum in the library
+//! normalization (the one under which `idct(dct(x)) == x`):
 //!
+//! * DFT: `X[k] = sum_n x[n] e^{-2 pi i n k / N}` (unnormalized);
 //! * 1-D DCT: `y[k] = (2/N) sum_n x[n] cos(pi (n+1/2) k / N)`;
 //! * 1-D IDCT: `y[k] = x[0]/2 + sum_{n>=1} x[n] cos(pi n (k+1/2) / N)`;
 //! * 1-D IDXST: `y[k] = sum_n x[n] sin(pi n (k+1/2) / N)`.
@@ -11,13 +13,16 @@
 //! column transform along the first, exactly like `dp_dct`'s plans; the
 //! mixed transforms pair IDXST on one axis with IDCT on the other (paper
 //! Eq. (9), the electric-field transforms). Matrices are row-major
-//! `n1 x n2` (`x[i * n2 + j]`).
+//! `n1 x n2` (`x[i * n2 + j]`). Every length is accepted, powers of two
+//! or not.
 //!
 //! No FFT, no recursion, no reordering tricks: these run in quadratic time
 //! and exist purely so the fast plans have something trustworthy to be
 //! compared against.
 
 use std::f64::consts::PI;
+
+use dp_num::Complex;
 
 /// `cos(pi (n + 1/2) k / len)` — forward DCT basis.
 fn fwd(n: usize, k: usize, len: usize) -> f64 {
@@ -32,6 +37,71 @@ fn inv_cos(n: usize, k: usize, len: usize) -> f64 {
 /// `sin(pi n (k + 1/2) / len)` — inverse DXST basis.
 fn inv_sin(n: usize, k: usize, len: usize) -> f64 {
     (PI * n as f64 * (k as f64 + 0.5) / len as f64).sin()
+}
+
+/// Unnormalized DFT: `X[k] = sum_n x[n] e^{-2 pi i n k / N}`.
+///
+/// # Examples
+///
+/// ```
+/// use dp_num::Complex;
+/// let spec = dp_check::dft_oracle(&[Complex::new(1.0, 0.0); 4]);
+/// assert!((spec[0].re - 4.0).abs() < 1e-12);
+/// assert!(spec[1].abs() < 1e-12);
+/// ```
+pub fn dft_oracle(x: &[Complex<f64>]) -> Vec<Complex<f64>> {
+    let len = x.len();
+    (0..len)
+        .map(|k| {
+            x.iter().enumerate().fold(Complex::zero(), |acc, (n, &xn)| {
+                acc + xn * Complex::cis(-2.0 * PI * (n * k) as f64 / len as f64)
+            })
+        })
+        .collect()
+}
+
+/// 1-D DCT, paper Eq. (7a) scaled by `2/N`:
+/// `y[k] = (2/N) sum_n x[n] fwd(n,k,N)`.
+pub fn dct_oracle(x: &[f64]) -> Vec<f64> {
+    let len = x.len();
+    let scale = 2.0 / len as f64;
+    (0..len)
+        .map(|k| {
+            scale
+                * x.iter()
+                    .enumerate()
+                    .map(|(n, v)| v * fwd(n, k, len))
+                    .sum::<f64>()
+        })
+        .collect()
+}
+
+/// 1-D IDCT, paper Eq. (7b) verbatim:
+/// `y[k] = sum_n c_n x[n] inv_cos(n,k,N)` with `c_0 = 1/2`; the inverse
+/// of [`dct_oracle`].
+pub fn idct_oracle(x: &[f64]) -> Vec<f64> {
+    let len = x.len();
+    (0..len)
+        .map(|k| {
+            x.iter()
+                .enumerate()
+                .map(|(n, v)| half0(n) * v * inv_cos(n, k, len))
+                .sum()
+        })
+        .collect()
+}
+
+/// 1-D IDXST, paper Eq. (8a): `y[k] = sum_n x[n] inv_sin(n,k,N)`.
+pub fn idxst_oracle(x: &[f64]) -> Vec<f64> {
+    let len = x.len();
+    (0..len)
+        .map(|k| {
+            x.iter()
+                .enumerate()
+                .map(|(n, v)| v * inv_sin(n, k, len))
+                .sum()
+        })
+        .collect()
 }
 
 fn assert_shape(x: &[f64], n1: usize, n2: usize) {
@@ -151,6 +221,29 @@ mod tests {
 
     fn ramp(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64 * 0.37).sin() + 0.1 * i as f64).collect()
+    }
+
+    /// The oracle pair is self-consistent at every length, powers of two
+    /// or not: `idct(dct(x)) == x`.
+    #[test]
+    fn idct_inverts_dct_at_every_length() {
+        for len in 2..40 {
+            for seed in [0u64, 17, 523] {
+                let x: Vec<f64> = (0..len)
+                    .map(|i| ((seed + i as u64) % 83) as f64 / 7.0)
+                    .collect();
+                for (a, b) in x.iter().zip(&idct_oracle(&dct_oracle(&x))) {
+                    assert!((a - b).abs() < 1e-9, "len {len} seed {seed}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dct_of_constant_is_dc_only() {
+        let c = dct_oracle(&[3.0; 8]);
+        assert!((c[0] - 6.0).abs() < 1e-12, "DC = (2/N)*N*3 = 6");
+        assert!(c[1..].iter().all(|v| v.abs() < 1e-12));
     }
 
     #[test]

@@ -1,23 +1,159 @@
-//! Differential suite: the direct 2-D DCT plan vs direct `O(n^2)` oracles.
+//! Differential suite: every `dp-dct` tier vs direct `O(n^2)` oracles.
 //!
-//! The fast plan (paper Algorithms 3-4: even/odd reordering + one 2-D real
-//! FFT, swept in lanes) must reproduce the defining sums across shapes,
-//! including non-square and minimum-size matrices, for all four transforms
-//! the density solver uses; shapes it cannot serve must be structured
-//! errors; and the density operator built on it must match the field
-//! oracle and stay bit-exact across thread counts.
+//! The complex and real FFTs must reproduce the DFT; both 1-D DCT tiers
+//! (2N-point and Makhoul's N-point) and the row-column 2-D tiers must
+//! reproduce the DCT/IDCT/IDXST definitions. The direct 2-D plan (paper
+//! Algorithms 3-4: even/odd reordering + one 2-D real FFT, swept in lanes)
+//! must reproduce the defining sums across shapes, including non-square
+//! and minimum-size matrices, for all four transforms the density solver
+//! uses; shapes it cannot serve must be structured errors; and the density
+//! operator built on it must match the field oracle and stay bit-exact
+//! across thread counts.
 
 use dp_autograd::{ExecCtx, Gradient, Operator};
 use dp_check::{
-    charge_map_oracle, dct2_oracle, field_oracle, idct2_oracle, idct_idxst_oracle,
-    idxst_idct_oracle, movable_map_oracle, OracleGrid,
+    charge_map_oracle, dct2_oracle, dct_oracle, dft_oracle, field_oracle, idct2_oracle,
+    idct_idxst_oracle, idct_oracle, idxst_idct_oracle, idxst_oracle, movable_map_oracle,
+    OracleGrid,
 };
-use dp_dct::Dct2dPlan;
+use dp_dct::dct1d::{Dct2nPlan, DctNPlan};
+use dp_dct::dct2d::{Dct1dTier, RowColumnDct2d};
+use dp_dct::{Dct2dPlan, FftPlan, RfftPlan};
 use dp_density::{BinGrid, DctBackendKind, DensityOp, DensityStrategy, ElectroField};
 use dp_gen::GeneratorConfig;
 use dp_netlist::{Netlist, Placement};
+use dp_num::Complex;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Asserts `|got - want| < tol` element-wise (absolute error).
+fn assert_within(tag: &str, got: &[f64], want: &[f64], tol: f64) {
+    assert_eq!(got.len(), want.len(), "{tag}: length mismatch");
+    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!((g - w).abs() < tol, "{tag}: index {k}: {g} vs {w}");
+    }
+}
+
+fn complex_ramp(n: usize) -> Vec<Complex<f64>> {
+    (0..n)
+        .map(|i| Complex::new(i as f64 + 0.5, (i as f64 * 0.3).sin()))
+        .collect()
+}
+
+#[test]
+fn fft_matches_dft_oracle() {
+    for n in [2usize, 4, 8, 16, 64] {
+        let x = complex_ramp(n);
+        let want = dft_oracle(&x);
+        let mut got = x.clone();
+        FftPlan::new(n).expect("power of two").forward(&mut got);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!((*g - *w).abs() < 1e-9 * n as f64, "n={n} k={k}");
+        }
+    }
+}
+
+#[test]
+fn rfft_matches_full_complex_dft() {
+    for n in [4usize, 8, 16, 64, 256] {
+        let x: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.37).sin() + 0.1 * i as f64)
+            .collect();
+        let xc: Vec<Complex<f64>> = x.iter().map(|&v| Complex::from(v)).collect();
+        let want = dft_oracle(&xc);
+        let got = RfftPlan::new(n).expect("power of two").forward(&x);
+        assert_eq!(got.len(), n / 2 + 1);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                (*g - *w).abs() < 1e-9 * n as f64,
+                "n={n} k={k} got={g:?} want={w:?}"
+            );
+        }
+    }
+}
+
+fn signal(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| (i as f64 * 0.41).sin() - 0.2 * i as f64)
+        .collect()
+}
+
+/// Both 1-D tiers (2N-point and N-point) against each 1-D definition.
+#[test]
+fn dct1d_tiers_match_oracles() {
+    for n in [4usize, 8, 16, 32, 64, 128] {
+        let x = signal(n);
+        let two_n = Dct2nPlan::new(n).expect("pow2");
+        let n_point = DctNPlan::new(n).expect("pow2");
+        for (tag, want, got_2n, got_n) in [
+            ("dct", dct_oracle(&x), two_n.dct(&x), n_point.dct(&x)),
+            ("idct", idct_oracle(&x), two_n.idct(&x), n_point.idct(&x)),
+            ("idxst", idxst_oracle(&x), two_n.idxst(&x), n_point.idxst(&x)),
+        ] {
+            assert_within(&format!("2N {tag} n={n}"), &got_2n, &want, 1e-9);
+            assert_within(&format!("N {tag} n={n}"), &got_n, &want, 1e-9);
+        }
+    }
+}
+
+#[test]
+fn row_column_matches_oracle_both_tiers() {
+    let (n1, n2) = (8, 4);
+    let x: Vec<f64> = (0..n1 * n2)
+        .map(|i| (i as f64 * 0.13).sin() + 0.01 * i as f64)
+        .collect();
+    let want = dct2_oracle(&x, n1, n2);
+    for tier in [Dct1dTier::TwoN, Dct1dTier::NPoint] {
+        let plan = RowColumnDct2d::new(n1, n2, tier).expect("pow2");
+        assert_within(&format!("row-column {tier:?}"), &plan.dct2(&x), &want, 1e-9);
+    }
+}
+
+fn pow2(max_log: u32) -> impl Strategy<Value = usize> {
+    (2u32..=max_log).prop_map(|k| 1usize << k)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Both fast 1-D DCT tiers match the Eq. (7a) definition.
+    #[test]
+    fn dct_tiers_match_oracle_on_random_inputs(n in pow2(7), seed in 0u64..1000) {
+        let x: Vec<f64> = (0..n).map(|i| ((seed + i as u64) % 97) as f64 - 48.0).collect();
+        let want = dct_oracle(&x);
+        let got_2n = Dct2nPlan::new(n).expect("pow2").dct(&x);
+        let got_n = DctNPlan::new(n).expect("pow2").dct(&x);
+        for k in 0..n {
+            prop_assert!((got_2n[k] - want[k]).abs() < 1e-8 * n as f64);
+            prop_assert!((got_n[k] - want[k]).abs() < 1e-8 * n as f64);
+        }
+    }
+
+    /// IDXST via Eq. (8e) matches the Eq. (8a) definition.
+    #[test]
+    fn idxst_matches_oracle_on_random_inputs(
+        x in proptest::collection::vec(-100.0f64..100.0, 32),
+    ) {
+        let want = idxst_oracle(&x);
+        let got = DctNPlan::new(32).expect("pow2").idxst(&x);
+        for k in 0..32 {
+            prop_assert!((got[k] - want[k]).abs() < 1e-8);
+        }
+    }
+
+    /// The DCT is orthogonal up to scale: under the `2/N` normalization,
+    /// `sum x^2 = N c_0^2 / 4 + N/2 sum_{k>0} c_k^2`.
+    #[test]
+    fn dct_energy_identity(x in proptest::collection::vec(-100.0f64..100.0, 64)) {
+        let c = dct_oracle(&x);
+        let time: f64 = x.iter().map(|v| v * v).sum();
+        let n = x.len() as f64;
+        let freq = n * c[0] * c[0] / 4.0
+            + (n / 2.0) * c[1..].iter().map(|v| v * v).sum::<f64>();
+        prop_assert!((time - freq).abs() < 1e-6 * time.max(1.0));
+    }
+}
 
 fn random_matrix(n1: usize, n2: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -40,13 +40,6 @@
 //! [`Scheduler::metrics`]). Its fault counters are the only copy of those
 //! counts: [`Scheduler::health`] reads the same cells a scrape renders.
 //!
-//! # Eviction and migration
-//!
-//! [`Scheduler::evict`] captures a job's durable [`CheckpointData`] and
-//! removes it from the run queue; the data can be resubmitted later — to
-//! the same scheduler, a different one, or a plain `place_durable` driver —
-//! via [`Scheduler::submit_resume`], with bit-identical results.
-//!
 //! [`DreamPlacer::place`]: crate::flow::DreamPlacer::place
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -318,7 +311,7 @@ struct Job<T: Float> {
     /// kept so retries can rebuild the machine.
     config: FlowConfig<T>,
     design: Arc<GeneratedDesign<T>>,
-    /// `None` once the machine has been consumed (done/failed/evicted) or
+    /// `None` once the machine has been consumed (done/failed) or
     /// while the job waits out retry backoff.
     machine: Option<FlowMachine<'static, T>>,
     outcome: Option<JobOutcome<T>>,
@@ -394,7 +387,6 @@ struct SchedMetrics {
     panicked: Counter,
     timed_out: Counter,
     cancelled: Counter,
-    evicted: Counter,
     /// `dp_sched_jobs_submitted_total`.
     submitted: Counter,
     /// Fault-path counters; [`Scheduler::health`] reads them back.
@@ -440,10 +432,9 @@ impl SchedMetrics {
             panicked: outcome("panicked"),
             timed_out: outcome("timed_out"),
             cancelled: outcome("cancelled"),
-            evicted: outcome("evicted"),
             submitted: metrics.counter(
                 "dp_sched_jobs_submitted_total",
-                "Jobs accepted into the run queue (fresh and resumed).",
+                "Jobs accepted into the run queue.",
             ),
             panics_contained: metrics.counter(
                 "dp_sched_panics_contained_total",
@@ -508,8 +499,8 @@ const PASSIVE_CHECKPOINT_TURNS: u32 = 8;
 pub struct Scheduler<T: Float> {
     host: PoolHost,
     /// Live jobs plus terminal jobs whose outcome has not been taken yet.
-    /// A job leaves when its outcome is taken, or when it is cancelled or
-    /// evicted, so the vector stays bounded by the jobs in flight.
+    /// A job leaves when its outcome is taken or when it is cancelled, so
+    /// the vector stays bounded by the jobs in flight.
     jobs: Vec<Job<T>>,
     next_id: u64,
     /// The scheduler's registry (see [`Scheduler::metrics`]).
@@ -634,54 +625,6 @@ impl<T: Float> Scheduler<T> {
         id
     }
 
-    /// Submits a job resuming from a captured checkpoint (an evicted or
-    /// migrated job, or a durable checkpoint from a previous process).
-    ///
-    /// # Errors
-    ///
-    /// Any [`FlowError`] of [`FlowMachine::resume`] — design mismatch,
-    /// unrestorable engine state, or input-replay failures.
-    pub fn submit_resume(
-        &mut self,
-        config: FlowConfig<T>,
-        design: Arc<GeneratedDesign<T>>,
-        data: CheckpointData<T>,
-        telemetry: Telemetry,
-        qos: Option<QosClass>,
-    ) -> Result<JobId, FlowError<T>> {
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        let qos =
-            qos.unwrap_or_else(|| QosClass::from_budgets(config.gp.max_seconds, config.dp.max_seconds));
-        let tenant = self.host.tenant();
-        let config = self.bind(config, telemetry, &tenant);
-        // Resume rebuilds the GP engine, which launches kernels — the
-        // job's lease must be held.
-        let machine = {
-            let _lease = tenant.lease();
-            FlowMachine::resume(config.clone(), Arc::clone(&design), data)?
-        };
-        self.jobs.push(Job {
-            id,
-            qos,
-            tenant,
-            config,
-            design,
-            machine: Some(machine),
-            outcome: None,
-            deadline: None,
-            retry: RetryPolicy::none(),
-            faults: ServeFaultInjection::default(),
-            attempt: 1,
-            elapsed: 0.0,
-            checkpoint: None,
-            turns_since_capture: 0,
-            retry_at: None,
-        });
-        self.m.submitted.inc();
-        Ok(id)
-    }
-
     /// Number of jobs still in the run queue (live machines plus jobs
     /// waiting out retry backoff).
     pub fn running(&self) -> usize {
@@ -701,8 +644,8 @@ impl<T: Float> Scheduler<T> {
     }
 
     /// The job's lifecycle status; `None` for an id the scheduler does not
-    /// hold: never submitted, or gone after its outcome was taken, a
-    /// cancel or an evict.
+    /// hold: never submitted, or gone after its outcome was taken or a
+    /// cancel.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         self.jobs.iter().find(|j| j.id == id).map(Job::status)
     }
@@ -1017,20 +960,6 @@ impl<T: Float> Scheduler<T> {
         }
     }
 
-    /// Evicts a running job: captures its durable checkpoint and drops the
-    /// job, which then answers like an unknown id (the caller owns the
-    /// checkpoint). Returns `None` when the job is unknown, not running,
-    /// or currently in a state with nothing durable to capture (inputs not
-    /// loaded yet, DP disabled, or the flow past DP) — in that case the
-    /// job keeps running; step it further and retry.
-    pub fn evict(&mut self, id: JobId) -> Option<CheckpointData<T>> {
-        let idx = self.jobs.iter().position(|j| j.id == id)?;
-        let data = self.jobs[idx].machine.as_mut()?.capture()?;
-        self.jobs.remove(idx);
-        self.m.evicted.inc();
-        Some(data)
-    }
-
     /// Cancels a live job (running or awaiting retry): the job is dropped
     /// with its machine and any stored checkpoint, no outcome is produced,
     /// and its id then answers like an unknown one. Returns false when the
@@ -1054,7 +983,7 @@ impl<T: Float> Scheduler<T> {
     /// Takes a finished job's structured outcome (once); the job is then
     /// dropped, so the scheduler holds no state for a job it has handed
     /// back. `None` while the job is still running or retrying, already
-    /// taken, evicted, cancelled, or unknown.
+    /// taken, cancelled, or unknown.
     pub fn take_outcome(&mut self, id: JobId) -> Option<JobOutcome<T>> {
         let idx = self.jobs.iter().position(|j| j.id == id)?;
         let outcome = self.jobs[idx].outcome.take()?;
@@ -1162,58 +1091,6 @@ mod tests {
             assert_eq!(got.placement.x, base.placement.x);
             assert_eq!(got.placement.y, base.placement.y);
         }
-    }
-
-    #[test]
-    fn evict_and_resume_mid_interleave_is_bit_identical() {
-        let threads = 2;
-        let d0 = small_design(10);
-        let d1 = small_design(11);
-
-        let base = {
-            let cfg = small_config(&d0, threads);
-            crate::flow::DreamPlacer::new(cfg)
-                .place(&d0)
-                .expect("baseline")
-        };
-
-        let mut sched = Scheduler::<f64>::with_threads(threads);
-        let id0 = sched.submit(
-            small_config(&d0, threads),
-            Arc::clone(&d0),
-            Telemetry::disabled(),
-            Some(QosClass::Interactive),
-        );
-        let _id1 = sched.submit(
-            small_config(&d1, threads),
-            Arc::clone(&d1),
-            Telemetry::disabled(),
-            Some(QosClass::Interactive),
-        );
-        // Interleave a few rounds, then evict job 0 mid-GP.
-        for _ in 0..10 {
-            sched.step_round();
-        }
-        let data = sched.evict(id0).expect("capturable mid-gp");
-        assert_eq!(sched.status(id0), None, "an evicted job leaves the table");
-        // Migrate it back in while job 1 keeps running.
-        let id0b = sched
-            .submit_resume(
-                small_config(&d0, threads),
-                Arc::clone(&d0),
-                data,
-                Telemetry::disabled(),
-                Some(QosClass::Interactive),
-            )
-            .expect("resubmit");
-        sched.run_all();
-        let got = sched
-            .take_result(id0b)
-            .expect("finished")
-            .expect("succeeded");
-        assert_eq!(got.hpwl_final.to_bits(), base.hpwl_final.to_bits());
-        assert_eq!(got.placement.x, base.placement.x);
-        assert_eq!(got.placement.y, base.placement.y);
     }
 
     #[test]

@@ -285,78 +285,11 @@ fn idxst_via_idct<T: Float>(x: &[T], idct: impl Fn(&[T]) -> Vec<T>) -> Vec<T> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::naive::{naive_dct, naive_idct, naive_idxst};
 
     fn signal(n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| (i as f64 * 0.41).sin() - 0.2 * i as f64)
             .collect()
-    }
-
-    #[test]
-    fn dct_2n_matches_naive() {
-        for n in [4usize, 8, 32, 128] {
-            let x = signal(n);
-            let plan = Dct2nPlan::new(n).expect("pow2");
-            let got = plan.dct(&x);
-            let want = naive_dct(&x);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn dct_n_matches_naive() {
-        for n in [4usize, 8, 32, 128] {
-            let x = signal(n);
-            let plan = DctNPlan::new(n).expect("pow2");
-            let got = plan.dct(&x);
-            let want = naive_dct(&x);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn idct_2n_matches_naive() {
-        for n in [4usize, 16, 64] {
-            let c = signal(n);
-            let plan = Dct2nPlan::new(n).expect("pow2");
-            let got = plan.idct(&c);
-            let want = naive_idct(&c);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn idct_n_matches_naive() {
-        for n in [4usize, 16, 64] {
-            let c = signal(n);
-            let plan = DctNPlan::new(n).expect("pow2");
-            let got = plan.idct(&c);
-            let want = naive_idct(&c);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn idxst_matches_naive_for_both_tiers() {
-        for n in [4usize, 16, 64] {
-            let x = signal(n);
-            let want = naive_idxst(&x);
-            let got_2n = Dct2nPlan::new(n).expect("pow2").idxst(&x);
-            let got_n = DctNPlan::new(n).expect("pow2").idxst(&x);
-            for ((a, b), w) in got_2n.iter().zip(&got_n).zip(&want) {
-                assert!((a - w).abs() < 1e-9, "2n tier n={n}");
-                assert!((b - w).abs() < 1e-9, "n tier n={n}");
-            }
-        }
     }
 
     #[test]

@@ -790,7 +790,6 @@ fn reorder_index(n: usize) -> Vec<usize> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::naive::{naive_dct2, naive_idct2, naive_idct_idxst, naive_idxst_idct};
 
     fn matrix(n1: usize, n2: usize) -> Vec<f64> {
         (0..n1 * n2)
@@ -1078,49 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn row_column_matches_naive_both_tiers() {
-        for tier in [Dct1dTier::TwoN, Dct1dTier::NPoint] {
-            let (n1, n2) = (8, 4);
-            let x = matrix(n1, n2);
-            let plan = RowColumnDct2d::new(n1, n2, tier).expect("pow2");
-            let want = naive_dct2(&x, n1, n2);
-            let got = plan.dct2(&x);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "tier {tier:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn direct_2d_dct_matches_naive() {
-        for (n1, n2) in [(4, 4), (8, 4), (4, 8), (16, 16)] {
-            let x = matrix(n1, n2);
-            let plan = Dct2dPlan::new(n1, n2).expect("pow2");
-            let want = naive_dct2(&x, n1, n2);
-            let got = plan.dct2(&x);
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    (g - w).abs() < 1e-9,
-                    "shape ({n1},{n2}) idx {k}: {g} vs {w}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn direct_2d_idct_matches_naive() {
-        for (n1, n2) in [(4, 4), (8, 16)] {
-            let c = matrix(n1, n2);
-            let plan = Dct2dPlan::new(n1, n2).expect("pow2");
-            let want = naive_idct2(&c, n1, n2);
-            let got = plan.idct2(&c);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "shape ({n1},{n2})");
-            }
-        }
-    }
-
-    #[test]
     fn direct_2d_round_trips() {
         let (n1, n2) = (32, 16);
         let x = matrix(n1, n2);
@@ -1128,25 +1084,6 @@ mod tests {
         let back = plan.idct2(&plan.dct2(&x));
         for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn mixed_transforms_match_naive() {
-        let (n1, n2) = (8, 8);
-        let x = matrix(n1, n2);
-        let plan = Dct2dPlan::new(n1, n2).expect("pow2");
-
-        let got = plan.idct_idxst(&x);
-        let want = naive_idct_idxst(&x, n1, n2);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-9, "idct_idxst");
-        }
-
-        let got = plan.idxst_idct(&x);
-        let want = naive_idxst_idct(&x, n1, n2);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-9, "idxst_idct");
         }
     }
 

@@ -288,7 +288,6 @@ fn butterfly_run<T: Float>(pa: &mut [Complex<T>], qa: &mut [Complex<T>], tw: Com
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::naive::naive_dft;
 
     fn ramp(n: usize) -> Vec<Complex<f64>> {
         (0..n)
@@ -310,20 +309,6 @@ mod tests {
             FftPlan::<f64>::new(1).unwrap_err(),
             TransformError::NonPowerOfTwo { n: 1 }
         );
-    }
-
-    #[test]
-    fn matches_naive_dft() {
-        for n in [2usize, 4, 8, 16, 64] {
-            let x = ramp(n);
-            let want = naive_dft(&x);
-            let mut got = x.clone();
-            let plan = FftPlan::new(n).expect("power of two");
-            plan.forward(&mut got);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((*g - *w).abs() < 1e-9 * n as f64, "n={n}");
-            }
-        }
     }
 
     #[test]

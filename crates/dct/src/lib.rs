@@ -17,9 +17,9 @@
 //! which evaluates Eq. (7b) verbatim, is its exact inverse).
 //!
 //! All fast paths require power-of-two lengths — placement bin grids are
-//! powers of two — and return [`TransformError`] otherwise. Naive
-//! `O(N^2)` reference implementations of the definitions are exported from
-//! [`naive`] as test oracles.
+//! powers of two — and return [`TransformError`] otherwise. The `O(N^2)`
+//! definitions every tier is tested against live in `dp_check::oracle_dct`
+//! (its `differential_dct` suite), not in this production crate.
 //!
 //! # Examples
 //!
@@ -43,7 +43,6 @@
 pub mod dct1d;
 pub mod dct2d;
 pub mod fft;
-pub mod naive;
 pub mod rfft;
 
 use std::error::Error;

@@ -1,7 +1,6 @@
 //! Property-based tests of the transform substrate.
 
 use dp_dct::dct2d::{Dct1dTier, RowColumnDct2d};
-use dp_dct::naive::{naive_dct, naive_idct, naive_idxst};
 use dp_dct::{Dct2dPlan, FftPlan, RfftPlan};
 use dp_num::Complex;
 use proptest::prelude::*;
@@ -61,19 +60,6 @@ proptest! {
         }
     }
 
-    /// Both fast DCT tiers match the naive Eq. (7a) definition.
-    #[test]
-    fn dct_tiers_match_naive(n in pow2(7), seed in 0u64..1000) {
-        let x: Vec<f64> = (0..n).map(|i| ((seed + i as u64) % 97) as f64 - 48.0).collect();
-        let want = naive_dct(&x);
-        let got_2n = dp_dct::dct1d::Dct2nPlan::new(n).expect("pow2").dct(&x);
-        let got_n = dp_dct::dct1d::DctNPlan::new(n).expect("pow2").dct(&x);
-        for k in 0..n {
-            prop_assert!((got_2n[k] - want[k]).abs() < 1e-8 * n as f64);
-            prop_assert!((got_n[k] - want[k]).abs() < 1e-8 * n as f64);
-        }
-    }
-
     /// idct(dct(x)) == x through every tier, including the direct 2-D plan.
     #[test]
     fn dct2_round_trip_all_tiers(seed in 0u64..1000) {
@@ -94,40 +80,6 @@ proptest! {
         let back = d2d.idct2(&d2d.dct2(&x));
         for (a, b) in x.iter().zip(&back) {
             prop_assert!((a - b).abs() < 1e-8);
-        }
-    }
-
-    /// IDXST via Eq. (8e) matches the naive Eq. (8a) definition.
-    #[test]
-    fn idxst_matches_naive(x in signal(32)) {
-        let want = naive_idxst(&x);
-        let got = dp_dct::dct1d::DctNPlan::new(32).expect("pow2").idxst(&x);
-        for k in 0..32 {
-            prop_assert!((got[k] - want[k]).abs() < 1e-8);
-        }
-    }
-
-    /// DCT is an orthogonal-up-to-scale transform: Parseval-like energy
-    /// identity sum x^2 = N/2 * sum c^2 + N/4 * extra DC term (under our
-    /// 2/N normalization, energy = N/2 sum_{k>0} c_k^2 + N c_0^2 / 4).
-    #[test]
-    fn dct_energy_identity(x in signal(64)) {
-        let c = naive_dct(&x);
-        let time: f64 = x.iter().map(|v| v * v).sum();
-        let n = x.len() as f64;
-        let freq = n * c[0] * c[0] / 4.0
-            + (n / 2.0) * c[1..].iter().map(|v| v * v).sum::<f64>();
-        prop_assert!((time - freq).abs() < 1e-6 * time.max(1.0));
-    }
-
-    /// naive_idct really is the inverse of naive_dct for arbitrary lengths
-    /// (including non-powers of two).
-    #[test]
-    fn naive_pair_inverse(n in 2usize..40, seed in 0u64..1000) {
-        let x: Vec<f64> = (0..n).map(|i| ((seed + i as u64) % 83) as f64 / 7.0).collect();
-        let back = naive_idct(&naive_dct(&x));
-        for (a, b) in x.iter().zip(&back) {
-            prop_assert!((a - b).abs() < 1e-9);
         }
     }
 

@@ -13,10 +13,10 @@
 //!   hpwl/overflow/lambda/gamma point per GP iteration;
 //! * **timeline events** — [`Telemetry::point`] for degradations,
 //!   recoveries, and sanitizer findings;
-//! * **sharded kernel counters** ([`KernelTimer`], [`WorkerShards`]) whose
-//!   hot path is two relaxed atomic adds into a per-worker shard, merged
-//!   only when the trace is written — cheap enough to leave on inside the
-//!   `WorkerPool`'s launch loop;
+//! * **relaxed-atomic counters** — a one-cell [`KernelTimer`] per kernel
+//!   and per-worker [`WorkerShards`] per pool — whose hot path is two
+//!   relaxed atomic adds, read only when the trace is written: cheap
+//!   enough to leave on inside the `WorkerPool`'s launch loop;
 //! * a hand-rolled **JSONL sink** ([`Telemetry::write_jsonl`]; the offline
 //!   build has no serde, so the writer follows the same flat-object
 //!   discipline as the golden-record code in `dp-check`), and
@@ -169,8 +169,8 @@ pub enum TraceEvent {
         /// Emitting thread.
         tid: u64,
     },
-    /// Merged totals of one kernel's sharded counters (emitted when the
-    /// trace is written, not per call).
+    /// Totals of one kernel's timer (emitted when the trace is written,
+    /// not per call).
     Kernel {
         /// Kernel name.
         name: Cow<'static, str>,
@@ -379,26 +379,13 @@ impl Telemetry {
         }
     }
 
-    /// The sharded timer for kernel `name`, registering it on first use.
-    /// `None` when disabled. The hot path (`KernelTimer::record`) is two
-    /// relaxed atomic adds; totals are merged when the trace is written.
-    pub fn kernel_timer(&self, name: &'static str, workers: usize) -> Option<Arc<KernelTimer>> {
+    /// The timer for kernel `name`, registering it on first use. `None`
+    /// when disabled. The hot path (`KernelTimer::record`) is two relaxed
+    /// atomic adds; totals are read when the trace is written.
+    pub fn kernel_timer(&self, name: &'static str) -> Option<Arc<KernelTimer>> {
         let inner = self.inner.as_ref()?;
         let mut kernels = lock(&inner.kernels);
-        Some(Arc::clone(
-            kernels
-                .entry(name)
-                .or_insert_with(|| Arc::new(KernelTimer::new(workers))),
-        ))
-    }
-
-    /// Convenience one-shot record into kernel `name` (worker 0): one
-    /// registry lock. Use [`Telemetry::kernel_timer`] plus a cached handle
-    /// on hot paths.
-    pub fn record_kernel(&self, name: &'static str, nanos: u64) {
-        if let Some(timer) = self.kernel_timer(name, 1) {
-            timer.record(0, nanos);
-        }
+        Some(Arc::clone(kernels.entry(name).or_default()))
     }
 
     /// The per-worker busy shards for pool `label`, registering on first
@@ -413,7 +400,7 @@ impl Telemetry {
         ))
     }
 
-    /// A guard that is both a kernel-level span and a sharded duration
+    /// A guard that is both a kernel-level span and a kernel-timer
     /// record: on drop it closes the span and adds the elapsed nanoseconds
     /// to the kernel's totals. For once-per-stage phases (legalizer passes,
     /// DP operators), not per-iteration kernels.
@@ -430,13 +417,13 @@ impl Telemetry {
         }
         KernelSpan {
             _span: self.span(SpanKind::Kernel, name),
-            timer: self.kernel_timer(name, 1),
+            timer: self.kernel_timer(name),
             t0: Some(Instant::now()),
         }
     }
 
-    /// Snapshot of every event, with the sharded kernel/pool totals merged
-    /// and appended. This is what the JSONL sink writes and the report
+    /// Snapshot of every event, with the kernel and per-worker pool totals
+    /// appended. This is what the JSONL sink writes and the report
     /// summarizes.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
@@ -570,7 +557,7 @@ impl Drop for Span {
     }
 }
 
-/// A kernel-level span that also feeds the sharded kernel totals on drop;
+/// A kernel-level span that also feeds the kernel's timer on drop;
 /// see [`Telemetry::kernel_span`].
 #[must_use = "dropping the guard immediately closes the kernel span"]
 pub struct KernelSpan {
@@ -583,7 +570,7 @@ pub struct KernelSpan {
 impl Drop for KernelSpan {
     fn drop(&mut self) {
         if let (Some(timer), Some(t0)) = (&self.timer, self.t0) {
-            timer.record(0, t0.elapsed().as_nanos() as u64);
+            timer.record(t0.elapsed().as_nanos() as u64);
         }
         // `self._span` drops after, closing the span.
     }
@@ -614,11 +601,10 @@ mod tests {
             tel.iteration(0, 1.0, 0.5, 0.1, 2.0);
             tel.point("degradation", "nope");
             tel.meta("k", "v");
-            tel.record_kernel("k", 5);
         }
         assert!(tel.snapshot().is_empty());
         assert!(tel.report().is_none());
-        assert!(tel.kernel_timer("k", 2).is_none());
+        assert!(tel.kernel_timer("k").is_none());
         assert!(tel.worker_shards("p", 2).is_none());
     }
 
@@ -642,7 +628,7 @@ mod tests {
         assert_eq!(cur3, cur2 + 2);
         // Kernel totals stay out of the incremental stream (end-of-run
         // aggregates), but still land in the full snapshot.
-        tel.record_kernel("wirelength", 7);
+        tel.kernel_timer("wirelength").unwrap().record(7);
         let (_, after_kernel) = tel.events_since(cur3);
         assert!(after_kernel.is_empty());
         assert!(tel
@@ -718,12 +704,12 @@ mod tests {
     #[test]
     fn kernel_totals_are_merged_into_snapshot() {
         let tel = Telemetry::enabled();
-        let timer = tel.kernel_timer("wa.forward", 4).unwrap();
-        timer.record(0, 100);
-        timer.record(3, 50);
-        // Re-registration returns the same shards.
-        let again = tel.kernel_timer("wa.forward", 4).unwrap();
-        again.record(1, 25);
+        let timer = tel.kernel_timer("wa.forward").unwrap();
+        timer.record(100);
+        timer.record(50);
+        // Re-registration returns the same timer.
+        let again = tel.kernel_timer("wa.forward").unwrap();
+        again.record(25);
         let evs = tel.snapshot();
         let kernel = evs
             .iter()

@@ -1,10 +1,10 @@
-//! Per-worker sharded counters.
+//! Relaxed-atomic counters: one cell per kernel, one shard per pool worker.
 //!
-//! The hot path of both types is two `Relaxed` atomic adds into a shard
-//! owned (by convention) by one worker, so there is no cross-core cache
-//! traffic while kernels run; totals are merged only when the trace is
-//! written. Shards are cache-line aligned to prevent false sharing between
-//! adjacent workers.
+//! The hot path of both types is two `Relaxed` atomic adds, with totals
+//! read only when the trace is written. A [`KernelTimer`] is one cell:
+//! every writer records from the thread that drives the kernels. A
+//! [`WorkerShards`] gives each pool worker its own cache-line-aligned
+//! shard, so workers draining chunks in parallel never share a line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,57 +16,42 @@ struct Shard {
     nanos: AtomicU64,
 }
 
-fn shards_for(workers: usize) -> Box<[Shard]> {
-    let n = workers.max(1);
-    let mut v = Vec::with_capacity(n);
-    v.resize_with(n, Shard::default);
-    v.into_boxed_slice()
+impl Shard {
+    #[inline]
+    fn record(&self, nanos: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> (u64, u64) {
+        (
+            self.count.load(Ordering::Relaxed),
+            self.nanos.load(Ordering::Relaxed),
+        )
+    }
 }
 
-/// Sharded call/duration totals for one kernel. Workers record into their
-/// own shard; [`KernelTimer::total`] merges.
-#[derive(Debug)]
+/// Call/duration totals for one kernel: one `(calls, nanos)` cell.
+#[derive(Debug, Default)]
 pub struct KernelTimer {
-    shards: Box<[Shard]>,
+    cell: Shard,
 }
 
 impl KernelTimer {
-    /// A timer with one shard per worker (at least one).
-    pub fn new(workers: usize) -> Self {
-        Self {
-            shards: shards_for(workers),
-        }
+    /// A timer with zero calls.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Number of shards.
-    pub fn workers(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Records one call of `nanos` from `worker`. Two relaxed atomic adds;
-    /// out-of-range workers wrap rather than panic.
+    /// Records one call of `nanos`: two relaxed atomic adds.
     #[inline]
-    pub fn record(&self, worker: usize, nanos: u64) {
-        self.record_many(worker, 1, nanos);
+    pub fn record(&self, nanos: u64) {
+        self.cell.record(nanos);
     }
 
-    /// Records `calls` invocations totalling `nanos` from `worker`.
-    #[inline]
-    pub fn record_many(&self, worker: usize, calls: u64, nanos: u64) {
-        let shard = &self.shards[worker % self.shards.len()];
-        shard.count.fetch_add(calls, Ordering::Relaxed);
-        shard.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Merged `(calls, nanos)` across all shards.
+    /// `(calls, nanos)` recorded so far.
     pub fn total(&self) -> (u64, u64) {
-        let mut calls = 0;
-        let mut nanos = 0;
-        for s in self.shards.iter() {
-            calls += s.count.load(Ordering::Relaxed);
-            nanos += s.nanos.load(Ordering::Relaxed);
-        }
-        (calls, nanos)
+        self.cell.load()
     }
 }
 
@@ -82,7 +67,7 @@ impl WorkerShards {
     /// Shards for `workers` workers (at least one).
     pub fn new(workers: usize) -> Self {
         Self {
-            shards: shards_for(workers),
+            shards: (0..workers.max(1)).map(|_| Shard::default()).collect(),
         }
     }
 
@@ -95,22 +80,12 @@ impl WorkerShards {
     /// Out-of-range workers wrap rather than panic.
     #[inline]
     pub fn record(&self, worker: usize, nanos: u64) {
-        let shard = &self.shards[worker % self.shards.len()];
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.shards[worker % self.shards.len()].record(nanos);
     }
 
     /// `(launches, nanos)` per worker, indexed by shard.
     pub fn per_worker(&self) -> Vec<(u64, u64)> {
-        self.shards
-            .iter()
-            .map(|s| {
-                (
-                    s.count.load(Ordering::Relaxed),
-                    s.nanos.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
+        self.shards.iter().map(Shard::load).collect()
     }
 }
 
@@ -121,31 +96,14 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn zero_workers_still_gets_one_shard() {
-        let t = KernelTimer::new(0);
-        assert_eq!(t.workers(), 1);
-        t.record(5, 7); // wraps, no panic
-        assert_eq!(t.total(), (1, 7));
-    }
-
-    #[test]
-    fn totals_merge_across_shards() {
-        let t = KernelTimer::new(4);
-        t.record(0, 10);
-        t.record(1, 20);
-        t.record_many(3, 5, 30);
-        assert_eq!(t.total(), (7, 60));
-    }
-
-    #[test]
     fn concurrent_records_are_not_lost() {
-        let t = Arc::new(KernelTimer::new(4));
+        let t = Arc::new(KernelTimer::new());
         let handles: Vec<_> = (0..4)
-            .map(|w| {
+            .map(|_| {
                 let t = Arc::clone(&t);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        t.record(w, 1);
+                        t.record(1);
                     }
                 })
             })
@@ -158,6 +116,7 @@ mod tests {
 
     #[test]
     fn worker_shards_index_by_worker() {
+        assert_eq!(WorkerShards::new(0).workers(), 1);
         let w = WorkerShards::new(3);
         w.record(0, 100);
         w.record(2, 50);

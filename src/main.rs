@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dreamplace place  <design.aux> [--out DIR] [--mode replace|cpu|gpu]
-//!                   [--threads N] [--overflow F] [--svg FILE]
+//!                   [--threads N] [--overflow F] [--svg FILE] [--no-dp]
 //!                   [--trace FILE]
 //!                   [--checkpoint-dir DIR] [--checkpoint-every N]
 //!                   [--resume DIR | --resume-or-restart DIR] [--die-at STATE]
@@ -16,8 +16,12 @@
 //! dreamplace fuzz-lines [--seed S] [--count N]
 //! dreamplace trace-check <trace.jsonl>
 //! dreamplace checkpoint-check <flow.ckpt|DIR>
-//! dreamplace metrics-dump [--cells N] [--seed S] [--threads N]
+//! dreamplace metrics-dump [--cells N] [--nets N] [--seed S] [--threads N]
+//!                   [--max-iters N] [--overflow F]
 //! ```
+//!
+//! Each command accepts only the flags listed for it; any other flag is
+//! refused with exit code 2 before the command does any work.
 //!
 //! `place` runs DREAMPlace-CPU (`--mode cpu`) on `--threads` workers
 //! (default: `DP_THREADS`, else every core). `--mode gpu` and `--mode
@@ -85,21 +89,46 @@ fn usage() -> ExitCode {
          \x20 dreamplace fuzz-lines [--seed S] [--count N]\n\
          \x20 dreamplace trace-check <trace.jsonl>\n\
          \x20 dreamplace checkpoint-check <flow.ckpt|DIR>\n\
-         \x20 dreamplace metrics-dump [--cells N] [--seed S] [--threads N]"
+         \x20 dreamplace metrics-dump [--cells N] [--nets N] [--seed S] [--threads N]\n\
+         \x20                 [--max-iters N] [--overflow F]"
     );
     ExitCode::from(2)
 }
 
+/// A command's entry point.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every command with the one list of flags it reads. `main` refuses any
+/// other flag before the command starts.
+const COMMANDS: [(&str, &[&str], Command); 8] = [
+    ("place", &[
+        "out", "mode", "threads", "overflow", "svg", "no-dp", "trace", "checkpoint-dir",
+        "checkpoint-every", "resume", "resume-or-restart", "die-at",
+    ], cmd_place),
+    ("gen", &["nets", "seed", "out", "name"], cmd_gen),
+    ("stats", &[], cmd_stats),
+    ("serve", &[
+        "threads", "jobs", "trace-dir", "queue-cap", "max-attempts", "backoff", "idle-timeout",
+        "on-disconnect", "chaos", "listen", "once", "metrics-listen",
+    ], cmd_serve),
+    ("fuzz-lines", &["seed", "count"], cmd_fuzz_lines),
+    ("trace-check", &[], cmd_trace_check),
+    ("checkpoint-check", &[], cmd_checkpoint_check),
+    ("metrics-dump", &[
+        "cells", "nets", "seed", "threads", "max-iters", "overflow",
+    ], cmd_metrics_dump),
+];
+
 /// Minimal flag parser: positional arguments plus `--key value` / `--flag`.
 struct Args {
     positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
+    flags: std::collections::BTreeMap<String, String>,
 }
 
 impl Args {
     fn parse(raw: impl Iterator<Item = String>) -> Self {
         let mut positional = Vec::new();
-        let mut flags = std::collections::HashMap::new();
+        let mut flags = std::collections::BTreeMap::new();
         let mut raw = raw.peekable();
         while let Some(a) = raw.next() {
             if let Some(key) = a.strip_prefix("--") {
@@ -134,19 +163,15 @@ fn main() -> ExitCode {
     let Some(command) = argv.next() else {
         return usage();
     };
-    let args = Args::parse(argv);
-    let result = match command.as_str() {
-        "place" => cmd_place(&args),
-        "gen" => cmd_gen(&args),
-        "stats" => cmd_stats(&args),
-        "serve" => cmd_serve(&args),
-        "fuzz-lines" => cmd_fuzz_lines(&args),
-        "trace-check" => cmd_trace_check(&args),
-        "checkpoint-check" => cmd_checkpoint_check(&args),
-        "metrics-dump" => cmd_metrics_dump(&args),
-        _ => return usage(),
+    let Some((_, known, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return usage();
     };
-    match result {
+    let args = Args::parse(argv);
+    if let Some(flag) = args.flags.keys().find(|f| !known.contains(&f.as_str())) {
+        eprintln!("error: `{command}` has no flag --{flag}\n");
+        return usage();
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -238,18 +263,18 @@ fn finish_trace(
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let retry_default = dreamplace::RetryPolicy::standard();
+    let defaults = dreamplace::serve::ServeOptions::default();
     let opts = dreamplace::serve::ServeOptions {
-        threads: args.get_parse("threads", 2usize)?,
-        slots: args.get_parse("jobs", 4usize)?,
+        threads: args.get_parse("threads", defaults.threads)?,
+        slots: args.get_parse("jobs", defaults.slots)?,
         trace_dir: args.get("trace-dir").map(PathBuf::from),
-        queue_cap: args.get_parse("queue-cap", 16usize)?,
+        queue_cap: args.get_parse("queue-cap", defaults.queue_cap)?,
         retry: dreamplace::RetryPolicy {
             max_attempts: args
-                .get_parse("max-attempts", retry_default.max_attempts)?
+                .get_parse("max-attempts", defaults.retry.max_attempts)?
                 .max(1),
-            backoff_seconds: args.get_parse("backoff", retry_default.backoff_seconds)?,
-            conservative_final: retry_default.conservative_final,
+            backoff_seconds: args.get_parse("backoff", defaults.retry.backoff_seconds)?,
+            conservative_final: defaults.retry.conservative_final,
         },
         allow_chaos: args.get("chaos").is_some(),
         idle_timeout: match args.get("idle-timeout") {
@@ -259,10 +284,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                     .map_err(|_| format!("invalid value for --idle-timeout: {v}"))?,
             ),
         },
-        on_disconnect: match args.get("on-disconnect").unwrap_or("detach") {
-            "detach" => dreamplace::serve::DisconnectPolicy::Detach,
-            "cancel" => dreamplace::serve::DisconnectPolicy::Cancel,
-            other => {
+        on_disconnect: match args.get("on-disconnect") {
+            None => defaults.on_disconnect,
+            Some("detach") => dreamplace::serve::DisconnectPolicy::Detach,
+            Some("cancel") => dreamplace::serve::DisconnectPolicy::Cancel,
+            Some(other) => {
                 return Err(format!(
                     "unknown --on-disconnect {other} (want detach|cancel)"
                 ))

@@ -218,9 +218,9 @@ fn class_rank(class: QosClass) -> usize {
     }
 }
 
-/// Capacity of the per-job flight-recorder ring: the last this-many trace
-/// events are kept in memory and dumped as `job-N.postmortem.jsonl` when
-/// the job ends in a contained panic or a deadline timeout.
+/// Length of the per-job flight-recorder window: the last this-many
+/// events of the job's timeline are dumped as `job-N.postmortem.jsonl`
+/// when the job ends in a contained panic or a deadline timeout.
 pub const POSTMORTEM_EVENTS: usize = 64;
 
 /// Window over which `dp_serve_placements_per_hour` is computed (recent
@@ -433,9 +433,6 @@ struct ServeJob {
     last_attempt: u32,
     /// When the job was accepted; queue-wait and retry samples key off it.
     admitted_at: Instant,
-    /// Flight recorder: the last [`POSTMORTEM_EVENTS`] trace lines, dumped
-    /// to `job-N.postmortem.jsonl` if the job panics or times out.
-    ring: VecDeque<String>,
 }
 
 /// What reader/acceptor threads feed the daemon loop.
@@ -1066,11 +1063,7 @@ impl<'w> Daemon<'w> {
             let (cursor, lines) = job.telemetry.events_since(job.cursor);
             job.cursor = cursor;
             for data in lines {
-                if job.ring.len() == POSTMORTEM_EVENTS {
-                    job.ring.pop_front();
-                }
                 self.emit(job.session, &protocol::trace(job.id, &data))?;
-                job.ring.push_back(data);
             }
             match self.sched.status(sid) {
                 Some(JobStatus::Running { state }) => {
@@ -1174,25 +1167,27 @@ impl<'w> Daemon<'w> {
     }
 
     /// Dumps a panicked/timed-out job's flight recorder — the last
-    /// [`POSTMORTEM_EVENTS`] trace lines plus one terminal `postmortem`
-    /// point — to `trace_dir/job-N.postmortem.jsonl`. Failures degrade to
-    /// a warning; the terminal event still goes out.
+    /// [`POSTMORTEM_EVENTS`] lines of its timeline plus one terminal
+    /// `postmortem` point — to `trace_dir/job-N.postmortem.jsonl`. The
+    /// window is read from the job's telemetry, so it includes the
+    /// terminal turn's own points (e.g. the panic itself). Failures
+    /// degrade to a warning; the terminal event still goes out.
     fn save_postmortem(&self, job: &ServeJob) -> Option<PathBuf> {
         let dir = self.opts.trace_dir.as_ref()?;
-        // Anything recorded since the last pump drain (the terminal turn's
-        // own points, e.g. the panic itself) belongs in the recording.
-        let (_, rest) = job.telemetry.events_since(job.cursor);
-        let ring: Vec<&str> = job.ring.iter().chain(&rest).map(String::as_str).collect();
-        let ring = &ring[ring.len().saturating_sub(POSTMORTEM_EVENTS)..];
-        let mut text: String = ring.iter().flat_map(|line| [line, "\n"]).collect();
+        // The timeline may have grown past the streaming cursor; starting
+        // one window before the cursor covers the last window either way.
+        let from = job.cursor.saturating_sub(POSTMORTEM_EVENTS);
+        let (total, lines) = job.telemetry.events_since(from);
+        let window = &lines[lines.len().saturating_sub(POSTMORTEM_EVENTS)..];
+        let mut text: String = window.iter().flat_map(|line| [line, "\n"]).collect();
         text.push_str(&protocol::postmortem_marker(
-            ring.last().copied(),
+            window.last().map(String::as_str),
             format!(
                 "job {} ({}) flight recorder: last {} of {} events",
                 job.id,
                 job.name,
-                ring.len(),
-                job.cursor + rest.len(),
+                window.len(),
+                total,
             ),
         ));
         text.push('\n');
@@ -1539,7 +1534,6 @@ fn build_job(
         last_state: None,
         last_attempt: 1,
         admitted_at: Instant::now(),
-        ring: VecDeque::new(),
     })
 }
 
@@ -2484,6 +2478,52 @@ mod tests {
         assert!(dump.lines().last().unwrap().contains("\"name\":\"postmortem\""));
         // The two crates pin the same window size.
         assert_eq!(POSTMORTEM_EVENTS, crate::check::POSTMORTEM_EVENT_CAP);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic after more than a window of events: the dump is exactly the
+    /// last [`POSTMORTEM_EVENTS`] timeline lines of the saved trace.
+    #[test]
+    fn postmortem_window_is_the_tail_of_the_saved_timeline() {
+        let dir = std::env::temp_dir().join(format!(
+            "dp-serve-postmortem-tail-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = Cursor::new(
+            [
+                concat!(
+                    r#"{"cmd":"submit","cells":80,"nets":90,"seed":6,"max_iters":60,"#,
+                    r#""chaos_panic_at":"gp:40","max_attempts":1}"#
+                ),
+                r#"{"cmd":"drain"}"#,
+            ]
+            .join("\n"),
+        );
+        let opts = ServeOptions {
+            threads: 1,
+            slots: 1,
+            allow_chaos: true,
+            trace_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        };
+        let stats = serve(input, &mut Vec::new(), &opts).expect("serve runs");
+        assert_eq!(stats.failed, 1);
+        let trace = std::fs::read_to_string(dir.join("job-0.jsonl")).expect("trace written");
+        // The saved trace is the timeline followed by the kernel and worker
+        // totals appended when it is written.
+        let timeline: Vec<&str> = trace
+            .lines()
+            .filter(|l| !l.starts_with(r#"{"ev":"kernel""#) && !l.starts_with(r#"{"ev":"worker""#))
+            .collect();
+        assert!(timeline.len() > POSTMORTEM_EVENTS, "the window must slide");
+        let dump = std::fs::read_to_string(dir.join("job-0.postmortem.jsonl")).unwrap();
+        let lines: Vec<&str> = dump.lines().collect();
+        let (marker, window) = lines.split_last().unwrap();
+        assert_eq!(window, &timeline[timeline.len() - POSTMORTEM_EVENTS..]);
+        let detail = format!("last {POSTMORTEM_EVENTS} of {} events", timeline.len());
+        assert!(marker.contains(&detail), "{marker}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,8 +12,8 @@ use dreamplace::gen::{GeneratedDesign, GeneratorConfig};
 use dreamplace::serve::{serve, ServeOptions};
 use dreamplace::telemetry::{Telemetry, TraceEvent};
 use dreamplace::{
-    DreamPlacer, FlowConfig, FlowState, JobOptions, JobOutcome, QosClass, RetryPolicy, Scheduler,
-    ServeFaultInjection, ToolMode,
+    DreamPlacer, FlowConfig, FlowState, JobOptions, JobOutcome, JobStatus, QosClass, RetryPolicy,
+    Scheduler, ServeFaultInjection, ToolMode,
 };
 
 const THREADS: usize = 2;
@@ -143,6 +143,10 @@ fn contained_panic_leaves_neighbor_jobs_bit_identical() {
 fn retried_panic_resumes_from_checkpoint_to_the_same_bits() {
     let d = design(60);
     let base = solo(&d);
+    // An unfaulted neighbour shares the pool while the faulted job panics,
+    // waits out its backoff and resumes from its checkpoint.
+    let neighbour = design(61);
+    let neighbour_base = solo(&neighbour);
     let base_tel = {
         let tel = Telemetry::enabled();
         let mut cfg = config(&d);
@@ -168,7 +172,30 @@ fn retried_panic_resumes_from_checkpoint_to_the_same_bits() {
             ServeFaultInjection::panic_at(FlowState::Gp { iteration: 5 }),
         ),
     );
-    sched.run_all();
+    let neighbour_id = sched.submit_with(
+        config(&neighbour),
+        Arc::clone(&neighbour),
+        Telemetry::disabled(),
+        options(RetryPolicy::none(), ServeFaultInjection::default()),
+    );
+    // Step until both finish, noting whether the neighbour was still
+    // running once the faulted job had resumed: the resumed attempt and
+    // the neighbour then shared the pool.
+    let (mut retried, mut resumed_beside_neighbour) = (false, false);
+    while sched.step_round() > 0 {
+        match sched.status(id) {
+            Some(JobStatus::Retrying { .. }) => retried = true,
+            Some(JobStatus::Running { .. }) if retried => {
+                resumed_beside_neighbour |=
+                    matches!(sched.status(neighbour_id), Some(JobStatus::Running { .. }));
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        resumed_beside_neighbour,
+        "the neighbour must still run while the retried job resumes"
+    );
 
     // The retry resumed from the checkpoint taken at the turn boundary
     // before the panic, so the final answer is bit-identical to an
@@ -185,6 +212,14 @@ fn retried_panic_resumes_from_checkpoint_to_the_same_bits() {
             );
         }
         other => panic!("expected Completed, got {other:?}"),
+    }
+    match sched.take_outcome(neighbour_id).expect("neighbour outcome recorded") {
+        JobOutcome::Completed(r) => {
+            assert_eq!(r.hpwl_final.to_bits(), neighbour_base.hpwl_final.to_bits());
+            assert_eq!(r.placement.x, neighbour_base.placement.x);
+            assert_eq!(r.placement.y, neighbour_base.placement.y);
+        }
+        other => panic!("neighbour job did not complete: {other:?}"),
     }
 
     // The timeline narrates the fault: panic point, retry point, resume

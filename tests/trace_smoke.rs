@@ -14,7 +14,7 @@
 //!    one `degradation` timeline event in the trace.
 
 use dreamplace::gen::{GeneratedDesign, GeneratorConfig};
-use dreamplace::telemetry::Telemetry;
+use dreamplace::telemetry::{Telemetry, TraceEvent};
 use dreamplace::{DreamPlacer, FlowConfig, FlowResult, ToolMode};
 use dp_gp::InitKind;
 
@@ -94,6 +94,18 @@ fn jsonl_trace_round_trips_through_the_independent_validator() {
         "trace must carry the transform phase kernels"
     );
     assert!(summary.workspaces > 0, "workspace counters missing");
+
+    // Each operator's `kernel` event carries the call count ExecCtx kept
+    // for it: the one-cell timer records every call.
+    let kernels = tel.snapshot();
+    assert!(!result.gp.exec.ops.is_empty());
+    for (name, counter) in &result.gp.exec.ops {
+        let calls = kernels.iter().find_map(|ev| match ev {
+            TraceEvent::Kernel { name: k, calls, .. } if k == name => Some(*calls),
+            _ => None,
+        });
+        assert_eq!(calls, Some(counter.calls), "kernel {name}");
+    }
 }
 
 #[test]
