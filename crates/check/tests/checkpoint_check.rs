@@ -137,6 +137,28 @@ fn both_readers_agree_on_every_killed_state() {
     }
 }
 
+/// The pinned `DPCKPT` v3 files in `tests/fixtures/`, one per stage, each
+/// written by a durable `dreamplace place --overflow 0.2
+/// --checkpoint-every 2` run of a 16-cell generated design (`gen 16 --seed
+/// 7 --name tiny`) killed at `gp:6`, `lg` and `dp:1`.
+fn v3_fixtures() -> [(&'static str, std::path::PathBuf); 3] {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    ["gp", "lg", "dp"].map(|stage| (stage, dir.join(format!("flow_v3_{stage}.ckpt"))))
+}
+
+#[test]
+fn v3_fixtures_round_trip_byte_for_byte_and_validate() {
+    for (stage, path) in v3_fixtures() {
+        let text = std::fs::read_to_string(&path).expect("fixture");
+        let data = checkpoint::read_checkpoint::<f64>(&path)
+            .unwrap_or_else(|e| panic!("core reader rejected the {stage} fixture: {e}"));
+        assert!(checkpoint::serialize(&data) == text, "{stage} fixture bytes moved");
+        let s = validate_checkpoint_file(&path)
+            .unwrap_or_else(|e| panic!("validator rejected the {stage} fixture: {e}"));
+        assert_eq!(s.stage, stage);
+    }
+}
+
 /// Re-seals `payload` under a correct header so only the schema checks can
 /// object to an edit.
 fn resealed(text: &str, edit: impl Fn(&str) -> String) -> String {
