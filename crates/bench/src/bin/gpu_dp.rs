@@ -1,6 +1,6 @@
 //! The paper's GPU-DP projection (§IV-A): detailed placement dominates the
 //! accelerated flow, and the paper estimates ~18x total speedup from
-//! GPU-accelerated DP (citing GDP [39] and ABCDPlace [40], assuming ~6x DP
+//! GPU-accelerated DP (citing GDP \[39\] and ABCDPlace \[40\], assuming ~6x DP
 //! acceleration: `2400 / (25 + 9 + 332/6 + 45) ~ 18` for bigblue4).
 //!
 //! This binary measures our sequential vs batched (ABCDPlace-style) DP

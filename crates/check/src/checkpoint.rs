@@ -3,15 +3,20 @@
 //! Deliberately independent of the writer/reader pair in
 //! `dreamplace_core::checkpoint` — this module re-derives the `DPCKPT v3`
 //! format from its documented grammar with its own tokenizer and its own
-//! (table-driven, rather than bitwise) CRC32, so an encode bug cannot hide
-//! behind a shared implementation. The checks, in order:
+//! CRC32 (both are table-driven; this one builds its table at run time with
+//! a branching bit step, the core's is a compile-time constant built with a
+//! branch-free mask), so an encode bug cannot hide behind a shared
+//! implementation. The checks, in order:
 //!
 //! 1. header: magic line `DPCKPT v<N>` with a supported version, then a
 //!    `crc 0x<8 hex>` line whose CRC32 (poly `0xEDB88320`) matches the
 //!    payload bytes exactly;
 //! 2. record schema: every payload line is a known record with the right
 //!    arity and token types for its position in the stage-specific
-//!    grammar, ending in a single `end` with nothing after it;
+//!    grammar (a `gp.timing` field, like the engine's consumed seconds, is
+//!    seconds some `Duration` can hold; the engine's `gamma`, its boost and
+//!    its reference delta are positive, as the engine asserts), ending in a
+//!    single `end` with nothing after it;
 //! 3. cross-field invariants: `movable <= cells`, every parameter/solver
 //!    vector is `2 x movable` long, every placement is `cells` long with
 //!    matching x/y lengths, the GP history is strictly increasing and
@@ -30,6 +35,7 @@
 
 use std::fmt;
 use std::path::Path;
+use std::time::Duration;
 
 /// Version this validator understands (kept in lockstep with
 /// `dreamplace_core::checkpoint::VERSION` through the cross-validation
@@ -116,8 +122,9 @@ pub struct CkptSummary {
     pub gp_next_iteration: Option<usize>,
 }
 
-/// Table-driven CRC32 (reflected, poly `0xEDB88320`) — a different
-/// construction from the writer's bitwise loop on purpose.
+/// Table-driven CRC32 (reflected, poly `0xEDB88320`), its table built per
+/// call with a branching bit step — a different construction from the
+/// core's compile-time table on purpose.
 fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -360,7 +367,9 @@ pub fn validate_checkpoint_str(text: &str) -> Result<CkptSummary, CkptError> {
         return Err(cur.err("design record missing name"));
     }
     let name = toks[4..].join(" ");
-    let dim = 2 * movable;
+    let dim = movable
+        .checked_mul(2)
+        .ok_or_else(|| cur.err(format!("{movable} movable cells overflow a vector length")))?;
 
     let toks = cur.rec("stage")?;
     cur.arity(&toks, 2)?;
@@ -557,7 +566,8 @@ fn history(cur: &mut Cur<'_>, tag: &str) -> Result<Vec<usize>, CkptError> {
     let toks = cur.rec(tag)?;
     cur.arity(&toks, 2)?;
     let n = cur.usize(&toks, 1)?;
-    let mut iters = Vec::with_capacity(n);
+    // `n` is the file's claim: grow with the records actually read.
+    let mut iters = Vec::new();
     for _ in 0..n {
         let toks = cur.rec("h")?;
         cur.arity(&toks, 6)?;
@@ -690,8 +700,8 @@ fn gp_stats(cur: &mut Cur<'_>) -> Result<(), CkptError> {
     cur.arity(&toks, 7)?;
     for i in 1..=6 {
         let v = cur.f64(&toks, i)?;
-        if v.is_nan() || v < 0.0 {
-            return Err(cur.err(format!("gp timing field {i} is {v}, not >= 0")));
+        if Duration::try_from_secs_f64(v).is_err() {
+            return Err(cur.err(format!("gp timing field {i} is {v}, not a duration")));
         }
     }
     evals(cur, "gp.evals")?;
@@ -794,7 +804,16 @@ fn gp_stage(cur: &mut Cur<'_>, cells: usize, dim: usize) -> Result<usize, CkptEr
     let toks = cur.rec("eng.scalars")?;
     cur.arity(&toks, 10)?;
     for i in 1..=9 {
-        cur.f64(&toks, i)?;
+        let v = cur.f64(&toks, i)?;
+        // The engine asserts gamma (2), its boost (3) and the reference
+        // delta (6) positive, and turns the consumed seconds (9) into a
+        // `Duration`.
+        if [2, 3, 6].contains(&i) && v.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return Err(cur.err(format!("eng.scalars field {i} is {v}, not positive")));
+        }
+        if i == 9 && Duration::try_from_secs_f64(v).is_err() {
+            return Err(cur.err(format!("consumed seconds {v} is not a duration")));
+        }
     }
 
     cur.vec("params", dim, false)?;

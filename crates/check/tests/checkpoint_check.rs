@@ -244,3 +244,58 @@ fn validator_checks_the_memo_block() {
     // Both readers refuse the short key.
     assert!(checkpoint::deserialize::<f64>(&short_key).is_err());
 }
+
+/// Every token of every payload line of the three v3 fixtures, tags
+/// included, replaced by each hostile value and re-sealed under a correct
+/// CRC. Neither reader may panic or abort, every core error is `Corrupt` at
+/// a line inside the file, and a mutant the validator accepts the core
+/// reader reads.
+#[test]
+fn hostile_tokens_under_a_valid_crc_never_crash_either_reader() {
+    const HOSTILE: [&str; 6] = ["-1", "NaN", "1e300", "99999999999", "18446744073709551616", ""];
+    // Table-driven CRC32: the bitwise one in `resealed` is too slow for
+    // tens of thousands of files in a debug build.
+    let table: Vec<u32> = (0..256u32)
+        .map(|i| (0..8).fold(i, |c, _| (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())))
+        .collect();
+    let crc = |bytes: &[u8]| {
+        !bytes.iter().fold(!0u32, |c, &b| (c >> 8) ^ table[((c ^ u32::from(b)) & 0xFF) as usize])
+    };
+    let mut mutants = 0;
+    for (stage, path) in v3_fixtures() {
+        let text = std::fs::read_to_string(&path).expect("fixture");
+        let payload = &text[text.find("\ncrc 0x").unwrap() + 1 + "crc 0x00000000\n".len()..];
+        let lines: Vec<&str> = payload.lines().collect();
+        let last_line = lines.len() + 2;
+        let mut start = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let toks: Vec<&str> = line.split(' ').collect();
+            let (before, after) = (&payload[..start], &payload[start + line.len()..]);
+            for t in 0..toks.len() {
+                for bad in HOSTILE.into_iter().filter(|bad| *bad != toks[t]) {
+                    let mut edited = toks.clone();
+                    edited[t] = bad;
+                    let body = format!("{before}{}{after}", edited.join(" "));
+                    let mutant = format!("DPCKPT v3\ncrc {:#010x}\n{body}", crc(body.as_bytes()));
+                    let at = format!("{stage} fixture, line {}, token {t} -> {bad:?}", i + 3);
+                    let core = checkpoint::deserialize::<f64>(&mutant);
+                    match &core {
+                        Err(checkpoint::CheckpointError::Corrupt { line, .. })
+                            if !(3..=last_line).contains(line) =>
+                        {
+                            panic!("{at}: core error cites line {line}")
+                        }
+                        Ok(_) | Err(checkpoint::CheckpointError::Corrupt { .. }) => {}
+                        Err(e) => panic!("{at}: core reader gave {e:?}"),
+                    }
+                    if let (Ok(_), Err(e)) = (validate_checkpoint_str(&mutant), &core) {
+                        panic!("{at}: the validator accepts what the core reader refuses: {e}");
+                    }
+                    mutants += 1;
+                }
+            }
+            start += line.len() + 1;
+        }
+    }
+    assert!(mutants > 5_000, "only {mutants} mutants");
+}

@@ -8,11 +8,11 @@
 //! * scalar records use shortest-round-trip scientific notation (`{:e}` —
 //!   the standard library guarantees the printed digits parse back to the
 //!   identical bits), plus `NaN`/`inf`/`-inf` tokens;
-//! * bulk `vec` records use the raw IEEE-754 bit pattern, `x`-prefixed
-//!   hex (`x3fe5551d68c692aa`) — exact by construction and ~5x faster to
-//!   emit and parse, which is what keeps mid-GP checkpoints (fourteen
-//!   solver/rollback/memo vectors) inside the < 5% wall-clock overhead
-//!   budget.
+//! * bulk `vec` records and the per-iteration history use the raw
+//!   IEEE-754 bit pattern, `x`-prefixed hex (`x3fe5551d68c692aa`) — exact
+//!   by construction and ~5x faster to emit and parse, which is what keeps
+//!   mid-GP checkpoints (fourteen solver/rollback/memo vectors) inside the
+//!   < 5% wall-clock overhead budget.
 //!
 //! Readers accept either float form in any position.
 //!
@@ -47,6 +47,19 @@
 //! (`NaN` on a uniform-field grid, which has none). v1 and v2 files are
 //! refused as [`CheckpointError::VersionSkew`].
 //!
+//! **Each record is described once.** The functions that take a `Codec` give
+//! every record's tag, its fields in order and each value's token form
+//! (`Token`: one encoder and one decoder per type); each enum has one
+//! `[(variant, "token")]` list. [`serialize`] runs them with a writer,
+//! [`deserialize`] with a reader, so the two directions cannot drift apart.
+//! The reader walks each line's tokens in place, rejects a line with
+//! tokens left over, and reserves for a count-prefixed block (`vec`
+//! values, history, recoveries, op and workspace counters, degradations,
+//! disabled DP passes) at most what the rest of the payload can hold, so a
+//! CRC-valid file with a hostile count is `Corrupt` at its line rather
+//! than an allocation abort. `tests/fixtures/flow_v3_{gp,lg,dp}.ckpt` pin
+//! the v3 bytes: each must re-serialize byte for byte.
+//!
 //! Durability: [`write_checkpoint`] writes to `<file>.tmp`, fsyncs, then
 //! renames over the previous checkpoint, so a crash mid-write never
 //! corrupts the last good checkpoint. Readers verify magic, version, and
@@ -60,8 +73,10 @@
 
 use std::fmt;
 use std::io::Write;
+use std::mem::discriminant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dp_autograd::{ExecSummary, OpCounter, WorkspaceCounter};
 use dp_dplace::{DpGuardReport, DpPass, DpRunState};
@@ -273,670 +288,793 @@ pub fn read_checkpoint<T: Float>(path: &Path) -> Result<CheckpointData<T>, Check
 }
 
 // ---------------------------------------------------------------------------
-// Writing
+// Tokens: one encoder and one decoder per value type
 // ---------------------------------------------------------------------------
 
-fn push_f64(out: &mut String, v: f64) {
-    use fmt::Write as _;
-    if v.is_nan() {
-        out.push_str("NaN");
-    } else if v == f64::INFINITY {
-        out.push_str("inf");
-    } else if v == f64::NEG_INFINITY {
-        out.push_str("-inf");
-    } else {
+type Res<V> = Result<V, CheckpointError>;
+
+/// A value spelled as one token.
+trait Token: Copy {
+    /// What the reader calls a token that does not decode.
+    const WHAT: &'static str;
+    fn enc(self, out: &mut String);
+    fn dec(tok: &str) -> Option<Self>;
+}
+
+macro_rules! integer_tokens {
+    ($($t:ty),*) => {$(
+        impl Token for $t {
+            const WHAT: &'static str = "integer";
+            fn enc(self, out: &mut String) {
+                use fmt::Write as _;
+                let _ = write!(out, "{self}");
+            }
+            fn dec(tok: &str) -> Option<Self> {
+                tok.parse().ok()
+            }
+        }
+    )*};
+}
+integer_tokens!(usize, u64, u32);
+
+/// A 0/1 flag.
+impl Token for bool {
+    const WHAT: &'static str = "flag (want 0|1)";
+    fn enc(self, out: &mut String) {
+        out.push(if self { '1' } else { '0' });
+    }
+    fn dec(tok: &str) -> Option<Self> {
+        match tok {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        }
+    }
+}
+
+/// A scalar float in shortest round-trip decimal.
+impl Token for f64 {
+    const WHAT: &'static str = "float";
+    fn enc(self, out: &mut String) {
+        use fmt::Write as _;
         // Shortest scientific form that round-trips bit-exactly (std
-        // guarantee) — substantially faster than fixed-precision `{:.17e}`.
-        let _ = write!(out, "{v:e}");
+        // guarantee) — substantially faster than fixed-precision `{:.17e}` —
+        // and `NaN`/`inf`/`-inf` for the non-finite values.
+        let _ = write!(out, "{self:e}");
     }
-}
-
-fn push_float<T: Float>(out: &mut String, v: T) {
-    push_f64(out, v.to_f64());
-}
-
-/// Encodes one float as its raw IEEE-754 bit pattern, `x`-prefixed
-/// lowercase hex (`x3fe5551d68c692aa`). Bulk `vec` records use this form:
-/// it is exact by construction (including NaN payload and signed-zero
-/// bits), and both emitting and parsing are ~5x faster than decimal —
-/// which is what keeps mid-GP checkpoints (fourteen solver/rollback/memo
-/// vectors) inside the < 5% overhead budget. Scalar records stay
-/// decimal for readability; readers accept either form anywhere.
-fn push_f64_bits(out: &mut String, v: f64) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bits = v.to_bits();
-    let mut buf = [0u8; 17];
-    buf[0] = b'x';
-    for i in 0..16 {
-        buf[1 + i] = HEX[((bits >> (60 - 4 * i)) & 0xF) as usize];
-    }
-    // buf is pure ASCII by construction.
-    out.push_str(std::str::from_utf8(&buf).unwrap_or("x0000000000000000"));
-}
-
-fn push_vec<T: Float>(out: &mut String, name: &str, v: &[T]) {
-    use fmt::Write as _;
-    let _ = write!(out, "vec {name} {}", v.len());
-    for &x in v {
-        out.push(' ');
-        push_f64_bits(out, x.to_f64());
-    }
-    out.push('\n');
-}
-
-fn push_opt_vec<T: Float>(out: &mut String, name: &str, v: Option<&Vec<T>>) {
-    match v {
-        Some(v) => push_vec(out, name, v),
-        None => {
-            out.push_str("vec ");
-            out.push_str(name);
-            out.push_str(" none\n");
+    fn dec(tok: &str) -> Option<Self> {
+        match tok.strip_prefix('x') {
+            // Raw-bits form (`x` + 16 hex digits), the bulk-vector encoding.
+            Some(hex) if hex.len() == 16 => u64::from_str_radix(hex, 16).ok().map(f64::from_bits),
+            Some(_) => None,
+            None => tok.parse().ok(),
         }
     }
 }
 
-fn cause_token(c: DivergenceCause) -> &'static str {
-    match c {
-        DivergenceCause::NonFiniteCost => "non-finite-cost",
-        DivergenceCause::NonFiniteGradient => "non-finite-gradient",
-        DivergenceCause::NonFinitePosition => "non-finite-position",
-        DivergenceCause::NonFiniteHpwl => "non-finite-hpwl",
-        DivergenceCause::OverflowExplosion => "overflow-explosion",
-    }
-}
+/// A float as its raw IEEE-754 bit pattern, `x`-prefixed lowercase hex
+/// (`x3fe5551d68c692aa`): exact by construction (including NaN payload and
+/// signed-zero bits), and ~5x faster to emit and parse than decimal, which
+/// is why bulk `vec` records and the history use it.
+#[derive(Clone, Copy)]
+struct Bits(f64);
 
-fn parse_cause(tok: &str) -> Option<DivergenceCause> {
-    Some(match tok {
-        "non-finite-cost" => DivergenceCause::NonFiniteCost,
-        "non-finite-gradient" => DivergenceCause::NonFiniteGradient,
-        "non-finite-position" => DivergenceCause::NonFinitePosition,
-        "non-finite-hpwl" => DivergenceCause::NonFiniteHpwl,
-        "overflow-explosion" => DivergenceCause::OverflowExplosion,
-        _ => return None,
-    })
-}
-
-fn flow_stage_token(s: FlowStage) -> &'static str {
-    match s {
-        FlowStage::Sanitize => "sanitize",
-        FlowStage::Gp => "gp",
-        FlowStage::Lg => "lg",
-        FlowStage::Dp => "dp",
-    }
-}
-
-fn parse_flow_stage(tok: &str) -> Option<FlowStage> {
-    Some(match tok {
-        "sanitize" => FlowStage::Sanitize,
-        "gp" => FlowStage::Gp,
-        "lg" => FlowStage::Lg,
-        "dp" => FlowStage::Dp,
-        _ => return None,
-    })
-}
-
-fn push_trigger(out: &mut String, t: &DegradationTrigger) {
-    use fmt::Write as _;
-    match t {
-        DegradationTrigger::DegenerateGrid { bins } => {
-            let _ = write!(out, "degenerate-grid {} {}", bins.0, bins.1);
+impl Token for Bits {
+    const WHAT: &'static str = "float";
+    fn enc(self, out: &mut String) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bits = self.0.to_bits();
+        let mut buf = [0u8; 17];
+        buf[0] = b'x';
+        for i in 0..16 {
+            buf[1 + i] = HEX[((bits >> (60 - 4 * i)) & 0xF) as usize];
         }
-        DegradationTrigger::GpDiverged(c) => {
-            let _ = write!(out, "gp-diverged {}", cause_token(*c));
-        }
-        DegradationTrigger::AbacusFailed => out.push_str("abacus-failed"),
-        DegradationTrigger::DisplacementExceeded => out.push_str("displacement-exceeded"),
-        DegradationTrigger::IllegalAfterLg { overlaps } => {
-            let _ = write!(out, "illegal-after-lg {overlaps}");
-        }
-        DegradationTrigger::DpPassWorsened { pass, worsening } => {
-            let _ = write!(out, "dp-pass-worsened {} ", pass.index());
-            push_f64(out, *worsening);
-        }
-        DegradationTrigger::BudgetExhausted => out.push_str("budget-exhausted"),
+        // buf is pure ASCII by construction.
+        out.push_str(std::str::from_utf8(&buf).unwrap_or("x0000000000000000"));
+    }
+    fn dec(tok: &str) -> Option<Self> {
+        f64::dec(tok).map(Bits)
     }
 }
 
-fn push_fallback(out: &mut String, fb: DegradationFallback) {
-    use fmt::Write as _;
-    match fb {
-        DegradationFallback::UniformFieldDensity => out.push_str("uniform-field-density"),
-        DegradationFallback::ConservativeGpPreset => out.push_str("conservative-gp-preset"),
-        DegradationFallback::BestSoFarPlacement => out.push_str("best-so-far-placement"),
-        DegradationFallback::TetrisResult => out.push_str("tetris-result"),
-        DegradationFallback::RetryWithoutAbacus => out.push_str("retry-without-abacus"),
-        DegradationFallback::DisabledDpPass(p) => {
-            let _ = write!(out, "disabled-dp-pass {}", p.index());
-        }
-        DegradationFallback::StoppedStageEarly => out.push_str("stopped-stage-early"),
+/// A duration in decimal seconds; a value no `Duration` can hold (negative,
+/// `NaN`, too large) does not decode.
+impl Token for Duration {
+    const WHAT: &'static str = "duration in seconds";
+    fn enc(self, out: &mut String) {
+        self.as_secs_f64().enc(out);
+    }
+    fn dec(tok: &str) -> Option<Self> {
+        Duration::try_from_secs_f64(f64::dec(tok)?).ok()
     }
 }
 
-fn push_exec(out: &mut String, exec: &ExecSummary) {
-    use fmt::Write as _;
-    let _ = writeln!(
-        out,
-        "exec.pool {} {} {}",
-        exec.pool_threads, exec.threads_spawned, exec.pool_runs
-    );
-    let _ = writeln!(out, "exec.ops {}", exec.ops.len());
-    for (name, c) in &exec.ops {
-        let _ = writeln!(out, "op {} {} {name}", c.calls, c.nanos);
+/// Seconds kept as an `f64` that the run later turns into a `Duration`:
+/// decimal, and decoded only if some `Duration` can hold them.
+#[derive(Clone, Copy)]
+struct Secs(f64);
+
+impl Token for Secs {
+    const WHAT: &'static str = "duration in seconds";
+    fn enc(self, out: &mut String) {
+        self.0.enc(out);
     }
-    let _ = writeln!(out, "exec.ws {}", exec.workspaces.len());
-    for (name, w) in &exec.workspaces {
-        let _ = writeln!(out, "ws {} {} {} {name}", w.uses, w.reuses, w.bytes);
+    fn dec(tok: &str) -> Option<Self> {
+        f64::dec(tok).filter(|s| Duration::try_from_secs_f64(*s).is_ok()).map(Secs)
     }
-}
-
-fn push_solver<T: Float>(out: &mut String, snap: &OptimizerSnapshot<T>, prefix: &str) {
-    use fmt::Write as _;
-    match snap {
-        OptimizerSnapshot::Nesterov {
-            a,
-            alpha,
-            v,
-            u_prev,
-            g_prev,
-            v_prev,
-        } => {
-            let _ = writeln!(out, "{prefix} nesterov");
-            out.push_str("sv.scalars ");
-            push_float(out, *a);
-            out.push(' ');
-            push_float(out, *alpha);
-            out.push('\n');
-            push_opt_vec(out, "v", v.as_ref());
-            push_opt_vec(out, "u_prev", u_prev.as_ref());
-            push_opt_vec(out, "g_prev", g_prev.as_ref());
-            push_opt_vec(out, "v_prev", v_prev.as_ref());
-        }
-        OptimizerSnapshot::Adam { lr, t, m, v } => {
-            let _ = writeln!(out, "{prefix} adam");
-            out.push_str("sv.scalars ");
-            push_float(out, *lr);
-            let _ = write!(out, " {t}");
-            out.push('\n');
-            push_vec(out, "m", m);
-            push_vec(out, "v", v);
-        }
-        OptimizerSnapshot::SgdMomentum { lr, velocity } => {
-            let _ = writeln!(out, "{prefix} sgd-momentum");
-            out.push_str("sv.scalars ");
-            push_float(out, *lr);
-            out.push('\n');
-            push_vec(out, "velocity", velocity);
-        }
-        OptimizerSnapshot::ConjugateGradient {
-            alpha,
-            g_prev,
-            d_prev,
-            p_prev,
-        } => {
-            let _ = writeln!(out, "{prefix} conjugate-gradient");
-            out.push_str("sv.scalars ");
-            push_float(out, *alpha);
-            out.push('\n');
-            push_opt_vec(out, "g_prev", g_prev.as_ref());
-            push_opt_vec(out, "d_prev", d_prev.as_ref());
-            push_opt_vec(out, "p_prev", p_prev.as_ref());
-        }
-    }
-}
-
-fn push_history(out: &mut String, tag: &str, hist: &[IterRecord]) {
-    use fmt::Write as _;
-    let _ = writeln!(out, "{tag} {}", hist.len());
-    // Raw-bits floats: the history is bulk per-iteration data (hundreds of
-    // records late in GP, re-serialized into every checkpoint) and decimal
-    // formatting of it was a measurable slice of the overhead budget.
-    for h in hist {
-        let _ = write!(out, "h {} ", h.iteration);
-        push_f64_bits(out, h.hpwl);
-        out.push(' ');
-        push_f64_bits(out, h.overflow);
-        out.push(' ');
-        push_f64_bits(out, h.lambda);
-        out.push(' ');
-        push_f64_bits(out, h.gamma);
-        out.push('\n');
-    }
-}
-
-fn push_recoveries(out: &mut String, tag: &str, evs: &[RecoveryEvent]) {
-    use fmt::Write as _;
-    let _ = writeln!(out, "{tag} {}", evs.len());
-    for r in evs {
-        let _ = write!(
-            out,
-            "r {} {} {} ",
-            r.iteration,
-            r.resumed_from,
-            cause_token(r.cause)
-        );
-        push_f64(out, r.lambda);
-        out.push(' ');
-        push_f64(out, r.gamma_boost);
-        out.push('\n');
-    }
-}
-
-fn push_evals(out: &mut String, tag: &str, c: &GpEvalCounts) {
-    use fmt::Write as _;
-    let _ = writeln!(
-        out,
-        "{tag} {} {} {} {}",
-        c.objective_evals, c.wl_evals, c.density_evals, c.backtracks
-    );
-}
-
-fn push_memo<T: Float>(out: &mut String, m: &GpMemoState<T>) {
-    use fmt::Write as _;
-    let _ = write!(out, "memo {}", u8::from(m.valid));
-    for v in [m.gamma, m.wl_cost, m.energy, m.overflow] {
-        out.push(' ');
-        push_float(out, v);
-    }
-    out.push('\n');
-    push_vec(out, "memo.key", &m.key);
-    push_vec(out, "memo.wl", &m.wl_grad);
-    push_vec(out, "memo.density", &m.density_grad);
-}
-
-fn push_gp_stats(out: &mut String, s: &GpStats) {
-    use fmt::Write as _;
-    let _ = write!(out, "gp.stats {} ", s.iterations);
-    push_f64(out, s.final_hpwl);
-    out.push(' ');
-    push_f64(out, s.final_overflow);
-    let _ = write!(out, " {} {}", u8::from(s.converged), s.recoveries);
-    out.push('\n');
-    out.push_str("gp.timing");
-    for d in [
-        s.timing.init,
-        s.timing.wirelength,
-        s.timing.density,
-        s.timing.solver,
-        s.timing.bookkeeping,
-        s.timing.total,
-    ] {
-        out.push(' ');
-        push_f64(out, d.as_secs_f64());
-    }
-    out.push('\n');
-    push_evals(out, "gp.evals", &s.evals);
-    push_history(out, "gp.hist", &s.history);
-    push_recoveries(out, "gp.recov", &s.recovery_events);
-    push_exec(out, &s.exec);
-}
-
-fn push_placement<T: Float>(out: &mut String, prefix: &str, p: &Placement<T>) {
-    push_vec(out, &format!("{prefix}.x"), &p.x);
-    push_vec(out, &format!("{prefix}.y"), &p.y);
-}
-
-fn push_lg_stats(out: &mut String, s: &LgStats) {
-    out.push_str("lg.stats ");
-    push_f64(out, s.avg_displacement);
-    out.push(' ');
-    push_f64(out, s.max_displacement);
-    out.push(' ');
-    push_f64(out, s.runtime);
-    out.push(' ');
-    out.push_str(match s.fallback {
-        None => "none",
-        Some(LgFallback::AbacusFailed) => "abacus-failed",
-        Some(LgFallback::DisplacementExceeded) => "displacement-exceeded",
-    });
-    out.push('\n');
-}
-
-fn push_dp_run(out: &mut String, r: &DpRunState) {
-    use fmt::Write as _;
-    let _ = write!(
-        out,
-        "dp.run {} {} {} {} {} {} {} {} {} ",
-        r.round,
-        r.pass_idx,
-        r.moves,
-        r.moves_at_round_start,
-        u8::from(r.enabled[0]),
-        u8::from(r.enabled[1]),
-        u8::from(r.enabled[2]),
-        r.report.reverts,
-        u8::from(r.report.budget_exhausted),
-    );
-    match r.injected_pending {
-        Some(p) => {
-            let _ = write!(out, "{}", p.index() as i64);
-        }
-        None => out.push_str("-1"),
-    }
-    out.push(' ');
-    push_f64(out, r.initial_hpwl);
-    out.push(' ');
-    push_f64(out, r.consumed_seconds);
-    out.push('\n');
-    let _ = writeln!(out, "dp.disabled {}", r.report.disabled.len());
-    for (pass, worsening) in &r.report.disabled {
-        let _ = write!(out, "dd {} ", pass.index());
-        push_f64(out, *worsening);
-        out.push('\n');
-    }
-}
-
-/// Serializes a checkpoint to the full file contents (header + payload).
-pub fn serialize<T: Float>(data: &CheckpointData<T>) -> String {
-    use fmt::Write as _;
-    // Mid-GP checkpoints run to a couple hundred KB (solver + rollback
-    // vectors); start big enough that growth doubling stays rare.
-    let mut p = String::with_capacity(1 << 16);
-
-    let _ = writeln!(
-        p,
-        "design {} {} {} {}",
-        data.design.cells, data.design.movable, data.design.nets, data.design.name
-    );
-    let stage_tag = match &data.stage {
-        CheckpointStage::Gp { .. } => "gp",
-        CheckpointStage::Lg { .. } => "lg",
-        CheckpointStage::Dp { .. } => "dp",
-    };
-    let _ = writeln!(p, "stage {stage_tag}");
-    p.push_str("timing");
-    for v in [
-        data.timing.io,
-        data.timing.gp,
-        data.timing.lg,
-        data.timing.dp,
-        data.timing.total,
-    ] {
-        p.push(' ');
-        push_f64(&mut p, v);
-    }
-    p.push('\n');
-    p.push_str("consumed ");
-    push_f64(&mut p, data.consumed_total);
-    p.push('\n');
-
-    match data.gp_fallback {
-        None => p.push_str("fallback none\n"),
-        Some(GpFallback::ConservativePreset { cause }) => {
-            let _ = writeln!(p, "fallback conservative {}", cause_token(cause));
-        }
-        Some(GpFallback::BestSoFar { cause, recoveries }) => {
-            let _ = writeln!(p, "fallback best-so-far {} {recoveries}", cause_token(cause));
-        }
-    }
-
-    let _ = writeln!(p, "degradations {}", data.degradations.len());
-    for e in &data.degradations {
-        let _ = write!(p, "degr {} ", flow_stage_token(e.stage));
-        push_trigger(&mut p, &e.trigger);
-        p.push(' ');
-        push_fallback(&mut p, e.fallback);
-        p.push('\n');
-    }
-
-    match &data.stage {
-        CheckpointStage::Gp { attempt, engine } => {
-            match attempt {
-                GpAttemptState::Primary => p.push_str("gp.attempt primary\n"),
-                GpAttemptState::Conservative {
-                    cause,
-                    primary_recoveries,
-                    primary_best,
-                    primary_best_overflow,
-                } => {
-                    let _ = write!(
-                        p,
-                        "gp.attempt conservative {} {primary_recoveries} ",
-                        cause_token(*cause)
-                    );
-                    push_f64(&mut p, *primary_best_overflow);
-                    p.push('\n');
-                    push_placement(&mut p, "pbest", primary_best);
-                }
-            }
-            let _ = writeln!(
-                p,
-                "eng.counters {} {} {} {} {}",
-                engine.next_iter,
-                engine.iterations,
-                engine.evals,
-                engine.recoveries,
-                engine.sched_iteration
-            );
-            push_evals(&mut p, "eng.evals", &engine.counts);
-            p.push_str("eng.scalars");
-            for v in [
-                engine.lambda,
-                engine.gamma,
-                engine.gamma_boost,
-                engine.lambda_cut,
-                engine.sched_lambda,
-                engine.ref_delta,
-                engine.prev_hpwl,
-            ] {
-                p.push(' ');
-                push_float(&mut p, v);
-            }
-            p.push(' ');
-            push_f64(&mut p, engine.best_overflow);
-            p.push(' ');
-            push_f64(&mut p, engine.consumed_seconds);
-            p.push('\n');
-            push_vec(&mut p, "params", &engine.params);
-            push_vec(&mut p, "best", &engine.best_params);
-            push_solver(&mut p, &engine.solver, "solver");
-            push_history(&mut p, "eng.hist", &engine.history);
-            push_recoveries(&mut p, "eng.recov", &engine.recovery_events);
-            let rb = &engine.rollback;
-            let _ = write!(
-                p,
-                "rollback {} {} {} ",
-                rb.iteration, rb.sched_iteration, rb.history_len
-            );
-            push_float(&mut p, rb.sched_lambda);
-            p.push(' ');
-            push_float(&mut p, rb.lambda);
-            p.push(' ');
-            push_float(&mut p, rb.prev_hpwl);
-            p.push(' ');
-            push_f64(&mut p, rb.overflow);
-            p.push('\n');
-            push_vec(&mut p, "rb.params", &rb.params);
-            push_solver(&mut p, &rb.solver, "solver.rb");
-            push_memo(&mut p, &engine.memo);
-            push_exec(&mut p, &engine.exec);
-        }
-        CheckpointStage::Lg {
-            gp_stats,
-            hpwl_gp,
-            gp_placement,
-        } => {
-            push_gp_stats(&mut p, gp_stats);
-            p.push_str("hpwl.gp ");
-            push_f64(&mut p, *hpwl_gp);
-            p.push('\n');
-            push_placement(&mut p, "gp", gp_placement);
-        }
-        CheckpointStage::Dp {
-            gp_stats,
-            hpwl_gp,
-            lg_stats,
-            hpwl_legal,
-            placement,
-            run,
-        } => {
-            push_gp_stats(&mut p, gp_stats);
-            p.push_str("hpwl.gp ");
-            push_f64(&mut p, *hpwl_gp);
-            p.push('\n');
-            push_lg_stats(&mut p, lg_stats);
-            p.push_str("hpwl.legal ");
-            push_f64(&mut p, *hpwl_legal);
-            p.push('\n');
-            push_placement(&mut p, "cur", placement);
-            push_dp_run(&mut p, run);
-        }
-    }
-    p.push_str("end\n");
-
-    let crc = crc32(p.as_bytes());
-    format!("{MAGIC} v{VERSION}\ncrc {crc:#010x}\n{p}")
 }
 
 // ---------------------------------------------------------------------------
-// Reading
+// The codec: one trait, a writer and a reader
 // ---------------------------------------------------------------------------
 
-/// Line cursor with 1-based positions for error reporting.
-struct Cursor<'a> {
-    lines: std::str::Lines<'a>,
-    line_no: usize,
-}
+/// One direction of the codec. A record's description calls these in field
+/// order; the writer encodes the value it is handed and returns it (an
+/// empty vector in place of a vector, so nothing is cloned), the reader
+/// ignores it and returns what it decoded. The reader hands a description
+/// blank values (each enum's token list holds one per variant), so the
+/// description can always project fields from what it is given.
+trait Codec {
+    /// Whether the description's result is the decoded data (the reader).
+    const READS: bool;
+    /// Starts the record line `tag`.
+    fn tag(&mut self, tag: &str) -> Res<&mut Self>;
+    /// The literal word `w`.
+    fn word(&mut self, w: &str) -> Res<()>;
+    /// The reader's next token, unconsumed; `None` for the writer.
+    fn peek(&self) -> Option<&str>;
+    /// One value in its token form.
+    fn val<V: Token>(&mut self, v: V) -> Res<V>;
+    /// The rest of the line verbatim (a name that may hold spaces); the
+    /// writer returns an empty string.
+    fn rest(&mut self, v: &str) -> Res<String>;
+    /// Payload bytes not yet read (0 for the writer).
+    fn left(&self) -> usize;
+    /// A malformed record at the current line.
+    fn fail(&self, reason: String) -> CheckpointError;
 
-impl<'a> Cursor<'a> {
-    fn new(payload: &'a str, start_line: usize) -> Self {
-        Self {
-            lines: payload.lines(),
-            line_no: start_line,
-        }
+    /// A scalar `T` in decimal.
+    fn float<T: Float>(&mut self, v: T) -> Res<T> {
+        Ok(T::from_f64(self.val(v.to_f64())?))
     }
 
+    /// A scalar `T` the run asserts positive (`gamma`, its boost, the
+    /// reference delta): the reader refuses any other at its line.
+    fn positive<T: Float>(&mut self, v: T) -> Res<T> {
+        let x = self.float(v)?;
+        if x > T::ZERO || !Self::READS {
+            return Ok(x);
+        }
+        Err(self.fail(format!("{x} is not positive")))
+    }
+
+    /// A float in raw-bits form.
+    fn bits(&mut self, v: f64) -> Res<f64> {
+        Ok(self.val(Bits(v))?.0)
+    }
+
+    /// The entry of `list` that `v` is (writer) or that the next token
+    /// names (reader): the variant itself, or the list's blank of it.
+    fn variant<'v, E>(&mut self, list: &'v [(E, &'static str)], v: &'v E) -> Res<&'v E> {
+        let next = self.peek();
+        let entry = list.iter().find(|(blank, tok)| {
+            if Self::READS {
+                next == Some(*tok)
+            } else {
+                discriminant(blank) == discriminant(v)
+            }
+        });
+        let Some((blank, tok)) = entry else {
+            let want: Vec<&str> = list.iter().map(|(_, tok)| *tok).collect();
+            let found = next.unwrap_or("");
+            return Err(self.fail(format!("unknown token {found:?} (want {})", want.join("|"))));
+        };
+        self.word(tok)?;
+        Ok(if Self::READS { blank } else { v })
+    }
+
+    /// Whether the value is the word `none_tok` (written when `is_none`).
+    fn none(&mut self, is_none: bool, none_tok: &str) -> Res<bool> {
+        let hit = if Self::READS { self.peek() == Some(none_tok) } else { is_none };
+        if hit {
+            self.word(none_tok)?;
+        }
+        Ok(hit)
+    }
+
+    /// `none_tok`, or the entry of `list` that `v` holds.
+    fn opt_variant<'v, E>(
+        &mut self,
+        list: &'v [(E, &'static str)],
+        none_tok: &str,
+        v: &'v Option<E>,
+    ) -> Res<Option<&'v E>> {
+        if self.none(v.is_none(), none_tok)? {
+            return Ok(None);
+        }
+        // The reader's `v` is a blank `None`; any entry stands in for it.
+        Ok(Some(self.variant(list, v.as_ref().unwrap_or(&list[0].0))?))
+    }
+
+    /// The count of a block of `n` values or records, and the vector to
+    /// collect them in: the reader reserves at most what the rest of the
+    /// payload can hold (each value or line takes two bytes or more).
+    fn count<X>(&mut self, n: usize) -> Res<(usize, Vec<X>)> {
+        let n = self.val(n)?;
+        Ok((n, Vec::with_capacity(n.min(self.left() / 2))))
+    }
+
+    /// `<len> <bits>...`: the values of a `vec` record.
+    fn values<T: Float>(&mut self, v: &[T]) -> Res<Vec<T>> {
+        let (n, mut out) = self.count(v.len())?;
+        for i in 0..n {
+            let x = self.bits(v.get(i).map_or(0.0, |x| x.to_f64()))?;
+            if Self::READS {
+                out.push(T::from_f64(x));
+            }
+        }
+        Ok(out)
+    }
+
+    /// `vec <name> <len> <bits>...`.
+    fn vec<T: Float>(&mut self, name: &str, v: &[T]) -> Res<Vec<T>> {
+        self.tag("vec")?.word(name)?;
+        self.values(v)
+    }
+
+    /// `vec <name> none`, or a `vec` record.
+    fn opt_vec<T: Float>(&mut self, name: &str, v: &Option<Vec<T>>) -> Res<Option<Vec<T>>> {
+        self.tag("vec")?.word(name)?;
+        if self.none(v.is_none(), "none")? {
+            return Ok(None);
+        }
+        Ok(Some(self.values(v.as_deref().unwrap_or(&[]))?))
+    }
+}
+
+/// Encodes into one `String`; it never fails.
+struct Writer {
+    out: String,
+}
+
+impl Codec for Writer {
+    const READS: bool = false;
+
+    fn tag(&mut self, tag: &str) -> Res<&mut Self> {
+        if !self.out.is_empty() {
+            self.out.push('\n');
+        }
+        self.out.push_str(tag);
+        Ok(self)
+    }
+
+    fn word(&mut self, w: &str) -> Res<()> {
+        self.out.push(' ');
+        self.out.push_str(w);
+        Ok(())
+    }
+
+    fn peek(&self) -> Option<&str> {
+        None
+    }
+
+    fn val<V: Token>(&mut self, v: V) -> Res<V> {
+        self.out.push(' ');
+        v.enc(&mut self.out);
+        Ok(v)
+    }
+
+    fn rest(&mut self, v: &str) -> Res<String> {
+        self.word(v)?;
+        Ok(String::new())
+    }
+
+    fn left(&self) -> usize {
+        0
+    }
+
+    fn fail(&self, reason: String) -> CheckpointError {
+        CheckpointError::Corrupt { line: 0, reason }
+    }
+}
+
+/// Decodes the payload line by line, walking each line's tokens in place.
+struct Reader<'a> {
+    /// Payload lines not yet started.
+    lines: &'a str,
+    /// What follows the last token read on the current line; `None` once
+    /// the line is used up.
+    toks: Option<&'a str>,
+    /// 1-based file line of the current record.
+    line: usize,
+}
+
+impl<'a> Reader<'a> {
     fn corrupt(&self, reason: impl Into<String>) -> CheckpointError {
         CheckpointError::Corrupt {
-            line: self.line_no,
+            line: self.line,
             reason: reason.into(),
         }
     }
 
-    fn next_line(&mut self) -> Result<&'a str, CheckpointError> {
-        self.line_no += 1;
-        self.lines
-            .next()
-            .ok_or(CheckpointError::Corrupt {
-                line: self.line_no,
-                reason: "unexpected end of file".into(),
-            })
+    fn next(&mut self) -> Res<&'a str> {
+        let toks = self.toks.ok_or_else(|| self.corrupt("record ends early"))?;
+        let (tok, tail) = match toks.split_once(' ') {
+            Some((tok, tail)) => (tok, Some(tail)),
+            None => (toks, None),
+        };
+        self.toks = tail;
+        Ok(tok)
     }
 
-    /// Next line, split into tokens, with the first token required to be
-    /// `tag`.
-    fn record(&mut self, tag: &str) -> Result<Vec<&'a str>, CheckpointError> {
-        let line = self.next_line()?;
-        let toks: Vec<&str> = line.split(' ').collect();
-        if toks.first() != Some(&tag) {
-            return Err(self.corrupt(format!(
-                "expected `{tag}` record, found {:?}",
-                toks.first().copied().unwrap_or("")
-            )));
+    /// Fails if the current line has tokens left over.
+    fn line_done(&self) -> Res<()> {
+        match self.toks {
+            Some(extra) => Err(self.corrupt(format!("trailing tokens {extra:?}"))),
+            None => Ok(()),
         }
-        Ok(toks)
     }
 }
 
-fn parse_f64(cur: &Cursor<'_>, tok: &str) -> Result<f64, CheckpointError> {
-    match tok {
-        "NaN" => Ok(f64::NAN),
-        "inf" => Ok(f64::INFINITY),
-        "-inf" => Ok(f64::NEG_INFINITY),
-        // Raw-bits form (`x` + 16 hex digits), the bulk-vector encoding.
-        _ if tok.as_bytes().first() == Some(&b'x') => {
-            let hex = &tok[1..];
-            if hex.len() != 16 {
-                return Err(cur.corrupt(format!("bad float bits {tok:?}")));
+impl Codec for Reader<'_> {
+    const READS: bool = true;
+
+    fn tag(&mut self, tag: &str) -> Res<&mut Self> {
+        self.line_done()?;
+        self.line += 1;
+        if self.lines.is_empty() {
+            return Err(self.corrupt("unexpected end of file"));
+        }
+        let (line, lines) = self.lines.split_once('\n').unwrap_or((self.lines, ""));
+        self.lines = lines;
+        self.toks = Some(line.strip_suffix('\r').unwrap_or(line));
+        let found = self.next()?;
+        if found != tag {
+            return Err(self.corrupt(format!("expected `{tag}` record, found {found:?}")));
+        }
+        Ok(self)
+    }
+
+    fn word(&mut self, w: &str) -> Res<()> {
+        let found = self.next()?;
+        if found != w {
+            return Err(self.corrupt(format!("expected {w:?}, found {found:?}")));
+        }
+        Ok(())
+    }
+
+    fn peek(&self) -> Option<&str> {
+        self.toks.map(|t| t.split_once(' ').map_or(t, |(tok, _)| tok))
+    }
+
+    fn val<V: Token>(&mut self, _: V) -> Res<V> {
+        let tok = self.next()?;
+        V::dec(tok).ok_or_else(|| self.corrupt(format!("bad {} {tok:?}", V::WHAT)))
+    }
+
+    fn rest(&mut self, _: &str) -> Res<String> {
+        let rest = self.toks.take().ok_or_else(|| self.corrupt("record ends early"))?;
+        Ok(rest.to_string())
+    }
+
+    fn left(&self) -> usize {
+        self.toks.map_or(0, str::len) + self.lines.len()
+    }
+
+    fn fail(&self, reason: String) -> CheckpointError {
+        self.corrupt(reason)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The records, each described once
+// ---------------------------------------------------------------------------
+
+const CAUSES: [(DivergenceCause, &str); 5] = [
+    (DivergenceCause::NonFiniteCost, "non-finite-cost"),
+    (DivergenceCause::NonFiniteGradient, "non-finite-gradient"),
+    (DivergenceCause::NonFinitePosition, "non-finite-position"),
+    (DivergenceCause::NonFiniteHpwl, "non-finite-hpwl"),
+    (DivergenceCause::OverflowExplosion, "overflow-explosion"),
+];
+
+const FLOW_STAGES: [(FlowStage, &str); 4] = [
+    (FlowStage::Sanitize, "sanitize"),
+    (FlowStage::Gp, "gp"),
+    (FlowStage::Lg, "lg"),
+    (FlowStage::Dp, "dp"),
+];
+
+/// Written as [`DpPass::index`].
+const DP_PASSES: [(DpPass, &str); 3] = [
+    (DpPass::GlobalSwap, "0"),
+    (DpPass::LocalReorder, "1"),
+    (DpPass::IndependentSetMatching, "2"),
+];
+
+const LG_FALLBACKS: [(LgFallback, &str); 2] = [
+    (LgFallback::AbacusFailed, "abacus-failed"),
+    (LgFallback::DisplacementExceeded, "displacement-exceeded"),
+];
+
+const GP_FALLBACKS: [(GpFallback, &str); 2] = [
+    (GpFallback::ConservativePreset { cause: DivergenceCause::NonFiniteCost }, "conservative"),
+    (GpFallback::BestSoFar { cause: DivergenceCause::NonFiniteCost, recoveries: 0 }, "best-so-far"),
+];
+
+const TRIGGERS: [(DegradationTrigger, &str); 7] = [
+    (DegradationTrigger::DegenerateGrid { bins: (0, 0) }, "degenerate-grid"),
+    (DegradationTrigger::GpDiverged(DivergenceCause::NonFiniteCost), "gp-diverged"),
+    (DegradationTrigger::AbacusFailed, "abacus-failed"),
+    (DegradationTrigger::DisplacementExceeded, "displacement-exceeded"),
+    (DegradationTrigger::IllegalAfterLg { overlaps: 0 }, "illegal-after-lg"),
+    (DegradationTrigger::DpPassWorsened { pass: DpPass::GlobalSwap, worsening: 0.0 }, "dp-pass-worsened"),
+    (DegradationTrigger::BudgetExhausted, "budget-exhausted"),
+];
+
+const DEGRADATION_FALLBACKS: [(DegradationFallback, &str); 7] = [
+    (DegradationFallback::UniformFieldDensity, "uniform-field-density"),
+    (DegradationFallback::ConservativeGpPreset, "conservative-gp-preset"),
+    (DegradationFallback::BestSoFarPlacement, "best-so-far-placement"),
+    (DegradationFallback::TetrisResult, "tetris-result"),
+    (DegradationFallback::RetryWithoutAbacus, "retry-without-abacus"),
+    (DegradationFallback::DisabledDpPass(DpPass::GlobalSwap), "disabled-dp-pass"),
+    (DegradationFallback::StoppedStageEarly, "stopped-stage-early"),
+];
+
+/// Tagged by [`OptimizerSnapshot::engine`].
+fn solvers<T: Float>() -> [(OptimizerSnapshot<T>, &'static str); 4] {
+    let z = T::ZERO;
+    [
+        OptimizerSnapshot::Nesterov { a: z, alpha: z, v: None, u_prev: None, g_prev: None,
+            v_prev: None },
+        OptimizerSnapshot::Adam { lr: z, t: 0, m: Vec::new(), v: Vec::new() },
+        OptimizerSnapshot::SgdMomentum { lr: z, velocity: Vec::new() },
+        OptimizerSnapshot::ConjugateGradient { alpha: z, g_prev: None, d_prev: None, p_prev: None },
+    ]
+    .map(|s| {
+        let tag = s.engine();
+        (s, tag)
+    })
+}
+
+fn attempts<T: Float>() -> [(GpAttemptState<T>, &'static str); 2] {
+    [
+        (GpAttemptState::Primary, "primary"),
+        (GpAttemptState::Conservative { cause: DivergenceCause::NonFiniteCost,
+            primary_recoveries: 0, primary_best: Placement::zeros(0),
+            primary_best_overflow: 0.0 }, "conservative"),
+    ]
+}
+
+fn stages<T: Float>() -> [(CheckpointStage<T>, &'static str); 3] {
+    [
+        (CheckpointStage::Gp { attempt: GpAttemptState::Primary, engine: Default::default() },
+            "gp"),
+        (CheckpointStage::Lg { gp_stats: Default::default(), hpwl_gp: 0.0,
+            gp_placement: Placement::zeros(0) }, "lg"),
+        (CheckpointStage::Dp { gp_stats: Default::default(), hpwl_gp: 0.0,
+            lg_stats: Default::default(), hpwl_legal: 0.0, placement: Placement::zeros(0),
+            run: Default::default() }, "dp"),
+    ]
+}
+
+/// The whole payload.
+fn checkpoint<T: Float, C: Codec>(c: &mut C, d: &CheckpointData<T>) -> Res<CheckpointData<T>> {
+    let design = DesignStamp {
+        cells: c.tag("design")?.val(d.design.cells)?,
+        movable: c.val(d.design.movable)?,
+        nets: c.val(d.design.nets)?,
+        name: c.rest(&d.design.name)?,
+    };
+    let stages = stages::<T>();
+    let stage = c.tag("stage")?.variant(&stages, &d.stage)?;
+    let t = &d.timing;
+    let timing = FlowTiming {
+        io: c.tag("timing")?.val(t.io)?,
+        gp: c.val(t.gp)?,
+        lg: c.val(t.lg)?,
+        dp: c.val(t.dp)?,
+        total: c.val(t.total)?,
+    };
+    let consumed_total = c.tag("consumed")?.val(d.consumed_total)?;
+    let gp_fallback = match c.tag("fallback")?.opt_variant(&GP_FALLBACKS, "none", &d.gp_fallback)? {
+        None => None,
+        Some(GpFallback::ConservativePreset { cause }) => Some(GpFallback::ConservativePreset {
+            cause: *c.variant(&CAUSES, cause)?,
+        }),
+        Some(GpFallback::BestSoFar { cause, recoveries }) => Some(GpFallback::BestSoFar {
+            cause: *c.variant(&CAUSES, cause)?,
+            recoveries: c.val(*recoveries)?,
+        }),
+    };
+    let blank = DegradationEvent {
+        stage: FlowStage::Gp,
+        trigger: DegradationTrigger::BudgetExhausted,
+        fallback: DegradationFallback::StoppedStageEarly,
+    };
+    let degradations = block(c, "degradations", &d.degradations, &blank, degradation)?;
+    let stage = match stage {
+        CheckpointStage::Gp { attempt, engine } => CheckpointStage::Gp {
+            attempt: gp_attempt(c, attempt)?,
+            engine: gp_engine(c, engine)?,
+        },
+        CheckpointStage::Lg { gp_stats, hpwl_gp, gp_placement } => CheckpointStage::Lg {
+            gp_stats: finished_gp(c, gp_stats)?,
+            hpwl_gp: c.tag("hpwl.gp")?.val(*hpwl_gp)?,
+            gp_placement: placement(c, "gp", gp_placement)?,
+        },
+        CheckpointStage::Dp { gp_stats, hpwl_gp, lg_stats, hpwl_legal, placement: cur, run } => {
+            CheckpointStage::Dp {
+                gp_stats: finished_gp(c, gp_stats)?,
+                hpwl_gp: c.tag("hpwl.gp")?.val(*hpwl_gp)?,
+                lg_stats: LgStats {
+                    avg_displacement: c.tag("lg.stats")?.val(lg_stats.avg_displacement)?,
+                    max_displacement: c.val(lg_stats.max_displacement)?,
+                    runtime: c.val(lg_stats.runtime)?,
+                    fallback: c.opt_variant(&LG_FALLBACKS, "none", &lg_stats.fallback)?.copied(),
+                },
+                hpwl_legal: c.tag("hpwl.legal")?.val(*hpwl_legal)?,
+                placement: placement(c, "cur", cur)?,
+                run: dp_run(c, run)?,
             }
-            u64::from_str_radix(hex, 16)
-                .map(f64::from_bits)
-                .map_err(|_| cur.corrupt(format!("bad float bits {tok:?}")))
         }
-        _ => tok
-            .parse::<f64>()
-            .map_err(|_| cur.corrupt(format!("bad float {tok:?}"))),
-    }
+    };
+    c.tag("end")?;
+    Ok(CheckpointData { design, timing, consumed_total, degradations, gp_fallback, stage })
 }
 
-fn parse_float<T: Float>(cur: &Cursor<'_>, tok: &str) -> Result<T, CheckpointError> {
-    Ok(T::from_f64(parse_f64(cur, tok)?))
+/// `<tag> <n>`, then one record per item; the reader's items start from
+/// `blank`.
+fn block<C: Codec, X>(
+    c: &mut C,
+    tag: &str,
+    items: &[X],
+    blank: &X,
+    each: impl Fn(&mut C, &X) -> Res<X>,
+) -> Res<Vec<X>> {
+    let (n, mut out) = c.tag(tag)?.count(items.len())?;
+    for i in 0..n {
+        let item = each(c, items.get(i).unwrap_or(blank))?;
+        if C::READS {
+            out.push(item);
+        }
+    }
+    Ok(out)
 }
 
-fn parse_usize(cur: &Cursor<'_>, tok: &str) -> Result<usize, CheckpointError> {
-    tok.parse::<usize>()
-        .map_err(|_| cur.corrupt(format!("bad integer {tok:?}")))
+fn degradation<C: Codec>(c: &mut C, e: &DegradationEvent) -> Res<DegradationEvent> {
+    let stage = *c.tag("degr")?.variant(&FLOW_STAGES, &e.stage)?;
+    let trigger = match c.variant(&TRIGGERS, &e.trigger)? {
+        DegradationTrigger::DegenerateGrid { bins } => DegradationTrigger::DegenerateGrid {
+            bins: (c.val(bins.0)?, c.val(bins.1)?),
+        },
+        DegradationTrigger::GpDiverged(cause) => {
+            DegradationTrigger::GpDiverged(*c.variant(&CAUSES, cause)?)
+        }
+        DegradationTrigger::IllegalAfterLg { overlaps } => {
+            DegradationTrigger::IllegalAfterLg { overlaps: c.val(*overlaps)? }
+        }
+        DegradationTrigger::DpPassWorsened { pass, worsening } => {
+            DegradationTrigger::DpPassWorsened {
+                pass: *c.variant(&DP_PASSES, pass)?,
+                worsening: c.val(*worsening)?,
+            }
+        }
+        unit => unit.clone(),
+    };
+    let fallback = match c.variant(&DEGRADATION_FALLBACKS, &e.fallback)? {
+        DegradationFallback::DisabledDpPass(pass) => {
+            DegradationFallback::DisabledDpPass(*c.variant(&DP_PASSES, pass)?)
+        }
+        unit => *unit,
+    };
+    Ok(DegradationEvent { stage, trigger, fallback })
 }
 
-fn parse_u64(cur: &Cursor<'_>, tok: &str) -> Result<u64, CheckpointError> {
-    tok.parse::<u64>()
-        .map_err(|_| cur.corrupt(format!("bad integer {tok:?}")))
+fn gp_attempt<T: Float, C: Codec>(c: &mut C, a: &GpAttemptState<T>) -> Res<GpAttemptState<T>> {
+    let attempts = attempts::<T>();
+    Ok(match c.tag("gp.attempt")?.variant(&attempts, a)? {
+        GpAttemptState::Primary => GpAttemptState::Primary,
+        GpAttemptState::Conservative { cause, primary_recoveries, primary_best,
+            primary_best_overflow } => GpAttemptState::Conservative {
+            cause: *c.variant(&CAUSES, cause)?,
+            primary_recoveries: c.val(*primary_recoveries)?,
+            primary_best_overflow: c.val(*primary_best_overflow)?,
+            primary_best: placement(c, "pbest", primary_best)?,
+        },
+    })
 }
 
-fn parse_bool01(cur: &Cursor<'_>, tok: &str) -> Result<bool, CheckpointError> {
-    match tok {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(cur.corrupt(format!("bad flag {tok:?} (want 0|1)"))),
-    }
+fn gp_engine<T: Float, C: Codec>(c: &mut C, e: &GpEngineState<T>) -> Res<GpEngineState<T>> {
+    Ok(GpEngineState {
+        next_iter: c.tag("eng.counters")?.val(e.next_iter)?,
+        iterations: c.val(e.iterations)?,
+        evals: c.val(e.evals)?,
+        recoveries: c.val(e.recoveries)?,
+        sched_iteration: c.val(e.sched_iteration)?,
+        counts: eval_counts(c, "eng.evals", &e.counts)?,
+        lambda: c.tag("eng.scalars")?.float(e.lambda)?,
+        gamma: c.positive(e.gamma)?,
+        gamma_boost: c.positive(e.gamma_boost)?,
+        lambda_cut: c.float(e.lambda_cut)?,
+        sched_lambda: c.float(e.sched_lambda)?,
+        ref_delta: c.positive(e.ref_delta)?,
+        prev_hpwl: c.float(e.prev_hpwl)?,
+        best_overflow: c.val(e.best_overflow)?,
+        consumed_seconds: c.val(Secs(e.consumed_seconds))?.0,
+        params: c.vec("params", &e.params)?,
+        best_params: c.vec("best", &e.best_params)?,
+        solver: solver(c, "solver", &e.solver)?,
+        history: history(c, "eng.hist", &e.history)?,
+        recovery_events: recoveries(c, "eng.recov", &e.recovery_events)?,
+        rollback: Arc::new(GpRollbackState {
+            iteration: c.tag("rollback")?.val(e.rollback.iteration)?,
+            sched_iteration: c.val(e.rollback.sched_iteration)?,
+            history_len: c.val(e.rollback.history_len)?,
+            sched_lambda: c.float(e.rollback.sched_lambda)?,
+            lambda: c.float(e.rollback.lambda)?,
+            prev_hpwl: c.float(e.rollback.prev_hpwl)?,
+            overflow: c.val(e.rollback.overflow)?,
+            params: c.vec("rb.params", &e.rollback.params)?,
+            solver: solver(c, "solver.rb", &e.rollback.solver)?,
+        }),
+        memo: GpMemoState {
+            valid: c.tag("memo")?.val(e.memo.valid)?,
+            gamma: c.float(e.memo.gamma)?,
+            wl_cost: c.float(e.memo.wl_cost)?,
+            energy: c.float(e.memo.energy)?,
+            overflow: c.float(e.memo.overflow)?,
+            key: c.vec("memo.key", &e.memo.key)?,
+            wl_grad: c.vec("memo.wl", &e.memo.wl_grad)?,
+            density_grad: c.vec("memo.density", &e.memo.density_grad)?,
+        },
+        exec: exec(c, &e.exec)?,
+    })
 }
 
-fn need<'t>(cur: &Cursor<'_>, toks: &[&'t str], idx: usize) -> Result<&'t str, CheckpointError> {
-    toks.get(idx)
-        .copied()
-        .ok_or_else(|| cur.corrupt(format!("missing field {idx}")))
+fn solver<T: Float, C: Codec>(
+    c: &mut C,
+    tag: &str,
+    s: &OptimizerSnapshot<T>,
+) -> Res<OptimizerSnapshot<T>> {
+    let solvers = solvers::<T>();
+    let s = c.tag(tag)?.variant(&solvers, s)?;
+    c.tag("sv.scalars")?;
+    Ok(match s {
+        OptimizerSnapshot::Nesterov { a, alpha, v, u_prev, g_prev, v_prev } => {
+            OptimizerSnapshot::Nesterov {
+                a: c.float(*a)?,
+                alpha: c.float(*alpha)?,
+                v: c.opt_vec("v", v)?,
+                u_prev: c.opt_vec("u_prev", u_prev)?,
+                g_prev: c.opt_vec("g_prev", g_prev)?,
+                v_prev: c.opt_vec("v_prev", v_prev)?,
+            }
+        }
+        OptimizerSnapshot::Adam { lr, t, m, v } => OptimizerSnapshot::Adam {
+            lr: c.float(*lr)?,
+            t: c.val(*t)?,
+            m: c.vec("m", m)?,
+            v: c.vec("v", v)?,
+        },
+        OptimizerSnapshot::SgdMomentum { lr, velocity } => OptimizerSnapshot::SgdMomentum {
+            lr: c.float(*lr)?,
+            velocity: c.vec("velocity", velocity)?,
+        },
+        OptimizerSnapshot::ConjugateGradient { alpha, g_prev, d_prev, p_prev } => {
+            OptimizerSnapshot::ConjugateGradient {
+                alpha: c.float(*alpha)?,
+                g_prev: c.opt_vec("g_prev", g_prev)?,
+                d_prev: c.opt_vec("d_prev", d_prev)?,
+                p_prev: c.opt_vec("p_prev", p_prev)?,
+            }
+        }
+    })
 }
 
-fn read_vec<T: Float>(cur: &mut Cursor<'_>, name: &str) -> Result<Vec<T>, CheckpointError> {
-    let toks = cur.record("vec")?;
-    let found = need(cur, &toks, 1)?;
-    if found != name {
-        return Err(cur.corrupt(format!("expected vector {name:?}, found {found:?}")));
-    }
-    let len = parse_usize(cur, need(cur, &toks, 2)?)?;
-    if toks.len() != 3 + len {
-        return Err(cur.corrupt(format!(
-            "vector {name:?} declares {len} values but carries {}",
-            toks.len().saturating_sub(3)
-        )));
-    }
-    let mut v = Vec::with_capacity(len);
-    for tok in &toks[3..] {
-        v.push(parse_float::<T>(cur, tok)?);
-    }
-    Ok(v)
+fn eval_counts<C: Codec>(c: &mut C, tag: &str, e: &GpEvalCounts) -> Res<GpEvalCounts> {
+    Ok(GpEvalCounts {
+        objective_evals: c.tag(tag)?.val(e.objective_evals)?,
+        wl_evals: c.val(e.wl_evals)?,
+        density_evals: c.val(e.density_evals)?,
+        backtracks: c.val(e.backtracks)?,
+    })
 }
 
-fn read_opt_vec<T: Float>(
-    cur: &mut Cursor<'_>,
-    name: &str,
-) -> Result<Option<Vec<T>>, CheckpointError> {
-    let toks = cur.record("vec")?;
-    let found = need(cur, &toks, 1)?;
-    if found != name {
-        return Err(cur.corrupt(format!("expected vector {name:?}, found {found:?}")));
-    }
-    if need(cur, &toks, 2)? == "none" {
-        return Ok(None);
-    }
-    let len = parse_usize(cur, need(cur, &toks, 2)?)?;
-    if toks.len() != 3 + len {
-        return Err(cur.corrupt(format!("vector {name:?} length mismatch")));
-    }
-    let mut v = Vec::with_capacity(len);
-    for tok in &toks[3..] {
-        v.push(parse_float::<T>(cur, tok)?);
-    }
-    Ok(Some(v))
+/// Raw-bits floats: the history is bulk per-iteration data (hundreds of
+/// records late in GP, re-serialized into every checkpoint) and decimal
+/// formatting of it was a measurable slice of the overhead budget.
+fn history<C: Codec>(c: &mut C, tag: &str, h: &[IterRecord]) -> Res<Vec<IterRecord>> {
+    let blank = IterRecord { iteration: 0, hpwl: 0.0, overflow: 0.0, lambda: 0.0, gamma: 0.0 };
+    block(c, tag, h, &blank, |c, r| {
+        Ok(IterRecord {
+            iteration: c.tag("h")?.val(r.iteration)?,
+            hpwl: c.bits(r.hpwl)?,
+            overflow: c.bits(r.overflow)?,
+            lambda: c.bits(r.lambda)?,
+            gamma: c.bits(r.gamma)?,
+        })
+    })
 }
 
-fn read_placement<T: Float>(
-    cur: &mut Cursor<'_>,
-    prefix: &str,
-) -> Result<Placement<T>, CheckpointError> {
-    let x = read_vec::<T>(cur, &format!("{prefix}.x"))?;
-    let y = read_vec::<T>(cur, &format!("{prefix}.y"))?;
+fn recoveries<C: Codec>(c: &mut C, tag: &str, evs: &[RecoveryEvent]) -> Res<Vec<RecoveryEvent>> {
+    let blank = RecoveryEvent {
+        iteration: 0,
+        resumed_from: 0,
+        cause: DivergenceCause::NonFiniteCost,
+        lambda: 0.0,
+        gamma_boost: 0.0,
+    };
+    block(c, tag, evs, &blank, |c, r| {
+        Ok(RecoveryEvent {
+            iteration: c.tag("r")?.val(r.iteration)?,
+            resumed_from: c.val(r.resumed_from)?,
+            cause: *c.variant(&CAUSES, &r.cause)?,
+            lambda: c.val(r.lambda)?,
+            gamma_boost: c.val(r.gamma_boost)?,
+        })
+    })
+}
+
+/// An op or workspace name. The live summary keys counters by interned
+/// `&'static str`; a read checkpoint leaks one small string per name,
+/// bounded by the name vocabulary.
+fn interned<C: Codec>(c: &mut C, name: &'static str) -> Res<&'static str> {
+    let read = c.rest(name)?;
+    Ok(if C::READS { Box::leak(read.into_boxed_str()) } else { name })
+}
+
+fn exec<C: Codec>(c: &mut C, e: &ExecSummary) -> Res<ExecSummary> {
+    Ok(ExecSummary {
+        pool_threads: c.tag("exec.pool")?.val(e.pool_threads)?,
+        threads_spawned: c.val(e.threads_spawned)?,
+        pool_runs: c.val(e.pool_runs)?,
+        ops: block(c, "exec.ops", &e.ops, &("", OpCounter::default()), |c, (name, k)| {
+            let k = OpCounter { calls: c.tag("op")?.val(k.calls)?, nanos: c.val(k.nanos)? };
+            Ok((interned(c, name)?, k))
+        })?,
+        workspaces: block(c, "exec.ws", &e.workspaces, &("", WorkspaceCounter::default()),
+            |c, (name, w)| {
+                let w = WorkspaceCounter {
+                    uses: c.tag("ws")?.val(w.uses)?,
+                    reuses: c.val(w.reuses)?,
+                    bytes: c.val(w.bytes)?,
+                };
+                Ok((interned(c, name)?, w))
+            })?,
+    })
+}
+
+/// The statistics of a finished GP, carried by the LG and DP stages.
+fn finished_gp<C: Codec>(c: &mut C, s: &GpStats) -> Res<GpStats> {
+    let t = &s.timing;
+    Ok(GpStats {
+        iterations: c.tag("gp.stats")?.val(s.iterations)?,
+        final_hpwl: c.val(s.final_hpwl)?,
+        final_overflow: c.val(s.final_overflow)?,
+        converged: c.val(s.converged)?,
+        recoveries: c.val(s.recoveries)?,
+        timing: GpTiming {
+            init: c.tag("gp.timing")?.val(t.init)?,
+            wirelength: c.val(t.wirelength)?,
+            density: c.val(t.density)?,
+            solver: c.val(t.solver)?,
+            bookkeeping: c.val(t.bookkeeping)?,
+            total: c.val(t.total)?,
+        },
+        evals: eval_counts(c, "gp.evals", &s.evals)?,
+        history: history(c, "gp.hist", &s.history)?,
+        recovery_events: recoveries(c, "gp.recov", &s.recovery_events)?,
+        exec: exec(c, &s.exec)?,
+    })
+}
+
+fn placement<T: Float, C: Codec>(c: &mut C, prefix: &str, p: &Placement<T>) -> Res<Placement<T>> {
+    let x = c.vec(&format!("{prefix}.x"), &p.x)?;
+    let y = c.vec(&format!("{prefix}.y"), &p.y)?;
     if x.len() != y.len() {
-        return Err(cur.corrupt(format!(
+        return Err(c.fail(format!(
             "placement {prefix:?} x/y length mismatch: {} vs {}",
             x.len(),
             y.len()
@@ -945,351 +1083,48 @@ fn read_placement<T: Float>(
     Ok(Placement { x, y })
 }
 
-fn read_exec(cur: &mut Cursor<'_>) -> Result<ExecSummary, CheckpointError> {
-    let toks = cur.record("exec.pool")?;
-    let pool_threads = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let threads_spawned = parse_usize(cur, need(cur, &toks, 2)?)?;
-    let pool_runs = parse_u64(cur, need(cur, &toks, 3)?)?;
-    let toks = cur.record("exec.ops")?;
-    let n_ops = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        let toks = cur.record("op")?;
-        let calls = parse_u64(cur, need(cur, &toks, 1)?)?;
-        let nanos = parse_u64(cur, need(cur, &toks, 2)?)?;
-        let name = need(cur, &toks, 3)?;
-        // Op names are interned `&'static str` keys in the live summary;
-        // a resurrected checkpoint leaks one small string per op name,
-        // bounded by the op-name vocabulary.
-        let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-        ops.push((name, OpCounter { calls, nanos }));
+fn dp_run<C: Codec>(c: &mut C, r: &DpRunState) -> Res<DpRunState> {
+    let (round, pass_idx) = (c.tag("dp.run")?.val(r.round)?, c.val(r.pass_idx)?);
+    // Between rounds the cursor rests at the pass count, never past it.
+    if pass_idx > DpPass::ALL.len() {
+        return Err(c.fail(format!("dp pass cursor {pass_idx} is past the three passes")));
     }
-    let toks = cur.record("exec.ws")?;
-    let n_ws = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let mut workspaces = Vec::with_capacity(n_ws);
-    for _ in 0..n_ws {
-        let toks = cur.record("ws")?;
-        let uses = parse_u64(cur, need(cur, &toks, 1)?)?;
-        let reuses = parse_u64(cur, need(cur, &toks, 2)?)?;
-        let bytes = parse_usize(cur, need(cur, &toks, 3)?)?;
-        let name = need(cur, &toks, 4)?;
-        let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-        workspaces.push((
-            name,
-            WorkspaceCounter {
-                uses,
-                reuses,
-                bytes,
-            },
-        ));
-    }
-    Ok(ExecSummary {
-        pool_threads,
-        threads_spawned,
-        pool_runs,
-        ops,
-        workspaces,
-    })
-}
-
-fn read_solver<T: Float>(
-    cur: &mut Cursor<'_>,
-    prefix: &str,
-) -> Result<OptimizerSnapshot<T>, CheckpointError> {
-    let toks = cur.record(prefix)?;
-    let tag = need(cur, &toks, 1)?;
-    match tag {
-        "nesterov" => {
-            let s = cur.record("sv.scalars")?;
-            let a = parse_float::<T>(cur, need(cur, &s, 1)?)?;
-            let alpha = parse_float::<T>(cur, need(cur, &s, 2)?)?;
-            let v = read_opt_vec::<T>(cur, "v")?;
-            let u_prev = read_opt_vec::<T>(cur, "u_prev")?;
-            let g_prev = read_opt_vec::<T>(cur, "g_prev")?;
-            let v_prev = read_opt_vec::<T>(cur, "v_prev")?;
-            Ok(OptimizerSnapshot::Nesterov {
-                a,
-                alpha,
-                v,
-                u_prev,
-                g_prev,
-                v_prev,
-            })
-        }
-        "adam" => {
-            let s = cur.record("sv.scalars")?;
-            let lr = parse_float::<T>(cur, need(cur, &s, 1)?)?;
-            let t = need(cur, &s, 2)?
-                .parse::<u32>()
-                .map_err(|_| cur.corrupt("bad adam step counter"))?;
-            let m = read_vec::<T>(cur, "m")?;
-            let v = read_vec::<T>(cur, "v")?;
-            Ok(OptimizerSnapshot::Adam { lr, t, m, v })
-        }
-        "sgd-momentum" => {
-            let s = cur.record("sv.scalars")?;
-            let lr = parse_float::<T>(cur, need(cur, &s, 1)?)?;
-            let velocity = read_vec::<T>(cur, "velocity")?;
-            Ok(OptimizerSnapshot::SgdMomentum { lr, velocity })
-        }
-        "conjugate-gradient" => {
-            let s = cur.record("sv.scalars")?;
-            let alpha = parse_float::<T>(cur, need(cur, &s, 1)?)?;
-            let g_prev = read_opt_vec::<T>(cur, "g_prev")?;
-            let d_prev = read_opt_vec::<T>(cur, "d_prev")?;
-            let p_prev = read_opt_vec::<T>(cur, "p_prev")?;
-            Ok(OptimizerSnapshot::ConjugateGradient {
-                alpha,
-                g_prev,
-                d_prev,
-                p_prev,
-            })
-        }
-        _ => Err(cur.corrupt(format!("unknown solver tag {tag:?}"))),
-    }
-}
-
-fn read_history(cur: &mut Cursor<'_>, tag: &str) -> Result<Vec<IterRecord>, CheckpointError> {
-    let toks = cur.record(tag)?;
-    let n = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let toks = cur.record("h")?;
-        out.push(IterRecord {
-            iteration: parse_usize(cur, need(cur, &toks, 1)?)?,
-            hpwl: parse_f64(cur, need(cur, &toks, 2)?)?,
-            overflow: parse_f64(cur, need(cur, &toks, 3)?)?,
-            lambda: parse_f64(cur, need(cur, &toks, 4)?)?,
-            gamma: parse_f64(cur, need(cur, &toks, 5)?)?,
-        });
-    }
-    Ok(out)
-}
-
-fn read_recoveries(cur: &mut Cursor<'_>, tag: &str) -> Result<Vec<RecoveryEvent>, CheckpointError> {
-    let toks = cur.record(tag)?;
-    let n = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let toks = cur.record("r")?;
-        let cause_tok = need(cur, &toks, 3)?;
-        out.push(RecoveryEvent {
-            iteration: parse_usize(cur, need(cur, &toks, 1)?)?,
-            resumed_from: parse_usize(cur, need(cur, &toks, 2)?)?,
-            cause: parse_cause(cause_tok)
-                .ok_or_else(|| cur.corrupt(format!("unknown divergence cause {cause_tok:?}")))?,
-            lambda: parse_f64(cur, need(cur, &toks, 4)?)?,
-            gamma_boost: parse_f64(cur, need(cur, &toks, 5)?)?,
-        });
-    }
-    Ok(out)
-}
-
-fn read_evals(cur: &mut Cursor<'_>, tag: &str) -> Result<GpEvalCounts, CheckpointError> {
-    let toks = cur.record(tag)?;
-    Ok(GpEvalCounts {
-        objective_evals: parse_u64(cur, need(cur, &toks, 1)?)?,
-        wl_evals: parse_u64(cur, need(cur, &toks, 2)?)?,
-        density_evals: parse_u64(cur, need(cur, &toks, 3)?)?,
-        backtracks: parse_u64(cur, need(cur, &toks, 4)?)?,
-    })
-}
-
-fn read_memo<T: Float>(cur: &mut Cursor<'_>) -> Result<GpMemoState<T>, CheckpointError> {
-    let toks = cur.record("memo")?;
-    Ok(GpMemoState {
-        valid: parse_bool01(cur, need(cur, &toks, 1)?)?,
-        gamma: parse_float::<T>(cur, need(cur, &toks, 2)?)?,
-        wl_cost: parse_float::<T>(cur, need(cur, &toks, 3)?)?,
-        energy: parse_float::<T>(cur, need(cur, &toks, 4)?)?,
-        overflow: parse_float::<T>(cur, need(cur, &toks, 5)?)?,
-        key: read_vec::<T>(cur, "memo.key")?,
-        wl_grad: read_vec::<T>(cur, "memo.wl")?,
-        density_grad: read_vec::<T>(cur, "memo.density")?,
-    })
-}
-
-fn read_gp_stats(cur: &mut Cursor<'_>) -> Result<GpStats, CheckpointError> {
-    let toks = cur.record("gp.stats")?;
-    let iterations = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let final_hpwl = parse_f64(cur, need(cur, &toks, 2)?)?;
-    let final_overflow = parse_f64(cur, need(cur, &toks, 3)?)?;
-    let converged = parse_bool01(cur, need(cur, &toks, 4)?)?;
-    let recoveries = parse_usize(cur, need(cur, &toks, 5)?)?;
-    let toks = cur.record("gp.timing")?;
-    let mut secs = [0.0f64; 6];
-    for (i, s) in secs.iter_mut().enumerate() {
-        *s = parse_f64(cur, need(cur, &toks, 1 + i)?)?;
-    }
-    let timing = GpTiming {
-        init: std::time::Duration::from_secs_f64(secs[0]),
-        wirelength: std::time::Duration::from_secs_f64(secs[1]),
-        density: std::time::Duration::from_secs_f64(secs[2]),
-        solver: std::time::Duration::from_secs_f64(secs[3]),
-        bookkeeping: std::time::Duration::from_secs_f64(secs[4]),
-        total: std::time::Duration::from_secs_f64(secs[5]),
-    };
-    let evals = read_evals(cur, "gp.evals")?;
-    let history = read_history(cur, "gp.hist")?;
-    let recovery_events = read_recoveries(cur, "gp.recov")?;
-    let exec = read_exec(cur)?;
-    Ok(GpStats {
-        iterations,
-        final_hpwl,
-        final_overflow,
-        converged,
-        history,
-        timing,
-        recoveries,
-        recovery_events,
-        exec,
-        evals,
-    })
-}
-
-fn read_scalar_record(cur: &mut Cursor<'_>, tag: &str) -> Result<f64, CheckpointError> {
-    let toks = cur.record(tag)?;
-    parse_f64(cur, need(cur, &toks, 1)?)
-}
-
-fn read_lg_stats(cur: &mut Cursor<'_>) -> Result<LgStats, CheckpointError> {
-    let toks = cur.record("lg.stats")?;
-    let avg_displacement = parse_f64(cur, need(cur, &toks, 1)?)?;
-    let max_displacement = parse_f64(cur, need(cur, &toks, 2)?)?;
-    let runtime = parse_f64(cur, need(cur, &toks, 3)?)?;
-    let fallback = match need(cur, &toks, 4)? {
-        "none" => None,
-        "abacus-failed" => Some(LgFallback::AbacusFailed),
-        "displacement-exceeded" => Some(LgFallback::DisplacementExceeded),
-        other => return Err(cur.corrupt(format!("unknown lg fallback {other:?}"))),
-    };
-    Ok(LgStats {
-        avg_displacement,
-        max_displacement,
-        runtime,
-        fallback,
-    })
-}
-
-fn read_dp_pass(cur: &Cursor<'_>, tok: &str) -> Result<DpPass, CheckpointError> {
-    let idx = parse_usize(cur, tok)?;
-    DpPass::from_index(idx).ok_or_else(|| cur.corrupt(format!("bad dp pass index {idx}")))
-}
-
-fn read_dp_run(cur: &mut Cursor<'_>) -> Result<DpRunState, CheckpointError> {
-    let toks = cur.record("dp.run")?;
-    let round = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let pass_idx = parse_usize(cur, need(cur, &toks, 2)?)?;
-    let moves = parse_usize(cur, need(cur, &toks, 3)?)?;
-    let moves_at_round_start = parse_usize(cur, need(cur, &toks, 4)?)?;
-    let enabled = [
-        parse_bool01(cur, need(cur, &toks, 5)?)?,
-        parse_bool01(cur, need(cur, &toks, 6)?)?,
-        parse_bool01(cur, need(cur, &toks, 7)?)?,
-    ];
-    let reverts = parse_usize(cur, need(cur, &toks, 8)?)?;
-    let budget_exhausted = parse_bool01(cur, need(cur, &toks, 9)?)?;
-    let injected_tok = need(cur, &toks, 10)?;
-    let injected_pending = if injected_tok == "-1" {
-        None
-    } else {
-        Some(read_dp_pass(cur, injected_tok)?)
-    };
-    let initial_hpwl = parse_f64(cur, need(cur, &toks, 11)?)?;
-    let consumed_seconds = parse_f64(cur, need(cur, &toks, 12)?)?;
-    let toks = cur.record("dp.disabled")?;
-    let n = parse_usize(cur, need(cur, &toks, 1)?)?;
-    let mut disabled = Vec::with_capacity(n);
-    for _ in 0..n {
-        let toks = cur.record("dd")?;
-        let pass = read_dp_pass(cur, need(cur, &toks, 1)?)?;
-        let worsening = parse_f64(cur, need(cur, &toks, 2)?)?;
-        disabled.push((pass, worsening));
-    }
+    let (moves, moves_at_round_start) = (c.val(r.moves)?, c.val(r.moves_at_round_start)?);
+    let enabled = [c.val(r.enabled[0])?, c.val(r.enabled[1])?, c.val(r.enabled[2])?];
+    let (reverts, budget_exhausted) = (c.val(r.report.reverts)?, c.val(r.report.budget_exhausted)?);
+    let injected_pending = c.opt_variant(&DP_PASSES, "-1", &r.injected_pending)?.copied();
+    let (initial_hpwl, consumed_seconds) = (c.val(r.initial_hpwl)?, c.val(r.consumed_seconds)?);
+    let blank = (DpPass::GlobalSwap, 0.0);
+    let disabled = block(c, "dp.disabled", &r.report.disabled, &blank, |c, (pass, worsening)| {
+        Ok((*c.tag("dd")?.variant(&DP_PASSES, pass)?, c.val(*worsening)?))
+    })?;
     Ok(DpRunState {
         round,
         pass_idx,
         moves,
         moves_at_round_start,
         enabled,
-        report: DpGuardReport {
-            disabled,
-            reverts,
-            budget_exhausted,
-        },
+        report: DpGuardReport { disabled, reverts, budget_exhausted },
         injected_pending,
         initial_hpwl,
         consumed_seconds,
     })
 }
 
-fn read_degradation(cur: &mut Cursor<'_>) -> Result<DegradationEvent, CheckpointError> {
-    let toks = cur.record("degr")?;
-    let stage_tok = need(cur, &toks, 1)?;
-    let stage = parse_flow_stage(stage_tok)
-        .ok_or_else(|| cur.corrupt(format!("unknown flow stage {stage_tok:?}")))?;
-    let mut i = 2;
-    let trig_tok = need(cur, &toks, i)?;
-    i += 1;
-    let trigger = match trig_tok {
-        "degenerate-grid" => {
-            let mx = parse_usize(cur, need(cur, &toks, i)?)?;
-            let my = parse_usize(cur, need(cur, &toks, i + 1)?)?;
-            i += 2;
-            DegradationTrigger::DegenerateGrid { bins: (mx, my) }
-        }
-        "gp-diverged" => {
-            let c = need(cur, &toks, i)?;
-            i += 1;
-            DegradationTrigger::GpDiverged(
-                parse_cause(c)
-                    .ok_or_else(|| cur.corrupt(format!("unknown divergence cause {c:?}")))?,
-            )
-        }
-        "abacus-failed" => DegradationTrigger::AbacusFailed,
-        "displacement-exceeded" => DegradationTrigger::DisplacementExceeded,
-        "illegal-after-lg" => {
-            let overlaps = parse_usize(cur, need(cur, &toks, i)?)?;
-            i += 1;
-            DegradationTrigger::IllegalAfterLg { overlaps }
-        }
-        "dp-pass-worsened" => {
-            let pass = read_dp_pass(cur, need(cur, &toks, i)?)?;
-            let worsening = parse_f64(cur, need(cur, &toks, i + 1)?)?;
-            i += 2;
-            DegradationTrigger::DpPassWorsened { pass, worsening }
-        }
-        "budget-exhausted" => DegradationTrigger::BudgetExhausted,
-        other => return Err(cur.corrupt(format!("unknown trigger {other:?}"))),
-    };
-    let fb_tok = need(cur, &toks, i)?;
-    i += 1;
-    let fallback = match fb_tok {
-        "uniform-field-density" => DegradationFallback::UniformFieldDensity,
-        "conservative-gp-preset" => DegradationFallback::ConservativeGpPreset,
-        "best-so-far-placement" => DegradationFallback::BestSoFarPlacement,
-        "tetris-result" => DegradationFallback::TetrisResult,
-        "retry-without-abacus" => DegradationFallback::RetryWithoutAbacus,
-        "disabled-dp-pass" => {
-            let pass = read_dp_pass(cur, need(cur, &toks, i)?)?;
-            i += 1;
-            DegradationFallback::DisabledDpPass(pass)
-        }
-        "stopped-stage-early" => DegradationFallback::StoppedStageEarly,
-        other => return Err(cur.corrupt(format!("unknown fallback {other:?}"))),
-    };
-    if toks.len() != i {
-        return Err(cur.corrupt(format!(
-            "trailing tokens on degradation record: {:?}",
-            &toks[i..]
-        )));
-    }
-    Ok(DegradationEvent {
-        stage,
-        trigger,
-        fallback,
-    })
+/// Serializes a checkpoint to the full file contents (header + payload).
+pub fn serialize<T: Float>(data: &CheckpointData<T>) -> String {
+    // Mid-GP checkpoints run to a couple hundred KB (solver + rollback
+    // vectors); start big enough that growth doubling stays rare.
+    let mut w = Writer { out: String::with_capacity(1 << 16) };
+    // The writer never fails: every error is a decoding error.
+    let _ = checkpoint(&mut w, data);
+    w.out.push('\n');
+    let crc = crc32(w.out.as_bytes());
+    format!("{MAGIC} v{VERSION}\ncrc {crc:#010x}\n{}", w.out)
 }
+
+/// File line of the `design` record, which the cross-field checks cite.
+const DESIGN_LINE: usize = 3;
 
 /// Parses full file contents (header + payload) into checkpoint data.
 ///
@@ -1336,226 +1171,45 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
         });
     }
 
-    let mut cur = Cursor::new(payload, 2);
-
-    let toks = cur.record("design")?;
-    let cells = parse_usize(&cur, need(&cur, &toks, 1)?)?;
-    let movable = parse_usize(&cur, need(&cur, &toks, 2)?)?;
-    let nets = parse_usize(&cur, need(&cur, &toks, 3)?)?;
-    if toks.len() < 5 {
-        return Err(cur.corrupt("design record missing name"));
-    }
-    let name = toks[4..].join(" ");
-    let design = DesignStamp {
-        name,
-        cells,
-        movable,
-        nets,
+    let [(stage, _), ..] = stages::<T>();
+    let blank = CheckpointData {
+        design: DesignStamp { name: String::new(), cells: 0, movable: 0, nets: 0 },
+        timing: FlowTiming::default(),
+        consumed_total: 0.0,
+        degradations: Vec::new(),
+        gp_fallback: None,
+        stage,
     };
-
-    let toks = cur.record("stage")?;
-    let stage_tag = need(&cur, &toks, 1)?.to_string();
-
-    let toks = cur.record("timing")?;
-    let timing = FlowTiming {
-        io: parse_f64(&cur, need(&cur, &toks, 1)?)?,
-        gp: parse_f64(&cur, need(&cur, &toks, 2)?)?,
-        lg: parse_f64(&cur, need(&cur, &toks, 3)?)?,
-        dp: parse_f64(&cur, need(&cur, &toks, 4)?)?,
-        total: parse_f64(&cur, need(&cur, &toks, 5)?)?,
-    };
-    let consumed_total = read_scalar_record(&mut cur, "consumed")?;
-
-    let toks = cur.record("fallback")?;
-    let gp_fallback = match need(&cur, &toks, 1)? {
-        "none" => None,
-        "conservative" => {
-            let c = need(&cur, &toks, 2)?;
-            Some(GpFallback::ConservativePreset {
-                cause: parse_cause(c)
-                    .ok_or_else(|| cur.corrupt(format!("unknown divergence cause {c:?}")))?,
-            })
-        }
-        "best-so-far" => {
-            let c = need(&cur, &toks, 2)?;
-            Some(GpFallback::BestSoFar {
-                cause: parse_cause(c)
-                    .ok_or_else(|| cur.corrupt(format!("unknown divergence cause {c:?}")))?,
-                recoveries: parse_usize(&cur, need(&cur, &toks, 3)?)?,
-            })
-        }
-        other => return Err(cur.corrupt(format!("unknown gp fallback {other:?}"))),
-    };
-
-    let toks = cur.record("degradations")?;
-    let n_degr = parse_usize(&cur, need(&cur, &toks, 1)?)?;
-    let mut degradations = Vec::with_capacity(n_degr);
-    for _ in 0..n_degr {
-        degradations.push(read_degradation(&mut cur)?);
-    }
-
-    let stage = match stage_tag.as_str() {
-        "gp" => {
-            let toks = cur.record("gp.attempt")?;
-            let attempt = match need(&cur, &toks, 1)? {
-                "primary" => GpAttemptState::Primary,
-                "conservative" => {
-                    let c = need(&cur, &toks, 2)?;
-                    let cause = parse_cause(c)
-                        .ok_or_else(|| cur.corrupt(format!("unknown divergence cause {c:?}")))?;
-                    let primary_recoveries = parse_usize(&cur, need(&cur, &toks, 3)?)?;
-                    let primary_best_overflow = parse_f64(&cur, need(&cur, &toks, 4)?)?;
-                    let primary_best = read_placement::<T>(&mut cur, "pbest")?;
-                    GpAttemptState::Conservative {
-                        cause,
-                        primary_recoveries,
-                        primary_best,
-                        primary_best_overflow,
-                    }
-                }
-                other => return Err(cur.corrupt(format!("unknown gp attempt {other:?}"))),
-            };
-            let toks = cur.record("eng.counters")?;
-            let next_iter = parse_usize(&cur, need(&cur, &toks, 1)?)?;
-            let iterations = parse_usize(&cur, need(&cur, &toks, 2)?)?;
-            let evals = parse_usize(&cur, need(&cur, &toks, 3)?)?;
-            let recoveries = parse_usize(&cur, need(&cur, &toks, 4)?)?;
-            let sched_iteration = parse_usize(&cur, need(&cur, &toks, 5)?)?;
-            let counts = read_evals(&mut cur, "eng.evals")?;
-            let toks = cur.record("eng.scalars")?;
-            let lambda = parse_float::<T>(&cur, need(&cur, &toks, 1)?)?;
-            let gamma = parse_float::<T>(&cur, need(&cur, &toks, 2)?)?;
-            let gamma_boost = parse_float::<T>(&cur, need(&cur, &toks, 3)?)?;
-            let lambda_cut = parse_float::<T>(&cur, need(&cur, &toks, 4)?)?;
-            let sched_lambda = parse_float::<T>(&cur, need(&cur, &toks, 5)?)?;
-            let ref_delta = parse_float::<T>(&cur, need(&cur, &toks, 6)?)?;
-            let prev_hpwl = parse_float::<T>(&cur, need(&cur, &toks, 7)?)?;
-            let best_overflow = parse_f64(&cur, need(&cur, &toks, 8)?)?;
-            let consumed_seconds = parse_f64(&cur, need(&cur, &toks, 9)?)?;
-            let params = read_vec::<T>(&mut cur, "params")?;
-            let best_params = read_vec::<T>(&mut cur, "best")?;
-            let solver = read_solver::<T>(&mut cur, "solver")?;
-            let history = read_history(&mut cur, "eng.hist")?;
-            let recovery_events = read_recoveries(&mut cur, "eng.recov")?;
-            let toks = cur.record("rollback")?;
-            let rb_iteration = parse_usize(&cur, need(&cur, &toks, 1)?)?;
-            let rb_sched_iteration = parse_usize(&cur, need(&cur, &toks, 2)?)?;
-            let rb_history_len = parse_usize(&cur, need(&cur, &toks, 3)?)?;
-            let rb_sched_lambda = parse_float::<T>(&cur, need(&cur, &toks, 4)?)?;
-            let rb_lambda = parse_float::<T>(&cur, need(&cur, &toks, 5)?)?;
-            let rb_prev_hpwl = parse_float::<T>(&cur, need(&cur, &toks, 6)?)?;
-            let rb_overflow = parse_f64(&cur, need(&cur, &toks, 7)?)?;
-            let rb_params = read_vec::<T>(&mut cur, "rb.params")?;
-            let rb_solver = read_solver::<T>(&mut cur, "solver.rb")?;
-            let memo = read_memo::<T>(&mut cur)?;
-            let exec = read_exec(&mut cur)?;
-            CheckpointStage::Gp {
-                attempt,
-                engine: GpEngineState {
-                    next_iter,
-                    iterations,
-                    evals,
-                    params,
-                    best_params,
-                    best_overflow,
-                    solver,
-                    lambda,
-                    gamma,
-                    gamma_boost,
-                    lambda_cut,
-                    sched_lambda,
-                    sched_iteration,
-                    ref_delta,
-                    prev_hpwl,
-                    recoveries,
-                    recovery_events,
-                    history,
-                    rollback: Arc::new(GpRollbackState {
-                        iteration: rb_iteration,
-                        params: rb_params,
-                        solver: rb_solver,
-                        sched_lambda: rb_sched_lambda,
-                        sched_iteration: rb_sched_iteration,
-                        lambda: rb_lambda,
-                        prev_hpwl: rb_prev_hpwl,
-                        history_len: rb_history_len,
-                        overflow: rb_overflow,
-                    }),
-                    consumed_seconds,
-                    exec,
-                    counts,
-                    memo,
-                },
-            }
-        }
-        "lg" => {
-            let gp_stats = read_gp_stats(&mut cur)?;
-            let hpwl_gp = read_scalar_record(&mut cur, "hpwl.gp")?;
-            let gp_placement = read_placement::<T>(&mut cur, "gp")?;
-            CheckpointStage::Lg {
-                gp_stats,
-                hpwl_gp,
-                gp_placement,
-            }
-        }
-        "dp" => {
-            let gp_stats = read_gp_stats(&mut cur)?;
-            let hpwl_gp = read_scalar_record(&mut cur, "hpwl.gp")?;
-            let lg_stats = read_lg_stats(&mut cur)?;
-            let hpwl_legal = read_scalar_record(&mut cur, "hpwl.legal")?;
-            let placement = read_placement::<T>(&mut cur, "cur")?;
-            let run = read_dp_run(&mut cur)?;
-            CheckpointStage::Dp {
-                gp_stats,
-                hpwl_gp,
-                lg_stats,
-                hpwl_legal,
-                placement,
-                run,
-            }
-        }
-        other => return Err(cur.corrupt(format!("unknown stage tag {other:?}"))),
-    };
-
-    let _ = cur.record("end")?;
+    let mut reader = Reader { lines: payload, toks: None, line: 2 };
+    let data = checkpoint(&mut reader, &blank)?;
+    reader.line_done()?;
 
     // Cross-field invariants the reader can check cheaply.
-    if let CheckpointStage::Gp { engine, .. } = &stage {
-        if engine.params.len() != 2 * design.movable {
-            return Err(CheckpointError::Corrupt {
-                line: 0,
-                reason: format!(
-                    "parameter vector length {} does not match 2 x {} movable cells",
-                    engine.params.len(),
-                    design.movable
-                ),
-            });
+    if let CheckpointStage::Gp { engine, .. } = &data.stage {
+        let dim = data.design.movable.checked_mul(2);
+        let corrupt = |reason| Err(CheckpointError::Corrupt { line: DESIGN_LINE, reason });
+        if dim != Some(engine.params.len()) {
+            return corrupt(format!(
+                "parameter vector length {} does not match 2 x {} movable cells",
+                engine.params.len(),
+                data.design.movable
+            ));
         }
         let memo = &engine.memo;
         if memo.valid
             && [&memo.key, &memo.wl_grad, &memo.density_grad]
                 .iter()
-                .any(|v| v.len() != 2 * design.movable)
+                .any(|v| dim != Some(v.len()))
         {
-            return Err(CheckpointError::Corrupt {
-                line: 0,
-                reason: format!(
-                    "memo vectors do not all hold 2 x {} movable-cell values",
-                    design.movable
-                ),
-            });
+            return corrupt(format!(
+                "memo vectors do not all hold 2 x {} movable-cell values",
+                data.design.movable
+            ));
         }
     }
-
-    Ok(CheckpointData {
-        design,
-        timing,
-        consumed_total,
-        degradations,
-        gp_fallback,
-        stage,
-    })
+    Ok(data)
 }
+
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1748,6 +1402,48 @@ mod tests {
         match deserialize::<f64>(&fixed) {
             Err(CheckpointError::Corrupt { .. }) => {}
             other => panic!("want Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn values_that_would_crash_a_resume_are_corrupt_not_a_crash() {
+        let gp = serialize(&gp_checkpoint());
+        let lg = serialize(&capture_at(|s| s == FlowState::Lg));
+        let dp = serialize(&capture_at(|s| s == FlowState::Dp { pass: 1 }));
+        for (text, tag, field, tok) in [
+            (&lg, "gp.timing", 1, "1e300"),
+            (&lg, "gp.timing", 1, "-1e0"),
+            (&lg, "gp.timing", 1, "NaN"),
+            (&lg, "degradations", 1, "99999999999"),
+            (&lg, "gp.hist", 1, "99999999999"),
+            (&lg, "gp.recov", 1, "99999999999"),
+            (&lg, "exec.ops", 1, "99999999999"),
+            // The engine asserts gamma, its boost and the reference delta
+            // positive, and turns the consumed seconds into a `Duration`;
+            // a DP pass cursor past the passes indexes out of bounds.
+            (&gp, "eng.scalars", 2, "-1e0"),
+            (&gp, "eng.scalars", 3, "NaN"),
+            (&gp, "eng.scalars", 6, "0e0"),
+            (&gp, "eng.scalars", 9, "1e300"),
+            (&dp, "dp.run", 2, "4"),
+        ] {
+            let payload = &text[text.find("\ncrc 0x").unwrap() + 1 + "crc 0x00000000\n".len()..];
+            let (i, line) = payload
+                .lines()
+                .enumerate()
+                .find(|(_, l)| l.starts_with(&format!("{tag} ")))
+                .unwrap();
+            let mut toks: Vec<&str> = line.split(' ').collect();
+            toks[field] = tok;
+            let hostile = payload.replacen(line, &toks.join(" "), 1);
+            let crc = crc32(hostile.as_bytes());
+            match deserialize::<f64>(&format!("{MAGIC} v{VERSION}\ncrc {crc:#010x}\n{hostile}")) {
+                // A value is refused at its own line; a count when its
+                // block runs into the next record.
+                Err(CheckpointError::Corrupt { line, .. })
+                    if line == i + 3 || (field == 1 && tag != "gp.timing" && line > i + 3) => {}
+                other => panic!("{tag} {tok}: want Corrupt at or after line {}, got {other:?}", i + 3),
+            }
         }
     }
 

@@ -241,7 +241,7 @@ impl<T: Float> BinGrid<T> {
     /// Exactly the bins the density stencil gives a positive overlap: it
     /// measures overlaps in bin units, where bin edges are the integers,
     /// so the range and the overlaps are computed against the same exact
-    /// edges (see [`BinSpan`]) — with a multiply, not a division.
+    /// edges (see `BinSpan`) — with a multiply, not a division.
     #[inline]
     pub fn overlapped_bins(&self, rect: &Rect<T>) -> (Range<usize>, Range<usize>) {
         self.bins_of(&self.spans(rect))

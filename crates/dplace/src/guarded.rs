@@ -105,7 +105,7 @@ impl DpGuardReport {
 /// placement saved alongside) reconstructs a run that continues
 /// bit-identically. The durable checkpoint layer in `dreamplace-core`
 /// persists exactly this struct at DP pass boundaries.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DpRunState {
     /// Current round (0-based).
     pub round: usize,

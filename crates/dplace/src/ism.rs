@@ -18,7 +18,7 @@ use crate::incremental::IncrementalHpwl;
 /// construction as NTUplace3/ABCDPlace ISM.
 ///
 /// Each cost entry widens the cell's net boxes, built once per batch, with
-/// its own pins at the slot ([`crate::bbox`]), and a batch whose every cell
+/// its own pins at the slot (`crate::bbox`), and a batch whose every cell
 /// already sits in its cheapest slot skips the solve: rounded addition is
 /// monotone, so no assignment can then undercut the current one.
 pub fn independent_set_matching<T: Float>(

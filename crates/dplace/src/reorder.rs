@@ -12,7 +12,7 @@ use crate::incremental::IncrementalHpwl;
 /// Cells in a window are repacked consecutively from the window's left
 /// edge, which always fits inside the original span, so legality is
 /// preserved. A permutation is priced by widening the window's cached net
-/// boxes ([`crate::bbox`]) with its cells' packed positions; the placement
+/// boxes (`crate::bbox`) with its cells' packed positions; the placement
 /// is only written for the committed order.
 ///
 /// # Panics

@@ -128,7 +128,7 @@ pub struct RecoveryEvent {
 }
 
 /// Summary of a global placement run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GpStats {
     /// Number of kernel GP iterations executed.
     pub iterations: usize,
@@ -539,7 +539,7 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
 /// Everything needed to roll the run back to a known-good iterate — the
 /// in-memory rollback target of the divergence-recovery tripwire, and part
 /// of the durable [`GpEngineState`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GpRollbackState<T> {
     /// Iteration count at capture time (0 = initial state).
     pub iteration: usize,
@@ -567,7 +567,7 @@ pub struct GpRollbackState<T> {
 /// Captured by [`GpEngine::state`]; [`GpEngine::resume`] reconstructs an
 /// engine that continues bit-identically. The durable checkpoint format in
 /// `dreamplace-core` serializes exactly this struct.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GpEngineState<T> {
     /// Next iteration index to execute.
     pub next_iter: usize,

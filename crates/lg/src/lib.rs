@@ -164,7 +164,7 @@ pub struct LgFaultInjection {
 }
 
 /// Displacement statistics of a legalization run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LgStats {
     /// Mean L1 displacement of movable cells from their GP locations.
     pub avg_displacement: f64,

@@ -173,6 +173,13 @@ impl<T> OptimizerSnapshot<T> {
     }
 }
 
+/// An empty state: momentum SGD before its first step.
+impl<T: Default> Default for OptimizerSnapshot<T> {
+    fn default() -> Self {
+        OptimizerSnapshot::SgdMomentum { lr: T::default(), velocity: Vec::new() }
+    }
+}
+
 /// Error returned when a snapshot is restored into a different engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotMismatch {

@@ -1,5 +1,5 @@
 //! End-of-run report: a human-readable summary distilled from the event
-//! timeline. Built from [`Telemetry::report`] by the CLI after a run (even
+//! timeline. Built from [`Telemetry::report`](crate::Telemetry::report) by the CLI after a run (even
 //! a failed one) and by `dp-bench`, so the figure/table generators share
 //! one timing presentation instead of duplicating plumbing.
 

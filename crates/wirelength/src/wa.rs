@@ -12,22 +12,22 @@
 //!    (backward), scattered to cells through the cell-pin CSR.
 //!
 //! No kernel divides per pin: the exponent arguments are formed with
-//! `1/gamma` ([`crate::stable_exps`]) and Eq. (6) is applied through
-//! [`NetGradient`], whose four coefficients cost one reciprocal of `b^±`
+//! `1/gamma` (`crate::stable_exps`) and Eq. (6) is applied through
+//! `NetGradient`, whose four coefficients cost one reciprocal of `b^±`
 //! per net and axis. Every strategy goes through those two helpers, so they
 //! differ in schedule and memory traffic only, never in arithmetic.
 //!
 //! Every `a_i^±` is evaluated once per pass. The two-pass strategies keep
 //! them in per-pin arrays between forward and backward. The merged strategy
 //! (the production default) works one reduction chunk of nets at a time,
-//! split into blocks of consecutive nets with at most [`BLOCK_PINS`] pins
+//! split into blocks of consecutive nets with at most `BLOCK_PINS` pins
 //! (a larger net is a block of its own). A block's pins form one contiguous
 //! range, because pins are numbered net by net, and it runs three passes:
 //!
 //! 1. per net, one walk takes the max/min of both axes, then each pin's four
 //!    exponent arguments go into a scratch owned by the chunk invocation;
 //! 2. one branch-free loop turns every argument of the block into its
-//!    exponential ([`crate::exp_nonpos_in_place`]);
+//!    exponential (`crate::exp_nonpos_in_place`);
 //! 3. per net, `b±`/`c±` of both axes accumulate in pin order, the cost adds
 //!    the x term and then the y term, and Eq. (6) writes both axes' pin
 //!    gradients.

@@ -98,25 +98,26 @@ fn usage() -> ExitCode {
 /// A command's entry point.
 type Command = fn(&Args) -> Result<(), String>;
 
-/// Every command with the one list of flags it reads. `main` refuses any
-/// other flag before the command starts.
-const COMMANDS: [(&str, &[&str], Command); 8] = [
+/// Every command with the one list of flags it reads that take a value,
+/// and the one list of those that take none. `main` refuses any other flag
+/// before the command starts.
+const COMMANDS: [(&str, &[&str], &[&str], Command); 8] = [
     ("place", &[
-        "out", "mode", "threads", "overflow", "svg", "no-dp", "trace", "checkpoint-dir",
+        "out", "mode", "threads", "overflow", "svg", "trace", "checkpoint-dir",
         "checkpoint-every", "resume", "resume-or-restart", "die-at",
-    ], cmd_place),
-    ("gen", &["nets", "seed", "out", "name"], cmd_gen),
-    ("stats", &[], cmd_stats),
+    ], &["no-dp"], cmd_place),
+    ("gen", &["nets", "seed", "out", "name"], &[], cmd_gen),
+    ("stats", &[], &[], cmd_stats),
     ("serve", &[
         "threads", "jobs", "trace-dir", "queue-cap", "max-attempts", "backoff", "idle-timeout",
-        "on-disconnect", "chaos", "listen", "once", "metrics-listen",
-    ], cmd_serve),
-    ("fuzz-lines", &["seed", "count"], cmd_fuzz_lines),
-    ("trace-check", &[], cmd_trace_check),
-    ("checkpoint-check", &[], cmd_checkpoint_check),
+        "on-disconnect", "listen", "metrics-listen",
+    ], &["chaos", "once"], cmd_serve),
+    ("fuzz-lines", &["seed", "count"], &[], cmd_fuzz_lines),
+    ("trace-check", &[], &[], cmd_trace_check),
+    ("checkpoint-check", &[], &[], cmd_checkpoint_check),
     ("metrics-dump", &[
         "cells", "nets", "seed", "threads", "max-iters", "overflow",
-    ], cmd_metrics_dump),
+    ], &[], cmd_metrics_dump),
 ];
 
 /// Minimal flag parser: positional arguments plus `--key value` / `--flag`.
@@ -126,14 +127,18 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: impl Iterator<Item = String>) -> Self {
+    /// A flag in `switches` takes no value, so the word after it is read
+    /// on its own.
+    fn parse(raw: impl Iterator<Item = String>, switches: &[&str]) -> Self {
         let mut positional = Vec::new();
         let mut flags = std::collections::BTreeMap::new();
         let mut raw = raw.peekable();
         while let Some(a) = raw.next() {
             if let Some(key) = a.strip_prefix("--") {
                 let value = match raw.peek() {
-                    Some(v) if !v.starts_with("--") => raw.next().unwrap_or_default(),
+                    Some(v) if !v.starts_with("--") && !switches.contains(&key) => {
+                        raw.next().unwrap_or_default()
+                    }
                     _ => "true".to_string(),
                 };
                 flags.insert(key.to_string(), value);
@@ -163,11 +168,13 @@ fn main() -> ExitCode {
     let Some(command) = argv.next() else {
         return usage();
     };
-    let Some((_, known, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+    let Some((_, valued, switches, run)) = COMMANDS.iter().find(|(name, ..)| *name == command)
+    else {
         return usage();
     };
-    let args = Args::parse(argv);
-    if let Some(flag) = args.flags.keys().find(|f| !known.contains(&f.as_str())) {
+    let args = Args::parse(argv, switches);
+    let known = |f: &String| valued.contains(&f.as_str()) || switches.contains(&f.as_str());
+    if let Some(flag) = args.flags.keys().find(|f| !known(f)) {
         eprintln!("error: `{command}` has no flag --{flag}\n");
         return usage();
     }
@@ -591,4 +598,32 @@ fn cmd_place(args: &Args) -> Result<(), String> {
         println!("wrote {svg}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+#[allow(clippy::expect_used)]
+mod tests {
+    use super::*;
+
+    fn parse(command: &str, words: &[&str]) -> Args {
+        let (_, _, switches, _) = COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == command)
+            .expect("known command");
+        Args::parse(words.iter().map(|w| w.to_string()), switches)
+    }
+
+    #[test]
+    fn a_flag_without_a_value_leaves_the_next_word_positional() {
+        let args = parse("serve", &["--once", "first", "--chaos", "second", "--threads", "2"]);
+        assert_eq!(args.positional, ["first", "second"]);
+        assert_eq!(args.get("once"), Some("true"));
+        assert_eq!(args.get("chaos"), Some("true"));
+        assert_eq!(args.get("threads"), Some("2"));
+
+        let args = parse("place", &["--no-dp", "d.aux", "--out", "dir"]);
+        assert_eq!(args.positional, ["d.aux"]);
+        assert_eq!(args.get("no-dp"), Some("true"));
+        assert_eq!(args.get("out"), Some("dir"));
+    }
 }
