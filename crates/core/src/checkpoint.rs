@@ -136,6 +136,14 @@ pub enum CheckpointError {
         /// What was wrong.
         reason: String,
     },
+    /// The stage state parsed, but its stage refused to resume from it
+    /// (GP refusals surface as `FlowError::Gp` instead).
+    Unresumable {
+        /// The stage that refused.
+        stage: &'static str,
+        /// Why.
+        reason: String,
+    },
     /// The checkpoint belongs to a different design.
     DesignMismatch {
         /// Which identity field disagreed.
@@ -168,6 +176,9 @@ impl fmt::Display for CheckpointError {
             ),
             CheckpointError::Corrupt { line, reason } => {
                 write!(f, "corrupt record at line {line}: {reason}")
+            }
+            CheckpointError::Unresumable { stage, reason } => {
+                write!(f, "{stage} state cannot be resumed: {reason}")
             }
             CheckpointError::DesignMismatch {
                 field,

@@ -482,8 +482,9 @@ impl<'d, T: Float> FlowMachine<'d, T> {
     /// # Errors
     ///
     /// [`FlowError::Checkpoint`] when the checkpoint belongs to a
-    /// different design, [`FlowError::Gp`] when the engine state cannot be
-    /// restored, plus any error of the replayed input stages.
+    /// different design or its DP run state cannot be restored,
+    /// [`FlowError::Gp`] when the engine state cannot be restored, plus any
+    /// error of the replayed input stages.
     pub fn resume(
         config: FlowConfig<T>,
         design: impl Into<DesignHandle<'d, T>>,
@@ -545,7 +546,12 @@ impl<'d, T: Float> FlowMachine<'d, T> {
             } => {
                 let span = m.tel.span(dp_telemetry::SpanKind::Stage, "dp");
                 let placer = m.effective_dp_cfg();
-                let run = GuardedDpRun::resume(run);
+                let run = GuardedDpRun::resume(run).map_err(|reason| {
+                    FlowError::Checkpoint(CheckpointError::Unresumable {
+                        stage: "dp",
+                        reason,
+                    })
+                })?;
                 Stage::Dp(Box::new(DpStage {
                     nl,
                     placement,

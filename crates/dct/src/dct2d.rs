@@ -23,8 +23,14 @@
 //! * **Column pass** — the one-sided spectrum is already lane-interleaved
 //!   when read column-major (stride `n2/2 + 1`), so the column FFTs run
 //!   *in place* over strided lane windows with no transpose at all.
-//! * **Pack/unpack** — the remaining data movement goes through a
-//!   cache-blocked tiled transpose.
+//! * **Pack/unpack** — the row pack reads its input through the Eq. 10
+//!   even/odd reorder, and the inverse row interleave writes its output
+//!   through the Eq. 13 inverse reorder (with the mixed transforms' sign),
+//!   so no reordered copy of the matrix exists; the lane block ↔ spectrum
+//!   moves go through a cache-blocked tiled transpose.
+//! * **Two halves** — every transform reads its whole input into the
+//!   spectrum of [`Dct2dWork`] before it writes any output, so one code
+//!   path serves the `_with` methods and [`Dct2dPlan::transform_in_place`].
 //!
 //! Every step is a permutation, an elementwise map, or an independent
 //! per-lane FFT — there are no cross-element reductions — so the plan is
@@ -232,16 +238,16 @@ fn nanos_since(t0: Instant) -> u64 {
 /// Reusable scratch for [`Dct2dPlan`] transforms, plus the per-phase timer
 /// accumulator.
 ///
-/// The plan's `_with` methods fill these buffers instead of allocating; one
+/// Every transform runs through these buffers instead of allocating; one
 /// `Dct2dWork` per solver amortizes every per-transform allocation away.
 /// Buffers grow on demand and are reset by each call, so one work object
-/// can serve plans of different shapes (at the cost of a regrow).
+/// can serve plans of different shapes (at the cost of a regrow). It holds
+/// no real-valued matrix: inputs are read, and outputs written, through
+/// the Eq. 10 permutation directly.
 #[derive(Debug, Clone, Default)]
 pub struct Dct2dWork<T> {
-    /// Real-valued `n1 * n2` scratch (permuted input / pre-permutation
-    /// output of the 2-D real FFT).
-    real: Vec<T>,
-    /// One-sided spectrum scratch, `n1 * (n2/2 + 1)`.
+    /// One-sided spectrum scratch, `n1 * (n2/2 + 1)`: the only state a
+    /// transform carries from its input half to its output half.
     spec: Vec<Complex<T>>,
     /// Lane-interleaved half-FFT scratch, `(n2/2) * LANES`.
     lanes: Vec<Complex<T>>,
@@ -258,9 +264,8 @@ impl<T: Float> Dct2dWork<T> {
 
     /// Bytes of scratch currently held (for workspace counters).
     pub fn bytes(&self) -> usize {
-        self.real.capacity() * std::mem::size_of::<T>()
-            + (self.spec.capacity() + self.lanes.capacity() + self.lanes2.capacity())
-                * std::mem::size_of::<Complex<T>>()
+        (self.spec.capacity() + self.lanes.capacity() + self.lanes2.capacity())
+            * std::mem::size_of::<Complex<T>>()
     }
 
     /// Zeroes the lane scratch for sweeps over rows of `m` complex pairs
@@ -279,21 +284,25 @@ impl<T: Float> Dct2dWork<T> {
     }
 }
 
-/// Which of Algorithm 4's inverse transforms a pre/post kernel pair runs.
+/// One of the four transforms of paper Algorithm 4, as accepted by
+/// [`Dct2dPlan::transform_in_place`].
 ///
 /// A mixed transform is the plain IDCT of its input flipped along one
 /// dimension (Eqs. 14/16, the flipped-in edge row or column zero) with the
-/// odd output rows or columns negated (Eqs. 15/17). Both halves are index
-/// arithmetic inside [`Dct2dPlan::idct2_pre`] and
-/// [`Dct2dPlan::unreorder_into`]: no flipped copy is built and the output
-/// is written once.
+/// odd output rows or columns negated (Eqs. 15/17). Both are index
+/// arithmetic inside the plan's input and output halves: no flipped copy
+/// is built and the output is written once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Inverse {
-    /// IDCT along both dimensions.
+pub enum Transform2d {
+    /// Forward DCT along both dimensions (`2D_DCT`).
+    Dct2,
+    /// IDCT along both dimensions (`2D_IDCT`).
     Idct2,
-    /// IDXST along dimension 1, IDCT along dimension 2 (Eqs. 16-17).
+    /// IDXST along dimension 1, IDCT along dimension 2 (Eqs. 16-17; the X
+    /// electric field, Eq. (9c)).
     IdxstIdct,
-    /// IDCT along dimension 1, IDXST along dimension 2 (Eqs. 14-15).
+    /// IDCT along dimension 1, IDXST along dimension 2 (Eqs. 14-15; the Y
+    /// electric field, Eq. (9d)).
     IdctIdxst,
 }
 
@@ -334,9 +343,14 @@ fn transpose_tiled<U: Copy>(src: &[U], rows: usize, cols: usize, dst: &mut [U]) 
 /// operator uses in the optimized configuration. The 2-D real FFT is swept
 /// [`LANES`] signals at a time (see the module docs), which changes memory
 /// shape only: every output is bitwise what per-row [`RfftPlan`] and
-/// per-column [`FftPlan`] transforms produce. The `_with` method variants
-/// take a [`Dct2dWork`] and an output buffer to reuse allocations across
-/// calls; the plain methods allocate fresh buffers per call.
+/// per-column [`FftPlan`] transforms produce.
+///
+/// Each transform is two halves joined only by the spectrum in
+/// [`Dct2dWork`]: the first reads the whole input into it, the second
+/// writes the whole output from it. So the `_with` variants (input, work,
+/// output buffer) and [`Dct2dPlan::transform_in_place`] (one buffer, input
+/// on entry and output on return) run the same code; the plain methods
+/// allocate fresh buffers per call.
 ///
 /// # Examples
 ///
@@ -403,9 +417,15 @@ impl<T: Float> Dct2dPlan<T> {
         (self.n1, self.n2)
     }
 
-    /// 2-D real FFT of `work.real` into `work.spec`: `n1 x n2` reals to
-    /// `n1 x (n2/2 + 1)` complex bins (unnormalized), rows then columns.
-    fn rfft2_into(&self, work: &mut Dct2dWork<T>) {
+    /// The forward DCT's input half: the 2-D real FFT of `x` seen through
+    /// the Eq. 10 reorder, into `work.spec` (`n1 x (n2/2 + 1)` complex
+    /// bins, unnormalized), rows then columns.
+    ///
+    /// The reorder is folded into the row pack: lane `l` of the sweep at
+    /// row `r0` is row `r1[r0 + l]` of `x`, and its pair `k` is
+    /// `x[.., r2[2k]] + i x[.., r2[2k + 1]]` (Makhoul packing of the
+    /// reordered row), so no reordered copy of `x` is ever built.
+    fn rfft2_consume(&self, x: &[T], work: &mut Dct2dWork<T>) {
         let (n1, n2) = (self.n1, self.n2);
         let n2h = n2 / 2 + 1;
         let m = n2 / 2;
@@ -417,14 +437,11 @@ impl<T: Float> Dct2dPlan<T> {
         // butterfly's twiddle load is shared across the whole sweep.
         for r0 in (0..n1).step_by(LANES) {
             let b = LANES.min(n1 - r0);
-            // Pack pairs lane-interleaved: z[k][l] = x[2k] + i x[2k+1] of
-            // row r0 + l (Makhoul packing).
             let t0 = Instant::now();
-            for k in 0..m {
-                for l in 0..b {
-                    let row = (r0 + l) * n2;
-                    work.lanes[k * b + l] =
-                        Complex::new(work.real[row + 2 * k], work.real[row + 2 * k + 1]);
+            for (l, &src) in self.r1[r0..r0 + b].iter().enumerate() {
+                let row = &x[src * n2..(src + 1) * n2];
+                for (k, cols) in self.r2.chunks_exact(2).enumerate() {
+                    work.lanes[k * b + l] = Complex::new(row[cols[0]], row[cols[1]]);
                 }
             }
             work.phases.transpose_nanos += nanos_since(t0);
@@ -467,10 +484,17 @@ impl<T: Float> Dct2dPlan<T> {
         work.phases.butterfly_nanos += nanos_since(t0);
     }
 
-    /// Inverse of [`Dct2dPlan::rfft2_into`] with full `1/(n1 n2)`
-    /// normalization: transforms `work.spec` in place column-wise, then
-    /// writes the real rows into `work.real`.
-    fn irfft2_into(&self, work: &mut Dct2dWork<T>) {
+    /// The inverse transforms' output half: the inverse 2-D real FFT of
+    /// `work.spec` with full `1/(n1 n2)` normalization (columns in place,
+    /// then rows), written into `out` through the Eq. 13 inverse reorder.
+    ///
+    /// The un-reorder is folded into the row interleave: real column `j` of
+    /// sweep row `i` lands at `out[r1[i]][r2[j]]`, negated where `kind`'s
+    /// sign alternation (Eqs. 15/17) makes that destination odd — which the
+    /// permutation makes a property of the source index (`i >= N1/2` for
+    /// `IdxstIdct`, `j >= N2/2` for `IdctIdxst`), so the sign is fixed per
+    /// lane and per pair.
+    fn irfft2_produce(&self, kind: Transform2d, work: &mut Dct2dWork<T>, out: &mut [T]) {
         let (n1, n2) = (self.n1, self.n2);
         let n2h = n2 / 2 + 1;
         let m = n2 / 2;
@@ -483,7 +507,6 @@ impl<T: Float> Dct2dPlan<T> {
             self.col_fft.inverse_lanes(&mut work.spec[c0..], n2h, b);
         }
         work.phases.butterfly_nanos += nanos_since(t0);
-        work.real.resize(n1 * n2, T::ZERO);
         work.reset_lanes(m);
         for r0 in (0..n1).step_by(LANES) {
             let b = LANES.min(n1 - r0);
@@ -514,29 +537,21 @@ impl<T: Float> Dct2dPlan<T> {
             let t0 = Instant::now();
             half.inverse_lanes(&mut work.lanes[..m * b], b, b);
             work.phases.butterfly_nanos += nanos_since(t0);
-            // Interleave back to real rows.
+            // Interleave back to real rows, through the inverse reorder.
             let t0 = Instant::now();
-            for k in 0..m {
-                for l in 0..b {
+            for (l, &dst) in self.r1[r0..r0 + b].iter().enumerate() {
+                let neg_row = kind == Transform2d::IdxstIdct && r0 + l >= n1 / 2;
+                let row = &mut out[dst * n2..(dst + 1) * n2];
+                for (k, cols) in self.r2.chunks_exact(2).enumerate() {
+                    // `N2/2` is even, so both reals of pair `k` sit on the
+                    // same side of it.
+                    let neg = neg_row || (kind == Transform2d::IdctIdxst && 2 * k >= m);
                     let z = work.lanes[k * b + l];
-                    let row = (r0 + l) * n2;
-                    work.real[row + 2 * k] = z.re;
-                    work.real[row + 2 * k + 1] = z.im;
+                    row[cols[0]] = if neg { -z.re } else { z.re };
+                    row[cols[1]] = if neg { -z.im } else { z.im };
                 }
             }
             work.phases.transpose_nanos += nanos_since(t0);
-        }
-    }
-
-    /// Eq. 10: the 1-D even/odd reorder applied to both axes, `x` into
-    /// `real`.
-    fn reorder_into(&self, x: &[T], real: &mut Vec<T>) {
-        let n2 = self.n2;
-        real.resize(self.n1 * n2, T::ZERO);
-        for (i, &src_i) in self.r1.iter().enumerate() {
-            for (j, &src_j) in self.r2.iter().enumerate() {
-                real[i * n2 + j] = x[src_i * n2 + src_j];
-            }
         }
     }
 
@@ -550,12 +565,11 @@ impl<T: Float> Dct2dPlan<T> {
     /// row `k1`, one conjugated from its Hermitian partner row) in swapped
     /// roles, so the interior walks `1..N2/2` once and writes both; columns
     /// `0` and `N2/2` are their own wrap partners.
-    fn dct2_post(&self, spec: &[Complex<T>], out: &mut Vec<T>) {
+    fn dct2_post(&self, spec: &[Complex<T>], out: &mut [T]) {
         let (n1, n2) = (self.n1, self.n2);
         let n2h = n2 / 2 + 1;
         let m = n2 / 2;
         let scale = T::TWO / T::from_usize(n1 * n2);
-        out.resize(n1 * n2, T::ZERO);
         for (k1, out_row) in out.chunks_exact_mut(n2).enumerate() {
             let w1 = self.w1[k1];
             let partner_row = if k1 == 0 { 0 } else { n1 - k1 };
@@ -588,7 +602,7 @@ impl<T: Float> Dct2dPlan<T> {
     /// column `0` ever touch the padding or that edge, so they go through
     /// the bounds-aware `at`; every interior bin reads its four inputs
     /// straight from two rows of `x`.
-    fn idct2_pre(&self, x: &[T], kind: Inverse, spec: &mut Vec<Complex<T>>) {
+    fn idct2_pre(&self, x: &[T], kind: Transform2d, spec: &mut Vec<Complex<T>>) {
         let (n1, n2) = (self.n1, self.n2);
         let n2h = n2 / 2 + 1;
         let quarter = T::from_usize(n1 * n2) * T::from_f64(0.25);
@@ -597,10 +611,10 @@ impl<T: Float> Dct2dPlan<T> {
                 return T::ZERO;
             }
             match kind {
-                Inverse::Idct2 => x[k1 * n2 + k2],
-                Inverse::IdxstIdct if k1 > 0 => x[(n1 - k1) * n2 + k2],
-                Inverse::IdctIdxst if k2 > 0 => x[k1 * n2 + (n2 - k2)],
-                _ => T::ZERO,
+                Transform2d::IdxstIdct if k1 > 0 => x[(n1 - k1) * n2 + k2],
+                Transform2d::IdctIdxst if k2 > 0 => x[k1 * n2 + (n2 - k2)],
+                Transform2d::IdxstIdct | Transform2d::IdctIdxst => T::ZERO,
+                _ => x[k1 * n2 + k2],
             }
         };
         let bin = |w: Complex<T>, a: T, b: T, p: T, q: T| {
@@ -623,8 +637,8 @@ impl<T: Float> Dct2dPlan<T> {
             spec[k1 * n2h] = edge(k1, 0);
             // Rows of `x` holding c(k1, .) and c(N1-k1, .).
             let (near, far) = match kind {
-                Inverse::IdxstIdct => (n1 - k1, k1),
-                Inverse::Idct2 | Inverse::IdctIdxst => (k1, n1 - k1),
+                Transform2d::IdxstIdct => (n1 - k1, k1),
+                _ => (k1, n1 - k1),
             };
             let near = &x[near * n2..(near + 1) * n2];
             let far = &x[far * n2..(far + 1) * n2];
@@ -633,8 +647,8 @@ impl<T: Float> Dct2dPlan<T> {
             for (k2, slot) in out.iter_mut().enumerate().skip(1) {
                 // Columns of `x` holding c(., k2) and c(., N2-k2).
                 let (fwd, rev) = match kind {
-                    Inverse::IdctIdxst => (n2 - k2, k2),
-                    Inverse::Idct2 | Inverse::IdxstIdct => (k2, n2 - k2),
+                    Transform2d::IdctIdxst => (n2 - k2, k2),
+                    _ => (k2, n2 - k2),
                 };
                 let w = w1 * self.w2[k2].conj();
                 *slot = bin(w, near[fwd], far[rev], far[fwd], near[rev]);
@@ -642,40 +656,56 @@ impl<T: Float> Dct2dPlan<T> {
         }
     }
 
-    /// Eq. 13: the inverse of the Eq. 10 permutation, `real` into `out`,
-    /// with `kind`'s sign alternation (Eqs. 15/17) applied on the way: the
-    /// mixed transforms negate the odd output rows (columns), and the
-    /// permutation sends source row (column) `t` to an odd destination
-    /// exactly when `t >= N/2`.
-    fn unreorder_into(&self, real: &[T], kind: Inverse, out: &mut Vec<T>) {
-        let (n1, n2) = (self.n1, self.n2);
-        let h2 = n2 / 2;
-        out.resize(n1 * n2, T::ZERO);
-        for (i, &dst_i) in self.r1.iter().enumerate() {
-            let neg_row = kind == Inverse::IdxstIdct && i >= n1 / 2;
-            let neg_odd = neg_row || kind == Inverse::IdctIdxst;
-            let (evens, odds) = real[i * n2..(i + 1) * n2].split_at(h2);
-            let dst = &mut out[dst_i * n2..(dst_i + 1) * n2];
-            // Destination column 2t takes source t, column 2t+1 takes
-            // source N2-1-t (`reorder_index` read backwards).
-            for ((pair, &e), &o) in dst.chunks_exact_mut(2).zip(evens).zip(odds.iter().rev()) {
-                pair[0] = if neg_row { -e } else { e };
-                pair[1] = if neg_odd { -o } else { o };
+    /// A transform's input half: reads all of `x` into `work.spec`.
+    fn consume(&self, kind: Transform2d, x: &[T], work: &mut Dct2dWork<T>) {
+        assert_eq!(x.len(), self.n1 * self.n2, "matrix shape mismatch");
+        match kind {
+            Transform2d::Dct2 => self.rfft2_consume(x, work),
+            _ => {
+                let t0 = Instant::now();
+                self.idct2_pre(x, kind, &mut work.spec);
+                work.phases.twiddle_nanos += nanos_since(t0);
             }
         }
     }
 
-    /// The three inverse transforms: `kind`'s pre-processing, one inverse
-    /// 2-D real FFT, `kind`'s post-processing.
-    fn inverse_with(&self, x: &[T], kind: Inverse, work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        assert_eq!(x.len(), self.n1 * self.n2, "matrix shape mismatch");
-        let t0 = Instant::now();
-        self.idct2_pre(x, kind, &mut work.spec);
-        work.phases.twiddle_nanos += nanos_since(t0);
-        self.irfft2_into(work);
-        let t0 = Instant::now();
-        self.unreorder_into(&work.real, kind, out);
-        work.phases.transpose_nanos += nanos_since(t0);
+    /// A transform's output half: writes every element of `out` from
+    /// `work.spec`.
+    fn produce(&self, kind: Transform2d, work: &mut Dct2dWork<T>, out: &mut [T]) {
+        match kind {
+            Transform2d::Dct2 => {
+                let t0 = Instant::now();
+                self.dct2_post(&work.spec, out);
+                work.phases.twiddle_nanos += nanos_since(t0);
+            }
+            _ => self.irfft2_produce(kind, work, out),
+        }
+    }
+
+    /// `kind` of `x` into `out` (resized to the matrix), reusing `work`.
+    fn transform_with(
+        &self,
+        kind: Transform2d,
+        x: &[T],
+        work: &mut Dct2dWork<T>,
+        out: &mut Vec<T>,
+    ) {
+        self.consume(kind, x, work);
+        out.resize(self.n1 * self.n2, T::ZERO);
+        self.produce(kind, work, out);
+    }
+
+    /// `kind` of `x`, written back over `x`; bitwise what the matching
+    /// `_with` method writes into a separate buffer. The input half reads
+    /// all of `x` before the output half writes any of it, so the only
+    /// scratch is `work`'s spectrum and lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n1 * n2`.
+    pub fn transform_in_place(&self, kind: Transform2d, x: &mut [T], work: &mut Dct2dWork<T>) {
+        self.consume(kind, x, work);
+        self.produce(kind, work, x);
     }
 
     /// Forward 2-D DCT (paper Algorithm 4, `2D_DCT`) into `out`, reusing
@@ -687,14 +717,7 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `x.len() != n1 * n2`.
     pub fn dct2_with(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        assert_eq!(x.len(), self.n1 * self.n2, "matrix shape mismatch");
-        let t0 = Instant::now();
-        self.reorder_into(x, &mut work.real);
-        work.phases.transpose_nanos += nanos_since(t0);
-        self.rfft2_into(work);
-        let t0 = Instant::now();
-        self.dct2_post(&work.spec, out);
-        work.phases.twiddle_nanos += nanos_since(t0);
+        self.transform_with(Transform2d::Dct2, x, work, out);
     }
 
     /// Forward 2-D DCT returning a fresh buffer; see
@@ -717,7 +740,7 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `c.len() != n1 * n2`.
     pub fn idct2_with(&self, c: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        self.inverse_with(c, Inverse::Idct2, work, out);
+        self.transform_with(Transform2d::Idct2, c, work, out);
     }
 
     /// Inverse 2-D DCT returning a fresh buffer; see
@@ -740,7 +763,7 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `x.len() != n1 * n2`.
     pub fn idct_idxst_with(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        self.inverse_with(x, Inverse::IdctIdxst, work, out);
+        self.transform_with(Transform2d::IdctIdxst, x, work, out);
     }
 
     /// [`Dct2dPlan::idct_idxst_with`] returning a fresh buffer.
@@ -762,7 +785,7 @@ impl<T: Float> Dct2dPlan<T> {
     ///
     /// Panics if `x.len() != n1 * n2`.
     pub fn idxst_idct_with(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        self.inverse_with(x, Inverse::IdxstIdct, work, out);
+        self.transform_with(Transform2d::IdxstIdct, x, work, out);
     }
 
     /// [`Dct2dPlan::idxst_idct_with`] returning a fresh buffer.
@@ -797,22 +820,24 @@ mod tests {
             .collect()
     }
 
-    /// Test-only reference sweeps: the 2-D real FFT composed from scalar
-    /// `RfftPlan::forward_into` per row and scalar `FftPlan::forward` per
-    /// gathered column — what the lane sweeps must reproduce bit for bit.
-    fn scalar_rfft2<T: Float>(plan: &Dct2dPlan<T>, work: &mut Dct2dWork<T>) {
+    /// Test-only reference sweeps: the 2-D real FFT of the row-major
+    /// `real` composed from scalar `RfftPlan::forward_into` per row and
+    /// scalar `FftPlan::forward` per gathered column — what the lane sweeps
+    /// must reproduce bit for bit.
+    fn scalar_rfft2<T: Float>(plan: &Dct2dPlan<T>, real: &[T]) -> Vec<Complex<T>> {
         let (n1, n2) = plan.shape();
         let n2h = n2 / 2 + 1;
-        work.spec = vec![Complex::zero(); n1 * n2h];
+        let mut spec = vec![Complex::zero(); n1 * n2h];
         let mut scratch = vec![Complex::zero(); n2 / 2];
         for r in 0..n1 {
             plan.row_rfft.forward_into(
-                &work.real[r * n2..(r + 1) * n2],
-                &mut work.spec[r * n2h..(r + 1) * n2h],
+                &real[r * n2..(r + 1) * n2],
+                &mut spec[r * n2h..(r + 1) * n2h],
                 &mut scratch,
             );
         }
-        scalar_columns(&mut work.spec, n2h, |col| plan.col_fft.forward(col));
+        scalar_columns(&mut spec, n2h, |col| plan.col_fft.forward(col));
+        spec
     }
 
     /// Applies `f` to each gathered column of a row-major `? x n2h` matrix.
@@ -831,19 +856,44 @@ mod tests {
     }
 
     /// Scalar inverse of [`scalar_rfft2`]: columns first, then rows.
-    fn scalar_irfft2<T: Float>(plan: &Dct2dPlan<T>, work: &mut Dct2dWork<T>) {
+    fn scalar_irfft2<T: Float>(plan: &Dct2dPlan<T>, mut spec: Vec<Complex<T>>) -> Vec<T> {
         let (n1, n2) = plan.shape();
         let n2h = n2 / 2 + 1;
-        scalar_columns(&mut work.spec, n2h, |col| plan.col_fft.inverse(col));
-        work.real = vec![T::ZERO; n1 * n2];
+        scalar_columns(&mut spec, n2h, |col| plan.col_fft.inverse(col));
+        let mut real = vec![T::ZERO; n1 * n2];
         let mut scratch = vec![Complex::zero(); n2 / 2];
         for r in 0..n1 {
             plan.row_rfft.inverse_into(
-                &work.spec[r * n2h..(r + 1) * n2h],
-                &mut work.real[r * n2..(r + 1) * n2],
+                &spec[r * n2h..(r + 1) * n2h],
+                &mut real[r * n2..(r + 1) * n2],
                 &mut scratch,
             );
         }
+        real
+    }
+
+    /// Eq. 10 as a materialised copy: `real[i][j] = x[r1[i]][r2[j]]`.
+    fn reorder<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
+        let n2 = plan.n2;
+        let mut real = vec![T::ZERO; x.len()];
+        for (i, &src_i) in plan.r1.iter().enumerate() {
+            for (j, &src_j) in plan.r2.iter().enumerate() {
+                real[i * n2 + j] = x[src_i * n2 + src_j];
+            }
+        }
+        real
+    }
+
+    /// Eq. 13, the inverse of [`reorder`]: `out[r1[i]][r2[j]] = real[i][j]`.
+    fn unreorder<T: Float>(plan: &Dct2dPlan<T>, real: &[T]) -> Vec<T> {
+        let n2 = plan.n2;
+        let mut out = vec![T::ZERO; real.len()];
+        for (i, &dst_i) in plan.r1.iter().enumerate() {
+            for (j, &dst_j) in plan.r2.iter().enumerate() {
+                out[dst_i * n2 + dst_j] = real[i * n2 + j];
+            }
+        }
+        out
     }
 
     /// Eq. 11 one output at a time: every bin of the wrapped spectrum read
@@ -899,19 +949,11 @@ mod tests {
     }
 
     fn reference_dct2<T: Float>(plan: &Dct2dPlan<T>, x: &[T]) -> Vec<T> {
-        let mut work = Dct2dWork::new();
-        plan.reorder_into(x, &mut work.real);
-        scalar_rfft2(plan, &mut work);
-        definitional_dct2_post(plan, &work.spec)
+        definitional_dct2_post(plan, &scalar_rfft2(plan, &reorder(plan, x)))
     }
 
     fn reference_idct2<T: Float>(plan: &Dct2dPlan<T>, c: &[T]) -> Vec<T> {
-        let mut work = Dct2dWork::new();
-        let mut out = Vec::new();
-        work.spec = definitional_idct2_pre(plan, c);
-        scalar_irfft2(plan, &mut work);
-        plan.unreorder_into(&work.real, Inverse::Idct2, &mut out);
-        out
+        unreorder(plan, &scalar_irfft2(plan, definitional_idct2_pre(plan, c)))
     }
 
     /// Eq. 14: dimension 2 flipped, `x(., 0) -> 0`, as a materialised copy.
@@ -1046,6 +1088,40 @@ mod tests {
     fn lane_sweeps_are_bitwise_identical_to_scalar_rows_and_columns() {
         assert_lane_sweeps_match_scalar_reference::<f64>();
         assert_lane_sweeps_match_scalar_reference::<f32>();
+    }
+
+    fn assert_in_place_matches_with<T: Float>() {
+        type With<T> = fn(&Dct2dPlan<T>, &[T], &mut Dct2dWork<T>, &mut Vec<T>);
+        let pairs: [(Transform2d, With<T>); 4] = [
+            (Transform2d::Dct2, Dct2dPlan::dct2_with),
+            (Transform2d::Idct2, Dct2dPlan::idct2_with),
+            (Transform2d::IdxstIdct, Dct2dPlan::idxst_idct_with),
+            (Transform2d::IdctIdxst, Dct2dPlan::idct_idxst_with),
+        ];
+        let mut work = Dct2dWork::new();
+        for (n1, n2) in [(2, 4), (16, 16), (8, 32), (64, 16)] {
+            let x: Vec<T> = matrix(n1, n2).into_iter().map(T::from_f64).collect();
+            let plan = Dct2dPlan::<T>::new(n1, n2).expect("pow2");
+            for (kind, with) in pairs {
+                let mut want = Vec::new();
+                with(&plan, &x, &mut work, &mut want);
+                let mut got = x.clone();
+                plan.transform_in_place(kind, &mut got, &mut work);
+                let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{kind:?} {} ({n1},{n2})",
+                    T::PRECISION_NAME
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_transforms_are_bitwise_the_with_transforms() {
+        assert_in_place_matches_with::<f64>();
+        assert_in_place_matches_with::<f32>();
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod rfft;
 use std::error::Error;
 use std::fmt;
 
-pub use dct2d::{Dct2dPlan, TransformPhases};
+pub use dct2d::{Dct2dPlan, Transform2d, TransformPhases};
 pub use fft::FftPlan;
 pub use rfft::RfftPlan;
 

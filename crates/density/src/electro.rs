@@ -8,10 +8,19 @@
 //! One solve is three transforms: the forward DCT, and one mixed inverse
 //! transform per field component. The energy is summed from the spectrum
 //! (Parseval), so the potential is never built on the placement path;
-//! [`ElectroField::potential`] computes it on request for oracles and tests.
+//! [`ElectroField::potential`] computes it on request for oracles and tests,
+//! in buffers of its own.
+//!
+//! The solve runs inside the two grids of its [`FieldSolution`]: the
+//! charge map arrives in `field_x`, the forward DCT turns it into `a_uv` in
+//! place, one pass over the spectrum writes the `y` field's coefficients
+//! into `field_y` and the `x` field's over `a_uv` (summing the energy on
+//! the way), and each mixed inverse then runs in place. Beside the two
+//! field buffers a solve holds only the transform work (spectrum and lane
+//! scratch).
 
 use dp_dct::dct2d::{Dct1dTier, Dct2dWork, RowColumnDct2d};
-use dp_dct::{Dct2dPlan, TransformError, TransformPhases};
+use dp_dct::{Dct2dPlan, Transform2d, TransformError, TransformPhases};
 use dp_num::Float;
 
 use crate::bins::BinGrid;
@@ -45,38 +54,24 @@ enum Backend<T> {
 }
 
 impl<T: Float> Backend<T> {
-    // The Direct2d tier runs allocation-free against the reusable work
-    // buffers; the row-column tiers are legacy comparison points (Fig. 11)
-    // and keep their allocating transforms.
-    fn dct2_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
+    /// `kind` of `x`, written back over `x`. The Direct2d tier runs
+    /// allocation-free against the reusable work buffers; the row-column
+    /// tiers are legacy comparison points (Fig. 11) and keep their
+    /// allocating transforms.
+    fn transform_in_place(&self, kind: Transform2d, x: &mut [T], work: &mut Dct2dWork<T>) {
         match self {
-            Backend::RowColumn(p) => replace_with(out, p.dct2(x)),
-            Backend::Direct(p) => p.dct2_with(x, work, out),
+            Backend::Direct(p) => p.transform_in_place(kind, x, work),
+            Backend::RowColumn(p) => {
+                let y = match kind {
+                    Transform2d::Dct2 => p.dct2(x),
+                    Transform2d::Idct2 => p.idct2(x),
+                    Transform2d::IdxstIdct => p.idxst_idct(x),
+                    Transform2d::IdctIdxst => p.idct_idxst(x),
+                };
+                x.copy_from_slice(&y);
+            }
         }
     }
-    fn idct2_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        match self {
-            Backend::RowColumn(p) => replace_with(out, p.idct2(x)),
-            Backend::Direct(p) => p.idct2_with(x, work, out),
-        }
-    }
-    fn idxst_idct_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        match self {
-            Backend::RowColumn(p) => replace_with(out, p.idxst_idct(x)),
-            Backend::Direct(p) => p.idxst_idct_with(x, work, out),
-        }
-    }
-    fn idct_idxst_into(&self, x: &[T], work: &mut Dct2dWork<T>, out: &mut Vec<T>) {
-        match self {
-            Backend::RowColumn(p) => replace_with(out, p.idct_idxst(x)),
-            Backend::Direct(p) => p.idct_idxst_with(x, work, out),
-        }
-    }
-}
-
-fn replace_with<T>(out: &mut Vec<T>, v: Vec<T>) {
-    out.clear();
-    out.extend(v);
 }
 
 /// Field and energy of one density snapshot, in bin units.
@@ -144,34 +139,8 @@ pub struct ElectroField<T: Float> {
     norm_u: Vec<T>,
     /// Likewise along y: `my / 4` for `v = 0`, `my / 2` otherwise.
     norm_v: Vec<T>,
-    /// Spectral coefficient and FFT scratch, reused across solves.
-    scratch: SolveScratch<T>,
-}
-
-/// Reusable scratch for one spectral solve; owned by the solver so a
-/// placement run allocates it exactly once.
-struct SolveScratch<T> {
-    a: Vec<T>,
-    coef_ex: Vec<T>,
-    coef_ey: Vec<T>,
+    /// Transform scratch (spectrum and lanes), reused across solves.
     work: Dct2dWork<T>,
-}
-
-impl<T: Float> SolveScratch<T> {
-    fn new() -> Self {
-        Self {
-            a: Vec::new(),
-            coef_ex: Vec::new(),
-            coef_ey: Vec::new(),
-            work: Dct2dWork::new(),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        (self.a.capacity() + self.coef_ex.capacity() + self.coef_ey.capacity())
-            * std::mem::size_of::<T>()
-            + self.work.bytes()
-    }
 }
 
 impl<T: Float> ElectroField<T> {
@@ -202,26 +171,27 @@ impl<T: Float> ElectroField<T> {
             wv: (0..my).map(|v| freq(v, my)).collect(),
             norm_u: (0..mx).map(|u| norm(u, mx)).collect(),
             norm_v: (0..my).map(|v| norm(v, my)).collect(),
-            scratch: SolveScratch::new(),
+            work: Dct2dWork::new(),
         })
     }
 
     /// Heap bytes held by the solver's reusable scratch buffers.
     pub fn scratch_bytes(&self) -> usize {
-        self.scratch.bytes()
+        self.work.bytes()
     }
 
     /// Drains the transpose/butterfly/twiddle phase split accumulated by
     /// the direct 2-D transforms since the last call. Always zero for the
     /// row-column tiers, which carry no timers.
     pub fn take_transform_phases(&mut self) -> TransformPhases {
-        self.scratch.work.take_phases()
+        self.work.take_phases()
     }
 
     /// Solves Poisson's equation for a density map (row-major `mx x my`,
-    /// x-major as produced by [`crate::DensityMapBuilder`]), writing the
-    /// result into `out` so both the solution and the spectral scratch are
-    /// reused across iterations.
+    /// x-major as produced by [`crate::DensityMapBuilder`]): `rho` is
+    /// copied into `out.field_x` and solved there (see the module docs), so
+    /// the solution buffers and the transform scratch are reused across
+    /// iterations.
     ///
     /// The DC component is removed (paper Eq. (4c)), making the solution
     /// independent of total charge.
@@ -243,69 +213,83 @@ impl<T: Float> ElectroField<T> {
     ///
     /// Panics if `rho.len() != mx * my`.
     pub fn solve_into(&mut self, rho: &[T], out: &mut FieldSolution<T>) {
-        assert_eq!(rho.len(), self.mx * self.my, "density map shape mismatch");
-        let s = &mut self.scratch;
-        self.backend.dct2_into(rho, &mut s.work, &mut s.a);
+        out.field_x.clear();
+        out.field_x.extend_from_slice(rho);
+        self.solve_in_place(out);
+    }
 
-        // Every element is written below, so the buffers are only sized.
-        s.coef_ex.resize(s.a.len(), T::ZERO);
-        s.coef_ey.resize(s.a.len(), T::ZERO);
+    /// [`ElectroField::solve_into`] with the density map already in
+    /// `sol.field_x`: every step runs inside the two field buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sol.field_x.len() != mx * my`.
+    pub(crate) fn solve_in_place(&mut self, sol: &mut FieldSolution<T>) {
+        let (mx, my) = (self.mx, self.my);
+        assert_eq!(sol.field_x.len(), mx * my, "density map shape mismatch");
+        // a_uv lands in field_x.
+        self.backend
+            .transform_in_place(Transform2d::Dct2, &mut sol.field_x, &mut self.work);
+
+        // Every element is written below, so field_y is only sized.
+        sol.field_y.resize(mx * my, T::ZERO);
         let mut energy = T::ZERO;
-        for u in 0..self.mx {
+        for (u, (ex, ey)) in sol
+            .field_x
+            .chunks_exact_mut(my)
+            .zip(sol.field_y.chunks_exact_mut(my))
+            .enumerate()
+        {
             let wu = self.wu[u];
-            let row = u * self.my..(u + 1) * self.my;
-            let (a, ex, ey) = (
-                &s.a[row.clone()],
-                &mut s.coef_ex[row.clone()],
-                &mut s.coef_ey[row],
-            );
             // DC removed: (0, 0) is written as zero and skipped.
             let first = usize::from(u == 0);
             ex[..first].fill(T::ZERO);
             ey[..first].fill(T::ZERO);
             let mut row_energy = T::ZERO;
-            for v in first..self.my {
+            for v in first..my {
                 let wv = self.wv[v];
+                let a = ex[v];
                 // One division per bin: the three quotients below share it.
                 let inv = T::ONE / (wu * wu + wv * wv);
-                ex[v] = a[v] * wu * inv;
-                ey[v] = a[v] * wv * inv;
-                row_energy += a[v] * a[v] * inv * self.norm_v[v];
+                ex[v] = a * wu * inv;
+                ey[v] = a * wv * inv;
+                row_energy += a * a * inv * self.norm_v[v];
             }
             energy += row_energy * self.norm_u[u];
         }
-        out.energy = energy * T::HALF;
+        sol.energy = energy * T::HALF;
 
         self.backend
-            .idxst_idct_into(&s.coef_ex, &mut s.work, &mut out.field_x);
+            .transform_in_place(Transform2d::IdxstIdct, &mut sol.field_x, &mut self.work);
         self.backend
-            .idct_idxst_into(&s.coef_ey, &mut s.work, &mut out.field_y);
+            .transform_in_place(Transform2d::IdctIdxst, &mut sol.field_y, &mut self.work);
     }
 
     /// The electric potential `psi = idct2(a_uv / (w_u^2 + w_v^2))` of a
     /// density map (DC removed), per bin.
     ///
     /// Placement never needs it — [`ElectroField::solve_into`] produces the
-    /// field and the energy without it — so this is a separate, allocating
-    /// call for oracles and tests that compare against `psi` itself.
+    /// field and the energy without it — so this is a separate call for
+    /// oracles and tests that compare against `psi` itself; it allocates
+    /// the buffer it returns and solves inside it.
     ///
     /// # Panics
     ///
     /// Panics if `rho.len() != mx * my`.
     pub fn potential(&mut self, rho: &[T]) -> Vec<T> {
         assert_eq!(rho.len(), self.mx * self.my, "density map shape mismatch");
-        let s = &mut self.scratch;
-        self.backend.dct2_into(rho, &mut s.work, &mut s.a);
-        let mut coef = vec![T::ZERO; s.a.len()];
-        for u in 0..self.mx {
-            for v in usize::from(u == 0)..self.my {
-                let idx = u * self.my + v;
-                let denom = self.wu[u] * self.wu[u] + self.wv[v] * self.wv[v];
-                coef[idx] = s.a[idx] / denom;
+        let mut psi = rho.to_vec();
+        self.backend
+            .transform_in_place(Transform2d::Dct2, &mut psi, &mut self.work);
+        for (u, row) in psi.chunks_exact_mut(self.my).enumerate() {
+            let first = usize::from(u == 0);
+            row[..first].fill(T::ZERO);
+            for (c, &wv) in row.iter_mut().zip(&self.wv).skip(first) {
+                *c /= self.wu[u] * self.wu[u] + wv * wv;
             }
         }
-        let mut psi = Vec::new();
-        self.backend.idct2_into(&coef, &mut s.work, &mut psi);
+        self.backend
+            .transform_in_place(Transform2d::Idct2, &mut psi, &mut self.work);
         psi
     }
 

@@ -2,9 +2,13 @@
 //!
 //! Forward: density map -> DCT -> scaled spectrum -> fields + energy (paper
 //! Fig. 4b, minus the potential IDCT: the energy is summed over the
-//! spectrum). The pass that turns the map into charge also sums its
-//! overflow, so the stopping criterion of the evaluated point costs no
-//! second scatter.
+//! spectrum). The pass that turns the map into charge writes it straight
+//! into the cached solution's `field_x`, where the whole solve then runs
+//! (see [`crate::electro`]), and also sums the map's overflow, so the
+//! stopping criterion of the evaluated point costs no second scatter.
+//! Besides the fixed-point bins and the movable and fixed maps, one forward
+//! holds the transform work and the two field buffers, nothing else
+//! grid-sized.
 //! Backward: field gather per cell, the "dynamic bipartite graph backward"
 //! of §III-B2 — each cell collects the force from its overlapped bins,
 //! weighted by overlap area.
@@ -335,12 +339,12 @@ impl<T: Float> Operator<T> for DensityOp<T> {
         let bins_reused = self.builder.bins_bytes() > 0;
         let dct_reused = self.solver.as_ref().is_some_and(|s| s.scratch_bytes() > 0);
         let sol_reused = self.cache.is_some();
-        let mut rho = ctx.lease("density.rho", self.grid().num_bins());
-        self.charge_map_into(nl, p, &pool, &mut rho);
-        // Reuse the previous solution's buffers as the solve target.
+        // The previous solution's buffers are the solve's only grids: the
+        // charge map goes straight into `field_x`.
         let mut sol = self.cache.take().unwrap_or_default();
+        self.charge_map_into(nl, p, &pool, &mut sol.field_x);
         if let Some(solver) = &mut self.solver {
-            solver.solve_into(&rho, &mut sol);
+            solver.solve_in_place(&mut sol);
             // The direct 2-D transforms accumulate a transpose/butterfly/
             // twiddle split inside the solve; mirror it into the op counters
             // so the run report can break transform time down by phase (the
@@ -361,7 +365,6 @@ impl<T: Float> Operator<T> for DensityOp<T> {
         );
         ctx.note_workspace("density.solution", sol.bytes(), sol_reused);
         self.cache = Some(sol);
-        ctx.release("density.rho", rho);
         ctx.record_op("density.forward", t0);
         energy
     }
@@ -589,6 +592,32 @@ mod tests {
         let tau_with = with_fixed.overflow(&nl, &p, &mut ctx);
         let tau_without = without_fixed.overflow(&nl, &p, &mut ctx);
         assert!(tau_with > tau_without, "{tau_with} vs {tau_without}");
+    }
+
+    #[test]
+    fn one_forward_holds_bins_spectrum_lanes_and_two_field_buffers() {
+        let mut ctx = ExecCtx::serial();
+        let (nl, mut p) = two_cell_design();
+        p.x = vec![30.0, 34.0];
+        p.y = vec![32.0, 32.0];
+        let m = 256;
+        let mut op = DensityOp::new(grid(m), DensityStrategy::Sorted, 1.0).expect("plan");
+        let mut g = Gradient::zeros(2);
+        let _ = op.forward_backward(&nl, &p, &mut g, &mut ctx);
+        let held: usize = ctx
+            .summary()
+            .workspaces
+            .iter()
+            .filter(|(name, _)| name.starts_with("density."))
+            .map(|(_, w)| w.bytes)
+            .sum();
+        let complex = std::mem::size_of::<dp_num::Complex<f64>>();
+        let bins = m * m * std::mem::size_of::<i64>();
+        let spectrum = m * (m / 2 + 1) * complex;
+        let lanes = (m / 2 + m / 2 + 1) * dp_dct::dct2d::LANES * complex;
+        let field = m * m * std::mem::size_of::<f64>();
+        let budget = bins + spectrum + lanes + 2 * field;
+        assert!(held <= budget, "density workspaces {held} B > {budget} B");
     }
 
     #[test]

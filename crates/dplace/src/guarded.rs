@@ -174,8 +174,20 @@ impl GuardedDpRun {
 
     /// Reconstructs a run mid-flight from a captured [`DpRunState`]. The
     /// placement must be the one saved at capture time.
-    pub fn resume(state: DpRunState) -> Self {
-        Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when `pass_idx` is past the round-boundary slot
+    /// (`DpPass::ALL.len()`), which no run can reach.
+    pub fn resume(state: DpRunState) -> Result<Self, String> {
+        if state.pass_idx > DpPass::ALL.len() {
+            return Err(format!(
+                "dp pass cursor {} is past the {} passes",
+                state.pass_idx,
+                DpPass::ALL.len()
+            ));
+        }
+        Ok(Self {
             round: state.round,
             pass_idx: state.pass_idx,
             moves: state.moves,
@@ -187,7 +199,7 @@ impl GuardedDpRun {
             busy: 0.0,
             consumed_before: state.consumed_seconds,
             done: false,
-        }
+        })
     }
 
     /// Captures the run's complete state (pair it with a copy of the
@@ -430,7 +442,7 @@ mod tests {
             }
             let state = run.state();
             drop(run); // simulated process death (placement saved in `p`)
-            let mut resumed = GuardedDpRun::resume(state);
+            let mut resumed = GuardedDpRun::resume(state).expect("captured state");
             if !done {
                 while !resumed.step(&placer, &nl, &mut p) {}
             }
@@ -460,7 +472,7 @@ mod tests {
         let run = GuardedDpRun::new(&placer, &nl, &p);
         let state = run.state();
         assert_eq!(state.injected_pending, Some(DpPass::LocalReorder));
-        let mut resumed = GuardedDpRun::resume(state);
+        let mut resumed = GuardedDpRun::resume(state).expect("captured state");
         while !resumed.step(&placer, &nl, &mut p) {}
         let (_, report) = resumed.finish(&nl, &p);
         assert!(report
@@ -481,12 +493,31 @@ mod tests {
         let run = GuardedDpRun::new(&placer, &nl, &p);
         let mut state = run.state();
         state.consumed_seconds = 3600.0; // previous life spent it all
-        let mut resumed = GuardedDpRun::resume(state);
+        let mut resumed = GuardedDpRun::resume(state).expect("captured state");
         assert!(resumed.step(&placer, &nl, &mut p), "must stop immediately");
         let (stats, report) = resumed.finish(&nl, &p);
         assert!(report.budget_exhausted);
         assert_eq!(stats.moves, 0);
         assert_eq!(p.x, p0.x);
+    }
+
+    /// A pass cursor past the round-boundary slot is refused at resume
+    /// instead of indexing past the three passes on the first step.
+    #[test]
+    fn resume_refuses_a_pass_cursor_past_the_passes() {
+        let (nl, p0) = legalized_design(27);
+        let placer = DetailedPlacer::new();
+        let mut state = GuardedDpRun::new(&placer, &nl, &p0).state();
+        state.pass_idx = DpPass::ALL.len();
+        assert!(
+            GuardedDpRun::resume(state.clone()).is_ok(),
+            "the boundary slot is legal"
+        );
+        for idx in [DpPass::ALL.len() + 1, 7, usize::MAX] {
+            state.pass_idx = idx;
+            let reason = GuardedDpRun::resume(state.clone()).expect_err("hostile cursor");
+            assert!(reason.contains(&format!("cursor {idx}")), "{reason}");
+        }
     }
 
     #[test]

@@ -608,9 +608,10 @@ pub struct GpEngineState<T> {
     pub recovery_events: Vec<RecoveryEvent>,
     /// Per-iteration history up to the capture point.
     pub history: Vec<IterRecord>,
-    /// The in-run rollback target, shared with the engine: it is replaced
-    /// only every 25 healthy iterations, so a capture copies none
-    /// of its five vectors.
+    /// The in-run rollback target, shared with the engine: the engine
+    /// refreshes it in place every 25 healthy iterations, copying it first
+    /// only while a capture still shares it, so a capture copies none of
+    /// its five vectors and never sees them change.
     pub rollback: Arc<GpRollbackState<T>>,
     /// Wall-clock seconds consumed by the run up to the capture point
     /// (across all processes — feeds the `max_seconds` budget on resume).
@@ -679,6 +680,48 @@ fn converges<T: Float>(cfg: &GpConfig<T>, overflow: f64, k: usize) -> bool {
 /// into a growing oscillation.
 fn overflow_at_iterate(read: f64, c: f64, previous: f64) -> f64 {
     (read + c * previous) / (1.0 + c)
+}
+
+/// Refuses a state the engine would otherwise panic on later: the
+/// wirelength model, the density-weight scheduler and every rollback assert
+/// a finite positive `gamma`, `gamma_boost` and `ref_delta`; `finish`
+/// turns `consumed_seconds` into a `Duration`; and the step, the best
+/// iterate, a divergence rollback and the solvers copy between (or
+/// assert) vectors of `2 x movable` values.
+fn check_resumable<T: Float>(state: &GpEngineState<T>, movable: usize) -> Result<(), String> {
+    for (name, v) in [
+        ("gamma", state.gamma),
+        ("gamma_boost", state.gamma_boost),
+        ("ref_delta", state.ref_delta),
+    ] {
+        if !(v.is_finite() && v > T::ZERO) {
+            return Err(format!("{name} {v} is not finite and positive"));
+        }
+    }
+    if Duration::try_from_secs_f64(state.consumed_seconds).is_err() {
+        return Err(format!(
+            "consumed seconds {} is not a duration",
+            state.consumed_seconds
+        ));
+    }
+    let rollback = &state.rollback;
+    let vectors = [
+        ("parameter", &state.params[..]),
+        ("best parameter", &state.best_params),
+        ("rollback parameter", &rollback.params),
+    ]
+    .into_iter()
+    .chain(state.solver.vectors().map(|v| ("solver", v)))
+    .chain(rollback.solver.vectors().map(|v| ("rollback solver", v)));
+    for (name, v) in vectors {
+        if v.len() != 2 * movable {
+            return Err(format!(
+                "{name} vector length {} does not match 2 x {movable} movable cells",
+                v.len()
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn make_solver<T: Float>(kind: SolverKind, n: usize, initial_step: T) -> Box<dyn Optimizer<T>> {
@@ -945,7 +988,10 @@ impl<T: Float> GpEngine<T> {
     /// # Errors
     ///
     /// [`GpError::Grid`] as in [`GpEngine::new`], or [`GpError::Resume`]
-    /// when the solver snapshot does not match `cfg.solver`.
+    /// when the solver snapshot does not match `cfg.solver`, a vector's
+    /// length does not match the netlist, `gamma`, `gamma_boost` or
+    /// `ref_delta` is not finite and positive, or `consumed_seconds` is no
+    /// `Duration`.
     pub fn resume(
         cfg: GpConfig<T>,
         nl: &Netlist<T>,
@@ -953,20 +999,13 @@ impl<T: Float> GpEngine<T> {
         state: GpEngineState<T>,
     ) -> Result<Self, GpError<T>> {
         let t_start = Instant::now();
+        let n = nl.num_movable();
+        check_resumable(&state, n).map_err(|reason| GpError::Resume { reason })?;
         let ctx = cfg.exec.make_ctx(cfg.threads, cfg.telemetry.clone());
         let (grid, bin_size, gamma_sched, mut wl, mut density) = Self::build_operators(&cfg, nl)?;
         density.bake_fixed(nl, fixed);
         wl.set_gamma(state.gamma);
 
-        let n = nl.num_movable();
-        if state.params.len() != 2 * n || state.best_params.len() != 2 * n {
-            return Err(GpError::Resume {
-                reason: format!(
-                    "parameter vector length {} does not match 2 x {n} movable cells",
-                    state.params.len()
-                ),
-            });
-        }
         let pin_counts: Vec<T> = (0..n)
             .map(|i| T::from_usize(nl.cell_pins(dp_netlist::CellId::new(i)).len()))
             .collect();
@@ -1363,17 +1402,19 @@ impl<T: Float> GpEngine<T> {
         });
 
         if (k + 1).is_multiple_of(CHECKPOINT_INTERVAL) {
-            self.rollback = Arc::new(GpRollbackState {
-                iteration: k + 1,
-                params: self.params.clone(),
-                solver: self.solver.snapshot(),
-                sched_lambda: self.lambda_sched.lambda(),
-                sched_iteration: self.lambda_sched.iteration(),
-                lambda: self.lambda,
-                prev_hpwl: self.prev_hpwl,
-                history_len: self.history.len(),
-                overflow: overflow_f,
-            });
+            // Refreshed in place: `make_mut` copies only while a captured
+            // `GpEngineState` still shares the target, which therefore
+            // never changes under its holder.
+            let rb = Arc::make_mut(&mut self.rollback);
+            rb.iteration = k + 1;
+            rb.params.copy_from_slice(&self.params);
+            self.solver.snapshot_into(&mut rb.solver);
+            rb.sched_lambda = self.lambda_sched.lambda();
+            rb.sched_iteration = self.lambda_sched.iteration();
+            rb.lambda = self.lambda;
+            rb.prev_hpwl = self.prev_hpwl;
+            rb.history_len = self.history.len();
+            rb.overflow = overflow_f;
         }
         self.timing.bookkeeping += t_book.elapsed();
 
@@ -1391,7 +1432,7 @@ impl<T: Float> GpEngine<T> {
         let n = self.n;
         let mut pos = self.pos;
         unpack_into(&self.params, &mut pos, n);
-        self.timing.total = Duration::from_secs_f64(self.consumed_before) + self.busy;
+        self.timing.total = Duration::from_secs_f64(self.consumed_before).saturating_add(self.busy);
 
         let mut exec = self.ctx.summary();
         if let Some(base) = &self.base_exec {
@@ -1944,6 +1985,149 @@ mod tests {
         assert_eq!(outcome, GpStepOutcome::BudgetStop);
         let r = resumed.finish(&d.netlist);
         assert_eq!(r.stats.iterations, 5, "no further iterations may run");
+    }
+
+    /// On an engine no capture shares, each checkpoint interval rewrites
+    /// the rollback target in its existing allocation.
+    #[test]
+    fn rollback_refresh_reuses_its_allocation() {
+        let d = small_design();
+        let mut cfg = quick_config(&d.netlist);
+        cfg.min_iters = 60;
+        let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
+        let mut engine = GpEngine::from_placement(cfg, &d.netlist, pos, None).expect("engine");
+        let target = Arc::as_ptr(&engine.rollback);
+        let params = engine.rollback.params.as_ptr();
+        for interval in [1, 2] {
+            while engine.next_iteration() < interval * CHECKPOINT_INTERVAL {
+                assert!(!engine.step(&d.netlist).expect("healthy").is_done());
+            }
+            assert_eq!(engine.rollback.iteration, interval * CHECKPOINT_INTERVAL);
+            assert_eq!(engine.rollback.params, engine.params);
+            assert_eq!(Arc::as_ptr(&engine.rollback), target, "@{interval}");
+            assert_eq!(engine.rollback.params.as_ptr(), params, "@{interval}");
+        }
+    }
+
+    /// A state captured just before a checkpoint interval keeps the
+    /// rollback target it captured while the engine refreshes its own, and
+    /// resuming from it reproduces the uninterrupted run bit for bit.
+    #[test]
+    fn captured_rollback_survives_the_next_refresh() {
+        let d = small_design();
+        let cfg = quick_config(&d.netlist);
+        let golden = GlobalPlacer::new(cfg.clone())
+            .place(&d.netlist, &d.fixed_positions)
+            .expect("ok");
+        let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
+        let mut engine =
+            GpEngine::from_placement(cfg.clone(), &d.netlist, pos, None).expect("engine");
+        while engine.next_iteration() < CHECKPOINT_INTERVAL - 1 {
+            engine.step(&d.netlist).expect("healthy");
+        }
+        let state = engine.state();
+        let captured = (*state.rollback).clone();
+        while engine.next_iteration() < CHECKPOINT_INTERVAL + 5 {
+            engine.step(&d.netlist).expect("healthy");
+        }
+        assert_eq!(engine.rollback.iteration, CHECKPOINT_INTERVAL);
+        assert_eq!(*state.rollback, captured, "a capture changed under its holder");
+        drop(engine);
+
+        let mut resumed =
+            GpEngine::resume(cfg, &d.netlist, &d.fixed_positions, state).expect("resume");
+        while !resumed.step(&d.netlist).expect("healthy").is_done() {}
+        let r = resumed.finish(&d.netlist);
+        assert_eq!(r.stats.iterations, golden.stats.iterations);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r.placement.x), bits(&golden.placement.x));
+        assert_eq!(bits(&r.placement.y), bits(&golden.placement.y));
+        assert_eq!(
+            r.stats.final_hpwl.to_bits(),
+            golden.stats.final_hpwl.to_bits()
+        );
+    }
+
+    /// Resumes a captured state edited by `edit` and drives it like a run
+    /// whose next gradients are poisoned (so a divergence rollback follows
+    /// at once) up to `finish`: the engine must refuse the state with a
+    /// reason naming `field`, never panic later.
+    fn assert_resume_refuses(field: &str, edit: impl Fn(&mut GpEngineState<f64>)) {
+        let d = small_design();
+        let mut cfg = quick_config(&d.netlist);
+        let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
+        let mut first =
+            GpEngine::from_placement(cfg.clone(), &d.netlist, pos, None).expect("engine");
+        for _ in 0..5 {
+            first.step(&d.netlist).expect("healthy");
+        }
+        let mut state = first.state();
+        edit(&mut state);
+        cfg.fault_injection.nan_grad_evals = (state.evals..state.evals + 2).collect();
+        match GpEngine::resume(cfg, &d.netlist, &d.fixed_positions, state) {
+            Err(GpError::Resume { reason }) => assert!(reason.contains(field), "{reason}"),
+            Err(e) => panic!("{field}: refused for another reason: {e}"),
+            Ok(mut engine) => {
+                for _ in 0..10 {
+                    if engine.step(&d.netlist).map_or(true, GpStepOutcome::is_done) {
+                        break;
+                    }
+                }
+                let _ = engine.finish(&d.netlist);
+                panic!("{field}: a hostile state was resumed");
+            }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_gamma_that_is_not_finite_and_positive() {
+        for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_resume_refuses("gamma", |s| s.gamma = v);
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_gamma_boost_that_is_not_finite_and_positive() {
+        for v in [0.0, -2.0, f64::NAN] {
+            assert_resume_refuses("gamma_boost", |s| s.gamma_boost = v);
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_ref_delta_that_is_not_finite_and_positive() {
+        for v in [0.0, f64::NEG_INFINITY, f64::NAN] {
+            assert_resume_refuses("ref_delta", |s| s.ref_delta = v);
+        }
+    }
+
+    #[test]
+    fn resume_refuses_consumed_seconds_no_duration_holds() {
+        for v in [-1.0, f64::NAN, f64::INFINITY, 1e30] {
+            assert_resume_refuses("consumed seconds", |s| s.consumed_seconds = v);
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_rollback_target_of_another_length() {
+        assert_resume_refuses("rollback parameter", |s| {
+            Arc::make_mut(&mut s.rollback).params.pop();
+        });
+    }
+
+    #[test]
+    fn resume_refuses_solver_vectors_of_another_length() {
+        let shorten = |snapshot: &mut OptimizerSnapshot<f64>| match snapshot {
+            OptimizerSnapshot::Nesterov { v: Some(v), .. } => {
+                v.pop();
+            }
+            other => panic!("want a stepped Nesterov snapshot, got {other:?}"),
+        };
+        assert_resume_refuses("solver vector", |s| shorten(&mut s.solver));
+        assert_resume_refuses("rollback solver vector", |s| {
+            let mut solver = s.solver.clone();
+            shorten(&mut solver);
+            Arc::make_mut(&mut s.rollback).solver = solver;
+        });
     }
 
     /// Left/right halves as two fences, so `DensityModel::Fenced` runs.

@@ -111,12 +111,20 @@ impl<T: Float> Optimizer<T> for Adam<T> {
         "adam"
     }
 
-    fn snapshot(&self) -> OptimizerSnapshot<T> {
-        OptimizerSnapshot::Adam {
-            lr: self.lr,
-            t: self.t,
-            m: self.m.clone(),
-            v: self.v.clone(),
+    fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
+        if !matches!(out, OptimizerSnapshot::Adam { .. }) {
+            *out = OptimizerSnapshot::Adam {
+                lr: T::ZERO,
+                t: 0,
+                m: Vec::new(),
+                v: Vec::new(),
+            };
+        }
+        if let OptimizerSnapshot::Adam { lr, t, m, v } = out {
+            *lr = self.lr;
+            *t = self.t;
+            m.clone_from(&self.m);
+            v.clone_from(&self.v);
         }
     }
 

@@ -144,12 +144,26 @@ impl<T: Float> Optimizer<T> for ConjugateGradient<T> {
         "conjugate-gradient"
     }
 
-    fn snapshot(&self) -> OptimizerSnapshot<T> {
-        OptimizerSnapshot::ConjugateGradient {
-            alpha: self.alpha,
-            g_prev: self.g_prev.clone(),
-            d_prev: self.d_prev.clone(),
-            p_prev: self.p_prev.clone(),
+    fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
+        if !matches!(out, OptimizerSnapshot::ConjugateGradient { .. }) {
+            *out = OptimizerSnapshot::ConjugateGradient {
+                alpha: T::ZERO,
+                g_prev: None,
+                d_prev: None,
+                p_prev: None,
+            };
+        }
+        if let OptimizerSnapshot::ConjugateGradient {
+            alpha,
+            g_prev,
+            d_prev,
+            p_prev,
+        } = out
+        {
+            *alpha = self.alpha;
+            g_prev.clone_from(&self.g_prev);
+            d_prev.clone_from(&self.d_prev);
+            p_prev.clone_from(&self.p_prev);
         }
     }
 

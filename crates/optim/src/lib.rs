@@ -171,6 +171,34 @@ impl<T> OptimizerSnapshot<T> {
             OptimizerSnapshot::ConjugateGradient { .. } => "conjugate-gradient",
         }
     }
+
+    /// Every vector the snapshot holds (absent ones skipped). Each is as
+    /// long as the parameter vector of the engine it was taken from.
+    pub fn vectors(&self) -> impl Iterator<Item = &[T]> {
+        let all = match self {
+            OptimizerSnapshot::Nesterov {
+                v,
+                u_prev,
+                g_prev,
+                v_prev,
+                ..
+            } => [
+                v.as_ref(),
+                u_prev.as_ref(),
+                g_prev.as_ref(),
+                v_prev.as_ref(),
+            ],
+            OptimizerSnapshot::Adam { m, v, .. } => [Some(m), Some(v), None, None],
+            OptimizerSnapshot::SgdMomentum { velocity, .. } => [Some(velocity), None, None, None],
+            OptimizerSnapshot::ConjugateGradient {
+                g_prev,
+                d_prev,
+                p_prev,
+                ..
+            } => [g_prev.as_ref(), d_prev.as_ref(), p_prev.as_ref(), None],
+        };
+        all.into_iter().flatten().map(Vec::as_slice)
+    }
 }
 
 /// An empty state: momentum SGD before its first step.
@@ -214,10 +242,20 @@ pub trait Optimizer<T: Float> {
     /// Short engine name for reports ("nesterov", "adam", ...).
     fn name(&self) -> &'static str;
 
-    /// Captures the full mutable state. `restore`-ing the returned
-    /// snapshot must be an exact round-trip: a restored optimizer produces
-    /// bit-identical trajectories to one that never left that state.
-    fn snapshot(&self) -> OptimizerSnapshot<T>;
+    /// Captures the full mutable state into `out`, reusing its vectors
+    /// when `out` already holds this engine's kind (any other kind, or a
+    /// vector of another length, is replaced). This is each engine's only
+    /// capture code. `restore`-ing the captured snapshot must be an exact
+    /// round-trip: a restored optimizer produces bit-identical trajectories
+    /// to one that never left that state.
+    fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>);
+
+    /// [`Optimizer::snapshot_into`] a fresh snapshot.
+    fn snapshot(&self) -> OptimizerSnapshot<T> {
+        let mut out = OptimizerSnapshot::default();
+        self.snapshot_into(&mut out);
+        out
+    }
 
     /// Reinstates state captured by [`Optimizer::snapshot`] on the same
     /// engine kind.

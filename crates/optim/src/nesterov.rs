@@ -202,14 +202,32 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
         "nesterov"
     }
 
-    fn snapshot(&self) -> OptimizerSnapshot<T> {
-        OptimizerSnapshot::Nesterov {
-            a: self.a,
-            alpha: self.alpha,
-            v: self.v.clone(),
-            u_prev: self.u_prev.clone(),
-            g_prev: self.g_prev.clone(),
-            v_prev: self.v_prev.clone(),
+    fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
+        if !matches!(out, OptimizerSnapshot::Nesterov { .. }) {
+            *out = OptimizerSnapshot::Nesterov {
+                a: T::ZERO,
+                alpha: T::ZERO,
+                v: None,
+                u_prev: None,
+                g_prev: None,
+                v_prev: None,
+            };
+        }
+        if let OptimizerSnapshot::Nesterov {
+            a,
+            alpha,
+            v,
+            u_prev,
+            g_prev,
+            v_prev,
+        } = out
+        {
+            *a = self.a;
+            *alpha = self.alpha;
+            v.clone_from(&self.v);
+            u_prev.clone_from(&self.u_prev);
+            g_prev.clone_from(&self.g_prev);
+            v_prev.clone_from(&self.v_prev);
         }
     }
 

@@ -100,10 +100,13 @@ impl<T: Float> Optimizer<T> for SgdMomentum<T> {
         "sgd-momentum"
     }
 
-    fn snapshot(&self) -> OptimizerSnapshot<T> {
-        OptimizerSnapshot::SgdMomentum {
-            lr: self.lr,
-            velocity: self.velocity.clone(),
+    fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
+        if !matches!(out, OptimizerSnapshot::SgdMomentum { .. }) {
+            *out = OptimizerSnapshot::default();
+        }
+        if let OptimizerSnapshot::SgdMomentum { lr, velocity } = out {
+            *lr = self.lr;
+            velocity.clone_from(&self.velocity);
         }
     }
 

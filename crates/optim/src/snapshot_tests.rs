@@ -1,6 +1,7 @@
-//! Unit tests of [`Optimizer::snapshot`] / [`Optimizer::restore`].
-//! The exactness property test over random states lives in
-//! `tests/proptests.rs`; these cover the mismatch and mid-run semantics.
+//! Unit tests of [`Optimizer::snapshot`], [`Optimizer::snapshot_into`]
+//! and [`Optimizer::restore`]. The exactness property test over random
+//! states lives in `tests/proptests.rs`; these cover the mismatch, mid-run
+//! and capture-into-an-old-snapshot semantics.
 
 use crate::{
     Adam, ConjugateGradient, NesterovOptimizer, Optimizer, OptimizerSnapshot, SgdMomentum,
@@ -107,4 +108,67 @@ fn snapshot_is_engine_tagged() {
         names,
         ["nesterov", "adam", "sgd-momentum", "conjugate-gradient"]
     );
+}
+
+/// `sum (p_i - 1)^2` at any length.
+fn bowl(p: &[f64], g: &mut [f64]) -> f64 {
+    let mut cost = 0.0;
+    for (pi, gi) in p.iter().zip(g.iter_mut()) {
+        cost += (pi - 1.0) * (pi - 1.0);
+        *gi = 2.0 * (pi - 1.0);
+    }
+    cost
+}
+
+fn engines_of(n: usize) -> Vec<Box<dyn Optimizer<f64>>> {
+    vec![
+        Box::new(NesterovOptimizer::new(n, 0.05)),
+        Box::new(Adam::new(n, 0.1).with_decay(0.99)),
+        Box::new(SgdMomentum::new(n, 0.02).with_decay(0.995)),
+        Box::new(ConjugateGradient::new(n, 0.05)),
+    ]
+}
+
+fn stepped(n: usize, steps: usize) -> Vec<Box<dyn Optimizer<f64>>> {
+    let mut engines = engines_of(n);
+    for engine in &mut engines {
+        let mut p = vec![0.0; n];
+        for _ in 0..steps {
+            engine.step(&mut bowl, &mut p);
+        }
+    }
+    engines
+}
+
+/// The address of the snapshot's first vector, if it holds one.
+fn first_vec(snap: &OptimizerSnapshot<f64>) -> Option<*const f64> {
+    snap.vectors().next().map(<[f64]>::as_ptr)
+}
+
+#[test]
+fn snapshot_into_round_trips_over_any_previous_snapshot() {
+    // Overwritten targets: fresh and stepped snapshots of every engine kind,
+    // at the engines' length and at a longer one.
+    let targets: Vec<OptimizerSnapshot<f64>> = [engines_of(4), stepped(4, 3), stepped(9, 4)]
+        .iter()
+        .flatten()
+        .map(|e| e.snapshot())
+        .collect();
+    for (kind, engine) in stepped(4, 5).into_iter().enumerate() {
+        let want = engine.snapshot();
+        for target in &targets {
+            let mut out = target.clone();
+            let reusable = out.engine() == engine.name() && first_vec(&out).is_some();
+            let before = first_vec(&out);
+            engine.snapshot_into(&mut out);
+            assert_eq!(out, want, "{} over {}", engine.name(), target.engine());
+            if reusable && first_vec(&want).is_some() {
+                assert_eq!(first_vec(&out), before, "{} reallocated", engine.name());
+            }
+            // The captured state restores into a fresh engine of its kind.
+            let mut restored = engines_of(4).swap_remove(kind);
+            restored.restore(&out).expect("same engine kind");
+            assert_eq!(restored.snapshot(), want, "{}", engine.name());
+        }
+    }
 }

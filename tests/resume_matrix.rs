@@ -448,3 +448,51 @@ fn gp_budget_counts_time_consumed_before_the_crash() {
     );
     assert!(!r.gp.converged, "a budget stop is not convergence");
 }
+
+/// Reads the checkpoint a run killed right before `at` leaves behind.
+fn checkpoint_at(d: &GeneratedDesign<f64>, at: FlowState, tag: &str) -> CheckpointData<f64> {
+    let dir = tmp_dir(tag);
+    let policy = CheckpointPolicy::new(&dir).every(10);
+    DreamPlacer::new(config(d))
+        .place_durable(d, None, Some(&policy), FlowFaultInjection::die_at(at))
+        .expect("killed run");
+    let data = read_checkpoint::<f64>(&dir).expect("checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    data
+}
+
+/// Stage states a library caller hands over itself (no reader in
+/// between) are refused with the stage's resume error, never a panic.
+#[test]
+fn resume_refuses_stage_states_the_stages_cannot_continue() {
+    let d = design();
+    let mut data = checkpoint_at(&d, FlowState::Gp { iteration: 40 }, "hostile-gp");
+    let CheckpointStage::Gp { engine, .. } = &mut data.stage else {
+        panic!("want a GP checkpoint");
+    };
+    std::sync::Arc::make_mut(&mut engine.rollback).params.pop();
+    let err = DreamPlacer::new(config(&d))
+        .place_durable(&d, Some(data), None, FlowFaultInjection::default())
+        .expect_err("a short rollback target must be refused");
+    match err {
+        FlowError::Gp(dreamplace::gp::GpError::Resume { reason }) => {
+            assert!(reason.contains("rollback parameter"), "{reason}");
+        }
+        other => panic!("want GpError::Resume, got {other:?}"),
+    }
+
+    let mut data = checkpoint_at(&d, FlowState::Dp { pass: 1 }, "hostile-dp");
+    let CheckpointStage::Dp { run, .. } = &mut data.stage else {
+        panic!("want a DP checkpoint");
+    };
+    run.pass_idx = 9;
+    let err = DreamPlacer::new(config(&d))
+        .place_durable(&d, Some(data), None, FlowFaultInjection::default())
+        .expect_err("a pass cursor past the passes must be refused");
+    match err {
+        FlowError::Checkpoint(CheckpointError::Unresumable { stage: "dp", reason }) => {
+            assert!(reason.contains("cursor 9"), "{reason}");
+        }
+        other => panic!("want Unresumable, got {other:?}"),
+    }
+}
