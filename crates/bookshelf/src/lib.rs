@@ -35,6 +35,7 @@
 // tests opt out module-by-module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod decimal;
 pub mod parser;
 pub mod writer;
 

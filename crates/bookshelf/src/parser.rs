@@ -131,14 +131,20 @@ fn require_regular(path: &Path) -> Result<(), ParseBookshelfError> {
     }
 }
 
-/// The content lines of one Bookshelf file, read front to back through one
-/// reused buffer: blank and `UCLA` header lines are skipped, and each line
-/// is cut at its first `#` and trimmed.
+/// The content lines of one Bookshelf file, read front to back: blank and
+/// `UCLA` header lines are skipped, and each line is cut at its first `#`
+/// and trimmed. A line is read in place in the reader's buffer, or, when
+/// it runs past the buffer's end, gathered into one reused buffer; either
+/// way it is checked to be UTF-8 once, as a whole.
 struct Lines<'p> {
     path: &'p Path,
     reader: BufReader<File>,
-    buf: String,
-    /// Physical 1-based number of the line in `buf`.
+    /// The last line, when it did not fit in the reader's buffer.
+    long: Vec<u8>,
+    /// Bytes at the front of the reader's buffer that the last line still
+    /// borrows; they are consumed when the next line is read.
+    held: usize,
+    /// Physical 1-based number of the last line read.
     line: usize,
     /// Bytes of the file not yet read.
     left: usize,
@@ -152,36 +158,214 @@ impl<'p> Lines<'p> {
         Ok(Lines {
             path,
             reader: BufReader::new(file),
-            buf: String::new(),
+            long: Vec::new(),
+            held: 0,
             line: 0,
             left,
         })
     }
 
-    fn content(raw: &str) -> &str {
-        raw.split('#').next().unwrap_or("").trim()
+    /// Reads the next physical line, checks it is UTF-8 and returns its
+    /// content's byte range and whether the line is all ASCII; `None` at
+    /// the end of the file. The line is `self.raw()`.
+    fn read(&mut self) -> Result<Option<(usize, usize, bool)>, ParseBookshelfError> {
+        self.reader.consume(std::mem::take(&mut self.held));
+        let at = self.line + 1;
+        let fail = |e| io_error(self.path, Some(at), e);
+        let buffered = self.reader.fill_buf().map_err(fail)?;
+        if buffered.is_empty() {
+            return Ok(None);
+        }
+        // The usual line (ASCII, no comment, ending in the buffer) is read
+        // in one pass, to its first newline, `#` or non-ASCII byte.
+        let (n, plain) = match first_stop(buffered) {
+            Some(i) if buffered[i] == b'\n' => {
+                self.held = i + 1;
+                (i + 1, Some(ascii_trim(&buffered[..i])))
+            }
+            _ => match find_newline(buffered) {
+                Some(i) => {
+                    self.held = i + 1;
+                    (i + 1, None)
+                }
+                None => {
+                    self.long.clear();
+                    let n = self
+                        .reader
+                        .read_until(b'\n', &mut self.long)
+                        .map_err(fail)?;
+                    (n, None)
+                }
+            },
+        };
+        self.line = at;
+        self.left = self.left.saturating_sub(n);
+        if let Some((start, end)) = plain {
+            return Ok(Some((start, end, true)));
+        }
+        let raw = self.raw();
+        if raw.is_ascii() {
+            let cut = raw.iter().position(|&b| b == b'#').unwrap_or(raw.len());
+            let (start, end) = ascii_trim(&raw[..cut]);
+            return Ok(Some((start, end, true)));
+        }
+        let text = std::str::from_utf8(raw).map_err(|_| {
+            let e = std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            );
+            io_error(self.path, Some(at), e)
+        })?;
+        let body = &text[..text.find('#').unwrap_or(text.len())];
+        let start = body.len() - body.trim_start().len();
+        Ok(Some((start, start + body.trim().len(), false)))
+    }
+
+    /// The bytes of the last line read.
+    fn raw(&self) -> &[u8] {
+        if self.held > 0 {
+            &self.reader.buffer()[..self.held]
+        } else {
+            &self.long
+        }
     }
 
     /// The next content line and its physical line number; `None` at the
     /// end of the file.
-    fn next(&mut self) -> Result<Option<(usize, &str)>, ParseBookshelfError> {
-        loop {
-            self.buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut self.buf)
-                .map_err(|e| io_error(self.path, Some(self.line + 1), e))?;
-            if n == 0 {
+    fn next(&mut self) -> Result<Option<(usize, Line<'_>)>, ParseBookshelfError> {
+        let (start, end, ascii) = loop {
+            let Some((start, end, ascii)) = self.read()? else {
                 return Ok(None);
+            };
+            if start < end && !self.raw()[start..end].starts_with(b"UCLA") {
+                break (start, end, ascii);
             }
-            self.line += 1;
-            self.left = self.left.saturating_sub(n);
-            let text = Self::content(&self.buf);
-            if !text.is_empty() && !text.starts_with("UCLA") {
-                // Re-cut: returning `text` itself out of the loop does not
-                // borrow-check, since the next pass clears `buf`.
-                return Ok(Some((self.line, Self::content(&self.buf))));
+        };
+        // `read` checked the whole line, and a cut next to ASCII bytes
+        // keeps it UTF-8: this second look at the content cannot fail.
+        let text = std::str::from_utf8(&self.raw()[start..end]).unwrap_or_default();
+        Ok(Some((self.line, Line { text, ascii })))
+    }
+}
+
+/// `char::is_whitespace` on an ASCII byte. (`u8::is_ascii_whitespace`
+/// leaves out U+000B.)
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// The ASCII text `body` trimmed, as a byte range.
+fn ascii_trim(body: &[u8]) -> (usize, usize) {
+    let start = body
+        .iter()
+        .position(|&b| !is_space(b))
+        .unwrap_or(body.len());
+    let end = body
+        .iter()
+        .rposition(|&b| !is_space(b))
+        .map_or(start, |i| i + 1);
+    (start, end)
+}
+
+/// Eight bytes, little end first.
+type Word = u64;
+
+const HIGHS: Word = Word::from_ne_bytes([0x80; 8]);
+
+/// The high bit of each byte of `w` that holds `b`: exact at the lowest
+/// such byte, while above it a byte after a match may be marked too.
+fn bytes_equal(w: Word, b: u8) -> Word {
+    let x = w ^ Word::from_ne_bytes([b; 8]);
+    x.wrapping_sub(Word::from_ne_bytes([0x01; 8])) & !x & HIGHS
+}
+
+/// The first byte of `bytes` that `is_stop` accepts, looked for eight
+/// bytes at a time through `stops`, which marks the high bit of a word's
+/// stop bytes (exactly at the lowest one).
+fn find_first(
+    bytes: &[u8],
+    stops: impl Fn(Word) -> Word,
+    is_stop: impl Fn(u8) -> bool,
+) -> Option<usize> {
+    let mut chunks = bytes.chunks_exact(8);
+    for (i, chunk) in (&mut chunks).enumerate() {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        let marks = stops(Word::from_le_bytes(word));
+        if marks != 0 {
+            return Some(8 * i + marks.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = chunks.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| is_stop(b)).map(|i| at + i)
+}
+
+/// The high bit of each byte of the ASCII word `w` that `is_space`
+/// accepts: a space, or a byte from `\t` to `\r` (no byte carries into the
+/// next while every high bit is clear).
+fn ascii_spaces(w: Word) -> Word {
+    let ones = Word::from_ne_bytes([0x01; 8]);
+    let from_tab = w.wrapping_add(ones * (0x80 - 0x09));
+    let past_cr = w.wrapping_add(ones * (0x80 - 0x0e));
+    bytes_equal(w, b' ') | (from_tab & !past_cr & HIGHS)
+}
+
+/// Where the first `\n` of `bytes` is.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    find_first(bytes, |w| bytes_equal(w, b'\n'), |b| b == b'\n')
+}
+
+/// Where the first `\n`, `#` or non-ASCII byte of `bytes` is.
+fn first_stop(bytes: &[u8]) -> Option<usize> {
+    find_first(
+        bytes,
+        |w| bytes_equal(w, b'\n') | bytes_equal(w, b'#') | (w & HIGHS),
+        |b| b == b'\n' || b == b'#' || !b.is_ascii(),
+    )
+}
+
+/// One content line: its text and whether it is all ASCII, which picks
+/// the byte-level split.
+#[derive(Clone, Copy)]
+struct Line<'a> {
+    text: &'a str,
+    ascii: bool,
+}
+
+impl<'a> Line<'a> {
+    /// The whitespace-separated tokens, as `str::split_whitespace` cuts
+    /// them.
+    fn tokens(self) -> Tokens<'a> {
+        if self.ascii {
+            Tokens::Ascii(self.text)
+        } else {
+            Tokens::Unicode(self.text.split_whitespace())
+        }
+    }
+}
+
+enum Tokens<'a> {
+    /// The rest of an ASCII line.
+    Ascii(&'a str),
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Tokens::Ascii(rest) => {
+                let bytes = rest.as_bytes();
+                let start = bytes.iter().position(|&b| !is_space(b))?;
+                let token = &bytes[start..];
+                let len = find_first(token, ascii_spaces, is_space).unwrap_or(token.len());
+                let (token, tail) = rest[start..].split_at(len);
+                *rest = tail;
+                Some(token)
             }
+            Tokens::Unicode(split) => split.next(),
         }
     }
 }
@@ -223,9 +407,17 @@ fn finite(v: &str) -> Option<f64> {
     v.parse::<f64>().ok().filter(|x| x.is_finite())
 }
 
-/// The first two tokens that parse as `f64`.
+/// The first two tokens that parse as `f64`. A token whose first byte
+/// cannot start one (`B`, `:`) is skipped without a parse.
 fn two_numbers<'a>(tokens: impl Iterator<Item = &'a str>) -> Option<(f64, f64)> {
-    let mut nums = tokens.filter_map(|t| t.parse::<f64>().ok());
+    let mut nums = tokens
+        .filter(|t| {
+            matches!(
+                t.as_bytes().first(),
+                Some(b'0'..=b'9' | b'+' | b'-' | b'.' | b'i' | b'I' | b'n' | b'N')
+            )
+        })
+        .filter_map(|t| t.parse::<f64>().ok());
     Some((nums.next()?, nums.next()?))
 }
 
@@ -286,17 +478,17 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
     let mut declared_nodes: Option<(usize, usize)> = None; // (count, header line)
     let mut lines = Lines::open(&nodes_path)?;
     while let Some((ln, line)) = lines.next()? {
-        if let Some(v) = header_value(line, "NumNodes") {
+        if let Some(v) = header_value(line.text, "NumNodes") {
             let n = v
                 .parse()
                 .map_err(|_| malformed(&nodes_path, ln, "bad NumNodes"))?;
             declared_nodes = Some((n, ln));
             continue;
         }
-        if line.starts_with("NumTerminals") {
+        if line.text.starts_with("NumTerminals") {
             continue;
         }
-        let mut tok = line.split_whitespace();
+        let mut tok = line.tokens();
         let (Some(node), Some(w), Some(h)) = (tok.next(), tok.next(), tok.next()) else {
             return Err(malformed(
                 &nodes_path,
@@ -343,7 +535,7 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
     let mut pl: Vec<Option<(f64, f64)>> = vec![None; node_dims.len()];
     let mut lines = Lines::open(&pl_path)?;
     while let Some((ln, line)) = lines.next()? {
-        let mut tok = line.split_whitespace();
+        let mut tok = line.tokens();
         let (Some(node), Some(x), Some(y)) = (tok.next(), tok.next(), tok.next()) else {
             return Err(malformed(&pl_path, ln, "expected: name x y : orient"));
         };
@@ -416,7 +608,7 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
     if let Some(wts_path) = files.get("wts").filter(|p| p.exists()) {
         let mut lines = Lines::open(wts_path)?;
         while let Some((ln, line)) = lines.next()? {
-            let mut tok = line.split_whitespace();
+            let mut tok = line.tokens();
             let (Some(net), Some(w), None) = (tok.next(), tok.next(), tok.next()) else {
                 return Err(malformed(wts_path, ln, "expected: net_name weight"));
             };
@@ -447,10 +639,10 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
     let mut lines = Lines::open(&nets_path)?;
     while let Some((ln, line)) = lines.next()? {
         match open.as_mut() {
-            Some(net) if header_value(line, "NetDegree").is_none() => {
+            Some(net) if header_value(line.text, "NetDegree").is_none() => {
                 // Format: name dir : dx dy  (offsets optional); a content
                 // line is never empty.
-                let mut tok = line.split_whitespace();
+                let mut tok = line.tokens();
                 let node = tok.next().unwrap_or("");
                 let &i = node_of
                     .get(node)
@@ -461,31 +653,31 @@ pub fn read_design<T: Float>(aux_path: &Path) -> Result<BookshelfDesign<T>, Pars
             }
             Some(net) => return Err(truncated(net)),
             None => {
-                if let Some(v) = header_value(line, "NumNets") {
+                if let Some(v) = header_value(line.text, "NumNets") {
                     let n = v
                         .parse()
                         .map_err(|_| malformed(&nets_path, ln, "bad NumNets"))?;
                     declared_nets = Some((n, ln));
                     continue;
                 }
-                if let Some(v) = header_value(line, "NumPins") {
+                if let Some(v) = header_value(line.text, "NumPins") {
                     let n = v
                         .parse()
                         .map_err(|_| malformed(&nets_path, ln, "bad NumPins"))?;
                     declared_pins = Some((n, ln));
                     continue;
                 }
-                let Some(deg_str) = header_value(line, "NetDegree") else {
+                let Some(deg_str) = header_value(line.text, "NetDegree") else {
                     return Err(malformed(
                         &nets_path,
                         ln,
-                        format!("expected NetDegree, got: {line}"),
+                        format!("expected NetDegree, got: {}", line.text),
                     ));
                 };
                 let degree: usize = deg_str
                     .parse()
                     .map_err(|_| malformed(&nets_path, ln, "bad NetDegree"))?;
-                let net_name = line.split_whitespace().last().unwrap_or("");
+                let net_name = line.tokens().last().unwrap_or("");
                 let weight = weight_of.get(net_name).map_or(1.0, |&i| weights[i]);
                 // The declared degree is the file's claim: reserve no more
                 // pins than the rest of the file can hold (a pin line takes
@@ -583,17 +775,17 @@ fn parse_route(path: &Path) -> Result<Option<RoutingHints>, ParseBookshelfError>
     }
     let mut lines = Lines::open(path)?;
     while let Some((ln, line)) = lines.next()? {
-        if line.starts_with("NumLayers") {
-            hints.num_layers = nums(line)
+        if line.text.starts_with("NumLayers") {
+            hints.num_layers = nums(line.text)
                 .next()
                 .ok_or_else(|| malformed(path, ln, "bad NumLayers"))?;
             saw_layers = true;
-        } else if line.starts_with("HorizontalCapacity") {
-            hints.capacity_h = nums(line).max().unwrap_or(0);
-        } else if line.starts_with("VerticalCapacity") {
-            hints.capacity_v = nums(line).max().unwrap_or(0);
-        } else if line.starts_with("TileSize") {
-            if let Some(t) = nums(line).next() {
+        } else if line.text.starts_with("HorizontalCapacity") {
+            hints.capacity_h = nums(line.text).max().unwrap_or(0);
+        } else if line.text.starts_with("VerticalCapacity") {
+            hints.capacity_v = nums(line.text).max().unwrap_or(0);
+        } else if line.text.starts_with("TileSize") {
+            if let Some(t) = nums(line.text).next() {
                 hints.tile_sites = t;
             }
         }
@@ -612,15 +804,15 @@ fn parse_scl<T: Float>(path: &Path) -> Result<Option<RowGrid<T>>, ParseBookshelf
     let mut lines = Lines::open(path)?;
     while let Some((ln, line)) = lines.next()? {
         // Row geometry must be finite: the region is built from it.
-        if let Some(v) = header_value(line, "Coordinate") {
+        if let Some(v) = header_value(line.text, "Coordinate") {
             cur_y = Some(finite(v).ok_or_else(|| malformed(path, ln, "bad Coordinate"))?);
-        } else if let Some(v) = header_value(line, "Height") {
+        } else if let Some(v) = header_value(line.text, "Height") {
             cur_h = finite(v).ok_or_else(|| malformed(path, ln, "bad Height"))?;
-        } else if let Some(v) = header_value(line, "Sitewidth") {
+        } else if let Some(v) = header_value(line.text, "Sitewidth") {
             cur_site = finite(v).ok_or_else(|| malformed(path, ln, "bad Sitewidth"))?;
-        } else if line.starts_with("SubrowOrigin") {
+        } else if line.text.starts_with("SubrowOrigin") {
             // "SubrowOrigin : x NumSites : n"
-            let numbers = two_numbers(line.split_whitespace())
+            let numbers = two_numbers(line.tokens())
                 .filter(|(origin, sites)| origin.is_finite() && sites.is_finite());
             let Some((origin, sites)) = numbers else {
                 return Err(malformed(
@@ -631,7 +823,7 @@ fn parse_scl<T: Float>(path: &Path) -> Result<Option<RowGrid<T>>, ParseBookshelf
             };
             cur_origin = origin;
             cur_sites = sites as usize;
-        } else if line == "End" {
+        } else if line.text == "End" {
             if let Some(y) = cur_y.take() {
                 rows.push(Row {
                     y: T::from_f64(y),
@@ -941,6 +1133,40 @@ mod tests {
             .map(|p| d.netlist.pin_offset(dp_netlist::PinId::new(p)))
             .collect();
         assert_eq!(offsets, [(0.0, 0.0), (0.25, -0.5), (7.0, 1.0)]);
+    }
+
+    #[test]
+    fn ascii_lines_split_and_trim_as_unicode_whitespace_does() {
+        // Every ASCII whitespace byte, its neighbours, and token bytes, in
+        // seeded lines of every length around the eight-byte word.
+        let alphabet = b"\x08\t\n\x0b\x0c\r\x0e\x1f !o1.#-";
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for len in 0..40 {
+            for _ in 0..200 {
+                let line: String = (0..len)
+                    .map(|_| {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        char::from(alphabet[(seed % alphabet.len() as u64) as usize])
+                    })
+                    .collect();
+                let ascii = Line {
+                    text: &line,
+                    ascii: true,
+                };
+                let unicode = Line {
+                    text: &line,
+                    ascii: false,
+                };
+                assert!(ascii.tokens().eq(unicode.tokens()), "{line:?}");
+                let (start, end) = ascii_trim(line.as_bytes());
+                assert_eq!(&line[start..end], line.trim(), "{line:?}");
+                let stop = line.find(['\n', '#']);
+                assert_eq!(first_stop(line.as_bytes()), stop, "{line:?}");
+                assert_eq!(find_newline(line.as_bytes()), line.find('\n'), "{line:?}");
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,7 @@
 //! the format notes above (own tokenizer, own CRC) — keep the two in sync
 //! through the golden fixtures in `tests/`.
 
+use std::cell::Cell;
 use std::fmt;
 use std::io::Write;
 use std::mem::discriminant;
@@ -436,13 +437,22 @@ trait Codec {
     fn peek(&self) -> Option<&str>;
     /// One value in its token form.
     fn val<V: Token>(&mut self, v: V) -> Res<V>;
-    /// The rest of the line verbatim (a name that may hold spaces); the
-    /// writer returns an empty string.
+    /// The rest of the line verbatim (a name that may hold spaces, never
+    /// empty); the writer returns an empty string.
     fn rest(&mut self, v: &str) -> Res<String>;
     /// Payload bytes not yet read (0 for the writer).
     fn left(&self) -> usize;
     /// A malformed record at the current line.
     fn fail(&self, reason: String) -> CheckpointError;
+
+    /// Refuses, at the current line, a decoded record that breaks an
+    /// invariant the run relies on; the writer's data passes.
+    fn ensure(&self, holds: bool, reason: impl FnOnce() -> String) -> Res<()> {
+        if holds || !Self::READS {
+            return Ok(());
+        }
+        Err(self.fail(reason()))
+    }
 
     /// A scalar `T` in decimal.
     fn float<T: Float>(&mut self, v: T) -> Res<T> {
@@ -515,9 +525,11 @@ trait Codec {
         Ok((n, Vec::with_capacity(n.min(self.left() / 2))))
     }
 
-    /// `<len> <bits>...`: the values of a `vec` record.
-    fn values<T: Float>(&mut self, v: &[T]) -> Res<Vec<T>> {
+    /// `<len> <bits>...`: the values of the `vec` record `name`, which the
+    /// reader refuses at its line unless it holds `want` values.
+    fn values<T: Float>(&mut self, name: &str, v: &[T], want: usize) -> Res<Vec<T>> {
         let (n, mut out) = self.count(v.len())?;
+        self.ensure(n == want, || format!("vector {name:?} has length {n}, want {want}"))?;
         for i in 0..n {
             let x = self.bits(v.get(i).map_or(0.0, |x| x.to_f64()))?;
             if Self::READS {
@@ -527,19 +539,24 @@ trait Codec {
         Ok(out)
     }
 
-    /// `vec <name> <len> <bits>...`.
-    fn vec<T: Float>(&mut self, name: &str, v: &[T]) -> Res<Vec<T>> {
+    /// `vec <name> <len> <bits>...`, `want` values long.
+    fn vec<T: Float>(&mut self, name: &str, v: &[T], want: usize) -> Res<Vec<T>> {
         self.tag("vec")?.word(name)?;
-        self.values(v)
+        self.values(name, v, want)
     }
 
-    /// `vec <name> none`, or a `vec` record.
-    fn opt_vec<T: Float>(&mut self, name: &str, v: &Option<Vec<T>>) -> Res<Option<Vec<T>>> {
+    /// `vec <name> none`, or a `vec` record `want` values long.
+    fn opt_vec<T: Float>(
+        &mut self,
+        name: &str,
+        v: &Option<Vec<T>>,
+        want: usize,
+    ) -> Res<Option<Vec<T>>> {
         self.tag("vec")?.word(name)?;
         if self.none(v.is_none(), "none")? {
             return Ok(None);
         }
-        Ok(Some(self.values(v.as_deref().unwrap_or(&[]))?))
+        Ok(Some(self.values(name, v.as_deref().unwrap_or(&[]), want)?))
     }
 }
 
@@ -664,8 +681,10 @@ impl Codec for Reader<'_> {
     }
 
     fn rest(&mut self, _: &str) -> Res<String> {
-        let rest = self.toks.take().ok_or_else(|| self.corrupt("record ends early"))?;
-        Ok(rest.to_string())
+        match self.toks.take() {
+            Some(rest) if !rest.is_empty() => Ok(rest.to_string()),
+            _ => Err(self.corrupt("record missing name")),
+        }
     }
 
     fn left(&self) -> usize {
@@ -778,6 +797,9 @@ fn checkpoint<T: Float, C: Codec>(c: &mut C, d: &CheckpointData<T>) -> Res<Check
         nets: c.val(d.design.nets)?,
         name: c.rest(&d.design.name)?,
     };
+    c.ensure(design.movable <= design.cells, || {
+        format!("{} movable cells exceed {} total", design.movable, design.cells)
+    })?;
     let stages = stages::<T>();
     let stage = c.tag("stage")?.variant(&stages, &d.stage)?;
     let t = &d.timing;
@@ -789,6 +811,9 @@ fn checkpoint<T: Float, C: Codec>(c: &mut C, d: &CheckpointData<T>) -> Res<Check
         total: c.val(t.total)?,
     };
     let consumed_total = c.tag("consumed")?.val(d.consumed_total)?;
+    c.ensure(consumed_total >= 0.0, || {
+        format!("consumed wall-clock {consumed_total} is not >= 0")
+    })?;
     let gp_fallback = match c.tag("fallback")?.opt_variant(&GP_FALLBACKS, "none", &d.gp_fallback)? {
         None => None,
         Some(GpFallback::ConservativePreset { cause }) => Some(GpFallback::ConservativePreset {
@@ -807,13 +832,13 @@ fn checkpoint<T: Float, C: Codec>(c: &mut C, d: &CheckpointData<T>) -> Res<Check
     let degradations = block(c, "degradations", &d.degradations, &blank, degradation)?;
     let stage = match stage {
         CheckpointStage::Gp { attempt, engine } => CheckpointStage::Gp {
-            attempt: gp_attempt(c, attempt)?,
-            engine: gp_engine(c, engine)?,
+            attempt: gp_attempt(c, attempt, design.cells)?,
+            engine: gp_engine(c, engine, design.movable.saturating_mul(2))?,
         },
         CheckpointStage::Lg { gp_stats, hpwl_gp, gp_placement } => CheckpointStage::Lg {
             gp_stats: finished_gp(c, gp_stats)?,
             hpwl_gp: c.tag("hpwl.gp")?.val(*hpwl_gp)?,
-            gp_placement: placement(c, "gp", gp_placement)?,
+            gp_placement: placement(c, "gp", gp_placement, design.cells)?,
         },
         CheckpointStage::Dp { gp_stats, hpwl_gp, lg_stats, hpwl_legal, placement: cur, run } => {
             CheckpointStage::Dp {
@@ -826,7 +851,7 @@ fn checkpoint<T: Float, C: Codec>(c: &mut C, d: &CheckpointData<T>) -> Res<Check
                     fallback: c.opt_variant(&LG_FALLBACKS, "none", &lg_stats.fallback)?.copied(),
                 },
                 hpwl_legal: c.tag("hpwl.legal")?.val(*hpwl_legal)?,
-                placement: placement(c, "cur", cur)?,
+                placement: placement(c, "cur", cur, design.cells)?,
                 run: dp_run(c, run)?,
             }
         }
@@ -883,7 +908,11 @@ fn degradation<C: Codec>(c: &mut C, e: &DegradationEvent) -> Res<DegradationEven
     Ok(DegradationEvent { stage, trigger, fallback })
 }
 
-fn gp_attempt<T: Float, C: Codec>(c: &mut C, a: &GpAttemptState<T>) -> Res<GpAttemptState<T>> {
+fn gp_attempt<T: Float, C: Codec>(
+    c: &mut C,
+    a: &GpAttemptState<T>,
+    cells: usize,
+) -> Res<GpAttemptState<T>> {
     let attempts = attempts::<T>();
     Ok(match c.tag("gp.attempt")?.variant(&attempts, a)? {
         GpAttemptState::Primary => GpAttemptState::Primary,
@@ -892,62 +921,123 @@ fn gp_attempt<T: Float, C: Codec>(c: &mut C, a: &GpAttemptState<T>) -> Res<GpAtt
             cause: *c.variant(&CAUSES, cause)?,
             primary_recoveries: c.val(*primary_recoveries)?,
             primary_best_overflow: c.val(*primary_best_overflow)?,
-            primary_best: placement(c, "pbest", primary_best)?,
+            primary_best: placement(c, "pbest", primary_best, cells)?,
         },
     })
 }
 
-fn gp_engine<T: Float, C: Codec>(c: &mut C, e: &GpEngineState<T>) -> Res<GpEngineState<T>> {
+/// The engine state; every parameter-space vector is `dim` (2 x movable)
+/// long.
+fn gp_engine<T: Float, C: Codec>(
+    c: &mut C,
+    e: &GpEngineState<T>,
+    dim: usize,
+) -> Res<GpEngineState<T>> {
+    let next_iter = c.tag("eng.counters")?.val(e.next_iter)?;
+    let (iterations, evals) = (c.val(e.iterations)?, c.val(e.evals)?);
+    let recovered = c.val(e.recoveries)?;
+    let sched_iteration = c.val(e.sched_iteration)?;
+    // The λ scheduler advances at most once per engine iteration.
+    c.ensure(sched_iteration <= next_iter, || {
+        format!("scheduler iteration {sched_iteration} is ahead of engine iteration {next_iter}")
+    })?;
+    let counts = eval_counts(c, "eng.evals", &e.counts)?;
+    let lambda = c.tag("eng.scalars")?.float(e.lambda)?;
+    let (gamma, gamma_boost) = (c.positive(e.gamma)?, c.positive(e.gamma_boost)?);
+    let (lambda_cut, sched_lambda) = (c.float(e.lambda_cut)?, c.float(e.sched_lambda)?);
+    let (ref_delta, prev_hpwl) = (c.positive(e.ref_delta)?, c.float(e.prev_hpwl)?);
+    let best_overflow = c.val(e.best_overflow)?;
+    let consumed_seconds = c.val(Secs(e.consumed_seconds))?.0;
+    let params = c.vec("params", &e.params, dim)?;
+    let best_params = c.vec("best", &e.best_params, dim)?;
+    let solver_state = solver(c, "solver", &e.solver, dim)?;
+    let history = history(c, "eng.hist", &e.history)?;
+    if let Some(last) = history.last().map(|h| h.iteration) {
+        c.ensure(last < next_iter, || {
+            format!("history reaches iteration {last} but the engine has only run to {next_iter}")
+        })?;
+    }
+    let recovery_events = recoveries(c, "eng.recov", &e.recovery_events)?;
+    let rb = &e.rollback;
+    let rb_iteration = c.tag("rollback")?.val(rb.iteration)?;
+    let (rb_sched_iteration, history_len) = (c.val(rb.sched_iteration)?, c.val(rb.history_len)?);
+    c.ensure(rb_iteration <= next_iter, || {
+        format!("rollback anchor {rb_iteration} is ahead of engine iteration {next_iter}")
+    })?;
+    c.ensure(history_len <= history.len(), || {
+        format!("rollback keeps {history_len} history records but only {} exist", history.len())
+    })?;
+    let rollback = Arc::new(GpRollbackState {
+        iteration: rb_iteration,
+        sched_iteration: rb_sched_iteration,
+        history_len,
+        sched_lambda: c.float(rb.sched_lambda)?,
+        lambda: c.float(rb.lambda)?,
+        prev_hpwl: c.float(rb.prev_hpwl)?,
+        overflow: c.val(rb.overflow)?,
+        params: c.vec("rb.params", &rb.params, dim)?,
+        solver: solver(c, "solver.rb", &rb.solver, dim)?,
+    });
     Ok(GpEngineState {
-        next_iter: c.tag("eng.counters")?.val(e.next_iter)?,
-        iterations: c.val(e.iterations)?,
-        evals: c.val(e.evals)?,
-        recoveries: c.val(e.recoveries)?,
-        sched_iteration: c.val(e.sched_iteration)?,
-        counts: eval_counts(c, "eng.evals", &e.counts)?,
-        lambda: c.tag("eng.scalars")?.float(e.lambda)?,
-        gamma: c.positive(e.gamma)?,
-        gamma_boost: c.positive(e.gamma_boost)?,
-        lambda_cut: c.float(e.lambda_cut)?,
-        sched_lambda: c.float(e.sched_lambda)?,
-        ref_delta: c.positive(e.ref_delta)?,
-        prev_hpwl: c.float(e.prev_hpwl)?,
-        best_overflow: c.val(e.best_overflow)?,
-        consumed_seconds: c.val(Secs(e.consumed_seconds))?.0,
-        params: c.vec("params", &e.params)?,
-        best_params: c.vec("best", &e.best_params)?,
-        solver: solver(c, "solver", &e.solver)?,
-        history: history(c, "eng.hist", &e.history)?,
-        recovery_events: recoveries(c, "eng.recov", &e.recovery_events)?,
-        rollback: Arc::new(GpRollbackState {
-            iteration: c.tag("rollback")?.val(e.rollback.iteration)?,
-            sched_iteration: c.val(e.rollback.sched_iteration)?,
-            history_len: c.val(e.rollback.history_len)?,
-            sched_lambda: c.float(e.rollback.sched_lambda)?,
-            lambda: c.float(e.rollback.lambda)?,
-            prev_hpwl: c.float(e.rollback.prev_hpwl)?,
-            overflow: c.val(e.rollback.overflow)?,
-            params: c.vec("rb.params", &e.rollback.params)?,
-            solver: solver(c, "solver.rb", &e.rollback.solver)?,
-        }),
-        memo: GpMemoState {
-            valid: c.tag("memo")?.val(e.memo.valid)?,
-            gamma: c.float(e.memo.gamma)?,
-            wl_cost: c.float(e.memo.wl_cost)?,
-            energy: c.float(e.memo.energy)?,
-            overflow: c.float(e.memo.overflow)?,
-            key: c.vec("memo.key", &e.memo.key)?,
-            wl_grad: c.vec("memo.wl", &e.memo.wl_grad)?,
-            density_grad: c.vec("memo.density", &e.memo.density_grad)?,
-        },
+        next_iter,
+        iterations,
+        evals,
+        recoveries: recovered,
+        sched_iteration,
+        counts,
+        lambda,
+        gamma,
+        gamma_boost,
+        lambda_cut,
+        sched_lambda,
+        ref_delta,
+        prev_hpwl,
+        best_overflow,
+        consumed_seconds,
+        params,
+        best_params,
+        solver: solver_state,
+        history,
+        recovery_events,
+        rollback,
+        memo: memo(c, &e.memo, dim)?,
         exec: exec(c, &e.exec)?,
     })
 }
 
+/// The last evaluated point; its vectors are `dim` long when it is valid
+/// and empty otherwise.
+fn memo<T: Float, C: Codec>(c: &mut C, m: &GpMemoState<T>, dim: usize) -> Res<GpMemoState<T>> {
+    let valid = c.tag("memo")?.val(m.valid)?;
+    let (gamma, wl_cost, energy) = (c.float(m.gamma)?, c.float(m.wl_cost)?, c.float(m.energy)?);
+    // An overflow is a ratio of areas; NaN is legal (a uniform-field grid
+    // has none, and a diverged point's NaN was already acted on).
+    let overflow = c.float(m.overflow)?;
+    c.ensure(overflow.is_nan() || overflow >= T::ZERO, || {
+        format!("memo overflow {overflow} is negative")
+    })?;
+    c.ensure(!valid || gamma > T::ZERO, || {
+        format!("valid memo recorded at gamma {gamma}, not > 0")
+    })?;
+    let want = if valid { dim } else { 0 };
+    Ok(GpMemoState {
+        valid,
+        gamma,
+        wl_cost,
+        energy,
+        overflow,
+        key: c.vec("memo.key", &m.key, want)?,
+        wl_grad: c.vec("memo.wl", &m.wl_grad, want)?,
+        density_grad: c.vec("memo.density", &m.density_grad, want)?,
+    })
+}
+
+/// An optimizer snapshot whose vectors are each `dim` long.
 fn solver<T: Float, C: Codec>(
     c: &mut C,
     tag: &str,
     s: &OptimizerSnapshot<T>,
+    dim: usize,
 ) -> Res<OptimizerSnapshot<T>> {
     let solvers = solvers::<T>();
     let s = c.tag(tag)?.variant(&solvers, s)?;
@@ -957,50 +1047,65 @@ fn solver<T: Float, C: Codec>(
             OptimizerSnapshot::Nesterov {
                 a: c.float(*a)?,
                 alpha: c.float(*alpha)?,
-                v: c.opt_vec("v", v)?,
-                u_prev: c.opt_vec("u_prev", u_prev)?,
-                g_prev: c.opt_vec("g_prev", g_prev)?,
-                v_prev: c.opt_vec("v_prev", v_prev)?,
+                v: c.opt_vec("v", v, dim)?,
+                u_prev: c.opt_vec("u_prev", u_prev, dim)?,
+                g_prev: c.opt_vec("g_prev", g_prev, dim)?,
+                v_prev: c.opt_vec("v_prev", v_prev, dim)?,
             }
         }
         OptimizerSnapshot::Adam { lr, t, m, v } => OptimizerSnapshot::Adam {
             lr: c.float(*lr)?,
             t: c.val(*t)?,
-            m: c.vec("m", m)?,
-            v: c.vec("v", v)?,
+            m: c.vec("m", m, dim)?,
+            v: c.vec("v", v, dim)?,
         },
         OptimizerSnapshot::SgdMomentum { lr, velocity } => OptimizerSnapshot::SgdMomentum {
             lr: c.float(*lr)?,
-            velocity: c.vec("velocity", velocity)?,
+            velocity: c.vec("velocity", velocity, dim)?,
         },
         OptimizerSnapshot::ConjugateGradient { alpha, g_prev, d_prev, p_prev } => {
             OptimizerSnapshot::ConjugateGradient {
                 alpha: c.float(*alpha)?,
-                g_prev: c.opt_vec("g_prev", g_prev)?,
-                d_prev: c.opt_vec("d_prev", d_prev)?,
-                p_prev: c.opt_vec("p_prev", p_prev)?,
+                g_prev: c.opt_vec("g_prev", g_prev, dim)?,
+                d_prev: c.opt_vec("d_prev", d_prev, dim)?,
+                p_prev: c.opt_vec("p_prev", p_prev, dim)?,
             }
         }
     })
 }
 
+/// Evaluation counters: an operator runs at most once per objective call.
 fn eval_counts<C: Codec>(c: &mut C, tag: &str, e: &GpEvalCounts) -> Res<GpEvalCounts> {
-    Ok(GpEvalCounts {
+    let counts = GpEvalCounts {
         objective_evals: c.tag(tag)?.val(e.objective_evals)?,
         wl_evals: c.val(e.wl_evals)?,
         density_evals: c.val(e.density_evals)?,
         backtracks: c.val(e.backtracks)?,
-    })
+    };
+    let objective = counts.objective_evals;
+    for (n, what) in [(counts.wl_evals, "wirelength"), (counts.density_evals, "density")] {
+        c.ensure(n <= objective, || {
+            format!("{n} {what} evaluations exceed {objective} objective calls")
+        })?;
+    }
+    Ok(counts)
 }
 
 /// Raw-bits floats: the history is bulk per-iteration data (hundreds of
 /// records late in GP, re-serialized into every checkpoint) and decimal
 /// formatting of it was a measurable slice of the overhead budget.
+/// Iterations strictly increase.
 fn history<C: Codec>(c: &mut C, tag: &str, h: &[IterRecord]) -> Res<Vec<IterRecord>> {
     let blank = IterRecord { iteration: 0, hpwl: 0.0, overflow: 0.0, lambda: 0.0, gamma: 0.0 };
+    let last = Cell::new(None);
     block(c, tag, h, &blank, |c, r| {
+        let iteration = c.tag("h")?.val(r.iteration)?;
+        c.ensure(last.get().is_none_or(|last| iteration > last), || {
+            format!("history iteration {iteration} does not increase")
+        })?;
+        last.set(Some(iteration));
         Ok(IterRecord {
-            iteration: c.tag("h")?.val(r.iteration)?,
+            iteration,
             hpwl: c.bits(r.hpwl)?,
             overflow: c.bits(r.overflow)?,
             lambda: c.bits(r.lambda)?,
@@ -1018,9 +1123,13 @@ fn recoveries<C: Codec>(c: &mut C, tag: &str, evs: &[RecoveryEvent]) -> Res<Vec<
         gamma_boost: 0.0,
     };
     block(c, tag, evs, &blank, |c, r| {
+        let (iteration, resumed_from) = (c.tag("r")?.val(r.iteration)?, c.val(r.resumed_from)?);
+        c.ensure(resumed_from <= iteration, || {
+            format!("recovery resumed from {resumed_from} which is after iteration {iteration}")
+        })?;
         Ok(RecoveryEvent {
-            iteration: c.tag("r")?.val(r.iteration)?,
-            resumed_from: c.val(r.resumed_from)?,
+            iteration,
+            resumed_from,
             cause: *c.variant(&CAUSES, &r.cause)?,
             lambda: c.val(r.lambda)?,
             gamma_boost: c.val(r.gamma_boost)?,
@@ -1052,6 +1161,9 @@ fn exec<C: Codec>(c: &mut C, e: &ExecSummary) -> Res<ExecSummary> {
                     reuses: c.val(w.reuses)?,
                     bytes: c.val(w.bytes)?,
                 };
+                c.ensure(w.reuses <= w.uses, || {
+                    format!("workspace reuses {} exceed uses {}", w.reuses, w.uses)
+                })?;
                 Ok((interned(c, name)?, w))
             })?,
     })
@@ -1081,17 +1193,17 @@ fn finished_gp<C: Codec>(c: &mut C, s: &GpStats) -> Res<GpStats> {
     })
 }
 
-fn placement<T: Float, C: Codec>(c: &mut C, prefix: &str, p: &Placement<T>) -> Res<Placement<T>> {
-    let x = c.vec(&format!("{prefix}.x"), &p.x)?;
-    let y = c.vec(&format!("{prefix}.y"), &p.y)?;
-    if x.len() != y.len() {
-        return Err(c.fail(format!(
-            "placement {prefix:?} x/y length mismatch: {} vs {}",
-            x.len(),
-            y.len()
-        )));
-    }
-    Ok(Placement { x, y })
+/// A placement of the design's `cells` cells.
+fn placement<T: Float, C: Codec>(
+    c: &mut C,
+    prefix: &str,
+    p: &Placement<T>,
+    cells: usize,
+) -> Res<Placement<T>> {
+    Ok(Placement {
+        x: c.vec(&format!("{prefix}.x"), &p.x, cells)?,
+        y: c.vec(&format!("{prefix}.y"), &p.y, cells)?,
+    })
 }
 
 fn dp_run<C: Codec>(c: &mut C, r: &DpRunState) -> Res<DpRunState> {
@@ -1101,10 +1213,16 @@ fn dp_run<C: Codec>(c: &mut C, r: &DpRunState) -> Res<DpRunState> {
         return Err(c.fail(format!("dp pass cursor {pass_idx} is past the three passes")));
     }
     let (moves, moves_at_round_start) = (c.val(r.moves)?, c.val(r.moves_at_round_start)?);
+    c.ensure(moves_at_round_start <= moves, || {
+        format!("round-start move count {moves_at_round_start} exceeds total {moves}")
+    })?;
     let enabled = [c.val(r.enabled[0])?, c.val(r.enabled[1])?, c.val(r.enabled[2])?];
     let (reverts, budget_exhausted) = (c.val(r.report.reverts)?, c.val(r.report.budget_exhausted)?);
     let injected_pending = c.opt_variant(&DP_PASSES, "-1", &r.injected_pending)?.copied();
     let (initial_hpwl, consumed_seconds) = (c.val(r.initial_hpwl)?, c.val(r.consumed_seconds)?);
+    c.ensure(consumed_seconds >= 0.0, || {
+        format!("dp consumed wall-clock {consumed_seconds} is not >= 0")
+    })?;
     let blank = (DpPass::GlobalSwap, 0.0);
     let disabled = block(c, "dp.disabled", &r.report.disabled, &blank, |c, (pass, worsening)| {
         Ok((*c.tag("dd")?.variant(&DP_PASSES, pass)?, c.val(*worsening)?))
@@ -1133,9 +1251,6 @@ pub fn serialize<T: Float>(data: &CheckpointData<T>) -> String {
     let crc = crc32(w.out.as_bytes());
     format!("{MAGIC} v{VERSION}\ncrc {crc:#010x}\n{}", w.out)
 }
-
-/// File line of the `design` record, which the cross-field checks cite.
-const DESIGN_LINE: usize = 3;
 
 /// Parses full file contents (header + payload) into checkpoint data.
 ///
@@ -1195,29 +1310,6 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
     let data = checkpoint(&mut reader, &blank)?;
     reader.line_done()?;
 
-    // Cross-field invariants the reader can check cheaply.
-    if let CheckpointStage::Gp { engine, .. } = &data.stage {
-        let dim = data.design.movable.checked_mul(2);
-        let corrupt = |reason| Err(CheckpointError::Corrupt { line: DESIGN_LINE, reason });
-        if dim != Some(engine.params.len()) {
-            return corrupt(format!(
-                "parameter vector length {} does not match 2 x {} movable cells",
-                engine.params.len(),
-                data.design.movable
-            ));
-        }
-        let memo = &engine.memo;
-        if memo.valid
-            && [&memo.key, &memo.wl_grad, &memo.density_grad]
-                .iter()
-                .any(|v| dim != Some(v.len()))
-        {
-            return corrupt(format!(
-                "memo vectors do not all hold 2 x {} movable-cell values",
-                data.design.movable
-            ));
-        }
-    }
     Ok(data)
 }
 
@@ -1400,6 +1492,75 @@ mod tests {
         match deserialize::<f64>(&serialize(&short)) {
             Err(CheckpointError::Corrupt { reason, .. }) => assert!(reason.contains("memo")),
             other => panic!("want Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Every vector of an optimizer snapshot, mutably.
+    fn solver_vectors(s: &mut OptimizerSnapshot<f64>) -> Vec<&mut Vec<f64>> {
+        match s {
+            OptimizerSnapshot::Nesterov {
+                v,
+                u_prev,
+                g_prev,
+                v_prev,
+                ..
+            } => [v, u_prev, g_prev, v_prev].into_iter().flatten().collect(),
+            OptimizerSnapshot::Adam { m, v, .. } => vec![m, v],
+            OptimizerSnapshot::SgdMomentum { velocity, .. } => vec![velocity],
+            OptimizerSnapshot::ConjugateGradient {
+                g_prev,
+                d_prev,
+                p_prev,
+                ..
+            } => [g_prev, d_prev, p_prev].into_iter().flatten().collect(),
+        }
+    }
+
+    /// Every 2 x movable vector of the engine state, mutably.
+    fn gp_vectors(e: &mut GpEngineState<f64>) -> Vec<&mut Vec<f64>> {
+        let rollback = Arc::make_mut(&mut e.rollback);
+        let memo = &mut e.memo;
+        let mut all = vec![&mut e.params, &mut e.best_params, &mut rollback.params];
+        all.extend(solver_vectors(&mut e.solver));
+        all.extend(solver_vectors(&mut rollback.solver));
+        all.extend([&mut memo.key, &mut memo.wl_grad, &mut memo.density_grad]);
+        all
+    }
+
+    #[test]
+    fn a_gp_vector_one_short_is_refused_at_its_record() {
+        let data = gp_checkpoint();
+        let dim = 2 * data.design.movable;
+        let mut short = data.clone();
+        let CheckpointStage::Gp { engine, .. } = &mut short.stage else {
+            panic!("gp stage");
+        };
+        let count = gp_vectors(engine).len();
+        // Six fixed vectors, and the solvers' (both of them, three steps in).
+        assert!(count >= 8, "only {count} vectors");
+        for i in 0..count {
+            let mut short = data.clone();
+            let CheckpointStage::Gp { engine, .. } = &mut short.stage else {
+                panic!("gp stage");
+            };
+            let v = gp_vectors(engine).swap_remove(i);
+            assert_eq!(v.len(), dim, "vector {i}");
+            v.pop();
+            let text = serialize(&short);
+            // The one record that is one value short, as a file line.
+            let want_len = (dim - 1).to_string();
+            let record = text
+                .lines()
+                .position(|l| l.starts_with("vec ") && l.split(' ').nth(2) == Some(&want_len))
+                .expect("the short record")
+                + 1;
+            match deserialize::<f64>(&text) {
+                Err(CheckpointError::Corrupt { line, reason }) => {
+                    assert_eq!(line, record, "vector {i}: {reason}");
+                    assert!(reason.contains(&format!("want {dim}")), "{reason}");
+                }
+                other => panic!("vector {i}: want Corrupt, got {other:?}"),
+            }
         }
     }
 

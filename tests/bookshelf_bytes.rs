@@ -1,8 +1,8 @@
 //! Bookshelf bytes at the reader's edges: the text variations real files
-//! carry (CRLF, comments, blank lines, tabs, no final newline) read to the
-//! plain file's design, and files cut short, holding a byte that is not
-//! UTF-8 or holding a non-finite number are reported as errors, never a
-//! panic.
+//! carry (CRLF, comments, blank lines, tabs, no final newline, any other
+//! Unicode whitespace as a separator) read to the plain file's design, and
+//! files cut short, holding a byte that is not UTF-8 or holding a
+//! non-finite number are reported as errors, never a panic.
 
 use std::path::{Path, PathBuf};
 
@@ -75,19 +75,30 @@ fn vary(tag: &str, text: &str) -> String {
         "blank" => lines.map(|l| format!("\n \t\n{l}\n")).collect(),
         "tabs" => text.replace(' ', "\t"),
         "no-final-newline" => text.trim_end().to_string(),
+        // Separators `char::is_whitespace` takes and ASCII splitting
+        // (`split_ascii_whitespace`) does not: vertical tab, no-break space,
+        // next line and em space.
+        "vt" => text.replace(' ', "\u{b}"),
+        "nbsp" => text.replace(' ', "\u{a0}"),
+        "nel" => text.replace(' ', "\u{85}"),
+        "em-space" => text.replace(' ', "\u{2003}"),
         _ => VARIATIONS[..5]
             .iter()
             .fold(text.to_string(), |t, v| vary(v, &t)),
     }
 }
 
-const VARIATIONS: [&str; 6] = [
+const VARIATIONS: [&str; 10] = [
     "tabs",
     "comments",
     "blank",
     "crlf",
     "no-final-newline",
     "all",
+    "vt",
+    "nbsp",
+    "nel",
+    "em-space",
 ];
 
 /// Rewrites every design file's text with the variation `tag` and reads

@@ -144,7 +144,10 @@ fn retried_panic_resumes_from_checkpoint_to_the_same_bits() {
     let d = design(60);
     let base = solo(&d);
     // An unfaulted neighbour shares the pool while the faulted job panics,
-    // waits out its backoff and resumes from its checkpoint.
+    // waits out its backoff and resumes from its checkpoint. The backoff is
+    // zero, so the job is readmitted on the round after its panic: rounds,
+    // not the build's speed, order it against the neighbour, which is only
+    // as far along as the faulted job was and so is still running.
     let neighbour = design(61);
     let neighbour_base = solo(&neighbour);
     let base_tel = {
@@ -166,7 +169,7 @@ fn retried_panic_resumes_from_checkpoint_to_the_same_bits() {
         options(
             RetryPolicy {
                 max_attempts: 2,
-                backoff_seconds: 0.01,
+                backoff_seconds: 0.0,
                 conservative_final: false,
             },
             ServeFaultInjection::panic_at(FlowState::Gp { iteration: 5 }),
