@@ -60,9 +60,10 @@
 //! than an allocation abort. `tests/fixtures/flow_v3_{gp,lg,dp}.ckpt` pin
 //! the v3 bytes: each must re-serialize byte for byte.
 //!
-//! Durability: [`write_checkpoint`] writes to `<file>.tmp`, fsyncs, then
-//! renames over the previous checkpoint, so a crash mid-write never
-//! corrupts the last good checkpoint. Readers verify magic, version, and
+//! Durability: [`write_checkpoint`] writes to `<file>.tmp`, fdatasyncs,
+//! renames over the previous checkpoint, then (on unix) fsyncs the
+//! directory so the rename itself survives a power loss; a crash mid-write
+//! never corrupts the last good checkpoint. Readers verify magic, version, and
 //! CRC before touching the payload and report structured
 //! [`CheckpointError`]s (surfaced as `FlowError::Checkpoint` with a
 //! `diagnosis()` one-liner).
@@ -81,17 +82,19 @@ use std::time::Duration;
 
 use dp_autograd::{ExecSummary, OpCounter, WorkspaceCounter};
 use dp_dplace::{DpGuardReport, DpPass, DpRunState};
-use dp_gp::{DivergenceCause, GpEngineState, GpEvalCounts, GpMemoState, GpRollbackState, GpStats,
-    GpTiming, IterRecord, RecoveryEvent};
+use dp_gp::{DivergenceCause, GpEngineState, GpEvalCounts, GpMemoEntry, GpMemoState,
+    GpRollbackState, GpRunState, GpStats, GpTiming, IterRecord, RecoveryEvent};
 use dp_lg::{LgFallback, LgStats};
 use dp_netlist::Placement;
 use dp_num::Float;
-use dp_optim::OptimizerSnapshot;
+use dp_optim::{AdamState, CgState, NesterovState, OptimizerSnapshot, SgdState};
 
 use crate::flow::{
     DegradationEvent, DegradationFallback, DegradationTrigger, FlowStage, FlowTiming, GpFallback,
 };
-use crate::machine::{CheckpointData, CheckpointStage, DesignStamp, GpAttemptState};
+use crate::machine::{
+    CheckpointData, CheckpointStage, DesignStamp, GpAttemptState, GpHandoff, LegalState,
+};
 
 /// Magic first line; bump the version on any layout change.
 pub const MAGIC: &str = "DPCKPT";
@@ -145,6 +148,13 @@ pub enum CheckpointError {
         /// Why.
         reason: String,
     },
+    /// The design's name cannot be recorded: the `design` record ends its
+    /// line with the name, so a blank one or one holding a line break would
+    /// not read back as written.
+    UnrecordableName {
+        /// The name.
+        name: String,
+    },
     /// The checkpoint belongs to a different design.
     DesignMismatch {
         /// Which identity field disagreed.
@@ -181,6 +191,10 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Unresumable { stage, reason } => {
                 write!(f, "{stage} state cannot be resumed: {reason}")
             }
+            CheckpointError::UnrecordableName { name } => write!(
+                f,
+                "design name {name:?} cannot be recorded (blank, or holding a line break)"
+            ),
             CheckpointError::DesignMismatch {
                 field,
                 expected,
@@ -242,12 +256,24 @@ pub fn checkpoint_file(dir: &Path) -> PathBuf {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Io`] only.
+/// [`CheckpointError::UnrecordableName`] when the design's name cannot be
+/// recorded, else [`CheckpointError::Io`] only.
 pub fn write_checkpoint<T: Float>(
     dir: &Path,
     data: &CheckpointData<T>,
 ) -> Result<(), CheckpointError> {
+    check_name(&data.design.name)?;
     write_serialized(dir, &serialize(data))
+}
+
+/// Refuses a design name the `design` record cannot carry: both readers
+/// refuse a blank name, a line feed splits the record in two, and a
+/// carriage return at the end of a line is dropped on read.
+pub(crate) fn check_name(name: &str) -> Result<(), CheckpointError> {
+    if name.trim().is_empty() || name.contains(['\n', '\r']) {
+        return Err(CheckpointError::UnrecordableName { name: name.to_string() });
+    }
+    Ok(())
 }
 
 /// Atomically writes already-serialized checkpoint contents into `dir`.
@@ -274,6 +300,9 @@ pub fn write_serialized(dir: &Path, body: &str) -> Result<(), CheckpointError> {
         f.sync_data()?;
     }
     std::fs::rename(&tmp, &path)?;
+    // The rename is durable only once the directory entry is on disk too.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -756,11 +785,12 @@ const DEGRADATION_FALLBACKS: [(DegradationFallback, &str); 7] = [
 fn solvers<T: Float>() -> [(OptimizerSnapshot<T>, &'static str); 4] {
     let z = T::ZERO;
     [
-        OptimizerSnapshot::Nesterov { a: z, alpha: z, v: None, u_prev: None, g_prev: None,
-            v_prev: None },
-        OptimizerSnapshot::Adam { lr: z, t: 0, m: Vec::new(), v: Vec::new() },
-        OptimizerSnapshot::SgdMomentum { lr: z, velocity: Vec::new() },
-        OptimizerSnapshot::ConjugateGradient { alpha: z, g_prev: None, d_prev: None, p_prev: None },
+        OptimizerSnapshot::Nesterov(NesterovState { a: z, alpha: z, v: None, u_prev: None,
+            g_prev: None, v_prev: None }),
+        OptimizerSnapshot::Adam(AdamState { lr: z, t: 0, m: Vec::new(), v: Vec::new() }),
+        OptimizerSnapshot::SgdMomentum(SgdState { lr: z, velocity: Vec::new() }),
+        OptimizerSnapshot::ConjugateGradient(CgState { alpha: z, g_prev: None, d_prev: None,
+            p_prev: None }),
     ]
     .map(|s| {
         let tag = s.engine();
@@ -781,10 +811,9 @@ fn stages<T: Float>() -> [(CheckpointStage<T>, &'static str); 3] {
     [
         (CheckpointStage::Gp { attempt: GpAttemptState::Primary, engine: Default::default() },
             "gp"),
-        (CheckpointStage::Lg { gp_stats: Default::default(), hpwl_gp: 0.0,
-            gp_placement: Placement::zeros(0) }, "lg"),
-        (CheckpointStage::Dp { gp_stats: Default::default(), hpwl_gp: 0.0,
-            lg_stats: Default::default(), hpwl_legal: 0.0, placement: Placement::zeros(0),
+        (CheckpointStage::Lg { gp: Default::default(), gp_placement: Placement::zeros(0) }, "lg"),
+        (CheckpointStage::Dp { legal: LegalState { gp: Default::default(),
+            lg_stats: Default::default(), hpwl_legal: 0.0, placement: Placement::zeros(0) },
             run: Default::default() }, "dp"),
     ]
 }
@@ -835,25 +864,24 @@ fn checkpoint<T: Float, C: Codec>(c: &mut C, d: &CheckpointData<T>) -> Res<Check
             attempt: gp_attempt(c, attempt, design.cells)?,
             engine: gp_engine(c, engine, design.movable.saturating_mul(2))?,
         },
-        CheckpointStage::Lg { gp_stats, hpwl_gp, gp_placement } => CheckpointStage::Lg {
-            gp_stats: finished_gp(c, gp_stats)?,
-            hpwl_gp: c.tag("hpwl.gp")?.val(*hpwl_gp)?,
+        CheckpointStage::Lg { gp, gp_placement } => CheckpointStage::Lg {
+            gp: gp_handoff(c, gp)?,
             gp_placement: placement(c, "gp", gp_placement, design.cells)?,
         },
-        CheckpointStage::Dp { gp_stats, hpwl_gp, lg_stats, hpwl_legal, placement: cur, run } => {
-            CheckpointStage::Dp {
-                gp_stats: finished_gp(c, gp_stats)?,
-                hpwl_gp: c.tag("hpwl.gp")?.val(*hpwl_gp)?,
+        CheckpointStage::Dp { legal, run } => {
+            let lg = &legal.lg_stats;
+            let legal = LegalState {
+                gp: gp_handoff(c, &legal.gp)?,
                 lg_stats: LgStats {
-                    avg_displacement: c.tag("lg.stats")?.val(lg_stats.avg_displacement)?,
-                    max_displacement: c.val(lg_stats.max_displacement)?,
-                    runtime: c.val(lg_stats.runtime)?,
-                    fallback: c.opt_variant(&LG_FALLBACKS, "none", &lg_stats.fallback)?.copied(),
+                    avg_displacement: c.tag("lg.stats")?.val(lg.avg_displacement)?,
+                    max_displacement: c.val(lg.max_displacement)?,
+                    runtime: c.val(lg.runtime)?,
+                    fallback: c.opt_variant(&LG_FALLBACKS, "none", &lg.fallback)?.copied(),
                 },
-                hpwl_legal: c.tag("hpwl.legal")?.val(*hpwl_legal)?,
-                placement: placement(c, "cur", cur, design.cells)?,
-                run: dp_run(c, run)?,
-            }
+                hpwl_legal: c.tag("hpwl.legal")?.val(legal.hpwl_legal)?,
+                placement: placement(c, "cur", &legal.placement, design.cells)?,
+            };
+            CheckpointStage::Dp { legal, run: dp_run(c, run)? }
         }
     };
     c.tag("end")?;
@@ -933,32 +961,33 @@ fn gp_engine<T: Float, C: Codec>(
     e: &GpEngineState<T>,
     dim: usize,
 ) -> Res<GpEngineState<T>> {
-    let next_iter = c.tag("eng.counters")?.val(e.next_iter)?;
-    let (iterations, evals) = (c.val(e.iterations)?, c.val(e.evals)?);
-    let recovered = c.val(e.recoveries)?;
+    let r = &e.run;
+    let next_iter = c.tag("eng.counters")?.val(r.next_iter)?;
+    let (iterations, evals) = (c.val(r.iterations)?, c.val(r.evals)?);
+    let recovered = c.val(r.recoveries)?;
     let sched_iteration = c.val(e.sched_iteration)?;
     // The λ scheduler advances at most once per engine iteration.
     c.ensure(sched_iteration <= next_iter, || {
         format!("scheduler iteration {sched_iteration} is ahead of engine iteration {next_iter}")
     })?;
-    let counts = eval_counts(c, "eng.evals", &e.counts)?;
-    let lambda = c.tag("eng.scalars")?.float(e.lambda)?;
-    let (gamma, gamma_boost) = (c.positive(e.gamma)?, c.positive(e.gamma_boost)?);
-    let (lambda_cut, sched_lambda) = (c.float(e.lambda_cut)?, c.float(e.sched_lambda)?);
-    let (ref_delta, prev_hpwl) = (c.positive(e.ref_delta)?, c.float(e.prev_hpwl)?);
-    let best_overflow = c.val(e.best_overflow)?;
+    let counts = eval_counts(c, "eng.evals", &r.counts)?;
+    let lambda = c.tag("eng.scalars")?.float(r.lambda)?;
+    let (gamma, gamma_boost) = (c.positive(e.gamma)?, c.positive(r.gamma_boost)?);
+    let (lambda_cut, sched_lambda) = (c.float(r.lambda_cut)?, c.float(e.sched_lambda)?);
+    let (ref_delta, prev_hpwl) = (c.positive(e.ref_delta)?, c.float(r.prev_hpwl)?);
+    let best_overflow = c.val(r.best_overflow)?;
     let consumed_seconds = c.val(Secs(e.consumed_seconds))?.0;
-    let params = c.vec("params", &e.params, dim)?;
-    let best_params = c.vec("best", &e.best_params, dim)?;
+    let params = c.vec("params", &r.params, dim)?;
+    let best_params = c.vec("best", &r.best_params, dim)?;
     let solver_state = solver(c, "solver", &e.solver, dim)?;
-    let history = history(c, "eng.hist", &e.history)?;
+    let history = history(c, "eng.hist", &r.history)?;
     if let Some(last) = history.last().map(|h| h.iteration) {
         c.ensure(last < next_iter, || {
             format!("history reaches iteration {last} but the engine has only run to {next_iter}")
         })?;
     }
-    let recovery_events = recoveries(c, "eng.recov", &e.recovery_events)?;
-    let rb = &e.rollback;
+    let recovery_events = recoveries(c, "eng.recov", &r.recovery_events)?;
+    let rb = &r.rollback;
     let rb_iteration = c.tag("rollback")?.val(rb.iteration)?;
     let (rb_sched_iteration, history_len) = (c.val(rb.sched_iteration)?, c.val(rb.history_len)?);
     c.ensure(rb_iteration <= next_iter, || {
@@ -979,28 +1008,30 @@ fn gp_engine<T: Float, C: Codec>(
         solver: solver(c, "solver.rb", &rb.solver, dim)?,
     });
     Ok(GpEngineState {
-        next_iter,
-        iterations,
-        evals,
-        recoveries: recovered,
-        sched_iteration,
-        counts,
-        lambda,
-        gamma,
-        gamma_boost,
-        lambda_cut,
-        sched_lambda,
-        ref_delta,
-        prev_hpwl,
-        best_overflow,
-        consumed_seconds,
-        params,
-        best_params,
+        run: GpRunState {
+            next_iter,
+            iterations,
+            evals,
+            params,
+            best_params,
+            best_overflow,
+            lambda,
+            gamma_boost,
+            lambda_cut,
+            prev_hpwl,
+            recoveries: recovered,
+            recovery_events,
+            history,
+            rollback,
+            counts,
+        },
         solver: solver_state,
-        history,
-        recovery_events,
-        rollback,
+        gamma,
+        sched_lambda,
+        sched_iteration,
+        ref_delta,
         memo: memo(c, &e.memo, dim)?,
+        consumed_seconds,
         exec: exec(c, &e.exec)?,
     })
 }
@@ -1008,11 +1039,12 @@ fn gp_engine<T: Float, C: Codec>(
 /// The last evaluated point; its vectors are `dim` long when it is valid
 /// and empty otherwise.
 fn memo<T: Float, C: Codec>(c: &mut C, m: &GpMemoState<T>, dim: usize) -> Res<GpMemoState<T>> {
-    let valid = c.tag("memo")?.val(m.valid)?;
-    let (gamma, wl_cost, energy) = (c.float(m.gamma)?, c.float(m.wl_cost)?, c.float(m.energy)?);
+    let e = &m.entry;
+    let valid = c.tag("memo")?.val(e.valid)?;
+    let (gamma, wl_cost, energy) = (c.float(e.gamma)?, c.float(e.wl_cost)?, c.float(e.energy)?);
     // An overflow is a ratio of areas; NaN is legal (a uniform-field grid
     // has none, and a diverged point's NaN was already acted on).
-    let overflow = c.float(m.overflow)?;
+    let overflow = c.float(e.overflow)?;
     c.ensure(overflow.is_nan() || overflow >= T::ZERO, || {
         format!("memo overflow {overflow} is negative")
     })?;
@@ -1020,13 +1052,9 @@ fn memo<T: Float, C: Codec>(c: &mut C, m: &GpMemoState<T>, dim: usize) -> Res<Gp
         format!("valid memo recorded at gamma {gamma}, not > 0")
     })?;
     let want = if valid { dim } else { 0 };
+    let key = c.vec("memo.key", &e.key, want)?;
     Ok(GpMemoState {
-        valid,
-        gamma,
-        wl_cost,
-        energy,
-        overflow,
-        key: c.vec("memo.key", &m.key, want)?,
+        entry: GpMemoEntry { valid, gamma, wl_cost, energy, overflow, key },
         wl_grad: c.vec("memo.wl", &m.wl_grad, want)?,
         density_grad: c.vec("memo.density", &m.density_grad, want)?,
     })
@@ -1043,33 +1071,31 @@ fn solver<T: Float, C: Codec>(
     let s = c.tag(tag)?.variant(&solvers, s)?;
     c.tag("sv.scalars")?;
     Ok(match s {
-        OptimizerSnapshot::Nesterov { a, alpha, v, u_prev, g_prev, v_prev } => {
-            OptimizerSnapshot::Nesterov {
-                a: c.float(*a)?,
-                alpha: c.float(*alpha)?,
-                v: c.opt_vec("v", v, dim)?,
-                u_prev: c.opt_vec("u_prev", u_prev, dim)?,
-                g_prev: c.opt_vec("g_prev", g_prev, dim)?,
-                v_prev: c.opt_vec("v_prev", v_prev, dim)?,
-            }
-        }
-        OptimizerSnapshot::Adam { lr, t, m, v } => OptimizerSnapshot::Adam {
-            lr: c.float(*lr)?,
-            t: c.val(*t)?,
-            m: c.vec("m", m, dim)?,
-            v: c.vec("v", v, dim)?,
-        },
-        OptimizerSnapshot::SgdMomentum { lr, velocity } => OptimizerSnapshot::SgdMomentum {
-            lr: c.float(*lr)?,
-            velocity: c.vec("velocity", velocity, dim)?,
-        },
-        OptimizerSnapshot::ConjugateGradient { alpha, g_prev, d_prev, p_prev } => {
-            OptimizerSnapshot::ConjugateGradient {
-                alpha: c.float(*alpha)?,
-                g_prev: c.opt_vec("g_prev", g_prev, dim)?,
-                d_prev: c.opt_vec("d_prev", d_prev, dim)?,
-                p_prev: c.opt_vec("p_prev", p_prev, dim)?,
-            }
+        OptimizerSnapshot::Nesterov(s) => OptimizerSnapshot::Nesterov(NesterovState {
+            a: c.float(s.a)?,
+            alpha: c.float(s.alpha)?,
+            v: c.opt_vec("v", &s.v, dim)?,
+            u_prev: c.opt_vec("u_prev", &s.u_prev, dim)?,
+            g_prev: c.opt_vec("g_prev", &s.g_prev, dim)?,
+            v_prev: c.opt_vec("v_prev", &s.v_prev, dim)?,
+        }),
+        OptimizerSnapshot::Adam(s) => OptimizerSnapshot::Adam(AdamState {
+            lr: c.float(s.lr)?,
+            t: c.val(s.t)?,
+            m: c.vec("m", &s.m, dim)?,
+            v: c.vec("v", &s.v, dim)?,
+        }),
+        OptimizerSnapshot::SgdMomentum(s) => OptimizerSnapshot::SgdMomentum(SgdState {
+            lr: c.float(s.lr)?,
+            velocity: c.vec("velocity", &s.velocity, dim)?,
+        }),
+        OptimizerSnapshot::ConjugateGradient(s) => {
+            OptimizerSnapshot::ConjugateGradient(CgState {
+                alpha: c.float(s.alpha)?,
+                g_prev: c.opt_vec("g_prev", &s.g_prev, dim)?,
+                d_prev: c.opt_vec("d_prev", &s.d_prev, dim)?,
+                p_prev: c.opt_vec("p_prev", &s.p_prev, dim)?,
+            })
         }
     })
 }
@@ -1169,10 +1195,10 @@ fn exec<C: Codec>(c: &mut C, e: &ExecSummary) -> Res<ExecSummary> {
     })
 }
 
-/// The statistics of a finished GP, carried by the LG and DP stages.
-fn finished_gp<C: Codec>(c: &mut C, s: &GpStats) -> Res<GpStats> {
-    let t = &s.timing;
-    Ok(GpStats {
+/// What a finished GP hands on: its statistics, then its HPWL.
+fn gp_handoff<C: Codec>(c: &mut C, h: &GpHandoff) -> Res<GpHandoff> {
+    let (s, t) = (&h.stats, &h.stats.timing);
+    let stats = GpStats {
         iterations: c.tag("gp.stats")?.val(s.iterations)?,
         final_hpwl: c.val(s.final_hpwl)?,
         final_overflow: c.val(s.final_overflow)?,
@@ -1190,7 +1216,8 @@ fn finished_gp<C: Codec>(c: &mut C, s: &GpStats) -> Res<GpStats> {
         history: history(c, "gp.hist", &s.history)?,
         recovery_events: recoveries(c, "gp.recov", &s.recovery_events)?,
         exec: exec(c, &s.exec)?,
-    })
+    };
+    Ok(GpHandoff { stats, hpwl: c.tag("hpwl.gp")?.val(h.hpwl)? })
 }
 
 /// A placement of the design's `cells` cells.
@@ -1385,8 +1412,8 @@ mod tests {
     fn non_finite_floats_survive_the_text_format() {
         let mut data = gp_checkpoint();
         if let CheckpointStage::Gp { engine, .. } = &mut data.stage {
-            engine.prev_hpwl = f64::NAN;
-            engine.best_overflow = f64::INFINITY;
+            engine.run.prev_hpwl = f64::NAN;
+            engine.run.best_overflow = f64::INFINITY;
         }
         data.timing.total = f64::NEG_INFINITY;
         let text = serialize(&data);
@@ -1469,19 +1496,24 @@ mod tests {
             panic!("gp stage");
         };
         let dim = 2 * data.design.movable;
-        assert!(engine.memo.valid, "three steps in, a point has been evaluated");
+        assert!(engine.memo.entry.valid, "three steps in, a point has been evaluated");
         assert_eq!(
-            [engine.memo.key.len(), engine.memo.wl_grad.len(), engine.memo.density_grad.len()],
+            [
+                engine.memo.entry.key.len(),
+                engine.memo.wl_grad.len(),
+                engine.memo.density_grad.len()
+            ],
             [dim; 3]
         );
-        assert!(engine.counts.wl_evals > 0 && engine.counts.objective_evals > engine.counts.wl_evals);
+        let counts = &engine.run.counts;
+        assert!(counts.wl_evals > 0 && counts.objective_evals > counts.wl_evals);
         // v3: the overflow the next tripwire reads travels with the memo.
-        assert!(engine.memo.overflow > 0.0 && engine.memo.overflow.is_finite());
+        assert!(engine.memo.entry.overflow > 0.0 && engine.memo.entry.overflow.is_finite());
         let back = deserialize::<f64>(&serialize(&data)).expect("round trip");
         let CheckpointStage::Gp { engine: back, .. } = &back.stage else {
             panic!("gp stage");
         };
-        assert_eq!(back.memo.overflow.to_bits(), engine.memo.overflow.to_bits());
+        assert_eq!(back.memo.entry.overflow.to_bits(), engine.memo.entry.overflow.to_bits());
 
         // A valid memo of the wrong length is caught by the reader even
         // with a correct CRC.
@@ -1498,32 +1530,28 @@ mod tests {
     /// Every vector of an optimizer snapshot, mutably.
     fn solver_vectors(s: &mut OptimizerSnapshot<f64>) -> Vec<&mut Vec<f64>> {
         match s {
-            OptimizerSnapshot::Nesterov {
-                v,
-                u_prev,
-                g_prev,
-                v_prev,
-                ..
-            } => [v, u_prev, g_prev, v_prev].into_iter().flatten().collect(),
-            OptimizerSnapshot::Adam { m, v, .. } => vec![m, v],
-            OptimizerSnapshot::SgdMomentum { velocity, .. } => vec![velocity],
-            OptimizerSnapshot::ConjugateGradient {
-                g_prev,
-                d_prev,
-                p_prev,
-                ..
-            } => [g_prev, d_prev, p_prev].into_iter().flatten().collect(),
+            OptimizerSnapshot::Nesterov(s) => {
+                [&mut s.v, &mut s.u_prev, &mut s.g_prev, &mut s.v_prev]
+                    .into_iter()
+                    .flatten()
+                    .collect()
+            }
+            OptimizerSnapshot::Adam(s) => vec![&mut s.m, &mut s.v],
+            OptimizerSnapshot::SgdMomentum(s) => vec![&mut s.velocity],
+            OptimizerSnapshot::ConjugateGradient(s) => {
+                [&mut s.g_prev, &mut s.d_prev, &mut s.p_prev].into_iter().flatten().collect()
+            }
         }
     }
 
     /// Every 2 x movable vector of the engine state, mutably.
     fn gp_vectors(e: &mut GpEngineState<f64>) -> Vec<&mut Vec<f64>> {
-        let rollback = Arc::make_mut(&mut e.rollback);
+        let rollback = Arc::make_mut(&mut e.run.rollback);
         let memo = &mut e.memo;
-        let mut all = vec![&mut e.params, &mut e.best_params, &mut rollback.params];
+        let mut all = vec![&mut e.run.params, &mut e.run.best_params, &mut rollback.params];
         all.extend(solver_vectors(&mut e.solver));
         all.extend(solver_vectors(&mut rollback.solver));
-        all.extend([&mut memo.key, &mut memo.wl_grad, &mut memo.density_grad]);
+        all.extend([&mut memo.entry.key, &mut memo.wl_grad, &mut memo.density_grad]);
         all
     }
 

@@ -27,13 +27,13 @@
 //!
 //! * a checkpoint is written after every state-kind transition, every
 //!   `--checkpoint-every` GP iterations, and every completed DP round;
-//! * writes are atomic (tmp file + fsync + rename), so a crash mid-write
-//!   leaves the previous checkpoint intact; the snapshot is captured on
-//!   the flow thread (it is of that instant) while serialization and the
-//!   fsync+rename run on a dedicated writer thread that coalesces
-//!   superseded snapshots, and the driver joins it before reporting any
-//!   outcome, so the newest snapshot is always durable — the flow just
-//!   does not stall on disk;
+//! * writes are atomic (tmp file + fdatasync + rename + directory fsync),
+//!   so a crash mid-write leaves the previous checkpoint intact; the
+//!   snapshot is captured on the flow thread (it is of that instant) while
+//!   serialization and the fsync+rename run on a dedicated writer thread
+//!   that coalesces superseded snapshots, and the driver joins it before
+//!   reporting any outcome, so the newest snapshot is always durable — the
+//!   flow just does not stall on disk;
 //! * [`FlowFaultInjection::die_at`] kills the driver *before* the matching
 //!   step executes and before any checkpoint for it is written — resuming
 //!   therefore replays from the last durable checkpoint, which is the
@@ -255,7 +255,32 @@ pub enum GpAttemptState<T> {
     },
 }
 
-/// Stage-specific payload of a checkpoint.
+/// What a finished GP stage hands on besides its placement: held by the LG,
+/// DP and finish stages as it is, and recorded by an LG or DP checkpoint.
+#[derive(Debug, Clone, Default)]
+pub struct GpHandoff {
+    /// GP stage statistics.
+    pub stats: GpStats,
+    /// HPWL after GP.
+    pub hpwl: f64,
+}
+
+/// The legal placement and what GP and LG hand on: held by the DP and
+/// finish stages as it is, and recorded by a DP checkpoint.
+#[derive(Debug, Clone)]
+pub struct LegalState<T> {
+    /// What GP handed on.
+    pub gp: GpHandoff,
+    /// LG stage statistics.
+    pub lg_stats: LgStats,
+    /// HPWL after LG.
+    pub hpwl_legal: f64,
+    /// The current (legal) placement.
+    pub placement: Placement<T>,
+}
+
+/// Stage-specific payload of a checkpoint: what the stage holds, plus the
+/// state of its live engine or run, taken from that object.
 #[derive(Debug, Clone)]
 pub enum CheckpointStage<T> {
     /// Mid-GP: the engine snapshot plus the ladder position.
@@ -267,25 +292,15 @@ pub enum CheckpointStage<T> {
     },
     /// Between GP and LG.
     Lg {
-        /// GP stage statistics.
-        gp_stats: GpStats,
-        /// HPWL after GP.
-        hpwl_gp: f64,
+        /// What GP handed on.
+        gp: GpHandoff,
         /// The GP placement LG will start from.
         gp_placement: Placement<T>,
     },
     /// Mid-DP (between guarded passes).
     Dp {
-        /// GP stage statistics.
-        gp_stats: GpStats,
-        /// HPWL after GP.
-        hpwl_gp: f64,
-        /// LG stage statistics.
-        lg_stats: LgStats,
-        /// HPWL after LG.
-        hpwl_legal: f64,
-        /// The current (legal) placement.
-        placement: Placement<T>,
+        /// The legal placement and the earlier stages' results.
+        legal: LegalState<T>,
         /// Guarded-run position.
         run: DpRunState,
     },
@@ -315,7 +330,7 @@ impl<T: Float> CheckpointData<T> {
     pub fn state(&self) -> FlowState {
         match &self.stage {
             CheckpointStage::Gp { engine, .. } => FlowState::Gp {
-                iteration: engine.next_iter,
+                iteration: engine.run.next_iter,
             },
             CheckpointStage::Lg { .. } => FlowState::Lg,
             CheckpointStage::Dp { .. } => FlowState::Dp { pass: 0 },
@@ -374,18 +389,13 @@ struct GpStage<T: Float> {
 
 struct LgStage<T: Float> {
     nl: Netlist<T>,
+    gp: GpHandoff,
     gp_placement: Placement<T>,
-    gp_stats: GpStats,
-    hpwl_gp: f64,
 }
 
 struct DpStage<T: Float> {
     nl: Netlist<T>,
-    placement: Placement<T>,
-    gp_stats: GpStats,
-    hpwl_gp: f64,
-    lg_stats: LgStats,
-    hpwl_legal: f64,
+    legal: LegalState<T>,
     /// The guarded run and its placer; `None` when DP is disabled.
     guarded: Option<(DetailedPlacer, GuardedDpRun)>,
     steps: usize,
@@ -394,11 +404,7 @@ struct DpStage<T: Float> {
 
 struct FinishStage<T: Float> {
     nl: Netlist<T>,
-    placement: Placement<T>,
-    gp_stats: GpStats,
-    hpwl_gp: f64,
-    lg_stats: LgStats,
-    hpwl_legal: f64,
+    legal: LegalState<T>,
     dp_stats: Option<DpStats>,
 }
 
@@ -526,24 +532,12 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                     span,
                 }))
             }
-            CheckpointStage::Lg {
-                gp_stats,
-                hpwl_gp,
-                gp_placement,
-            } => Stage::Lg(Box::new(LgStage {
+            CheckpointStage::Lg { gp, gp_placement } => Stage::Lg(Box::new(LgStage {
                 nl,
+                gp,
                 gp_placement,
-                gp_stats,
-                hpwl_gp,
             })),
-            CheckpointStage::Dp {
-                gp_stats,
-                hpwl_gp,
-                lg_stats,
-                hpwl_legal,
-                placement,
-                run,
-            } => {
+            CheckpointStage::Dp { legal, run } => {
                 let span = m.tel.span(dp_telemetry::SpanKind::Stage, "dp");
                 let placer = m.effective_dp_cfg();
                 let run = GuardedDpRun::resume(run).map_err(|reason| {
@@ -554,11 +548,7 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 })?;
                 Stage::Dp(Box::new(DpStage {
                     nl,
-                    placement,
-                    gp_stats,
-                    hpwl_gp,
-                    lg_stats,
-                    hpwl_legal,
+                    legal,
                     guarded: Some((placer, run)),
                     steps: 0,
                     span,
@@ -681,21 +671,13 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 engine: g.engine.state(),
             },
             Stage::Lg(l) => CheckpointStage::Lg {
-                gp_stats: l.gp_stats.clone(),
-                hpwl_gp: l.hpwl_gp,
+                gp: l.gp.clone(),
                 gp_placement: l.gp_placement.clone(),
             },
-            Stage::Dp(d) => {
-                let (_, run) = d.guarded.as_ref()?;
-                CheckpointStage::Dp {
-                    gp_stats: d.gp_stats.clone(),
-                    hpwl_gp: d.hpwl_gp,
-                    lg_stats: d.lg_stats,
-                    hpwl_legal: d.hpwl_legal,
-                    placement: d.placement.clone(),
-                    run: run.state(),
-                }
-            }
+            Stage::Dp(d) => CheckpointStage::Dp {
+                run: d.guarded.as_ref()?.1.state(),
+                legal: d.legal.clone(),
+            },
             _ => return None,
         };
         Some(CheckpointData {
@@ -977,13 +959,15 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                 .map(|(name, w)| (*name, w.uses, w.reuses, w.bytes as u64)),
         );
         drop(span);
-        let hpwl_gp = hpwl(&nl, &gp_placement).to_f64();
+        let gp = GpHandoff {
+            hpwl: hpwl(&nl, &gp_placement).to_f64(),
+            stats: gp_stats,
+        };
         Ok((
             Stage::Lg(Box::new(LgStage {
                 nl,
+                gp,
                 gp_placement,
-                gp_stats,
-                hpwl_gp,
             })),
             FlowState::Lg,
         ))
@@ -992,10 +976,10 @@ impl<'d, T: Float> FlowMachine<'d, T> {
     fn step_lg(&mut self, lg: LgStage<T>) -> StepResult<T> {
         let LgStage {
             nl,
+            gp,
             gp_placement,
-            gp_stats,
-            hpwl_gp,
         } = lg;
+        let hpwl_gp = gp.hpwl;
         let lg_span = self.tel.span(dp_telemetry::SpanKind::Stage, "lg");
         let t_lg = Instant::now();
         let mut placement = gp_placement.clone();
@@ -1060,44 +1044,36 @@ impl<'d, T: Float> FlowMachine<'d, T> {
         self.timing.lg += t_lg.elapsed().as_secs_f64();
         drop(lg_span);
         let hpwl_legal = hpwl(&nl, &placement).to_f64();
-        self.enter_dp(nl, placement, gp_stats, hpwl_gp, lg_stats, hpwl_legal)
+        let legal = LegalState {
+            gp,
+            lg_stats,
+            hpwl_legal,
+            placement,
+        };
+        self.enter_dp(nl, legal)
     }
 
-    fn enter_dp(
-        &mut self,
-        nl: Netlist<T>,
-        placement: Placement<T>,
-        gp_stats: GpStats,
-        hpwl_gp: f64,
-        lg_stats: LgStats,
-        hpwl_legal: f64,
-    ) -> StepResult<T> {
+    fn enter_dp(&mut self, nl: Netlist<T>, legal: LegalState<T>) -> StepResult<T> {
         let span = self.tel.span(dp_telemetry::SpanKind::Stage, "dp");
         let guarded = self.config.run_dp.then(|| {
             let placer = self.effective_dp_cfg();
-            let run = GuardedDpRun::new(&placer, &nl, &placement);
+            let run = GuardedDpRun::new(&placer, &nl, &legal.placement);
             (placer, run)
         });
-        Ok((
-            Stage::Dp(Box::new(DpStage {
-                nl,
-                placement,
-                gp_stats,
-                hpwl_gp,
-                lg_stats,
-                hpwl_legal,
-                guarded,
-                steps: 0,
-                span,
-            })),
-            FlowState::Dp { pass: 0 },
-        ))
+        let dp = DpStage {
+            nl,
+            legal,
+            guarded,
+            steps: 0,
+            span,
+        };
+        Ok((Stage::Dp(Box::new(dp)), FlowState::Dp { pass: 0 }))
     }
 
     fn step_dp(&mut self, mut dp: Box<DpStage<T>>) -> StepResult<T> {
         let t_pass = Instant::now();
         let done = match &mut dp.guarded {
-            Some((placer, run)) => run.step(placer, &dp.nl, &mut dp.placement),
+            Some((placer, run)) => run.step(placer, &dp.nl, &mut dp.legal.placement),
             None => true,
         };
         self.timing.dp += t_pass.elapsed().as_secs_f64();
@@ -1112,19 +1088,15 @@ impl<'d, T: Float> FlowMachine<'d, T> {
     fn complete_dp(&mut self, dp: DpStage<T>) -> StepResult<T> {
         let DpStage {
             nl,
-            placement,
-            gp_stats,
-            hpwl_gp,
-            lg_stats,
-            hpwl_legal,
+            legal,
             guarded,
-            steps: _,
             span,
+            ..
         } = dp;
         let dp_stats = match guarded {
             None => None,
             Some((_, run)) => {
-                let (stats, guard) = run.finish(&nl, &placement);
+                let (stats, guard) = run.finish(&nl, &legal.placement);
                 for (pass, worsening) in &guard.disabled {
                     self.degradations.record(
                         FlowStage::Dp,
@@ -1146,30 +1118,26 @@ impl<'d, T: Float> FlowMachine<'d, T> {
             }
         };
         drop(span);
-        Ok((
-            Stage::Finish(Box::new(FinishStage {
-                nl,
-                placement,
-                gp_stats,
-                hpwl_gp,
-                lg_stats,
-                hpwl_legal,
-                dp_stats,
-            })),
-            FlowState::Finish,
-        ))
+        let fin = FinishStage {
+            nl,
+            legal,
+            dp_stats,
+        };
+        Ok((Stage::Finish(Box::new(fin)), FlowState::Finish))
     }
 
     fn step_finish(&mut self, fin: FinishStage<T>) -> StepResult<T> {
         let FinishStage {
             nl,
-            placement,
-            gp_stats,
-            hpwl_gp,
-            lg_stats,
-            hpwl_legal,
+            legal,
             dp_stats,
         } = fin;
+        let LegalState {
+            gp,
+            lg_stats,
+            hpwl_legal,
+            placement,
+        } = legal;
         let hpwl_final = hpwl(&nl, &placement).to_f64();
 
         // Write the final placement back when IO is being measured.
@@ -1191,10 +1159,10 @@ impl<'d, T: Float> FlowMachine<'d, T> {
         Ok((
             Stage::Done(Box::new(FlowResult {
                 placement,
-                hpwl_gp,
+                hpwl_gp: gp.hpwl,
                 hpwl_legal,
                 hpwl_final,
-                gp: gp_stats,
+                gp: gp.stats,
                 lg: lg_stats,
                 dp: dp_stats,
                 timing,
@@ -1298,7 +1266,9 @@ impl<T: Float> DreamPlacer<T> {
     /// # Errors
     ///
     /// Any [`FlowError`] of the underlying flow, plus
-    /// [`FlowError::Checkpoint`] for checkpoint IO failures.
+    /// [`FlowError::Checkpoint`] for checkpoint IO failures and, before
+    /// any step, for a policy on a design whose name no checkpoint can
+    /// record.
     pub fn place_durable(
         &self,
         design: &GeneratedDesign<T>,
@@ -1306,6 +1276,9 @@ impl<T: Float> DreamPlacer<T> {
         policy: Option<&CheckpointPolicy>,
         faults: FlowFaultInjection,
     ) -> Result<DurableOutcome<T>, FlowError<T>> {
+        if policy.is_some() {
+            crate::checkpoint::check_name(&design.name).map_err(FlowError::Checkpoint)?;
+        }
         let mut machine = match resume_from {
             Some(data) => FlowMachine::resume(self.config().clone(), design, data)?,
             None => FlowMachine::new(self.config().clone(), design),

@@ -99,12 +99,12 @@ impl DpGuardReport {
     }
 }
 
-/// Plain-data snapshot of a [`GuardedDpRun`] between passes.
-///
-/// Captured by [`GuardedDpRun::state`]; [`GuardedDpRun::resume`] (with the
-/// placement saved alongside) reconstructs a run that continues
-/// bit-identically. The durable checkpoint layer in `dreamplace-core`
-/// persists exactly this struct at DP pass boundaries.
+/// The state of a [`GuardedDpRun`]: the run steps this struct,
+/// [`GuardedDpRun::state`] clones it between passes and
+/// [`GuardedDpRun::resume`] (with the placement saved alongside) moves it
+/// back in, so the resumed run continues bit-identically. The durable
+/// checkpoint layer in `dreamplace-core` persists exactly this struct at DP
+/// pass boundaries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DpRunState {
     /// Current round (0-based).
@@ -125,7 +125,10 @@ pub struct DpRunState {
     pub injected_pending: Option<DpPass>,
     /// HPWL when the run began.
     pub initial_hpwl: f64,
-    /// Wall-clock seconds consumed so far, across all processes.
+    /// Busy seconds consumed so far, across all processes: the sum of
+    /// completed steps, never the time the run spent parked between
+    /// scheduler turns (a budget must not charge a job for other jobs'
+    /// time).
     pub consumed_seconds: f64,
 }
 
@@ -137,39 +140,20 @@ pub struct DpRunState {
 /// bit-identical pass sequence.
 #[derive(Debug)]
 pub struct GuardedDpRun {
-    round: usize,
-    pass_idx: usize,
-    moves: usize,
-    moves_at_round_start: usize,
-    enabled: [bool; 3],
-    report: DpGuardReport,
-    injected: Option<DpPass>,
-    initial_hpwl: f64,
-    /// Busy time accumulated across completed `step` calls. Not
-    /// wall-clock-since-construction: under the shared-pool scheduler the
-    /// run is parked between turns and the budget must not charge a job
-    /// for other jobs' time.
-    busy: f64,
-    consumed_before: f64,
+    state: DpRunState,
     done: bool,
 }
 
 impl GuardedDpRun {
     /// Starts a guarded run on a legal placement.
     pub fn new<T: Float>(placer: &DetailedPlacer, nl: &Netlist<T>, p: &Placement<T>) -> Self {
-        Self {
-            round: 0,
-            pass_idx: 0,
-            moves: 0,
-            moves_at_round_start: 0,
+        let state = DpRunState {
             enabled: [true; 3],
-            report: DpGuardReport::default(),
-            injected: placer.fault_injection.worsen_pass,
+            injected_pending: placer.fault_injection.worsen_pass,
             initial_hpwl: hpwl(nl, p).to_f64(),
-            busy: 0.0,
-            consumed_before: 0.0,
-            done: false,
-        }
+            ..Default::default()
+        };
+        Self { state, done: false }
     }
 
     /// Reconstructs a run mid-flight from a captured [`DpRunState`]. The
@@ -187,42 +171,18 @@ impl GuardedDpRun {
                 DpPass::ALL.len()
             ));
         }
-        Ok(Self {
-            round: state.round,
-            pass_idx: state.pass_idx,
-            moves: state.moves,
-            moves_at_round_start: state.moves_at_round_start,
-            enabled: state.enabled,
-            report: state.report,
-            injected: state.injected_pending,
-            initial_hpwl: state.initial_hpwl,
-            busy: 0.0,
-            consumed_before: state.consumed_seconds,
-            done: false,
-        })
+        Ok(Self { state, done: false })
     }
 
     /// Captures the run's complete state (pair it with a copy of the
     /// placement).
     pub fn state(&self) -> DpRunState {
-        DpRunState {
-            round: self.round,
-            pass_idx: self.pass_idx,
-            moves: self.moves,
-            moves_at_round_start: self.moves_at_round_start,
-            enabled: self.enabled,
-            report: self.report.clone(),
-            injected_pending: self.injected,
-            initial_hpwl: self.initial_hpwl,
-            consumed_seconds: self.consumed_seconds(),
-        }
+        self.state.clone()
     }
 
-    /// Busy seconds this run has consumed across all processes: the sum
-    /// of completed steps plus any resumed lives, never the time spent
-    /// parked between scheduler turns.
+    /// Busy seconds this run has consumed across all processes.
     pub fn consumed_seconds(&self) -> f64 {
-        self.consumed_before + self.busy
+        self.state.consumed_seconds
     }
 
     /// Executes the next enabled pass (one quality-gated operator run).
@@ -240,30 +200,30 @@ impl GuardedDpRun {
         // Find the next enabled pass slot, crossing round boundaries: stop
         // when a full round made no progress or the round cap is reached.
         let pass = loop {
-            if self.round >= MAX_ROUNDS {
+            if self.state.round >= MAX_ROUNDS {
                 self.done = true;
                 return true;
             }
-            if self.pass_idx == DpPass::ALL.len() {
-                if self.moves == self.moves_at_round_start {
+            if self.state.pass_idx == DpPass::ALL.len() {
+                if self.state.moves == self.state.moves_at_round_start {
                     self.done = true;
                     return true;
                 }
-                self.round += 1;
-                self.pass_idx = 0;
-                self.moves_at_round_start = self.moves;
+                self.state.round += 1;
+                self.state.pass_idx = 0;
+                self.state.moves_at_round_start = self.state.moves;
                 continue;
             }
-            let pass = DpPass::ALL[self.pass_idx];
-            if !self.enabled[pass.index()] {
-                self.pass_idx += 1;
+            let pass = DpPass::ALL[self.state.pass_idx];
+            if !self.state.enabled[pass.index()] {
+                self.state.pass_idx += 1;
                 continue;
             }
             break pass;
         };
         if let Some(budget) = placer.max_seconds {
             if self.consumed_seconds() >= budget {
-                self.report.budget_exhausted = true;
+                self.state.report.budget_exhausted = true;
                 placer.telemetry.point(
                     "degradation",
                     format!("dp: wall-clock budget {budget:.1}s exhausted -> stopped early"),
@@ -287,8 +247,8 @@ impl GuardedDpRun {
                 DpPass::IndependentSetMatching => independent_set_matching(nl, p, ISM_BATCH),
             }
         };
-        if self.injected == Some(pass) {
-            self.injected = None;
+        if self.state.injected_pending == Some(pass) {
+            self.state.injected_pending = None;
             inject_worsening_swaps(nl, p, before * (1.0 + 1e-6) + 1e-6);
         }
         let after = hpwl(nl, p).to_f64();
@@ -302,34 +262,33 @@ impl GuardedDpRun {
         if !within {
             // Worsened (or went non-finite): revert and disable.
             *p = snapshot;
-            self.enabled[pass.index()] = false;
-            self.report.reverts += 1;
+            self.state.enabled[pass.index()] = false;
+            self.state.report.reverts += 1;
             let worsening = (after - before) / before.max(1.0);
             placer.telemetry.point(
                 "degradation",
                 format!("dp: {pass} worsened hpwl by {worsening:.3e} -> reverted and disabled"),
             );
-            self.report.disabled.push((pass, worsening));
+            self.state.report.disabled.push((pass, worsening));
         } else {
-            self.moves += pass_moves;
+            self.state.moves += pass_moves;
         }
-        self.pass_idx += 1;
-        self.busy += t_busy.elapsed().as_secs_f64();
+        self.state.pass_idx += 1;
+        self.state.consumed_seconds += t_busy.elapsed().as_secs_f64();
         false
     }
 
     /// Finalizes the run into the `(stats, report)` pair of
     /// [`DetailedPlacer::run_guarded`].
     pub fn finish<T: Float>(self, nl: &Netlist<T>, p: &Placement<T>) -> (DpStats, DpGuardReport) {
-        (
-            DpStats {
-                initial_hpwl: self.initial_hpwl,
-                final_hpwl: hpwl(nl, p).to_f64(),
-                moves: self.moves,
-                runtime: self.consumed_seconds(),
-            },
-            self.report,
-        )
+        let s = self.state;
+        let stats = DpStats {
+            initial_hpwl: s.initial_hpwl,
+            final_hpwl: hpwl(nl, p).to_f64(),
+            moves: s.moves,
+            runtime: s.consumed_seconds,
+        };
+        (stats, s.report)
     }
 }
 

@@ -298,21 +298,13 @@ impl<T: Float> WlOp<T> {
 /// [module docs](self) for why the wirelength half makes this run state
 /// rather than a cache.
 struct PointMemo<T> {
-    /// Packed coordinates the entry was computed at.
-    key: Vec<T>,
-    /// False until the first evaluation, and while one is in flight.
-    valid: bool,
-    /// The `gamma` `wl_cost` and `wl_grad` were evaluated with.
-    gamma: T,
-    wl_cost: T,
-    /// Raw (unpreconditioned) wirelength gradient at `key`.
+    /// Everything but the gradients, held as it is checkpointed (its key is
+    /// always `2 x movable` long here).
+    entry: GpMemoEntry<T>,
+    /// Raw (unpreconditioned) wirelength gradient at the key.
     wl_grad: Gradient<T>,
-    energy: T,
-    /// Raw (unweighted) density gradient at `key`.
+    /// Raw (unweighted) density gradient at the key.
     density_grad: Gradient<T>,
-    /// Density overflow at `key`, read off the map the density forward
-    /// built there; NaN when the model builds none (uniform field).
-    overflow: T,
     /// Reference switch: on a hit, run both operators again at the recorded
     /// `gamma` instead of trusting the carried values.
     #[cfg(test)]
@@ -320,30 +312,25 @@ struct PointMemo<T> {
 }
 
 impl<T: Float> PointMemo<T> {
-    fn new(cells: usize, movable: usize) -> Self {
-        Self {
-            key: vec![T::ZERO; 2 * movable],
-            valid: false,
-            gamma: T::ONE,
-            wl_cost: T::ZERO,
+    /// Reinstates a captured memo (an empty one when `state` is not
+    /// valid); the gradients' fixed-cell entries, which nothing reads, come
+    /// back as zeros.
+    fn from_state(state: GpMemoState<T>, cells: usize, movable: usize) -> Result<Self, String> {
+        let mut memo = Self {
+            entry: GpMemoEntry {
+                key: vec![T::ZERO; 2 * movable],
+                ..Default::default()
+            },
             wl_grad: Gradient::zeros(cells),
-            energy: T::ZERO,
             density_grad: Gradient::zeros(cells),
-            overflow: T::ZERO,
             #[cfg(test)]
             always_evaluate: false,
-        }
-    }
-
-    /// Reinstates a captured entry; the gradients' fixed-cell entries, which
-    /// nothing reads, come back as zeros.
-    fn from_state(state: GpMemoState<T>, cells: usize, movable: usize) -> Result<Self, String> {
-        let mut memo = Self::new(cells, movable);
-        if !state.valid {
+        };
+        if !state.entry.valid {
             return Ok(memo);
         }
         for (name, v) in [
-            ("key", &state.key),
+            ("key", &state.entry.key),
             ("wirelength gradient", &state.wl_grad),
             ("density gradient", &state.density_grad),
         ] {
@@ -354,12 +341,7 @@ impl<T: Float> PointMemo<T> {
                 ));
             }
         }
-        memo.key = state.key;
-        memo.valid = true;
-        memo.gamma = state.gamma;
-        memo.wl_cost = state.wl_cost;
-        memo.energy = state.energy;
-        memo.overflow = state.overflow;
+        memo.entry = state.entry;
         for (g, packed) in [
             (&mut memo.wl_grad, &state.wl_grad),
             (&mut memo.density_grad, &state.density_grad),
@@ -370,19 +352,14 @@ impl<T: Float> PointMemo<T> {
         Ok(memo)
     }
 
-    /// The entry as plain data (movable entries only; empty when invalid).
+    /// The memo as plain data (movable entries only; empty when invalid).
     fn state(&self, movable: usize) -> GpMemoState<T> {
-        if !self.valid {
+        if !self.entry.valid {
             return GpMemoState::default();
         }
         let packed = |g: &Gradient<T>| [&g.x[..movable], &g.y[..movable]].concat();
         GpMemoState {
-            valid: true,
-            gamma: self.gamma,
-            wl_cost: self.wl_cost,
-            energy: self.energy,
-            overflow: self.overflow,
-            key: self.key.clone(),
+            entry: self.entry.clone(),
             wl_grad: packed(&self.wl_grad),
             density_grad: packed(&self.density_grad),
         }
@@ -392,8 +369,9 @@ impl<T: Float> PointMemo<T> {
     /// `0.0` evaluate alike but are still told apart, so a hit never needs
     /// an argument about the kernels.
     fn holds(&self, params: &[T]) -> bool {
-        self.valid
+        self.entry.valid
             && self
+                .entry
                 .key
                 .iter()
                 .zip(params)
@@ -401,12 +379,12 @@ impl<T: Float> PointMemo<T> {
     }
 }
 
-/// Plain-data form of the engine's memo of the last evaluated point, part of
-/// [`GpEngineState`]. Vectors are packed `[x_mov..., y_mov...]` like the
-/// parameter vector, and empty when `valid` is false.
+/// The memo's entry without its gradients: what the engine's memo holds as
+/// it is, and what [`GpMemoState`] carries beside the packed gradients.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct GpMemoState<T> {
-    /// Whether an evaluated point is held.
+pub struct GpMemoEntry<T> {
+    /// Whether an evaluated point is held (false until the first
+    /// evaluation, and while one is in flight).
     pub valid: bool,
     /// The `gamma` the wirelength half was evaluated with.
     pub gamma: T,
@@ -414,15 +392,24 @@ pub struct GpMemoState<T> {
     pub wl_cost: T,
     /// Density energy at `key`.
     pub energy: T,
-    /// Density overflow at `key` (what a Nesterov step's tripwire reads
-    /// after the step that evaluated it); NaN on a uniform-field grid,
-    /// which has none.
+    /// Density overflow at `key`, read off the map the density forward
+    /// built there (what a Nesterov step's tripwire reads after the step
+    /// that evaluated it); NaN on a uniform-field grid, which builds none.
     pub overflow: T,
-    /// The evaluated point.
+    /// The evaluated point, packed like the parameter vector.
     pub key: Vec<T>,
-    /// Raw wirelength gradient at `key` under `gamma`.
+}
+
+/// Plain-data form of the engine's memo of the last evaluated point, part of
+/// [`GpEngineState`]. The gradients are packed `[x_mov..., y_mov...]` like
+/// the parameter vector; an invalid memo holds no vectors.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GpMemoState<T> {
+    /// The entry as the memo holds it.
+    pub entry: GpMemoEntry<T>,
+    /// Raw wirelength gradient at the key under the entry's `gamma`.
     pub wl_grad: Vec<T>,
-    /// Raw density gradient at `key`.
+    /// Raw density gradient at the key.
     pub density_grad: Vec<T>,
 }
 
@@ -431,18 +418,11 @@ pub struct GpMemoState<T> {
 /// from the engine so it can be rebuilt (for free) every step.
 struct PlacementObjective<'a, T: Float> {
     nl: &'a Netlist<T>,
-    wl: &'a mut WlOp<T>,
-    density: &'a mut DensityModel<T>,
-    /// The run's execution context: worker pool, workspaces, counters.
-    ctx: &'a mut ExecCtx<T>,
+    ops: &'a mut Operators<T>,
     lambda: T,
     pos: &'a mut Placement<T>,
     /// Costs and raw gradients of the last evaluated point.
     memo: &'a mut PointMemo<T>,
-    /// Precomputed `#pins` per movable cell (wirelength preconditioner).
-    pin_counts: &'a [T],
-    /// Precomputed charge per movable cell (density preconditioner).
-    charges: &'a [T],
     /// Eval indices whose gradient is poisoned (fault injection).
     faults: &'a [usize],
     t_wl: &'a mut Duration,
@@ -462,30 +442,30 @@ impl<'a, T: Float> PlacementObjective<'a, T> {
     /// Runs both operators at `params` and stores the result in the memo.
     fn evaluate(&mut self, params: &[T]) {
         self.unpack(params);
-        let memo = &mut *self.memo;
-        memo.valid = false;
+        let (memo, ops) = (&mut *self.memo, &mut *self.ops);
+        memo.entry.valid = false;
 
         let t0 = Instant::now();
         memo.wl_grad.reset();
-        memo.gamma = self.wl.gamma();
-        memo.wl_cost = self
-            .wl
-            .forward_backward(self.nl, self.pos, &mut memo.wl_grad, self.ctx);
+        memo.entry.gamma = ops.wl.gamma();
+        memo.entry.wl_cost =
+            ops.wl
+                .forward_backward(self.nl, self.pos, &mut memo.wl_grad, &mut ops.ctx);
         *self.t_wl += t0.elapsed();
 
         let t1 = Instant::now();
         memo.density_grad.reset();
-        memo.energy =
-            self.density
-                .forward_backward(self.nl, self.pos, &mut memo.density_grad, self.ctx);
-        memo.overflow = self
+        memo.entry.energy =
+            ops.density
+                .forward_backward(self.nl, self.pos, &mut memo.density_grad, &mut ops.ctx);
+        memo.entry.overflow = ops
             .density
             .last_overflow(self.nl)
             .unwrap_or_else(|| T::from_f64(f64::NAN));
         *self.t_density += t1.elapsed();
 
-        memo.key.copy_from_slice(params);
-        memo.valid = true;
+        memo.entry.key.copy_from_slice(params);
+        memo.entry.valid = true;
         self.counts.wl_evals += 1;
         self.counts.density_evals += 1;
     }
@@ -511,10 +491,10 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
         let hit = self.memo.holds(params);
         #[cfg(test)]
         if hit && self.memo.always_evaluate {
-            let current = self.wl.gamma();
-            self.wl.set_gamma(self.memo.gamma);
+            let current = self.ops.wl.gamma();
+            self.ops.wl.set_gamma(self.memo.entry.gamma);
             self.evaluate(params);
-            self.wl.set_gamma(current);
+            self.ops.wl.set_gamma(current);
         }
         if !hit {
             self.evaluate(params);
@@ -524,15 +504,16 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
         // divide by the diagonal Hessian proxy (#pins + lambda * charge),
         // the ePlace/DREAMPlace conditioner.
         let (wl, d) = (&self.memo.wl_grad, &self.memo.density_grad);
+        let (pin_counts, charges) = (&self.ops.pin_counts, &self.ops.charges);
         for i in 0..n {
-            let precond = (self.pin_counts[i] + self.lambda * self.charges[i]).max(T::ONE);
+            let precond = (pin_counts[i] + self.lambda * charges[i]).max(T::ONE);
             grad_out[i] = (wl.x[i] + self.lambda * d.x[i]) / precond;
             grad_out[n + i] = (wl.y[i] + self.lambda * d.y[i]) / precond;
         }
         if self.faults.contains(&eval_idx) && !grad_out.is_empty() {
             grad_out[0] = T::from_f64(f64::NAN);
         }
-        self.memo.wl_cost + self.lambda * self.memo.energy
+        self.memo.entry.wl_cost + self.lambda * self.memo.entry.energy
     }
 }
 
@@ -562,13 +543,11 @@ pub struct GpRollbackState<T> {
     pub overflow: f64,
 }
 
-/// Complete plain-data snapshot of a [`GpEngine`] mid-run.
-///
-/// Captured by [`GpEngine::state`]; [`GpEngine::resume`] reconstructs an
-/// engine that continues bit-identically. The durable checkpoint format in
-/// `dreamplace-core` serializes exactly this struct.
+/// The resumable values [`GpEngine`] holds as they are: the engine steps
+/// this struct, [`GpEngine::state`] clones it into a [`GpEngineState`] and
+/// [`GpEngine::resume`] moves it back in.
 #[derive(Debug, Clone, Default)]
-pub struct GpEngineState<T> {
+pub struct GpRunState<T> {
     /// Next iteration index to execute.
     pub next_iter: usize,
     /// Iterations executed so far (`k + 1` of the last executed step).
@@ -583,45 +562,60 @@ pub struct GpEngineState<T> {
     pub best_params: Vec<T>,
     /// Overflow of `best_params` (`inf` if none measured yet).
     pub best_overflow: f64,
-    /// Solver state.
-    pub solver: OptimizerSnapshot<T>,
-    /// Density weight currently applied in the objective.
+    /// Density weight currently applied in the objective (the scheduler
+    /// may lag it by up to `lambda_update_interval` iterations).
     pub lambda: T,
-    /// Smoothing gamma currently applied in the wirelength model.
-    pub gamma: T,
     /// Cumulative gamma relaxation across rollbacks.
     pub gamma_boost: T,
     /// Cumulative lambda backoff across rollbacks.
     pub lambda_cut: T,
-    /// Lambda-scheduler weight.
-    pub sched_lambda: T,
-    /// Lambda-scheduler update counter.
-    pub sched_iteration: usize,
-    /// Reference `Delta HPWL` the scheduler was built with (derived from
-    /// the initial HPWL, which a resumed run can no longer recompute).
-    pub ref_delta: T,
     /// HPWL reference for the next scheduler update.
     pub prev_hpwl: T,
     /// Divergence rollbacks performed.
     pub recoveries: usize,
     /// One record per rollback, in order.
     pub recovery_events: Vec<RecoveryEvent>,
-    /// Per-iteration history up to the capture point.
+    /// Per-iteration history.
     pub history: Vec<IterRecord>,
-    /// The in-run rollback target, shared with the engine: the engine
+    /// The in-run rollback target, shared with every capture: the engine
     /// refreshes it in place every 25 healthy iterations, copying it first
     /// only while a capture still shares it, so a capture copies none of
-    /// its five vectors and never sees them change.
+    /// its vectors and never sees them change.
     pub rollback: Arc<GpRollbackState<T>>,
+    /// Convergence-health counters, cumulative over resumed lives and an
+    /// absorbed primary attempt.
+    pub counts: GpEvalCounts,
+}
+
+/// Complete plain-data snapshot of a [`GpEngine`] mid-run: the engine's
+/// [`GpRunState`], plus the values only a live object holds, each taken
+/// from that object.
+///
+/// Captured by [`GpEngine::state`]; [`GpEngine::resume`] reconstructs an
+/// engine that continues bit-identically. The durable checkpoint format in
+/// `dreamplace-core` serializes exactly this struct.
+#[derive(Debug, Clone, Default)]
+pub struct GpEngineState<T> {
+    /// The values the engine holds as they are.
+    pub run: GpRunState<T>,
+    /// The solver's state.
+    pub solver: OptimizerSnapshot<T>,
+    /// Smoothing gamma currently applied in the wirelength model.
+    pub gamma: T,
+    /// Lambda-scheduler weight.
+    pub sched_lambda: T,
+    /// Lambda-scheduler update counter.
+    pub sched_iteration: usize,
+    /// Reference `Delta HPWL` the lambda scheduler was built with (derived
+    /// from the initial HPWL, which a resumed run can no longer recompute).
+    pub ref_delta: T,
+    /// The last evaluated point, whose gradient the next step opens with.
+    pub memo: GpMemoState<T>,
     /// Wall-clock seconds consumed by the run up to the capture point
     /// (across all processes — feeds the `max_seconds` budget on resume).
     pub consumed_seconds: f64,
     /// Cumulative execution-layer counters up to the capture point.
     pub exec: ExecSummary,
-    /// Cumulative convergence-health counters up to the capture point.
-    pub counts: GpEvalCounts,
-    /// The last evaluated point, whose gradient the next step opens with.
-    pub memo: GpMemoState<T>,
 }
 
 /// What one [`GpEngine::step`] call did.
@@ -691,7 +685,7 @@ fn overflow_at_iterate(read: f64, c: f64, previous: f64) -> f64 {
 fn check_resumable<T: Float>(state: &GpEngineState<T>, movable: usize) -> Result<(), String> {
     for (name, v) in [
         ("gamma", state.gamma),
-        ("gamma_boost", state.gamma_boost),
+        ("gamma_boost", state.run.gamma_boost),
         ("ref_delta", state.ref_delta),
     ] {
         if !(v.is_finite() && v > T::ZERO) {
@@ -704,10 +698,10 @@ fn check_resumable<T: Float>(state: &GpEngineState<T>, movable: usize) -> Result
             state.consumed_seconds
         ));
     }
-    let rollback = &state.rollback;
+    let rollback = &state.run.rollback;
     let vectors = [
-        ("parameter", &state.params[..]),
-        ("best parameter", &state.best_params),
+        ("parameter", &state.run.params[..]),
+        ("best parameter", &state.run.best_params),
         ("rollback parameter", &rollback.params),
     ]
     .into_iter()
@@ -737,43 +731,90 @@ fn make_solver<T: Float>(kind: SolverKind, n: usize, initial_step: T) -> Box<dyn
     }
 }
 
-/// The steppable global placement engine; see the [module docs](self).
-pub struct GpEngine<T: Float> {
-    cfg: GpConfig<T>,
+/// What both constructors build the same way: the execution context, the
+/// operators (fixed cells baked in) and the preconditioner's per-cell pin
+/// counts and charges.
+struct Operators<T: Float> {
     ctx: ExecCtx<T>,
     wl: WlOp<T>,
     density: DensityModel<T>,
     gamma_sched: GammaScheduler<T>,
+    /// Half the sum of the bin sides: the solvers' initial step.
+    bin_size: T,
+    /// `#pins` per movable cell (wirelength preconditioner).
+    pin_counts: Vec<T>,
+    /// Charge per movable cell (density preconditioner).
+    charges: Vec<T>,
+}
+
+impl<T: Float> Operators<T> {
+    fn new(cfg: &GpConfig<T>, nl: &Netlist<T>, fixed: &Placement<T>) -> Result<Self, GpError<T>> {
+        // The persistent executor: under ExecBinding::Owned worker threads
+        // spawn here, once, and every kernel launches on them; under
+        // ExecBinding::Shared the kernels launch on the host's long-lived
+        // pool as this run's tenant. The telemetry sink (if enabled)
+        // receives mirrored kernel timings and pool busy shards.
+        let ctx = cfg.exec.make_ctx(cfg.threads, cfg.telemetry.clone());
+        let grid = BinGrid::new(nl.region(), cfg.bins.0, cfg.bins.1)?;
+        let bin_size = (grid.bin_width() + grid.bin_height()) * T::HALF;
+        let gamma_sched = GammaScheduler::new(bin_size, cfg.gamma_base_bins);
+        let gamma0 = gamma_sched.gamma(T::ONE);
+
+        let wl = match cfg.wirelength {
+            WirelengthModel::Wa(strategy) => WlOp::Wa(WaWirelength::new(strategy, gamma0)),
+            WirelengthModel::Lse => WlOp::Lse(LseWirelength::new(gamma0)),
+        };
+        let mut density = match &cfg.fence {
+            None => DensityModel::Single(DensityOp::with_backend(
+                grid.clone(),
+                cfg.density_strategy,
+                cfg.target_density,
+                cfg.dct_backend,
+            )?),
+            Some(spec) => DensityModel::Fenced(FencedDensityOp::new(
+                nl,
+                grid.clone(),
+                cfg.density_strategy,
+                cfg.target_density,
+                cfg.dct_backend,
+                spec.clone(),
+            )?),
+        };
+        density.bake_fixed(nl, fixed);
+
+        let n = nl.num_movable();
+        let pin_counts = (0..n)
+            .map(|i| T::from_usize(nl.cell_pins(dp_netlist::CellId::new(i)).len()))
+            .collect();
+        let inv_bin_area = T::ONE / grid.bin_area();
+        let charges = (0..n)
+            .map(|i| nl.cell_widths()[i] * nl.cell_heights()[i] * inv_bin_area)
+            .collect();
+        Ok(Self {
+            ctx,
+            wl,
+            density,
+            gamma_sched,
+            bin_size,
+            pin_counts,
+            charges,
+        })
+    }
+}
+
+/// The steppable global placement engine; see the [module docs](self).
+pub struct GpEngine<T: Float> {
+    cfg: GpConfig<T>,
+    ops: Operators<T>,
     lambda_sched: DensityWeightScheduler<T>,
-    ref_delta: T,
-    /// `lambda` as applied in the objective (the scheduler may lag it).
-    lambda: T,
-    /// Gamma currently applied in the wirelength model.
-    gamma_cur: T,
-    gamma_boost: T,
-    lambda_cut: T,
     /// Position scratch: movable entries overwritten by every unpack,
     /// fixed entries intact from construction.
     pos: Placement<T>,
     memo: PointMemo<T>,
-    pin_counts: Vec<T>,
-    charges: Vec<T>,
-    faults: Vec<usize>,
-    params: Vec<T>,
     solver: Box<dyn Optimizer<T>>,
-    history: Vec<IterRecord>,
-    prev_hpwl: T,
+    /// The resumable values this engine holds as they are checkpointed.
+    run: GpRunState<T>,
     converged: bool,
-    iterations: usize,
-    next_iter: usize,
-    recoveries: usize,
-    recovery_events: Vec<RecoveryEvent>,
-    best_params: Vec<T>,
-    best_overflow: f64,
-    rollback: Arc<GpRollbackState<T>>,
-    evals: usize,
-    /// Cumulative over resumed lives and an absorbed primary attempt.
-    counts: GpEvalCounts,
     t_wl: Duration,
     t_density: Duration,
     prev_op_time: Duration,
@@ -788,8 +829,8 @@ pub struct GpEngine<T: Float> {
     consumed_before: f64,
     /// Exec counters consumed before this engine's own `ExecCtx` existed:
     /// a resumed process's prior life, or an aborted primary attempt whose
-    /// counters the fallback run must not lose.
-    base_exec: Option<ExecSummary>,
+    /// counters the fallback run must not lose (empty otherwise).
+    base_exec: ExecSummary,
     n: usize,
     finished: Option<GpStepOutcome>,
 }
@@ -825,25 +866,17 @@ impl<T: Float> GpEngine<T> {
     ) -> Result<Self, GpError<T>> {
         let t_start = Instant::now();
         let mut timing = GpTiming::default();
-
-        // The persistent executor: under ExecBinding::Owned worker threads
-        // spawn here, once, and every kernel below launches on them; under
-        // ExecBinding::Shared the kernels launch on the host's long-lived
-        // pool as this run's tenant. The telemetry sink (if enabled)
-        // receives mirrored kernel timings and pool busy shards.
-        let mut ctx = cfg.exec.make_ctx(cfg.threads, cfg.telemetry.clone());
-
-        let (grid, bin_size, gamma_sched, mut wl, mut density) = Self::build_operators(&cfg, nl)?;
-        density.bake_fixed(nl, &pos);
-
+        let mut ops = Operators::new(&cfg, nl, &pos)?;
+        let Operators {
+            ctx,
+            wl,
+            density,
+            gamma_sched,
+            bin_size,
+            pin_counts,
+            ..
+        } = &mut ops;
         let n = nl.num_movable();
-        let pin_counts: Vec<T> = (0..n)
-            .map(|i| T::from_usize(nl.cell_pins(dp_netlist::CellId::new(i)).len()))
-            .collect();
-        let inv_bin_area = T::ONE / grid.bin_area();
-        let charges: Vec<T> = (0..n)
-            .map(|i| nl.cell_widths()[i] * nl.cell_heights()[i] * inv_bin_area)
-            .collect();
 
         // --- optional wirelength-only initial stage (RePlAce mode) ------
         let t_init = Instant::now();
@@ -851,12 +884,12 @@ impl<T: Float> GpEngine<T> {
             let mut scratch = pos.clone();
             let mut grad = Gradient::zeros(pos.len());
             let mut params = pack(&pos, n);
-            let mut solver = ConjugateGradient::new(2 * n, bin_size);
+            let mut solver = ConjugateGradient::new(2 * n, *bin_size);
             let mut wl_only = |p: &[T], g: &mut [T]| -> T {
                 scratch.x[..n].copy_from_slice(&p[..n]);
                 scratch.y[..n].copy_from_slice(&p[n..]);
                 grad.reset();
-                let c = wl.forward_backward(nl, &scratch, &mut grad, &mut ctx);
+                let c = wl.forward_backward(nl, &scratch, &mut grad, ctx);
                 for i in 0..n {
                     let pre = pin_counts[i].max(T::ONE);
                     g[i] = grad.x[i] / pre;
@@ -883,14 +916,14 @@ impl<T: Float> GpEngine<T> {
         // also makes the update after the first step a small move like
         // every later one, so the second step's carried wirelength gradient
         // and its probes see nearly the same objective.
-        let gamma_cur = gamma_sched.gamma(density.overflow(nl, &pos, &mut ctx));
-        wl.set_gamma(gamma_cur);
+        let gamma = gamma_sched.gamma(density.overflow(nl, &pos, ctx));
+        wl.set_gamma(gamma);
 
         // --- lambda initialization --------------------------------------
         let mut g_wl = Gradient::zeros(pos.len());
-        let _ = wl.forward_backward(nl, &pos, &mut g_wl, &mut ctx);
+        let _ = wl.forward_backward(nl, &pos, &mut g_wl, ctx);
         let mut g_d = Gradient::zeros(pos.len());
-        let _ = density.forward_backward(nl, &pos, &mut g_d, &mut ctx);
+        let _ = density.forward_backward(nl, &pos, &mut g_d, ctx);
         let wl_norm = g_wl.l1_norm(n);
         let d_norm_raw = g_d.l1_norm(n);
         // A zero density gradient (uniform-field mode on degenerate grids,
@@ -902,79 +935,44 @@ impl<T: Float> GpEngine<T> {
         } else {
             T::ZERO
         };
-        let lambda_init = lambda0.unwrap_or(lambda_auto);
+        let lambda = lambda0.unwrap_or(lambda_auto);
 
         let hpwl0 = hpwl(nl, &pos);
-        // Eq. (18)'s reference Delta HPWL: 0.5% of the initial HPWL (the
-        // paper's 3.5e5 is absolute for contest-scale designs).
-        let ref_delta = (hpwl0 * T::from_f64(0.005)).max(T::MIN_POSITIVE);
-        let lambda_sched = DensityWeightScheduler::new(
-            lambda_init,
-            cfg.mu_min,
-            cfg.mu_max,
-            ref_delta,
-            cfg.tcad_mu_stabilization,
-        );
-
-        let lambda = lambda_sched.lambda();
         let params = pack(&pos, n);
-        let solver = make_solver(cfg.solver, 2 * n, bin_size);
-        let best_params = params.clone();
+        let solver = make_solver(cfg.solver, 2 * n, ops.bin_size).snapshot();
         let rollback = Arc::new(GpRollbackState {
             iteration: 0,
             params: params.clone(),
-            solver: solver.snapshot(),
-            sched_lambda: lambda_sched.lambda(),
-            sched_iteration: lambda_sched.iteration(),
+            solver: solver.clone(),
+            sched_lambda: lambda,
+            sched_iteration: 0,
             lambda,
             prev_hpwl: hpwl0,
             history_len: 0,
             overflow: 1.0,
         });
-        let history = Vec::with_capacity(cfg.max_iters.min(1024));
-        let faults = cfg.fault_injection.nan_grad_evals.clone();
-
-        Ok(Self {
-            cfg,
-            ctx,
-            wl,
-            density,
-            gamma_sched,
-            lambda_sched,
-            ref_delta,
-            lambda,
-            gamma_cur,
-            gamma_boost: T::ONE,
-            lambda_cut: T::ONE,
-            memo: PointMemo::new(pos.len(), n),
-            pos,
-            pin_counts,
-            charges,
-            faults,
-            params,
+        let state = GpEngineState {
+            run: GpRunState {
+                best_params: params.clone(),
+                params,
+                best_overflow: f64::INFINITY,
+                lambda,
+                gamma_boost: T::ONE,
+                lambda_cut: T::ONE,
+                prev_hpwl: hpwl0,
+                history: Vec::with_capacity(cfg.max_iters.min(1024)),
+                rollback,
+                ..Default::default()
+            },
             solver,
-            history,
-            prev_hpwl: hpwl0,
-            converged: false,
-            iterations: 0,
-            next_iter: 0,
-            recoveries: 0,
-            recovery_events: Vec::new(),
-            best_params,
-            best_overflow: f64::INFINITY,
-            rollback,
-            evals: 0,
-            counts: GpEvalCounts::default(),
-            t_wl: Duration::ZERO,
-            t_density: Duration::ZERO,
-            prev_op_time: Duration::ZERO,
-            timing,
-            busy: t_start.elapsed(),
-            consumed_before: 0.0,
-            base_exec: None,
-            n,
-            finished: None,
-        })
+            gamma,
+            sched_lambda: lambda,
+            // Eq. (18)'s reference Delta HPWL: 0.5% of the initial HPWL
+            // (the paper's 3.5e5 is absolute for contest-scale designs).
+            ref_delta: (hpwl0 * T::from_f64(0.005)).max(T::MIN_POSITIVE),
+            ..Default::default()
+        };
+        Self::assemble(cfg, nl, ops, pos, state, timing, t_start)
     }
 
     /// Reconstructs an engine mid-run from a captured [`GpEngineState`].
@@ -999,21 +997,32 @@ impl<T: Float> GpEngine<T> {
         state: GpEngineState<T>,
     ) -> Result<Self, GpError<T>> {
         let t_start = Instant::now();
+        check_resumable(&state, nl.num_movable()).map_err(|reason| GpError::Resume { reason })?;
+        let mut ops = Operators::new(&cfg, nl, fixed)?;
+        ops.wl.set_gamma(state.gamma);
+        Self::assemble(
+            cfg,
+            nl,
+            ops,
+            fixed.clone(),
+            state,
+            GpTiming::default(),
+            t_start,
+        )
+    }
+
+    /// The engine at `state`, around the operators built for it; both
+    /// constructors end here.
+    fn assemble(
+        cfg: GpConfig<T>,
+        nl: &Netlist<T>,
+        ops: Operators<T>,
+        pos: Placement<T>,
+        state: GpEngineState<T>,
+        timing: GpTiming,
+        t_start: Instant,
+    ) -> Result<Self, GpError<T>> {
         let n = nl.num_movable();
-        check_resumable(&state, n).map_err(|reason| GpError::Resume { reason })?;
-        let ctx = cfg.exec.make_ctx(cfg.threads, cfg.telemetry.clone());
-        let (grid, bin_size, gamma_sched, mut wl, mut density) = Self::build_operators(&cfg, nl)?;
-        density.bake_fixed(nl, fixed);
-        wl.set_gamma(state.gamma);
-
-        let pin_counts: Vec<T> = (0..n)
-            .map(|i| T::from_usize(nl.cell_pins(dp_netlist::CellId::new(i)).len()))
-            .collect();
-        let inv_bin_area = T::ONE / grid.bin_area();
-        let charges: Vec<T> = (0..n)
-            .map(|i| nl.cell_widths()[i] * nl.cell_heights()[i] * inv_bin_area)
-            .collect();
-
         let mut lambda_sched = DensityWeightScheduler::new(
             state.sched_lambda,
             cfg.mu_min,
@@ -1022,96 +1031,31 @@ impl<T: Float> GpEngine<T> {
             cfg.tcad_mu_stabilization,
         );
         lambda_sched.set_iteration(state.sched_iteration);
-
-        let mut solver = make_solver(cfg.solver, 2 * n, bin_size);
-        solver
-            .restore(&state.solver)
-            .map_err(|e| GpError::Resume {
-                reason: e.to_string(),
-            })?;
-
-        let memo = PointMemo::from_state(state.memo, fixed.len(), n)
+        let mut solver = make_solver(cfg.solver, 2 * n, ops.bin_size);
+        solver.restore(&state.solver).map_err(|e| GpError::Resume {
+            reason: e.to_string(),
+        })?;
+        let memo = PointMemo::from_state(state.memo, pos.len(), n)
             .map_err(|reason| GpError::Resume { reason })?;
-
-        let faults = cfg.fault_injection.nan_grad_evals.clone();
         Ok(Self {
             cfg,
-            ctx,
-            wl,
-            density,
-            gamma_sched,
+            ops,
             lambda_sched,
-            ref_delta: state.ref_delta,
-            lambda: state.lambda,
-            gamma_cur: state.gamma,
-            gamma_boost: state.gamma_boost,
-            lambda_cut: state.lambda_cut,
-            pos: fixed.clone(),
+            pos,
             memo,
-            pin_counts,
-            charges,
-            faults,
-            params: state.params,
             solver,
-            history: state.history,
-            prev_hpwl: state.prev_hpwl,
+            run: state.run,
             converged: false,
-            iterations: state.iterations,
-            next_iter: state.next_iter,
-            recoveries: state.recoveries,
-            recovery_events: state.recovery_events,
-            best_params: state.best_params,
-            best_overflow: state.best_overflow,
-            rollback: state.rollback,
-            evals: state.evals,
-            counts: state.counts,
             t_wl: Duration::ZERO,
             t_density: Duration::ZERO,
             prev_op_time: Duration::ZERO,
-            timing: GpTiming::default(),
+            timing,
             busy: t_start.elapsed(),
             consumed_before: state.consumed_seconds,
-            base_exec: Some(state.exec),
+            base_exec: state.exec,
             n,
             finished: None,
         })
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn build_operators(
-        cfg: &GpConfig<T>,
-        nl: &Netlist<T>,
-    ) -> Result<(BinGrid<T>, T, GammaScheduler<T>, WlOp<T>, DensityModel<T>), GpError<T>> {
-        let grid = BinGrid::new(nl.region(), cfg.bins.0, cfg.bins.1)?;
-        let bin_size = (grid.bin_width() + grid.bin_height()) * T::HALF;
-        let gamma_sched = GammaScheduler::new(bin_size, cfg.gamma_base_bins);
-        let gamma0 = gamma_sched.gamma(T::ONE);
-
-        let wl = match cfg.wirelength {
-            WirelengthModel::Wa(strategy) => WlOp::Wa(WaWirelength::new(strategy, gamma0)),
-            WirelengthModel::Lse => WlOp::Lse(LseWirelength::new(gamma0)),
-        };
-        let density = match &cfg.fence {
-            None => DensityModel::Single(
-                DensityOp::with_backend(
-                    grid.clone(),
-                    cfg.density_strategy,
-                    cfg.target_density,
-                    cfg.dct_backend,
-                )?,
-            ),
-            Some(spec) => DensityModel::Fenced(
-                FencedDensityOp::new(
-                    nl,
-                    grid.clone(),
-                    cfg.density_strategy,
-                    cfg.target_density,
-                    cfg.dct_backend,
-                    spec.clone(),
-                )?,
-            ),
-        };
-        Ok((grid, bin_size, gamma_sched, wl, density))
     }
 
     /// The configuration this engine runs under.
@@ -1121,7 +1065,7 @@ impl<T: Float> GpEngine<T> {
 
     /// Next iteration index [`GpEngine::step`] would execute.
     pub fn next_iteration(&self) -> usize {
-        self.next_iter
+        self.run.next_iter
     }
 
     /// Busy seconds this run has consumed, across all processes: the sum
@@ -1134,47 +1078,30 @@ impl<T: Float> GpEngine<T> {
     /// Folds counters from a prior attempt (an aborted primary run whose
     /// fallback this engine is) into the run's cumulative summaries.
     pub fn absorb_prior(&mut self, exec: ExecSummary, counts: GpEvalCounts) {
-        match &mut self.base_exec {
-            Some(base) => base.merge(&exec),
-            None => self.base_exec = Some(exec),
-        }
-        self.counts.merge(&counts);
+        self.base_exec.merge(&exec);
+        self.run.counts.merge(&counts);
     }
 
     fn cumulative_exec(&self) -> ExecSummary {
-        let mut exec = self.ctx.summary();
-        if let Some(base) = &self.base_exec {
-            exec.merge(base);
-        }
+        let mut exec = self.ops.ctx.summary();
+        exec.merge(&self.base_exec);
         exec
     }
 
-    /// Captures the complete mutable state; see [`GpEngineState`].
+    /// Captures the complete mutable state: a clone of the engine's
+    /// [`GpRunState`] (the rollback target shared, not copied) and each
+    /// live object's own snapshot.
     pub fn state(&self) -> GpEngineState<T> {
         GpEngineState {
-            next_iter: self.next_iter,
-            iterations: self.iterations,
-            evals: self.evals,
-            params: self.params.clone(),
-            best_params: self.best_params.clone(),
-            best_overflow: self.best_overflow,
+            run: self.run.clone(),
             solver: self.solver.snapshot(),
-            lambda: self.lambda,
-            gamma: self.gamma_cur,
-            gamma_boost: self.gamma_boost,
-            lambda_cut: self.lambda_cut,
+            gamma: self.ops.wl.gamma(),
             sched_lambda: self.lambda_sched.lambda(),
             sched_iteration: self.lambda_sched.iteration(),
-            ref_delta: self.ref_delta,
-            prev_hpwl: self.prev_hpwl,
-            recoveries: self.recoveries,
-            recovery_events: self.recovery_events.clone(),
-            history: self.history.clone(),
-            rollback: Arc::clone(&self.rollback),
+            ref_delta: self.lambda_sched.ref_delta(),
+            memo: self.memo.state(self.n),
             consumed_seconds: self.consumed_seconds(),
             exec: self.cumulative_exec(),
-            counts: self.counts,
-            memo: self.memo.state(self.n),
         }
     }
 
@@ -1192,7 +1119,7 @@ impl<T: Float> GpEngine<T> {
         if let Some(done) = self.finished {
             return Ok(done);
         }
-        if self.next_iter >= self.cfg.max_iters {
+        if self.run.next_iter >= self.cfg.max_iters {
             self.finished = Some(GpStepOutcome::IterationCap);
             return Ok(GpStepOutcome::IterationCap);
         }
@@ -1213,9 +1140,9 @@ impl<T: Float> GpEngine<T> {
 
     /// The body of one iteration; `step` wraps it to accumulate busy time.
     fn step_core(&mut self, nl: &Netlist<T>) -> Result<GpStepOutcome, GpError<T>> {
-        let k = self.next_iter;
-        self.next_iter = k + 1;
-        self.iterations = k + 1;
+        let k = self.run.next_iter;
+        self.run.next_iter = k + 1;
+        self.run.iterations = k + 1;
         let tel = self.cfg.telemetry.clone();
         let _iter_span = tel.span(dp_telemetry::SpanKind::Iteration, "gp.iter");
         let t_step = Instant::now();
@@ -1223,22 +1150,18 @@ impl<T: Float> GpEngine<T> {
         let (info, cause, cur_hpwl, overflow_f, t_tripwire) = {
             let mut obj = PlacementObjective {
                 nl,
-                wl: &mut self.wl,
-                density: &mut self.density,
-                ctx: &mut self.ctx,
-                lambda: self.lambda,
+                ops: &mut self.ops,
+                lambda: self.run.lambda,
                 pos: &mut self.pos,
                 memo: &mut self.memo,
-                pin_counts: &self.pin_counts,
-                charges: &self.charges,
-                faults: &self.faults,
+                faults: &self.cfg.fault_injection.nan_grad_evals,
                 t_wl: &mut self.t_wl,
                 t_density: &mut self.t_density,
-                evals: &mut self.evals,
-                counts: &mut self.counts,
+                evals: &mut self.run.evals,
+                counts: &mut self.run.counts,
             };
-            let info = self.solver.step(&mut obj, &mut self.params);
-            clamp_params(&mut self.params, nl);
+            let info = self.solver.step(&mut obj, &mut self.run.params);
+            clamp_params(&mut self.run.params, nl);
 
             // --- divergence tripwire ------------------------------------
             // Solver health and position finiteness come first: the exact
@@ -1248,7 +1171,7 @@ impl<T: Float> GpEngine<T> {
                 Some(DivergenceCause::NonFiniteCost)
             } else if !info.grad_norm.is_finite() {
                 Some(DivergenceCause::NonFiniteGradient)
-            } else if !self.params.iter().all(|v| v.is_finite()) {
+            } else if !self.run.params.iter().all(|v| v.is_finite()) {
                 Some(DivergenceCause::NonFinitePosition)
             } else {
                 None
@@ -1257,7 +1180,7 @@ impl<T: Float> GpEngine<T> {
             let (cause, cur_hpwl, overflow_f) = match pre_cause {
                 Some(c) => (Some(c), T::ZERO, f64::NAN),
                 None => {
-                    obj.unpack(&self.params);
+                    obj.unpack(&self.run.params);
                     let h = hpwl(nl, obj.pos);
                     // The overflow of u_{k+1} from the one the memo read off
                     // the map of the step's last evaluated point, when that
@@ -1268,19 +1191,24 @@ impl<T: Float> GpEngine<T> {
                     // step from, and uniform-field grids, which build no
                     // map, scatter u_{k+1} every step.
                     let c = info.lookahead.to_f64();
-                    let ahead = c >= 0.0 && obj.memo.valid && !obj.density.is_uniform_field();
+                    let ahead =
+                        c >= 0.0 && obj.memo.entry.valid && !obj.ops.density.is_uniform_field();
                     let estimate = ahead.then(|| {
-                        let read = obj.memo.overflow.to_f64();
-                        let last = self.history.last();
+                        let read = obj.memo.entry.overflow.to_f64();
+                        let last = self.run.history.last();
                         last.map_or(read, |r| overflow_at_iterate(read, c, r.overflow))
                     });
                     let o = match estimate {
                         Some(o) if !converges(&self.cfg, o, k) => o,
-                        _ => obj.density.overflow(nl, obj.pos, obj.ctx).to_f64(),
+                        _ => obj
+                            .ops
+                            .density
+                            .overflow(nl, obj.pos, &mut obj.ops.ctx)
+                            .to_f64(),
                     };
                     let c = if !h.is_finite() || !o.is_finite() {
                         Some(DivergenceCause::NonFiniteHpwl)
-                    } else if overflow_exploded(o, self.best_overflow, OVERFLOW_EXPLOSION) {
+                    } else if overflow_exploded(o, self.run.best_overflow, OVERFLOW_EXPLOSION) {
                         Some(DivergenceCause::OverflowExplosion)
                     } else {
                         None
@@ -1290,7 +1218,7 @@ impl<T: Float> GpEngine<T> {
             };
             (info, cause, cur_hpwl, overflow_f, t_trip.elapsed())
         };
-        self.counts.backtracks += info.backtracks as u64;
+        self.run.counts.backtracks += info.backtracks as u64;
         let step_elapsed = t_step.elapsed();
 
         // Phase attribution: operator time accumulates inside eval, the
@@ -1308,96 +1236,97 @@ impl<T: Float> GpEngine<T> {
 
         let t_book = Instant::now();
         if let Some(cause) = cause {
-            if self.recoveries >= self.cfg.max_recoveries {
+            if self.run.recoveries >= self.cfg.max_recoveries {
                 let mut best = self.pos.clone();
-                unpack_into(&self.best_params, &mut best, self.n);
+                unpack_into(&self.run.best_params, &mut best, self.n);
                 let exec = Box::new(self.cumulative_exec());
                 return Err(GpError::Diverged {
                     iteration: k,
                     cause,
-                    recoveries: self.recoveries,
+                    recoveries: self.run.recoveries,
                     best: Box::new(best),
-                    best_overflow: self.best_overflow,
+                    best_overflow: self.run.best_overflow,
                     exec,
-                    counts: self.counts,
+                    counts: self.run.counts,
                 });
             }
             // Roll back to the checkpoint with a tamer objective:
             // smaller density weight, smoother wirelength.
-            self.recoveries += 1;
-            self.params.copy_from_slice(&self.rollback.params);
-            if self.solver.restore(&self.rollback.solver).is_err() {
+            self.run.recoveries += 1;
+            self.run.params.copy_from_slice(&self.run.rollback.params);
+            if self.solver.restore(&self.run.rollback.solver).is_err() {
                 self.solver.reset();
             }
             let mut sched = DensityWeightScheduler::new(
-                self.rollback.sched_lambda,
+                self.run.rollback.sched_lambda,
                 self.cfg.mu_min,
                 self.cfg.mu_max,
-                self.ref_delta,
+                self.lambda_sched.ref_delta(),
                 self.cfg.tcad_mu_stabilization,
             );
-            sched.set_iteration(self.rollback.sched_iteration);
+            sched.set_iteration(self.run.rollback.sched_iteration);
             self.lambda_sched = sched;
             // Like gamma_boost, the backoff compounds across rollbacks:
             // re-tripping from the same checkpoint must not retry the
             // same density weight.
-            self.lambda_cut *= T::from_f64(LAMBDA_BACKOFF);
-            let lambda = self.rollback.lambda * self.lambda_cut;
+            self.run.lambda_cut *= T::from_f64(LAMBDA_BACKOFF);
+            let lambda = self.run.rollback.lambda * self.run.lambda_cut;
             self.lambda_sched.set_lambda(lambda);
-            self.lambda = lambda;
-            self.gamma_boost *= T::from_f64(GAMMA_RELAX);
-            let gamma =
-                self.gamma_sched.gamma(T::from_f64(self.rollback.overflow)) * self.gamma_boost;
-            self.wl.set_gamma(gamma);
-            self.gamma_cur = gamma;
-            self.prev_hpwl = self.rollback.prev_hpwl;
-            self.history.truncate(self.rollback.history_len);
+            self.run.lambda = lambda;
+            self.run.gamma_boost *= T::from_f64(GAMMA_RELAX);
+            let gamma = self
+                .ops
+                .gamma_sched
+                .gamma(T::from_f64(self.run.rollback.overflow))
+                * self.run.gamma_boost;
+            self.ops.wl.set_gamma(gamma);
+            self.run.prev_hpwl = self.run.rollback.prev_hpwl;
+            self.run.history.truncate(self.run.rollback.history_len);
             tel.point(
                 "recovery",
                 format!(
                     "gp: {cause} at iter {k}, rolled back to {} (lambda {:.3e}, gamma x{:.2})",
-                    self.rollback.iteration,
+                    self.run.rollback.iteration,
                     lambda.to_f64(),
-                    self.gamma_boost.to_f64()
+                    self.run.gamma_boost.to_f64()
                 ),
             );
-            self.recovery_events.push(RecoveryEvent {
+            self.run.recovery_events.push(RecoveryEvent {
                 iteration: k,
-                resumed_from: self.rollback.iteration,
+                resumed_from: self.run.rollback.iteration,
                 cause,
                 lambda: lambda.to_f64(),
-                gamma_boost: self.gamma_boost.to_f64(),
+                gamma_boost: self.run.gamma_boost.to_f64(),
             });
             self.timing.bookkeeping += t_book.elapsed();
             return Ok(GpStepOutcome::Continue);
         }
 
-        if overflow_f < self.best_overflow {
-            self.best_overflow = overflow_f;
-            self.best_params.copy_from_slice(&self.params);
+        if overflow_f < self.run.best_overflow {
+            self.run.best_overflow = overflow_f;
+            self.run.best_params.copy_from_slice(&self.run.params);
         }
 
-        let gamma = self.gamma_sched.gamma(T::from_f64(overflow_f)) * self.gamma_boost;
-        self.wl.set_gamma(gamma);
-        self.gamma_cur = gamma;
+        let gamma = self.ops.gamma_sched.gamma(T::from_f64(overflow_f)) * self.run.gamma_boost;
+        self.ops.wl.set_gamma(gamma);
 
         if (k + 1).is_multiple_of(self.cfg.lambda_update_interval.max(1)) {
-            self.lambda = self.lambda_sched.update(cur_hpwl - self.prev_hpwl);
+            self.run.lambda = self.lambda_sched.update(cur_hpwl - self.run.prev_hpwl);
         }
-        self.prev_hpwl = cur_hpwl;
+        self.run.prev_hpwl = cur_hpwl;
 
         tel.iteration(
             k,
             cur_hpwl.to_f64(),
             overflow_f,
-            self.lambda.to_f64(),
+            self.run.lambda.to_f64(),
             gamma.to_f64(),
         );
-        self.history.push(IterRecord {
+        self.run.history.push(IterRecord {
             iteration: k,
             hpwl: cur_hpwl.to_f64(),
             overflow: overflow_f,
-            lambda: self.lambda.to_f64(),
+            lambda: self.run.lambda.to_f64(),
             gamma: gamma.to_f64(),
         });
 
@@ -1405,15 +1334,15 @@ impl<T: Float> GpEngine<T> {
             // Refreshed in place: `make_mut` copies only while a captured
             // `GpEngineState` still shares the target, which therefore
             // never changes under its holder.
-            let rb = Arc::make_mut(&mut self.rollback);
+            let rb = Arc::make_mut(&mut self.run.rollback);
             rb.iteration = k + 1;
-            rb.params.copy_from_slice(&self.params);
+            rb.params.copy_from_slice(&self.run.params);
             self.solver.snapshot_into(&mut rb.solver);
             rb.sched_lambda = self.lambda_sched.lambda();
             rb.sched_iteration = self.lambda_sched.iteration();
-            rb.lambda = self.lambda;
-            rb.prev_hpwl = self.prev_hpwl;
-            rb.history_len = self.history.len();
+            rb.lambda = self.run.lambda;
+            rb.prev_hpwl = self.run.prev_hpwl;
+            rb.history_len = self.run.history.len();
             rb.overflow = overflow_f;
         }
         self.timing.bookkeeping += t_book.elapsed();
@@ -1429,26 +1358,26 @@ impl<T: Float> GpEngine<T> {
     /// Finalizes the run: unpacks the current iterate and assembles
     /// [`GpResult`] with cumulative statistics.
     pub fn finish(mut self, nl: &Netlist<T>) -> GpResult<T> {
-        let n = self.n;
+        let exec = self.cumulative_exec();
         let mut pos = self.pos;
-        unpack_into(&self.params, &mut pos, n);
+        unpack_into(&self.run.params, &mut pos, self.n);
         self.timing.total = Duration::from_secs_f64(self.consumed_before).saturating_add(self.busy);
-
-        let mut exec = self.ctx.summary();
-        if let Some(base) = &self.base_exec {
-            exec.merge(base);
-        }
         let stats = GpStats {
-            iterations: self.iterations,
+            iterations: self.run.iterations,
             final_hpwl: hpwl(nl, &pos).to_f64(),
-            final_overflow: self.history.last().map(|r| r.overflow).unwrap_or(f64::NAN),
+            final_overflow: self
+                .run
+                .history
+                .last()
+                .map(|r| r.overflow)
+                .unwrap_or(f64::NAN),
             converged: self.converged,
-            history: self.history,
+            history: self.run.history,
             timing: self.timing,
-            recoveries: self.recoveries,
-            recovery_events: self.recovery_events,
+            recoveries: self.run.recoveries,
+            recovery_events: self.run.recovery_events,
             exec,
-            evals: self.counts,
+            evals: self.run.counts,
         };
         GpResult {
             placement: pos,
@@ -1996,16 +1925,19 @@ mod tests {
         cfg.min_iters = 60;
         let pos = initial_placement(&d.netlist, &d.fixed_positions, cfg.noise_frac, cfg.seed);
         let mut engine = GpEngine::from_placement(cfg, &d.netlist, pos, None).expect("engine");
-        let target = Arc::as_ptr(&engine.rollback);
-        let params = engine.rollback.params.as_ptr();
+        let target = Arc::as_ptr(&engine.run.rollback);
+        let params = engine.run.rollback.params.as_ptr();
         for interval in [1, 2] {
             while engine.next_iteration() < interval * CHECKPOINT_INTERVAL {
                 assert!(!engine.step(&d.netlist).expect("healthy").is_done());
             }
-            assert_eq!(engine.rollback.iteration, interval * CHECKPOINT_INTERVAL);
-            assert_eq!(engine.rollback.params, engine.params);
-            assert_eq!(Arc::as_ptr(&engine.rollback), target, "@{interval}");
-            assert_eq!(engine.rollback.params.as_ptr(), params, "@{interval}");
+            assert_eq!(
+                engine.run.rollback.iteration,
+                interval * CHECKPOINT_INTERVAL
+            );
+            assert_eq!(engine.run.rollback.params, engine.run.params);
+            assert_eq!(Arc::as_ptr(&engine.run.rollback), target, "@{interval}");
+            assert_eq!(engine.run.rollback.params.as_ptr(), params, "@{interval}");
         }
     }
 
@@ -2026,12 +1958,15 @@ mod tests {
             engine.step(&d.netlist).expect("healthy");
         }
         let state = engine.state();
-        let captured = (*state.rollback).clone();
+        let captured = (*state.run.rollback).clone();
         while engine.next_iteration() < CHECKPOINT_INTERVAL + 5 {
             engine.step(&d.netlist).expect("healthy");
         }
-        assert_eq!(engine.rollback.iteration, CHECKPOINT_INTERVAL);
-        assert_eq!(*state.rollback, captured, "a capture changed under its holder");
+        assert_eq!(engine.run.rollback.iteration, CHECKPOINT_INTERVAL);
+        assert_eq!(
+            *state.run.rollback, captured,
+            "a capture changed under its holder"
+        );
         drop(engine);
 
         let mut resumed =
@@ -2063,7 +1998,7 @@ mod tests {
         }
         let mut state = first.state();
         edit(&mut state);
-        cfg.fault_injection.nan_grad_evals = (state.evals..state.evals + 2).collect();
+        cfg.fault_injection.nan_grad_evals = (state.run.evals..state.run.evals + 2).collect();
         match GpEngine::resume(cfg, &d.netlist, &d.fixed_positions, state) {
             Err(GpError::Resume { reason }) => assert!(reason.contains(field), "{reason}"),
             Err(e) => panic!("{field}: refused for another reason: {e}"),
@@ -2089,7 +2024,7 @@ mod tests {
     #[test]
     fn resume_refuses_a_gamma_boost_that_is_not_finite_and_positive() {
         for v in [0.0, -2.0, f64::NAN] {
-            assert_resume_refuses("gamma_boost", |s| s.gamma_boost = v);
+            assert_resume_refuses("gamma_boost", |s| s.run.gamma_boost = v);
         }
     }
 
@@ -2110,14 +2045,14 @@ mod tests {
     #[test]
     fn resume_refuses_a_rollback_target_of_another_length() {
         assert_resume_refuses("rollback parameter", |s| {
-            Arc::make_mut(&mut s.rollback).params.pop();
+            Arc::make_mut(&mut s.run.rollback).params.pop();
         });
     }
 
     #[test]
     fn resume_refuses_solver_vectors_of_another_length() {
         let shorten = |snapshot: &mut OptimizerSnapshot<f64>| match snapshot {
-            OptimizerSnapshot::Nesterov { v: Some(v), .. } => {
+            OptimizerSnapshot::Nesterov(dp_optim::NesterovState { v: Some(v), .. }) => {
                 v.pop();
             }
             other => panic!("want a stepped Nesterov snapshot, got {other:?}"),
@@ -2126,7 +2061,7 @@ mod tests {
         assert_resume_refuses("rollback solver vector", |s| {
             let mut solver = s.solver.clone();
             shorten(&mut solver);
-            Arc::make_mut(&mut s.rollback).solver = solver;
+            Arc::make_mut(&mut s.run.rollback).solver = solver;
         });
     }
 
@@ -2291,41 +2226,37 @@ mod tests {
             let mut grad = vec![0.0; params.len()];
             let cost = PlacementObjective {
                 nl,
-                wl: &mut e.wl,
-                density: &mut e.density,
-                ctx: &mut e.ctx,
-                lambda: e.lambda,
+                ops: &mut e.ops,
+                lambda: e.run.lambda,
                 pos: &mut e.pos,
                 memo: &mut e.memo,
-                pin_counts: &e.pin_counts,
-                charges: &e.charges,
-                faults: &e.faults,
+                faults: &e.cfg.fault_injection.nan_grad_evals,
                 t_wl: &mut e.t_wl,
                 t_density: &mut e.t_density,
-                evals: &mut e.evals,
-                counts: &mut e.counts,
+                evals: &mut e.run.evals,
+                counts: &mut e.run.counts,
             }
             .eval(params, &mut grad);
-            let calls = |op| e.ctx.op_counter(op).calls;
+            let calls = |op| e.ops.ctx.op_counter(op).calls;
             (cost, grad, (calls("wa.forward_backward"), calls("density.forward")))
         }
         let fresh = |gamma: f64| {
             let mut e = GpEngine::new(cfg.clone(), nl, &d.fixed_positions).expect("engine");
-            e.wl.set_gamma(gamma);
+            e.ops.wl.set_gamma(gamma);
             e
         };
 
-        let gamma0 = fresh(1.0).gamma_cur;
+        let gamma0 = fresh(1.0).ops.wl.gamma();
         let mut engine = fresh(gamma0);
-        let mut key = engine.params.clone();
+        let mut key = engine.run.params.clone();
         key[3] = 0.0;
         let (cost, grad, base) = eval(&mut engine, nl, &key);
         // Same bits: a hit, and the same answer — also under a new gamma.
-        engine.wl.set_gamma(gamma0 * 0.5);
+        engine.ops.wl.set_gamma(gamma0 * 0.5);
         let (cost_hit, grad_hit, calls) = eval(&mut engine, nl, &key);
         assert_eq!(calls, base);
         assert_eq!((cost_hit.to_bits(), bits(&grad_hit)), (cost.to_bits(), bits(&grad)));
-        assert_eq!(engine.memo.gamma, gamma0);
+        assert_eq!(engine.memo.entry.gamma, gamma0);
         let (cost_new_gamma, ..) = eval(&mut fresh(gamma0 * 0.5), nl, &key);
         assert_ne!(cost_new_gamma.to_bits(), cost.to_bits(), "gamma matters");
 
@@ -2337,13 +2268,16 @@ mod tests {
             let (cost, grad, calls) = eval(&mut engine, nl, probe);
             let ran = 1 + i as u64;
             assert_eq!(calls, (base.0 + ran, base.1 + ran), "probe {i} must recompute");
-            assert_eq!(engine.memo.gamma, gamma0 * 0.5, "probe {i}");
+            assert_eq!(engine.memo.entry.gamma, gamma0 * 0.5, "probe {i}");
             let (cost_fresh, grad_fresh, _) = eval(&mut fresh(gamma0 * 0.5), nl, probe);
             assert_eq!(cost.to_bits(), cost_fresh.to_bits(), "probe {i}");
             assert_eq!(bits(&grad), bits(&grad_fresh), "probe {i}");
         }
-        assert_eq!(engine.counts.objective_evals, 4);
-        assert_eq!((engine.counts.wl_evals, engine.counts.density_evals), (3, 3));
+        assert_eq!(engine.run.counts.objective_evals, 4);
+        assert_eq!(
+            (engine.run.counts.wl_evals, engine.run.counts.density_evals),
+            (3, 3)
+        );
     }
 
     /// (d) Two engines stepped alternately — what the scheduler does —
@@ -2391,7 +2325,7 @@ mod tests {
         let mut engine = GpEngine::new(cfg, &d.netlist, &d.fixed_positions).expect("engine");
         let built = engine.busy;
         // Construction measured the overflow once, to set the first gamma.
-        let at_build = engine.ctx.op_counter("density.overflow");
+        let at_build = engine.ops.ctx.op_counter("density.overflow");
         assert_eq!(at_build.calls, 1);
         while !engine.step(&d.netlist).expect("healthy").is_done() {}
         let stepped = (engine.busy - built).as_secs_f64();
@@ -2403,10 +2337,10 @@ mod tests {
         );
         // No step scattered for its overflow; 60 exact HPWLs are still
         // bookkeeping.
-        let overflow = engine.ctx.op_counter("density.overflow");
+        let overflow = engine.ops.ctx.op_counter("density.overflow");
         assert_eq!(overflow.calls, 1, "the one at construction");
         assert!(t.bookkeeping > Duration::ZERO);
-        assert_eq!(engine.history.len(), 60);
+        assert_eq!(engine.run.history.len(), 60);
     }
 
     /// The tripwire estimates the iterate's overflow from the memo's
@@ -2430,20 +2364,21 @@ mod tests {
             let mut engine =
                 GpEngine::new(cfg.clone(), &d.netlist, &d.fixed_positions).expect("engine");
             // An independent density model measures each iterate exactly.
-            let mut density = GpEngine::build_operators(&cfg, &d.netlist).expect("ops").4;
-            density.bake_fixed(&d.netlist, &d.fixed_positions);
+            let mut density = Operators::new(&cfg, &d.netlist, &d.fixed_positions)
+                .expect("ops")
+                .density;
             let mut ctx = ExecCtx::new(1);
             let mut iterate = d.fixed_positions.clone();
-            let scatters = |e: &GpEngine<T>| e.ctx.op_counter("density.overflow").calls;
+            let scatters = |e: &GpEngine<T>| e.ops.ctx.op_counter("density.overflow").calls;
             let (mut steps, mut confirms, mut worst) = (0, 0, 0.0f64);
             let (mut total, mut n_est) = (0.0f64, 0usize);
             loop {
                 let before = scatters(&engine);
                 let done = engine.step(&d.netlist).expect("healthy").is_done();
                 steps += 1;
-                unpack_into(&engine.params, &mut iterate, engine.n);
+                unpack_into(&engine.run.params, &mut iterate, engine.n);
                 let exact = density.overflow(&d.netlist, &iterate, &mut ctx).to_f64();
-                let recorded = engine.history.last().expect("a step ran").overflow;
+                let recorded = engine.run.history.last().expect("a step ran").overflow;
                 if scatters(&engine) == before {
                     worst = worst.max((recorded - exact).abs());
                     total += (recorded - exact).abs();

@@ -51,8 +51,8 @@ pub use config::{
     WirelengthModel,
 };
 pub use engine::{
-    GlobalPlacer, GpEngine, GpEngineState, GpEvalCounts, GpMemoState, GpResult, GpRollbackState,
-    GpStats, GpStepOutcome, GpTiming, IterRecord, RecoveryEvent,
+    GlobalPlacer, GpEngine, GpEngineState, GpEvalCounts, GpMemoEntry, GpMemoState, GpResult,
+    GpRollbackState, GpRunState, GpStats, GpStepOutcome, GpTiming, IterRecord, RecoveryEvent,
 };
 pub use fence::{FenceSpec, FencedDensityOp};
 pub use init::initial_placement;

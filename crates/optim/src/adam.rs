@@ -29,14 +29,37 @@ use crate::{inf_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatc
 #[derive(Debug, Clone)]
 pub struct Adam<T> {
     lr0: T,
-    lr: T,
     beta1: T,
     beta2: T,
     eps: T,
     decay: T,
-    t: u32,
-    m: Vec<T>,
-    v: Vec<T>,
+    state: AdamState<T>,
+}
+
+solver_state! {
+    /// The resumable state of [`Adam`], wrapped by
+    /// [`OptimizerSnapshot::Adam`].
+    AdamState {
+        /// Current (decayed) learning rate.
+        lr: T,
+        /// Step counter for bias correction.
+        t: u32,
+        /// First-moment estimate.
+        m: Vec<T>,
+        /// Second-moment estimate.
+        v: Vec<T>,
+    }
+}
+
+impl<T: Float> AdamState<T> {
+    fn new(n: usize, lr: T) -> Self {
+        Self {
+            lr,
+            t: 0,
+            m: vec![T::ZERO; n],
+            v: vec![T::ZERO; n],
+        }
+    }
 }
 
 impl<T: Float> Adam<T> {
@@ -50,14 +73,11 @@ impl<T: Float> Adam<T> {
         assert!(lr > T::ZERO, "learning rate must be positive");
         Self {
             lr0: lr,
-            lr,
             beta1: T::from_f64(0.9),
             beta2: T::from_f64(0.999),
             eps: T::from_f64(1e-8),
             decay: T::ONE,
-            t: 0,
-            m: vec![T::ZERO; n],
-            v: vec![T::ZERO; n],
+            state: AdamState::new(n, lr),
         }
     }
 
@@ -70,41 +90,39 @@ impl<T: Float> Adam<T> {
 
     /// The current (decayed) learning rate.
     pub fn learning_rate(&self) -> T {
-        self.lr
+        self.state.lr
     }
 }
 
 impl<T: Float> Optimizer<T> for Adam<T> {
     fn step(&mut self, f: &mut dyn ObjectiveFn<T>, params: &mut [T]) -> StepInfo<T> {
-        assert_eq!(params.len(), self.m.len(), "parameter length changed");
+        let s = &mut self.state;
+        assert_eq!(params.len(), s.m.len(), "parameter length changed");
         let mut g = vec![T::ZERO; params.len()];
         let cost = f.eval(params, &mut g);
-        self.t += 1;
-        let b1t = self.beta1.powi(self.t as i32);
-        let b2t = self.beta2.powi(self.t as i32);
+        s.t += 1;
+        let b1t = self.beta1.powi(s.t as i32);
+        let b2t = self.beta2.powi(s.t as i32);
         for i in 0..params.len() {
-            self.m[i] = self.beta1 * self.m[i] + (T::ONE - self.beta1) * g[i];
-            self.v[i] = self.beta2 * self.v[i] + (T::ONE - self.beta2) * g[i] * g[i];
-            let m_hat = self.m[i] / (T::ONE - b1t);
-            let v_hat = self.v[i] / (T::ONE - b2t);
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            s.m[i] = self.beta1 * s.m[i] + (T::ONE - self.beta1) * g[i];
+            s.v[i] = self.beta2 * s.v[i] + (T::ONE - self.beta2) * g[i] * g[i];
+            let m_hat = s.m[i] / (T::ONE - b1t);
+            let v_hat = s.v[i] / (T::ONE - b2t);
+            params[i] -= s.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
         let info = StepInfo {
             cost,
             grad_norm: inf_norm(&g),
-            step_size: self.lr,
+            step_size: s.lr,
             backtracks: 0,
             lookahead: -T::ONE,
         };
-        self.lr *= self.decay;
+        s.lr *= self.decay;
         info
     }
 
     fn reset(&mut self) {
-        self.t = 0;
-        self.lr = self.lr0;
-        self.m.iter_mut().for_each(|x| *x = T::ZERO);
-        self.v.iter_mut().for_each(|x| *x = T::ZERO);
+        self.state = AdamState::new(self.state.m.len(), self.lr0);
     }
 
     fn name(&self) -> &'static str {
@@ -112,36 +130,18 @@ impl<T: Float> Optimizer<T> for Adam<T> {
     }
 
     fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
-        if !matches!(out, OptimizerSnapshot::Adam { .. }) {
-            *out = OptimizerSnapshot::Adam {
-                lr: T::ZERO,
-                t: 0,
-                m: Vec::new(),
-                v: Vec::new(),
-            };
-        }
-        if let OptimizerSnapshot::Adam { lr, t, m, v } = out {
-            *lr = self.lr;
-            *t = self.t;
-            m.clone_from(&self.m);
-            v.clone_from(&self.v);
+        match out {
+            OptimizerSnapshot::Adam(s) => s.clone_from(&self.state),
+            _ => *out = OptimizerSnapshot::Adam(self.state.clone()),
         }
     }
 
     fn restore(&mut self, snapshot: &OptimizerSnapshot<T>) -> Result<(), SnapshotMismatch> {
         match snapshot {
-            OptimizerSnapshot::Adam { lr, t, m, v } => {
-                self.lr = *lr;
-                self.t = *t;
-                self.m = m.clone();
-                self.v = v.clone();
-                Ok(())
-            }
-            other => Err(SnapshotMismatch {
-                snapshot_engine: other.engine(),
-                target_engine: self.name(),
-            }),
+            OptimizerSnapshot::Adam(s) => self.state.clone_from(s),
+            other => return Err(other.mismatch(self.name())),
         }
+        Ok(())
     }
 }
 

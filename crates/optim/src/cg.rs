@@ -31,10 +31,33 @@ use crate::{inf_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatc
 #[derive(Debug, Clone)]
 pub struct ConjugateGradient<T> {
     initial_step: T,
-    alpha: T,
-    g_prev: Option<Vec<T>>,
-    d_prev: Option<Vec<T>>,
-    p_prev: Option<Vec<T>>,
+    state: CgState<T>,
+}
+
+solver_state! {
+    /// The resumable state of [`ConjugateGradient`], wrapped by
+    /// [`OptimizerSnapshot::ConjugateGradient`].
+    CgState {
+        /// Current step size.
+        alpha: T,
+        /// Previous gradient.
+        g_prev: Option<Vec<T>>,
+        /// Previous search direction.
+        d_prev: Option<Vec<T>>,
+        /// Previous parameter vector.
+        p_prev: Option<Vec<T>>,
+    }
+}
+
+impl<T> CgState<T> {
+    fn new(alpha: T) -> Self {
+        Self {
+            alpha,
+            g_prev: None,
+            d_prev: None,
+            p_prev: None,
+        }
+    }
 }
 
 impl<T: Float> ConjugateGradient<T> {
@@ -47,10 +70,7 @@ impl<T: Float> ConjugateGradient<T> {
         assert!(initial_step > T::ZERO, "initial step must be positive");
         Self {
             initial_step,
-            alpha: initial_step,
-            g_prev: None,
-            d_prev: None,
-            p_prev: None,
+            state: CgState::new(initial_step),
         }
     }
 }
@@ -58,12 +78,13 @@ impl<T: Float> ConjugateGradient<T> {
 impl<T: Float> Optimizer<T> for ConjugateGradient<T> {
     fn step(&mut self, f: &mut dyn ObjectiveFn<T>, params: &mut [T]) -> StepInfo<T> {
         let n = params.len();
+        let s = &mut self.state;
         let mut g = vec![T::ZERO; n];
         let cost = f.eval(params, &mut g);
         let grad_norm = inf_norm(&g);
 
         // Two-point Lipschitz step estimate, like the Nesterov engine.
-        if let (Some(gp), Some(pp)) = (&self.g_prev, &self.p_prev) {
+        if let (Some(gp), Some(pp)) = (&s.g_prev, &s.p_prev) {
             let mut dp = T::ZERO;
             let mut dg = T::ZERO;
             for i in 0..n {
@@ -73,12 +94,12 @@ impl<T: Float> Optimizer<T> for ConjugateGradient<T> {
                 dg += b * b;
             }
             if dg > T::MIN_POSITIVE {
-                self.alpha = (dp.sqrt() / dg.sqrt()).min(self.alpha * T::TWO);
+                s.alpha = (dp.sqrt() / dg.sqrt()).min(s.alpha * T::TWO);
             }
         }
 
         // PR+ beta.
-        let beta = match &self.g_prev {
+        let beta = match &s.g_prev {
             Some(gp) => {
                 let mut num = T::ZERO;
                 let mut den = T::ZERO;
@@ -98,7 +119,7 @@ impl<T: Float> Optimizer<T> for ConjugateGradient<T> {
         // Direction with restart when it fails to descend.
         let mut d = vec![T::ZERO; n];
         let mut descent = T::ZERO;
-        match &self.d_prev {
+        match &s.d_prev {
             Some(dp) => {
                 for i in 0..n {
                     d[i] = -g[i] + beta * dp[i];
@@ -117,27 +138,24 @@ impl<T: Float> Optimizer<T> for ConjugateGradient<T> {
             }
         }
 
-        self.p_prev = Some(params.to_vec());
+        s.p_prev = Some(params.to_vec());
         for i in 0..n {
-            params[i] += self.alpha * d[i];
+            params[i] += s.alpha * d[i];
         }
-        self.g_prev = Some(g);
-        self.d_prev = Some(d);
+        s.g_prev = Some(g);
+        s.d_prev = Some(d);
 
         StepInfo {
             cost,
             grad_norm,
-            step_size: self.alpha,
+            step_size: s.alpha,
             backtracks: 0,
             lookahead: -T::ONE,
         }
     }
 
     fn reset(&mut self) {
-        self.alpha = self.initial_step;
-        self.g_prev = None;
-        self.d_prev = None;
-        self.p_prev = None;
+        self.state = CgState::new(self.initial_step);
     }
 
     fn name(&self) -> &'static str {
@@ -145,47 +163,18 @@ impl<T: Float> Optimizer<T> for ConjugateGradient<T> {
     }
 
     fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
-        if !matches!(out, OptimizerSnapshot::ConjugateGradient { .. }) {
-            *out = OptimizerSnapshot::ConjugateGradient {
-                alpha: T::ZERO,
-                g_prev: None,
-                d_prev: None,
-                p_prev: None,
-            };
-        }
-        if let OptimizerSnapshot::ConjugateGradient {
-            alpha,
-            g_prev,
-            d_prev,
-            p_prev,
-        } = out
-        {
-            *alpha = self.alpha;
-            g_prev.clone_from(&self.g_prev);
-            d_prev.clone_from(&self.d_prev);
-            p_prev.clone_from(&self.p_prev);
+        match out {
+            OptimizerSnapshot::ConjugateGradient(s) => s.clone_from(&self.state),
+            _ => *out = OptimizerSnapshot::ConjugateGradient(self.state.clone()),
         }
     }
 
     fn restore(&mut self, snapshot: &OptimizerSnapshot<T>) -> Result<(), SnapshotMismatch> {
         match snapshot {
-            OptimizerSnapshot::ConjugateGradient {
-                alpha,
-                g_prev,
-                d_prev,
-                p_prev,
-            } => {
-                self.alpha = *alpha;
-                self.g_prev = g_prev.clone();
-                self.d_prev = d_prev.clone();
-                self.p_prev = p_prev.clone();
-                Ok(())
-            }
-            other => Err(SnapshotMismatch {
-                snapshot_engine: other.engine(),
-                target_engine: self.name(),
-            }),
+            OptimizerSnapshot::ConjugateGradient(s) => self.state.clone_from(s),
+            other => return Err(other.mismatch(self.name())),
         }
+        Ok(())
     }
 }
 
@@ -233,6 +222,6 @@ mod tests {
         let mut p = vec![0.0; 4];
         cg.step(&mut f, &mut p);
         cg.reset();
-        assert!(cg.g_prev.is_none() && cg.d_prev.is_none());
+        assert!(cg.state.g_prev.is_none() && cg.state.d_prev.is_none());
     }
 }

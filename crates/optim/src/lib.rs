@@ -44,15 +44,39 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+/// Declares an engine's resumable state: the struct the engine steps and
+/// its [`OptimizerSnapshot`] variant wraps. Its `Clone::clone_from` reuses
+/// every vector's allocation, which a derived one does not, so capturing
+/// into an old snapshot of the same kind allocates nothing.
+macro_rules! solver_state {
+    ($(#[$m:meta])* $name:ident { $($(#[$fm:meta])* $f:ident: $t:ty,)* }) => {
+        $(#[$m])*
+        #[derive(Debug, PartialEq)]
+        pub struct $name<T> {
+            $($(#[$fm])* pub $f: $t,)*
+        }
+
+        impl<T: Clone> Clone for $name<T> {
+            fn clone(&self) -> Self {
+                Self { $($f: self.$f.clone(),)* }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                $(self.$f.clone_from(&source.$f);)*
+            }
+        }
+    };
+}
+
 pub mod adam;
 pub mod cg;
 pub mod nesterov;
 pub mod sgd;
 
-pub use adam::Adam;
-pub use cg::ConjugateGradient;
-pub use nesterov::NesterovOptimizer;
-pub use sgd::SgdMomentum;
+pub use adam::{Adam, AdamState};
+pub use cg::{CgState, ConjugateGradient};
+pub use nesterov::{NesterovOptimizer, NesterovState};
+pub use sgd::{SgdMomentum, SgdState};
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -106,8 +130,10 @@ impl<T: Float> StepInfo<T> {
     }
 }
 
-/// Engine-tagged copy of an optimizer's mutable state, captured by
-/// [`Optimizer::snapshot`] and reinstated by [`Optimizer::restore`].
+/// Engine-tagged state of an optimizer, captured by [`Optimizer::snapshot`]
+/// and reinstated by [`Optimizer::restore`]. Each variant wraps the struct
+/// its engine steps, so a capture is a clone of that struct and a restore
+/// clones it back.
 ///
 /// The global placer checkpoints this alongside cell positions so a
 /// diverging run can roll back to the last good iterate with the solver's
@@ -116,59 +142,23 @@ impl<T: Float> StepInfo<T> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptimizerSnapshot<T> {
     /// State of [`NesterovOptimizer`].
-    Nesterov {
-        /// Momentum coefficient `a_k`.
-        a: T,
-        /// Current step size.
-        alpha: T,
-        /// Reference point `v_k`.
-        v: Option<Vec<T>>,
-        /// Previous major point.
-        u_prev: Option<Vec<T>>,
-        /// Gradient at the previous reference point.
-        g_prev: Option<Vec<T>>,
-        /// Previous reference point.
-        v_prev: Option<Vec<T>>,
-    },
+    Nesterov(NesterovState<T>),
     /// State of [`Adam`].
-    Adam {
-        /// Current (decayed) learning rate.
-        lr: T,
-        /// Step counter for bias correction.
-        t: u32,
-        /// First-moment estimate.
-        m: Vec<T>,
-        /// Second-moment estimate.
-        v: Vec<T>,
-    },
+    Adam(AdamState<T>),
     /// State of [`SgdMomentum`].
-    SgdMomentum {
-        /// Current (decayed) learning rate.
-        lr: T,
-        /// Velocity accumulator.
-        velocity: Vec<T>,
-    },
+    SgdMomentum(SgdState<T>),
     /// State of [`ConjugateGradient`].
-    ConjugateGradient {
-        /// Current step size.
-        alpha: T,
-        /// Previous gradient.
-        g_prev: Option<Vec<T>>,
-        /// Previous search direction.
-        d_prev: Option<Vec<T>>,
-        /// Previous parameter vector.
-        p_prev: Option<Vec<T>>,
-    },
+    ConjugateGradient(CgState<T>),
 }
 
 impl<T> OptimizerSnapshot<T> {
     /// The engine this snapshot belongs to (matches [`Optimizer::name`]).
     pub fn engine(&self) -> &'static str {
         match self {
-            OptimizerSnapshot::Nesterov { .. } => "nesterov",
-            OptimizerSnapshot::Adam { .. } => "adam",
-            OptimizerSnapshot::SgdMomentum { .. } => "sgd-momentum",
-            OptimizerSnapshot::ConjugateGradient { .. } => "conjugate-gradient",
+            OptimizerSnapshot::Nesterov(_) => "nesterov",
+            OptimizerSnapshot::Adam(_) => "adam",
+            OptimizerSnapshot::SgdMomentum(_) => "sgd-momentum",
+            OptimizerSnapshot::ConjugateGradient(_) => "conjugate-gradient",
         }
     }
 
@@ -176,35 +166,40 @@ impl<T> OptimizerSnapshot<T> {
     /// long as the parameter vector of the engine it was taken from.
     pub fn vectors(&self) -> impl Iterator<Item = &[T]> {
         let all = match self {
-            OptimizerSnapshot::Nesterov {
-                v,
-                u_prev,
-                g_prev,
-                v_prev,
-                ..
-            } => [
-                v.as_ref(),
-                u_prev.as_ref(),
-                g_prev.as_ref(),
-                v_prev.as_ref(),
+            OptimizerSnapshot::Nesterov(s) => [
+                s.v.as_ref(),
+                s.u_prev.as_ref(),
+                s.g_prev.as_ref(),
+                s.v_prev.as_ref(),
             ],
-            OptimizerSnapshot::Adam { m, v, .. } => [Some(m), Some(v), None, None],
-            OptimizerSnapshot::SgdMomentum { velocity, .. } => [Some(velocity), None, None, None],
-            OptimizerSnapshot::ConjugateGradient {
-                g_prev,
-                d_prev,
-                p_prev,
-                ..
-            } => [g_prev.as_ref(), d_prev.as_ref(), p_prev.as_ref(), None],
+            OptimizerSnapshot::Adam(s) => [Some(&s.m), Some(&s.v), None, None],
+            OptimizerSnapshot::SgdMomentum(s) => [Some(&s.velocity), None, None, None],
+            OptimizerSnapshot::ConjugateGradient(s) => [
+                s.g_prev.as_ref(),
+                s.d_prev.as_ref(),
+                s.p_prev.as_ref(),
+                None,
+            ],
         };
         all.into_iter().flatten().map(Vec::as_slice)
+    }
+
+    /// The error of restoring this snapshot into the engine `target`.
+    pub(crate) fn mismatch(&self, target: &'static str) -> SnapshotMismatch {
+        SnapshotMismatch {
+            snapshot_engine: self.engine(),
+            target_engine: target,
+        }
     }
 }
 
 /// An empty state: momentum SGD before its first step.
 impl<T: Default> Default for OptimizerSnapshot<T> {
     fn default() -> Self {
-        OptimizerSnapshot::SgdMomentum { lr: T::default(), velocity: Vec::new() }
+        OptimizerSnapshot::SgdMomentum(SgdState {
+            lr: T::default(),
+            velocity: Vec::new(),
+        })
     }
 }
 
@@ -242,10 +237,9 @@ pub trait Optimizer<T: Float> {
     /// Short engine name for reports ("nesterov", "adam", ...).
     fn name(&self) -> &'static str;
 
-    /// Captures the full mutable state into `out`, reusing its vectors
-    /// when `out` already holds this engine's kind (any other kind, or a
-    /// vector of another length, is replaced). This is each engine's only
-    /// capture code. `restore`-ing the captured snapshot must be an exact
+    /// Clones the engine's state into `out`, reusing its vectors when `out`
+    /// already holds this engine's kind (any other kind is replaced).
+    /// `restore`-ing the captured snapshot must be an exact
     /// round-trip: a restored optimizer produces bit-identical trajectories
     /// to one that never left that state.
     fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>);
@@ -257,8 +251,8 @@ pub trait Optimizer<T: Float> {
         out
     }
 
-    /// Reinstates state captured by [`Optimizer::snapshot`] on the same
-    /// engine kind.
+    /// Clones state captured by [`Optimizer::snapshot`] on the same engine
+    /// kind back into the engine, reusing the engine's vectors.
     ///
     /// # Errors
     ///

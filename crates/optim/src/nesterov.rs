@@ -43,21 +43,42 @@ use crate::{inf_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatc
 pub struct NesterovOptimizer<T> {
     initial_step: T,
     max_backtracks: usize,
-    /// `a_k` momentum coefficient.
-    a: T,
-    /// Reference point `v_k` (lazily initialized to the incoming params).
-    v: Option<Vec<T>>,
-    /// Previous major point `u_{k-1}`.
-    u_prev: Option<Vec<T>>,
-    /// Gradient at the previous reference point.
-    g_prev: Option<Vec<T>>,
-    /// Previous reference point.
-    v_prev: Option<Vec<T>>,
-    /// Current step size.
-    alpha: T,
+    state: NesterovState<T>,
     /// Storage for the next step's opening gradient (the last step's probe
     /// gradient; its contents are dead between steps).
     g_buf: Vec<T>,
+}
+
+solver_state! {
+    /// The resumable state of [`NesterovOptimizer`], wrapped by
+    /// [`OptimizerSnapshot::Nesterov`].
+    NesterovState {
+        /// Momentum coefficient `a_k`.
+        a: T,
+        /// Current step size.
+        alpha: T,
+        /// Reference point `v_k` (lazily initialized to the incoming params).
+        v: Option<Vec<T>>,
+        /// Previous major point `u_{k-1}`.
+        u_prev: Option<Vec<T>>,
+        /// Gradient at the previous reference point.
+        g_prev: Option<Vec<T>>,
+        /// Previous reference point.
+        v_prev: Option<Vec<T>>,
+    }
+}
+
+impl<T: Float> NesterovState<T> {
+    fn new(alpha: T) -> Self {
+        Self {
+            a: T::ONE,
+            alpha,
+            v: None,
+            u_prev: None,
+            g_prev: None,
+            v_prev: None,
+        }
+    }
 }
 
 impl<T: Float> NesterovOptimizer<T> {
@@ -71,12 +92,7 @@ impl<T: Float> NesterovOptimizer<T> {
         Self {
             initial_step,
             max_backtracks: 10,
-            a: T::ONE,
-            v: None,
-            u_prev: None,
-            g_prev: None,
-            v_prev: None,
-            alpha: initial_step,
+            state: NesterovState::new(initial_step),
             g_buf: Vec::new(),
         }
     }
@@ -89,7 +105,7 @@ impl<T: Float> NesterovOptimizer<T> {
 
     /// The current step size (diagnostic).
     pub fn step_size(&self) -> T {
-        self.alpha
+        self.state.alpha
     }
 
     /// Lipschitz-based step prediction between two (point, gradient) pairs.
@@ -119,7 +135,8 @@ impl<T: Float> NesterovOptimizer<T> {
 impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
     fn step(&mut self, f: &mut dyn ObjectiveFn<T>, params: &mut [T]) -> StepInfo<T> {
         let n = params.len();
-        let v = self.v.get_or_insert_with(|| params.to_vec());
+        let s = &mut self.state;
+        let v = s.v.get_or_insert_with(|| params.to_vec());
         assert_eq!(v.len(), n, "parameter length changed between steps");
 
         // Zero-filled like a fresh vector, in case `f` writes sparsely.
@@ -130,23 +147,23 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
         let grad_norm = inf_norm(&g);
 
         // Predict the step size from the previous reference/gradient pair.
-        if let (Some(vp), Some(gp)) = (&self.v_prev, &self.g_prev) {
+        if let (Some(vp), Some(gp)) = (&s.v_prev, &s.g_prev) {
             if let Some(a) = Self::lipschitz_step(v, vp, &g, gp) {
-                self.alpha = a;
+                s.alpha = a;
             }
         }
 
-        let u_prev: &[T] = self.u_prev.as_deref().unwrap_or(v);
-        let a_next = (T::ONE + (T::from_f64(4.0) * self.a * self.a + T::ONE).sqrt()) * T::HALF;
-        let coef = (self.a - T::ONE) / a_next;
+        let u_prev: &[T] = s.u_prev.as_deref().unwrap_or(v);
+        let a_next = (T::ONE + (T::from_f64(4.0) * s.a * s.a + T::ONE).sqrt()) * T::HALF;
+        let coef = (s.a - T::ONE) / a_next;
 
         let mut backtracks = 0usize;
-        let mut alpha = self.alpha;
+        let mut alpha = s.alpha;
         // The tentative reference point and the gradient there, in the
         // storage of the pair the prediction above was the last to read.
         // Every backtracking round overwrites `params` and `v_new` in full.
-        let mut v_new = self.v_prev.take().unwrap_or_default();
-        let mut g_new = self.g_prev.take().unwrap_or_default();
+        let mut v_new = s.v_prev.take().unwrap_or_default();
+        let mut g_new = s.g_prev.take().unwrap_or_default();
         v_new.resize(n, T::ZERO);
         g_new.clear();
         g_new.resize(n, T::ZERO);
@@ -169,16 +186,16 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
                 _ => break,
             }
         }
-        self.alpha = alpha;
+        s.alpha = alpha;
 
-        match &mut self.u_prev {
+        match &mut s.u_prev {
             Some(u) => u.copy_from_slice(params),
-            None => self.u_prev = Some(params.to_vec()),
+            None => s.u_prev = Some(params.to_vec()),
         }
-        self.v_prev = Some(std::mem::replace(v, v_new));
-        self.g_prev = Some(g);
+        s.v_prev = Some(std::mem::replace(v, v_new));
+        s.g_prev = Some(g);
         self.g_buf = g_new;
-        self.a = a_next;
+        s.a = a_next;
 
         StepInfo {
             cost,
@@ -190,12 +207,7 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
     }
 
     fn reset(&mut self) {
-        self.a = T::ONE;
-        self.v = None;
-        self.u_prev = None;
-        self.g_prev = None;
-        self.v_prev = None;
-        self.alpha = self.initial_step;
+        self.state = NesterovState::new(self.initial_step);
     }
 
     fn name(&self) -> &'static str {
@@ -203,57 +215,18 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
     }
 
     fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
-        if !matches!(out, OptimizerSnapshot::Nesterov { .. }) {
-            *out = OptimizerSnapshot::Nesterov {
-                a: T::ZERO,
-                alpha: T::ZERO,
-                v: None,
-                u_prev: None,
-                g_prev: None,
-                v_prev: None,
-            };
-        }
-        if let OptimizerSnapshot::Nesterov {
-            a,
-            alpha,
-            v,
-            u_prev,
-            g_prev,
-            v_prev,
-        } = out
-        {
-            *a = self.a;
-            *alpha = self.alpha;
-            v.clone_from(&self.v);
-            u_prev.clone_from(&self.u_prev);
-            g_prev.clone_from(&self.g_prev);
-            v_prev.clone_from(&self.v_prev);
+        match out {
+            OptimizerSnapshot::Nesterov(s) => s.clone_from(&self.state),
+            _ => *out = OptimizerSnapshot::Nesterov(self.state.clone()),
         }
     }
 
     fn restore(&mut self, snapshot: &OptimizerSnapshot<T>) -> Result<(), SnapshotMismatch> {
         match snapshot {
-            OptimizerSnapshot::Nesterov {
-                a,
-                alpha,
-                v,
-                u_prev,
-                g_prev,
-                v_prev,
-            } => {
-                self.a = *a;
-                self.alpha = *alpha;
-                self.v = v.clone();
-                self.u_prev = u_prev.clone();
-                self.g_prev = g_prev.clone();
-                self.v_prev = v_prev.clone();
-                Ok(())
-            }
-            other => Err(SnapshotMismatch {
-                snapshot_engine: other.engine(),
-                target_engine: self.name(),
-            }),
+            OptimizerSnapshot::Nesterov(s) => self.state.clone_from(s),
+            other => return Err(other.mismatch(self.name())),
         }
+        Ok(())
     }
 }
 

@@ -25,10 +25,20 @@ use crate::{inf_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatc
 #[derive(Debug, Clone)]
 pub struct SgdMomentum<T> {
     lr0: T,
-    lr: T,
     momentum: T,
     decay: T,
-    velocity: Vec<T>,
+    state: SgdState<T>,
+}
+
+solver_state! {
+    /// The resumable state of [`SgdMomentum`], wrapped by
+    /// [`OptimizerSnapshot::SgdMomentum`].
+    SgdState {
+        /// Current (decayed) learning rate.
+        lr: T,
+        /// Velocity accumulator.
+        velocity: Vec<T>,
+    }
 }
 
 impl<T: Float> SgdMomentum<T> {
@@ -42,10 +52,12 @@ impl<T: Float> SgdMomentum<T> {
         assert!(lr > T::ZERO, "learning rate must be positive");
         Self {
             lr0: lr,
-            lr,
             momentum: T::from_f64(0.9),
             decay: T::ONE,
-            velocity: vec![T::ZERO; n],
+            state: SgdState {
+                lr,
+                velocity: vec![T::ZERO; n],
+            },
         }
     }
 
@@ -63,37 +75,37 @@ impl<T: Float> SgdMomentum<T> {
 
     /// The current (decayed) learning rate.
     pub fn learning_rate(&self) -> T {
-        self.lr
+        self.state.lr
     }
 }
 
 impl<T: Float> Optimizer<T> for SgdMomentum<T> {
     fn step(&mut self, f: &mut dyn ObjectiveFn<T>, params: &mut [T]) -> StepInfo<T> {
-        assert_eq!(
-            params.len(),
-            self.velocity.len(),
-            "parameter length changed"
-        );
+        let s = &mut self.state;
+        assert_eq!(params.len(), s.velocity.len(), "parameter length changed");
         let mut g = vec![T::ZERO; params.len()];
         let cost = f.eval(params, &mut g);
         for i in 0..params.len() {
-            self.velocity[i] = self.momentum * self.velocity[i] + g[i];
-            params[i] -= self.lr * self.velocity[i];
+            s.velocity[i] = self.momentum * s.velocity[i] + g[i];
+            params[i] -= s.lr * s.velocity[i];
         }
         let info = StepInfo {
             cost,
             grad_norm: inf_norm(&g),
-            step_size: self.lr,
+            step_size: s.lr,
             backtracks: 0,
             lookahead: -T::ONE,
         };
-        self.lr *= self.decay;
+        s.lr *= self.decay;
         info
     }
 
     fn reset(&mut self) {
-        self.lr = self.lr0;
-        self.velocity.iter_mut().for_each(|x| *x = T::ZERO);
+        let n = self.state.velocity.len();
+        self.state = SgdState {
+            lr: self.lr0,
+            velocity: vec![T::ZERO; n],
+        };
     }
 
     fn name(&self) -> &'static str {
@@ -101,27 +113,18 @@ impl<T: Float> Optimizer<T> for SgdMomentum<T> {
     }
 
     fn snapshot_into(&self, out: &mut OptimizerSnapshot<T>) {
-        if !matches!(out, OptimizerSnapshot::SgdMomentum { .. }) {
-            *out = OptimizerSnapshot::default();
-        }
-        if let OptimizerSnapshot::SgdMomentum { lr, velocity } = out {
-            *lr = self.lr;
-            velocity.clone_from(&self.velocity);
+        match out {
+            OptimizerSnapshot::SgdMomentum(s) => s.clone_from(&self.state),
+            _ => *out = OptimizerSnapshot::SgdMomentum(self.state.clone()),
         }
     }
 
     fn restore(&mut self, snapshot: &OptimizerSnapshot<T>) -> Result<(), SnapshotMismatch> {
         match snapshot {
-            OptimizerSnapshot::SgdMomentum { lr, velocity } => {
-                self.lr = *lr;
-                self.velocity = velocity.clone();
-                Ok(())
-            }
-            other => Err(SnapshotMismatch {
-                snapshot_engine: other.engine(),
-                target_engine: self.name(),
-            }),
+            OptimizerSnapshot::SgdMomentum(s) => self.state.clone_from(s),
+            other => return Err(other.mismatch(self.name())),
         }
+        Ok(())
     }
 }
 

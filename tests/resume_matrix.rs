@@ -470,7 +470,9 @@ fn resume_refuses_stage_states_the_stages_cannot_continue() {
     let CheckpointStage::Gp { engine, .. } = &mut data.stage else {
         panic!("want a GP checkpoint");
     };
-    std::sync::Arc::make_mut(&mut engine.rollback).params.pop();
+    std::sync::Arc::make_mut(&mut engine.run.rollback)
+        .params
+        .pop();
     let err = DreamPlacer::new(config(&d))
         .place_durable(&d, Some(data), None, FlowFaultInjection::default())
         .expect_err("a short rollback target must be refused");
@@ -494,5 +496,31 @@ fn resume_refuses_stage_states_the_stages_cannot_continue() {
             assert!(reason.contains("cursor 9"), "{reason}");
         }
         other => panic!("want Unresumable, got {other:?}"),
+    }
+}
+
+/// The `design` record ends its line with the design's name, so a durable
+/// run whose name that record cannot carry (blank, a line feed, a trailing
+/// carriage return) is refused before its first step rather than leaving
+/// checkpoints that no reader accepts.
+#[test]
+fn a_design_name_no_checkpoint_can_record_is_refused_before_the_first_step() {
+    for name in ["", " ", "two\nlines", "crlf\r"] {
+        let d = GeneratorConfig::new(name, 60, 66)
+            .with_seed(5)
+            .generate::<f64>()
+            .expect("valid generator config");
+        let dir = tmp_dir("unrecordable-name");
+        let policy = CheckpointPolicy::new(&dir).every(10);
+        let err = DreamPlacer::new(config(&d))
+            .place_durable(&d, None, Some(&policy), FlowFaultInjection::default())
+            .expect_err("an unrecordable name must be refused");
+        match err {
+            FlowError::Checkpoint(CheckpointError::UnrecordableName { name: got }) => {
+                assert_eq!(got, name);
+            }
+            other => panic!("{name:?}: want UnrecordableName, got {other:?}"),
+        }
+        assert!(!dir.exists(), "{name:?}: nothing may be written");
     }
 }
